@@ -76,57 +76,3 @@ def test_search_engine_speedup(benchmark):
     print()
     print(text)
 
-
-@pytest.mark.benchmark(group="search_engine")
-def test_delta_eval_speedup(benchmark):
-    """Full re-costing vs incremental delta evaluation at P = 35.
-
-    Both runs are exhaustive (``jobs=1, prune=False``) so the winners
-    are directly comparable; the delta path must return the bit-identical
-    winner at >= 3x the speed.  Recorded in
-    ``benchmarks/results/delta_eval_speedup.txt``.
-    """
-    kw = dict(jobs=1, prune=False, seed=1234)
-
-    def _run(delta):
-        COST_CACHE.clear()
-        t0 = time.perf_counter()
-        res = gcrm_search(P, seeds=SEEDS, max_factor=MAX_FACTOR,
-                          delta=delta, **kw)
-        return time.perf_counter() - t0, res
-
-    _run(True)  # warm imports/allocator before timing
-    full_t, full = _run(False)
-    delta_t, delta_res = benchmark.pedantic(
-        lambda: _run(True), rounds=1, iterations=1)
-
-    # byte-identical winners: same cost float, same grid bytes
-    assert delta_res.cost == full.cost
-    assert delta_res.pattern == full.pattern
-    assert delta_res.pattern.grid.tobytes() == full.pattern.grid.tobytes()
-    assert delta_res.report.n_tasks_evaluated == full.report.n_tasks_evaluated
-
-    speedup = full_t / delta_t
-    assert speedup >= 3.0, f"delta speedup {speedup:.2f}x below 3x"
-
-    lines = [
-        f"GCR&M delta-evaluation micro-benchmark — P={P}, "
-        f"seeds={len(list(SEEDS))}, max_factor={MAX_FACTOR}, "
-        f"jobs=1, prune=False",
-        f"host: {os.cpu_count()} CPU(s)",
-        "",
-        f"{'evaluator':<38} {'time [s]':>9} {'best T':>8} {'tasks':>6}",
-        f"{'full re-costing (delta=False)':<38} {full_t:>9.3f} "
-        f"{full.cost:>8.4f} {full.report.n_tasks_evaluated:>6d}",
-        f"{'incremental delta (delta=True)':<38} {delta_t:>9.3f} "
-        f"{delta_res.cost:>8.4f} {delta_res.report.n_tasks_evaluated:>6d}",
-        "",
-        f"speedup delta vs full: {speedup:.2f}x",
-        "winners are byte-identical (same RNG stream, same matching, same",
-        "cost floats) — pinned by tests/patterns/test_delta_eval.py.",
-    ]
-    text = "\n".join(lines)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "delta_eval_speedup.txt").write_text(text + "\n")
-    print()
-    print(text)

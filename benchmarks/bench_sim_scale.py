@@ -9,8 +9,8 @@ wall-clock plus peak RSS in ``benchmarks/results/sim_batch_speedup.txt``:
   end-to-end ≥10× denominator, run live at m = 128;
 * **python**   — the batch-drained pure-Python event loop
   (``REPRO_SIM_BACKEND=python``);
-* **compiled** — the auto-selected accelerated backend (numba when
-  installed, else the on-demand-compiled C loop) over the shared
+* **compiled** — the auto-selected backend (the on-demand-compiled C
+  loop when a C compiler is present) over the shared
   :mod:`~repro.runtime.simplan` plan.
 
 Every pairing is asserted schedule-identical (canonical-trace equality
@@ -198,7 +198,7 @@ def test_sim_batch_speedup(benchmark):
         f"tile={TILE}",
         f"host: {os.cpu_count()} CPU(s); active backend: {auto_name}",
         "python = batch-drained pure-Python loop; compiled = "
-        "numba/C backend over the shared plan.",
+        "C backend over the shared plan.",
         "All pairings schedule-identical (canonical equality pinned "
         "at m=64).",
         "",

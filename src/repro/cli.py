@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-prune", action="store_true",
                        help="evaluate every feasible pattern size instead of "
                             "stopping near the sqrt(3P/2) cost floor")
-        p.add_argument("--delta", action="store_true",
-                       help="score GCR&M candidates with the incremental "
-                            "delta evaluator (bit-identical winners)")
 
     p = sub.add_parser("pattern", help="build and inspect a pattern")
     p.add_argument("--nodes", "-P", type=int, required=True)
@@ -247,14 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _search_kwargs(args) -> dict:
-    """Translate --jobs/--no-prune/--delta into gcrm_search keywords."""
+    """Translate --jobs/--no-prune into gcrm_search keywords."""
     kw = {}
     if getattr(args, "jobs", None) is not None:
         kw["jobs"] = args.jobs
     if getattr(args, "no_prune", False):
         kw["prune"] = False
-    if getattr(args, "delta", False):
-        kw["delta"] = True
     return kw
 
 

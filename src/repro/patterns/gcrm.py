@@ -109,7 +109,10 @@ TIE_BREAKS = ("usage_random", "random", "first")
 
 def _phase1(P: int, r: int, rng: np.random.Generator,
             tie_break: str = "usage_random") -> list[set[int]]:
-    """Greedy colrow assignment (lines 1-10 of Algorithm 1)."""
+    """Greedy colrow assignment (lines 1-10 of Algorithm 1).
+
+    Reference loop, kept as the test oracle for :func:`_phase1_fast`.
+    """
     A = [set() for _ in range(P)]
     # membership[p, i] — colrow i in A[p]
     member = np.zeros((P, r), dtype=bool)
@@ -159,7 +162,7 @@ def _phase1(P: int, r: int, rng: np.random.Generator,
 
 def _phase1_fast(P: int, r: int, rng: np.random.Generator,
                  tie_break: str = "usage_random") -> list[set[int]]:
-    """Bitmask reimplementation of :func:`_phase1` (the ``delta=True`` path).
+    """Bitmask reimplementation of :func:`_phase1` (the production path).
 
     Decision-for-decision identical to the reference loop: the same
     ``rng.choice`` calls are made on the same candidate lists, so the
@@ -270,6 +273,8 @@ def _matching_assign(cells: np.ndarray, cover: np.ndarray, copies: np.ndarray) -
     is the number of copies of node ``p`` on the right side.  Returns an
     array of node ids (or -1) per cell, assigning at most ``copies[p]``
     cells to node ``p`` via Hopcroft–Karp maximum bipartite matching.
+    Reference loop, kept as the test oracle for
+    :func:`_matching_assign_fast`.
     """
     P = cover.shape[1]
     col_node = np.repeat(np.arange(P), copies)
@@ -302,7 +307,7 @@ def _matching_assign(cells: np.ndarray, cover: np.ndarray, copies: np.ndarray) -
 
 def _matching_assign_fast(cells: np.ndarray, cover: np.ndarray,
                           copies: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_matching_assign` (the ``delta=True`` path).
+    """Vectorized :func:`_matching_assign` (the production path).
 
     Builds the cell/copy bipartite graph directly in CSR form — the
     same matrix, entry for entry, that the reference path assembles
@@ -342,8 +347,8 @@ def _matching_assign_fast(cells: np.ndarray, cover: np.ndarray,
     return out
 
 
-def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
-         delta: bool = False) -> GCRMResult:
+def gcrm(P: int, r: int, seed=None,
+         tie_break: str = "usage_random") -> GCRMResult:
     """Run GCR&M for ``P`` nodes and pattern size ``r`` (Algorithm 1).
 
     ``seed`` may be an integer, ``None``, or a
@@ -353,14 +358,14 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     policy (see :data:`TIE_BREAKS`); the paper's algorithm is
     ``"usage_random"``.
 
-    ``delta=True`` routes construction through the incremental
-    evaluator: the bitmask phase 1 (:func:`_phase1_fast`), the
-    direct-CSR matchings (:func:`_matching_assign_fast`), and a
-    :class:`~repro.patterns.delta.DeltaCostState` that scores the
-    greedy top-up and the final cost without full-grid re-costing.
-    The result — pattern, colrows, loads *and* the cost float — is
-    byte-identical to the reference path (``delta=False``), which stays
-    as the oracle the differential suite pins against.
+    Construction runs on the fast evaluator: the bitmask phase 1
+    (:func:`_phase1_fast`), the direct-CSR matchings
+    (:func:`_matching_assign_fast`), and one vectorized
+    :class:`~repro.patterns.delta.DeltaCostState` count of the finished
+    grid instead of full re-costing.
+    The reference loops :func:`_phase1` / :func:`_matching_assign` and
+    full re-costing (:attr:`Pattern.cost_cholesky`) are kept only as
+    the oracles the differential suite pins this path against.
     """
     if P < 1:
         raise ValueError(f"node count must be >= 1, got P={P}")
@@ -373,9 +378,7 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     else:
         seed_id = seed
     rng = np.random.default_rng(seed)
-    phase1 = _phase1_fast if delta else _phase1
-    assign = _matching_assign_fast if delta else _matching_assign
-    A = phase1(P, r, rng, tie_break=tie_break)
+    A = _phase1_fast(P, r, rng, tie_break=tie_break)
 
     member = np.zeros((P, r), dtype=bool)
     for p, crs in enumerate(A):
@@ -395,22 +398,15 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     # first matching: k duplicates per node (line 11)
     if k > 0:
         all_cells = np.arange(ncells)
-        owner = assign(all_cells, cover, np.full(P, k, dtype=np.int64))
+        owner = _matching_assign_fast(all_cells, cover,
+                                      np.full(P, k, dtype=np.int64))
 
     # second matching: unassigned cells vs 1 extra duplicate per node (line 12)
     unassigned = np.flatnonzero(owner == -1)
     if len(unassigned):
-        extra = assign(unassigned, cover, np.ones(P, dtype=np.int64))
+        extra = _matching_assign_fast(unassigned, cover,
+                                      np.ones(P, dtype=np.int64))
         owner[unassigned[extra >= 0]] = extra[extra >= 0]
-
-    state = None
-    if delta:
-        # score the matched cells once, then delta-evaluate the top-up
-        state = DeltaCostState(r, P)
-        done = owner >= 0
-        np.add.at(state.counts, (ii[done], owner[done]), 1)
-        np.add.at(state.counts, (jj[done], owner[done]), 1)
-        state.z = (state.counts > 0).sum(axis=1).astype(np.int64)
 
     # leftover cells: least loaded node reachable by adding one colrow
     loads = np.bincount(owner[owner >= 0], minlength=P)
@@ -426,8 +422,6 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
         member[p, i] = True
         member[p, j] = True
         A[p].update((i, j))
-        if state is not None:
-            state.assign(i, j, p)
 
     grid = np.full((r, r), UNDEFINED, dtype=np.int64)
     grid[ii, jj] = owner
@@ -435,7 +429,7 @@ def gcrm(P: int, r: int, seed=None, tie_break: str = "usage_random",
     return GCRMResult(
         pattern=pattern,
         colrows=A,
-        cost=state.cost if state is not None else pattern.cost_cholesky,
+        cost=DeltaCostState.from_grid(grid, P).cost,
         seed=seed_id,
         phase2_leftover=int(len(leftover)),
         loads=np.bincount(owner, minlength=P),
@@ -484,7 +478,7 @@ def _affinity_relabel(grid: np.ndarray, P: int,
 
 def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
               inter_weight: float = 4.0, tie_break: str = "usage_random",
-              delta: bool = False, max_passes: int = 4) -> GCRMResult:
+              max_passes: int = 4) -> GCRMResult:
     """Hierarchy-aware GCR&M: optimize the weighted two-level objective.
 
     Runs flat :func:`gcrm` construction on the identical RNG stream,
@@ -506,11 +500,12 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     (there is no hierarchy to exploit), making hierarchical search
     degenerate to flat GCR&M winners at a fixed seed.
 
-    ``delta=True`` scores refinement moves with the incremental
-    :class:`~repro.patterns.delta.HierCostState`; ``delta=False``
-    re-counts from the mutated grid.  Both reduce the same integer
-    count arrays through :func:`~repro.patterns.base.hier_mean`, so
-    the accepted moves — and the final pattern — are byte-identical.
+    Refinement moves are scored with the incremental
+    :class:`~repro.patterns.delta.HierCostState`, which reduces the
+    same integer count arrays through
+    :func:`~repro.patterns.base.hier_mean` as full re-costing
+    (:meth:`Pattern.cost_hier`, the test oracle), so both agree bit for
+    bit.
 
     The returned :attr:`GCRMResult.cost` is the hierarchical objective
     (which equals the flat cost when the topology is flat).
@@ -522,19 +517,17 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     if topology.nranks < P:
         raise ValueError(
             f"topology covers {topology.nranks} ranks but P={P}")
-    base = gcrm(P, r, seed=seed, tie_break=tie_break, delta=delta)
+    base = gcrm(P, r, seed=seed, tie_break=tie_break)
     if topology.is_flat:
         return base
 
-    w = float(inter_weight)
     grid = base.pattern.grid.copy()
     relabel = _affinity_relabel(grid, P, topology)
     mask = grid != UNDEFINED
     grid[mask] = relabel[grid[mask]]
 
-    state = HierCostState.from_grid(grid, P, topology, w)
-    cur = state.cost_hier if delta else HierCostState.from_grid(
-        grid, P, topology, w).cost_hier
+    state = HierCostState.from_grid(grid, P, topology, float(inter_weight))
+    cur = state.cost_hier
     for _ in range(max_passes):
         improved = False
         for i in range(r):
@@ -570,9 +563,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
                     state.apply(back)
                     grid[i, j] = q
                     grid[a, b] = p
-                    new_cost = state.cost_hier if delta else (
-                        HierCostState.from_grid(grid, P, topology, w)
-                        .cost_hier)
+                    new_cost = state.cost_hier
                     if new_cost < cur - 1e-12:
                         cur = new_cost
                         improved = True
@@ -612,7 +603,6 @@ def gcrm_search(
     prune_tol: float = 0.05,
     chunk_size: Optional[int] = None,
     tie_break: str = "usage_random",
-    delta: bool = False,
     topology: Optional["Topology"] = None,
     inter_weight: float = 4.0,
 ) -> GCRMResult:
@@ -642,12 +632,6 @@ def gcrm_search(
         (:func:`gcrm_cost_floor`).  Pruning decisions happen on size
         boundaries only, so they are identical for every ``jobs``.
         The first candidate size is always fully evaluated.
-    ``delta``
-        Evaluate tasks with the incremental delta evaluator (see
-        :func:`gcrm`).  Winners are byte-identical to ``delta=False``;
-        the full evaluator remains the reference path
-        (``benchmarks/results/delta_eval_speedup.txt`` records the
-        speedup).
     ``topology`` / ``inter_weight``
         When a non-flat :class:`~repro.runtime.topology.Topology` is
         given, every task runs :func:`gcrm_hier` and the sweep ranks
@@ -696,7 +680,6 @@ def gcrm_search(
         prune=prune,
         prune_floor=gcrm_cost_floor(topology.nnodes if hier else P),
         prune_tol=prune_tol,
-        delta=delta,
         topology=topology if hier else None,
         inter_weight=inter_weight,
     )
@@ -712,11 +695,9 @@ def gcrm_search(
                   if t.index == report.best_index)
     if hier:
         best = gcrm_hier(P, winner.r, topology, seed=winner.seed,
-                         inter_weight=inter_weight, tie_break=tie_break,
-                         delta=delta)
+                         inter_weight=inter_weight, tie_break=tie_break)
     else:
-        best = gcrm(P, winner.r, seed=winner.seed, tie_break=tie_break,
-                    delta=delta)
+        best = gcrm(P, winner.r, seed=winner.seed, tie_break=tie_break)
     assert abs(best.cost - report.best_cost) < 1e-9, "non-deterministic gcrm task"
     best.report = report
     return best

@@ -46,10 +46,9 @@ def _family_sbc_within(P: int, **kw) -> Pattern:
 
 
 def _family_gcrm(P: int, seeds: Iterable[int] = range(20), max_factor: float = 6.0,
-                 jobs: Optional[int] = 1, prune: bool = True,
-                 delta: bool = False, **kw) -> Pattern:
+                 jobs: Optional[int] = 1, prune: bool = True, **kw) -> Pattern:
     return gcrm_search(P, seeds=seeds, max_factor=max_factor,
-                       jobs=jobs, prune=prune, delta=delta).pattern
+                       jobs=jobs, prune=prune).pattern
 
 
 def _family_sts(P: int, **kw) -> Pattern:

@@ -192,26 +192,22 @@ def _eval_gcrm_chunk(args: Tuple) -> List[TaskOutcome]:
     """Worker body: score one chunk of GCR&M tasks.
 
     Imports :mod:`repro.patterns.gcrm` lazily — that module imports this
-    one at load time, and workers only need it at call time.  ``delta``
-    selects the incremental evaluator; both evaluators return
-    bit-identical costs, so the reduction below cannot tell them apart.
+    one at load time, and workers only need it at call time.
     A non-``None`` ``topology`` (a frozen, picklable
     :class:`~repro.runtime.topology.Topology`) routes tasks through the
     hierarchy-aware :func:`~repro.patterns.gcrm.gcrm_hier`, scoring the
     weighted two-level objective instead of the flat cost.
     """
-    P, tie_break, delta, topology, inter_weight, chunk = args
+    P, tie_break, topology, inter_weight, chunk = args
     from .gcrm import gcrm, gcrm_hier
 
     out = []
     for task in chunk:
         if topology is not None:
             res = gcrm_hier(P, task.r, topology, seed=task.seed,
-                            inter_weight=inter_weight, tie_break=tie_break,
-                            delta=delta)
+                            inter_weight=inter_weight, tie_break=tie_break)
         else:
-            res = gcrm(P, task.r, seed=task.seed, tie_break=tie_break,
-                       delta=delta)
+            res = gcrm(P, task.r, seed=task.seed, tie_break=tie_break)
         out.append(TaskOutcome(task.index, task.r, res.cost, res.uses_all_nodes))
     return out
 
@@ -229,7 +225,6 @@ def run_search(
     prune: bool = True,
     prune_floor: Optional[float] = None,
     prune_tol: float = 0.05,
-    delta: bool = False,
     topology=None,
     inter_weight: float = 4.0,
 ) -> SearchReport:
@@ -240,9 +235,7 @@ def run_search(
     ``prune_floor * (1 + prune_tol)`` and the remaining groups are
     skipped once the best is inside that band.  Group-boundary pruning
     plus index-ordered reduction make the outcome independent of
-    ``jobs`` and ``chunk_size``.  ``delta`` forwards to the task
-    evaluator (incremental vs full re-costing — identical outcomes);
-    ``topology``/``inter_weight`` select the hierarchical objective
+    ``jobs`` and ``chunk_size``.  ``topology``/``inter_weight`` select the hierarchical objective
     (see :func:`_eval_gcrm_chunk`) and ship to workers inside each
     chunk's argument tuple.
     """
@@ -261,7 +254,7 @@ def run_search(
             chunks = chunk_tasks(list(tasks), executor.jobs, chunk_size)
             for outcomes in executor.map(
                     _eval_gcrm_chunk,
-                    [(P, tie_break, delta, topology, inter_weight, c)
+                    [(P, tie_break, topology, inter_weight, c)
                      for c in chunks]):
                 report.outcomes.extend(outcomes)
             report.sizes_evaluated.append(r)

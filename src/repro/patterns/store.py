@@ -97,12 +97,11 @@ class StoreStats:
 # ---------------------------------------------------------------------------
 # live fallback (module-level: must be picklable for the process pool)
 # ---------------------------------------------------------------------------
-def _live_pattern(P: int, kernel: str, family: str, budget: int,
-                  delta: bool) -> Pattern:
+def _live_pattern(P: int, kernel: str, family: str, budget: int) -> Pattern:
     """Construct one pattern the way a cold cache would."""
     from .library import PATTERN_FAMILIES, best_pattern
 
-    kw = dict(seeds=range(budget), jobs=1, delta=delta)
+    kw = dict(seeds=range(budget), jobs=1)
     if family == BEST_FAMILY:
         return best_pattern(P, kernel=kernel, **kw)
     try:
@@ -115,7 +114,7 @@ def _live_pattern(P: int, kernel: str, family: str, budget: int,
 
 
 def _compute_pattern_chunk(
-    args: Tuple[str, str, int, bool, List[int]],
+    args: Tuple[str, str, int, List[int]],
 ) -> List[Tuple[int, dict]]:
     """Worker body: build one chunk of patterns, return JSON payloads.
 
@@ -123,8 +122,8 @@ def _compute_pattern_chunk(
     boundary — compact, and re-validated on the parent side by
     :func:`~repro.patterns.io.pattern_from_dict`.
     """
-    kernel, family, budget, delta, Ps = args
-    return [(P, pattern_to_dict(_live_pattern(P, kernel, family, budget, delta)))
+    kernel, family, budget, Ps = args
+    return [(P, pattern_to_dict(_live_pattern(P, kernel, family, budget)))
             for P in Ps]
 
 
@@ -259,7 +258,6 @@ class PatternStore:
         family: str = BEST_FAMILY,
         jobs: Optional[int] = 1,
         chunk_size: Optional[int] = None,
-        delta: bool = True,
         write_back: bool = True,
     ) -> List[Pattern]:
         """Serve a batch of node counts; results align with ``P_array``.
@@ -287,7 +285,7 @@ class PatternStore:
         if missing:
             self._fallbacks += len(missing)
             computed = self._compute_live(sorted(missing), kernel, family,
-                                          budget, jobs, chunk_size, delta)
+                                          budget, jobs, chunk_size)
             if write_back:
                 self.put_many(computed, kernel=kernel, family=family)
             found.update(computed)
@@ -302,7 +300,6 @@ class PatternStore:
         family: str = BEST_FAMILY,
         jobs: Optional[int] = 1,
         chunk_size: Optional[int] = None,
-        delta: bool = True,
         force: bool = False,
     ) -> dict:
         """Warm shards for ``P_array``; returns a summary dict.
@@ -320,7 +317,7 @@ class PatternStore:
         written: List[Path] = []
         if todo:
             computed = self._compute_live(sorted(todo), kernel, family,
-                                          budget, jobs, chunk_size, delta)
+                                          budget, jobs, chunk_size)
             written = self.put_many(computed, kernel=kernel, family=family)
         return {
             "requested": len(Ps),
@@ -342,13 +339,13 @@ class PatternStore:
     # ------------------------------------------------------------------
     def _compute_live(self, Ps: List[int], kernel: str, family: str,
                       budget: int, jobs: Optional[int],
-                      chunk_size: Optional[int], delta: bool) -> Dict[int, Pattern]:
+                      chunk_size: Optional[int]) -> Dict[int, Pattern]:
         executor = auto_executor(len(Ps), jobs)
         try:
             chunks = chunk_tasks(Ps, executor.jobs, chunk_size)
             results = executor.map(
                 _compute_pattern_chunk,
-                [(kernel, family, budget, delta, c) for c in chunks])
+                [(kernel, family, budget, c) for c in chunks])
         finally:
             executor.close()
         out: Dict[int, Pattern] = {}

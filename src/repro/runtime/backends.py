@@ -1,33 +1,39 @@
-"""Simulator backend selection (numba JIT > compiled C > pure Python).
+"""Simulator backend selection (compiled C > pure Python).
 
-The event loop of :func:`repro.runtime.simulator.simulate` has three
+The event loop of :func:`repro.runtime.simulator.simulate` has two
 interchangeable implementations for its default configuration
 (priority scheduler, no fork-join, no recording, NIC network, p2p
 multicast):
 
-* ``numba`` — :mod:`.jit`, used when numba is installed;
-* ``c``     — :mod:`.csim`, compiled on demand with the system C
+* ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
 * ``python`` — the batch-drained pure-Python loop, always available.
 
-All three produce byte-identical event schedules (the golden and
+Both produce byte-identical event schedules (the golden and
 cross-backend equivalence tests pin this).  ``REPRO_SIM_BACKEND``
-overrides the automatic choice: ``auto`` (default), ``numba``, ``c``
-or ``python``; naming an unavailable backend falls back to Python
-rather than failing, so the variable is safe to set fleet-wide.
+selects the loop: ``auto`` (default) uses C when it compiles and loads,
+else Python; ``c`` demands the compiled loop; ``python`` forces the
+pure-Python one.  Any other value, or an explicit ``c`` that cannot be
+built, raises :class:`BackendError` — only ``auto`` falls back.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Optional, Tuple
 
-__all__ = ["select_backend", "active_backend", "BACKEND_ENV"]
+__all__ = ["select_backend", "active_backend", "BACKEND_ENV", "BACKENDS",
+           "BackendError"]
 
 BACKEND_ENV = "REPRO_SIM_BACKEND"
 
-_cached: Optional[Tuple[str, Optional[Callable]]] = None
-_cached_env: Optional[str] = None
+#: Accepted values of ``REPRO_SIM_BACKEND``.
+BACKENDS = ("auto", "c", "python")
+
+
+class BackendError(RuntimeError):
+    """``REPRO_SIM_BACKEND`` names an unknown or unusable backend."""
 
 
 def select_backend() -> Tuple[str, Optional[Callable]]:
@@ -35,30 +41,26 @@ def select_backend() -> Tuple[str, Optional[Callable]]:
 
     ``runner`` is ``None`` when only the pure-Python loop is usable.
     The choice is cached per ``REPRO_SIM_BACKEND`` value, so tests can
-    monkeypatch the environment and re-resolve.
+    monkeypatch the environment and re-resolve; errors are not cached.
     """
-    global _cached, _cached_env
-    env = os.environ.get(BACKEND_ENV, "auto").lower()
-    if _cached is not None and env == _cached_env:
-        return _cached
-    choice = _resolve(env)
-    _cached, _cached_env = choice, env
-    return choice
+    return _resolve(os.environ.get(BACKEND_ENV, "auto").lower())
 
 
+@functools.lru_cache(maxsize=None)
 def _resolve(env: str) -> Tuple[str, Optional[Callable]]:
-    from . import csim, jit
+    from . import csim
+    if env not in BACKENDS:
+        raise BackendError(
+            f"{BACKEND_ENV}={env!r} is not a simulator backend; "
+            f"choose one of {', '.join(BACKENDS)}")
     if env == "python":
         return "python", None
-    if env == "numba":
-        return ("numba", jit.run) if jit.available() else ("python", None)
-    if env == "c":
-        return ("c", csim.run) if csim.available() else ("python", None)
-    # auto: prefer the JIT when installed, else the compiled loop
-    if jit.available():
-        return "numba", jit.run
     if csim.available():
         return "c", csim.run
+    if env == "c":
+        raise BackendError(
+            f"{BACKEND_ENV}=c but the compiled loop is unavailable: "
+            f"{csim.load_error()}")
     return "python", None
 
 

@@ -4,11 +4,11 @@ Compiles ``_fastsim.c`` with the system C compiler on first use
 (``cc -O2 -fPIC -shared``, **no** ``-ffast-math`` — the event loop's
 double arithmetic must stay IEEE-identical to Python's) into a cache
 directory keyed by the source hash, and binds it through
-:mod:`ctypes`/:mod:`numpy.ctypeslib`.  Everything is fail-soft: no
-compiler, a failed compile, or a missing source file simply makes
-:func:`available` return ``False`` and the simulator falls back to the
-pure-Python loop.  Set ``REPRO_SIM_BACKEND=python`` (or ``numba``) to
-bypass this backend entirely; ``REPRO_CACHE_DIR`` overrides where the
+:mod:`ctypes`/:mod:`numpy.ctypeslib`.  No compiler, a failed compile,
+or a missing source file makes :func:`available` return ``False`` and
+:func:`load_error` say why; :mod:`.backends` then falls back to the
+pure-Python loop under ``REPRO_SIM_BACKEND=auto`` and raises under
+``REPRO_SIM_BACKEND=c``.  ``REPRO_CACHE_DIR`` overrides where the
 shared object is cached.
 """
 
@@ -26,11 +26,12 @@ from typing import Optional
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = ["available", "run", "FastSimResult"]
+__all__ = ["available", "load_error", "run", "FastSimResult"]
 
 _SRC = Path(__file__).with_name("_fastsim.c")
 _lib = None
 _load_tried = False
+_load_error: Optional[str] = None
 
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
@@ -45,7 +46,7 @@ def _cache_dir() -> Path:
 
 def _load():
     """Compile (if needed) and bind the shared object; None on failure."""
-    global _lib, _load_tried
+    global _lib, _load_tried, _load_error
     if _load_tried:
         return _lib
     _load_tried = True
@@ -83,14 +84,24 @@ def _load():
             _F64, _I64,                                # out_makespan, out_counts
         ]
         _lib = lib
-    except Exception:
-        _lib = None
+    except subprocess.CalledProcessError as exc:
+        stderr = exc.stderr.decode(errors="replace").strip()
+        _load_error = (f"{' '.join(exc.cmd)} exited {exc.returncode}: "
+                       f"{stderr}")
+    except Exception as exc:
+        _load_error = f"{type(exc).__name__}: {exc}"
     return _lib
 
 
 def available() -> bool:
     """True when the compiled loop is usable on this machine."""
     return _load() is not None
+
+
+def load_error() -> Optional[str]:
+    """Why the compiled loop failed to build or load (``None`` if it
+    loaded or was never tried)."""
+    return _load_error
 
 
 @dataclass
@@ -109,15 +120,13 @@ class FastSimResult:
 
 
 def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
-        msg_time: float, rx_ser: bool) -> Optional[FastSimResult]:
+        msg_time: float, rx_ser: bool) -> FastSimResult:
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
-    Returns ``None`` when the backend is unavailable.  ``dur`` is the
-    per-task duration vector (cluster-dependent, so not in the plan).
+    Only valid once :func:`available` is true.  ``dur`` is the per-task
+    duration vector (cluster-dependent, so not in the plan).
     """
     lib = _load()
-    if lib is None:
-        return None
     n_tasks = plan.n_tasks
     cap = n_tasks + plan.n_msgs + 1
     ev_t = np.empty(cap, dtype=np.float64)
@@ -167,7 +176,7 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         tx_busy, rx_busy,
         out_makespan, out_counts)
     if status != 0:  # pragma: no cover - no failing status is emitted yet
-        return None
+        raise RuntimeError(f"compiled event loop returned status {status}")
     return FastSimResult(
         makespan=float(out_makespan[0]),
         completed=int(out_counts[0]),

@@ -30,10 +30,10 @@ The v3 hot path is split in three layers:
    planning once.
 2. **Backend** — for the default configuration (priority scheduler, no
    fork-join, no recording, NIC network, p2p multicast) the event loop
-   runs compiled: a numba JIT kernel (:mod:`~repro.runtime.jit`) when
-   numba is installed, else a ctypes-bound C loop
-   (:mod:`~repro.runtime.csim`) compiled on demand.  Both replicate the
-   Python loop event for event; ``REPRO_SIM_BACKEND`` forces a choice.
+   runs compiled: a ctypes-bound C loop (:mod:`~repro.runtime.csim`)
+   compiled on demand, which replicates the Python loop event for
+   event; ``REPRO_SIM_BACKEND`` selects it (see
+   :mod:`~repro.runtime.backends`).
 3. **Python loop** — the always-available fallback (and the only path
    for recording, fork-join, ablation schedulers and the contention
    model).  It drains the event heap in same-timestamp batches and
@@ -205,7 +205,7 @@ def simulate(
                                    dtype=np.float64)[cols.node]
 
     # ------------------------------------------------------------------
-    # Compiled backends (numba JIT / C): default configuration only
+    # Compiled C backend: default configuration only
     # ------------------------------------------------------------------
     if (not record_tasks and trace_writer is None
             and cluster.scheduler == "priority" and not cluster.fork_join
@@ -215,30 +215,29 @@ def simulate(
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
                          cluster.rx_serialization)
-            if res is not None:
-                if res.completed != n_tasks:
-                    _raise_deadlock(graph, n_tasks, res.completed,
-                                    res.pending.tolist(), {})
-                nbytes = float(cluster.tile_bytes)
-                net_stats = NetworkStats(
-                    model="nic",
-                    msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
-                    bytes_sent=res.msgs_sent * nbytes,
-                    bytes_recv=res.msgs_recv * nbytes,
-                    tx_busy=res.tx_busy, rx_busy=res.rx_busy)
-                return ExecutionTrace(
-                    cluster=cluster,
-                    makespan=res.makespan,
-                    total_flops=graph.total_flops,
-                    n_tasks=n_tasks,
-                    n_messages=res.n_messages,
-                    bytes_sent=float(res.n_messages) * cluster.tile_bytes,
-                    busy_time=res.busy,
-                    sent_messages=res.msgs_sent,
-                    network=model.name,
-                    recv_messages=res.msgs_recv,
-                    net_stats=net_stats,
-                )
+            if res.completed != n_tasks:
+                _raise_deadlock(graph, n_tasks, res.completed,
+                                res.pending.tolist(), {})
+            nbytes = float(cluster.tile_bytes)
+            net_stats = NetworkStats(
+                model="nic",
+                msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
+                bytes_sent=res.msgs_sent * nbytes,
+                bytes_recv=res.msgs_recv * nbytes,
+                tx_busy=res.tx_busy, rx_busy=res.rx_busy)
+            return ExecutionTrace(
+                cluster=cluster,
+                makespan=res.makespan,
+                total_flops=graph.total_flops,
+                n_tasks=n_tasks,
+                n_messages=res.n_messages,
+                bytes_sent=float(res.n_messages) * cluster.tile_bytes,
+                busy_time=res.busy,
+                sent_messages=res.msgs_sent,
+                network=model.name,
+                recv_messages=res.msgs_recv,
+                net_stats=net_stats,
+            )
 
     # ------------------------------------------------------------------
     # Python event loop: hot-path state as plain-list plan copies

@@ -1,18 +1,25 @@
 """Differential equivalence suite for the delta evaluator.
 
-Two layers of protection for ``delta=True``:
+GCR&M runs only on the incremental evaluator; the reference loops and
+full re-costing survive as oracles.  Two layers of protection:
 
 * **Property layer** — :class:`DeltaCostState` apply/revert tracks full
   re-costing *bit for bit* over random swap sequences, for every P the
   shipped database covers (5..44).  The full evaluator
   (``Pattern.cost_cholesky`` / ``colrow_counts``) is the independent
   oracle.
-* **Regression layer** — ``gcrm_search(delta=True)`` returns
-  byte-identical winners to ``delta=False`` at the paper's P∈{23,31,35}
-  figure cases, plus the RNG-stream equivalence the fast phase-1 path
-  relies on (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]``
-  for a 1-D population) so a numpy internals change fails loudly here.
+* **Regression layer** — ``_phase1_fast`` / ``_matching_assign_fast``
+  match the reference loops ``_phase1`` / ``_matching_assign`` on the
+  same RNG streams and covers; ``gcrm(...).cost`` is bit-identical to
+  ``pattern.cost_cholesky``; search winners at the paper's P∈{23,31,35}
+  figure cases and the pattern-service inputs P∈{45,57,60,66} match
+  grid digests recorded from the full re-costing evaluator.  The
+  RNG-stream equivalence the fast phase-1 path relies on
+  (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]`` for a
+  1-D population) is pinned so a numpy internals change fails loudly.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,7 +28,47 @@ from hypothesis import strategies as st
 
 from repro.patterns.base import Pattern, PatternError
 from repro.patterns.delta import ColrowSwap, DeltaCostState
-from repro.patterns.gcrm import feasible_sizes, gcrm, gcrm_search
+from repro.patterns.gcrm import (
+    _matching_assign,
+    _matching_assign_fast,
+    _phase1,
+    _phase1_fast,
+    feasible_sizes,
+    gcrm,
+    gcrm_search,
+)
+from repro.patterns.library import best_pattern
+
+#: sha256 of ``grid.tobytes()`` and ``cost.hex()`` of the search winner,
+#: recorded from the full re-costing evaluator with
+#: ``gcrm_search(P, seeds=range(5), max_factor=3.0, seed=1234,
+#: prune=False)``.
+SEARCH_DIGESTS = {
+    23: ("e36e9e2e5c9896e1eb0f24e9f2d59f6853463a7dcd2cb5f67e8ad3454734726c",
+         "0x1.9555555555555p+2"),
+    31: ("f37cd25b7cd6588c7685efbde8f9f62118deeab31681a9fb609e096770684300",
+         "0x1.e492492492492p+2"),
+    35: ("b0e7532fbe67f1c09469a8f1ac264f5a240455472b7700f1c58799e70c80f2bd",
+         "0x1.e666666666666p+2"),
+}
+
+#: Same digests for ``best_pattern(P, "cholesky", seeds=range(4))`` at
+#: the node counts the pattern-service benchmark resolves cold.
+SERVICE_DIGESTS = {
+    45: ("9d8c9441a3e97ed28ad906a1360945175ffee48039ba74194154e8fe4ee210ac",
+         "0x1.12aaaaaaaaaabp+3"),
+    57: ("c968da90449caebcd483623838386900f339c5314e20d95db5ebebc284d1c140",
+         "0x1.33b13b13b13b1p+3"),
+    60: ("bbf498f4f67464161db7ccdd9ad57a79177bec35805effa005fc0a3ebfb6ca37",
+         "0x1.3c28f5c28f5c3p+3"),
+    66: ("98f898d9153f1c217452dd01f19b1a3252b6a663fc9319db6c12c11c1f0ef974",
+         "0x1.4d9364d9364d9p+3"),
+}
+
+
+def _digest(pattern):
+    return (hashlib.sha256(pattern.grid.tobytes()).hexdigest(),
+            pattern.cost_cholesky.hex())
 
 
 # ---------------------------------------------------------------------------
@@ -132,37 +179,69 @@ class TestDeltaStateGuards:
 
 
 # ---------------------------------------------------------------------------
-# regression layer: the delta-evaluated GCR&M stack
+# regression layer: the delta-evaluated GCR&M stack vs its oracles
 # ---------------------------------------------------------------------------
+def _phase1_pair(P, r, seed, tie_break="usage_random"):
+    """Run both phase-1 loops on twin RNG streams; assert they agree."""
+    a_rng = np.random.default_rng(seed)
+    b_rng = np.random.default_rng(seed)
+    ref = _phase1(P, r, a_rng, tie_break=tie_break)
+    fast = _phase1_fast(P, r, b_rng, tie_break=tie_break)
+    assert fast == ref
+    assert a_rng.bit_generator.state == b_rng.bit_generator.state
+    return ref
+
+
+def _cover(P, r, A):
+    member = np.zeros((P, r), dtype=bool)
+    for p, crs in enumerate(A):
+        member[p, list(crs)] = True
+    ii, jj = np.nonzero(~np.eye(r, dtype=bool))
+    return (member[:, ii] & member[:, jj]).T.copy()
+
+
 class TestGcrmDeltaEquivalence:
     @pytest.mark.parametrize("P,r", [(5, 4), (7, 5), (23, 10), (23, 12),
                                      (31, 16), (35, 15), (44, 12)])
     def test_single_construction_identical(self, P, r):
         for seed in range(4):
-            a = gcrm(P, r, seed=seed, delta=False)
-            b = gcrm(P, r, seed=seed, delta=True)
-            assert a.cost == b.cost
-            assert a.uses_all_nodes == b.uses_all_nodes
-            assert a.pattern == b.pattern
-            assert (a.pattern.grid == b.pattern.grid).all()
+            A = _phase1_pair(P, r, seed)
+            cover = _cover(P, r, A)
+            cells = np.arange(len(cover))
+            k = (r * (r - 1)) // P
+            for copies in (np.full(P, k, dtype=np.int64),
+                           np.ones(P, dtype=np.int64)):
+                assert np.array_equal(
+                    _matching_assign_fast(cells, cover, copies),
+                    _matching_assign(cells, cover, copies))
+            # a strict subset of cells, as in the second matching
+            odd = cells[1::2]
+            ones = np.ones(P, dtype=np.int64)
+            assert np.array_equal(_matching_assign_fast(odd, cover, ones),
+                                  _matching_assign(odd, cover, ones))
+            res = gcrm(P, r, seed=seed)
+            assert res.cost.hex() == res.pattern.cost_cholesky.hex()
 
     def test_tie_break_first_identical(self):
-        a = gcrm(23, 10, seed=3, tie_break="first", delta=False)
-        b = gcrm(23, 10, seed=3, tie_break="first", delta=True)
-        assert a.cost == b.cost and (a.pattern.grid == b.pattern.grid).all()
+        _phase1_pair(23, 10, 3, tie_break="first")
+        _phase1_pair(23, 10, 3, tie_break="random")
+        res = gcrm(23, 10, seed=3, tie_break="first")
+        assert res.cost.hex() == res.pattern.cost_cholesky.hex()
 
-    @pytest.mark.parametrize("P", [23, 31, 35])
+    @pytest.mark.parametrize("P", sorted(SEARCH_DIGESTS))
     def test_search_winner_byte_identical(self, P):
-        kw = dict(seeds=range(5), max_factor=3.0, seed=1234, prune=False)
-        full = gcrm_search(P, delta=False, **kw)
-        fast = gcrm_search(P, delta=True, **kw)
-        assert full.cost == fast.cost
-        assert full.seed == fast.seed
-        assert full.pattern == fast.pattern
-        assert full.pattern.grid.tobytes() == fast.pattern.grid.tobytes()
+        res = gcrm_search(P, seeds=range(5), max_factor=3.0, seed=1234,
+                          prune=False)
+        assert _digest(res.pattern) == SEARCH_DIGESTS[P]
+        assert res.cost.hex() == SEARCH_DIGESTS[P][1]
+
+    @pytest.mark.parametrize("P", sorted(SERVICE_DIGESTS))
+    def test_service_winner_byte_identical(self, P):
+        pat = best_pattern(P, "cholesky", seeds=range(4))
+        assert _digest(pat) == SERVICE_DIGESTS[P]
 
     def test_search_delta_jobs_independent(self):
-        kw = dict(seeds=range(5), max_factor=3.0, seed=7, delta=True)
+        kw = dict(seeds=range(5), max_factor=3.0, seed=7)
         serial = gcrm_search(23, jobs=1, **kw)
         parallel = gcrm_search(23, jobs=2, **kw)
         assert serial.cost == parallel.cost
@@ -193,7 +272,7 @@ class TestGcrmGuards:
         with pytest.raises(ValueError, match="node count"):
             gcrm(0, 4)
         with pytest.raises(ValueError, match="node count"):
-            gcrm(-3, 4, delta=True)
+            gcrm(-3, 4)
 
     def test_gcrm_search_rejects_bad_P(self):
         with pytest.raises(ValueError, match="node count"):

@@ -157,8 +157,7 @@ class TestBatchedLookup:
         Ps = [5, 7, 10]
         got = store.patterns_for(Ps, kernel="cholesky", budget=3)
         for P, pat in zip(Ps, got):
-            live = best_pattern(P, kernel="cholesky", seeds=range(3),
-                                delta=True, jobs=1)
+            live = best_pattern(P, kernel="cholesky", seeds=range(3), jobs=1)
             assert pat == live
             assert (pat.grid == live.grid).all()
 

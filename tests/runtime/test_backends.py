@@ -1,10 +1,11 @@
-"""Cross-backend equivalence for the accelerated event loops.
+"""Cross-backend equivalence and selection for the event loops.
 
-Every backend (numba JIT, on-demand-compiled C, pure Python) must
-produce the *same bytes*: identical canonical traces, not just equal
-makespans.  The parametrization only covers backends that are actually
-available on this host — an unavailable name silently resolves to the
-Python loop (that fallback is itself pinned below).
+Both backends (on-demand-compiled C, pure Python) must produce the
+*same bytes*: identical canonical traces, not just equal makespans.
+The parametrization only covers the compiled loop when it builds on
+this host.  Selection fails loudly: an unknown ``REPRO_SIM_BACKEND``
+value, or ``c`` without a working compiler, raises ``BackendError``;
+only ``auto`` falls back to Python.
 """
 
 import json
@@ -24,13 +25,8 @@ TILE = 8
 
 
 def _available_accelerated():
-    from repro.runtime import csim, jit
-    names = []
-    if jit.available():
-        names.append("numba")
-    if csim.available():
-        names.append("c")
-    return names
+    from repro.runtime import csim
+    return ["c"] if csim.available() else []
 
 
 ACCELERATED = _available_accelerated()
@@ -86,14 +82,44 @@ def test_env_reresolves_cache(monkeypatch):
     assert backends.active_backend() == "python"
     monkeypatch.setenv(backends.BACKEND_ENV, "auto")
     name = backends.active_backend()
-    assert name in ("numba", "c", "python")
+    assert name in ("c", "python")
 
 
-def test_unavailable_backend_falls_back(monkeypatch):
-    """Naming a backend that is not built resolves to python, not error."""
-    from repro.runtime import jit
-    if jit.available():  # pragma: no cover - numba present on this host
-        pytest.skip("numba installed; no unavailable name to test with")
-    monkeypatch.setenv(backends.BACKEND_ENV, "numba")
-    name, runner = backends.select_backend()
-    assert name == "python" and runner is None
+@pytest.mark.parametrize("value", ["numba", "bogus"])
+def test_unknown_backend_raises(value, monkeypatch):
+    """A typo (or the retired ``numba`` leg) is an error, not Python."""
+    monkeypatch.setenv(backends.BACKEND_ENV, value)
+    with pytest.raises(backends.BackendError, match="auto, c, python"):
+        backends.select_backend()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """Make the C loop unbuildable: empty cache, nonexistent compiler."""
+    from repro.runtime import csim
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setattr(csim, "_lib", None)
+    monkeypatch.setattr(csim, "_load_tried", False)
+    monkeypatch.setattr(csim, "_load_error", None)
+    backends._resolve.cache_clear()
+    yield
+    backends._resolve.cache_clear()
+
+
+def test_unavailable_backend_raises(monkeypatch, no_compiler):
+    """An explicit ``c`` that cannot compile raises with the reason."""
+    monkeypatch.setenv(backends.BACKEND_ENV, "c")
+    with pytest.raises(backends.BackendError, match="no-such-cc"):
+        backends.select_backend()
+
+
+def test_auto_without_compiler_runs_python(monkeypatch, no_compiler):
+    monkeypatch.setenv(backends.BACKEND_ENV, "auto")
+    assert backends.select_backend() == ("python", None)
+    dist = TileDistribution(g2dbc(5), 8, symmetric=False)
+    graph, home = build_lu_graph(dist, TILE)
+    trace = simulate(graph, _cluster(5), data_home=home, network="nic")
+    monkeypatch.setenv(backends.BACKEND_ENV, "python")
+    ref = simulate(graph, _cluster(5), data_home=home, network="nic")
+    assert trace.to_canonical() == ref.to_canonical()
