@@ -17,7 +17,7 @@ Every pairing is asserted schedule-identical (canonical-trace equality
 at m = 64, makespan/message equality above) — the speedup is never
 bought with drift.  The m = 256 leg streams a Chrome trace through
 :class:`~repro.runtime.tracefmt.ChromeTraceWriter` and asserts the
-writer flushed incrementally (bounded recording memory).
+writer flushed incrementally (bounded writer memory).
 
 ``REPRO_BENCH_FAST=1`` runs a CI-sized subset (m = 128, no legacy
 stack, no m = 256 leg) and gates on the compiled-vs-python ratio
@@ -179,7 +179,8 @@ def test_sim_batch_speedup(benchmark):
             f"{w.events_written} events in {w.flushes} flushes, "
             f"{size_mb:.1f} MB on disk",
             f"  peak RSS {rss_before:.0f} -> {rss_after:.0f} MB "
-            f"(recording memory bounded by the writer buffer)",
+            f"(writer buffer, plus 16 B/task and 24 B/message of "
+            f"recording arrays on the compiled loop)",
         ]
 
     # gates ------------------------------------------------------------

@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "pattern (cannot combine with --faults)")
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="stream a Chrome-tracing JSON timeline to FILE "
-                        "(chrome://tracing / Perfetto); memory stays bounded "
-                        "no matter the task count")
+                        "(chrome://tracing / Perfetto) through a bounded "
+                        "write buffer; the compiled loop also holds ~16 "
+                        "bytes per task and 24 per message until it ends")
     add_search_flags(p)
 
     p = sub.add_parser("campaign",

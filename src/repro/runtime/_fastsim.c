@@ -1,11 +1,17 @@
 /* Compiled event loop for the default simulator configuration.
  *
- * Replicates, event for event, the Python hot path of
+ * Replicates, event for event, the Python loop of
  * ``repro.runtime.simulator`` for its default configuration: priority
- * scheduler, no fork-join barrier, no per-task recording, NIC network
- * model with point-to-point multicast.  The caller (``csim.py``) hands
- * in the SimPlan arrays plus preallocated scratch; nothing is
- * allocated here and no libc beyond the implicit runtime is used.
+ * scheduler, no fork-join barrier, NIC network model with
+ * point-to-point multicast.  The caller (``csim.py``) hands in the
+ * SimPlan arrays plus preallocated scratch; nothing is allocated here
+ * and no libc beyond the implicit runtime is used.
+ *
+ * Recording (``record != 0``) stores each task's start time, each
+ * message's send start and arrival, and one log entry per record in
+ * the order the Python loop emits them: ``tid`` when a task is
+ * dispatched, ``-1 - uid`` when a message is sent.  The caller turns
+ * these arrays into task/message records or trace-writer calls.
  *
  * Byte-identity contract:
  *  - the event heap orders ``(time, tag)`` with unique tags exactly
@@ -134,20 +140,25 @@ int64_t repro_run_sim(
     double *ev_t, int64_t *ev_tag, int64_t *ev_pl,
     int64_t *ready, const int64_t *rbase, int64_t *rsize,
     int64_t *idle, double *tx_free, double *rx_free,
+    /* recording: written only when record != 0 (else may be empty) */
+    int64_t record, double *task_start, double *msg_start,
+    double *msg_arrive, int64_t *log,
     /* outputs */
     double *busy, int64_t *msgs_sent, int64_t *msgs_recv,
     double *tx_busy, double *rx_busy,
-    double *out_makespan, int64_t *out_counts /* [completed, n_messages] */)
+    double *out_makespan,
+    int64_t *out_counts /* [completed, n_messages, log length] */)
 {
     EvHeap h = { ev_t, ev_tag, ev_pl, 0 };
     int64_t seq = 0;
     int64_t n_messages = 0;
     int64_t completed = 0;
+    int64_t n_log = 0;
     double now = 0.0;
 
 #define NIC_SEND(uid_, src_, dst_, t_)                                  \
     do {                                                                \
-        int64_t src__ = (src_), dst__ = (dst_);                         \
+        int64_t uid__ = (uid_), src__ = (src_), dst__ = (dst_);         \
         double t__ = (t_);                                              \
         double start__ = t__ > tx_free[src__] ? t__ : tx_free[src__];   \
         double wire__ = start__;                                        \
@@ -161,8 +172,13 @@ int64_t repro_run_sim(
         msgs_recv[dst__]++;                                             \
         tx_busy[src__] += msg_time;                                     \
         rx_busy[dst__] += msg_time;                                     \
+        if (record) {                                                   \
+            msg_start[uid__] = start__;                                 \
+            msg_arrive[uid__] = arr__;                                  \
+            log[n_log++] = -1 - uid__;                                  \
+        }                                                               \
         seq += 4;                                                       \
-        ev_push(&h, arr__, seq + 1, (uid_));                            \
+        ev_push(&h, arr__, seq + 1, uid__);                             \
     } while (0)
 
 #define DISPATCH(n_, t_)                                                \
@@ -178,6 +194,10 @@ int64_t repro_run_sim(
             idl__--;                                                    \
             double d__ = dur[tid__];                                    \
             busy[nn__] += d__;                                          \
+            if (record) {                                               \
+                task_start[tid__] = (t_);                               \
+                log[n_log++] = tid__;                                   \
+            }                                                           \
             seq += 4;                                                   \
             ev_push(&h, (t_) + d__, seq, tid__);                        \
         }                                                               \
@@ -247,5 +267,6 @@ int64_t repro_run_sim(
     *out_makespan = now;
     out_counts[0] = completed;
     out_counts[1] = n_messages;
+    out_counts[2] = n_log;
     return 0;
 }

@@ -2,8 +2,8 @@
 
 The event loop of :func:`repro.runtime.simulator.simulate` has two
 interchangeable implementations for its default configuration
-(priority scheduler, no fork-join, no recording, NIC network, p2p
-multicast):
+(priority scheduler, no fork-join, NIC network, p2p multicast; with or
+without task/message recording):
 
 * ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;

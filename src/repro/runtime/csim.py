@@ -1,10 +1,13 @@
-"""Runtime-compiled C backend for the simulator's default hot path.
+"""Runtime-compiled C backend for the simulator's default configuration.
 
 Compiles ``_fastsim.c`` with the system C compiler on first use
 (``cc -O2 -fPIC -shared``, **no** ``-ffast-math`` — the event loop's
 double arithmetic must stay IEEE-identical to Python's) into a cache
 directory keyed by the source hash, and binds it through
-:mod:`ctypes`/:mod:`numpy.ctypeslib`.  No compiler, a failed compile,
+:mod:`ctypes`/:mod:`numpy.ctypeslib`.  A run may record: it then also
+returns each task's start time, each message's send start and arrival,
+and the order in which the Python loop would have emitted those
+records (see :class:`FastSimResult`).  No compiler, a failed compile,
 or a missing source file makes :func:`available` return ``False`` and
 :func:`load_error` say why; :mod:`.backends` then falls back to the
 pure-Python loop under ``REPRO_SIM_BACKEND=auto`` and raises under
@@ -79,6 +82,8 @@ def _load():
             _F64, _I64, _I64,                          # event heap scratch
             _I64, _I64, _I64,                          # ready arena, base, size
             _I64, _F64, _F64,                          # idle, tx_free, rx_free
+            ctypes.c_int64, _F64,                      # record, task_start
+            _F64, _F64, _I64,                          # msg_start, msg_arrive, log
             _F64, _I64, _I64,                          # busy, msgs_sent, msgs_recv
             _F64, _F64,                                # tx_busy, rx_busy
             _F64, _I64,                                # out_makespan, out_counts
@@ -117,14 +122,24 @@ class FastSimResult:
     tx_busy: np.ndarray
     rx_busy: np.ndarray
     pending: np.ndarray  #: post-run prerequisite counts (deadlock forensics)
+    #: recorded runs only (``None`` otherwise): start time per tid, send
+    #: start and arrival per message uid, and the emission log — ``tid``
+    #: for a dispatched task, ``-1 - uid`` for a sent message, in the
+    #: order the Python loop produces its records
+    task_start: Optional[np.ndarray] = None
+    msg_start: Optional[np.ndarray] = None
+    msg_arrive: Optional[np.ndarray] = None
+    log: Optional[np.ndarray] = None
 
 
 def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
-        msg_time: float, rx_ser: bool) -> FastSimResult:
+        msg_time: float, rx_ser: bool, record: bool = False) -> FastSimResult:
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
     Only valid once :func:`available` is true.  ``dur`` is the per-task
-    duration vector (cluster-dependent, so not in the plan).
+    duration vector (cluster-dependent, so not in the plan).  With
+    ``record`` the result carries the recording arrays: 16 bytes per
+    task plus 24 per message.
     """
     lib = _load()
     n_tasks = plan.n_tasks
@@ -149,8 +164,16 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     tx_busy = np.zeros(nnodes, dtype=np.float64)
     rx_busy = np.zeros(nnodes, dtype=np.float64)
     out_makespan = np.zeros(1, dtype=np.float64)
-    out_counts = np.zeros(2, dtype=np.int64)
+    out_counts = np.zeros(3, dtype=np.int64)
     pending = np.ascontiguousarray(plan.pending, dtype=np.int64).copy()
+    if record:
+        task_start = np.zeros(n_tasks, dtype=np.float64)
+        msg_start = np.zeros(plan.n_msgs, dtype=np.float64)
+        msg_arrive = np.zeros(plan.n_msgs, dtype=np.float64)
+        log = np.empty(n_tasks + plan.n_msgs, dtype=np.int64)
+    else:
+        task_start = msg_start = msg_arrive = np.empty(0, dtype=np.float64)
+        log = np.empty(0, dtype=np.int64)
     status = lib.repro_run_sim(
         n_tasks, nnodes,
         node, np.ascontiguousarray(dur, dtype=np.float64),
@@ -172,14 +195,21 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         ev_t, ev_tag, ev_pl,
         ready, rbase, rsize,
         idle, tx_free, rx_free,
+        int(bool(record)), task_start, msg_start, msg_arrive, log,
         busy, msgs_sent, msgs_recv,
         tx_busy, rx_busy,
         out_makespan, out_counts)
     if status != 0:  # pragma: no cover - no failing status is emitted yet
         raise RuntimeError(f"compiled event loop returned status {status}")
-    return FastSimResult(
+    res = FastSimResult(
         makespan=float(out_makespan[0]),
         completed=int(out_counts[0]),
         n_messages=int(out_counts[1]),
         busy=busy, msgs_sent=msgs_sent, msgs_recv=msgs_recv,
         tx_busy=tx_busy, rx_busy=rx_busy, pending=pending)
+    if record:
+        res.task_start = task_start
+        res.msg_start = msg_start
+        res.msg_arrive = msg_arrive
+        res.log = log[:int(out_counts[2])]
+    return res

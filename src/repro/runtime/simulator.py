@@ -29,16 +29,19 @@ The v3 hot path is split in three layers:
    cell's baseline + degraded runs, or a network-model sweep — pay for
    planning once.
 2. **Backend** — for the default configuration (priority scheduler, no
-   fork-join, no recording, NIC network, p2p multicast) the event loop
-   runs compiled: a ctypes-bound C loop (:mod:`~repro.runtime.csim`)
-   compiled on demand, which replicates the Python loop event for
-   event; ``REPRO_SIM_BACKEND`` selects it (see
-   :mod:`~repro.runtime.backends`).
+   fork-join, NIC network, p2p multicast) the event loop runs compiled:
+   a ctypes-bound C loop (:mod:`~repro.runtime.csim`) compiled on
+   demand, which replicates the Python loop event for event;
+   ``REPRO_SIM_BACKEND`` selects it (see
+   :mod:`~repro.runtime.backends`).  A recorded run keeps flat arrays
+   of start times plus an emission log, and the records are built — or
+   handed to the trace writer in the Python loop's order — after the
+   loop ends.
 3. **Python loop** — the always-available fallback (and the only path
-   for recording, fork-join, ablation schedulers and the contention
-   model).  It drains the event heap in same-timestamp batches and
-   admits newly-ready tasks through bulk ``heapify`` instead of
-   per-task pushes whenever a queue refills from empty.
+   for fork-join, non-priority schedulers, tree multicast and the
+   contention model).  It drains the event heap in same-timestamp
+   batches and admits newly-ready tasks through bulk ``heapify``
+   instead of per-task pushes whenever a queue refills from empty.
 
 The event schedule, and therefore every trace, is bit-for-bit
 identical across all three layers and to the previous per-event
@@ -50,7 +53,9 @@ The simulator is deterministic for a given graph, cluster and network
 model.  With ``record_tasks=True`` the returned trace carries per-task
 and per-message records; pass ``trace_writer=`` (see
 :class:`~repro.runtime.trace.TraceWriter`) to stream those records to
-disk in bounded memory instead of accumulating Python lists.
+disk instead of accumulating Python lists.  The Python loop then holds
+only the writer's buffer; a compiled run also holds its recording
+arrays (16 bytes per task, 24 per message) until the loop ends.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import numpy as np
 
 from .backends import select_backend
 from .cluster import ClusterSpec
-from .graph import TaskGraph
+from .graph import TaskGraph, column_view
 from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
@@ -74,7 +79,7 @@ from .network import (
 )
 from .schedulers import make_scheduler
 from .simplan import get_plan
-from .trace import ExecutionTrace, TaskRecord, TraceWriter
+from .trace import ExecutionTrace, MsgRecord, TaskRecord, TraceWriter
 
 __all__ = ["simulate", "SimulationError"]
 
@@ -135,9 +140,10 @@ def simulate(
     trace_writer:
         A :class:`~repro.runtime.trace.TraceWriter` that receives every
         :class:`~repro.runtime.trace.TaskRecord` and
-        :class:`~repro.runtime.trace.MsgRecord` as it is produced,
-        instead of growing in-memory lists — recording stays O(buffer)
-        regardless of graph size.  The returned trace then has
+        :class:`~repro.runtime.trace.MsgRecord` in production order,
+        instead of growing in-memory lists.  The Python loop writes each
+        record as it is produced; the compiled loop writes them all, in
+        the same order, once it ends.  The returned trace then has
         ``task_records is None`` and ``msg_records is None``; the
         caller owns the writer's lifecycle (``close()``).  The event
         schedule is identical with or without a writer.
@@ -179,6 +185,7 @@ def simulate(
                 recovery=recovery, trace_writer=trace_writer)
     model = make_network(network)
     n_tasks = len(graph)
+    in_memory = record_tasks and trace_writer is None
     if n_tasks == 0:
         zeros_f = np.zeros(cluster.nnodes)
         zeros_i = np.zeros(cluster.nnodes, dtype=np.int64)
@@ -187,6 +194,9 @@ def simulate(
             n_messages=0, bytes_sent=0.0,
             busy_time=zeros_f, sent_messages=zeros_i,
             network=model.name, recv_messages=zeros_i.copy(),
+            task_records=[] if in_memory else None,
+            completion_times=np.zeros(0) if record_tasks else None,
+            msg_records=[] if in_memory else None,
         )
     cols = graph.columns
     max_node = int(cols.node.max())
@@ -204,17 +214,25 @@ def simulate(
         dur_a = dur_a / np.asarray(cluster.node_speeds,
                                    dtype=np.float64)[cols.node]
 
+    recording = record_tasks or trace_writer is not None
+
     # ------------------------------------------------------------------
-    # Compiled C backend: default configuration only
+    # Compiled C backend: default configuration, recording or not.  A
+    # recorded run fills start-time arrays and an emission log; the
+    # records are built from them after the loop (_compiled_records).
     # ------------------------------------------------------------------
-    if (not record_tasks and trace_writer is None
-            and cluster.scheduler == "priority" and not cluster.fork_join
+    if (cluster.scheduler == "priority" and not cluster.fork_join
             and cluster.multicast == "p2p" and type(model) is NicModel):
         _, runner = select_backend()
         if runner is not None:
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
-                         cluster.rx_serialization)
+                         cluster.rx_serialization, record=recording)
+            records = completion = msg_records = None
+            if recording:
+                records, completion, msg_records = _compiled_records(
+                    res, plan, dur_a, cluster.tile_bytes, record_tasks,
+                    trace_writer)
             if res.completed != n_tasks:
                 _raise_deadlock(graph, n_tasks, res.completed,
                                 res.pending.tolist(), {})
@@ -234,20 +252,22 @@ def simulate(
                 bytes_sent=float(res.n_messages) * cluster.tile_bytes,
                 busy_time=res.busy,
                 sent_messages=res.msgs_sent,
+                task_records=records,
+                completion_times=completion,
                 network=model.name,
                 recv_messages=res.msgs_recv,
                 net_stats=net_stats,
+                msg_records=msg_records,
             )
 
     # ------------------------------------------------------------------
     # Python event loop: hot-path state as plain-list plan copies
     # ------------------------------------------------------------------
-    # Message refs: the compiled-eligible path uses the bare uid as the
+    # Message refs: a run without records uses the bare uid as the
     # opaque ref (waiter lookup is then a CSR slice, no hashing); when
     # records are produced the legacy (data, version) tuples are used
     # instead, since they end up in MsgRecords.  Schedules are identical
     # either way — refs never participate in event ordering.
-    recording = record_tasks or trace_writer is not None
     use_codes = not recording
     Pn = cluster.nnodes
 
@@ -286,8 +306,7 @@ def simulate(
     ready: List[List[int]] = [[] for _ in range(cluster.nnodes)]
     busy = [0.0] * cluster.nnodes
     completion = np.zeros(n_tasks) if record_tasks else None
-    records: Optional[List[TaskRecord]] = \
-        [] if record_tasks and trace_writer is None else None
+    records: Optional[List[TaskRecord]] = [] if in_memory else None
     # one call per started task: list append (legacy in-memory records)
     # or the streaming writer's bounded-buffer ingest
     if trace_writer is not None:
@@ -703,6 +722,48 @@ def simulate(
         net_stats=net_stats,
         msg_records=model.msg_records,
     )
+
+
+def _compiled_records(res, plan, dur_a: np.ndarray, nbytes,
+                      record_tasks: bool,
+                      writer: Optional[TraceWriter]) -> tuple:
+    """Records of a recorded compiled run, as the Python loop makes them.
+
+    Returns ``(task_records, completion_times, msg_records)``.  With a
+    ``writer`` the records go to it one by one in the loop's emission
+    order (``res.log``) and both record lists are ``None``.  Arrays are
+    read through :func:`~repro.runtime.graph.column_view`, so records
+    hold plain Python ints and floats and no array is copied.
+    """
+    start = column_view(res.task_start)
+    node = column_view(plan.node)
+    dur = column_view(dur_a)
+    m_start = column_view(res.msg_start)
+    m_end = column_view(res.msg_arrive)
+    data = column_view(plan.msg_data)
+    version = column_view(plan.msg_version)
+    src = column_view(plan.msg_src)
+    dst = column_view(plan.msg_dst)
+    completion = res.task_start + dur_a if record_tasks else None
+    if writer is not None:
+        write_task = writer.write_task
+        write_msg = writer.write_msg
+        for e in column_view(res.log):
+            if e >= 0:
+                t = start[e]
+                write_task(TaskRecord(e, node[e], t, t + dur[e]))
+            else:
+                u = -1 - e
+                write_msg(MsgRecord(data[u], version[u], src[u], dst[u],
+                                    m_start[u], m_end[u], nbytes))
+        return None, completion, None
+    log = res.log
+    records = [TaskRecord(t, node[t], start[t], start[t] + dur[t])
+               for t in log[log >= 0].tolist()]
+    msgs = [MsgRecord(data[u], version[u], src[u], dst[u],
+                      m_start[u], m_end[u], nbytes)
+            for u in (-1 - log[log < 0]).tolist()]
+    return records, completion, msgs
 
 
 def _raise_deadlock(graph: TaskGraph, n_tasks: int, completed: int,

@@ -51,11 +51,15 @@ class TraceWriter:
     Pass an instance as ``simulate(..., trace_writer=...)`` and the
     simulator (and the bound network model) will hand every
     :class:`TaskRecord` and :class:`MsgRecord` to :meth:`write_task` /
-    :meth:`write_msg` the moment it is produced, instead of
-    accumulating Python lists on the trace — recording memory stays
-    bounded by the writer's buffer no matter how many tasks run.
+    :meth:`write_msg` in production order, instead of accumulating
+    Python lists on the trace.  The Python loop writes each record the
+    moment it is produced, so recording memory is the writer's buffer;
+    the compiled loop writes the same sequence after it ends, holding
+    flat arrays of 16 bytes per task and 24 per message until then.
 
-    Subclasses implement the three ``write_*`` hooks plus
+    Subclasses implement the two required hooks :meth:`write_task` and
+    :meth:`write_msg`, may override the optional :meth:`write_fault`
+    and :meth:`write_resize` (ignored by default), and implement
     :meth:`flush`/:meth:`close`; see
     :class:`~repro.runtime.tracefmt.ChromeTraceWriter` for the
     Chrome-tracing JSON implementation.  Writers are context managers:

@@ -27,6 +27,9 @@ __all__ = ["to_chrome_trace", "save_chrome_trace", "text_gantt", "assign_lanes",
 #: pid used for the synthetic "network" process that carries link counters
 NETWORK_PID = 1 << 20
 
+#: the float formatting ``json.dumps`` applies to finite numbers
+_frepr = float.__repr__
+
 
 def assign_lanes(records) -> Dict[int, int]:
     """Pack task records into per-node worker lanes.
@@ -70,11 +73,10 @@ def to_chrome_trace(trace: ExecutionTrace, graph: Optional[TaskGraph] = None) ->
     events: List[dict] = []
     lanes = assign_lanes(trace.task_records)
     seen_nodes = set()
+    label = graph.task_labeler() if graph is not None else None
     for rec in trace.task_records:
         seen_nodes.add(rec.node)
-        name = f"task {rec.tid}"
-        if graph is not None:
-            name = graph.task_label(rec.tid)
+        name = label(rec.tid) if label is not None else f"task {rec.tid}"
         events.append({
             "name": name,
             "cat": "task",
@@ -253,9 +255,9 @@ class ChromeTraceWriter(TraceWriter):
     """Streaming Chrome-tracing JSON sink with bounded memory.
 
     Pass an instance as ``simulate(..., trace_writer=w)`` and every
-    task/message record is serialized the moment the simulator produces
-    it, buffered as an encoded string, and flushed to ``path`` every
-    ``buffer_events`` records — peak recording memory is the buffer, no
+    task/message record is serialized as the simulator hands it over,
+    buffered as an encoded string, and flushed to ``path`` every
+    ``buffer_events`` records — the writer's memory is the buffer, no
     matter how many million tasks run, where the list-accumulating
     ``record_tasks=True`` path grows with the task count.
 
@@ -272,6 +274,14 @@ class ChromeTraceWriter(TraceWriter):
     :meth:`close` runs (writers are context managers; ``close`` is
     idempotent).  ``events_written`` and ``flushes`` expose progress for
     tests and progress meters.
+
+    Task, message and ``bytes_sent_total`` events — all but a handful
+    of a run's events — are formatted with f-strings that give exactly
+    the bytes ``json.dumps`` gives for the same dict: ``float.__repr__``
+    for numbers (times are finite), and names that need no escaping
+    except the message arrow, written as ``\\u2192``.  Task labels come
+    from :meth:`~repro.runtime.graph.TaskGraph.task_labeler`, resolved
+    on the first task after ``graph`` is set.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -294,6 +304,17 @@ class ChromeTraceWriter(TraceWriter):
         self._fh = open(self.path, "w")
         self._fh.write('{"traceEvents": [')
 
+    @property
+    def graph(self) -> Optional[TaskGraph]:
+        """Graph whose task labels name the task slices (``None``:
+        ``task <tid>``); may be set after construction."""
+        return self._graph
+
+    @graph.setter
+    def graph(self, graph: Optional[TaskGraph]) -> None:
+        self._graph = graph
+        self._label = None  # resolved on the next write_task
+
     # ------------------------------------------------------------------
     def _lane(self, pid: int, start: float, end: float) -> int:
         heap = self._lane_heap.setdefault(pid, [])
@@ -305,37 +326,44 @@ class ChromeTraceWriter(TraceWriter):
         heapq.heappush(heap, (end, lane))
         return lane
 
-    def _emit(self, event: dict) -> None:
-        self._buf.append(json.dumps(event))
+    def _push(self, line: str) -> None:
+        self._buf.append(line)
         self.events_written += 1
         if len(self._buf) >= self.buffer_events:
             self.flush()
 
+    def _emit(self, event: dict) -> None:
+        self._push(json.dumps(event))
+
     # ------------------------------------------------------------------
     def write_task(self, rec: TaskRecord) -> None:
-        self._seen_pids.add(rec.node)
-        name = (self.graph.task_label(rec.tid) if self.graph is not None
-                else f"task {rec.tid}")
-        self._emit({
-            "name": name, "cat": "task", "ph": "X",
-            "ts": rec.start * 1e6, "dur": (rec.end - rec.start) * 1e6,
-            "pid": rec.node, "tid": self._lane(rec.node, rec.start, rec.end),
-        })
+        tid, node, start, end = rec.tid, rec.node, rec.start, rec.end
+        self._seen_pids.add(node)
+        label = self._label
+        if label is None:
+            label = self._label = (self._graph.task_labeler()
+                                   if self._graph is not None else False)
+        name = label(tid) if label else f"task {tid}"
+        self._push(
+            f'{{"name": "{name}", "cat": "task", "ph": "X", '
+            f'"ts": {_frepr(start * 1e6)}, '
+            f'"dur": {_frepr((end - start) * 1e6)}, '
+            f'"pid": {node}, "tid": {self._lane(node, start, end)}}}')
 
     def write_msg(self, rec: MsgRecord) -> None:
         self._saw_msgs = True
-        cum = self._cum_bytes.get(rec.src, 0.0) + rec.nbytes
-        self._cum_bytes[rec.src] = cum
-        self._emit({
-            "name": f"d{rec.data}v{rec.version} {rec.src}→{rec.dst}",
-            "cat": "msg", "ph": "X",
-            "ts": rec.start * 1e6, "dur": (rec.end - rec.start) * 1e6,
-            "pid": NETWORK_PID,
-            "tid": self._lane(NETWORK_PID, rec.start, rec.end),
-        })
-        self._emit({"name": "bytes_sent_total", "ph": "C",
-                    "ts": rec.start * 1e6, "pid": rec.src,
-                    "args": {"bytes": cum}})
+        src, start, end = rec.src, rec.start, rec.end
+        cum = self._cum_bytes.get(src, 0.0) + rec.nbytes
+        self._cum_bytes[src] = cum
+        ts = _frepr(start * 1e6)
+        self._push(
+            f'{{"name": "d{rec.data}v{rec.version} {src}\\u2192{rec.dst}", '
+            f'"cat": "msg", "ph": "X", "ts": {ts}, '
+            f'"dur": {_frepr((end - start) * 1e6)}, "pid": {NETWORK_PID}, '
+            f'"tid": {self._lane(NETWORK_PID, start, end)}}}')
+        self._push(
+            f'{{"name": "bytes_sent_total", "ph": "C", "ts": {ts}, '
+            f'"pid": {src}, "args": {{"bytes": {_frepr(cum)}}}}}')
 
     def write_fault(self, event) -> None:
         node_scoped = event.node >= 0

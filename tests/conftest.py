@@ -25,3 +25,24 @@ def tiny_cluster():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def available_sim_backends():
+    """Event loops this host can run: ``python`` always, ``c`` when the
+    compiled loop builds."""
+    from repro.runtime import csim
+    return ["python", "c"] if csim.available() else ["python"]
+
+
+@pytest.fixture
+def sim_backends(monkeypatch):
+    """Iterate to run a block under every available event loop: each
+    step sets ``REPRO_SIM_BACKEND`` to the backend it yields.  Used by
+    the golden suites, which then pin both loops under one test id."""
+    from repro.runtime.backends import BACKEND_ENV
+
+    def each():
+        for name in available_sim_backends():
+            monkeypatch.setenv(BACKEND_ENV, name)
+            yield name
+    return each()

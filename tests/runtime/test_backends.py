@@ -8,8 +8,10 @@ value, or ``c`` without a working compiler, raises ``BackendError``;
 only ``auto`` falls back to Python.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.distribution import TileDistribution
@@ -17,9 +19,11 @@ from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
-from repro.runtime import backends
+from repro.runtime import backends, simulator
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.graph import TaskGraph
 from repro.runtime.simulator import simulate
+from repro.runtime.tracefmt import ChromeTraceWriter
 
 TILE = 8
 
@@ -61,20 +65,101 @@ def test_backend_matches_python(backend, kernel, P, monkeypatch):
     assert acc == ref, f"{backend} backend drifted from python at P={P}"
 
 
+def _recorded_run(graph, home, cluster, backend, monkeypatch, path,
+                  network="nic"):
+    """One recorded run and one streamed run: (canonical dump, file)."""
+    monkeypatch.setenv(backends.BACKEND_ENV, backend)
+    trace = simulate(graph, cluster, data_home=home, network=network,
+                     record_tasks=True)
+    with ChromeTraceWriter(path, graph=graph, buffer_events=32) as w:
+        simulate(graph, cluster, data_home=home, network=network,
+                 trace_writer=w)
+    return json.dumps(trace.to_canonical(), sort_keys=True), path.read_bytes()
+
+
 @pytest.mark.skipif(not ACCELERATED, reason="no accelerated backend built")
-def test_backend_used_only_when_eligible(monkeypatch):
-    """Recording/writer/non-default configs must stay on the Python loop
-    — and still agree with the fast path on the schedule itself."""
+def test_backend_used_only_when_eligible(monkeypatch, tmp_path):
+    """Recorded priority/nic runs take the compiled loop and match the
+    Python loop byte for byte, both as a canonical dump and as a Chrome
+    file; every other configuration stays on the Python loop and still
+    completes with records."""
+    calls = []
+    real_select = simulator.select_backend
+
+    def spy_select():
+        name, runner = real_select()
+        if runner is None:
+            return name, None
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("record", False))
+            return runner(*args, **kwargs)
+        return name, counted
+
+    monkeypatch.setattr(simulator, "select_backend", spy_select)
     dist = TileDistribution(g2dbc(5), 8, symmetric=False)
     graph, home = build_lu_graph(dist, TILE)
     cluster = _cluster(5)
-    monkeypatch.setenv(backends.BACKEND_ENV, ACCELERATED[0])
-    fast = simulate(graph, cluster, data_home=home, network="nic")
-    recorded = simulate(graph, cluster, data_home=home, network="nic",
-                        record_tasks=True)
-    assert recorded.task_records  # recording path actually recorded
-    assert recorded.makespan == fast.makespan
-    assert recorded.n_messages == fast.n_messages
+    ref = _recorded_run(graph, home, cluster, "python", monkeypatch,
+                        tmp_path / "python.json")
+    assert calls == []
+    acc = _recorded_run(graph, home, cluster, ACCELERATED[0], monkeypatch,
+                        tmp_path / "acc.json")
+    assert calls == [True, True]  # record_tasks and trace_writer runs
+    assert acc[0] == ref[0]
+    assert acc[1] == ref[1]
+
+    calls.clear()
+    ineligible = [
+        ("fifo", dataclasses.replace(cluster, scheduler="fifo"), "nic"),
+        ("work_stealing",
+         dataclasses.replace(cluster, scheduler="work_stealing"), "nic"),
+        ("contention", cluster, "contention"),
+        ("fork-join", dataclasses.replace(cluster, fork_join=True), "nic"),
+        ("tree", dataclasses.replace(cluster, multicast="tree"), "nic"),
+    ]
+    for name, cl, net in ineligible:
+        trace = simulate(graph, cl, data_home=home, network=net,
+                         record_tasks=True)
+        assert len(trace.task_records) == len(graph), name
+        assert trace.msg_records, name
+    assert calls == []
+
+
+def _unaligned(a):
+    """``a`` copied to an odd byte offset, where the packed layout of
+    :mod:`repro.runtime.shmgraph` leaves most columns; NumPy exports
+    such buffers with an explicit byte-order format (``=q``)."""
+    out = np.frombuffer(bytearray(a.nbytes + 1), dtype=a.dtype,
+                        count=a.size, offset=1)
+    out[:] = a
+    return out
+
+
+def test_recorded_run_on_unaligned_columns(sim_backends):
+    """Records and labels read unaligned columns, as campaign workers
+    see them, and match the run of the original graph."""
+    dist = TileDistribution(g2dbc(5), 8, symmetric=False)
+    graph, home = build_lu_graph(dist, TILE)
+    cols = graph.columns
+    packed = TaskGraph.from_columns(
+        {key: _unaligned(a) for key, a in (
+            ("kind", cols.kind), ("i", cols.i), ("j", cols.j),
+            ("k", cols.k), ("node", cols.node), ("flops", cols.flops),
+            ("wd", cols.write_data), ("wv", cols.write_version),
+            ("rc", np.diff(cols.read_indptr)), ("rd", cols.read_data),
+            ("rv", cols.read_version))},
+        n_data=graph.n_data, nnodes=graph.nnodes,
+        total_flops=graph.total_flops)
+    home = _unaligned(home)
+    assert memoryview(packed.columns.node).format == "=q"
+    label = packed.task_labeler()
+    assert [label(t) for t in range(len(graph))] == \
+        [graph.task_label(t) for t in range(len(graph))]
+    for backend in sim_backends:
+        ref = simulate(graph, _cluster(5), data_home=home, record_tasks=True)
+        got = simulate(packed, _cluster(5), data_home=home, record_tasks=True)
+        assert got.to_canonical() == ref.to_canonical(), backend
 
 
 def test_env_reresolves_cache(monkeypatch):

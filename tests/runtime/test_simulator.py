@@ -24,6 +24,21 @@ class TestBasics:
         assert tr.makespan == 0.0
         assert tr.n_tasks == 0
 
+    def test_empty_graph_recorded(self):
+        """A recorded run of an empty graph has empty records, so the
+        record consumers work on it instead of raising."""
+        from repro.runtime.stats import concurrency_profile
+        from repro.runtime.tracefmt import text_gantt, to_chrome_trace
+
+        g = TaskGraph(n_data=1, nnodes=1)
+        tr = simulate(g, cluster(1), record_tasks=True)
+        assert tr.task_records == []
+        assert tr.msg_records == []
+        assert tr.completion_times.shape == (0,)
+        assert concurrency_profile(tr) == []
+        assert text_gantt(tr) == "(empty trace)"
+        assert not [e for e in to_chrome_trace(tr, g) if e["ph"] == "X"]
+
     def test_single_task_duration(self):
         g = TaskGraph(n_data=1, nnodes=1)
         g.submit(TaskKind.GEMM, 0, 0, 0, 0, 2e9, (g.current(0),), 0)

@@ -1,24 +1,48 @@
 """Tests for trace export (Chrome tracing, text Gantt) and memory stats."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.distribution import TileDistribution
+from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
+from repro.patterns.gcrm import feasible_sizes, gcrm
 from repro.runtime.analysis import memory_footprint
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.simulator import simulate
+from repro.runtime.trace import MsgRecord, TaskRecord
 from repro.runtime.tracefmt import (
+    NETWORK_PID,
     ChromeTraceWriter,
     assign_lanes,
     save_chrome_trace,
     text_gantt,
     to_chrome_trace,
 )
+
+#: SHA-256 of the streamed Chrome file at P=7, m=10 with graph labels and
+#: ``buffer_events=64``, recorded while every recorded run still took the
+#: Python loop.  LU/nic is eligible for the compiled loop; Cholesky under
+#: contention is not.
+CHROME_DIGESTS = {
+    ("lu", "nic"):
+        "61d8de80e45f788c92bffde359f5edadbc48225db374e3f4c85fcaf18acdd12b",
+    ("cholesky", "contention"):
+        "1452a4e4c86d9d9fa8850429208b450f17bf07f2ab034c765484099915bc981f",
+}
+
+
+def _digest_graph(kernel):
+    if kernel == "lu":
+        return build_lu_graph(
+            TileDistribution(g2dbc(7), 10, symmetric=False), 8)
+    pat = gcrm(7, feasible_sizes(7)[0], seed=0).pattern
+    return build_cholesky_graph(TileDistribution(pat, 10, symmetric=True), 8)
 
 
 def run(pattern, n=6, record=True):
@@ -224,6 +248,53 @@ class TestChromeTraceWriter:
         _, _, w, _ = self._stream(tmp_path)
         w.close()  # second close after the context manager: no error
         assert w.events_written > 0
+
+    @pytest.mark.parametrize("kernel,network", sorted(CHROME_DIGESTS),
+                             ids=[f"{k}-{n}" for k, n in sorted(CHROME_DIGESTS)])
+    def test_file_digest_under_every_backend(self, kernel, network,
+                                             sim_backends, tmp_path):
+        """The Chrome file is byte-identical to the one recorded before
+        the compiled loop could record, on every available loop."""
+        graph, home = _digest_graph(kernel)
+        cl = ClusterSpec(nnodes=7, cores_per_node=2, core_gflops=1.0,
+                         bandwidth_Bps=1e9, latency_s=1e-6, tile_size=8)
+        for backend in sim_backends:
+            path = tmp_path / f"{backend}.json"
+            with ChromeTraceWriter(path, graph=graph, buffer_events=64) as w:
+                simulate(graph, cl, data_home=home, network=network,
+                         trace_writer=w)
+            assert w.flushes > 1
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == CHROME_DIGESTS[kernel, network], backend
+
+    def test_lines_equal_json_dumps(self, tmp_path):
+        """Formatted events are the bytes ``json.dumps`` gives, for
+        awkward floats and NumPy scalars alike; a graph set after
+        construction names the task slices."""
+        dist = TileDistribution(bc2d(2, 2), 4)
+        graph, _ = build_lu_graph(dist, 8)
+        w = ChromeTraceWriter(tmp_path / "w.json", buffer_events=1000)
+        w.graph = graph
+        # overlapping spans: record i lands on lane i
+        times = [(0.0, 1e22), (1e-7, 1 / 3), (np.float64(0.1), 0.2)]
+        expected = []
+        cum = 0.0
+        for tid, (start, end) in enumerate(times):
+            w.write_task(TaskRecord(tid, 1, start, end))
+            w.write_msg(MsgRecord(tid, 2, 3, 0, start, end, 512))
+            cum += 512
+            expected += [
+                {"name": graph.task_label(tid), "cat": "task", "ph": "X",
+                 "ts": start * 1e6, "dur": (end - start) * 1e6, "pid": 1,
+                 "tid": tid},
+                {"name": f"d{tid}v2 3→0", "cat": "msg", "ph": "X",
+                 "ts": start * 1e6, "dur": (end - start) * 1e6,
+                 "pid": NETWORK_PID, "tid": tid},
+                {"name": "bytes_sent_total", "ph": "C", "ts": start * 1e6,
+                 "pid": 3, "args": {"bytes": cum}},
+            ]
+        assert w._buf == [json.dumps(e) for e in expected]
+        w.close()
 
 
 class TestTextGantt:
