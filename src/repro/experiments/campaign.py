@@ -49,7 +49,6 @@ from ..runtime.faults import colrow_recovery, parse_faults
 from ..runtime.network import NETWORK_MODELS
 from ..runtime.resize import parse_resize
 from ..runtime.schedulers import registered_schedulers
-from ..runtime.shmgraph import attach_graph, publish_graph, unpublish
 from ..runtime.simulator import simulate
 from .machine import PAPER_TILE_SIZE, sim_cluster
 
@@ -274,13 +273,6 @@ def _build_pattern(family: str, P: int, kernel: str, store=None):
     return pat
 
 
-def _graph_key(cell: CampaignCell) -> tuple:
-    """Cells sharing this key simulate the *same* task graph — the
-    network / bandwidth / fault axes only change the cluster, so one
-    build covers every variant."""
-    return (cell.family, cell.kernel, cell.P, cell.m)
-
-
 def _build_graph(cell: CampaignCell, pattern, tile_size: int):
     """Build ``(graph, data_home)`` for a cell's kernel and size."""
     if cell.kernel == "lu":
@@ -293,8 +285,8 @@ def _build_graph(cell: CampaignCell, pattern, tile_size: int):
 
 
 def _eval_cell(cell: CampaignCell, tile_size: int,
-               store=None, prebuilt=None) -> CampaignRow:
-    """Evaluate one cell: build (or attach), count, bound, simulate."""
+               store=None) -> CampaignRow:
+    """Evaluate one cell: build, count, bound, simulate."""
     pattern = _build_pattern(cell.family, cell.P, cell.kernel, store=store)
     cluster = sim_cluster(cell.P, tile_size=tile_size)
     if cluster.nnodes < pattern.nnodes:
@@ -306,10 +298,7 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
         cluster = replace(cluster, scheduler=cell.scheduler)
     if cell.ranks_per_node != 1:
         cluster = replace(cluster, ranks_per_node=cell.ranks_per_node)
-    if prebuilt is not None:
-        graph, home = prebuilt
-    else:
-        graph, home = _build_graph(cell, pattern, tile_size)
+    graph, home = _build_graph(cell, pattern, tile_size)
     if cell.kernel == "lu":
         dist = TileDistribution(pattern, cell.m, symmetric=False)
         predicted = count_lu_messages(dist).total
@@ -387,21 +376,11 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
 
 
 def _eval_campaign_chunk(
-    args: Tuple[int, Optional[str], List[CampaignCell], Optional[dict]],
+    args: Tuple[int, Optional[str], List[CampaignCell]],
 ) -> List[CampaignRow]:
-    tile_size, store_dir, chunk, shared = args
+    tile_size, store_dir, chunk = args
     store = _open_store(store_dir)
-    rows = []
-    for cell in chunk:
-        prebuilt = None
-        if shared is not None:
-            ref = shared.get(_graph_key(cell))
-            if ref is not None:
-                # zero-copy attach; cached per segment per process, so a
-                # worker maps each unique graph at most once
-                prebuilt = attach_graph(ref)
-        rows.append(_eval_cell(cell, tile_size, store=store, prebuilt=prebuilt))
-    return rows
+    return [_eval_cell(cell, tile_size, store=store) for cell in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +407,10 @@ def run_campaign(
     becomes a shard read instead of a per-process search.  Workers use
     the store read-only, so a cold store changes nothing but speed.
 
-    With a process pool, the parent builds each unique ``(family,
-    kernel, P, m)`` graph **once** and publishes its columns to
-    :mod:`multiprocessing.shared_memory`; workers attach zero-copy by
-    segment name instead of rebuilding the graph per cell (see
-    :mod:`repro.runtime.shmgraph`).  Rows are a pure function of each
-    cell's spec either way, so output is identical with and without
-    the pool — the jobs-independence tests pin this.
+    Every cell builds its own graph, in the worker that evaluates it,
+    exactly as with ``jobs=1``: rows are a pure function of each cell's
+    spec, so output is identical with and without the pool — the
+    jobs-independence tests pin this.
     """
     if memo is None:
         memo = {}
@@ -448,35 +424,15 @@ def run_campaign(
             misses.append(cell)
     if misses:
         executor = auto_executor(len(misses), jobs)
-        shared = None
-        refs: List = []
         try:
-            if executor.jobs > 1:
-                # one build + one publish per unique graph, shared by
-                # every worker and every (network, bw, faults) variant
-                store = _open_store(store_dir)
-                shared = {}
-                for cell in misses:
-                    gk = _graph_key(cell)
-                    if gk in shared:
-                        continue
-                    pattern = _build_pattern(cell.family, cell.P, cell.kernel,
-                                             store=store)
-                    graph, home = _build_graph(cell, pattern, tile_size)
-                    ref = publish_graph(graph, data_home=home)
-                    shared[gk] = ref
-                    refs.append(ref)
             chunks = chunk_tasks(misses, executor.jobs, chunk_size)
             results = executor.map(_eval_campaign_chunk,
-                                   [(tile_size, store_dir, c, shared)
-                                    for c in chunks])
+                                   [(tile_size, store_dir, c) for c in chunks])
             for chunk, rows in zip(chunks, results):
                 for cell, row in zip(chunk, rows):
                     memo[key(cell)] = row
         finally:
             executor.close()
-            for ref in refs:
-                unpublish(ref)
     return [memo[key(cell)] for cell in cells]
 
 

@@ -199,7 +199,7 @@ def load_shipped_database(kernel: str = "cholesky") -> Dict[int, Pattern]:
 
 
 def shipped_pattern(P: int, kernel: str = "cholesky", store=None,
-                    strict: bool = False, **kw) -> Pattern:
+                    **kw) -> Pattern:
     """One very efficient pattern for ``P`` nodes.
 
     Served from the shipped database when ``P`` is in its 2..44 range.
@@ -208,16 +208,9 @@ def shipped_pattern(P: int, kernel: str = "cholesky", store=None,
     .PatternStore` (when ``store`` is given) or a live
     :func:`best_pattern` search — so callers that only know a node
     count (e.g. elastic-resize targets with P′ > 44) always resolve.
-    ``strict=True`` restores the historical hard failure outside the
-    shipped range; extra keywords go to :func:`best_pattern`.
+    Extra keywords go to :func:`best_pattern`.
     """
     db = load_shipped_database(kernel)
-    try:
+    if P in db:
         return db[P]
-    except KeyError:
-        if strict:
-            raise ValueError(
-                f"shipped database covers P in [2, 44], got {P}; "
-                f"use best_pattern() to compute one"
-            ) from None
     return best_pattern(P, kernel=kernel, store=store, **kw)

@@ -68,8 +68,7 @@ class ClusterSpec:
         node count.  Carried on the spec (rather than only on the model
         instance) so it lands in campaign rows and follows
         :meth:`with_nodes` resizing, where it is rescaled
-        proportionally to the node count (``keep_bisection=True``
-        keeps it pinned).
+        proportionally to the node count.
     """
 
     nnodes: int
@@ -161,8 +160,7 @@ class ClusterSpec:
         gemm_time = 2.0 * b**3 / self.core_flops
         return self.message_time() / gemm_time
 
-    def with_nodes(self, nnodes: int,
-                   keep_bisection: bool = False) -> "ClusterSpec":
+    def with_nodes(self, nnodes: int) -> "ClusterSpec":
         """Resize the cluster, preserving the machine mix.
 
         With ``node_speeds`` set, the speeds tuple is resized too
@@ -175,15 +173,12 @@ class ClusterSpec:
         A pinned ``bisection_Bps`` is rescaled proportionally to the
         node count: bisection capacity grows with the machine, and a
         value pinned for ``P`` nodes silently mis-models the resized
-        cluster.  Pass ``keep_bisection=True`` to carry the pinned
-        value unchanged (e.g. when modeling a fixed core switch that
-        the new nodes must share).
+        cluster.
         """
         if nnodes <= 0:
             raise ValueError(f"nnodes must be positive, got {nnodes}")
         kw = {"nnodes": nnodes}
-        if self.bisection_Bps is not None and not keep_bisection \
-                and nnodes != self.nnodes:
+        if self.bisection_Bps is not None and nnodes != self.nnodes:
             kw["bisection_Bps"] = self.bisection_Bps * (nnodes / self.nnodes)
         speeds = self.node_speeds
         if speeds and len(speeds) != nnodes:

@@ -417,17 +417,8 @@ def simulate_with_faults(
     model = ResilientNetwork(inner, plan)
     n_tasks = len(graph)
     P = cluster.nnodes
-    if n_tasks == 0:
-        zeros_f = np.zeros(P)
-        zeros_i = np.zeros(P, dtype=np.int64)
-        return ExecutionTrace(
-            cluster=cluster, makespan=0.0, total_flops=0.0, n_tasks=0,
-            n_messages=0, bytes_sent=0.0, busy_time=zeros_f,
-            sent_messages=zeros_i, network=inner.name,
-            recv_messages=zeros_i.copy())
-
     cols = graph.columns
-    if int(cols.node.max()) >= P:
+    if n_tasks and int(cols.node.max()) >= P:
         raise SimulationError(
             f"graph uses node {int(cols.node.max())} but cluster has {P} nodes")
 

@@ -71,8 +71,8 @@ def column_view(a: np.ndarray) -> memoryview:
     """Zero-copy memoryview of a 1-D column that indexes to plain Python
     ints and floats, several times cheaper per item than NumPy scalar
     indexing.  The cast to the dtype's native code also covers columns
-    whose buffer format carries a byte order (``np.frombuffer`` over
-    shared memory), which a plain memoryview cannot index."""
+    whose buffer format carries a byte order (``np.frombuffer`` at an
+    unaligned offset), which a plain memoryview cannot index."""
     a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("="))
     return memoryview(a).cast("B").cast(a.dtype.char)
 
@@ -234,11 +234,11 @@ class TaskGraph:
 
         ``cat`` uses the internal chunk keys (``kind``/``i``/``j``/``k``/
         ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``) and is
-        adopted **by reference** — the arrays may live in a read-only
-        shared-memory segment (:mod:`repro.runtime.shmgraph` attaches
-        campaign workers this way); nothing here writes to them.
-        ``total_flops`` must be the publisher's sequential sum so
-        simulated traces stay byte-identical to the original graph's.
+        adopted **by reference** — the arrays may be read-only or
+        unaligned views of a foreign buffer; nothing here writes to
+        them.  ``total_flops`` is taken as given: when the columns copy
+        an existing graph, pass that graph's sequential sum so simulated
+        traces stay byte-identical to its own.
         """
         g = cls.__new__(cls)
         g.n_data = n_data

@@ -11,9 +11,9 @@ first-class simulated phase:
    prefix); in-flight messages are allowed to land.
 2. **Migrate** — every tile whose owner changes under the COSTA-style
    relabeled target pattern (:mod:`repro.patterns.migrate`) crosses the
-   network once; the transfer is replayed on a fresh instance of the
-   run's network model, so migration pays the same serialization /
-   contention / hierarchy costs as algorithm traffic.
+   network once; the transfer is replayed on the run's own network
+   model, re-bound to the resized cluster, so migration pays the same
+   serialization / contention / hierarchy costs as algorithm traffic.
 3. **Resume** — the not-yet-started tasks are re-homed under the
    relabeled target distribution and simulated on the resized cluster,
    with versions renumbered so the remaining graph is self-contained
@@ -45,8 +45,8 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .graph import TaskGraph, TaskKind
-from .network import (EVENT_MSG_ARRIVE, EVENT_NET_INTERNAL, NetworkStats,
-                      make_network)
+from .network import (EVENT_MSG_ARRIVE, EVENT_NET_INTERNAL, NetworkModel,
+                      NetworkStats, make_network)
 from .trace import ExecutionTrace, MsgRecord, TaskRecord
 
 __all__ = ["ResizeEvent", "MigrationStats", "parse_resize",
@@ -156,13 +156,12 @@ def _resolve_target(P: int, kernel: str, store=None):
 
 def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       version: np.ndarray, cluster: ClusterSpec,
-                      net_name: Optional[str], record: bool):
-    """Replay the plan's transfers on a fresh network model.
+                      model: NetworkModel, record: bool):
+    """Replay the plan's transfers on ``model``, re-bound to ``cluster``.
 
     Returns ``(makespan, msg_records, NetworkStats)``; times start at 0
     (the caller shifts them past the drain point).
     """
-    model = make_network(net_name)
     events: list = []
     seq = 0
 
@@ -265,6 +264,11 @@ def simulate_with_resize(
     The returned trace covers all three phases; ``trace.resize_stats``
     carries the :class:`MigrationStats` (absent when the resize is a
     no-op, so such runs stay byte-identical to unresized goldens).
+    Every phase — the unresized run, the migration replay, the resumed
+    run and the break-even run — uses the one model ``network``
+    resolves to, re-bound per phase, so a configured instance keeps its
+    parameters throughout.  An empty graph has nothing to drain, move
+    or resume, and returns the plain empty trace.
     """
     from ..distribution import TileDistribution
     from ..patterns.migrate import plan_from_owners, relabel_distribution
@@ -272,14 +276,13 @@ def simulate_with_resize(
 
     if isinstance(resize, str):
         resize = parse_resize(resize)
-    if resize is None:
+    if resize is None or len(graph) == 0:
         return simulate(graph, cluster, data_home=data_home,
                         record_tasks=record_tasks, network=network,
                         trace_writer=trace_writer)
     if cluster.fork_join:
         raise SimulationError("resize is not supported on fork-join clusters")
-    net_name = network if isinstance(network, str) or network is None \
-        else getattr(network, "name", "nic")
+    model = make_network(network)
 
     cols = graph.columns
     symmetric = bool((cols.kind == TaskKind.POTRF).any())
@@ -320,14 +323,14 @@ def simulate_with_resize(
     # goldens, with no resize_stats attached.
     if plan.tiles_moved == 0 and nmax == P_src:
         return simulate(graph, cluster, data_home=data_home,
-                        record_tasks=record_tasks, network=network,
+                        record_tasks=record_tasks, network=model,
                         trace_writer=trace_writer)
 
     need_records = record_tasks or trace_writer is not None
 
     # -- phase A: the unresized run; its prefix before t is the drain --
     trace_a = simulate(graph, cluster, data_home=data_home,
-                       record_tasks=True, network=net_name)
+                       record_tasks=True, network=model)
     t0 = resize.time
     recs_a = trace_a.task_records or []
     done_recs = [r for r in recs_a if r.start < t0]
@@ -348,7 +351,7 @@ def simulate_with_resize(
     cluster_b = cluster.with_nodes(nmax)
     moved = live[new_home[live] != home[live]]
     migration_s, mig_msgs, mig_stats = _replay_migration(
-        moved, home, new_home, drained, cluster_b, net_name,
+        moved, home, new_home, drained, cluster_b, model,
         record=need_records)
 
     # -- phase B: remaining tasks under the relabeled target --------
@@ -382,7 +385,7 @@ def simulate_with_resize(
         graph_b = TaskGraph.from_columns(
             cat, n_data, nmax, float(cols.flops[rem_mask].sum()))
         trace_b = simulate(graph_b, cluster_b, data_home=new_home,
-                           record_tasks=need_records, network=net_name)
+                           record_tasks=need_records, network=model)
     else:
         trace_b = None
 
@@ -394,7 +397,7 @@ def simulate_with_resize(
         from ..dla.lu import build_lu_graph as _build
     graph_t, home_t = _build(dist_t, cluster.tile_size)
     t_new = simulate(graph_t, cluster_b, data_home=home_t,
-                     network=net_name).makespan
+                     network=model).makespan
     t_old = trace_a.makespan
     breakeven = migration_s / (t_old - t_new) if t_new < t_old \
         else float("inf")
@@ -419,7 +422,7 @@ def simulate_with_resize(
         recv += trace_b.recv_messages
         n_messages += trace_b.n_messages
 
-    model_name = net_name or "nic"
+    model_name = model.name
     parts = [_stats_from_msgs(msgs_a, nmax, model_name), mig_stats]
     if trace_b is not None and trace_b.net_stats is not None:
         parts.append(trace_b.net_stats)

@@ -40,8 +40,8 @@ The v3 hot path is split in three layers:
 3. **Python loop** — the always-available fallback (and the only path
    for fork-join, non-priority schedulers, tree multicast and the
    contention model).  It drains the event heap in same-timestamp
-   batches and admits newly-ready tasks through bulk ``heapify``
-   instead of per-task pushes whenever a queue refills from empty.
+   batches; for the priority scheduler without fork-join, task
+   completion wakes and refills its node inline.
 
 The event schedule, and therefore every trace, is bit-for-bit
 identical across all three layers and to the previous per-event
@@ -324,7 +324,6 @@ def simulate(
     seq = 0
     heappush = heapq.heappush
     heappop = heapq.heappop
-    heapify = heapq.heapify
 
     def push_event(time: float, etype: int, payload) -> None:
         nonlocal seq
@@ -402,10 +401,8 @@ def simulate(
                 rec_task(TaskRecord(tid=tid, node=n, start=t, end=t + dur))
         idle[n] = idl
 
+    # specialized hot path: priority scheduler, no fork-join gate
     fast = not fj and prio
-    # fully specialized hot path: priority scheduler, no fork-join gate,
-    # no task recording (``use_codes`` implies rec_task is None)
-    ffast = fast and use_codes
 
     # work stealing (see schedulers.py): after each event batch, idle
     # nodes with empty queues pull queued tasks from victims.  The
@@ -492,15 +489,15 @@ def simulate(
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    # the TASK_DONE branch is the hot path: for the default
-    # configuration (no fork-join barrier, priority scheduler) enqueue
-    # and dispatch are fully inlined — at m=64 the function-call
-    # overhead alone is ~30% of the loop.  The heap is drained in
-    # same-timestamp batches: each iteration of the outer loop pins
-    # ``now`` and the inner loop keeps popping while the heap head
-    # stays at ``now`` — events pushed *during* the batch land behind
-    # the drained ones (their seq tags are larger), so processing
-    # order is identical to one-at-a-time popping.
+    # the TASK_DONE branch is the hot path: for the priority scheduler
+    # without a fork-join barrier it has its own body with enqueue and
+    # dispatch inlined; every other configuration takes the general
+    # body.  Message arrivals always go through ``deliver``.  The heap
+    # is drained in same-timestamp batches: each iteration of the outer
+    # loop pins ``now`` and the inner loop keeps popping while the heap
+    # head stays at ``now`` — events pushed *during* the batch land
+    # behind the drained ones (their seq tags are larger), so
+    # processing order is identical to one-at-a-time popping.
     now = 0.0
     completed = 0
     while events:
@@ -511,186 +508,71 @@ def simulate(
                 tid = payload
                 completed += 1
                 tnode = node_l[tid]
+                if completion is not None:
+                    completion[tid] = now
+                # push produced version to remote consumers
+                dests = push_plan_l[tid]
+                if dests is not None:
+                    model.multicast(tnode, dests, now)
                 # wake local dependents, then refill the freed worker.
                 # Local dependents always run on the producer's node
                 # (that is what makes them local), so completion wakes
                 # exactly one node — no set bookkeeping on the fast path.
-                if ffast:
-                    dests = push_plan_l[tid]
-                    if dests is not None:
-                        model.multicast(tnode, dests, now)
+                if fast:
                     rq = ready[tnode]
                     s = ld_indptr[tid]
                     e = ld_indptr[tid + 1]
-                    idl = idle[tnode] + 1
-                    if s != e and not rq:
-                        # heap bypass: the queue is empty, so pushing
-                        # the newly-ready set and draining would hand it
-                        # back in sorted key order — start the head
-                        # directly, bulk-heapify any overflow
-                        new = None
+                    if s != e:
                         for dep in ld_tasks[s:e]:
                             p = pending_l[dep] - 1
                             pending_l[dep] = p
                             if p == 0:
-                                if new is None:
-                                    new = [keys_l[dep]]
-                                else:
-                                    new.append(keys_l[dep])
-                        if new is not None:
-                            if len(new) <= idl:
-                                if len(new) > 1:
-                                    new.sort()
-                                for key in new:
-                                    tid2 = key & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[tnode] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                            else:
-                                heapify(new)
-                                ready[tnode] = rq = new
-                                while idl > 0 and rq:
-                                    tid2 = heappop(rq) & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[tnode] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                    else:
-                        if s != e:
-                            for dep in ld_tasks[s:e]:
-                                p = pending_l[dep] - 1
-                                pending_l[dep] = p
-                                if p == 0:
-                                    heappush(rq, keys_l[dep])
-                        while idl > 0 and rq:
-                            tid2 = heappop(rq) & 0xFFFFFFFF
-                            idl -= 1
-                            dur = dur_l[tid2]
-                            busy[tnode] += dur
-                            seq += 4
-                            heappush(events, (now + dur, seq, tid2))
+                                heappush(rq, keys_l[dep])
+                    idl = idle[tnode] + 1
+                    while idl > 0 and rq:
+                        tid2 = heappop(rq) & 0xFFFFFFFF
+                        idl -= 1
+                        dur = dur_l[tid2]
+                        busy[tnode] += dur
+                        seq += 4
+                        heappush(events, (now + dur, seq, tid2))
+                        if rec_task is not None:
+                            rec_task(TaskRecord(tid=tid2, node=tnode,
+                                                start=now, end=now + dur))
                     idle[tnode] = idl
                 else:
-                    if completion is not None:
-                        completion[tid] = now
-                    # push produced version to remote consumers
-                    dests = push_plan_l[tid]
-                    if dests is not None:
-                        model.multicast(tnode, dests, now)
-                    if fast:
-                        rq = ready[tnode]
-                        s = ld_indptr[tid]
-                        e = ld_indptr[tid + 1]
-                        if s != e:
-                            for dep in ld_tasks[s:e]:
-                                p = pending_l[dep] - 1
-                                pending_l[dep] = p
-                                if p == 0:
-                                    heappush(rq, keys_l[dep])
-                        idl = idle[tnode] + 1
-                        while idl > 0 and rq:
-                            tid2 = heappop(rq) & 0xFFFFFFFF
-                            idl -= 1
-                            dur = dur_l[tid2]
-                            busy[tnode] += dur
-                            seq += 4
-                            heappush(events, (now + dur, seq, tid2))
-                            if rec_task is not None:
-                                rec_task(TaskRecord(tid=tid2, node=tnode,
-                                                    start=now, end=now + dur))
-                        idle[tnode] = idl
+                    woken = {tnode}
+                    for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
+                        p = pending_l[dep] - 1
+                        pending_l[dep] = p
+                        if p == 0:
+                            if fj and k_l[dep] > gate_val:
+                                deferred.setdefault(k_l[dep], []).append(dep)
+                            else:
+                                woken.add(enqueue(dep))
+                    if fj:
+                        remaining[k_l[tid]] -= 1
+                        while (gate_idx < len(iterations)
+                               and remaining[iterations[gate_idx]] == 0):
+                            gate_idx += 1
+                            if gate_idx < len(iterations):
+                                for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
+                                    woken.add(enqueue(tid2))
+                        gate_val = (iterations[gate_idx]
+                                    if gate_idx < len(iterations) else (1 << 62))
+                    if stealing:
+                        # a stolen task frees a core on the thief,
+                        # not the owner; wakes stay with the owner
+                        wnode = ran_on.pop(tid, tnode)
+                        idle[wnode] += 1
+                        woken.add(wnode)
                     else:
-                        woken = {tnode}
-                        for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                if fj and k_l[dep] > gate_val:
-                                    deferred.setdefault(k_l[dep], []).append(dep)
-                                else:
-                                    woken.add(enqueue(dep))
-                        if fj:
-                            remaining[k_l[tid]] -= 1
-                            while (gate_idx < len(iterations)
-                                   and remaining[iterations[gate_idx]] == 0):
-                                gate_idx += 1
-                                if gate_idx < len(iterations):
-                                    for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
-                                        woken.add(enqueue(tid2))
-                            gate_val = (iterations[gate_idx]
-                                        if gate_idx < len(iterations) else (1 << 62))
-                        if stealing:
-                            # a stolen task frees a core on the thief,
-                            # not the owner; wakes stay with the owner
-                            wnode = ran_on.pop(tid, tnode)
-                            idle[wnode] += 1
-                            woken.add(wnode)
-                        else:
-                            idle[tnode] += 1
-                        for n in sorted(woken):
-                            dispatch(n, now)
+                        idle[tnode] += 1
+                    for n in sorted(woken):
+                        dispatch(n, now)
             elif etype == _MSG_ARRIVE:
                 ref, dst = payload
-                if ffast:
-                    # inlined deliver + dispatch for the default path:
-                    # waiters come straight off the uid-indexed CSR slice
-                    rq = ready[dst]
-                    idl = idle[dst]
-                    if not rq and idl > 0:
-                        # heap bypass (see TASK_DONE branch)
-                        new = None
-                        for dep in w_tasks[w_indptr[ref]:w_indptr[ref + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                if new is None:
-                                    new = [keys_l[dep]]
-                                else:
-                                    new.append(keys_l[dep])
-                        if new is not None:
-                            if len(new) <= idl:
-                                if len(new) > 1:
-                                    new.sort()
-                                for key in new:
-                                    tid2 = key & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[dst] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                            else:
-                                heapify(new)
-                                ready[dst] = rq = new
-                                while idl > 0 and rq:
-                                    tid2 = heappop(rq) & 0xFFFFFFFF
-                                    idl -= 1
-                                    dur = dur_l[tid2]
-                                    busy[dst] += dur
-                                    seq += 4
-                                    heappush(events, (now + dur, seq, tid2))
-                            idle[dst] = idl
-                    else:
-                        any_ready = False
-                        for dep in w_tasks[w_indptr[ref]:w_indptr[ref + 1]]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                heappush(rq, keys_l[dep])
-                                any_ready = True
-                        if any_ready and idl > 0:
-                            while idl > 0 and rq:
-                                tid2 = heappop(rq) & 0xFFFFFFFF
-                                idl -= 1
-                                dur = dur_l[tid2]
-                                busy[dst] += dur
-                                seq += 4
-                                heappush(events, (now + dur, seq, tid2))
-                            idle[dst] = idl
-                else:
-                    deliver(ref, dst, now)
+                deliver(ref, dst, now)
             else:  # network-internal event (contention-model bookkeeping)
                 for ref, dst in model.on_internal(payload, now):
                     deliver(ref, dst, now)

@@ -102,8 +102,6 @@ class TestShippedDatabase:
         from repro.patterns.library import shipped_pattern
 
         assert shipped_pattern(23, "lu").nnodes == 23
-        with _pytest.raises(ValueError, match="2, 44"):
-            shipped_pattern(100, strict=True)
         with _pytest.raises(ValueError, match="kernel"):
             shipped_pattern(10, "qr")
 

@@ -127,9 +127,10 @@ def test_backend_used_only_when_eligible(monkeypatch, tmp_path):
 
 
 def _unaligned(a):
-    """``a`` copied to an odd byte offset, where the packed layout of
-    :mod:`repro.runtime.shmgraph` leaves most columns; NumPy exports
-    such buffers with an explicit byte-order format (``=q``)."""
+    """``a`` copied to an odd byte offset, as in a packed foreign
+    buffer that :meth:`TaskGraph.from_columns` adopts by reference;
+    NumPy exports such buffers with an explicit byte-order format
+    (``=q``)."""
     out = np.frombuffer(bytearray(a.nbytes + 1), dtype=a.dtype,
                         count=a.size, offset=1)
     out[:] = a
@@ -137,8 +138,8 @@ def _unaligned(a):
 
 
 def test_recorded_run_on_unaligned_columns(sim_backends):
-    """Records and labels read unaligned columns, as campaign workers
-    see them, and match the run of the original graph."""
+    """Records and labels read unaligned columns, which
+    ``from_columns`` accepts, and match the run of the original graph."""
     dist = TileDistribution(g2dbc(5), 8, symmetric=False)
     graph, home = build_lu_graph(dist, TILE)
     cols = graph.columns

@@ -10,8 +10,8 @@ array hot path) and pin its canonical outputs for:
   loop of :mod:`repro.runtime.faults` shares the planner and delivery
   helpers).
 
-Any byte-level drift of the event schedule — from batch draining, bulk
-``heapify`` admission, the vectorized planner, or a compiled backend —
+Any byte-level drift of the event schedule — from batch draining, the
+inlined priority path, the vectorized planner, or a compiled backend —
 fails here.  Every case runs under each available event loop (the
 ``sim_backends`` fixture).  Regenerate only after an intentional
 behavior change::

@@ -69,10 +69,6 @@ class TestClusterSpec:
         assert c.with_nodes(8).bisection_Bps == pytest.approx(16e9)
         assert c.with_nodes(2).bisection_Bps == pytest.approx(4e9)
 
-    def test_with_nodes_keep_bisection_escape_hatch(self):
-        c = ClusterSpec(nnodes=4, bisection_Bps=8e9)
-        assert c.with_nodes(8, keep_bisection=True).bisection_Bps == 8e9
-
     def test_with_nodes_same_count_keeps_bisection(self):
         c = ClusterSpec(nnodes=4, bisection_Bps=8e9)
         assert c.with_nodes(4).bisection_Bps == 8e9

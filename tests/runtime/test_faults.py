@@ -28,6 +28,7 @@ from repro.dla.lu import build_lu_graph
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.graph import TaskGraph
 from repro.runtime.faults import (
     FaultPlan,
     LinkDegradation,
@@ -180,6 +181,34 @@ class TestFaultFreeEquivalence:
 # ---------------------------------------------------------------------------
 # Fail-stop recovery
 # ---------------------------------------------------------------------------
+class TestEmptyGraph:
+    """An empty graph runs the normal fault setup: records are empty
+    rather than ``None``, and a failure scheduled after the (absent)
+    last task still fires and is reported."""
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_loss_only_plan(self, network):
+        trace = simulate(TaskGraph(n_data=4, nnodes=4), golden_cluster(4),
+                         record_tasks=True, faults="loss:0.1",
+                         network=network)
+        assert trace.task_records == []
+        assert trace.msg_records == []
+        assert trace.completion_times.shape == (0,)
+        assert trace.fault_stats is not None
+        assert trace.fault_stats.failed_nodes == ()
+        assert trace.fault_stats.msgs_lost == 0
+
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_fail_stop_plan(self, network):
+        trace = simulate(TaskGraph(n_data=4, nnodes=4), golden_cluster(4),
+                         record_tasks=True, faults="fail:1@0.1",
+                         network=network)
+        assert trace.fault_stats.failed_nodes == (1,)
+        assert trace.makespan == 0.0
+        assert trace.task_records == []
+        assert trace.msg_records == []
+
+
 class TestFailStop:
     def test_mid_run_failure_recovers(self):
         P = 5

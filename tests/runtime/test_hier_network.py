@@ -138,13 +138,10 @@ class TestCommBreakdown:
 class TestBisection:
     def test_survives_with_nodes(self):
         # rescaled proportionally to the node count on resize (a grown
-        # cluster gets a bigger shared link); keep_bisection pins it
+        # cluster gets a bigger shared link)
         cl = cluster(5, bisection_Bps=3e8).with_nodes(9)
         assert cl.bisection_Bps == pytest.approx(3e8 * 9 / 5)
         assert cl.nnodes == 9
-        pinned = cluster(5, bisection_Bps=3e8).with_nodes(9,
-                                                          keep_bisection=True)
-        assert pinned.bisection_Bps == 3e8
 
     def test_explicit_value_echoed(self):
         graph, home = lu_case()

@@ -10,7 +10,10 @@ from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.library import shipped_pattern
+from repro.patterns.g2dbc import g2dbc
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.graph import TaskGraph
+from repro.runtime.network import ContentionModel
 from repro.runtime.resize import (
     MigrationStats,
     ResizeEvent,
@@ -120,6 +123,30 @@ class TestResizeRun:
         assert rs.P_dst == 11
         assert trace.network == "contention"
         assert comm_breakdown(trace)["model"] == "contention"
+
+    def test_configured_network_model_is_kept(self):
+        # regression: the model instance was reduced to its name, so
+        # every phase ran a default-capacity model of that name
+        dist = TileDistribution(g2dbc(4), 8, symmetric=False)
+        graph, home = build_lu_graph(dist, TILE)
+        cluster = _cluster(4)
+        narrow = simulate(graph, cluster, data_home=home, resize="6@1e-5",
+                          network=ContentionModel(bisection_Bps=1e8))
+        default = simulate(graph, cluster, data_home=home, resize="6@1e-5",
+                           network="contention")
+        assert narrow.net_stats.bisection_Bps == 1e8
+        assert narrow.makespan > default.makespan
+
+    def test_empty_graph_is_a_noop(self):
+        # nothing to drain, move or resume: the plain empty trace, with
+        # its empty records and no resize stats
+        trace = simulate(TaskGraph(n_data=4, nnodes=4), _cluster(4),
+                         resize="5@0.0", record_tasks=True)
+        assert trace.resize_stats is None
+        assert trace.makespan == 0.0
+        assert trace.task_records == []
+        assert trace.msg_records == []
+        assert trace.completion_times.shape == (0,)
 
     def test_resize_at_zero_drains_nothing(self):
         graph, home, cluster = _case(7, m=10)

@@ -333,10 +333,10 @@ class TestForkJoin:
 class TestLargeGraphSmoke:
     """m = 48 end-to-end smoke on the array hot path (slow).
 
-    Exercises the fully inlined no-record fast loop (priority scheduler,
-    integer-coded message keys, heap bypass) at a size where the old
-    object-based preprocessing took seconds, and pins the global
-    invariants the golden traces cannot cover at this scale.
+    Exercises the no-record priority path (integer-coded message keys,
+    compiled or in Python) at a size where the old object-based
+    preprocessing took seconds, and pins the global invariants the
+    golden traces cannot cover at this scale.
     """
 
     def test_lu_m48_nic(self):
