@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .exact import CommCount, count_cholesky_messages, count_lu_messages
 from .metrics import (
-    CommModel,
     communication_cost,
     inter_node_volume,
     intra_node_volume,
@@ -39,7 +38,6 @@ __all__ = [
     "CostCache",
     "pattern_key",
     "CommCount",
-    "CommModel",
     "communication_cost",
     "count_cholesky_messages",
     "count_lu_messages",

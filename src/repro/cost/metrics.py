@@ -7,7 +7,6 @@ message count and the volume are proportional — Section II-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..patterns.base import Pattern
@@ -22,7 +21,6 @@ __all__ = [
     "per_node_volume",
     "inter_node_volume",
     "intra_node_volume",
-    "CommModel",
 ]
 
 
@@ -78,28 +76,3 @@ def intra_node_volume(pattern: Pattern, m: int, kernel: str,
     """Tiles staying inside a node: flat total minus inter-node volume."""
     total = q_lu(pattern, m) if kernel == "lu" else q_cholesky(pattern, m)
     return total - inter_node_volume(pattern, m, kernel, topology)
-
-
-@dataclass(frozen=True)
-class CommModel:
-    """Convert tile counts into bytes / seconds for a machine model."""
-
-    tile_size: int = 500  #: tile edge, elements
-    dtype_bytes: int = 8  #: fp64
-    bandwidth_Bps: float = 12.5e9  #: 100 Gb/s OmniPath
-    latency_s: float = 1.5e-6
-
-    @property
-    def tile_bytes(self) -> int:
-        return self.tile_size * self.tile_size * self.dtype_bytes
-
-    def tile_time(self) -> float:
-        """Wire time of one tile message."""
-        return self.latency_s + self.tile_bytes / self.bandwidth_Bps
-
-    def volume_bytes(self, tiles_sent: float) -> float:
-        return tiles_sent * self.tile_bytes
-
-    def serial_time(self, tiles_sent: float) -> float:
-        """Time to push ``tiles_sent`` messages through one NIC."""
-        return tiles_sent * self.tile_time()

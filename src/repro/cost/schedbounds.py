@@ -30,8 +30,10 @@ comm-avoiding, work-stealing), because none of them can beat
   node bandwidth.  Skipped under ``multicast="tree"``, where the root
   is charged one send per multicast;
 * the *bisection bound* (contention model only) — every tile crosses
-  the shared bisection link, which drains at most ``bisection_Bps``;
-  total planned bytes over that capacity is a floor on link busy time.
+  the shared bisection link, which drains at most the full-bisection
+  capacity ``ClusterSpec.full_bisection_Bps(P)`` (the capacity the
+  model uses); total planned bytes over that capacity is a floor on
+  link busy time.
 
 Caveat for degraded runs: the bounds are computed from the *static*
 plan, while a fault run re-homes tasks and adds recovery traffic.  The
@@ -103,16 +105,13 @@ def schedule_lower_bounds(
     data_home: Optional[np.ndarray] = None,
     network: str = "nic",
     alive_nodes: Optional[Iterable[int]] = None,
-    bisection_Bps: Optional[float] = None,
 ) -> ScheduleBounds:
     """Evaluate :class:`ScheduleBounds` for ``graph`` on ``cluster``.
 
     ``plan`` is the graph's :class:`~repro.runtime.simplan.SimPlan`
     (derived via the cache from ``data_home`` when omitted).
     ``network`` names the communication model the run uses; the
-    bisection bound only applies to ``"contention"`` (``bisection_Bps``
-    overrides its default full-bisection capacity — pass the model's
-    actual capacity if it was customized, or the bound may overshoot).
+    bisection bound only applies to ``"contention"``.
     ``alive_nodes`` restricts every bound to the surviving nodes of a
     degraded run (see the module docstring for the validity caveat).
     """
@@ -155,9 +154,8 @@ def schedule_lower_bounds(
 
     bisection_time = 0.0
     if network == "contention":
-        link_bw = (float(bisection_Bps) if bisection_Bps
-                   else cluster.bandwidth_Bps * max(1.0, P / 2.0))
-        bisection_time = float(ok.sum()) * cluster.tile_bytes / link_bw
+        bisection_time = (float(ok.sum()) * cluster.tile_bytes
+                          / cluster.full_bisection_Bps(P))
 
     return ScheduleBounds(
         work_time=work_time,

@@ -83,7 +83,6 @@ class CampaignCell:
     P: int               #: node count
     m: int               #: matrix size in tiles
     network: str = "nic"             #: simulator network model
-    bandwidth_scale: float = 1.0     #: multiplier on the platform bandwidth
     faults: str = ""                 #: fault spec (``parse_faults`` grammar)
     scheduler: str = "priority"      #: registered scheduling policy
     ranks_per_node: int = 1          #: two-level topology (1 = flat)
@@ -92,7 +91,7 @@ class CampaignCell:
     def signature(self) -> tuple:
         """Hashable memoization key (includes every field)."""
         return (self.family, self.kernel, self.P, self.m,
-                self.network, self.bandwidth_scale, self.faults,
+                self.network, self.faults,
                 self.scheduler, self.ranks_per_node, self.resize)
 
 
@@ -166,7 +165,6 @@ def plan_campaign(
     ms: Sequence[int],
     networks: Sequence[str] = ("nic",),
     kernels: Optional[Sequence[str]] = None,
-    bandwidth_scales: Sequence[float] = (1.0,),
     faults: Sequence[str] = ("",),
     schedulers: Sequence[str] = ("priority",),
     topologies: Sequence[int] = (1,),
@@ -219,20 +217,18 @@ def plan_campaign(
             for kernel in fam_kernels:
                 for m in ms:
                     for net in networks:
-                        for bw in bandwidth_scales:
-                            for spec in faults:
-                                for pol in schedulers:
-                                    for rpn in topologies:
-                                        for rsz in resizes:
-                                            if spec and rsz:
-                                                continue  # mutually exclusive
-                                            cells.append(CampaignCell(
-                                                family=family, kernel=kernel,
-                                                P=P, m=m, network=net,
-                                                bandwidth_scale=bw,
-                                                faults=spec, scheduler=pol,
-                                                ranks_per_node=rpn,
-                                                resize=rsz))
+                        for spec in faults:
+                            for pol in schedulers:
+                                for rpn in topologies:
+                                    for rsz in resizes:
+                                        if spec and rsz:
+                                            continue  # mutually exclusive
+                                        cells.append(CampaignCell(
+                                            family=family, kernel=kernel,
+                                            P=P, m=m, network=net,
+                                            faults=spec, scheduler=pol,
+                                            ranks_per_node=rpn,
+                                            resize=rsz))
     return cells
 
 
@@ -291,9 +287,6 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
     cluster = sim_cluster(cell.P, tile_size=tile_size)
     if cluster.nnodes < pattern.nnodes:
         cluster = cluster.with_nodes(pattern.nnodes)
-    if cell.bandwidth_scale != 1.0:
-        cluster = replace(
-            cluster, bandwidth_Bps=cluster.bandwidth_Bps * cell.bandwidth_scale)
     if cell.scheduler != "priority":
         cluster = replace(cluster, scheduler=cell.scheduler)
     if cell.ranks_per_node != 1:

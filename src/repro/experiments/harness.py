@@ -68,8 +68,8 @@ def run_factorization(
 ) -> ExecutionTrace:
     """Simulate one factorization run under ``pattern``.
 
-    ``network`` selects the simulator's communication model (``"nic"``,
-    ``"contention"`` or a bound-able model instance; ``None`` = legacy
+    ``network`` names the simulator's communication model (``"nic"``,
+    ``"contention"`` or ``"hierarchical"``; ``None`` = legacy
     ``"nic"``).  ``faults`` is a
     :class:`~repro.runtime.faults.FaultPlan` or spec string; when set
     (and no explicit ``recovery`` policy is given), failed nodes are
@@ -121,10 +121,8 @@ def run_factorization(
     if attach_bounds:
         from ..cost.schedbounds import schedule_lower_bounds
 
-        net_name = network if isinstance(network, str) \
-            else getattr(network, "name", "nic")
         trace.sched_bounds = schedule_lower_bounds(
-            graph, cluster, data_home=home, network=net_name or "nic")
+            graph, cluster, data_home=home, network=network or "nic")
     return trace
 
 

@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..distribution import TileDistribution
+from ..runtime.network import INTRA_BANDWIDTH_SCALE
 from .base import UNDEFINED, Pattern
 
 __all__ = [
@@ -185,7 +186,8 @@ def _predict_transfer(cluster, nnodes: int, edges, out_bytes, in_bytes,
     * ``contention``: per-NIC bound or the shared bisection, whichever
       binds.
     * ``hierarchical``: same-machine edges ride the fast intra link;
-      inter-machine traffic pays the NIC/bisection price.
+      inter-machine traffic pays the NIC price or the bisection of
+      ``⌈nnodes / ranks_per_node⌉`` machines, as the model sizes it.
     """
     mt = cluster.message_time()
     bw = cluster.bandwidth_Bps
@@ -193,15 +195,13 @@ def _predict_transfer(cluster, nnodes: int, edges, out_bytes, in_bytes,
     per_nic_s = float(max(out_bytes.max(initial=0), in_bytes.max(initial=0))) / bw
     pred = {"nic": busiest_msgs * mt}
 
-    bisection = cluster.bisection_Bps
-    if bisection is None:
-        bisection = bw * max(1.0, nnodes / 2.0)
-    pred["contention"] = max(per_nic_s, bytes_total / bisection) \
+    pred["contention"] = max(
+        per_nic_s, bytes_total / cluster.full_bisection_Bps(nnodes)) \
         + (cluster.latency_s if bytes_total else 0.0)
 
-    rpn = max(1, cluster.ranks_per_node)
+    rpn = cluster.ranks_per_node
     tile_b = cluster.tile_bytes
-    intra_bw = bw * 4.0  # HierarchicalModel.intra_bandwidth_scale
+    intra_bw = bw * INTRA_BANDWIDTH_SCALE
     intra_bytes = np.zeros(nnodes, dtype=np.int64)
     inter_out = np.zeros(nnodes, dtype=np.int64)
     inter_in = np.zeros(nnodes, dtype=np.int64)
@@ -214,7 +214,8 @@ def _predict_transfer(cluster, nnodes: int, edges, out_bytes, in_bytes,
             inter_in[dst] += b
     intra_s = float(intra_bytes.max(initial=0)) / intra_bw
     inter_s = float(max(inter_out.max(initial=0), inter_in.max(initial=0))) / bw
-    inter_total = float(inter_out.sum()) / bisection
+    machines = -(-nnodes // rpn)
+    inter_total = float(inter_out.sum()) / cluster.full_bisection_Bps(machines)
     pred["hierarchical"] = max(intra_s, inter_s, inter_total) \
         + (cluster.latency_s if bytes_total else 0.0)
     return pred

@@ -51,7 +51,7 @@ from .stats import (
     extract_critical_path,
     iteration_overlap,
 )
-from .trace import ExecutionTrace, MsgRecord, TaskRecord
+from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
 from .tracefmt import assign_lanes, save_chrome_trace, text_gantt, to_chrome_trace
 
 __all__ = [
@@ -113,5 +113,6 @@ __all__ = [
     "simulate_reference",
     "ExecutionTrace",
     "MsgRecord",
+    "RecordList",
     "TaskRecord",
 ]

@@ -135,11 +135,11 @@ int64_t repro_run_sim(
     const int64_t *msg_dst,
     const int64_t *w_indptr, const int64_t *w_tasks,
     int64_t n_init, const int64_t *init_uids, const int64_t *init_src,
-    double msg_time, int64_t rx_ser,
+    double msg_time,
     /* scratch, preallocated by the caller */
     double *ev_t, int64_t *ev_tag, int64_t *ev_pl,
     int64_t *ready, const int64_t *rbase, int64_t *rsize,
-    int64_t *idle, double *tx_free, double *rx_free,
+    int64_t *idle, double *tx_free,
     /* recording: written only when record != 0 (else may be empty) */
     int64_t record, double *task_start, double *msg_start,
     double *msg_arrive, int64_t *log,
@@ -161,12 +161,8 @@ int64_t repro_run_sim(
         int64_t uid__ = (uid_), src__ = (src_), dst__ = (dst_);         \
         double t__ = (t_);                                              \
         double start__ = t__ > tx_free[src__] ? t__ : tx_free[src__];   \
-        double wire__ = start__;                                        \
-        if (rx_ser && rx_free[dst__] > wire__)                          \
-            wire__ = rx_free[dst__];                                    \
-        double arr__ = wire__ + msg_time;                               \
-        tx_free[src__] = start__ + msg_time;                            \
-        rx_free[dst__] = arr__;                                         \
+        double arr__ = start__ + msg_time;                              \
+        tx_free[src__] = arr__;                                         \
         n_messages++;                                                   \
         msgs_sent[src__]++;                                             \
         msgs_recv[dst__]++;                                             \

@@ -9,6 +9,9 @@ The numbers matter only through two ratios:
 
 * tile kernel time vs. tile wire time (compute/communication balance);
 * cores per node (intra-node parallelism hiding communication).
+
+:class:`ClusterSpec` is the simulator's one machine model; the network
+models add only fixed protocol constants (:mod:`~repro.runtime.network`).
 """
 
 from __future__ import annotations
@@ -39,13 +42,8 @@ class ClusterSpec:
     latency_s:
         Per-message latency.
     tile_size:
-        Tile edge in elements.
-    dtype_bytes:
-        8 for fp64.
-    rx_serialization:
-        When True the receiving NIC also serializes incoming messages;
-        the default models sender-side serialization only (eager sends
-        with receive overlap, the usual MPI large-message behaviour).
+        Tile edge in elements; tiles are fp64, so a tile message carries
+        ``8 · tile_size²`` bytes.
     node_speeds:
         Optional per-node relative speed factors (length ``nnodes``).
         Empty tuple = homogeneous.  A factor of 2.0 makes that node's
@@ -62,13 +60,10 @@ class ClusterSpec:
         "node" is its own machine.  With ``> 1``, the ``"hierarchical"``
         network model routes same-machine traffic over a fast intra-node
         link (see :meth:`topology`).
-    bisection_Bps:
-        Explicit global bisection bandwidth for the contention-family
-        models.  ``None`` derives it from ``bandwidth_Bps`` and the
-        node count.  Carried on the spec (rather than only on the model
-        instance) so it lands in campaign rows and follows
-        :meth:`with_nodes` resizing, where it is rescaled
-        proportionally to the node count.
+
+    Construction (also through :meth:`with_nodes` and
+    ``dataclasses.replace``) rejects an impossible machine with a
+    ``ValueError`` naming the field.
     """
 
     nnodes: int
@@ -77,22 +72,24 @@ class ClusterSpec:
     bandwidth_Bps: float = 12.5e9
     latency_s: float = 1.5e-6
     tile_size: int = 500
-    dtype_bytes: int = 8
-    rx_serialization: bool = False
     node_speeds: tuple = ()
     multicast: str = "p2p"
     scheduler: str = "priority"
     fork_join: bool = False
     ranks_per_node: int = 1
-    bisection_Bps: float | None = None
 
     def __post_init__(self):
-        if self.ranks_per_node < 1:
-            raise ValueError(
-                f"ranks_per_node must be >= 1, got {self.ranks_per_node}")
-        if self.bisection_Bps is not None and self.bisection_Bps <= 0:
-            raise ValueError(
-                f"bisection_Bps must be positive, got {self.bisection_Bps}")
+        for name in ("nnodes", "cores_per_node", "tile_size",
+                     "ranks_per_node"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("core_gflops", "bandwidth_Bps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not self.latency_s >= 0:
+            raise ValueError(f"latency_s must be >= 0, got {self.latency_s}")
         if self.multicast not in ("p2p", "tree"):
             raise ValueError(f"multicast must be 'p2p' or 'tree', got {self.multicast!r}")
         if self.scheduler not in SCHEDULERS:
@@ -113,7 +110,7 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     @property
     def tile_bytes(self) -> int:
-        return self.tile_size * self.tile_size * self.dtype_bytes
+        return self.tile_size * self.tile_size * 8
 
     @property
     def core_flops(self) -> float:
@@ -144,6 +141,11 @@ class ClusterSpec:
         """Wire time of one tile message."""
         return self.latency_s + self.tile_bytes / self.bandwidth_Bps
 
+    def full_bisection_Bps(self, nnodes: int) -> float:
+        """Shared-link capacity of a full-bisection fabric joining
+        ``nnodes`` endpoints: half of them sending at NIC bandwidth."""
+        return self.bandwidth_Bps * max(1.0, nnodes / 2.0)
+
     def topology(self):
         """The two-level :class:`~repro.runtime.topology.Topology` of
         this cluster: ``nnodes`` simulated ranks packed
@@ -169,17 +171,8 @@ class ClusterSpec:
         ``nnodes`` speeds, growing cycles through the existing profile
         (``speeds[i % len]``) — the same heterogeneity mix extended to
         more nodes.
-
-        A pinned ``bisection_Bps`` is rescaled proportionally to the
-        node count: bisection capacity grows with the machine, and a
-        value pinned for ``P`` nodes silently mis-models the resized
-        cluster.
         """
-        if nnodes <= 0:
-            raise ValueError(f"nnodes must be positive, got {nnodes}")
         kw = {"nnodes": nnodes}
-        if self.bisection_Bps is not None and nnodes != self.nnodes:
-            kw["bisection_Bps"] = self.bisection_Bps * (nnodes / self.nnodes)
         speeds = self.node_speeds
         if speeds and len(speeds) != nnodes:
             if nnodes < len(speeds):

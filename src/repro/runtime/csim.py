@@ -78,10 +78,10 @@ def _load():
             _I64,                                      # msg_dst
             _I64, _I64,                                # w_indptr, w_tasks
             ctypes.c_int64, _I64, _I64,                # n_init, init_uids, init_src
-            ctypes.c_double, ctypes.c_int64,           # msg_time, rx_ser
+            ctypes.c_double,                           # msg_time
             _F64, _I64, _I64,                          # event heap scratch
             _I64, _I64, _I64,                          # ready arena, base, size
-            _I64, _F64, _F64,                          # idle, tx_free, rx_free
+            _I64, _F64,                                # idle, tx_free
             ctypes.c_int64, _F64,                      # record, task_start
             _F64, _F64, _I64,                          # msg_start, msg_arrive, log
             _F64, _I64, _I64,                          # busy, msgs_sent, msgs_recv
@@ -133,7 +133,7 @@ class FastSimResult:
 
 
 def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
-        msg_time: float, rx_ser: bool, record: bool = False) -> FastSimResult:
+        msg_time: float, record: bool = False) -> FastSimResult:
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
     Only valid once :func:`available` is true.  ``dur`` is the per-task
@@ -157,7 +157,6 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     rsize = np.zeros(nnodes, dtype=np.int64)
     idle = np.full(nnodes, cores_per_node, dtype=np.int64)
     tx_free = np.zeros(nnodes, dtype=np.float64)
-    rx_free = np.zeros(nnodes, dtype=np.float64)
     busy = np.zeros(nnodes, dtype=np.float64)
     msgs_sent = np.zeros(nnodes, dtype=np.int64)
     msgs_recv = np.zeros(nnodes, dtype=np.int64)
@@ -191,10 +190,10 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         np.ascontiguousarray(plan.msg_src[plan.init_uids]
                              if len(plan.init_uids) else
                              np.zeros(0, dtype=np.int64), dtype=np.int64),
-        float(msg_time), int(bool(rx_ser)),
+        float(msg_time),
         ev_t, ev_tag, ev_pl,
         ready, rbase, rsize,
-        idle, tx_free, rx_free,
+        idle, tx_free,
         int(bool(record)), task_start, msg_start, msg_arrive, log,
         busy, msgs_sent, msgs_recv,
         tx_busy, rx_busy,

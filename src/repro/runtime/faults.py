@@ -43,7 +43,9 @@ tid order, and every tie on the event heap breaks by push sequence.
 path of :func:`repro.runtime.simulator.simulate` event-for-event (the
 equivalence tests pin canonical-trace equality), and ``simulate()``
 itself routes empty plans to the untouched fast path, so all golden
-traces stay byte-identical.
+traces stay byte-identical.  Fault runs multicast point to point only
+(``multicast="tree"`` is rejected at entry) and hand their records to
+one sink under ``simulate``'s writer contract.
 """
 
 from __future__ import annotations
@@ -63,12 +65,11 @@ from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
-    NetworkModel,
     ResilientNetwork,
     make_network,
 )
-from .simulator import SimulationError
-from .trace import ExecutionTrace, TaskRecord
+from .simulator import SimulationError, check_inputs
+from .trace import ExecutionTrace, RecordList, TaskRecord
 
 __all__ = [
     "NodeFailure",
@@ -381,7 +382,7 @@ def simulate_with_faults(
     faults: Union[FaultPlan, str, None],
     data_home: Optional[np.ndarray] = None,
     record_tasks: bool = False,
-    network: Union[str, NetworkModel, None] = None,
+    network: Optional[str] = None,
     recovery: Optional[Callable[[int, Sequence[int]], Sequence[int]]] = None,
     trace_writer=None,
 ) -> ExecutionTrace:
@@ -396,18 +397,25 @@ def simulate_with_faults(
     ``recovery(failed_node, alive_nodes)`` returns the re-homing
     candidates for a failed node (``None`` = every survivor;
     :func:`colrow_recovery` builds the pattern-aware policy).  Not
-    supported together with ``cluster.fork_join``.
+    supported together with ``cluster.fork_join`` or
+    ``multicast="tree"``; the other inputs are checked as
+    :func:`~repro.runtime.simulator.simulate` checks them.
 
-    ``trace_writer`` (a :class:`~repro.runtime.trace.TraceWriter`)
-    streams message records and fault events as they happen; task
-    records are buffered until the end because a node failure can
-    *retract* the records of aborted tasks, which a streaming sink
-    cannot undo — only the surviving records are written.  Fault runs
-    are experiment-scale, so this buffering stays small.
+    Records go to one sink, as in ``simulate``.  Message records stream
+    as they happen; task records are buffered until the end because a
+    node failure can *retract* the records of aborted tasks, which a
+    streaming sink cannot undo — only the surviving records are
+    written, after the fault events.  Fault runs are experiment-scale,
+    so this buffering stays small.
     """
     plan = parse_faults(faults) if isinstance(faults, str) else (faults or FaultPlan())
+    check_inputs(graph, cluster, data_home)
     if cluster.fork_join:
         raise SimulationError("fault injection is not supported with fork_join clusters")
+    if cluster.multicast == "tree":
+        raise SimulationError(
+            "multicast='tree' cannot be combined with a fault plan: a tree "
+            "schedule cannot be retried per destination")
     for f in plan.failures:
         if f.node >= cluster.nnodes:
             raise SimulationError(
@@ -418,9 +426,6 @@ def simulate_with_faults(
     n_tasks = len(graph)
     P = cluster.nnodes
     cols = graph.columns
-    if n_tasks and int(cols.node.max()) >= P:
-        raise SimulationError(
-            f"graph uses node {int(cols.node.max())} but cluster has {P} nodes")
 
     # ------------------------------------------------------------------
     # Preprocessing (python-level; fault runs are experiment-scale)
@@ -508,8 +513,11 @@ def simulate_with_faults(
     running: List[Dict[int, tuple]] = [dict() for _ in range(P)]
     dead = [False] * P
     inflight: Set[tuple] = set()          # (ref, dst) transfers underway
-    recording = record_tasks or trace_writer is not None
-    records: Optional[List[Optional[TaskRecord]]] = [] if recording else None
+    out_records = RecordList() if record_tasks and trace_writer is None else None
+    sink = out_records if trace_writer is None else trace_writer
+    # task records wait here for the run's end (an abort sets a slot None)
+    records: Optional[List[Optional[TaskRecord]]] = \
+        [] if sink is not None else None
     completion = np.zeros(n_tasks) if record_tasks else None
     speeds = list(cluster.node_speeds) if cluster.node_speeds else None
 
@@ -523,7 +531,7 @@ def simulate_with_faults(
         seq += 4
         heappush(events, (time, seq + etype, payload))
 
-    model.bind(cluster, push_event, record=recording, writer=trace_writer)
+    model.bind(cluster, push_event, writer=sink)
 
     fault_events: List[FaultEvent] = []
     for w in plan.stragglers:
@@ -803,20 +811,16 @@ def simulate_with_faults(
             events=all_events,
         )
 
-    if trace_writer is not None and fault_stats is not None:
-        for e in fault_stats.events:
-            trace_writer.write_fault(e)
+    if sink is not None:
+        if fault_stats is not None:
+            for e in fault_stats.events:
+                sink.write_fault(e)
+        for r in records:
+            if r is not None:
+                sink.write_task(r)
+        sink.flush()
 
     net_stats = model.stats()
-    final_records = None
-    if records is not None:
-        survivors = [r for r in records if r is not None]
-        if trace_writer is not None:
-            for r in survivors:
-                trace_writer.write_task(r)
-            trace_writer.flush()
-        if record_tasks:
-            final_records = survivors
     return ExecutionTrace(
         cluster=cluster,
         makespan=finish,
@@ -826,11 +830,11 @@ def simulate_with_faults(
         bytes_sent=float(model.n_messages) * cluster.tile_bytes,
         busy_time=np.asarray(busy, dtype=np.float64),
         sent_messages=net_stats.msgs_sent,
-        task_records=final_records,
+        task_records=out_records.tasks if out_records is not None else None,
         completion_times=completion,
         network=model.name,
         recv_messages=net_stats.msgs_recv,
         net_stats=net_stats,
-        msg_records=model.msg_records,
+        msg_records=out_records.msgs if out_records is not None else None,
         fault_stats=fault_stats,
     )

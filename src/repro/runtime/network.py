@@ -2,19 +2,23 @@
 
 The v1 simulator hard-wired one communication model: sender-serialized
 NICs with a fixed per-message wire time.  This module turns that model
-into one of several :class:`NetworkModel` plugins:
+into one of several :class:`NetworkModel` plugins, chosen by their
+:data:`NETWORK_MODELS` name (``simulate(network=...)``):
 
 * ``"nic"`` — :class:`NicModel`, the legacy model, kept **bit-for-bit**
   identical to the v1 arithmetic (the golden-trace tests pin this);
 * ``"contention"`` — :class:`ContentionModel`, a contention-aware model
   with receive-side serialization, per-message eager/rendezvous α–β
-  latency, and fair bandwidth sharing on a configurable bisection link.
+  latency, and fair bandwidth sharing on a full-bisection link;
+* ``"hierarchical"`` — :class:`HierarchicalModel`, plus a fast
+  intra-machine level (:class:`ResilientNetwork` wraps any of them in
+  fault runs).
 
-A model instance is *bound* to one simulation run (:meth:`bind`), gets
-messages via :meth:`send`/:meth:`multicast`, schedules its internal
-events through the simulator's shared event heap, and reports
-structured observability (:class:`NetworkStats`: per-node bytes and
-messages sent/received, NIC/link busy time) at the end of the run.
+Models read machine parameters from the ``ClusterSpec`` and fixed
+protocol constants from this module.  An instance is *bound* to one run
+(:meth:`NetworkModel.bind`), schedules its internal events through the
+simulator's shared event heap, hands each message record to the run's
+record sink, and reports :class:`NetworkStats` at the end of the run.
 
 Contention model semantics
 --------------------------
@@ -24,18 +28,17 @@ Every message is a *flow* of ``tile_bytes`` bytes from ``src`` to
 1. **Injection serialization** — a node's NIC transmits one outgoing
    flow at a time; queued messages leave in FIFO order.  The head of
    the queue also waits for the destination NIC (head-of-line
-   blocking), which is the receive-side serialization the v1 model only
-   approximates with ``rx_serialization``.
+   blocking): receive-side serialization, absent from ``nic``.
 2. **Protocol latency** — an *eager* message (``bytes ≤
-   eager_threshold``) pays one ``latency_s`` before data flows; a
-   *rendezvous* message pays ``(1 + handshake_rtts) · latency_s``
+   EAGER_THRESHOLD_BYTES``) pays one ``latency_s`` before data flows; a
+   *rendezvous* message pays ``(1 + HANDSHAKE_RTTS) · latency_s``
    (request + acknowledgement round trips of the large-message MPI
    protocol).  Both NICs are held during the handshake.
 3. **Fair bandwidth sharing** — active flows cross a shared bisection
-   link of capacity ``bisection_Bps`` (default ``bandwidth_Bps ·
-   max(1, P/2)``, i.e. a full-bisection fabric).  With ``n`` concurrent
-   flows each progresses at ``min(bandwidth_Bps, bisection_Bps / n)``
-   — progressive filling, re-evaluated at every flow start/finish.
+   link of capacity ``ClusterSpec.full_bisection_Bps(P) = bandwidth_Bps
+   · max(1, P/2)``.  With ``n`` concurrent flows each progresses at
+   ``min(bandwidth_Bps, bisection / n)`` — progressive filling,
+   re-evaluated at every flow start/finish.
 
 Because each endpoint carries at most one flow in each direction, the
 equal split is exactly the max-min fair allocation.  Every per-message
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +76,10 @@ __all__ = [
     "ResilientNetwork",
     "NETWORK_MODELS",
     "make_network",
+    "EAGER_THRESHOLD_BYTES",
+    "HANDSHAKE_RTTS",
+    "INTRA_BANDWIDTH_SCALE",
+    "INTRA_LATENCY_SCALE",
 ]
 
 #: Event type codes shared with the simulator's heap.
@@ -80,6 +87,16 @@ EVENT_TASK_DONE = 0
 EVENT_MSG_ARRIVE = 1
 EVENT_NET_INTERNAL = 2
 EVENT_FAULT = 3
+
+#: Largest message (bytes) sent with the eager protocol: one latency.
+EAGER_THRESHOLD_BYTES = 65536.0
+#: Extra latency round trips a rendezvous message pays for its handshake.
+HANDSHAKE_RTTS = 2
+#: Intra-machine link bandwidth, as a multiple of the NIC bandwidth
+#: (NUMA / NVLink class).
+INTRA_BANDWIDTH_SCALE = 4.0
+#: Intra-machine latency, as a multiple of the NIC latency.
+INTRA_LATENCY_SCALE = 0.2
 
 
 @dataclass
@@ -123,20 +140,21 @@ class NetworkModel:
     :meth:`multicast` and :meth:`on_internal`).  The simulator calls
     :meth:`bind` once per run with a ``push_event(time, etype,
     payload)`` callback that allocates the shared sequence number.
+    A message ref is a tuple whose first two fields are the datum and
+    version the message carries (the simulator may append more).
     """
 
     name = "base"
 
     def bind(self, cluster: ClusterSpec,
              push_event: Callable[[float, int, object], None],
-             record: bool = False, writer=None) -> None:
+             writer=None) -> None:
         """Attach the model to one run.
 
-        ``record=True`` accumulates :class:`MsgRecord` lists in memory
-        (the legacy behavior); passing a
-        :class:`~repro.runtime.trace.TraceWriter` as ``writer`` streams
-        each record out instead and leaves ``msg_records`` ``None`` —
-        bounded-memory recording for large runs.
+        ``writer`` is the run's record sink, a
+        :class:`~repro.runtime.trace.TraceWriter` (``None`` = the run
+        records nothing): each delivered message is handed to its
+        :meth:`~repro.runtime.trace.TraceWriter.write_msg`.
         """
         self.cluster = cluster
         self._push = push_event
@@ -149,8 +167,6 @@ class NetworkModel:
         self.tx_busy = np.zeros(P)
         self.rx_busy = np.zeros(P)
         self._writer = writer
-        self.msg_records: Optional[List[MsgRecord]] = \
-            [] if record and writer is None else None
         self._bind()
 
     def _bind(self) -> None:  # pragma: no cover - overridden
@@ -176,10 +192,6 @@ class NetworkModel:
             self._writer.write_msg(
                 MsgRecord(data=ref[0], version=ref[1], src=src, dst=dst,
                           start=start, end=end, nbytes=nbytes))
-        elif self.msg_records is not None:
-            self.msg_records.append(
-                MsgRecord(data=ref[0], version=ref[1], src=src, dst=dst,
-                          start=start, end=end, nbytes=nbytes))
 
     def stats(self) -> NetworkStats:
         return NetworkStats(
@@ -199,8 +211,8 @@ class NicModel(NetworkModel):
     The arithmetic (and its operation order) is copied verbatim from
     the v1 simulator so that ``nic`` traces are bit-for-bit identical
     to pre-v2 output — the golden-trace regression tests enforce this.
-    ``rx_serialization`` and the idealized binomial ``tree`` multicast
-    keep their v1 meaning.
+    It is the only model of the idealized binomial ``tree`` multicast
+    (``ClusterSpec.multicast``).
     """
 
     name = "nic"
@@ -216,9 +228,7 @@ class NicModel(NetworkModel):
         P = self.cluster.nnodes
         self.msg_time = self.cluster.message_time()
         self._nbytes = self.cluster.tile_bytes
-        self._rx_ser = self.cluster.rx_serialization
         self.tx_free = [0.0] * P
-        self.rx_free = [0.0] * P
         self.msgs_sent = [0] * P
         self.msgs_recv = [0] * P
         self.bytes_sent = [0.0] * P
@@ -229,13 +239,8 @@ class NicModel(NetworkModel):
     def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
         mt = self.msg_time
         start = max(t, self.tx_free[src])
-        if self._rx_ser:
-            wire_start = max(start, self.rx_free[dst])
-        else:
-            wire_start = start
-        arrival = wire_start + mt
-        self.tx_free[src] = start + mt
-        self.rx_free[dst] = arrival
+        arrival = start + mt
+        self.tx_free[src] = arrival
         nbytes = self._nbytes
         self.n_messages += 1
         self.msgs_sent[src] += 1
@@ -244,7 +249,7 @@ class NicModel(NetworkModel):
         self.bytes_recv[dst] += nbytes
         self.tx_busy[src] += mt
         self.rx_busy[dst] += mt
-        if self.msg_records is not None or self._writer is not None:
+        if self._writer is not None:
             self._record(ref, src, dst, start, arrival, nbytes)
         self._push(arrival, EVENT_MSG_ARRIVE, (ref, dst))
 
@@ -269,7 +274,6 @@ class NicModel(NetworkModel):
         for i, (ref, dst) in enumerate(dests):
             rounds = (i + 1).bit_length()  # == ceil(log2(i + 2))
             arrival = start + rounds * self.msg_time
-            self.rx_free[dst] = max(self.rx_free[dst], arrival)
             self.n_messages += 1
             self.msgs_sent[src] += 1
             self.msgs_recv[dst] += 1
@@ -310,44 +314,15 @@ class _Flow:
 
 
 class ContentionModel(NetworkModel):
-    """Contention-aware model (see module docstring for semantics).
-
-    Parameters
-    ----------
-    bisection_Bps:
-        Capacity of the shared bisection link.  ``None`` = full
-        bisection: ``bandwidth_Bps * max(1, nnodes / 2)``.
-    eager_threshold:
-        Messages of at most this many bytes use the eager protocol
-        (one latency); larger messages pay the rendezvous handshake.
-    handshake_rtts:
-        Extra latency round trips of the rendezvous protocol.
-    """
+    """Contention-aware model (see module docstring for semantics)."""
 
     name = "contention"
-
-    def __init__(self, bisection_Bps: Optional[float] = None,
-                 eager_threshold: float = 65536.0,
-                 handshake_rtts: int = 2):
-        if bisection_Bps is not None and bisection_Bps <= 0:
-            raise ValueError("bisection_Bps must be positive")
-        if handshake_rtts < 0:
-            raise ValueError("handshake_rtts must be >= 0")
-        self.bisection_Bps = bisection_Bps
-        self.eager_threshold = float(eager_threshold)
-        self.handshake_rtts = int(handshake_rtts)
 
     def _bind(self) -> None:
         cl = self.cluster
         P = cl.nnodes
         self.node_bw = float(cl.bandwidth_Bps)
-        # explicit model argument wins, then the cluster's own
-        # bisection_Bps (which survives ClusterSpec.with_nodes
-        # resizing), then the full-bisection default
-        explicit = (self.bisection_Bps if self.bisection_Bps is not None
-                    else cl.bisection_Bps)
-        self.link_bw = (float(explicit) if explicit
-                        else self.node_bw * max(1.0, P / 2.0))
+        self.link_bw = cl.full_bisection_Bps(P)
         self.alpha = float(cl.latency_s)
         self._queues: List[deque] = [deque() for _ in range(P)]
         self._tx_held = np.zeros(P, dtype=bool)
@@ -379,8 +354,8 @@ class ContentionModel(NetworkModel):
 
     def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
         nbytes = float(self.cluster.tile_bytes)
-        eager = nbytes <= self.eager_threshold
-        lat = self.alpha if eager else self.alpha * (1 + self.handshake_rtts)
+        eager = nbytes <= EAGER_THRESHOLD_BYTES
+        lat = self.alpha if eager else self.alpha * (1 + HANDSHAKE_RTTS)
         if eager:
             self.n_eager += 1
         else:
@@ -467,10 +442,11 @@ class HierarchicalModel(ContentionModel):
     :class:`~repro.runtime.topology.Topology`
     (``ClusterSpec.ranks_per_node``): a flow between ranks on the same
     physical node crosses that node's private intra-node link (NUMA /
-    NVLink class — ``intra_bandwidth_scale`` × the NIC bandwidth,
-    ``intra_latency_scale`` × the NIC latency, per-level α–β), while a
-    flow between ranks on different nodes crosses the global bisection
-    link exactly as in the parent model.  Fair sharing is per link:
+    NVLink class — :data:`INTRA_BANDWIDTH_SCALE` × the NIC bandwidth,
+    :data:`INTRA_LATENCY_SCALE` × the NIC latency, per-level α–β), while
+    a flow between ranks on different nodes crosses the global bisection
+    link exactly as in the parent model.  That link is sized for the
+    number of *machines*, not ranks.  Fair sharing is per link:
     ``n`` concurrent inter-node flows each get ``bisection / n``; ``n``
     concurrent intra-node flows *on the same node* each get
     ``intra_bandwidth / n``; the two levels never steal bandwidth from
@@ -490,34 +466,14 @@ class HierarchicalModel(ContentionModel):
 
     name = "hierarchical"
 
-    def __init__(self, bisection_Bps: Optional[float] = None,
-                 eager_threshold: float = 65536.0,
-                 handshake_rtts: int = 2,
-                 intra_bandwidth_scale: float = 4.0,
-                 intra_latency_scale: float = 0.2):
-        super().__init__(bisection_Bps=bisection_Bps,
-                         eager_threshold=eager_threshold,
-                         handshake_rtts=handshake_rtts)
-        if intra_bandwidth_scale <= 0:
-            raise ValueError("intra_bandwidth_scale must be positive")
-        if intra_latency_scale < 0:
-            raise ValueError("intra_latency_scale must be >= 0")
-        self.intra_bandwidth_scale = float(intra_bandwidth_scale)
-        self.intra_latency_scale = float(intra_latency_scale)
-
     def _bind(self) -> None:
         super()._bind()
         cl = self.cluster
         self.topology = cl.topology()
         self._rank_nodes = self.topology.rank_nodes
-        # the default bisection of a hierarchical fabric scales with the
-        # number of *machines*, not ranks
-        explicit = (self.bisection_Bps if self.bisection_Bps is not None
-                    else cl.bisection_Bps)
-        self.link_bw = (float(explicit) if explicit
-                        else self.node_bw * max(1.0, self.topology.nnodes / 2.0))
-        self.intra_link_bw = self.node_bw * self.intra_bandwidth_scale
-        self.intra_alpha = self.alpha * self.intra_latency_scale
+        self.link_bw = cl.full_bisection_Bps(self.topology.nnodes)
+        self.intra_link_bw = self.node_bw * INTRA_BANDWIDTH_SCALE
+        self.intra_alpha = self.alpha * INTRA_LATENCY_SCALE
         self._flow_level: dict[int, Tuple[bool, int]] = {}  # fid -> (inter, node)
         self.intra_bytes = 0.0
         self.inter_bytes = 0.0
@@ -531,8 +487,8 @@ class HierarchicalModel(ContentionModel):
         src_node = int(self._rank_nodes[src])
         inter = src_node != int(self._rank_nodes[dst])
         alpha = self.alpha if inter else self.intra_alpha
-        eager = nbytes <= self.eager_threshold
-        lat = alpha if eager else alpha * (1 + self.handshake_rtts)
+        eager = nbytes <= EAGER_THRESHOLD_BYTES
+        lat = alpha if eager else alpha * (1 + HANDSHAKE_RTTS)
         if eager:
             self.n_eager += 1
         else:
@@ -633,9 +589,9 @@ class ResilientNetwork(NetworkModel):
     a retransmission whose source has since failed is satisfied from
     stable storage (:meth:`storage_fetch`) instead.
 
-    With the wrapper in place, multicast always degrades to point-to-
-    point sends (a binomial ``tree`` schedule cannot be retried per
-    destination), matching the p2p default of both concrete models.
+    Multicast is the base class's point-to-point fan-out through
+    :meth:`send`: a binomial ``tree`` schedule cannot be retried per
+    destination, so fault runs reject ``multicast="tree"`` at entry.
 
     The simulator must filter every ``EVENT_MSG_ARRIVE`` through
     :meth:`arrived` (and internal events through :meth:`on_internal`,
@@ -656,18 +612,14 @@ class ResilientNetwork(NetworkModel):
     def n_messages(self) -> int:  # type: ignore[override]
         return self.inner.n_messages
 
-    @property
-    def msg_records(self):  # type: ignore[override]
-        return self.inner.msg_records
-
     def bind(self, cluster: ClusterSpec,
              push_event: Callable[[float, int, object], None],
-             record: bool = False, writer=None) -> None:
+             writer=None) -> None:
         from .faults import FaultEvent  # late: faults imports this module
         self._FaultEvent = FaultEvent
         self.cluster = cluster
         self._push = push_event
-        self.inner.bind(cluster, push_event, record=record, writer=writer)
+        self.inner.bind(cluster, push_event, writer=writer)
         plan = self.plan
         self._rng = np.random.Generator(np.random.PCG64(plan.seed))
         self._timeout = (plan.retry_timeout_s if plan.retry_timeout_s is not None
@@ -687,10 +639,6 @@ class ResilientNetwork(NetworkModel):
     def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
         self._src[(ref, dst)] = src
         self.inner.send(ref, src, dst, t)
-
-    def multicast(self, src: int, dests, t: float) -> None:
-        for ref, dst in dests:
-            self.send(ref, src, dst, t)
 
     def storage_fetch(self, ref: DataRef, dst: int, t: float) -> None:
         """Reliable re-fetch from stable storage (one message time)."""
@@ -759,20 +707,14 @@ NETWORK_MODELS = {"nic": NicModel, "contention": ContentionModel,
                   "hierarchical": HierarchicalModel}
 
 
-def make_network(network: Union[str, NetworkModel, None]) -> NetworkModel:
-    """Resolve a ``simulate(network=...)`` argument to a fresh model.
+def make_network(network: Optional[str]) -> NetworkModel:
+    """A fresh model for a ``simulate(network=...)`` registry name.
 
-    ``None`` keeps the legacy default (``nic``); a string looks up
-    :data:`NETWORK_MODELS`; a :class:`NetworkModel` instance is used as
-    is (it is re-bound, so one instance cannot serve two concurrent
-    simulations).
+    ``None`` is the legacy default, ``"nic"``; anything that is not a
+    key of :data:`NETWORK_MODELS` raises ``ValueError``.
     """
-    if network is None:
-        return NicModel()
-    if isinstance(network, NetworkModel):
-        return network
     try:
-        return NETWORK_MODELS[network]()
+        return NETWORK_MODELS["nic" if network is None else network]()
     except KeyError:
         raise ValueError(
             f"unknown network model {network!r}; "

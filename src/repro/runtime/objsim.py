@@ -4,8 +4,8 @@ This is the object-based event loop exactly as it stood before the
 columnar refactor: it walks ``graph.tasks`` (one ``Task`` dataclass per
 kernel call), resolves producers through the ``graph.producer`` mapping
 and builds its dependency tables with per-task Python loops.  It is
-kept, verbatim except for the network-stats accessors, for two
-purposes:
+kept, verbatim except for the network-stats accessors and the message
+record sink the network model is bound to, for two purposes:
 
 * ``benchmarks/bench_graph.py`` measures the columnar speedup against
   this implementation live, on the same machine and inputs, driving it
@@ -24,7 +24,7 @@ accessors.  Nothing in the runtime depends on this module.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +34,9 @@ from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
-    NetworkModel,
     make_network,
 )
-from .trace import ExecutionTrace, TaskRecord
+from .trace import ExecutionTrace, RecordList, TaskRecord
 
 __all__ = ["simulate_reference"]
 
@@ -54,7 +53,7 @@ def simulate_reference(
     cluster: ClusterSpec,
     data_home: Optional[np.ndarray] = None,
     record_tasks: bool = False,
-    network: Union[str, NetworkModel, None] = None,
+    network: Optional[str] = None,
 ) -> ExecutionTrace:
     """Simulate the distributed execution of ``graph`` on ``cluster``.
 
@@ -74,9 +73,9 @@ def simulate_reference(
         Keep per-task start/end times and per-message records
         (memory-heavy for large graphs).
     network:
-        Communication model: ``None``/``"nic"`` (legacy, sender-side
-        serialization only), ``"contention"``, or a bound-able
-        :class:`~repro.runtime.network.NetworkModel` instance.
+        Registry name of the communication model: ``None``/``"nic"``
+        (legacy, sender-side serialization only), ``"contention"`` or
+        ``"hierarchical"``.
     """
     model = make_network(network)
     tasks = graph.tasks
@@ -101,7 +100,7 @@ def simulate_reference(
     # ------------------------------------------------------------------
     pending = np.zeros(n_tasks, dtype=np.int64)
     local_dependents: List[List[int]] = [[] for _ in range(n_tasks)]
-    msg_waiters: Dict[Tuple[DataRef, int], List[int]] = {}
+    remote_waiters: Dict[Tuple[DataRef, int], List[int]] = {}
     # messages to push when a producer completes: producer tid -> [(ref, dst)]
     push_plan: Dict[int, List[Tuple[DataRef, int]]] = {}
     # messages needed at t=0 (remote version-0 reads): [(ref, src, dst)]
@@ -118,7 +117,7 @@ def simulate_reference(
                     local_dependents[ptid].append(t.tid)
                 else:
                     pending[t.tid] += 1
-                    msg_waiters.setdefault((ref, n), []).append(t.tid)
+                    remote_waiters.setdefault((ref, n), []).append(t.tid)
                     if (ref, n) not in planned_msgs:
                         planned_msgs.add((ref, n))
                         push_plan.setdefault(ptid, []).append((ref, n))
@@ -130,7 +129,7 @@ def simulate_reference(
                     home = int(data_home[ref[0]])
                 if home != n:
                     pending[t.tid] += 1
-                    msg_waiters.setdefault((ref, n), []).append(t.tid)
+                    remote_waiters.setdefault((ref, n), []).append(t.tid)
                     if (ref, n) not in planned_msgs:
                         planned_msgs.add((ref, n))
                         initial_msgs.append((ref, home, n))
@@ -153,7 +152,8 @@ def simulate_reference(
         seq += 1
         heapq.heappush(events, (time, seq, etype, payload))
 
-    model.bind(cluster, push_event, record=record_tasks)
+    msg_sink = RecordList() if record_tasks else None
+    model.bind(cluster, push_event, writer=msg_sink)
 
     def start_task(tid: int, t: float) -> None:
         task = tasks[tid]
@@ -219,7 +219,7 @@ def simulate_reference(
     def deliver(ref: DataRef, dst: int, t: float) -> None:
         """A message arrived: wake its waiting consumers."""
         woken = set()
-        for dep in msg_waiters.get((ref, dst), ()):
+        for dep in remote_waiters.get((ref, dst), ()):
             pending[dep] -= 1
             if pending[dep] == 0:
                 n = make_ready(dep)
@@ -305,5 +305,5 @@ def simulate_reference(
         network=model.name,
         recv_messages=net_stats.msgs_recv,
         net_stats=net_stats,
-        msg_records=model.msg_records,
+        msg_records=msg_sink.msgs if msg_sink is not None else None,
     )

@@ -11,8 +11,8 @@ first-class simulated phase:
    prefix); in-flight messages are allowed to land.
 2. **Migrate** — every tile whose owner changes under the COSTA-style
    relabeled target pattern (:mod:`repro.patterns.migrate`) crosses the
-   network once; the transfer is replayed on the run's own network
-   model, re-bound to the resized cluster, so migration pays the same
+   network once; the transfer is replayed on a fresh model of the run's
+   network, bound to the resized cluster, so migration pays the same
    serialization / contention / hierarchy costs as algorithm traffic.
 3. **Resume** — the not-yet-started tasks are re-homed under the
    relabeled target distribution and simulated on the resized cluster,
@@ -47,7 +47,7 @@ from .cluster import ClusterSpec
 from .graph import TaskGraph, TaskKind
 from .network import (EVENT_MSG_ARRIVE, EVENT_NET_INTERNAL, NetworkModel,
                       NetworkStats, make_network)
-from .trace import ExecutionTrace, MsgRecord, TaskRecord
+from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
 
 __all__ = ["ResizeEvent", "MigrationStats", "parse_resize",
            "simulate_with_resize"]
@@ -156,7 +156,7 @@ def _resolve_target(P: int, kernel: str, store=None):
 
 def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       version: np.ndarray, cluster: ClusterSpec,
-                      model: NetworkModel, record: bool):
+                      model: NetworkModel):
     """Replay the plan's transfers on ``model``, re-bound to ``cluster``.
 
     Returns ``(makespan, msg_records, NetworkStats)``; times start at 0
@@ -170,7 +170,8 @@ def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
         seq += 4
         heappush(events, (time, seq + etype, payload))
 
-    model.bind(cluster, push, record=record, writer=None)
+    sink = RecordList()
+    model.bind(cluster, push, writer=sink)
     for d in moved.tolist():
         model.send((int(d), int(version[d])), int(src[d]), int(dst[d]), 0.0)
     makespan = 0.0
@@ -182,7 +183,7 @@ def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
         elif etype == EVENT_NET_INTERNAL:
             if model.on_internal(payload, now):
                 makespan = now
-    return makespan, model.msg_records, model.stats()
+    return makespan, sink.msgs, model.stats()
 
 
 def _pad(arr: np.ndarray, n: int) -> np.ndarray:
@@ -265,10 +266,10 @@ def simulate_with_resize(
     carries the :class:`MigrationStats` (absent when the resize is a
     no-op, so such runs stay byte-identical to unresized goldens).
     Every phase — the unresized run, the migration replay, the resumed
-    run and the break-even run — uses the one model ``network``
-    resolves to, re-bound per phase, so a configured instance keeps its
-    parameters throughout.  An empty graph has nothing to drain, move
-    or resume, and returns the plain empty trace.
+    run and the break-even run — runs a fresh model of the registry
+    name ``network``, and the stitched records go to one sink, as in
+    ``simulate``.  An empty graph has nothing to drain, move or resume,
+    and returns the plain empty trace.
     """
     from ..distribution import TileDistribution
     from ..patterns.migrate import plan_from_owners, relabel_distribution
@@ -323,14 +324,15 @@ def simulate_with_resize(
     # goldens, with no resize_stats attached.
     if plan.tiles_moved == 0 and nmax == P_src:
         return simulate(graph, cluster, data_home=data_home,
-                        record_tasks=record_tasks, network=model,
+                        record_tasks=record_tasks, network=network,
                         trace_writer=trace_writer)
 
-    need_records = record_tasks or trace_writer is not None
+    records = RecordList() if record_tasks and trace_writer is None else None
+    sink = records if trace_writer is None else trace_writer
 
     # -- phase A: the unresized run; its prefix before t is the drain --
     trace_a = simulate(graph, cluster, data_home=data_home,
-                       record_tasks=True, network=model)
+                       record_tasks=True, network=network)
     t0 = resize.time
     recs_a = trace_a.task_records or []
     done_recs = [r for r in recs_a if r.start < t0]
@@ -351,8 +353,7 @@ def simulate_with_resize(
     cluster_b = cluster.with_nodes(nmax)
     moved = live[new_home[live] != home[live]]
     migration_s, mig_msgs, mig_stats = _replay_migration(
-        moved, home, new_home, drained, cluster_b, model,
-        record=need_records)
+        moved, home, new_home, drained, cluster_b, model)
 
     # -- phase B: remaining tasks under the relabeled target --------
     rem_mask = ~done_mask
@@ -385,7 +386,7 @@ def simulate_with_resize(
         graph_b = TaskGraph.from_columns(
             cat, n_data, nmax, float(cols.flops[rem_mask].sum()))
         trace_b = simulate(graph_b, cluster_b, data_home=new_home,
-                           record_tasks=need_records, network=model)
+                           record_tasks=sink is not None, network=network)
     else:
         trace_b = None
 
@@ -397,7 +398,7 @@ def simulate_with_resize(
         from ..dla.lu import build_lu_graph as _build
     graph_t, home_t = _build(dist_t, cluster.tile_size)
     t_new = simulate(graph_t, cluster_b, data_home=home_t,
-                     network=model).makespan
+                     network=network).makespan
     t_old = trace_a.makespan
     breakeven = migration_s / (t_old - t_new) if t_new < t_old \
         else float("inf")
@@ -446,35 +447,29 @@ def simulate_with_resize(
         plan=plan,
     )
 
-    task_records: Optional[List[TaskRecord]] = None
-    msg_records: Optional[List[MsgRecord]] = None
     completion: Optional[np.ndarray] = None
-    if need_records:
+    if sink is not None:
         task_records = list(done_recs)
-        if trace_b is not None and trace_b.task_records:
+        if trace_b is not None:
             for r in trace_b.task_records:
                 task_records.append(TaskRecord(
                     tid=int(rem_ids[r.tid]), node=r.node,
                     start=r.start + offset, end=r.end + offset))
         task_records.sort(key=lambda r: (r.start, r.tid))
-        msg_records = list(msgs_a)
-        for m in mig_msgs or []:
-            msg_records.append(_shift_msg(m, drain_end))
-        if trace_b is not None and trace_b.msg_records:
+        for r in task_records:
+            sink.write_task(r)
+        for m in msgs_a:
+            sink.write_msg(m)
+        for m in mig_msgs:
+            sink.write_msg(_shift_msg(m, drain_end))
+        if trace_b is not None:
             for m in trace_b.msg_records:
-                msg_records.append(_shift_msg(m, offset))
-        completion = np.zeros(cols.n_tasks)
-        for r in task_records:
-            completion[r.tid] = r.end
-
-    if trace_writer is not None:
-        for r in task_records:
-            trace_writer.write_task(r)
-        for m in msg_records:
-            trace_writer.write_msg(m)
-        trace_writer.write_resize(stats)
-    if not record_tasks:
-        task_records = msg_records = completion = None
+                sink.write_msg(_shift_msg(m, offset))
+        sink.write_resize(stats)
+        if record_tasks:
+            completion = np.zeros(cols.n_tasks)
+            for r in task_records:
+                completion[r.tid] = r.end
 
     return ExecutionTrace(
         cluster=cluster_b,
@@ -485,11 +480,11 @@ def simulate_with_resize(
         bytes_sent=n_messages * cluster.tile_bytes,
         busy_time=busy,
         sent_messages=sent,
-        task_records=task_records,
+        task_records=records.tasks if records is not None else None,
         completion_times=completion,
         network=model_name,
         recv_messages=recv,
         net_stats=net_stats,
-        msg_records=msg_records,
+        msg_records=records.msgs if records is not None else None,
         resize_stats=stats,
     )

@@ -6,12 +6,12 @@ Models the Chameleon/StarPU execution of Section II-C:
   writes (placement is already baked into the task graph);
 * **asynchronous point-to-point communication** — each produced tile
   version is pushed, once, to every remote node that reads it, through
-  a pluggable :mod:`~repro.runtime.network` model; communications fully
-  overlap computation.  ``network="nic"`` (the default) is the legacy
-  sender-serialized model, bit-for-bit identical to the v1 simulator;
-  ``network="contention"`` adds receive-side serialization,
+  a :mod:`~repro.runtime.network` model chosen by name; communications
+  fully overlap computation.  ``network="nic"`` (the default) is the
+  legacy sender-serialized model, bit-for-bit identical to the v1
+  simulator; ``network="contention"`` adds receive-side serialization,
   eager/rendezvous per-message latency and fair bandwidth sharing on a
-  bisection link;
+  bisection link, and ``"hierarchical"`` a fast intra-machine level;
 * **dynamic intra-node scheduling** — each node runs ``cores_per_node``
   identical workers; ready tasks are picked by (iteration, kernel-kind)
   priority, which mimics StarPU's critical-path-friendly ordering of
@@ -34,12 +34,11 @@ The v3 hot path is split in three layers:
    demand, which replicates the Python loop event for event;
    ``REPRO_SIM_BACKEND`` selects it (see
    :mod:`~repro.runtime.backends`).  A recorded run keeps flat arrays
-   of start times plus an emission log, and the records are built — or
-   handed to the trace writer in the Python loop's order — after the
-   loop ends.
+   of start times plus an emission log, and the records are handed to
+   the run's sink in the Python loop's order after the loop ends.
 3. **Python loop** — the always-available fallback (and the only path
    for fork-join, non-priority schedulers, tree multicast and the
-   contention model).  It drains the event heap in same-timestamp
+   contention-family models).  It drains the event heap in same-timestamp
    batches; for the priority scheduler without fork-join, task
    completion wakes and refills its node inline.
 
@@ -50,18 +49,20 @@ heaps pop unique packed priority keys, and the golden-trace tests pin
 the result for every backend.
 
 The simulator is deterministic for a given graph, cluster and network
-model.  With ``record_tasks=True`` the returned trace carries per-task
-and per-message records; pass ``trace_writer=`` (see
-:class:`~repro.runtime.trace.TraceWriter`) to stream those records to
-disk instead of accumulating Python lists.  The Python loop then holds
-only the writer's buffer; a compiled run also holds its recording
-arrays (16 bytes per task, 24 per message) until the loop ends.
+model.  Every engine (this module's two loops, the fault loop and the
+resize stitch) hands its task and message records to one sink, a
+:class:`~repro.runtime.trace.TraceWriter`: the caller's
+``trace_writer=``, or for ``record_tasks=True`` alone a
+:class:`~repro.runtime.trace.RecordList`, whose lists the returned
+trace carries.  With a writer the Python loop holds only the writer's
+buffer; a compiled run also holds its recording arrays (16 bytes per
+task, 24 per message) until the loop ends.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,14 +73,13 @@ from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
-    NetworkModel,
     NetworkStats,
     NicModel,
     make_network,
 )
 from .schedulers import make_scheduler
 from .simplan import get_plan
-from .trace import ExecutionTrace, MsgRecord, TaskRecord, TraceWriter
+from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord, TraceWriter
 
 __all__ = ["simulate", "SimulationError"]
 
@@ -90,7 +90,29 @@ _NET_INTERNAL = EVENT_NET_INTERNAL
 
 class SimulationError(RuntimeError):
     """Raised when the simulation cannot complete (e.g. a dependency
-    cycle or an unsatisfiable data requirement)."""
+    cycle or an unsatisfiable data requirement) or is given inputs it
+    cannot run."""
+
+
+def check_inputs(graph: TaskGraph, cluster: ClusterSpec,
+                 data_home: Optional[np.ndarray]) -> None:
+    """Reject node ids outside ``[0, nnodes)`` before an engine indexes
+    per-node tables with them (the compiled loop would write out of
+    bounds), and a ``data_home`` that misses some datum."""
+    ids = [("graph", graph.columns.node)] if len(graph) else []
+    if data_home is not None:
+        home = np.asarray(data_home)
+        if len(home) < graph.n_data:
+            raise SimulationError(
+                f"data_home has {len(home)} entries for {graph.n_data} data")
+        ids.append(("data_home", home))
+    P = cluster.nnodes
+    for what, node in ids:
+        lo, hi = (int(node.min()), int(node.max())) if node.size else (0, 0)
+        if lo < 0 or hi >= P:
+            raise SimulationError(
+                f"{what} names node {lo if lo < 0 else hi} but cluster "
+                f"has nodes 0..{P - 1}")
 
 
 def simulate(
@@ -98,7 +120,7 @@ def simulate(
     cluster: ClusterSpec,
     data_home: Optional[np.ndarray] = None,
     record_tasks: bool = False,
-    network: Union[str, NetworkModel, None] = None,
+    network: Optional[str] = None,
     faults=None,
     recovery=None,
     trace_writer: Optional[TraceWriter] = None,
@@ -115,17 +137,17 @@ def simulate(
         used in the graph.
     data_home:
         ``data_home[d]`` is the node initially holding version 0 of
-        datum ``d``.  Required only if some task reads a version-0
-        datum from a different node (never the case under
-        owner-computes with our builders, but supported).
+        datum ``d`` (one entry per datum).  Required only if some task
+        reads a version-0 datum from a different node (never the case
+        under owner-computes with our builders, but supported).
     record_tasks:
         Keep per-task start/end times and per-message records in
         memory on the returned trace (memory-heavy for large graphs —
         prefer ``trace_writer`` beyond ~1M tasks).
     network:
-        Communication model: ``None``/``"nic"`` (legacy, sender-side
-        serialization only), ``"contention"``, or a bound-able
-        :class:`~repro.runtime.network.NetworkModel` instance.
+        Registry name of the communication model: ``None``/``"nic"``
+        (legacy, sender-side serialization only), ``"contention"`` or
+        ``"hierarchical"``.  Only ``"nic"`` models ``multicast="tree"``.
     faults:
         A :class:`~repro.runtime.faults.FaultPlan`, a spec string for
         :func:`~repro.runtime.faults.parse_faults`, or ``None``.  An
@@ -144,9 +166,10 @@ def simulate(
         instead of growing in-memory lists.  The Python loop writes each
         record as it is produced; the compiled loop writes them all, in
         the same order, once it ends.  The returned trace then has
-        ``task_records is None`` and ``msg_records is None``; the
-        caller owns the writer's lifecycle (``close()``).  The event
-        schedule is identical with or without a writer.
+        ``task_records is None`` and ``msg_records is None``, also for
+        fault and resize runs; the caller owns the writer's lifecycle
+        (``close()``).  The event schedule is identical with or without
+        a writer.
     resize:
         A :class:`~repro.runtime.resize.ResizeEvent`, a ``"P@t"`` spec
         string for :func:`~repro.runtime.resize.parse_resize`, or
@@ -156,36 +179,36 @@ def simulate(
         routes to :func:`~repro.runtime.resize.simulate_with_resize`.
         Cannot be combined with a non-empty ``faults`` plan.
     """
+    check_inputs(graph, cluster, data_home)
+    if cluster.multicast == "tree" and network not in (None, "nic"):
+        raise SimulationError(
+            f"multicast='tree' is modelled only by the 'nic' network, "
+            f"not {network!r}")
+    if isinstance(faults, str):
+        from .faults import parse_faults
+        faults = parse_faults(faults)
+    if isinstance(resize, str):
+        from .resize import parse_resize
+        resize = parse_resize(resize)
     if resize is not None:
-        if isinstance(resize, str):
-            from .resize import parse_resize
-            resize = parse_resize(resize)
-        if resize is not None:
-            if faults is not None:
-                if isinstance(faults, str):
-                    from .faults import parse_faults
-                    faults = parse_faults(faults)
-                if faults:
-                    raise SimulationError(
-                        "resize and faults cannot be combined in one run")
-            from .resize import simulate_with_resize
-            return simulate_with_resize(
-                graph, cluster, resize, data_home=data_home,
-                record_tasks=record_tasks, network=network,
-                trace_writer=trace_writer)
-    if faults is not None:
-        if isinstance(faults, str):
-            from .faults import parse_faults
-            faults = parse_faults(faults)
         if faults:
-            from .faults import simulate_with_faults
-            return simulate_with_faults(
-                graph, cluster, faults, data_home=data_home,
-                record_tasks=record_tasks, network=network,
-                recovery=recovery, trace_writer=trace_writer)
+            raise SimulationError(
+                "resize and faults cannot be combined in one run")
+        from .resize import simulate_with_resize
+        return simulate_with_resize(
+            graph, cluster, resize, data_home=data_home,
+            record_tasks=record_tasks, network=network,
+            trace_writer=trace_writer)
+    if faults:
+        from .faults import simulate_with_faults
+        return simulate_with_faults(
+            graph, cluster, faults, data_home=data_home,
+            record_tasks=record_tasks, network=network,
+            recovery=recovery, trace_writer=trace_writer)
     model = make_network(network)
     n_tasks = len(graph)
-    in_memory = record_tasks and trace_writer is None
+    records = RecordList() if record_tasks and trace_writer is None else None
+    sink = records if trace_writer is None else trace_writer
     if n_tasks == 0:
         zeros_f = np.zeros(cluster.nnodes)
         zeros_i = np.zeros(cluster.nnodes, dtype=np.int64)
@@ -194,16 +217,11 @@ def simulate(
             n_messages=0, bytes_sent=0.0,
             busy_time=zeros_f, sent_messages=zeros_i,
             network=model.name, recv_messages=zeros_i.copy(),
-            task_records=[] if in_memory else None,
+            task_records=records.tasks if records is not None else None,
             completion_times=np.zeros(0) if record_tasks else None,
-            msg_records=[] if in_memory else None,
+            msg_records=records.msgs if records is not None else None,
         )
     cols = graph.columns
-    max_node = int(cols.node.max())
-    if max_node >= cluster.nnodes:
-        raise SimulationError(
-            f"graph uses node {max_node} but cluster has {cluster.nnodes} nodes"
-        )
 
     # all dependency/message tables come vectorized from the cached plan
     plan = get_plan(graph, data_home)
@@ -214,12 +232,11 @@ def simulate(
         dur_a = dur_a / np.asarray(cluster.node_speeds,
                                    dtype=np.float64)[cols.node]
 
-    recording = record_tasks or trace_writer is not None
-
     # ------------------------------------------------------------------
     # Compiled C backend: default configuration, recording or not.  A
     # recorded run fills start-time arrays and an emission log; the
-    # records are built from them after the loop (_compiled_records).
+    # records are replayed from them into the sink after the loop
+    # (_compiled_records).
     # ------------------------------------------------------------------
     if (cluster.scheduler == "priority" and not cluster.fork_join
             and cluster.multicast == "p2p" and type(model) is NicModel):
@@ -227,12 +244,10 @@ def simulate(
         if runner is not None:
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
-                         cluster.rx_serialization, record=recording)
-            records = completion = msg_records = None
-            if recording:
-                records, completion, msg_records = _compiled_records(
-                    res, plan, dur_a, cluster.tile_bytes, record_tasks,
-                    trace_writer)
+                         record=sink is not None)
+            if sink is not None:
+                _compiled_records(res, plan, dur_a, cluster.tile_bytes, sink)
+            completion = res.task_start + dur_a if record_tasks else None
             if res.completed != n_tasks:
                 _raise_deadlock(graph, n_tasks, res.completed,
                                 res.pending.tolist(), {})
@@ -252,23 +267,17 @@ def simulate(
                 bytes_sent=float(res.n_messages) * cluster.tile_bytes,
                 busy_time=res.busy,
                 sent_messages=res.msgs_sent,
-                task_records=records,
+                task_records=records.tasks if records is not None else None,
                 completion_times=completion,
                 network=model.name,
                 recv_messages=res.msgs_recv,
                 net_stats=net_stats,
-                msg_records=msg_records,
+                msg_records=records.msgs if records is not None else None,
             )
 
     # ------------------------------------------------------------------
     # Python event loop: hot-path state as plain-list plan copies
     # ------------------------------------------------------------------
-    # Message refs: a run without records uses the bare uid as the
-    # opaque ref (waiter lookup is then a CSR slice, no hashing); when
-    # records are produced the legacy (data, version) tuples are used
-    # instead, since they end up in MsgRecords.  Schedules are identical
-    # either way — refs never participate in event ordering.
-    use_codes = not recording
     Pn = cluster.nnodes
 
     node_l = plan.node.tolist()
@@ -282,15 +291,12 @@ def simulate(
     w_tasks = plan.w_tasks.tolist()
     mdst_l = plan.msg_dst.tolist()
 
-    if use_codes:
-        ref_l: List = list(range(plan.n_msgs))
-        msg_waiters: Dict = {}
-    else:
-        ref_l = list(zip(plan.msg_data.tolist(), plan.msg_version.tolist()))
-        msg_waiters = {
-            (ref_l[uid], mdst_l[uid]): w_tasks[w_indptr[uid]:w_indptr[uid + 1]]
-            for uid in range(plan.n_msgs)
-        }
+    # message refs are ``(data, version, uid)``: the network model
+    # records the first two fields, and ``deliver`` finds the waiting
+    # tasks by uid (a CSR slice, no hashing).  Refs never take part in
+    # event ordering.
+    ref_l = list(zip(plan.msg_data.tolist(), plan.msg_version.tolist(),
+                     range(plan.n_msgs)))
 
     # dense per-task push plan: tid -> [(ref, dst)] or None
     push_plan_l: List[Optional[list]] = [None] * n_tasks
@@ -306,15 +312,7 @@ def simulate(
     ready: List[List[int]] = [[] for _ in range(cluster.nnodes)]
     busy = [0.0] * cluster.nnodes
     completion = np.zeros(n_tasks) if record_tasks else None
-    records: Optional[List[TaskRecord]] = [] if in_memory else None
-    # one call per started task: list append (legacy in-memory records)
-    # or the streaming writer's bounded-buffer ingest
-    if trace_writer is not None:
-        rec_task = trace_writer.write_task
-    elif records is not None:
-        rec_task = records.append
-    else:
-        rec_task = None
+    rec_task = sink.write_task if sink is not None else None
 
     # events are ``(time, tag, payload)`` with ``tag = seq + etype``,
     # where ``seq`` advances in steps of 4 so that the low two bits hold
@@ -330,7 +328,7 @@ def simulate(
         seq += 4
         heappush(events, (time, seq + etype, payload))
 
-    model.bind(cluster, push_event, record=record_tasks, writer=trace_writer)
+    model.bind(cluster, push_event, writer=sink)
 
     # scheduling policy, resolved through the registry: static policies
     # provide a per-task key table (the default priority policy returns
@@ -443,19 +441,16 @@ def simulate(
                         break
                 idle[n] = idl
 
-    def deliver(ref, dst: int, t: float, msg_waiters=msg_waiters,
+    def deliver(ref, dst: int, t: float, w_indptr=w_indptr, w_tasks=w_tasks,
                 pending_l=pending_l, keys_l=keys_l, ready=ready,
                 heappush=heappush, fast=fast) -> None:
         """A message arrived: wake its waiting consumers.
 
-        Every waiter of ``(ref, dst)`` reads on node ``dst``, so at
-        most that one node gains ready tasks."""
-        if use_codes:
-            waiters = w_tasks[w_indptr[ref]:w_indptr[ref + 1]]
-        else:
-            waiters = msg_waiters.get((ref, dst), ())
+        Every waiter of message ``uid = ref[2]`` reads on node ``dst``,
+        so at most that one node gains ready tasks."""
+        uid = ref[2]
         any_ready = False
-        for dep in waiters:
+        for dep in w_tasks[w_indptr[uid]:w_indptr[uid + 1]]:
             p = pending_l[dep] - 1
             pending_l[dep] = p
             if p == 0:
@@ -597,25 +592,22 @@ def simulate(
         bytes_sent=float(model.n_messages) * cluster.tile_bytes,
         busy_time=np.asarray(busy, dtype=np.float64),
         sent_messages=net_stats.msgs_sent,
-        task_records=records,
+        task_records=records.tasks if records is not None else None,
         completion_times=completion,
         network=model.name,
         recv_messages=net_stats.msgs_recv,
         net_stats=net_stats,
-        msg_records=model.msg_records,
+        msg_records=records.msgs if records is not None else None,
     )
 
 
 def _compiled_records(res, plan, dur_a: np.ndarray, nbytes,
-                      record_tasks: bool,
-                      writer: Optional[TraceWriter]) -> tuple:
-    """Records of a recorded compiled run, as the Python loop makes them.
-
-    Returns ``(task_records, completion_times, msg_records)``.  With a
-    ``writer`` the records go to it one by one in the loop's emission
-    order (``res.log``) and both record lists are ``None``.  Arrays are
-    read through :func:`~repro.runtime.graph.column_view`, so records
-    hold plain Python ints and floats and no array is copied.
+                      sink: TraceWriter) -> None:
+    """Replay a recorded compiled run's records into ``sink``, one by
+    one in the loop's emission order (``res.log``) — the records and
+    order the Python loop produces.  Arrays are read through
+    :func:`~repro.runtime.graph.column_view`, so records hold plain
+    Python ints and floats and no array is copied.
     """
     start = column_view(res.task_start)
     node = column_view(plan.node)
@@ -626,26 +618,16 @@ def _compiled_records(res, plan, dur_a: np.ndarray, nbytes,
     version = column_view(plan.msg_version)
     src = column_view(plan.msg_src)
     dst = column_view(plan.msg_dst)
-    completion = res.task_start + dur_a if record_tasks else None
-    if writer is not None:
-        write_task = writer.write_task
-        write_msg = writer.write_msg
-        for e in column_view(res.log):
-            if e >= 0:
-                t = start[e]
-                write_task(TaskRecord(e, node[e], t, t + dur[e]))
-            else:
-                u = -1 - e
-                write_msg(MsgRecord(data[u], version[u], src[u], dst[u],
-                                    m_start[u], m_end[u], nbytes))
-        return None, completion, None
-    log = res.log
-    records = [TaskRecord(t, node[t], start[t], start[t] + dur[t])
-               for t in log[log >= 0].tolist()]
-    msgs = [MsgRecord(data[u], version[u], src[u], dst[u],
-                      m_start[u], m_end[u], nbytes)
-            for u in (-1 - log[log < 0]).tolist()]
-    return records, completion, msgs
+    write_task = sink.write_task
+    write_msg = sink.write_msg
+    for e in column_view(res.log):
+        if e >= 0:
+            t = start[e]
+            write_task(TaskRecord(e, node[e], t, t + dur[e]))
+        else:
+            u = -1 - e
+            write_msg(MsgRecord(data[u], version[u], src[u], dst[u],
+                                m_start[u], m_end[u], nbytes))
 
 
 def _raise_deadlock(graph: TaskGraph, n_tasks: int, completed: int,

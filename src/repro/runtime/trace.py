@@ -15,7 +15,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultStats
     from .network import NetworkStats
 
-__all__ = ["TaskRecord", "MsgRecord", "TraceWriter", "ExecutionTrace"]
+__all__ = ["TaskRecord", "MsgRecord", "TraceWriter", "RecordList",
+           "ExecutionTrace"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,14 @@ class MsgRecord:
 
 
 class TraceWriter:
-    """Streaming sink for task/message records produced mid-simulation.
+    """The one sink a simulation hands its task/message records to.
 
     Pass an instance as ``simulate(..., trace_writer=...)`` and the
     simulator (and the bound network model) will hand every
     :class:`TaskRecord` and :class:`MsgRecord` to :meth:`write_task` /
     :meth:`write_msg` in production order, instead of accumulating
-    Python lists on the trace.  The Python loop writes each record the
+    Python lists on the trace (``record_tasks=True`` alone uses a
+    :class:`RecordList`).  The Python loop writes each record the
     moment it is produced, so recording memory is the writer's buffer;
     the compiled loop writes the same sequence after it ends, holding
     flat arrays of 16 bytes per task and 24 per message until then.
@@ -89,6 +91,19 @@ class TraceWriter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class RecordList(TraceWriter):
+    """In-memory sink behind ``record_tasks=True``: records accumulate,
+    in production order, in :attr:`tasks` and :attr:`msgs`."""
+
+    def __init__(self) -> None:
+        self.tasks: List[TaskRecord] = []
+        self.msgs: List[MsgRecord] = []
+        # the event loops call these once per record: bind the list
+        # appends directly instead of going through a method frame
+        self.write_task = self.tasks.append
+        self.write_msg = self.msgs.append
 
 
 @dataclass

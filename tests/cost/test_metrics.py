@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cost.metrics import CommModel, communication_cost, per_node_volume, q_cholesky, q_lu
+from repro.cost.metrics import communication_cost, per_node_volume, q_cholesky, q_lu
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.sbc import sbc
@@ -38,19 +38,3 @@ class TestClosedForms:
     def test_g2dbc_volume_beats_bad_2dbc(self):
         m = 50
         assert q_lu(g2dbc(23), m) < q_lu(bc2d(23, 1), m)
-
-
-class TestCommModel:
-    def test_tile_bytes(self):
-        cm = CommModel(tile_size=500, dtype_bytes=8)
-        assert cm.tile_bytes == 2_000_000
-
-    def test_tile_time(self):
-        cm = CommModel(tile_size=500, bandwidth_Bps=1e9, latency_s=1e-3)
-        assert cm.tile_time() == pytest.approx(1e-3 + 2e-3)
-
-    def test_volume_and_serial_time(self):
-        cm = CommModel(tile_size=100, bandwidth_Bps=8e7, latency_s=0.0)
-        # tile = 80_000 B -> 1 ms each
-        assert cm.volume_bytes(10) == 800_000
-        assert cm.serial_time(10) == pytest.approx(0.01)

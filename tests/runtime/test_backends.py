@@ -10,6 +10,7 @@ only ``auto`` falls back to Python.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ def test_unknown_backend_raises(value, monkeypatch):
     monkeypatch.setenv(backends.BACKEND_ENV, value)
     with pytest.raises(backends.BackendError, match="auto, c, python"):
         backends.select_backend()
+
+
+def test_fastsim_signature_matches_argtypes():
+    """``csim.py`` binds exactly as many arguments as ``repro_run_sim``
+    in ``_fastsim.c`` takes: ctypes cannot check a foreign signature,
+    and one missing argument shifts every later pointer (a segfault)."""
+    from repro.runtime import csim
+    if not csim.available():
+        pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
+    src = re.sub(r"/\*.*?\*/", "", csim._SRC.read_text(), flags=re.S)
+    params = re.search(r"repro_run_sim\s*\((.*?)\)\s*\{", src,
+                       flags=re.S).group(1)
+    n_params = len([p for p in params.split(",") if p.strip()])
+    assert n_params == len(csim._load().repro_run_sim.argtypes)
 
 
 @pytest.fixture

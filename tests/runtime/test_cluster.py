@@ -7,8 +7,8 @@ from repro.runtime.cluster import ClusterSpec, paper_cluster
 
 class TestClusterSpec:
     def test_tile_bytes(self):
-        c = ClusterSpec(nnodes=1, tile_size=500, dtype_bytes=8)
-        assert c.tile_bytes == 2_000_000
+        c = ClusterSpec(nnodes=1, tile_size=500)
+        assert c.tile_bytes == 2_000_000  # fp64 tiles
 
     def test_node_flops(self):
         c = ClusterSpec(nnodes=1, cores_per_node=10, core_gflops=2.0)
@@ -61,20 +61,18 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             paper_cluster(4).with_nodes(0)
 
-    def test_with_nodes_rescales_bisection(self):
-        # regression: a pinned bisection_Bps used to be carried
-        # unchanged across a resize, so a grown cluster kept the small
-        # cluster's shared-link capacity
-        c = ClusterSpec(nnodes=4, bisection_Bps=8e9)
-        assert c.with_nodes(8).bisection_Bps == pytest.approx(16e9)
-        assert c.with_nodes(2).bisection_Bps == pytest.approx(4e9)
-
-    def test_with_nodes_same_count_keeps_bisection(self):
-        c = ClusterSpec(nnodes=4, bisection_Bps=8e9)
-        assert c.with_nodes(4).bisection_Bps == 8e9
-
-    def test_with_nodes_default_bisection_stays_none(self):
-        assert paper_cluster(4).with_nodes(9).bisection_Bps is None
+    @pytest.mark.parametrize("field,value", [
+        ("nnodes", 0), ("cores_per_node", 0), ("core_gflops", 0.0),
+        ("core_gflops", -1.0), ("bandwidth_Bps", 0.0),
+        ("bandwidth_Bps", -1e9), ("latency_s", -1.0), ("tile_size", 0),
+    ])
+    def test_rejects_impossible_machine(self, field, value):
+        # regression: these used to build, then simulate to an infinite,
+        # negative or finite-but-meaningless makespan, a deadlock, or a
+        # ZeroDivisionError
+        kw = {"nnodes": 4, field: value}
+        with pytest.raises(ValueError, match=field):
+            ClusterSpec(**kw)
 
     def test_with_nodes_nondivisible_topology(self):
         # 7 ranks packed 4 to a machine → a partial last machine; the
@@ -84,13 +82,6 @@ class TestClusterSpec:
         assert topo.nranks == 7
         assert topo.nnodes == 2
         assert topo.node_of(6) == 1
-
-    def test_with_nodes_speeds_cycle_with_bisection(self):
-        c = ClusterSpec(nnodes=2, cores_per_node=1,
-                        node_speeds=(1.0, 2.0), bisection_Bps=4e9)
-        big = c.with_nodes(3)
-        assert big.node_speeds == (1.0, 2.0, 1.0)
-        assert big.bisection_Bps == pytest.approx(6e9)
 
 
 class TestPaperCluster:

@@ -8,8 +8,8 @@ The model's contract, in order of importance:
 * per-level accounting is conservative: intra + inter equals the flat
   totals for both bytes and message counts;
 * repeated runs are deterministic;
-* an explicit ``bisection_Bps`` survives :meth:`ClusterSpec.with_nodes`
-  and is echoed back through :class:`NetworkStats`.
+* the full-bisection capacity is sized by machines (ranks for the flat
+  ``"contention"`` model) and echoed back through :class:`NetworkStats`.
 """
 
 import dataclasses
@@ -136,36 +136,18 @@ class TestCommBreakdown:
 
 
 class TestBisection:
-    def test_survives_with_nodes(self):
-        # rescaled proportionally to the node count on resize (a grown
-        # cluster gets a bigger shared link)
-        cl = cluster(5, bisection_Bps=3e8).with_nodes(9)
-        assert cl.bisection_Bps == pytest.approx(3e8 * 9 / 5)
-        assert cl.nnodes == 9
-
-    def test_explicit_value_echoed(self):
-        graph, home = lu_case()
-        t = simulate(graph, cluster(7, bisection_Bps=3e8), data_home=home,
-                     network="contention")
-        assert t.net_stats.bisection_Bps == 3e8
-
     def test_default_value_echoed(self):
         graph, home = lu_case()
         t = simulate(graph, cluster(7), data_home=home,
                      network="contention")
         assert t.net_stats.bisection_Bps == 1e9 * max(1.0, 7 / 2.0)
 
-    def test_explicit_changes_timing(self):
+    def test_hierarchical_sized_by_machines(self):
+        # 7 ranks, 2 per machine: 4 machines share the inter-node link
         graph, home = lu_case()
-        fast = simulate(graph, cluster(7), data_home=home,
-                        network="contention")
-        slow = simulate(graph, cluster(7, bisection_Bps=1e7),
-                        data_home=home, network="contention")
-        assert slow.makespan > fast.makespan
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(nnodes=4, bisection_Bps=-1.0)
+        t = simulate(graph, cluster(7, ranks_per_node=2), data_home=home,
+                     network="hierarchical")
+        assert t.net_stats.bisection_Bps == 1e9 * 2.0
 
     def test_campaign_row_carries_bisection(self):
         from repro.experiments.campaign import CampaignRow

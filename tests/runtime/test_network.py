@@ -1,5 +1,8 @@
 """Unit tests for the pluggable network models (runtime/network.py)."""
 
+import heapq
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,9 +43,10 @@ class TestRegistry:
     def test_make_network_by_name(self):
         assert isinstance(make_network("contention"), ContentionModel)
 
-    def test_make_network_passthrough(self):
-        model = ContentionModel(eager_threshold=0.0)
-        assert make_network(model) is model
+    def test_make_network_rejects_instance(self):
+        # a model is chosen by name only; the instance form is gone
+        with pytest.raises(ValueError, match="unknown network model"):
+            make_network(ContentionModel())
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown network model"):
@@ -55,7 +59,7 @@ class TestNicModel:
         cl = cluster(P=2)
         model = NicModel()
         arrivals = []
-        model.bind(cl, lambda t, e, p: arrivals.append((t, e, p)), record=True)
+        model.bind(cl, lambda t, e, p: arrivals.append((t, e, p)))
         model.send((0, 1), 0, 1, 0.0)
         t, _, _ = arrivals[0]
         assert t == pytest.approx(cl.latency_s + cl.tile_bytes / cl.bandwidth_Bps)
@@ -65,7 +69,7 @@ class TestNicModel:
         cl = cluster(P=3)
         model = NicModel()
         arrivals = []
-        model.bind(cl, lambda t, e, p: arrivals.append(t), record=False)
+        model.bind(cl, lambda t, e, p: arrivals.append(t))
         model.send((0, 1), 0, 1, 0.0)
         model.send((1, 1), 0, 2, 0.0)
         wire = cl.latency_s + cl.tile_bytes / cl.bandwidth_Bps
@@ -75,9 +79,10 @@ class TestNicModel:
 
 class TestContentionModel:
     def test_eager_vs_rendezvous_latency(self):
-        """Messages over the eager threshold pay the handshake RTTs."""
-        big = lu_trace(network=ContentionModel(eager_threshold=0.0))
-        small = lu_trace(network=ContentionModel(eager_threshold=1e12))
+        """Messages over the eager threshold pay the handshake RTTs:
+        8×8 fp64 tiles (512 B) go eager, 100×100 tiles (80 KB) do not."""
+        big = lu_trace(network="contention", tile_size=100)
+        small = lu_trace(network="contention", tile_size=8)
         assert big.net_stats.n_rendezvous == big.n_messages
         assert big.net_stats.n_eager == 0
         assert small.net_stats.n_eager == small.n_messages
@@ -90,12 +95,26 @@ class TestContentionModel:
         assert trace.net_stats.rx_busy.sum() > 0
         assert trace.net_stats.link_busy > 0
 
-    def test_smaller_bisection_slower(self):
-        """Shrinking the shared link can only hurt."""
-        wide = lu_trace(network=ContentionModel(bisection_Bps=1e12))
-        narrow = lu_trace(network=ContentionModel(bisection_Bps=1e8))
-        assert narrow.makespan >= wide.makespan
-        assert narrow.n_messages == wide.n_messages
+    def test_opposite_flows_share_bisection_link(self):
+        """On two nodes the full-bisection link carries one NIC's
+        bandwidth, so two opposite eager flows each get half of it."""
+        cl = cluster(P=2)
+        model = ContentionModel()
+        events = []
+        seq = itertools.count()
+        model.bind(cl, lambda t, e, p: heapq.heappush(
+            events, (t, next(seq), p)))
+        model.send((0, 1), 0, 1, 0.0)
+        model.send((1, 1), 1, 0, 0.0)
+        arrivals = {}
+        while events:
+            t, _, payload = heapq.heappop(events)
+            for _, dst in model.on_internal(payload, t):
+                arrivals[dst] = t
+        shared = cl.latency_s + 2 * cl.tile_bytes / cl.bandwidth_Bps
+        assert arrivals == {0: pytest.approx(shared),
+                            1: pytest.approx(shared)}
+        assert model.stats().bisection_Bps == cl.bandwidth_Bps
 
     def test_flow_conservation(self):
         """Every byte sent is a byte received, and totals match counts."""

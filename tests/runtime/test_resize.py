@@ -13,7 +13,6 @@ from repro.patterns.library import shipped_pattern
 from repro.patterns.g2dbc import g2dbc
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph
-from repro.runtime.network import ContentionModel
 from repro.runtime.resize import (
     MigrationStats,
     ResizeEvent,
@@ -124,18 +123,21 @@ class TestResizeRun:
         assert trace.network == "contention"
         assert comm_breakdown(trace)["model"] == "contention"
 
-    def test_configured_network_model_is_kept(self):
-        # regression: the model instance was reduced to its name, so
-        # every phase ran a default-capacity model of that name
-        dist = TileDistribution(g2dbc(4), 8, symmetric=False)
-        graph, home = build_lu_graph(dist, TILE)
-        cluster = _cluster(4)
-        narrow = simulate(graph, cluster, data_home=home, resize="6@1e-5",
-                          network=ContentionModel(bisection_Bps=1e8))
-        default = simulate(graph, cluster, data_home=home, resize="6@1e-5",
-                           network="contention")
-        assert narrow.net_stats.bisection_Bps == 1e8
-        assert narrow.makespan > default.makespan
+    @pytest.mark.parametrize("P,P2,rpn", [(8, 12, 2), (12, 16, 4)])
+    def test_hierarchical_prediction_matches_replay(self, P, P2, rpn):
+        # regression: the prediction sized the inter-machine bisection
+        # by ranks while the model sizes it by machines, so replays
+        # took 1.9x and 4.0x the predicted time here
+        dist = TileDistribution(shipped_pattern(P, "lu"), 16, symmetric=False)
+        graph, home = build_lu_graph(dist, 500)
+        cluster = ClusterSpec(nnodes=P, cores_per_node=2, core_gflops=1.0,
+                              bandwidth_Bps=1e9, latency_s=1e-6,
+                              tile_size=500, ranks_per_node=rpn)
+        trace = simulate(graph, cluster, data_home=home,
+                         network="hierarchical", resize=f"{P2}@1.0")
+        rs = trace.resize_stats
+        assert rs.migration_s == pytest.approx(
+            rs.plan.predicted_s["hierarchical"], rel=0.1)
 
     def test_empty_graph_is_a_noop(self):
         # nothing to drain, move or resume: the plain empty trace, with

@@ -1,17 +1,23 @@
 """Tests for the event-driven runtime simulator (analytic cases)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.distribution import TileDistribution
+from repro.dla.lu import build_lu_graph
+from repro.patterns.g2dbc import g2dbc
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.faults import simulate_with_faults
 from repro.runtime.graph import TaskGraph, TaskKind
 from repro.runtime.simulator import SimulationError, simulate
+from repro.runtime.trace import RecordList
 
 
-def cluster(nnodes=2, cores=1, tile_size=10, bw=1e9, latency=0.0, rx=False):
+def cluster(nnodes=2, cores=1, tile_size=10, bw=1e9, latency=0.0):
     return ClusterSpec(nnodes=nnodes, cores_per_node=cores, core_gflops=1.0,
-                       bandwidth_Bps=bw, latency_s=latency, tile_size=tile_size,
-                       rx_serialization=rx)
+                       bandwidth_Bps=bw, latency_s=latency, tile_size=tile_size)
 
 
 MSG = 800 / 1e9  # tile_size=10 -> 800 bytes at 1 GB/s
@@ -67,6 +73,101 @@ class TestBasics:
             simulate(g, cluster(2))
 
 
+class TestInputChecks:
+    """Node ids index the engines' per-node tables unchecked, so
+    ``simulate`` rejects a bad one where it enters, on every loop and
+    before routing to the fault or resize engines."""
+
+    @staticmethod
+    def case():
+        graph, home = build_lu_graph(
+            TileDistribution(g2dbc(5), 6, symmetric=False), 8)
+        cl = ClusterSpec(nnodes=5, cores_per_node=2, core_gflops=1.0,
+                         bandwidth_Bps=1e9, latency_s=1e-6, tile_size=8)
+        # shifted homes: every version-0 tile, tile 0 included, is
+        # fetched from a remote node
+        return graph, (home + 1) % 5, cl
+
+    @pytest.mark.parametrize("bad", [5, 99, -1])
+    def test_data_home_node_out_of_range(self, bad, sim_backends):
+        # regression: the compiled loop wrote past its per-node arrays
+        # (abort or segfault); the Python loop charged node -1's sends
+        # to node 4
+        graph, home, cl = self.case()
+        home[0] = bad
+        for backend in sim_backends:
+            with pytest.raises(SimulationError,
+                               match=f"data_home names node {bad}"):
+                simulate(graph, cl, data_home=home)
+
+    def test_data_home_too_short(self, sim_backends):
+        graph, home, cl = self.case()
+        for backend in sim_backends:
+            with pytest.raises(SimulationError, match="data_home has 35"):
+                simulate(graph, cl, data_home=home[:-1])
+
+    def test_negative_graph_node(self, sim_backends):
+        # regression: the Python loop ran the task on node P-1
+        g = TaskGraph(n_data=1, nnodes=2)
+        g.submit(TaskKind.GEMM, 0, 0, 0, -1, 1e9, (), 0)
+        for backend in sim_backends:
+            with pytest.raises(SimulationError, match="node -1"):
+                simulate(g, cluster(2))
+
+    def test_fault_run_checks_inputs(self):
+        graph, home, cl = self.case()
+        home[0] = -1
+        with pytest.raises(SimulationError, match="data_home names node -1"):
+            simulate(graph, cl, data_home=home, faults="fail:1@2e-5")
+        with pytest.raises(SimulationError, match="data_home names node -1"):
+            simulate_with_faults(graph, cl, "fail:1@2e-5", data_home=home)
+
+    def test_resize_run_checks_inputs(self):
+        graph, home, cl = self.case()
+        home[0] = 5
+        with pytest.raises(SimulationError, match="data_home names node 5"):
+            simulate(graph, cl, data_home=home, resize="7@2e-5")
+
+    @pytest.mark.parametrize("network,faults", [
+        ("contention", None), ("hierarchical", None),
+        ("nic", "fail:1@2e-5"),
+    ])
+    def test_tree_multicast_outside_nic_rejected(self, network, faults):
+        # regression: only the nic model implements the tree schedule;
+        # every other combination silently ran point-to-point
+        graph, home, cl = self.case()
+        tree = dataclasses.replace(cl, multicast="tree")
+        with pytest.raises(SimulationError, match="multicast='tree'"):
+            simulate(graph, tree, data_home=home, network=network,
+                     faults=faults)
+
+
+class TestRecordSink:
+    """Every path hands its records to one sink: a caller's writer gets
+    exactly the records ``record_tasks=True`` alone would return, and
+    the trace then carries no record lists."""
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"faults": "fail:1@2e-5,seed:3"}, {"resize": "9@2e-5"},
+    ], ids=["plain", "faults", "resize"])
+    def test_writer_gets_the_in_memory_records(self, kw, sim_backends):
+        # regression: with both, a fault run also returned its task
+        # records and a resize run both record lists
+        graph, home = build_lu_graph(
+            TileDistribution(g2dbc(7), 10, symmetric=False), 8)
+        cl = ClusterSpec(nnodes=7, cores_per_node=2, core_gflops=1.0,
+                         bandwidth_Bps=1e9, latency_s=1e-6, tile_size=8)
+        for backend in sim_backends:
+            ref = simulate(graph, cl, data_home=home, record_tasks=True, **kw)
+            sink = RecordList()
+            trace = simulate(graph, cl, data_home=home, record_tasks=True,
+                             trace_writer=sink, **kw)
+            assert trace.task_records is None and trace.msg_records is None
+            assert sink.tasks == ref.task_records, backend
+            assert sink.msgs == ref.msg_records, backend
+            assert (trace.completion_times == ref.completion_times).all()
+
+
 class TestCommunication:
     def two_node_chain(self):
         g = TaskGraph(n_data=2, nnodes=2)
@@ -110,17 +211,6 @@ class TestCommunication:
         tr = simulate(g, cluster(2), data_home=np.array([0, 1]))
         assert tr.n_messages == 1
         assert tr.makespan == pytest.approx(MSG + 1.0)
-
-    def test_rx_serialization_option(self):
-        """With rx serialization, two senders to one receiver queue up."""
-        g = TaskGraph(n_data=3, nnodes=3)
-        g.submit(TaskKind.GEMM, 0, 0, 0, 1, 1e9, (g.current(0),), 0)
-        g.submit(TaskKind.GEMM, 1, 0, 0, 2, 1e9, (g.current(1),), 1)
-        g.submit(TaskKind.GEMM, 2, 0, 0, 0, 1e9,
-                 (g.current(2), (0, 1), (1, 1)), 2)
-        fast = simulate(g, cluster(3, rx=False)).makespan
-        slow = simulate(g, cluster(3, rx=True)).makespan
-        assert slow >= fast
 
 
 class TestSchedulingPolicy:

@@ -235,13 +235,24 @@ class TestChromeTraceWriter:
         assert len(msgs) == trace.n_messages > 0
 
     def test_fault_run_streams_only_survivors(self, tmp_path):
+        faults = "fail:1@2e-5,seed:3"
         graph, trace, _, data = self._stream(
-            tmp_path, pattern=g2dbc(5), n=8,
-            faults="fail:1@2e-4,seed:3", record_tasks=True)
-        tasks = [e for e in data["traceEvents"] if e.get("cat") == "task"]
+            tmp_path, pattern=g2dbc(5), n=8, faults=faults,
+            record_tasks=True)
+        # with a writer the records go only to it, as on a plain run
+        assert trace.task_records is None and trace.msg_records is None
+        _, home = build_lu_graph(TileDistribution(g2dbc(5), 8), 8)
+        rerun = simulate(graph, trace.cluster, data_home=home,
+                         faults=faults, record_tasks=True)
+        assert rerun.fault_stats.tasks_aborted > 0
         # aborted tasks are retracted before the buffered flush, so the
         # stream carries exactly the surviving records
-        assert len(tasks) == len(trace.task_records)
+        tasks = sorted((e["pid"], e["ts"], e["dur"])
+                       for e in data["traceEvents"] if e.get("cat") == "task")
+        assert tasks == sorted((r.node, r.start * 1e6, (r.end - r.start) * 1e6)
+                               for r in rerun.task_records)
+        msgs = [e for e in data["traceEvents"] if e.get("cat") == "msg"]
+        assert len(msgs) == len(rerun.msg_records)
         assert any(e.get("ph") == "i" for e in data["traceEvents"])
 
     def test_close_idempotent(self, tmp_path):
