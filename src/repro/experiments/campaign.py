@@ -88,6 +88,14 @@ class CampaignCell:
     ranks_per_node: int = 1          #: two-level topology (1 = flat)
     resize: str = ""                 #: elastic-resize spec (``"P@t"``)
 
+    def __post_init__(self) -> None:
+        # one run cannot take both (simulate() raises for the pair), and
+        # the evaluator runs one branch per cell
+        if self.faults and self.resize:
+            raise ValueError(
+                f"a campaign cell cannot combine faults {self.faults!r} "
+                f"with resize {self.resize!r}")
+
     def signature(self) -> tuple:
         """Hashable memoization key (includes every field)."""
         return (self.family, self.kernel, self.P, self.m,
@@ -303,27 +311,29 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
     bounds = makespan_bounds(graph, cluster)
     sched_bounds = schedule_lower_bounds(graph, cluster, data_home=home,
                                          network=cell.network)
-    baseline = simulate(graph, cluster, data_home=home, network=cell.network)
     plan = parse_faults(cell.faults)
-    rs = None
+    fs = rs = None
     if plan:
         # the degraded run: same graph under the cell's fault plan, with
-        # colrow re-homing; the fault-free run above becomes the
-        # makespan-inflation denominator
+        # colrow re-homing; a fault-free run gives the makespan-inflation
+        # denominator
+        faultfree = simulate(graph, cluster, data_home=home,
+                             network=cell.network).makespan
         trace = simulate(graph, cluster, data_home=home, network=cell.network,
                          faults=plan, recovery=colrow_recovery(pattern))
         fs = trace.fault_stats
     elif cell.resize:
-        # the elastic run: same graph with a planned mid-run resize; the
-        # unresized run above stays the comparison row (an identity
-        # resize attaches no stats, so its columns keep their defaults)
+        # the elastic run: same graph with a planned mid-run resize.  Its
+        # first phase is the whole unresized run, whose makespan is the
+        # comparison; a no-op resize is the plain run and attaches no
+        # stats, so its columns keep their defaults
         trace = simulate(graph, cluster, data_home=home, network=cell.network,
                          resize=cell.resize)
-        fs = None
         rs = trace.resize_stats
+        faultfree = rs.makespan_source_s if rs is not None else trace.makespan
     else:
-        trace = baseline
-        fs = None
+        trace = simulate(graph, cluster, data_home=home, network=cell.network)
+        faultfree = trace.makespan
     trace.sched_bounds = sched_bounds
     net = trace.net_stats
     fr = net.busy_fractions(trace.makespan) if net is not None else {"link_busy": 0.0}
@@ -345,9 +355,9 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
         schedule_bound_s=float(sched_bounds.best),
         optimality_ratio=float(trace.optimality_ratio),
         faults=cell.faults,
-        faultfree_makespan_s=float(baseline.makespan),
-        makespan_inflation=(float(trace.makespan / baseline.makespan)
-                            if baseline.makespan > 0 else 1.0),
+        faultfree_makespan_s=float(faultfree),
+        makespan_inflation=(float(trace.makespan / faultfree)
+                            if faultfree > 0 else 1.0),
         failed_nodes=len(fs.failed_nodes) if fs else 0,
         recovery_messages=fs.recovery_messages if fs else 0,
         msgs_lost=fs.msgs_lost if fs else 0,

@@ -38,7 +38,10 @@ Every message is a *flow* of ``tile_bytes`` bytes from ``src`` to
    link of capacity ``ClusterSpec.full_bisection_Bps(P) = bandwidth_Bps
    · max(1, P/2)``.  With ``n`` concurrent flows each progresses at
    ``min(bandwidth_Bps, bisection / n)`` — progressive filling,
-   re-evaluated at every flow start/finish.
+   re-evaluated at every flow start/finish.  Each re-evaluation pushes
+   one finish event, for the flow that ends first: any later flow's
+   event would be superseded by the re-evaluation that first finish
+   triggers, so one finish event is pending at a time.
 
 Because each endpoint carries at most one flow in each direction, the
 equal split is exactly the max-min fair allocation.  Every per-message
@@ -46,9 +49,9 @@ delay is ≥ the legacy model's ``latency + bytes/bandwidth``, which is
 why contention-model makespans dominate ``nic`` makespans on the same
 graph (asserted by the property tests).
 
-The model is deterministic: flows are started by scanning sender queues
-in ascending node id, and all events carry the simulator's global
-sequence number.
+The model is deterministic: flows are started by scanning the senders
+with queued messages in ascending node id, and all events carry the
+simulator's global sequence number.
 """
 
 from __future__ import annotations
@@ -298,8 +301,7 @@ class NicModel(NetworkModel):
 class _Flow:
     """One in-flight transfer of the contention model."""
 
-    __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate",
-                 "version", "active")
+    __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate")
 
     def __init__(self, ref: DataRef, src: int, dst: int, nbytes: float, t0: float):
         self.ref = ref
@@ -309,8 +311,6 @@ class _Flow:
         self.t0 = t0
         self.remaining = nbytes
         self.rate = 0.0
-        self.version = 0
-        self.active = False  # True once the data stage begins
 
 
 class ContentionModel(NetworkModel):
@@ -325,11 +325,13 @@ class ContentionModel(NetworkModel):
         self.link_bw = cl.full_bisection_Bps(P)
         self.alpha = float(cl.latency_s)
         self._queues: List[deque] = [deque() for _ in range(P)]
+        self._waiting: set = set()  # senders whose queue is non-empty
         self._tx_held = np.zeros(P, dtype=bool)
         self._rx_held = np.zeros(P, dtype=bool)
         self._flows: dict[int, _Flow] = {}
         self._active: List[int] = []  # insertion-ordered active flow ids
         self._next_fid = 0
+        self._token = 0  # names the one finish event that is current
         self._last_t = 0.0
         self.link_busy = 0.0
         self.link_bytes = 0.0
@@ -339,17 +341,22 @@ class ContentionModel(NetworkModel):
     # ------------------------------------------------------------------
     def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
         self._queues[src].append((ref, dst))
+        self._waiting.add(src)
         self._pump(t)
 
     def _pump(self, now: float) -> None:
-        """Start queued flows wherever both endpoint NICs are idle."""
-        for src in range(self.cluster.nnodes):
-            if self._tx_held[src] or not self._queues[src]:
+        """Start queued flows wherever both endpoint NICs are idle,
+        visiting the senders with queued messages in ascending node id."""
+        for src in sorted(self._waiting):
+            if self._tx_held[src]:
                 continue
-            ref, dst = self._queues[src][0]
+            queue = self._queues[src]
+            ref, dst = queue[0]
             if self._rx_held[dst]:
                 continue  # head-of-line blocking on the busy receiver
-            self._queues[src].popleft()
+            queue.popleft()
+            if not queue:
+                self._waiting.discard(src)
             self._start_flow(ref, src, dst, now)
 
     def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
@@ -383,33 +390,43 @@ class ContentionModel(NetworkModel):
         self._last_t = max(self._last_t, now)
 
     def _reschedule(self, now: float) -> None:
-        """Re-apportion fair shares and re-emit finish events."""
+        """Re-apportion fair shares and push the earliest finish event."""
         n = len(self._active)
         if n == 0:
             return
         rate = min(self.node_bw, self.link_bw / n)
         for fid in self._active:
+            self._flows[fid].rate = rate
+        self._push_first_finish(now)
+
+    def _push_first_finish(self, now: float) -> None:
+        """Push a finish event for the active flow that ends first (the
+        first in activation order on ties), superseding the pending one.
+
+        Only that event can still be current when it pops: the flow's
+        finish re-apportions the shares, as does any flow start before
+        it, and each re-apportioning pushes a new event.
+        """
+        first, t_first = -1, float("inf")
+        for fid in self._active:
             flow = self._flows[fid]
-            flow.rate = rate
-            flow.version += 1
-            self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
-                       ("fin", fid, flow.version))
+            t = now + flow.remaining / flow.rate
+            if t < t_first:
+                first, t_first = fid, t
+        self._token += 1
+        self._push(t_first, EVENT_NET_INTERNAL, ("fin", first, self._token))
 
     def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
-        kind = payload[0]
-        if kind == "data":
-            fid = payload[1]
-            flow = self._flows[fid]
+        if payload[0] == "data":
             self._advance(now)
-            flow.active = True
-            self._active.append(fid)
+            self._active.append(payload[1])
             self._reschedule(now)
             return []
-        # ("fin", fid, version) — stale versions are lazily discarded
-        fid, version = payload[1], payload[2]
-        flow = self._flows.get(fid)
-        if flow is None or flow.version != version:
+        # ("fin", fid, token): a superseded finish event does nothing
+        if payload[2] != self._token:
             return []
+        fid = payload[1]
+        flow = self._flows[fid]
         self._advance(now)
         self._active.remove(fid)
         del self._flows[fid]
@@ -548,9 +565,7 @@ class HierarchicalModel(ContentionModel):
             else:
                 rate = self.intra_link_bw / per_node[node]
             flow.rate = rate
-            flow.version += 1
-            self._push(now + flow.remaining / rate, EVENT_NET_INTERNAL,
-                       ("fin", fid, flow.version))
+        self._push_first_finish(now)
 
     def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
         out = super().on_internal(payload, now)

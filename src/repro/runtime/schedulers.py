@@ -37,7 +37,9 @@ the owner — dependent wakes and the static message plan are unchanged,
 so message totals are policy-invariant.  The price of the steal is one
 :meth:`~repro.runtime.cluster.ClusterSpec.message_time` added to the
 task's duration (fetch inputs / return the tile), not extra modeled
-messages.  Stealing is a fault-free-loop feature: under a fault plan,
+messages.  A rebalance returns at once when every ready queue is
+empty, the common case between batches, since there is nothing to
+steal.  Stealing is a fault-free-loop feature: under a fault plan,
 re-homing already rebalances work, so the degraded loop uses this
 policy's key order without stealing.
 """

@@ -417,6 +417,10 @@ def simulate(
 
         def rebalance(t: float) -> None:
             nonlocal seq
+            # stealing only pops ready queues: with all of them empty
+            # (the common case) there is nothing to scan
+            if not any(ready):
+                return
             for n in range(Pn):
                 idl = idle[n]
                 if idl <= 0 or ready[n]:

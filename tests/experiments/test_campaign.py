@@ -1,5 +1,9 @@
 """Tests for the parallel campaign runner (experiments/campaign.py)."""
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +15,10 @@ from repro.experiments.campaign import (
     plan_campaign,
     run_campaign,
 )
+from repro.experiments.machine import PAPER_TILE_SIZE
 
 TILE = 8  # small tiles keep the simulated graphs cheap
+GOLDEN_ROWS = Path(__file__).parent / "golden" / "campaign_rows.json"
 
 
 class TestPlanner:
@@ -160,6 +166,13 @@ class TestResizeAxis:
         assert len(cells) == 3
         assert not any(c.faults and c.resize for c in cells)
 
+    def test_cell_rejects_faults_with_resize(self):
+        """A hand-built cell with both specs is refused where it is made;
+        the evaluator would run the fault plan and drop the resize."""
+        with pytest.raises(ValueError, match="'fail:1@0.001'.*'7@0.001'"):
+            CampaignCell("g2dbc", "lu", 5, 8, faults="fail:1@0.001",
+                         resize="7@0.001")
+
     def test_signature_distinguishes_resize(self):
         a = CampaignCell("g2dbc", "lu", 5, 6)
         b = CampaignCell("g2dbc", "lu", 5, 6, resize=self.RESIZE)
@@ -214,6 +227,49 @@ class TestJobsIndependence:
         a = run_campaign(cells, jobs=2, tile_size=TILE, chunk_size=1)
         b = run_campaign(cells, jobs=2, tile_size=TILE, chunk_size=3)
         assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+
+
+class TestRowPin:
+    """Every field of every row of a 48-cell grid, floats as
+    ``float.hex``: both networks, faults, resize and work stealing.
+
+    Regenerate (only after an *intentional* behavior change) with::
+
+        REGEN_GOLDEN=1 python -m pytest tests/experiments/test_campaign.py -k RowPin
+    """
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        cells = plan_campaign(
+            ["g2dbc", "gcrm"], [5, 7], [8], networks=["nic", "contention"],
+            faults=["", "fail:1@0.01,loss:0.02,seed:3"],
+            resizes=["", "9@0.01"], schedulers=["priority", "work_stealing"])
+        return run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
+
+    def test_rows_match_golden(self, rows):
+        actual = [{k: v.hex() if isinstance(v, float) else v
+                   for k, v in r.as_dict().items()} for r in rows]
+        if os.environ.get("REGEN_GOLDEN"):
+            GOLDEN_ROWS.parent.mkdir(exist_ok=True)
+            GOLDEN_ROWS.write_text("[\n" + ",\n".join(
+                json.dumps(r, sort_keys=True) for r in actual) + "\n]\n")
+            pytest.skip(f"regenerated {GOLDEN_ROWS.name}")
+        expected = json.loads(GOLDEN_ROWS.read_text())
+        assert len(actual) == len(expected) == 48
+        for got, want in zip(actual, expected):
+            assert got == want
+
+    def test_faultfree_makespan_is_the_plain_run(self, rows):
+        """A faulted or resized row compares with its plain twin's
+        makespan, however the evaluator obtained it."""
+        plain = {(r.family, r.P, r.network, r.scheduler): r.makespan_s
+                 for r in rows if not r.faults and not r.resize}
+        varied = [r for r in rows if r.faults or r.resize]
+        assert len(plain) == 16 and len(varied) == 32
+        for r in varied:
+            assert r.faultfree_makespan_s == \
+                plain[(r.family, r.P, r.network, r.scheduler)]
+        assert all(r.tiles_moved > 0 for r in varied if r.resize)
 
 
 @pytest.mark.slow

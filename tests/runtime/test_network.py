@@ -116,6 +116,35 @@ class TestContentionModel:
                             1: pytest.approx(shared)}
         assert model.stats().bisection_Bps == cl.bandwidth_Bps
 
+    @pytest.mark.parametrize("name", ["contention", "hierarchical"])
+    def test_one_pending_finish_event(self, name):
+        """Each flow start or finish pushes one finish event, for the
+        flow that ends first: k concurrent flows push at most 2k."""
+        k = 8
+        cl = cluster(P=2 * k)
+        model = NETWORK_MODELS[name]()
+        events, fins = [], []
+        seq = itertools.count()
+
+        def push(t, etype, payload):
+            if payload[0] == "fin":
+                fins.append(t)
+            heapq.heappush(events, (t, next(seq), payload))
+
+        model.bind(cl, push)
+        for i in range(k):
+            model.send((i, 1), i, k + i, 0.0)
+        arrivals = {}
+        while events:
+            t, _, payload = heapq.heappop(events)
+            for _, dst in model.on_internal(payload, t):
+                arrivals[dst] = t
+        assert len(fins) <= 2 * k
+        # latency + tile_bytes / bandwidth: the 8 flows fit the
+        # 8-NIC bisection link, so each runs at full NIC speed
+        t_end = float.fromhex("0x1.95dfd94c958d8p-20")
+        assert arrivals == {k + i: t_end for i in range(k)}
+
     def test_flow_conservation(self):
         """Every byte sent is a byte received, and totals match counts."""
         trace = lu_trace(network="contention")
