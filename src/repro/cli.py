@@ -9,7 +9,7 @@ Usage (after ``pip install -e .``)::
         --networks nic contention --jobs 2
     python -m repro store precompute --dir shards --range 2 200 --kernel lu
     python -m repro store query      --dir shards --nodes 23 57 131 --stats
-    python -m repro db       --max-nodes 44 --kernel cholesky --out db.json
+    python -m repro store stats      --dir shards --nodes 23
     python -m repro validate --tiles 12 --kernel cholesky
 
 Each subcommand is a thin veneer over the library; everything it prints
@@ -27,8 +27,8 @@ from .distribution import TileDistribution
 from .patterns.base import Pattern
 from .patterns.bc2d import bc2d_cost, best_grid
 from .patterns.g2dbc import g2dbc_cost
-from .patterns.io import save_database, save_pattern
-from .patterns.library import PATTERN_FAMILIES, PatternDatabase, best_pattern
+from .patterns.io import save_pattern
+from .patterns.library import BEST_FAMILY, PATTERN_FAMILIES, best_pattern
 from .patterns.sbc import sbc_cost, sbc_feasible
 from .runtime.network import NETWORK_MODELS
 from .runtime.schedulers import registered_schedulers
@@ -168,19 +168,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="also write the rows as CSV")
     p.add_argument("--store", metavar="DIR", default=None,
-                   help="pattern-store directory (read-only in workers): "
-                        "serve each family's patterns from warmed shards")
+                   help="pattern-store directory: serve each family's "
+                        "patterns from it, and file the ones it lacks")
 
     p = sub.add_parser("store",
                        help="disk-backed pattern store (shards + LRU)")
     store_sub = p.add_subparsers(dest="store_command", required=True)
+    store_families = sorted(PATTERN_FAMILIES) + [BEST_FAMILY]
 
     def add_store_flags(sp):
         sp.add_argument("--dir", metavar="DIR", required=True,
                         help="store directory holding the npz shards")
         sp.add_argument("--kernel", choices=("lu", "cholesky"),
                         default="cholesky")
-        sp.add_argument("--family", default="best",
+        sp.add_argument("--family", choices=store_families,
+                        default=BEST_FAMILY,
                         help="pattern family key ('best' = the per-kernel "
                              "recommendation of best_pattern)")
         sp.add_argument("--budget", type=int, default=20,
@@ -216,19 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="store directory holding the npz shards")
     sp.add_argument("--nodes", "-P", nargs="+", type=int, default=None,
                     metavar="P", help="probe these node counts through the "
-                    "tiers first (read-only; absent counts stay misses)")
+                    "tiers first, at every search budget the store holds "
+                    "(read-only; absent counts stay misses)")
     sp.add_argument("--kernel", choices=("lu", "cholesky"),
                     default="cholesky")
-    sp.add_argument("--family", default="best",
+    sp.add_argument("--family", choices=store_families, default=BEST_FAMILY,
                     help="family key for --nodes probes")
     sp.add_argument("--shard-size", type=int, default=32, metavar="N")
-
-    p = sub.add_parser("db", help="precompute a pattern database")
-    p.add_argument("--max-nodes", type=int, required=True)
-    p.add_argument("--kernel", choices=("lu", "cholesky"), default="cholesky")
-    p.add_argument("--out", metavar="FILE", required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    add_search_flags(p)
 
     p = sub.add_parser("report", help="regenerate every paper table/figure")
     p.add_argument("--scale", choices=("smoke", "default", "full"), default="smoke")
@@ -255,17 +251,14 @@ def _search_kwargs(args) -> dict:
 
 
 def _get_pattern(args) -> Pattern:
-    kw = {}
-    if getattr(args, "seeds", None) is not None:
-        kw["seeds"] = range(args.seeds)
-    kernel = getattr(args, "kernel", "lu")
-    if kernel == "cholesky" or args.family == "gcrm":
-        kw.update(_search_kwargs(args))
+    store = None
     if getattr(args, "store", None):
         from .patterns.store import PatternStore
 
-        kw["store"] = PatternStore(args.store)
-    return best_pattern(args.nodes, kernel=kernel, family=args.family, **kw)
+        store = PatternStore(args.store)
+    return best_pattern(args.nodes, kernel=args.kernel, family=args.family,
+                        seeds=range(args.seeds), prune=not args.no_prune,
+                        jobs=args.jobs, store=store)
 
 
 def cmd_pattern(args) -> int:
@@ -491,17 +484,20 @@ def _store_stats(store, args) -> int:
     import numpy as np
 
     from .cost.cache import COST_CACHE
+    from .patterns.store import DEFAULT_BUDGET
 
     if args.nodes:
+        budgets = store.budgets(args.kernel, args.family) or [DEFAULT_BUDGET]
         for P in args.nodes:
-            store.get(P, kernel=args.kernel, family=args.family)
+            for budget in budgets:
+                store.get(P, kernel=args.kernel, family=args.family,
+                          budget=budget)
 
     shards = sorted(store.root.glob("*.npz")) if store.root.is_dir() else []
     groups: dict = {}
     total = 0
     for path in shards:
-        parts = path.stem.split("-", 2)
-        group = "-".join(parts[:2]) if len(parts) >= 3 else path.stem
+        group = path.stem.rsplit("-", 2)[0]  # drop the -p{lo}-{hi} span
         try:
             with np.load(path, allow_pickle=False) as z:
                 Ps = z["Ps"]
@@ -522,7 +518,7 @@ def _store_stats(store, args) -> int:
     for group in sorted(groups):
         g = groups[group]
         span = f"P {g['lo']}-{g['hi']}" if g["lo"] is not None else "empty"
-        print(f"  {group:<22} {g['shards']:>3} shard(s) "
+        print(f"  {group:<32} {g['shards']:>3} shard(s) "
               f"{g['patterns']:>6} pattern(s)  {span}")
 
     s = store.stats()
@@ -538,19 +534,6 @@ def _store_stats(store, args) -> int:
     print(f"  costs  : {ci.currsize}/{ci.maxsize} entries, "
           f"hits {ci.hits}, misses {ci.misses}, "
           f"evictions {ci.evictions}, hit rate {ci.hit_rate:.1%}")
-    return 0
-
-
-def cmd_db(args) -> int:
-    db = PatternDatabase(kernel=args.kernel, seeds=args.seeds,
-                         jobs=args.jobs, prune=not args.no_prune)
-    db.build(range(2, args.max_nodes + 1))
-    patterns = {P: db.get(P) for P in range(2, args.max_nodes + 1)}
-    save_database(patterns, args.out)
-    costs = db.costs()
-    print(f"wrote {len(patterns)} patterns to {args.out}")
-    print(f"cost range: {min(costs.values()):.3f} (P={min(costs)}) "
-          f"to {max(costs.values()):.3f} (P={max(costs)})")
     return 0
 
 
@@ -602,7 +585,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "campaign": cmd_campaign,
     "store": cmd_store,
-    "db": cmd_db,
     "validate": cmd_validate,
 }
 

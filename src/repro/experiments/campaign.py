@@ -19,9 +19,11 @@ Design notes
   so ``jobs=1`` and ``jobs=8`` produce identical rows (the same
   index-ordered reduction contract as ``run_search``).
 * **Memoization** — a campaign memo maps cell signatures to finished
-  rows.  Re-running an enlarged grid only simulates the new cells;
-  workers additionally cache built patterns per process so a family's
-  (possibly randomized) construction runs once per (family, P, kernel).
+  rows, so re-running an enlarged grid only simulates the new cells.
+  Patterns are not cached here: the calling process resolves each
+  distinct (family, P, kernel) of a run once, through
+  :func:`~repro.patterns.library.best_pattern` (read-through when a
+  store is given), and ships it to the workers with its cells.
 * **Feasibility filtering** — not every family exists at every P
   (SBC needs ``P = a(a+1)/2`` or ``a²+something``; STS needs
   ``P = r(r-1)/6``) and the baseline families are kernel-specific
@@ -40,9 +42,10 @@ from ..cost.schedbounds import schedule_lower_bounds
 from ..distribution import TileDistribution
 from ..dla.cholesky import build_cholesky_graph
 from ..dla.lu import build_lu_graph
-from ..patterns.library import PATTERN_FAMILIES
+from ..patterns.library import PATTERN_FAMILIES, best_pattern
 from ..patterns.sbc import sbc_feasible
 from ..patterns.search import auto_executor, chunk_tasks
+from ..patterns.store import PatternStore
 from ..patterns.sts import sts_node_counts
 from ..runtime.analysis import makespan_bounds
 from ..runtime.faults import colrow_recovery, parse_faults
@@ -243,40 +246,6 @@ def plan_campaign(
 # ---------------------------------------------------------------------------
 # worker (module-level: must be picklable for the process pool)
 # ---------------------------------------------------------------------------
-#: per-process cache of built patterns, keyed (family, P, kernel)
-_PATTERN_CACHE: dict = {}
-
-#: per-process cache of opened pattern stores, keyed by directory
-_STORE_CACHE: dict = {}
-
-
-def _open_store(store_dir: Optional[str]):
-    if store_dir is None:
-        return None
-    store = _STORE_CACHE.get(store_dir)
-    if store is None:
-        from ..patterns.store import PatternStore
-
-        store = PatternStore(store_dir)
-        _STORE_CACHE[store_dir] = store
-    return store
-
-
-def _build_pattern(family: str, P: int, kernel: str, store=None):
-    key = (family, P, kernel)
-    pat = _PATTERN_CACHE.get(key)
-    if pat is None:
-        # workers read the store but never write it: shard writes from a
-        # pool would race, and read-only lookups keep rows identical for
-        # every jobs value (a cold store just falls back to live builds)
-        if store is not None:
-            pat = store.get(P, kernel=kernel, family=family)
-        if pat is None:
-            pat = PATTERN_FAMILIES[family](P, kernel=kernel, jobs=1)
-        _PATTERN_CACHE[key] = pat
-    return pat
-
-
 def _build_graph(cell: CampaignCell, pattern, tile_size: int):
     """Build ``(graph, data_home)`` for a cell's kernel and size."""
     if cell.kernel == "lu":
@@ -288,10 +257,9 @@ def _build_graph(cell: CampaignCell, pattern, tile_size: int):
     raise ValueError(f"unknown kernel {cell.kernel!r}")
 
 
-def _eval_cell(cell: CampaignCell, tile_size: int,
-               store=None) -> CampaignRow:
-    """Evaluate one cell: build, count, bound, simulate."""
-    pattern = _build_pattern(cell.family, cell.P, cell.kernel, store=store)
+def _eval_cell(cell: CampaignCell, pattern, tile_size: int) -> CampaignRow:
+    """Evaluate one cell on its resolved pattern: build, count, bound,
+    simulate."""
     cluster = sim_cluster(cell.P, tile_size=tile_size)
     if cluster.nnodes < pattern.nnodes:
         cluster = cluster.with_nodes(pattern.nnodes)
@@ -378,12 +346,9 @@ def _eval_cell(cell: CampaignCell, tile_size: int,
     )
 
 
-def _eval_campaign_chunk(
-    args: Tuple[int, Optional[str], List[CampaignCell]],
-) -> List[CampaignRow]:
-    tile_size, store_dir, chunk = args
-    store = _open_store(store_dir)
-    return [_eval_cell(cell, tile_size, store=store) for cell in chunk]
+def _eval_campaign_chunk(args: Tuple[int, list]) -> List[CampaignRow]:
+    tile_size, chunk = args
+    return [_eval_cell(cell, pattern, tile_size) for cell, pattern in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +370,15 @@ def run_campaign(
     grow a grid incrementally.  Rows are merged in planning order, so
     the output is independent of ``jobs`` and ``chunk_size``.
 
-    ``store_dir`` points workers at a warmed
-    :class:`~repro.patterns.store.PatternStore`: pattern construction
-    becomes a shard read instead of a per-process search.  Workers use
-    the store read-only, so a cold store changes nothing but speed.
+    Before the fan-out, the calling process resolves each distinct
+    (family, P, kernel) of the cells to run once, with
+    ``best_pattern(P, kernel, family=family, store=...)``.  The searches
+    run serially: a pool per search costs more than the small searches
+    of a campaign grid.  ``store_dir`` makes the resolution
+    read-through on a :class:`~repro.patterns.store.PatternStore`:
+    stored patterns are served, and a cold store is warmed by the run.
+    Workers never open the store, so no two processes write one shard,
+    and the store changes nothing but speed.
 
     Every cell builds its own graph, in the worker that evaluates it,
     exactly as with ``jobs=1``: rows are a pure function of each cell's
@@ -426,13 +396,22 @@ def run_campaign(
             seen.add(k)
             misses.append(cell)
     if misses:
-        executor = auto_executor(len(misses), jobs)
+        store = PatternStore(store_dir) if store_dir is not None else None
+        patterns: dict = {}
+        for cell in misses:
+            pkey = (cell.family, cell.P, cell.kernel)
+            if pkey not in patterns:
+                patterns[pkey] = best_pattern(cell.P, cell.kernel,
+                                              family=cell.family, store=store)
+        work = [(cell, patterns[(cell.family, cell.P, cell.kernel)])
+                for cell in misses]
+        executor = auto_executor(len(work), jobs)
         try:
-            chunks = chunk_tasks(misses, executor.jobs, chunk_size)
+            chunks = chunk_tasks(work, executor.jobs, chunk_size)
             results = executor.map(_eval_campaign_chunk,
-                                   [(tile_size, store_dir, c) for c in chunks])
+                                   [(tile_size, c) for c in chunks])
             for chunk, rows in zip(chunks, results):
-                for cell, row in zip(chunk, rows):
+                for (cell, _), row in zip(chunk, rows):
                     memo[key(cell)] = row
         finally:
             executor.close()

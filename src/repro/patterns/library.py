@@ -1,18 +1,26 @@
-"""Pattern façade and pattern database.
+"""Pattern resolution: one function turns a request into a pattern.
 
 The paper's conclusion suggests shipping "a database containing, for
-each possible value of P, a very efficient pattern for the symmetric
-case".  :class:`PatternDatabase` implements that idea for both kernels;
-:func:`best_pattern` is the one-call entry point used by the examples
-and the experiment harness.
+each possible value of P, a very efficient pattern".  Two products
+implement it:
+
+* :func:`load_shipped_database` / :func:`shipped_pattern` — the
+  precomputed P = 2..44 databases shipped with the package;
+* :func:`best_pattern` — resolves any request.  Its key holds every
+  argument that changes the grid: kernel, family, ``P`` and the search
+  budget (:func:`search_budget`).  With a
+  :class:`~repro.patterns.store.PatternStore` it serves that key from
+  the store and files live builds under it.
+
+:data:`PATTERN_FAMILIES` is the one builder registry; inside the
+package only :func:`best_pattern` calls its builders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .base import Pattern
 from .bc2d import best_2dbc, best_2dbc_within
@@ -21,8 +29,15 @@ from .gcrm import gcrm_search
 from .sbc import best_sbc_within, sbc, sbc_feasible
 from .sts import sts_node_counts, sts_pattern
 
-__all__ = ["best_pattern", "PatternDatabase", "PATTERN_FAMILIES",
-           "load_shipped_database", "shipped_pattern"]
+__all__ = ["best_pattern", "search_budget", "KERNELS", "BEST_FAMILY",
+           "PATTERN_FAMILIES", "load_shipped_database", "shipped_pattern"]
+
+KERNELS = ("lu", "cholesky")
+
+#: Key family of :func:`best_pattern`'s default recommendation (G-2DBC
+#: for LU, best of SBC/GCR&M for Cholesky) — distinct from any
+#: registered explicit family.
+BEST_FAMILY = "best"
 
 
 def _family_2dbc(P: int, **kw) -> Pattern:
@@ -74,97 +89,68 @@ PATTERN_FAMILIES: Dict[str, Callable[..., Pattern]] = {
 }
 
 
+def search_budget(seeds: Iterable[int] = range(20), max_factor: float = 6.0,
+                  prune: bool = True) -> Tuple[int, float, bool]:
+    """The search-budget part of a resolver key:
+    ``(seed count, max_factor, prune)``.
+
+    Only ``seeds=range(n)`` has a key; any other seed set would be
+    filed under the key of the ``range`` of the same length.
+    """
+    if not (isinstance(seeds, range) and seeds == range(len(seeds))):
+        raise ValueError(
+            f"seeds must be range(n) to have a store key, got {seeds!r}")
+    return len(seeds), float(max_factor), bool(prune)
+
+
 def best_pattern(P: int, kernel: str = "lu", family: Optional[str] = None,
-                 store=None, **kw) -> Pattern:
+                 *, seeds: Iterable[int] = range(20), max_factor: float = 6.0,
+                 prune: bool = True, jobs: Optional[int] = 1,
+                 store=None) -> Pattern:
     """Best known pattern for ``P`` nodes and the given kernel.
 
-    Without an explicit ``family``, returns G-2DBC for LU and the
-    GCR&M search result for Cholesky — the paper's recommendations for
-    arbitrary ``P``.
+    Without an explicit ``family``, returns G-2DBC for LU and the better
+    of SBC and the GCR&M search for Cholesky — the paper's
+    recommendations for arbitrary ``P``.  ``seeds``, ``max_factor`` and
+    ``prune`` are the GCR&M search budget; ``jobs`` only spreads the
+    search over worker processes and never changes the result.
 
-    ``store`` (a :class:`~repro.patterns.store.PatternStore`, duck-typed
-    to avoid an import cycle) makes the call read-through: a stored
-    pattern is returned without any search, and a live result is
-    persisted for the next caller.
+    ``store`` (a :class:`~repro.patterns.store.PatternStore`, duck-typed:
+    only its ``get`` and ``put`` are called) makes the call
+    read-through under the key ``(kernel, family or "best", P,
+    search_budget(seeds, max_factor, prune))``: a stored pattern is
+    returned without any search, and a live one is filed for the next
+    caller.
     """
-    if store is not None:
-        fam = family if family is not None else "best"
-        cached = store.get(P, kernel=kernel, family=fam)
-        if cached is not None:
-            return cached
-        pattern = best_pattern(P, kernel=kernel, family=family, **kw)
-        store.put(pattern, P, kernel=kernel, family=fam)
-        return pattern
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+    if family is not None and family not in PATTERN_FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; choose from {sorted(PATTERN_FAMILIES)}")
+    search = dict(seeds=seeds, max_factor=max_factor, prune=prune, jobs=jobs)
+    if store is None:
+        return _build(P, kernel, family, **search)
+    key = dict(kernel=kernel, family=family or BEST_FAMILY,
+               budget=search_budget(seeds, max_factor, prune))
+    pattern = store.get(P, **key)
+    if pattern is None:
+        pattern = _build(P, kernel, family, **search)
+        store.put(pattern, P, **key)
+    return pattern
+
+
+def _build(P: int, kernel: str, family: Optional[str], **search) -> Pattern:
+    """Live construction of a checked request (no store)."""
     if family is not None:
-        try:
-            builder = PATTERN_FAMILIES[family]
-        except KeyError:
-            raise ValueError(
-                f"unknown family {family!r}; choose from {sorted(PATTERN_FAMILIES)}"
-            ) from None
-        return builder(P, kernel=kernel, **kw)
+        return PATTERN_FAMILIES[family](P, kernel=kernel, **search)
     if kernel == "lu":
         return g2dbc(P)
-    if kernel == "cholesky":
-        if sbc_feasible(P) is not None:
-            candidate = sbc(P)
-            searched = gcrm_search(P, seeds=kw.pop("seeds", range(20)), **kw).pattern
-            return searched if searched.cost_cholesky < candidate.cost_cholesky else candidate
-        return gcrm_search(P, seeds=kw.pop("seeds", range(20)), **kw).pattern
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-# (gcrm_search accepts jobs=/prune= keywords; best_pattern forwards any
-# extra keyword arguments unchanged, so callers can parallelize the
-# Cholesky search with best_pattern(P, "cholesky", jobs=4).)
-
-
-@dataclass
-class PatternDatabase:
-    """In-memory best-pattern-per-P database with lazy construction."""
-
-    kernel: str = "cholesky"
-    seeds: int = 20
-    max_factor: float = 6.0
-    jobs: Optional[int] = 1  #: GCR&M search parallelism (0/None = auto)
-    prune: bool = True  #: stop the search near the sqrt(3P/2) floor
-
-    def __post_init__(self):
-        self._store: Dict[int, Pattern] = {}
-
-    def get(self, P: int) -> Pattern:
-        if P not in self._store:
-            kw = {}
-            if self.kernel == "cholesky":
-                kw = {"jobs": self.jobs, "prune": self.prune}
-            self._store[P] = best_pattern(
-                P,
-                kernel=self.kernel,
-                seeds=range(self.seeds),
-                max_factor=self.max_factor,
-                **kw,
-            )
-        return self._store[P]
-
-    def build(self, node_counts: Iterable[int]) -> "PatternDatabase":
-        for P in node_counts:
-            self.get(P)
-        return self
-
-    def costs(self) -> Dict[int, float]:
-        return {P: pat.cost(self.kernel) for P, pat in sorted(self._store.items())}
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, P: int) -> bool:
-        return P in self._store
-
-    def efficiency(self, P: int) -> float:
-        """Pattern cost relative to its asymptotic optimum
-        (``2√P`` for LU, ``√(3P/2)`` for Cholesky)."""
-        ref = 2 * math.sqrt(P) if self.kernel == "lu" else math.sqrt(1.5 * P)
-        return ref / self.get(P).cost(self.kernel)
+    searched = gcrm_search(P, **search).pattern
+    if sbc_feasible(P) is None:
+        return searched
+    candidate = sbc(P)
+    return searched if searched.cost_cholesky < candidate.cost_cholesky \
+        else candidate
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +164,14 @@ def load_shipped_database(kernel: str = "cholesky") -> Dict[int, Pattern]:
     """Load the precomputed best-pattern database shipped with repro.
 
     Covers P = 2..44 (the paper's PlaFRIM cluster size): G-2DBC for LU,
-    best of SBC/GCR&M (25 seeds, factor 4 search) for Cholesky.  This is
-    exactly the "database containing, for each possible value of P, a
-    very efficient pattern" the paper's conclusion proposes.
+    and for Cholesky the best of SBC and a GCR&M search with 25 seeds,
+    factor 4, exhaustive (``prune=False``) — every entry equals
+    ``best_pattern(P, kernel, seeds=range(25), max_factor=4.0,
+    prune=False)``.  This is exactly the "database containing, for each
+    possible value of P, a very efficient pattern" the paper's
+    conclusion proposes.
     """
-    if kernel not in ("lu", "cholesky"):
+    if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel not in _SHIPPED_CACHE:
         from .io import load_database
@@ -191,26 +180,21 @@ def load_shipped_database(kernel: str = "cholesky") -> Dict[int, Pattern]:
         if not path.exists():
             raise FileNotFoundError(
                 f"shipped database missing: {path}; regenerate with "
-                f"'python -m repro db --max-nodes 44 --kernel {kernel} "
-                f"--out {path}'"
+                f"save_database({{P: best_pattern(P, {kernel!r}, "
+                f"seeds=range(25), max_factor=4.0, prune=False) "
+                f"for P in range(2, 45)}}, {str(path)!r})"
             )
         _SHIPPED_CACHE[kernel] = load_database(path)
     return _SHIPPED_CACHE[kernel]
 
 
-def shipped_pattern(P: int, kernel: str = "cholesky", store=None,
-                    **kw) -> Pattern:
+def shipped_pattern(P: int, kernel: str = "cholesky") -> Pattern:
     """One very efficient pattern for ``P`` nodes.
 
-    Served from the shipped database when ``P`` is in its 2..44 range.
-    Outside that range the call falls through to the pattern-service
-    read-through path — the sharded :class:`~repro.patterns.store
-    .PatternStore` (when ``store`` is given) or a live
-    :func:`best_pattern` search — so callers that only know a node
-    count (e.g. elastic-resize targets with P′ > 44) always resolve.
-    Extra keywords go to :func:`best_pattern`.
+    The shipped database's entry when ``P`` is in its 2..44 range, else
+    :func:`best_pattern` ``(P, kernel)`` — so callers that only know a
+    node count (e.g. elastic-resize targets with P′ > 44) always
+    resolve.
     """
     db = load_shipped_database(kernel)
-    if P in db:
-        return db[P]
-    return best_pattern(P, kernel=kernel, store=store, **kw)
+    return db[P] if P in db else best_pattern(P, kernel)

@@ -7,38 +7,53 @@ do exactly that for P ≤ 44.  A scheduler service, however, wants the
 same product for *any* P, warmed offline and served in microseconds.
 This module is that service's storage engine:
 
+**The key.**  A pattern is filed under the key of
+:func:`~repro.patterns.library.best_pattern`: ``(kernel, family, P,
+budget)``, where ``family`` is a registered family or ``"best"`` (the
+per-kernel default) and ``budget`` is the search budget ``(seed count,
+max_factor, prune)`` of :func:`~repro.patterns.library.search_budget`.
+Two budgets never share a shard file or a hot-tier slot, so a store
+warmed at one budget never serves another.
+
 **Cold tier — columnar npz shards.**  Patterns are grouped by P-range
-into compressed ``.npz`` files (``{kernel}-{family}-p{lo}-{hi}.npz``),
-one shard per ``shard_size`` consecutive node counts.  A shard stores
-every grid flattened into one ``cells`` array plus ``offsets`` /
-``nrows`` / ``ncols`` / ``nnodes`` / ``names`` columns — the same
-structure-of-arrays layout as the columnar task graphs.  Writes are
-atomic (temp file + ``os.replace``), and every load failure — missing
-arrays, inconsistent offsets, truncated or corrupt zip data — raises
-:class:`~repro.patterns.base.PatternError` naming the shard path,
-mirroring the hardened JSON loader in :mod:`repro.patterns.io`.
+into compressed ``.npz`` files, one shard per ``shard_size``
+consecutive node counts, named after the rest of the key:
+``{kernel}-{family}-s{seeds}-f{max_factor}-{prune|noprune}-p{lo}-{hi}.npz``,
+e.g. ``cholesky-best-s20-f6.0-prune-p000033-000064.npz``.  Shards
+written before the budget joined the key match no key and are ignored.
+A shard stores every grid flattened into one ``cells`` array plus
+``offsets`` / ``nrows`` / ``ncols`` / ``nnodes`` / ``names`` columns —
+the same structure-of-arrays layout as the columnar task graphs.
+Writes are atomic (temp file + ``os.replace``), and every load failure
+— missing arrays, inconsistent offsets, truncated or corrupt zip data
+— raises :class:`~repro.patterns.base.PatternError` naming the shard
+path, mirroring the hardened JSON loader in :mod:`repro.patterns.io`.
 
 **Hot tier — in-process LRU.**  Lookups go through a
-:class:`~repro.cost.cache.CostCache` keyed ``(kernel, family, P)``, so
-a service hitting the same P repeatedly never touches disk.  Hit /
-miss / eviction counters are exact (:meth:`PatternStore.stats`).
+:class:`~repro.cost.cache.CostCache` keyed ``(kernel, family, P,
+budget)``, so a service hitting the same P repeatedly never touches
+disk.  Hit / miss / eviction counters are exact
+(:meth:`PatternStore.stats`).
 
 **Batched lookup + pool fallback.**  :meth:`PatternStore.patterns_for`
-serves a whole ``P_array`` in one call: hot tier, then shards, then —
-for store misses — live construction fanned out on the same
-process-pool machinery as the GCR&M search.  Each fallback task is a
-pure function of ``(P, kernel, family, budget)``, and results are
-merged back in input order, so the output is independent of ``jobs``
-and ``chunk_size`` (the ``run_search`` determinism contract).
+serves a whole ``P_array`` at one seed count (factor 6, pruned): hot
+tier, then shards, then — for store misses — live
+:func:`~repro.patterns.library.best_pattern` calls fanned out on the
+same process-pool machinery as the GCR&M search.  Each fallback task
+is a pure function of its key, and results are merged back in input
+order, so the output is independent of ``jobs`` and ``chunk_size``
+(the ``run_search`` determinism contract).
 
 :func:`repro.patterns.library.best_pattern` accepts ``store=`` to make
 any call site read-through, and ``python -m repro store
-precompute|query`` exposes warming and lookup on the command line.
+precompute|query|stats`` exposes warming and lookup on the command
+line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 import zipfile
 from collections import Counter
@@ -51,6 +66,7 @@ import numpy as np
 from ..cost.cache import CacheInfo, CostCache
 from .base import Pattern, PatternError
 from .io import pattern_from_arrays, pattern_from_dict, pattern_to_dict
+from .library import BEST_FAMILY, KERNELS, best_pattern, search_budget
 from .search import auto_executor, chunk_tasks
 
 __all__ = ["PatternStore", "StoreStats", "SHARD_VERSION", "DEFAULT_SHARD_SIZE"]
@@ -61,12 +77,10 @@ SHARD_VERSION = 1
 #: Node counts per shard file.
 DEFAULT_SHARD_SIZE = 32
 
-_KERNELS = ("lu", "cholesky")
+#: Budget of a default search: 20 seeds, factor 6, pruned.
+DEFAULT_BUDGET = search_budget()
 
-#: Pseudo-family for :func:`~repro.patterns.library.best_pattern`'s
-#: default recommendation (G-2DBC for LU, best of SBC/GCR&M for
-#: Cholesky) — distinct from any registered explicit family.
-BEST_FAMILY = "best"
+Budget = Tuple[int, float, bool]
 
 
 @dataclass(frozen=True)
@@ -97,22 +111,6 @@ class StoreStats:
 # ---------------------------------------------------------------------------
 # live fallback (module-level: must be picklable for the process pool)
 # ---------------------------------------------------------------------------
-def _live_pattern(P: int, kernel: str, family: str, budget: int) -> Pattern:
-    """Construct one pattern the way a cold cache would."""
-    from .library import PATTERN_FAMILIES, best_pattern
-
-    kw = dict(seeds=range(budget), jobs=1)
-    if family == BEST_FAMILY:
-        return best_pattern(P, kernel=kernel, **kw)
-    try:
-        builder = PATTERN_FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; choose from "
-            f"{sorted(PATTERN_FAMILIES) + [BEST_FAMILY]}") from None
-    return builder(P, kernel=kernel, **kw)
-
-
 def _compute_pattern_chunk(
     args: Tuple[str, str, int, List[int]],
 ) -> List[Tuple[int, dict]]:
@@ -123,7 +121,9 @@ def _compute_pattern_chunk(
     :func:`~repro.patterns.io.pattern_from_dict`.
     """
     kernel, family, budget, Ps = args
-    return [(P, pattern_to_dict(_live_pattern(P, kernel, family, budget)))
+    fam = None if family == BEST_FAMILY else family
+    return [(P, pattern_to_dict(best_pattern(P, kernel, fam,
+                                             seeds=range(budget), jobs=1)))
             for P in Ps]
 
 
@@ -182,16 +182,30 @@ class PatternStore:
         lo = ((P - 1) // self.shard_size) * self.shard_size + 1
         return lo, lo + self.shard_size - 1
 
-    def shard_path(self, P: int, kernel: str, family: str = BEST_FAMILY) -> Path:
+    def shard_path(self, P: int, kernel: str, family: str = BEST_FAMILY,
+                   budget: Budget = DEFAULT_BUDGET) -> Path:
         _check_kernel(kernel)
         lo, hi = self.shard_span(P)
-        return self.root / f"{kernel}-{family}-p{lo:06d}-{hi:06d}.npz"
+        seeds, max_factor, prune = budget
+        tag = (f"s{int(seeds)}-f{float(max_factor)!r}-"
+               f"{'prune' if prune else 'noprune'}")
+        return self.root / f"{kernel}-{family}-{tag}-p{lo:06d}-{hi:06d}.npz"
+
+    def budgets(self, kernel: str, family: str = BEST_FAMILY) -> List[Budget]:
+        """Every search budget with a shard on disk for ``kernel`` and
+        ``family`` (the inverse of :meth:`shard_path`'s naming)."""
+        name = re.compile(rf"{re.escape(f'{kernel}-{family}')}-s(\d+)"
+                          r"-f(\d+\.\d+)-(prune|noprune)-p\d+-\d+")
+        matches = (name.fullmatch(p.stem) for p in self.root.glob("*.npz"))
+        return sorted({(int(m[1]), float(m[2]), m[3] == "prune")
+                       for m in matches if m})
 
     # ------------------------------------------------------------------
     # single-pattern interface
     # ------------------------------------------------------------------
     def get(self, P: int, kernel: str = "cholesky",
-            family: str = BEST_FAMILY) -> Optional[Pattern]:
+            family: str = BEST_FAMILY,
+            budget: Budget = DEFAULT_BUDGET) -> Optional[Pattern]:
         """Look up one pattern: hot tier, then shard; ``None`` on miss.
 
         A shard hit promotes the pattern into the hot tier.
@@ -199,12 +213,12 @@ class PatternStore:
         if P < 1:
             raise ValueError(f"node count must be >= 1, got P={P}")
         _check_kernel(kernel)
-        key = (kernel, family, int(P))
+        key = (kernel, family, int(P), tuple(budget))
         pat = self.hot.get(key)
         if pat is not None:
             self._hot_hits += 1
             return pat
-        path = self.shard_path(P, kernel, family)
+        path = self.shard_path(P, kernel, family, budget)
         if not path.exists():
             self._misses += 1
             return None
@@ -217,12 +231,14 @@ class PatternStore:
         return pat
 
     def put(self, pattern: Pattern, P: int, kernel: str = "cholesky",
-            family: str = BEST_FAMILY) -> None:
+            family: str = BEST_FAMILY, budget: Budget = DEFAULT_BUDGET) -> None:
         """Insert/overwrite one pattern (rewrites its shard atomically)."""
-        self.put_many({int(P): pattern}, kernel=kernel, family=family)
+        self.put_many({int(P): pattern}, kernel=kernel, family=family,
+                      budget=budget)
 
     def put_many(self, patterns: Dict[int, Pattern], kernel: str = "cholesky",
-                 family: str = BEST_FAMILY) -> List[Path]:
+                 family: str = BEST_FAMILY,
+                 budget: Budget = DEFAULT_BUDGET) -> List[Path]:
         """Merge a ``{P: pattern}`` batch into the store, shard by shard.
 
         Each affected shard is read (if present), merged, and rewritten
@@ -235,7 +251,8 @@ class PatternStore:
             P = int(P)
             if P < 1:
                 raise ValueError(f"node count must be >= 1, got P={P}")
-            by_shard.setdefault(self.shard_path(P, kernel, family), {})[P] = pat
+            by_shard.setdefault(self.shard_path(P, kernel, family, budget),
+                                {})[P] = pat
         written: List[Path] = []
         for path, batch in sorted(by_shard.items()):
             entries = self._read_shard(path) if path.exists() else {}
@@ -243,7 +260,7 @@ class PatternStore:
             self._write_shard(path, entries)
             written.append(path)
         for P, pat in patterns.items():
-            self.hot.put((kernel, family, int(P)), pat)
+            self.hot.put((kernel, family, int(P), tuple(budget)), pat)
         return written
 
     # ------------------------------------------------------------------
@@ -262,10 +279,11 @@ class PatternStore:
     ) -> List[Pattern]:
         """Serve a batch of node counts; results align with ``P_array``.
 
-        Hot tier first, then shards; remaining misses are constructed
-        live with ``budget`` search seeds, fanned out over ``jobs``
-        worker processes.  Each fallback task is deterministic in
-        ``(P, kernel, family, budget)``, misses are dispatched in
+        Hot tier first, then shards, under the key of
+        ``best_pattern(P, kernel, family, seeds=range(budget))``;
+        remaining misses are built live by that call, fanned out over
+        ``jobs`` worker processes.  Each fallback task is deterministic
+        in its key, misses are dispatched in
         sorted-P order, and results are merged by P — so the returned
         patterns are independent of ``jobs`` and ``chunk_size``.
         ``write_back=False`` skips persisting the fallbacks.
@@ -274,10 +292,12 @@ class PatternStore:
         _check_kernel(kernel)
         if budget < 1:
             raise ValueError(f"search budget must be >= 1, got {budget}")
+        key = dict(kernel=kernel, family=family,
+                   budget=search_budget(range(budget)))
         found: Dict[int, Pattern] = {}
         missing: List[int] = []
         for P in Ps:
-            pat = self.get(P, kernel=kernel, family=family)
+            pat = self.get(P, **key)
             if pat is None:
                 missing.append(P)
             else:
@@ -287,7 +307,7 @@ class PatternStore:
             computed = self._compute_live(sorted(missing), kernel, family,
                                           budget, jobs, chunk_size)
             if write_back:
-                self.put_many(computed, kernel=kernel, family=family)
+                self.put_many(computed, **key)
             found.update(computed)
         return [found[P] for P in Ps]
 
@@ -312,13 +332,14 @@ class PatternStore:
         _check_kernel(kernel)
         if budget < 1:
             raise ValueError(f"search budget must be >= 1, got {budget}")
-        todo = Ps if force else [P for P in Ps
-                                 if self.get(P, kernel=kernel, family=family) is None]
+        key = dict(kernel=kernel, family=family,
+                   budget=search_budget(range(budget)))
+        todo = Ps if force else [P for P in Ps if self.get(P, **key) is None]
         written: List[Path] = []
         if todo:
             computed = self._compute_live(sorted(todo), kernel, family,
                                           budget, jobs, chunk_size)
-            written = self.put_many(computed, kernel=kernel, family=family)
+            written = self.put_many(computed, **key)
         return {
             "requested": len(Ps),
             "computed": len(todo),
@@ -330,9 +351,6 @@ class PatternStore:
         return StoreStats(self._hot_hits, self._cold_hits, self._misses,
                           self._fallbacks, self._shards_read,
                           self._shards_written, self.hot.cache_info())
-
-    def __contains__(self, P: int) -> bool:
-        return self.get(int(P)) is not None
 
     # ------------------------------------------------------------------
     # internals
@@ -434,5 +452,5 @@ class PatternStore:
 
 
 def _check_kernel(kernel: str) -> None:
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")

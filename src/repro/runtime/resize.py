@@ -60,9 +60,11 @@ __all__ = ["ResizeEvent", "MigrationStats", "parse_resize",
 class ResizeEvent:
     """Planned resize to ``nnodes`` at simulated time ``time``.
 
-    ``target`` optionally pins the target pattern; otherwise the
-    shipped database / pattern store / live search resolves one for
-    ``nnodes`` (:func:`repro.patterns.library.shipped_pattern`).
+    ``target`` optionally pins the target pattern; otherwise
+    :func:`repro.patterns.library.shipped_pattern` resolves one for
+    ``nnodes``: the shipped database's entry, or a live
+    :func:`~repro.patterns.library.best_pattern` outside its 2..44
+    range.
     """
 
     time: float
@@ -147,13 +149,6 @@ class MigrationStats:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _resolve_target(P: int, kernel: str, store=None):
-    """Target pattern for ``P`` nodes: shipped DB → store → live search."""
-    from ..patterns.library import shipped_pattern
-
-    return shipped_pattern(P, kernel=kernel, store=store)
-
-
 def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       version: np.ndarray, cluster: ClusterSpec,
                       model: NetworkModel):
@@ -305,7 +300,9 @@ def simulate_with_resize(
     P_src = cluster.nnodes
     target = resize.target
     if target is None:
-        target = _resolve_target(resize.nnodes, kernel)
+        from ..patterns.library import shipped_pattern
+
+        target = shipped_pattern(resize.nnodes, kernel)
     if target.nnodes != resize.nnodes:
         raise SimulationError(
             f"target pattern has {target.nnodes} nodes, resize asked for "

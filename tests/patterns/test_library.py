@@ -1,8 +1,10 @@
-"""Tests for the pattern façade and database."""
+"""Tests for the pattern resolver and the shipped databases."""
 
 import pytest
 
-from repro.patterns.library import PATTERN_FAMILIES, PatternDatabase, best_pattern
+from repro.patterns import library
+from repro.patterns.g2dbc import g2dbc
+from repro.patterns.library import PATTERN_FAMILIES, best_pattern
 
 
 class TestBestPattern:
@@ -36,36 +38,19 @@ class TestBestPattern:
         with pytest.raises(ValueError, match="unknown kernel"):
             best_pattern(10, kernel="qr")
 
+    def test_unknown_kernel_with_explicit_family(self):
+        # the kernel is checked before the family's builder runs
+        with pytest.raises(ValueError, match="unknown kernel"):
+            best_pattern(10, "qr", family="g2dbc")
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            best_pattern(10, "cholesky", seed=3)
+
     def test_all_families_registered(self):
         assert set(PATTERN_FAMILIES) == {
             "2dbc", "2dbc_within", "g2dbc", "sbc", "sbc_within", "gcrm", "sts",
         }
-
-
-class TestPatternDatabase:
-    def test_lazy_build_and_cache(self):
-        db = PatternDatabase(kernel="lu")
-        p1 = db.get(23)
-        p2 = db.get(23)
-        assert p1 is p2
-        assert 23 in db
-        assert len(db) == 1
-
-    def test_build_range(self):
-        db = PatternDatabase(kernel="lu").build(range(4, 8))
-        assert len(db) == 4
-        costs = db.costs()
-        assert sorted(costs) == [4, 5, 6, 7]
-
-    def test_efficiency_close_to_optimal_for_lu(self):
-        db = PatternDatabase(kernel="lu")
-        for P in (16, 23, 36):
-            assert 0.8 <= db.efficiency(P) <= 1.01
-
-    def test_cholesky_database(self):
-        db = PatternDatabase(kernel="cholesky", seeds=5, max_factor=3.0)
-        p = db.get(21)
-        assert p.cost_cholesky <= 6.0
 
 
 class TestShippedDatabase:
@@ -113,6 +98,28 @@ class TestShippedDatabase:
         pat = shipped_pattern(45, "lu")
         assert pat.nnodes == 45
         assert pat.cost_lu == best_pattern(45, "lu").cost_lu
+
+    def test_entries_are_best_pattern_at_the_shipped_budget(self):
+        """Where the shipped databases come from: G-2DBC for LU, and for
+        Cholesky ``best_pattern`` with 25 seeds, factor 4, exhaustive
+        (checked for P = 2..9; the rest take seconds)."""
+        for P, pat in library.load_shipped_database("lu").items():
+            ref = g2dbc(P)
+            assert pat.name == ref.name and (pat.grid == ref.grid).all(), P
+        shipped = library.load_shipped_database("cholesky")
+        for P in range(2, 10):
+            ref = best_pattern(P, "cholesky", seeds=range(25),
+                               max_factor=4.0, prune=False)
+            assert shipped[P].name == ref.name, P
+            assert (shipped[P].grid == ref.grid).all(), P
+
+    def test_missing_file_names_the_recipe(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(library, "_DATA_DIR", tmp_path)
+        monkeypatch.setattr(library, "_SHIPPED_CACHE", {})
+        with pytest.raises(FileNotFoundError,
+                           match=r"save_database\(.*seeds=range\(25\), "
+                                 r"max_factor=4\.0, prune=False"):
+            library.load_shipped_database("cholesky")
 
     def test_cache_returns_same_objects(self):
         from repro.patterns.library import load_shipped_database

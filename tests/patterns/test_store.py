@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.experiments.campaign import plan_campaign, run_campaign
 from repro.patterns.base import Pattern, PatternError
 from repro.patterns.library import best_pattern
 from repro.patterns.io import pattern_from_arrays
 from repro.patterns.store import (
+    DEFAULT_BUDGET,
     DEFAULT_SHARD_SIZE,
     PatternStore,
     SHARD_VERSION,
 )
+
+#: key budget of ``patterns_for``/``precompute`` with ``budget=2``
+B2 = (2, 6.0, True)
 
 
 @pytest.fixture
@@ -31,8 +36,20 @@ class TestShardAddressing:
         assert s.shard_span(1) == (1, DEFAULT_SHARD_SIZE)
 
     def test_path_encodes_kernel_family_range(self, store):
-        path = store.shard_path(10, "lu", "g2dbc")
-        assert path.name == "lu-g2dbc-p000009-000016.npz"
+        path = store.shard_path(10, "lu", "g2dbc", (5, 4.0, False))
+        assert path.name == "lu-g2dbc-s5-f4.0-noprune-p000009-000016.npz"
+        assert DEFAULT_BUDGET == (20, 6.0, True)
+        assert store.shard_path(10, "lu", "g2dbc").name == \
+            "lu-g2dbc-s20-f6.0-prune-p000009-000016.npz"
+
+    def test_budgets_inverts_the_file_names(self, store):
+        store.put(best_pattern(3, "lu"), 3, kernel="lu", budget=(5, 4.0, False))
+        store.put(best_pattern(3, "lu"), 3, kernel="lu")
+        store.put(best_pattern(3, "lu"), 3, kernel="lu", family="g2dbc",
+                  budget=B2)
+        assert store.budgets("lu") == [(5, 4.0, False), DEFAULT_BUDGET]
+        assert store.budgets("lu", "g2dbc") == [B2]
+        assert store.budgets("cholesky") == []
 
     def test_degenerate_inputs_rejected(self, store):
         with pytest.raises(ValueError, match="node count"):
@@ -82,6 +99,16 @@ class TestRoundTrip:
         assert store.get(6, kernel="lu") == lu
         assert store.get(6, kernel="cholesky") == chol
         assert store.get(6, kernel="cholesky", family="gcrm") is None
+
+    def test_budgets_are_separate(self, store):
+        """Two budgets share neither a shard file nor a hot-tier slot."""
+        two = best_pattern(11, "cholesky", seeds=range(2))
+        store.put(two, 11, kernel="cholesky", budget=B2)
+        assert store.get(11, kernel="cholesky") is None
+        assert store.get(11, kernel="cholesky", budget=(2, 6.0, False)) is None
+        assert store.get(11, kernel="cholesky", budget=B2) == two
+        assert [p.name for p in store.root.glob("*.npz")] == \
+            [store.shard_path(11, "cholesky", budget=B2).name]
 
 
 class TestCorruption:
@@ -212,7 +239,8 @@ class TestBatchedLookup:
 
     def test_no_write_back_leaves_disk_cold(self, store):
         store.patterns_for([5], kernel="lu", budget=2, write_back=False)
-        assert not store.shard_path(5, "lu").exists()
+        assert not store.shard_path(5, "lu", budget=B2).exists()
+        assert not list(store.root.glob("*.npz"))
 
 
 class TestPrecompute:
@@ -247,11 +275,11 @@ class TestHotTierStats:
         s0 = store.stats()
         assert (s0.hot.hits, s0.hot.misses, s0.hot.evictions) == (0, 0, 0)
 
-        store.get(3, kernel="lu")      # hot miss -> cold hit, cached {3}
-        store.get(3, kernel="lu")      # hot hit            {3}
-        store.get(4, kernel="lu")      # hot miss -> cold hit, cached {3,4}
-        store.get(5, kernel="lu")      # hot miss -> cold hit, evicts 3 {4,5}
-        store.get(3, kernel="lu")      # hot miss again, evicts 4 {5,3}
+        store.get(3, "lu", budget=B2)   # hot miss -> cold hit, cached {3}
+        store.get(3, "lu", budget=B2)   # hot hit            {3}
+        store.get(4, "lu", budget=B2)   # hot miss -> cold hit, cached {3,4}
+        store.get(5, "lu", budget=B2)   # hot miss -> cold hit, evicts 3 {4,5}
+        store.get(3, "lu", budget=B2)   # hot miss again, evicts 4 {5,3}
         info = store.stats().hot
         assert info.hits == 1
         assert info.misses == 4
@@ -267,20 +295,20 @@ class TestHotTierStats:
         PatternStore(tmp_path, shard_size=8).precompute(
             [3, 4, 5], kernel="lu", budget=2)
         store = PatternStore(tmp_path, shard_size=8, hot_maxsize=2)
-        store.get(3, kernel="lu")
-        store.get(4, kernel="lu")
-        store.get(3, kernel="lu")      # refresh 3 -> LRU order [4, 3]
-        store.get(5, kernel="lu")      # evicts 4, not 3
+        store.get(3, "lu", budget=B2)
+        store.get(4, "lu", budget=B2)
+        store.get(3, "lu", budget=B2)   # refresh 3 -> LRU order [4, 3]
+        store.get(5, "lu", budget=B2)   # evicts 4, not 3
         info_before = store.stats().hot
-        store.get(3, kernel="lu")      # still hot
+        store.get(3, "lu", budget=B2)   # still hot
         assert store.stats().hot.hits == info_before.hits + 1
 
     def test_disabled_hot_tier(self, tmp_path):
         store = PatternStore(tmp_path, shard_size=8, hot_maxsize=0)
         store.precompute([3], kernel="lu", budget=2)
         base = store.stats().shards_read
-        store.get(3, kernel="lu")
-        store.get(3, kernel="lu")
+        store.get(3, "lu", budget=B2)
+        store.get(3, "lu", budget=B2)
         assert store.stats().shards_read == base + 2  # every get hits disk
         assert store.stats().hot_hits == 0
 
@@ -289,7 +317,7 @@ class TestLibraryIntegration:
     def test_best_pattern_reads_through(self, tmp_path):
         store = PatternStore(tmp_path, shard_size=8)
         a = best_pattern(23, kernel="cholesky", seeds=range(2), store=store)
-        assert store.get(23, kernel="cholesky") == a  # persisted
+        assert store.get(23, kernel="cholesky", budget=B2) == a  # persisted
         b = best_pattern(23, kernel="cholesky", seeds=range(2), store=store)
         live = best_pattern(23, kernel="cholesky", seeds=range(2))
         assert a == b == live
@@ -302,20 +330,81 @@ class TestLibraryIntegration:
         assert store.get(10, kernel="lu") is None  # 'best' key untouched
 
 
+class TestBudgetKey:
+    """The store key holds the whole search budget: a pattern searched
+    with one budget is never served for another."""
+
+    def test_more_seeds_search_again(self, store):
+        two = best_pattern(11, "cholesky", seeds=range(2), store=store)
+        assert two.cost_cholesky == 4.25
+        five = best_pattern(11, "cholesky", seeds=range(5), store=store)
+        live = best_pattern(11, "cholesky", seeds=range(5))
+        assert five.cost_cholesky == live.cost_cholesky == 4.0
+        assert five.name == live.name and (five.grid == live.grid).all()
+
+    def test_prune_is_in_the_key(self, store):
+        pruned = best_pattern(10, "cholesky", seeds=range(5), store=store)
+        assert pruned.cost_cholesky == 4.0
+        full = best_pattern(10, "cholesky", seeds=range(5), prune=False,
+                            store=store)
+        live = best_pattern(10, "cholesky", seeds=range(5), prune=False)
+        assert full.cost_cholesky == live.cost_cholesky == pytest.approx(3.9)
+        assert (full.grid == live.grid).all()
+
+    def test_batched_lookup_at_another_budget_falls_back(self, store):
+        Ps = [11, 13, 14]
+        store.patterns_for(Ps, kernel="cholesky", budget=2)
+        before = store.stats().fallbacks
+        got = store.patterns_for(Ps, kernel="cholesky", budget=5)
+        assert store.stats().fallbacks - before == 3
+        for P, pat in zip(Ps, got):
+            live = best_pattern(P, "cholesky", seeds=range(5))
+            assert pat.name == live.name and (pat.grid == live.grid).all()
+
+    def test_seeds_without_a_key_rejected(self, store):
+        with pytest.raises(ValueError, match="seeds"):
+            best_pattern(7, "cholesky", seeds=range(3, 8), store=store)
+        with pytest.raises(ValueError, match="seeds"):
+            best_pattern(7, "cholesky", seeds=[0, 1, 2], store=store)
+        assert not list(store.root.glob("*.npz"))
+
+
 class TestCampaignIntegration:
+    """Campaign rows depend neither on the store nor on call order."""
+
     def test_campaign_rows_identical_with_and_without_store(self, tmp_path):
-        from repro.experiments.campaign import plan_campaign, run_campaign
-
-        from repro.experiments import campaign as campaign_mod
-
-        # default shard size: workers open the store with defaults
+        # warmed at the campaign's own budget (20 seeds), with the
+        # default shard size the campaign opens the store with
         store = PatternStore(tmp_path)
-        store.precompute([5, 7], kernel="lu", family="g2dbc", budget=2)
+        store.precompute([5, 7], kernel="lu", family="g2dbc", budget=20)
+        shards = lambda: sorted(  # noqa: E731
+            (p.name, p.stat().st_mtime_ns, p.stat().st_ino)
+            for p in tmp_path.glob("*.npz"))
+        warm = shards()
         cells = plan_campaign(["g2dbc"], Ps=[5, 7], ms=[6])
-        campaign_mod._PATTERN_CACHE.clear()
         plain = run_campaign(cells, jobs=1, tile_size=200)
-        campaign_mod._PATTERN_CACHE.clear()  # force the store-read path
         stored = run_campaign(cells, jobs=1, tile_size=200,
                               store_dir=str(tmp_path))
+        assert shards() == warm  # served from the store, nothing written
         for a, b in zip(plain, stored):
             assert a.as_dict() == b.as_dict()
+
+    def test_store_at_another_budget_changes_no_row(self, tmp_path):
+        PatternStore(tmp_path).precompute([23], kernel="cholesky",
+                                          family="gcrm", budget=2)
+        cells = plan_campaign(["gcrm"], [23], [8])
+        stored = run_campaign(cells, tile_size=500, store_dir=str(tmp_path))
+        live = best_pattern(23, "cholesky", family="gcrm")
+        assert stored[0].pattern_cost == live.cost_cholesky
+        plain = run_campaign(cells, tile_size=500)
+        assert [r.as_dict() for r in stored] == [r.as_dict() for r in plain]
+
+    def test_store_run_leaves_no_pattern_behind(self, tmp_path):
+        PatternStore(tmp_path).precompute([11], kernel="cholesky",
+                                          family="gcrm", budget=2)
+        cells = plan_campaign(["gcrm"], [11], [8])
+        stored = run_campaign(cells, tile_size=500, store_dir=str(tmp_path))
+        plain = run_campaign(cells, tile_size=500)
+        live = best_pattern(11, "cholesky", family="gcrm")
+        assert plain[0].pattern_cost == live.cost_cholesky
+        assert [r.as_dict() for r in plain] == [r.as_dict() for r in stored]

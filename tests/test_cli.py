@@ -26,9 +26,18 @@ class TestParser:
         assert args.jobs == 4 and args.no_prune
         args = build_parser().parse_args(["cost", "-P", "23"])
         assert args.jobs == 1 and not args.no_prune
-        for cmd in (["simulate", "-P", "10"],
-                    ["db", "--max-nodes", "4", "--out", "x.json"]):
-            assert build_parser().parse_args(cmd + ["-j", "0"]).jobs == 0
+        assert build_parser().parse_args(
+            ["simulate", "-P", "10", "-j", "0"]).jobs == 0
+
+    @pytest.mark.parametrize("cmd", [["stats"], ["query", "-P", "5"],
+                                     ["precompute", "-P", "5"]])
+    def test_store_family_choices(self, cmd):
+        argv = ["store"] + cmd + ["--dir", "d"]
+        for family in ("best", "gcrm", "2dbc_within"):
+            assert build_parser().parse_args(
+                argv + ["--family", family]).family == family
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--family", "gcmr"])
 
 
 class TestGcrmCommand:
@@ -170,15 +179,6 @@ class TestCampaignCommand:
         assert "fail:1@1e-5" in out
 
 
-class TestDbCommand:
-    def test_writes_database(self, tmp_path, capsys):
-        path = tmp_path / "db.json"
-        assert main(["db", "--max-nodes", "8", "--kernel", "lu",
-                     "--out", str(path)]) == 0
-        data = json.loads(path.read_text())
-        assert set(data) == {str(P) for P in range(2, 9)}
-
-
 class TestStoreStatsCommand:
     def test_empty_store_reports_zero_shards(self, tmp_path, capsys):
         assert main(["store", "stats", "--dir", str(tmp_path)]) == 0
@@ -198,6 +198,18 @@ class TestStoreStatsCommand:
         assert "P 5-5" in out
         # the --nodes probe hit the warmed shard: a cold hit, no fallback
         assert "cold hits 1" in out and "fallbacks 0" in out
+
+    def test_probe_visits_every_stored_budget(self, tmp_path, capsys):
+        d = str(tmp_path / "store")
+        for budget in ("2", "3"):
+            assert main(["store", "precompute", "--dir", d, "--nodes", "5",
+                         "--kernel", "lu", "--budget", budget]) == 0
+        capsys.readouterr()
+        assert main(["store", "stats", "--dir", d, "--nodes", "5", "6",
+                     "--kernel", "lu"]) == 0
+        out = capsys.readouterr().out
+        assert "lu-best-s2-f6.0-prune" in out and "lu-best-s3-f6.0-prune" in out
+        assert "cold hits 2" in out and "misses 2" in out
 
 
 class TestValidateCommand:
