@@ -4,8 +4,9 @@
  * ``repro.runtime.simulator`` for its default configuration: priority
  * scheduler, no fork-join barrier, NIC network model with
  * point-to-point multicast.  The caller (``csim.py``) hands in the
- * SimPlan arrays plus preallocated scratch; nothing is allocated here
- * and no libc beyond the implicit runtime is used.
+ * SimPlan arrays as they are (int32 indexes, int64 priority keys) plus
+ * preallocated scratch; nothing is allocated here and no libc beyond
+ * the implicit runtime is used.
  *
  * Recording (``record != 0``) stores each task's start time, each
  * message's send start and arrival, and one log entry per record in
@@ -128,13 +129,13 @@ static int64_t rq_pop(int64_t *a, int64_t n)
 
 int64_t repro_run_sim(
     int64_t n_tasks, int64_t nnodes,
-    const int64_t *node, const double *dur, const int64_t *keys,
-    int64_t *pending,
-    const int64_t *ld_indptr, const int64_t *ld_tasks,
-    const int64_t *push_indptr, const int64_t *push_uids,
-    const int64_t *msg_dst,
-    const int64_t *w_indptr, const int64_t *w_tasks,
-    int64_t n_init, const int64_t *init_uids, const int64_t *init_src,
+    const int32_t *node, const double *dur, const int64_t *keys,
+    int32_t *pending,
+    const int32_t *ld_indptr, const int32_t *ld_tasks,
+    const int32_t *push_indptr, const int32_t *push_uids,
+    const int32_t *msg_dst, const int32_t *msg_src,
+    const int32_t *w_indptr, const int32_t *w_tasks,
+    int64_t n_init, const int32_t *init_uids,
     double msg_time,
     /* scratch, preallocated by the caller */
     double *ev_t, int64_t *ev_tag, int64_t *ev_pl,
@@ -205,7 +206,7 @@ int64_t repro_run_sim(
      * tid), then one dispatch per node in ascending node order */
     for (int64_t i = 0; i < n_init; i++) {
         int64_t uid = init_uids[i];
-        NIC_SEND(uid, init_src[i], msg_dst[uid], 0.0);
+        NIC_SEND(uid, msg_src[uid], msg_dst[uid], 0.0);
     }
     for (int64_t tid = 0; tid < n_tasks; tid++) {
         if (pending[tid] == 0) {

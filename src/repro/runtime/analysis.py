@@ -185,7 +185,7 @@ def memory_footprint(
 
     # cached = distinct remote data per reader node
     remote = (home[rd] >= 0) & (home[rd] != rnode)
-    pairs = np.unique(rnode[remote] * np.int64(n_data) + rd[remote])
+    pairs = np.unique(rnode[remote].astype(np.int64) * n_data + rd[remote])
     cached = np.bincount(pairs // n_data, minlength=cluster.nnodes)
     return MemoryStats(owned_tiles=owned.astype(np.int64),
                        cached_tiles=cached.astype(np.int64),

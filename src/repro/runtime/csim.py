@@ -36,6 +36,7 @@ _lib = None
 _load_tried = False
 _load_error: Optional[str] = None
 
+_I32 = ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 
@@ -71,13 +72,13 @@ def _load():
         fn.restype = ctypes.c_int64
         fn.argtypes = [
             ctypes.c_int64, ctypes.c_int64,            # n_tasks, nnodes
-            _I64, _F64, _I64,                          # node, dur, keys
-            _I64,                                      # pending (mutated)
-            _I64, _I64,                                # ld_indptr, ld_tasks
-            _I64, _I64,                                # push_indptr, push_uids
-            _I64,                                      # msg_dst
-            _I64, _I64,                                # w_indptr, w_tasks
-            ctypes.c_int64, _I64, _I64,                # n_init, init_uids, init_src
+            _I32, _F64, _I64,                          # node, dur, keys
+            _I32,                                      # pending (mutated)
+            _I32, _I32,                                # ld_indptr, ld_tasks
+            _I32, _I32,                                # push_indptr, push_uids
+            _I32, _I32,                                # msg_dst, msg_src
+            _I32, _I32,                                # w_indptr, w_tasks
+            ctypes.c_int64, _I32,                      # n_init, init_uids
             ctypes.c_double,                           # msg_time
             _F64, _I64, _I64,                          # event heap scratch
             _I64, _I64, _I64,                          # ready arena, base, size
@@ -137,7 +138,9 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
     Only valid once :func:`available` is true.  ``dur`` is the per-task
-    duration vector (cluster-dependent, so not in the plan).  With
+    duration vector (cluster-dependent, so not in the plan).  The plan's
+    arrays are passed as they are — their dtypes are the C signature's —
+    and only ``pending``, which the loop counts down, is copied.  With
     ``record`` the result carries the recording arrays: 16 bytes per
     task plus 24 per message.
     """
@@ -148,8 +151,10 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     ev_tag = np.empty(cap, dtype=np.int64)
     ev_pl = np.empty(cap, dtype=np.int64)
     # a task enters only its own node's ready heap, at most once: one
-    # arena of n_tasks slots, nodes offset by their task counts
-    node = np.ascontiguousarray(plan.node, dtype=np.int64)
+    # arena of n_tasks slots, nodes offset by their task counts.  The
+    # node column is the graph's own, which ``from_columns`` may have
+    # adopted unaligned; C reads it aligned.
+    node = np.require(plan.node, np.int32, ["C_CONTIGUOUS", "ALIGNED"])
     counts = np.bincount(node, minlength=nnodes)
     rbase = np.zeros(nnodes + 1, dtype=np.int64)
     np.cumsum(counts, out=rbase[1:])
@@ -164,7 +169,7 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     rx_busy = np.zeros(nnodes, dtype=np.float64)
     out_makespan = np.zeros(1, dtype=np.float64)
     out_counts = np.zeros(3, dtype=np.int64)
-    pending = np.ascontiguousarray(plan.pending, dtype=np.int64).copy()
+    pending = plan.pending.copy()
     if record:
         task_start = np.zeros(n_tasks, dtype=np.float64)
         msg_start = np.zeros(plan.n_msgs, dtype=np.float64)
@@ -175,21 +180,12 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         log = np.empty(0, dtype=np.int64)
     status = lib.repro_run_sim(
         n_tasks, nnodes,
-        node, np.ascontiguousarray(dur, dtype=np.float64),
-        np.ascontiguousarray(plan.keys, dtype=np.int64),
-        pending,
-        np.ascontiguousarray(plan.ld_indptr, dtype=np.int64),
-        np.ascontiguousarray(plan.ld_tasks, dtype=np.int64),
-        np.ascontiguousarray(plan.push_indptr, dtype=np.int64),
-        np.ascontiguousarray(plan.push_uids, dtype=np.int64),
-        np.ascontiguousarray(plan.msg_dst, dtype=np.int64),
-        np.ascontiguousarray(plan.w_indptr, dtype=np.int64),
-        np.ascontiguousarray(plan.w_tasks, dtype=np.int64),
-        len(plan.init_uids),
-        np.ascontiguousarray(plan.init_uids, dtype=np.int64),
-        np.ascontiguousarray(plan.msg_src[plan.init_uids]
-                             if len(plan.init_uids) else
-                             np.zeros(0, dtype=np.int64), dtype=np.int64),
+        node, np.ascontiguousarray(dur, dtype=np.float64), plan.keys,
+        pending, plan.ld_indptr, plan.ld_tasks,
+        plan.push_indptr, plan.push_uids,
+        plan.msg_dst, plan.msg_src,
+        plan.w_indptr, plan.w_tasks,
+        len(plan.init_uids), plan.init_uids,
         float(msg_time),
         ev_t, ev_tag, ev_pl,
         ready, rbase, rsize,

@@ -26,6 +26,13 @@ variable-length read lists (``read_indptr`` into flat ``read_data`` /
 a time (:meth:`append_batch`, the vectorized builders' hot path);
 either way the column store is identical.
 
+Index columns are int32 (tids, tile coordinates, nodes, data ids,
+versions and read offsets), which halves the bytes per task against
+int64; :data:`INDEX_LIMIT` is the largest task count, flat-read count
+or data id a graph may reach, and every append path checks it.  Code
+that packs or encodes these columns (priority keys, message codes)
+widens to int64 first.
+
 Derived indexes are computed **once** per finalized graph, vectorized,
 and cached: the per-datum first-writer index (:attr:`first_writer`),
 the per-read producer table (:attr:`read_producer`), and the CSR
@@ -46,10 +53,53 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-__all__ = ["TaskKind", "Task", "TaskGraph", "DataRef", "GraphColumns"]
+__all__ = ["TaskKind", "Task", "TaskGraph", "DataRef", "GraphColumns",
+           "INDEX_LIMIT"]
 
 #: A (data_id, version) pair.
 DataRef = Tuple[int, int]
+
+#: Largest task count, flat-read count or data id the int32 index
+#: columns hold; it also keeps every tid inside the 32-bit tid field of
+#: the packed priority keys.
+INDEX_LIMIT = int(np.iinfo(np.int32).max)
+
+#: Column dtype per raw chunk key.  Every chunk is stored in these
+#: dtypes, so finalization concatenates without casting.
+_CHUNK_DTYPES = {
+    "kind": np.int8, "i": np.int32, "j": np.int32, "k": np.int32,
+    "node": np.int32, "flops": np.float64, "wd": np.int32, "wv": np.int32,
+    "rc": np.int32, "rd": np.int32, "rv": np.int32,
+}
+
+
+def _check_index_range(n_tasks: int, n_reads: int, max_data: int) -> None:
+    """Raise ``ValueError`` unless a graph of ``n_tasks`` tasks and
+    ``n_reads`` flat reads, naming data ids up to ``max_data``, fits the
+    int32 index columns."""
+    for what, value in (("task count", n_tasks), ("flat read count", n_reads),
+                        ("data id", max_data)):
+        if value > INDEX_LIMIT:
+            raise ValueError(
+                f"graph outgrows its int32 index columns: {what} {value} "
+                f"would pass the limit {INDEX_LIMIT}")
+
+
+def _join(parts: List[np.ndarray], dtype) -> np.ndarray:
+    """Concatenate one key's chunk arrays; a lone chunk is not copied."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _writes_once(wd: np.ndarray, n_data: int) -> bool:
+    """True when no datum repeats in ``wd``, in O(len(wd)): scatter each
+    position to its datum and read it back; a repeated datum keeps only
+    one of its positions, whatever order the scatter assigns in."""
+    pos = np.arange(wd.size, dtype=np.intp)
+    slot = np.empty(n_data, dtype=np.intp)
+    slot[wd] = pos
+    return np.array_equal(slot[wd], pos)
 
 
 class TaskKind(IntEnum):
@@ -103,19 +153,21 @@ class GraphColumns:
     which are addressed through ``read_indptr`` (CSR): the reads of
     task ``t`` are ``read_data[read_indptr[t]:read_indptr[t+1]]`` with
     matching ``read_version`` entries, in submission (tuple) order.
+    Every index column is int32 (see :data:`INDEX_LIMIT`): 37 bytes per
+    task plus 8 per flat read.
     """
 
     kind: np.ndarray           #: int8, TaskKind value per task
-    i: np.ndarray              #: int64, written-tile row
-    j: np.ndarray              #: int64, written-tile column
-    k: np.ndarray              #: int64, iteration index
-    node: np.ndarray           #: int64, executing node
+    i: np.ndarray              #: int32, written-tile row
+    j: np.ndarray              #: int32, written-tile column
+    k: np.ndarray              #: int32, iteration index
+    node: np.ndarray           #: int32, executing node
     flops: np.ndarray          #: float64
-    write_data: np.ndarray     #: int64, written datum id
-    write_version: np.ndarray  #: int64, version produced
-    read_indptr: np.ndarray    #: int64, len n_tasks + 1
-    read_data: np.ndarray      #: int64, flat read datum ids
-    read_version: np.ndarray   #: int64, flat read versions
+    write_data: np.ndarray     #: int32, written datum id
+    write_version: np.ndarray  #: int32, version produced
+    read_indptr: np.ndarray    #: int32, len n_tasks + 1
+    read_data: np.ndarray      #: int32, flat read datum ids
+    read_version: np.ndarray   #: int32, flat read versions
 
     @property
     def n_tasks(self) -> int:
@@ -209,12 +261,13 @@ class TaskGraph:
         self.n_data = n_data
         self.nnodes = nnodes
         #: current version of each datum
-        self._version = np.zeros(n_data, dtype=np.int64)
+        self._version = np.zeros(n_data, dtype=np.int32)
         #: finalized column chunks (dicts of arrays), in append order
         self._chunks: List[dict] = []
         #: scalar staging buffers filled by :meth:`submit`
         self._stage: dict = self._empty_stage()
         self._n = 0
+        self._n_reads = 0
         self._total_flops = 0.0
         self._gen = 0            #: bumped on every append (cache invalidation)
         self._cols: Optional[GraphColumns] = None
@@ -233,22 +286,33 @@ class TaskGraph:
         """Rehydrate a finalized graph from its raw column chunk.
 
         ``cat`` uses the internal chunk keys (``kind``/``i``/``j``/``k``/
-        ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``) and is
-        adopted **by reference** — the arrays may be read-only or
+        ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``).  Arrays
+        already in the column dtypes (int32 indexes, int8 kinds, float64
+        flops) are adopted **by reference** — they may be read-only or
         unaligned views of a foreign buffer; nothing here writes to
-        them.  ``total_flops`` is taken as given: when the columns copy
-        an existing graph, pass that graph's sequential sum so simulated
-        traces stay byte-identical to its own.
+        them — and others are converted.  ``total_flops`` is taken as
+        given: when the columns copy an existing graph, pass that
+        graph's sequential sum so simulated traces stay byte-identical
+        to its own.  Raises ``ValueError`` when the columns outgrow
+        :data:`INDEX_LIMIT`.
         """
+        _check_index_range(
+            len(cat["kind"]), len(cat["rd"]),
+            max(int(np.max(cat["wd"], initial=0)),
+                int(np.max(cat["rd"], initial=0))))
+        chunk = {key: np.asarray(cat[key], dtype=dtype)
+                 for key, dtype in _CHUNK_DTYPES.items()}
         g = cls.__new__(cls)
         g.n_data = n_data
         g.nnodes = nnodes
         # versions are dense per datum, so the current version is the
         # write count — no need to scan for the max
-        g._version = np.bincount(cat["wd"], minlength=n_data).astype(np.int64)
-        g._chunks = [dict(cat)]
+        g._version = np.bincount(chunk["wd"],
+                                 minlength=n_data).astype(np.int32)
+        g._chunks = [chunk]
         g._stage = cls._empty_stage()
-        g._n = int(len(cat["kind"]))
+        g._n = int(len(chunk["kind"]))
+        g._n_reads = int(len(chunk["rd"]))
         g._total_flops = float(total_flops)
         g._gen = 1
         g._cols = None
@@ -285,8 +349,13 @@ class TaskGraph:
         ``write_data`` when the kernel updates it in place (all
         factorization kernels do).  This is the scalar path, kept for
         tests and the small SYRK/GEMM builders; the factorization
-        builders use :meth:`append_batch`.
+        builders use :meth:`append_batch`.  Raises ``ValueError``, before
+        any state changes, when the task would take the graph past
+        :data:`INDEX_LIMIT`.
         """
+        _check_index_range(
+            self._n + 1, self._n_reads + len(reads),
+            max([write_data, *(d for d, _ in reads)]))
         new_version = int(self._version[write_data]) + 1
         tid = self._n
         st = self._stage
@@ -305,6 +374,7 @@ class TaskGraph:
         self._version[write_data] = new_version
         self._total_flops = self._total_flops + flops
         self._n += 1
+        self._n_reads += len(reads)
         self._gen += 1
         return Task(tid=tid, kind=TaskKind(kind), i=i, j=j, k=k, node=node,
                     flops=flops, reads=tuple(reads),
@@ -331,10 +401,14 @@ class TaskGraph:
         ``read_version`` belong to batch task ``t``, in tuple order.
         Write versions are derived exactly as :meth:`submit` does —
         each written datum is bumped by one — which requires the batch
-        to write each datum at most once.
+        to write each datum at most once.  A batch that writes a datum
+        twice, or would take the graph past :data:`INDEX_LIMIT`, raises
+        ``ValueError`` before any state changes.
         """
         self._flush_stage()
-        wd = np.ascontiguousarray(write_data, dtype=np.int64).ravel()
+        # indexes stay intp here (numpy would widen int32 on every
+        # gather); the chunk stores them as int32
+        wd = np.ascontiguousarray(write_data, dtype=np.intp).ravel()
         B = wd.size
         if B == 0:
             return
@@ -345,28 +419,33 @@ class TaskGraph:
                 return np.full(B, a, dtype=dtype)
             return np.ascontiguousarray(a.ravel(), dtype=dtype)
 
-        rc = np.ascontiguousarray(read_counts, dtype=np.int64).ravel()
-        rd = np.ascontiguousarray(read_data, dtype=np.int64).ravel()
-        rv = np.ascontiguousarray(read_version, dtype=np.int64).ravel()
+        rc = np.ascontiguousarray(read_counts, dtype=np.int32).ravel()
+        rd = np.ascontiguousarray(read_data, dtype=np.intp).ravel()
+        rv = np.ascontiguousarray(read_version, dtype=np.int32).ravel()
         if rc.size != B:
             raise ValueError(f"read_counts has {rc.size} entries for {B} tasks")
         if int(rc.sum()) != rd.size or rd.size != rv.size:
             raise ValueError("flat read columns do not match read_counts")
-        if B > 1 and np.unique(wd).size != B:
+        _check_index_range(self._n + B, self._n_reads + rd.size,
+                           max(int(wd.max()), int(rd.max(initial=0))))
+        # the check's n_data-sized scratch is freed before the batch's
+        # columns are allocated: interleaving them fragmented the malloc
+        # heap (40 MB more peak RSS at LU P=23 m=160 under glibc)
+        if not _writes_once(wd, self.n_data):
             raise ValueError("append_batch writes a datum twice in one batch")
         flops_col = col(flops, np.float64)
-        wv = self._version[wd] + 1
+        wv = self._version[wd] + np.int32(1)
         chunk = {
             "kind": col(kind, np.int8),
-            "i": col(i, np.int64),
-            "j": col(j, np.int64),
-            "k": col(k, np.int64),
-            "node": col(node, np.int64),
+            "i": col(i, np.int32),
+            "j": col(j, np.int32),
+            "k": col(k, np.int32),
+            "node": col(node, np.int32),
             "flops": flops_col,
-            "wd": wd,
+            "wd": wd.astype(np.int32),
             "wv": wv,
             "rc": rc,
-            "rd": rd,
+            "rd": rd.astype(np.int32),
             "rv": rv,
         }
         self._chunks.append(chunk)
@@ -377,6 +456,7 @@ class TaskGraph:
         self._total_flops = float(
             np.cumsum(np.concatenate(([self._total_flops], flops_col)))[-1])
         self._n += B
+        self._n_reads += rd.size
         self._gen += 1
 
     @property
@@ -390,19 +470,8 @@ class TaskGraph:
         st = self._stage
         if not st["kind"]:
             return
-        self._chunks.append({
-            "kind": np.asarray(st["kind"], dtype=np.int8),
-            "i": np.asarray(st["i"], dtype=np.int64),
-            "j": np.asarray(st["j"], dtype=np.int64),
-            "k": np.asarray(st["k"], dtype=np.int64),
-            "node": np.asarray(st["node"], dtype=np.int64),
-            "flops": np.asarray(st["flops"], dtype=np.float64),
-            "wd": np.asarray(st["wd"], dtype=np.int64),
-            "wv": np.asarray(st["wv"], dtype=np.int64),
-            "rc": np.asarray(st["rc"], dtype=np.int64),
-            "rd": np.asarray(st["rd"], dtype=np.int64),
-            "rv": np.asarray(st["rv"], dtype=np.int64),
-        })
+        self._chunks.append({key: np.asarray(st[key], dtype=dtype)
+                             for key, dtype in _CHUNK_DTYPES.items()})
         self._stage = self._empty_stage()
 
     @property
@@ -416,18 +485,13 @@ class TaskGraph:
             return self._cols
         self._flush_stage()
         chunks = self._chunks
-        if len(chunks) == 1:
-            c = chunks[0]
-            cat = dict(c)
-        elif chunks:
-            cat = {key: np.concatenate([c[key] for c in chunks])
-                   for key in chunks[0]}
-        else:
-            cat = {key: np.zeros(0, dtype=np.int64)
-                   for key in ("i", "j", "k", "node", "wd", "wv", "rc", "rd", "rv")}
-            cat["kind"] = np.zeros(0, dtype=np.int8)
-            cat["flops"] = np.zeros(0, dtype=np.float64)
-        indptr = np.zeros(len(cat["kind"]) + 1, dtype=np.int64)
+        # key by key: each key's chunks are released once joined, so at
+        # most one column is held twice
+        cat = {key: _join([c.pop(key) for c in chunks], dtype)
+               for key, dtype in _CHUNK_DTYPES.items()}
+        # later appends re-concatenate against one chunk, not many
+        self._chunks = [cat]
+        indptr = np.zeros(len(cat["kind"]) + 1, dtype=np.int32)
         np.cumsum(cat["rc"], out=indptr[1:])
         self._cols = GraphColumns(
             kind=cat["kind"], i=cat["i"], j=cat["j"], k=cat["k"],
@@ -436,10 +500,6 @@ class TaskGraph:
             read_indptr=indptr, read_data=cat["rd"], read_version=cat["rv"])
         self._cols_gen = self._gen
         self._derived = {}
-        # keep a single concatenated chunk so later appends re-concatenate
-        # against one array instead of many
-        if len(chunks) > 1:
-            self._chunks = [cat]
         return self._cols
 
     def _index(self, name: str):
@@ -488,11 +548,11 @@ class TaskGraph:
     def _compute_read_task(self):
         cols = self._cols
         counts = np.diff(cols.read_indptr)
-        return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
 
     @property
     def read_task(self) -> np.ndarray:
-        """Consumer task id of every flat read entry."""
+        """Consumer task id of every flat read entry (int32)."""
         return self._index("read_task")
 
     def producer_for(self, data: np.ndarray, version: np.ndarray) -> np.ndarray:
@@ -518,24 +578,30 @@ class TaskGraph:
             # columns themselves so degenerate version counts (one datum
             # written a million times, a million data written once)
             # cannot blow memory — those fall back to ``producer_for``.
+            # Cells are addressed in intp: ``n_data*width`` may pass int32.
             width = int(cols.write_version.max()) + 1
             size = self.n_data * width
             if size <= 4 * (n + len(cols.read_data)) + 1024:
-                table = np.full(size, -1, dtype=np.int64)
-                table[cols.write_data * width + cols.write_version] = \
-                    np.arange(n, dtype=np.int64)
-                rd = cols.read_data
+                table = np.full(size, -1, dtype=np.int32)
+                cell = cols.write_data.astype(np.intp) * width
+                cell += cols.write_version
+                table[cell] = np.arange(n, dtype=np.int32)
+                del cell
                 rv = cols.read_version
+                cell = cols.read_data.astype(np.intp) * width
                 if int(rv.max(initial=0)) < width:
-                    return table[rd * width + rv]
+                    cell += rv
+                    return table[cell]
                 in_range = rv < width
-                idx = np.where(in_range, rd * width + rv, 0)
-                return np.where(in_range, table[idx], -1)
-        return self.producer_for(cols.read_data, cols.read_version)
+                cell = np.where(in_range, cell + rv, 0)
+                return np.where(in_range, table[cell], np.int32(-1))
+        return self.producer_for(cols.read_data,
+                                 cols.read_version).astype(np.int32)
 
     @property
     def read_producer(self) -> np.ndarray:
-        """Producer tid of every flat read entry (-1 for version 0)."""
+        """Producer tid of every flat read entry (int32, -1 for
+        version 0)."""
         return self._index("read_producer")
 
     def _compute_dependencies_csr(self):
@@ -544,14 +610,15 @@ class TaskGraph:
         has = rp >= 0
         dep_flat = rp[has]
         counts = np.bincount(self.read_task[has], minlength=len(cols.kind))
-        indptr = np.zeros(len(cols.kind) + 1, dtype=np.int64)
+        indptr = np.zeros(len(cols.kind) + 1, dtype=np.int32)
         np.cumsum(counts, out=indptr[1:])
         return indptr, dep_flat
 
     def dependencies_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR dependency table ``(indptr, dep_tids)``: the producers of
-        task ``t``'s reads are ``dep_tids[indptr[t]:indptr[t+1]]``, in
-        read order (version-0 reads contribute no entry)."""
+        """CSR dependency table ``(indptr, dep_tids)``, both int32: the
+        producers of task ``t``'s reads are
+        ``dep_tids[indptr[t]:indptr[t+1]]``, in read order (version-0
+        reads contribute no entry)."""
         return self._index("dependencies_csr")
 
     # ------------------------------------------------------------------
@@ -621,13 +688,14 @@ class TaskGraph:
     # graph-level queries (vectorized)
     # ------------------------------------------------------------------
     def _consumer_codes(self) -> Tuple[np.ndarray, int, int]:
-        """Encode every read as one integer ``((data·M)+version)·Pn +
+        """Encode every read as one int64 ``((data·M)+version)·Pn +
         consumer_node`` for unique/grouping passes."""
         cols = self.columns
         M = int(cols.read_version.max()) + 1 if cols.read_version.size else 1
         nodes = cols.node[self.read_task]
         Pn = max(self.nnodes, int(cols.node.max()) + 1 if cols.node.size else 1)
-        codes = (cols.read_data * M + cols.read_version) * Pn + nodes
+        codes = (cols.read_data.astype(np.int64) * M
+                 + cols.read_version) * Pn + nodes
         return codes, M, Pn
 
     def consumers_by_version(self) -> Dict[DataRef, set]:

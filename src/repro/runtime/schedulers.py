@@ -80,8 +80,9 @@ def bottom_levels(indptr: np.ndarray, deps: np.ndarray,
     bl = np.asarray(dur, dtype=np.float64).copy()
     if n == 0 or deps.size == 0:
         return bl
-    child = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    parent = deps
+    # intp indexes: numpy would widen int32 ones on every pass
+    child = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    parent = deps.astype(np.intp)
     pdur = np.asarray(dur, dtype=np.float64)[parent]
     while True:
         new = bl.copy()

@@ -44,15 +44,14 @@ __all__ = ["SimPlan", "build_plan", "get_plan"]
 class SimPlan:
     """Array-form simulation tables for one graph (+ data placement).
 
-    All arrays are int64 unless noted.  ``n_msgs`` uids cover both
-    producer-pushed messages (``msg_producer >= 0``) and version-0
-    fetches from ``data_home`` (``msg_producer == -1``); the uid spaces
-    are disjoint because a data version either has a producer or not.
+    Every array is int32 except ``keys`` (int64), like the graph's index
+    columns.  ``n_msgs`` uids cover both producer-pushed messages (the
+    uids in ``push_uids``) and version-0 fetches from ``data_home``
+    (``init_uids``); the uid spaces are disjoint because a data version
+    either has a producer or not.
     """
 
     n_tasks: int
-    #: stride of the (data, version) encoding: ``max(read_version) + 1``
-    M: int
     #: executing node per task (shared reference to the graph column)
     node: np.ndarray
     #: per-task prerequisite count (reads satisfied by a later event)
@@ -60,7 +59,7 @@ class SimPlan:
     #: CSR: local dependents of each producer, read-scan order
     ld_indptr: np.ndarray
     ld_tasks: np.ndarray
-    #: packed priority keys ``k << 40 | kind << 32 | tid``
+    #: packed priority keys ``k << 40 | kind << 32 | tid`` (int64)
     keys: np.ndarray
     # -- message plan, indexed by uid -----------------------------------
     n_msgs: int
@@ -68,7 +67,6 @@ class SimPlan:
     msg_version: np.ndarray   #: version carried by each uid
     msg_dst: np.ndarray       #: destination node of each uid
     msg_src: np.ndarray       #: producer's node, or home node (init uids)
-    msg_producer: np.ndarray  #: producing tid, -1 for version-0 fetches
     #: CSR: consumers woken when uid is delivered, read-scan order
     w_indptr: np.ndarray
     w_tasks: np.ndarray
@@ -85,23 +83,26 @@ class SimPlan:
             a.nbytes for a in (
                 self.pending, self.ld_indptr, self.ld_tasks, self.keys,
                 self.msg_data, self.msg_version, self.msg_dst, self.msg_src,
-                self.msg_producer, self.w_indptr, self.w_tasks,
+                self.w_indptr, self.w_tasks,
                 self.push_indptr, self.push_uids, self.init_uids))
 
 
 def _csr(values: np.ndarray, groups: np.ndarray, n_groups: int):
-    """Group ``values`` by small-int ``groups`` (stable): indptr + flat."""
+    """Group ``values`` by small-int ``groups`` (stable): int32 indptr +
+    flat."""
     order = np.argsort(groups, kind="stable")
-    counts = np.bincount(groups, minlength=n_groups) if groups.size else \
-        np.zeros(n_groups, dtype=np.int64)
-    indptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = np.zeros(n_groups + 1, dtype=np.int32)
+    np.cumsum(np.bincount(groups, minlength=n_groups), out=indptr[1:])
     return indptr, values[order]
 
 
 def build_plan(graph: TaskGraph,
                data_home: Optional[np.ndarray] = None) -> SimPlan:
-    """Derive the :class:`SimPlan` of ``graph`` in vectorized passes."""
+    """Derive the :class:`SimPlan` of ``graph`` in vectorized passes.
+
+    Per-read temporaries are dropped as soon as they are consumed, so
+    the peak holds few full-length arrays at once.
+    """
     cols = graph.columns
     n_tasks = cols.n_tasks
     node_a = cols.node
@@ -112,71 +113,81 @@ def build_plan(graph: TaskGraph,
     rnode = node_a[rt]            # consumer node per flat read
 
     has_prod = rp >= 0
-    pnode = node_a[np.where(has_prod, rp, 0)]
-    is_local = has_prod & (pnode == rnode)
-    is_remote = has_prod & ~is_local
+    is_local = has_prod & (node_a[np.where(has_prod, rp, 0)] == rnode)
+    # message reads: a remote producer, or a version-0 read away from home
+    mask = has_prod & ~is_local
     if data_home is None:
-        is_init = np.zeros(rd.shape, dtype=bool)
         home_a = None
     else:
         home_a = np.asarray(data_home, dtype=np.int64)
-        is_init = ~has_prod & (home_a[rd] != rnode)
+        mask |= ~has_prod & (home_a[rd] != rnode)
+    del has_prod
 
-    pending = np.bincount(rt[is_local | is_remote | is_init],
-                          minlength=n_tasks).astype(np.int64, copy=False)
+    pending = np.bincount(rt[is_local | mask],
+                          minlength=n_tasks).astype(np.int32)
 
     ld_indptr, ld_tasks = _csr(rt[is_local], rp[is_local], n_tasks)
+    del is_local
 
-    keys = ((cols.k << 40) | (cols.kind.astype(np.int64) << 32)
+    keys = ((cols.k.astype(np.int64) << 40)
+            | (cols.kind.astype(np.int64) << 32)
             | np.arange(n_tasks, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # message plan: one uid per unique (data, version, dst) among the
-    # remote and init reads.  A single grouping pass covers both classes
-    # (their (data, version) sets are disjoint: a version either has a
-    # producer or it does not), and masked selection preserves flat read
-    # order, so first-occurrence comparisons within the combined mask
-    # equal those within each class alone.
+    # message reads, numbered in code order.  One stable sort of the
+    # int64 codes gives everything: the group starts are the waiter
+    # CSR's indptr, the permuted reads its flat-read-ordered waiters,
+    # and the permutation at a group start the uid's first occurrence.
     # ------------------------------------------------------------------
     M = int(rv.max()) + 1 if rv.size else 1
     N = int(node_a.max()) + 1 if node_a.size else 1
-    mask = is_remote | is_init
-    codes = (rd[mask] * M + rv[mask]) * N + rnode[mask]
-    uniq, first, inv = np.unique(codes, return_index=True,
-                                 return_inverse=True)
+    sel = np.flatnonzero(mask)    # flat read index of each message read
+    del mask
+    codes = rd[sel].astype(np.int64)
+    codes *= M
+    codes += rv[sel]
+    codes *= N
+    codes += rnode[sel]
+    del rnode
+    perm = np.argsort(codes, kind="stable")
+    codes = codes[perm]
+    is_start = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    uniq = codes[starts]
+    del codes, is_start
     n_msgs = int(uniq.size)
-    msg_dst = uniq % N
-    refc = uniq // N
-    msg_version = refc % M
-    msg_data = refc // M
-    msg_producer = rp[mask][first]
-    remote = msg_producer >= 0
+    w_indptr = np.append(starts, perm.size).astype(np.int32)
+    w_tasks = rt[sel[perm]]
+    first = perm[starts]          # position of each uid's first read
+    producer = rp[sel[first]]
+    del sel, perm
+    msg_dst = (uniq % N).astype(np.int32)
+    msg_version = (uniq // N % M).astype(np.int32)
+    msg_data = (uniq // (N * M)).astype(np.int32)
+    remote = producer >= 0
+    src = node_a[np.where(remote, producer, 0)]
     if home_a is None:
-        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
-                           -1)
+        msg_src = np.where(remote, src, np.int32(-1))
     else:
-        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
-                           home_a[msg_data])
+        msg_src = np.where(remote, src, home_a[msg_data]).astype(np.int32)
 
-    # waiters per uid, flat-read order within a uid
-    w_indptr, w_tasks = _csr(rt[mask], inv, n_msgs)
-
-    # push plan: remote uids in global first-occurrence order, stably
-    # grouped by producer — the exact per-producer push order of the old
-    # ``planned_msgs`` dict fill
-    r_uids = np.flatnonzero(remote)
-    r_first = r_uids[np.argsort(first[r_uids], kind="stable")]
-    push_indptr, push_uids = _csr(r_first, msg_producer[r_first], n_tasks)
-
-    # version-0 fetches at t=0, first-occurrence order
-    i_uids = np.flatnonzero(~remote)
-    init_uids = i_uids[np.argsort(first[i_uids], kind="stable")]
+    # uids in global first-occurrence order (first positions are
+    # distinct, so any sort gives this order): the version-0 fetches
+    # sent at t=0, and the push plan stably grouped by producer — the
+    # exact per-producer push order of the old ``planned_msgs`` dict
+    # fill
+    by_first = np.argsort(first).astype(np.int32)
+    init_uids = by_first[~remote[by_first]]
+    r_first = by_first[remote[by_first]]
+    push_indptr, push_uids = _csr(r_first, producer[r_first], n_tasks)
 
     return SimPlan(
-        n_tasks=n_tasks, M=M, node=node_a, pending=pending,
+        n_tasks=n_tasks, node=node_a, pending=pending,
         ld_indptr=ld_indptr, ld_tasks=ld_tasks, keys=keys,
         n_msgs=n_msgs, msg_data=msg_data, msg_version=msg_version,
-        msg_dst=msg_dst, msg_src=msg_src, msg_producer=msg_producer,
+        msg_dst=msg_dst, msg_src=msg_src,
         w_indptr=w_indptr, w_tasks=w_tasks,
         push_indptr=push_indptr, push_uids=push_uids,
         init_uids=init_uids)

@@ -8,6 +8,7 @@ value, or ``c`` without a working compiler, raises ``BackendError``;
 only ``auto`` falls back to Python.
 """
 
+import ctypes
 import dataclasses
 import json
 import re
@@ -131,7 +132,7 @@ def _unaligned(a):
     """``a`` copied to an odd byte offset, as in a packed foreign
     buffer that :meth:`TaskGraph.from_columns` adopts by reference;
     NumPy exports such buffers with an explicit byte-order format
-    (``=q``)."""
+    (``=i`` for the int32 index columns)."""
     out = np.frombuffer(bytearray(a.nbytes + 1), dtype=a.dtype,
                         count=a.size, offset=1)
     out[:] = a
@@ -154,7 +155,7 @@ def test_recorded_run_on_unaligned_columns(sim_backends):
         n_data=graph.n_data, nnodes=graph.nnodes,
         total_flops=graph.total_flops)
     home = _unaligned(home)
-    assert memoryview(packed.columns.node).format == "=q"
+    assert memoryview(packed.columns.node).format == "=i"
     label = packed.task_labeler()
     assert [label(t) for t in range(len(graph))] == \
         [graph.task_label(t) for t in range(len(graph))]
@@ -180,18 +181,37 @@ def test_unknown_backend_raises(value, monkeypatch):
         backends.select_backend()
 
 
+#: C parameter type -> (NumPy dtype of a pointer's argtype, ctypes type
+#: of a scalar's)
+_C_TYPES = {"int32_t": (np.int32, ctypes.c_int32),
+            "int64_t": (np.int64, ctypes.c_int64),
+            "double": (np.float64, ctypes.c_double)}
+
+
 def test_fastsim_signature_matches_argtypes():
-    """``csim.py`` binds exactly as many arguments as ``repro_run_sim``
-    in ``_fastsim.c`` takes: ctypes cannot check a foreign signature,
-    and one missing argument shifts every later pointer (a segfault)."""
+    """``csim.py`` binds ``repro_run_sim`` in ``_fastsim.c`` parameter
+    by parameter: ctypes cannot check a foreign signature, so one
+    missing argument shifts every later pointer (a segfault), and an
+    ``int32_t *`` bound as an int64 array reads garbage.  Each
+    parameter's argtype must match its C type in element type, width,
+    and pointer or scalar."""
     from repro.runtime import csim
     if not csim.available():
         pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
     src = re.sub(r"/\*.*?\*/", "", csim._SRC.read_text(), flags=re.S)
     params = re.search(r"repro_run_sim\s*\((.*?)\)\s*\{", src,
                        flags=re.S).group(1)
-    n_params = len([p for p in params.split(",") if p.strip()])
-    assert n_params == len(csim._load().repro_run_sim.argtypes)
+    decls = [p.strip() for p in params.split(",") if p.strip()]
+    argtypes = csim._load().repro_run_sim.argtypes
+    assert len(decls) == len(argtypes)
+    for decl, argtype in zip(decls, argtypes):
+        ctype, star, name = re.fullmatch(
+            r"(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)", decl).groups()
+        dtype, scalar = _C_TYPES[ctype]
+        if star:
+            assert getattr(argtype, "_dtype_", None) == np.dtype(dtype), name
+        else:
+            assert argtype is scalar, name
 
 
 @pytest.fixture

@@ -1,0 +1,196 @@
+"""The message plan and its footprint.
+
+``_reference_plan`` is the earlier lowering, frozen as the oracle: an
+int64 ``np.unique`` over the message codes plus a second stable sort
+for the waiters, and a mask per read class.  :func:`build_plan` derives
+the same tables from one stable sort, in int32; it must equal the
+oracle value for value on every graph and placement, since uid
+numbering and CSR orders fix the event order of every schedule.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.distribution import TileDistribution
+from repro.dla.cholesky import build_cholesky_graph
+from repro.dla.lu import build_lu_graph
+from repro.patterns.g2dbc import g2dbc
+from repro.patterns.gcrm import feasible_sizes, gcrm
+from repro.runtime.graph import TaskGraph
+from repro.runtime.simplan import build_plan, get_plan
+from tests.runtime.test_simulator_properties import _graph, _relabel, case
+
+TILE = 8
+
+#: fields the oracle and :class:`SimPlan` share
+FIELDS = ("pending", "ld_indptr", "ld_tasks", "keys", "msg_data",
+          "msg_version", "msg_dst", "msg_src", "w_indptr", "w_tasks",
+          "push_indptr", "push_uids", "init_uids")
+
+
+def _csr(values, groups, n_groups):
+    order = np.argsort(groups, kind="stable")
+    counts = np.bincount(groups, minlength=n_groups) if groups.size else \
+        np.zeros(n_groups, dtype=np.int64)
+    indptr = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, values[order]
+
+
+def _reference_plan(graph, data_home=None):
+    """The earlier ``build_plan``, verbatim but for its inputs, which
+    are widened to the int64 it was written for."""
+    cols = graph.columns
+    n_tasks = cols.n_tasks
+    node_a = cols.node.astype(np.int64)
+    rt = graph.read_task.astype(np.int64)
+    rp = graph.read_producer.astype(np.int64)
+    rd = cols.read_data.astype(np.int64)
+    rv = cols.read_version.astype(np.int64)
+    k = cols.k.astype(np.int64)
+    rnode = node_a[rt]
+
+    has_prod = rp >= 0
+    pnode = node_a[np.where(has_prod, rp, 0)]
+    is_local = has_prod & (pnode == rnode)
+    is_remote = has_prod & ~is_local
+    if data_home is None:
+        is_init = np.zeros(rd.shape, dtype=bool)
+        home_a = None
+    else:
+        home_a = np.asarray(data_home, dtype=np.int64)
+        is_init = ~has_prod & (home_a[rd] != rnode)
+
+    pending = np.bincount(rt[is_local | is_remote | is_init],
+                          minlength=n_tasks).astype(np.int64, copy=False)
+    ld_indptr, ld_tasks = _csr(rt[is_local], rp[is_local], n_tasks)
+    keys = ((k << 40) | (cols.kind.astype(np.int64) << 32)
+            | np.arange(n_tasks, dtype=np.int64))
+
+    M = int(rv.max()) + 1 if rv.size else 1
+    N = int(node_a.max()) + 1 if node_a.size else 1
+    mask = is_remote | is_init
+    codes = (rd[mask] * M + rv[mask]) * N + rnode[mask]
+    uniq, first, inv = np.unique(codes, return_index=True,
+                                 return_inverse=True)
+    n_msgs = int(uniq.size)
+    msg_dst = uniq % N
+    refc = uniq // N
+    msg_version = refc % M
+    msg_data = refc // M
+    msg_producer = rp[mask][first]
+    remote = msg_producer >= 0
+    if home_a is None:
+        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
+                           -1)
+    else:
+        msg_src = np.where(remote, node_a[np.where(remote, msg_producer, 0)],
+                           home_a[msg_data])
+    w_indptr, w_tasks = _csr(rt[mask], inv, n_msgs)
+    r_uids = np.flatnonzero(remote)
+    r_first = r_uids[np.argsort(first[r_uids], kind="stable")]
+    push_indptr, push_uids = _csr(r_first, msg_producer[r_first], n_tasks)
+    i_uids = np.flatnonzero(~remote)
+    init_uids = i_uids[np.argsort(first[i_uids], kind="stable")]
+    return dict(
+        n_tasks=n_tasks, pending=pending, ld_indptr=ld_indptr,
+        ld_tasks=ld_tasks, keys=keys, n_msgs=n_msgs, msg_data=msg_data,
+        msg_version=msg_version, msg_dst=msg_dst, msg_src=msg_src,
+        w_indptr=w_indptr, w_tasks=w_tasks, push_indptr=push_indptr,
+        push_uids=push_uids, init_uids=init_uids)
+
+
+def _assert_matches_oracle(graph, data_home):
+    plan = build_plan(graph, data_home)
+    ref = _reference_plan(graph, data_home)
+    assert plan.n_tasks == ref["n_tasks"]
+    assert plan.n_msgs == ref["n_msgs"]
+    for name in FIELDS:
+        got = getattr(plan, name)
+        assert got.dtype == (np.int64 if name == "keys" else np.int32), name
+        np.testing.assert_array_equal(got, ref[name], err_msg=name)
+    return plan
+
+
+def _lu(P, m):
+    return build_lu_graph(TileDistribution(g2dbc(P), m, symmetric=False),
+                          TILE)
+
+
+def _cholesky(P, m):
+    pat = gcrm(P, feasible_sizes(P)[0], seed=0).pattern
+    return build_cholesky_graph(TileDistribution(pat, m, symmetric=True),
+                                TILE)
+
+
+@pytest.mark.parametrize("build,P,m", [
+    (_lu, 5, 12), (_lu, 7, 30), (_lu, 23, 20), (_lu, 1, 6),
+    (_cholesky, 35, 24), (_cholesky, 7, 16), (_cholesky, 1, 6),
+])
+@pytest.mark.parametrize("placement", ["none", "owners", "permuted"])
+def test_plan_matches_oracle(build, P, m, placement):
+    """With no ``data_home`` only producer pushes travel; with the
+    owners, version-0 reads stay home; with a permuted placement they
+    come from a foreign home, so the plan carries init uids."""
+    graph, home = build(P, m)
+    if placement == "none":
+        home = None
+    elif placement == "permuted":
+        home = np.random.default_rng(P * m).permutation(home)
+    plan = _assert_matches_oracle(graph, home)
+    if placement == "permuted" and P > 1:
+        assert plan.init_uids.size > 0
+    if P == 1:
+        assert plan.n_msgs == 0
+
+
+@pytest.mark.parametrize("data_home", [None, np.zeros(4, dtype=np.int64)])
+def test_empty_graph_matches_oracle(data_home):
+    graph = TaskGraph(n_data=4, nnodes=2)
+    plan = _assert_matches_oracle(graph, data_home)
+    assert plan.n_tasks == plan.n_msgs == 0
+    assert plan.w_indptr.tolist() == [0]
+
+
+@given(case, st.lists(st.integers(0, 10_000), min_size=1, max_size=30),
+       st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_relabeled_plan_matches_oracle(params, swaps, with_home):
+    """Graphs resubmitted in a permuted order, through ``submit``."""
+    kernel, P, m = params
+    graph, home = _graph(kernel, P, m)
+    relabeled, _ = _relabel(graph, swaps)
+    _assert_matches_oracle(relabeled, home if with_home else None)
+
+
+def test_plan_cache_key_ignores_home_dtype():
+    """A placement hits the same cached plan whatever its int dtype."""
+    graph, home = _lu(5, 8)
+    plan = get_plan(graph, home.astype(np.int32))
+    assert get_plan(graph, home.astype(np.int64)) is plan
+
+
+def test_bytes_per_task_lu_p23_m64():
+    """The int32 columns and plan fit their per-task budgets at LU
+    P=23 m=64 (89k tasks, ~3 reads per task).  With int64 they took
+    112, 47 and 65 bytes per task."""
+    graph, home = _lu(23, 64)
+    n = len(graph)
+    cols = graph.columns
+    for name in ("i", "j", "k", "node", "write_data", "write_version",
+                 "read_indptr", "read_data", "read_version"):
+        assert getattr(cols, name).dtype == np.int32, name
+    assert cols.kind.dtype == np.int8
+    assert cols.flops.dtype == np.float64
+    col_bytes = sum(a.nbytes for a in vars(cols).values())
+    assert col_bytes / n <= 64
+    rt, rp = graph.read_task, graph.read_producer
+    indptr, deps = graph.dependencies_csr()
+    for a in (rt, rp, indptr, deps):
+        assert a.dtype == np.int32
+    assert (rt.nbytes + rp.nbytes) / n <= 24
+    plan = get_plan(graph, home)
+    assert plan.node is cols.node
+    assert plan.nbytes / n <= 40
