@@ -20,7 +20,8 @@ comm-avoiding, work-stealing), because none of them can beat
   deliberately weaker than
   :func:`repro.runtime.analysis.critical_path`, which pins tasks to
   their owners and adds message latency — valid for owner-computes
-  policies but not for a stealing or re-homing run;
+  policies but not for a stealing or re-homing run (both are one
+  :func:`~repro.runtime.schedulers.bottom_levels` sweep);
 * the *communication bound* — the most loaded sender NIC must push all
   its planned messages serially, each occupying the NIC for at least
   ``latency + tile_bytes / bandwidth``.  Valid for both network
@@ -101,17 +102,15 @@ def schedule_lower_bounds(
     graph,
     cluster,
     *,
-    plan=None,
     data_home: Optional[np.ndarray] = None,
     network: str = "nic",
     alive_nodes: Optional[Iterable[int]] = None,
 ) -> ScheduleBounds:
     """Evaluate :class:`ScheduleBounds` for ``graph`` on ``cluster``.
 
-    ``plan`` is the graph's :class:`~repro.runtime.simplan.SimPlan`
-    (derived via the cache from ``data_home`` when omitted).
-    ``network`` names the communication model the run uses; the
-    bisection bound only applies to ``"contention"``.
+    The message plan comes from :func:`~repro.runtime.simplan.get_plan`'s
+    per-graph cache.  ``network`` names the communication model the run
+    uses; the bisection bound only applies to ``"contention"``.
     ``alive_nodes`` restricts every bound to the surviving nodes of a
     degraded run (see the module docstring for the validity caveat).
     """
@@ -119,8 +118,7 @@ def schedule_lower_bounds(
     P = cluster.nnodes
     if n_tasks == 0:
         return ScheduleBounds(0.0, 0.0, 0.0, 0.0)
-    if plan is None:
-        plan = get_plan(graph, data_home)
+    plan = get_plan(graph, data_home)
     alive = list(range(P)) if alive_nodes is None \
         else sorted({int(n) for n in alive_nodes})
     if not alive:

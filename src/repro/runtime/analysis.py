@@ -23,6 +23,8 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .graph import TaskGraph
+from .schedulers import bottom_levels
+from .simplan import _csr
 
 __all__ = [
     "GraphBounds",
@@ -59,39 +61,24 @@ class GraphBounds:
 def critical_path(graph: TaskGraph, cluster: ClusterSpec) -> float:
     """Length of the longest dependency chain.
 
-    Tasks are visited in submission order, which is a valid topological
-    order (a task can only read versions that already exist).  A
+    Every task runs on its owner (:meth:`ClusterSpec.task_time`) and a
     cross-node read adds one message time to the chain (the simulator
-    may add more under NIC contention, never less).
-
-    Runs on the flat dependency CSR and a vectorized duration column —
-    no :class:`~repro.runtime.graph.Task` objects are materialized.
+    may add more under NIC contention, never less).  One
+    :func:`~repro.runtime.schedulers.bottom_levels` sweep over the
+    reversed dependency CSR (consumers grouped by producer) gives every
+    task's earliest finish time.
     """
     n = len(graph)
-    if n == 0:
-        return 0.0
-    msg = cluster.message_time()
-    cols = graph.columns
-    indptr_a, dep_a = graph.dependencies_csr()
-    indptr = indptr_a.tolist()
-    deps = dep_a.tolist()
-    node_l = cols.node.tolist()
-    dur = cols.flops / cluster.core_flops
-    if cluster.node_speeds:
-        dur = dur / np.asarray(cluster.node_speeds, dtype=np.float64)[cols.node]
-    dur_l = dur.tolist()
-    finish = [0.0] * n
-    for t in range(n):
-        start = 0.0
-        tn = node_l[t]
-        for p in deps[indptr[t]:indptr[t + 1]]:
-            ready = finish[p]
-            if node_l[p] != tn:
-                ready += msg
-            if ready > start:
-                start = ready
-        finish[t] = start + dur_l[t]
-    return float(max(finish))
+    node = graph.columns.node
+    indptr, deps = graph.dependencies_csr()
+    tids = np.arange(n)
+    rev_indptr, consumers = _csr(np.repeat(tids, np.diff(indptr)), deps, n)
+    producers = np.repeat(tids, np.diff(rev_indptr))
+    delay = np.where(node[producers] != node[consumers],
+                     cluster.message_time(), 0.0)
+    finish = bottom_levels(rev_indptr, consumers,
+                           cluster.task_time(graph.columns.flops, node), delay)
+    return float(finish.max(initial=0.0))
 
 
 def makespan_bounds(graph: TaskGraph, cluster: ClusterSpec) -> GraphBounds:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .schedulers import SCHEDULERS, registered_schedulers
 
 __all__ = ["ClusterSpec", "paper_cluster"]
@@ -120,11 +122,13 @@ class ClusterSpec:
     def node_flops(self) -> float:
         return self.core_flops * self.cores_per_node
 
-    def task_time(self, flops: float, node: int | None = None) -> float:
-        """Execution time of one tile kernel on one core of ``node``."""
+    def task_time(self, flops: float | np.ndarray,
+                  node: int | np.ndarray | None = None) -> float | np.ndarray:
+        """Execution time of tile kernels on one core of ``node``
+        (scalars, or matching per-task columns)."""
         t = flops / self.core_flops
         if node is not None and self.node_speeds:
-            t /= self.node_speeds[node]
+            t = t / np.asarray(self.node_speeds, dtype=np.float64)[node]
         return t
 
     @property

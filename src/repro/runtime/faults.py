@@ -439,7 +439,7 @@ def simulate_with_faults(
 
     wd = cols.write_data.tolist()
     wv = cols.write_version.tolist()
-    base_dur = (cols.flops / cluster.core_flops).tolist()
+    base_dur = cluster.task_time(cols.flops).tolist()
 
     # scheduling keys come from the registry, exactly as in the
     # fault-free loop.  Stealing policies fall back to their key order
@@ -454,12 +454,9 @@ def simulate_with_faults(
         static_l: Optional[List[int]] = None
         dyn_key = sched.dynamic_key
     else:
-        dur_arr = cols.flops / cluster.core_flops
-        if cluster.node_speeds:
-            dur_arr = dur_arr / np.asarray(cluster.node_speeds,
-                                           dtype=np.float64)[cols.node]
-        static_l = sched.static_keys(get_plan(graph, data_home), graph,
-                                     cluster, dur_arr).tolist()
+        static_l = sched.static_keys(
+            get_plan(graph, data_home), graph, cluster,
+            cluster.task_time(cols.flops, cols.node)).tolist()
         dyn_key = None
 
     #: consumers of each producer's output, in read-scan order (the

@@ -63,33 +63,49 @@ __all__ = [
 TID_MASK = 0xFFFFFFFF
 
 
-def bottom_levels(indptr: np.ndarray, deps: np.ndarray,
-                  dur: np.ndarray) -> np.ndarray:
-    """Critical-path *bottom level* of every task, vectorized.
+def bottom_levels(indptr: np.ndarray, deps: np.ndarray, dur: np.ndarray,
+                  delay: Optional[np.ndarray] = None) -> np.ndarray:
+    """Critical-path *bottom level* of every task: the longest-path kernel.
 
-    ``bl[t] = dur[t] + max(bl[c] for consumers c of t)`` — the longest
-    downward chain starting at ``t``, in seconds.  ``indptr``/``deps``
-    is the task→producers CSR
-    (:meth:`~repro.runtime.graph.TaskGraph.dependencies_csr`), so each
-    flat entry is one (consumer, producer) edge; the recurrence is
-    iterated as a vectorized fixpoint (``np.maximum.at`` over the edge
-    arrays), converging in longest-chain-many passes — O(depth) sweeps
-    of O(edges) work, no Python loop over tasks.
+    ``bl[t] = dur[t] + max(bl[c] + delay[e])`` over the entries ``e``
+    naming ``t`` as a producer of a consumer ``c`` (``delay`` defaults
+    to zero), in seconds.  ``indptr``/``deps`` is the task→producers CSR
+    (:meth:`~repro.runtime.graph.TaskGraph.dependencies_csr`); over the
+    reversed CSR the levels are earliest finish times.  A Kahn sweep:
+    each wavefront of final rows is one vectorized step, so O(entries)
+    work in O(depth) numpy steps.  A cyclic CSR raises ``ValueError``.
     """
-    n = int(dur.shape[0])
-    bl = np.asarray(dur, dtype=np.float64).copy()
-    if n == 0 or deps.size == 0:
-        return bl
-    # intp indexes: numpy would widen int32 ones on every pass
-    child = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-    parent = deps.astype(np.intp)
-    pdur = np.asarray(dur, dtype=np.float64)[parent]
-    while True:
-        new = bl.copy()
-        np.maximum.at(new, parent, pdur + bl[child])
-        if np.array_equal(new, bl):
-            return bl
-        bl = new
+    dur = np.asarray(dur, dtype=np.float64)
+    n = dur.shape[0]
+    # intp indexes: numpy would widen int32 ones on every step
+    indptr = np.asarray(indptr, dtype=np.intp)
+    deps = np.asarray(deps, dtype=np.intp)
+    waiting = np.bincount(deps, minlength=n)
+    acc, bl, slot = np.zeros(n), np.empty(n), np.empty(n, dtype=np.intp)
+    front, done = np.flatnonzero(waiting == 0), 0
+    while front.size:
+        bl[front] = acc[front] + dur[front]
+        done += front.size
+        lo = indptr[front]
+        cnt = indptr[front + 1] - lo
+        ends = cnt.cumsum()
+        # one range gather: the flat entries of every row in the front
+        e = (lo - ends + cnt).repeat(cnt) + np.arange(ends[-1])
+        tg = deps[e]
+        val = bl[front].repeat(cnt)
+        if delay is not None:
+            val += delay[e]
+        np.maximum.at(acc, tg, val)
+        np.subtract.at(waiting, tg, 1)
+        # targets that reached zero, each kept once (scatter, read back)
+        ready = tg[waiting[tg] == 0]
+        pos = np.arange(ready.size)
+        slot[ready] = pos
+        front = ready[slot[ready] == pos]
+    if done < n:
+        raise ValueError(f"dependency cycle: {n - done} of {n} tasks "
+                         f"never become ready")
+    return bl
 
 
 def _rank_keys(order: np.ndarray) -> np.ndarray:

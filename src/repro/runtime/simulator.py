@@ -226,11 +226,7 @@ def simulate(
     # all dependency/message tables come vectorized from the cached plan
     plan = get_plan(graph, data_home)
 
-    # per-task durations, elementwise-identical to cluster.task_time
-    dur_a = cols.flops / cluster.core_flops
-    if cluster.node_speeds:
-        dur_a = dur_a / np.asarray(cluster.node_speeds,
-                                   dtype=np.float64)[cols.node]
+    dur_a = cluster.task_time(cols.flops, cols.node)
 
     # ------------------------------------------------------------------
     # Compiled C backend: default configuration, recording or not.  A
@@ -411,7 +407,7 @@ def simulate(
     if stealing:
         victims = sched.victim_order(plan, Pn)
         steal_pen = cluster.message_time()
-        base_dur_l = (cols.flops / cluster.core_flops).tolist()
+        base_dur_l = cluster.task_time(cols.flops).tolist()
         speeds_l = list(cluster.node_speeds) if cluster.node_speeds else None
         ran_on: Dict[int, int] = {}
 

@@ -1,5 +1,6 @@
 """Tests for the cluster machine model."""
 
+import numpy as np
 import pytest
 
 from repro.runtime.cluster import ClusterSpec, paper_cluster
@@ -17,6 +18,20 @@ class TestClusterSpec:
     def test_task_time(self):
         c = ClusterSpec(nnodes=1, core_gflops=1.0)
         assert c.task_time(5e9) == pytest.approx(5.0)
+
+    def test_task_time_columns(self):
+        """Per-task columns: the scalar times elementwise, and the base
+        core speed when no node column is given."""
+        c = ClusterSpec(nnodes=3, core_gflops=3.0,
+                        node_speeds=(0.75, 1.25, 1.75))
+        flops = np.array([1e9, 2.5e9, 0.0, 7e8])
+        node = np.array([2, 0, 1, 1], dtype=np.int32)
+        col = c.task_time(flops, node)
+        assert col.tolist() == [c.task_time(f, n) for f, n in
+                                zip(flops.tolist(), node.tolist())]
+        assert col.tolist() == [f / 3e9 / (0.75, 1.25, 1.75)[n] for f, n in
+                                zip(flops.tolist(), node.tolist())]
+        assert c.task_time(flops).tolist() == (flops / 3e9).tolist()
 
     def test_message_time(self):
         c = ClusterSpec(nnodes=1, tile_size=10, bandwidth_Bps=800.0, latency_s=0.25)
