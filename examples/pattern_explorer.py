@@ -5,9 +5,11 @@ The paper's conclusion suggests shipping "a database containing, for
 each possible value of P, a very efficient pattern".  This example
 builds one for every node count of a 44-node cluster (the paper's
 PlaFRIM platform), prints the cost landscape, and writes the database
-to JSON for reuse.
+as a pattern-store directory for reuse: ``PatternStore(out).get(P,
+"cholesky", family="gcrm", budget=(10, 3.0, True))`` serves it back, and
+``python -m repro store stats --dir out`` lists it.
 
-Run:  python examples/pattern_explorer.py [max_P] [out.json]
+Run:  python examples/pattern_explorer.py [max_P] [out_dir]
 """
 
 import math
@@ -15,18 +17,18 @@ import sys
 
 from repro.cost.bounds import cholesky_pattern_floor, lu_pattern_lower_bound, sbc_cost_curve
 from repro.patterns import (
+    PatternStore,
     best_grid,
     bc2d_cost,
     g2dbc,
     g2dbc_cost,
     gcrm_search,
-    save_database,
     sbc_cost,
     sbc_feasible,
 )
 
 
-def explore(max_P: int = 44, out: str = "pattern_db.json") -> None:
+def explore(max_P: int = 44, out: str = "pattern_db") -> None:
     print(f"{'P':>3} | {'2DBC':>6} {'G-2DBC':>7} {'2sqrtP':>7} | "
           f"{'SBC':>5} {'GCR&M':>6} {'floor':>6}")
     print("-" * 52)
@@ -43,8 +45,10 @@ def explore(max_P: int = 44, out: str = "pattern_db.json") -> None:
               f"{lu_pattern_lower_bound(P):>7.3f} | {sbc_txt} "
               f"{gc.cost:>6.3f} {cholesky_pattern_floor(P):>6.3f}")
 
-    save_database(chol_db, out)
-    print(f"\nwrote {len(chol_db)} symmetric patterns to {out}")
+    # the GCR&M winners of this search budget, filed under its store key
+    PatternStore(out).put_many(chol_db, "cholesky", family="gcrm",
+                               budget=(10, 3.0, True))
+    print(f"\nwrote {len(chol_db)} symmetric patterns to {out}/")
 
     # headline numbers: how much does generality cost?
     worst = max(g2dbc_cost(P) / lu_pattern_lower_bound(P) for P in range(2, max_P + 1))
@@ -54,5 +58,5 @@ def explore(max_P: int = 44, out: str = "pattern_db.json") -> None:
 
 if __name__ == "__main__":
     max_P = int(sys.argv[1]) if len(sys.argv) > 1 else 44
-    out = sys.argv[2] if len(sys.argv) > 2 else "pattern_db.json"
+    out = sys.argv[2] if len(sys.argv) > 2 else "pattern_db"
     explore(max_P, out)

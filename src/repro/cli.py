@@ -187,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "recommendation of best_pattern)")
         sp.add_argument("--budget", type=int, default=20,
                         help="GCR&M search seeds per node count")
-        sp.add_argument("--shard-size", type=int, default=32, metavar="N",
-                        help="node counts per shard file")
         sp.add_argument("--jobs", "-j", type=jobs_count, default=1,
                         metavar="N")
         sp.add_argument("--stats", action="store_true",
@@ -200,16 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="P", help="explicit node counts")
     sp.add_argument("--range", nargs=2, type=int, default=None,
                     metavar=("LO", "HI"), help="inclusive node-count range")
-    sp.add_argument("--force", action="store_true",
-                    help="recompute node counts already in the store")
     add_store_flags(sp)
 
     sp = store_sub.add_parser(
         "query", help="batched lookup (falls back to a live search)")
     sp.add_argument("--nodes", "-P", nargs="+", type=int, required=True,
                     metavar="P")
-    sp.add_argument("--no-write-back", action="store_true",
-                    help="do not persist live-search fallbacks")
     add_store_flags(sp)
 
     sp = store_sub.add_parser(
@@ -224,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="cholesky")
     sp.add_argument("--family", choices=store_families, default=BEST_FAMILY,
                     help="family key for --nodes probes")
-    sp.add_argument("--shard-size", type=int, default=32, metavar="N")
 
     p = sub.add_parser("report", help="regenerate every paper table/figure")
     p.add_argument("--scale", choices=("smoke", "default", "full"), default="smoke")
@@ -444,33 +437,29 @@ def cmd_campaign(args) -> int:
 def cmd_store(args) -> int:
     from .patterns.store import PatternStore
 
-    store = PatternStore(args.dir, shard_size=args.shard_size)
+    store = PatternStore(args.dir)
     if args.store_command == "stats":
         return _store_stats(store, args)
+    if args.store_command == "precompute" \
+            and (args.nodes is None) == (args.range is None):
+        print("store precompute needs exactly one of --nodes / --range",
+              file=sys.stderr)
+        return 2
+    Ps = args.nodes if args.nodes is not None \
+        else list(range(args.range[0], args.range[1] + 1))
+    pats = store.patterns_for(Ps, kernel=args.kernel, budget=args.budget,
+                              family=args.family, jobs=args.jobs)
+    s = store.stats()
     if args.store_command == "precompute":
-        if (args.nodes is None) == (args.range is None):
-            print("store precompute needs exactly one of --nodes / --range",
-                  file=sys.stderr)
-            return 2
-        Ps = args.nodes if args.nodes is not None \
-            else list(range(args.range[0], args.range[1] + 1))
-        summary = store.precompute(Ps, kernel=args.kernel, budget=args.budget,
-                                   family=args.family, jobs=args.jobs,
-                                   force=args.force)
-        print(f"computed {summary['computed']} patterns "
-              f"({summary['skipped']} already stored) into "
-              f"{len(summary['shards'])} shard(s) under {args.dir}")
+        print(f"computed {s.fallbacks} patterns "
+              f"({len(Ps) - s.fallbacks} already stored) into "
+              f"{s.shards_written} shard(s) under {args.dir}")
     else:
-        pats = store.patterns_for(args.nodes, kernel=args.kernel,
-                                  budget=args.budget, family=args.family,
-                                  jobs=args.jobs,
-                                  write_back=not args.no_write_back)
         print(f"{'P':>6} {'shape':>9} {'T':>8}  name")
-        for P, pat in zip(args.nodes, pats):
+        for P, pat in zip(Ps, pats):
             print(f"{P:>6} {f'{pat.nrows}x{pat.ncols}':>9} "
                   f"{pat.cost(args.kernel):>8.4f}  {pat.name}")
     if args.stats:
-        s = store.stats()
         print(f"hot hits {s.hot_hits}, cold hits {s.cold_hits}, "
               f"misses {s.misses}, fallbacks {s.fallbacks}, "
               f"shards read/written {s.shards_read}/{s.shards_written}, "
@@ -481,10 +470,9 @@ def cmd_store(args) -> int:
 
 def _store_stats(store, args) -> int:
     """``repro store stats``: shard inventory + live-session counters."""
-    import numpy as np
-
     from .cost.cache import COST_CACHE
-    from .patterns.store import DEFAULT_BUDGET
+    from .patterns.base import PatternError
+    from .patterns.store import DEFAULT_BUDGET, read_shard, shard_stem
 
     if args.nodes:
         budgets = store.budgets(args.kernel, args.family) or [DEFAULT_BUDGET]
@@ -493,33 +481,21 @@ def _store_stats(store, args) -> int:
                 store.get(P, kernel=args.kernel, family=args.family,
                           budget=budget)
 
-    shards = sorted(store.root.glob("*.npz")) if store.root.is_dir() else []
-    groups: dict = {}
-    total = 0
-    for path in shards:
-        group = path.stem.rsplit("-", 2)[0]  # drop the -p{lo}-{hi} span
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                Ps = z["Ps"]
-        except Exception:
-            print(f"  {path.name}: unreadable shard", file=sys.stderr)
-            continue
-        g = groups.setdefault(group, {"shards": 0, "patterns": 0,
-                                      "lo": None, "hi": None})
-        g["shards"] += 1
-        g["patterns"] += int(Ps.size)
-        total += int(Ps.size)
-        if Ps.size:
-            lo, hi = int(Ps.min()), int(Ps.max())
-            g["lo"] = lo if g["lo"] is None else min(g["lo"], lo)
-            g["hi"] = hi if g["hi"] is None else max(g["hi"], hi)
-    print(f"store {store.root}: {len(shards)} shard file(s), "
-          f"{total} pattern(s)")
-    for group in sorted(groups):
-        g = groups[group]
-        span = f"P {g['lo']}-{g['hi']}" if g["lo"] is not None else "empty"
-        print(f"  {group:<32} {g['shards']:>3} shard(s) "
-              f"{g['patterns']:>6} pattern(s)  {span}")
+    groups = []
+    for key, paths in sorted(store.shards().items()):
+        Ps = []
+        for path in paths:
+            try:
+                Ps.extend(read_shard(path))
+            except PatternError as exc:
+                print(f"  {exc}", file=sys.stderr)
+        groups.append((shard_stem(*key), len(paths), Ps))
+    print(f"store {store.root}: {sum(g[1] for g in groups)} shard file(s), "
+          f"{sum(len(g[2]) for g in groups)} pattern(s)")
+    for stem, nfiles, Ps in groups:
+        span = f"P {min(Ps)}-{max(Ps)}" if Ps else "empty"
+        print(f"  {stem:<32} {nfiles:>3} shard(s) {len(Ps):>6} pattern(s)"
+              f"  {span}")
 
     s = store.stats()
     print("session counters (this process):")

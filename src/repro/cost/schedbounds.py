@@ -24,12 +24,17 @@ comm-avoiding, work-stealing), because none of them can beat
   :func:`~repro.runtime.schedulers.bottom_levels` sweep);
 * the *communication bound* — the most loaded sender NIC must push all
   its planned messages serially, each occupying the NIC for at least
-  ``latency + tile_bytes / bandwidth``.  Valid for both network
-  models: the NIC model advances ``tx_free`` by exactly that per send,
-  and the contention model holds a sender's NIC per flow for its
-  (eager or rendezvous) latency plus a transfer at no more than the
-  node bandwidth.  Skipped under ``multicast="tree"``, where the root
-  is charged one send per multicast;
+  ``latency + tile_bytes / bandwidth``
+  (:meth:`~repro.runtime.cluster.ClusterSpec.message_time`).  The NIC
+  model advances ``tx_free`` by exactly that per send, and the
+  contention model holds a sender's NIC per flow for its (eager or
+  rendezvous) latency plus a transfer at no more than the node
+  bandwidth.  The ``hierarchical`` model sends a message between two
+  ranks of one machine over the faster intra-machine link, so under it
+  such a message is charged
+  :func:`~repro.runtime.network.intra_message_time` instead.  Skipped
+  under ``multicast="tree"``, where the root is charged one send per
+  multicast;
 * the *bisection bound* (contention model only) — every tile crosses
   the shared bisection link, which drains at most the full-bisection
   capacity ``ClusterSpec.full_bisection_Bps(P)`` (the capacity the
@@ -53,6 +58,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from ..runtime.network import intra_message_time
 from ..runtime.schedulers import bottom_levels
 from ..runtime.simplan import get_plan
 
@@ -147,8 +153,15 @@ def schedule_lower_bounds(
         ok = ok & amask[np.clip(src, 0, P - 1)] & amask[plan.msg_dst]
     comm_time = 0.0
     if cluster.multicast == "p2p" and bool(ok.any()):
-        counts = np.bincount(src[ok], minlength=P)
-        comm_time = float(counts.max()) * cluster.message_time()
+        intra = np.zeros_like(ok)
+        if network == "hierarchical":
+            machine = cluster.topology().rank_nodes
+            intra = ok & (machine[np.clip(src, 0, P - 1)]
+                          == machine[plan.msg_dst])
+        n_inter = np.bincount(src[ok & ~intra], minlength=P)
+        n_intra = np.bincount(src[intra], minlength=P)
+        comm_time = float((n_inter * cluster.message_time()
+                           + n_intra * intra_message_time(cluster)).max())
 
     bisection_time = 0.0
     if network == "contention":

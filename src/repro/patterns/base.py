@@ -132,6 +132,10 @@ class Pattern:
     def __hash__(self) -> int:
         return hash((self._nnodes, self._grid.shape, self._grid.tobytes()))
 
+    def __reduce__(self):
+        """Unpickle through the constructor, so the grid stays read-only."""
+        return Pattern, (self._grid, self._nnodes, self.name)
+
     def __repr__(self) -> str:
         return f"Pattern(name={self.name!r}, shape={self.nrows}x{self.ncols}, nnodes={self.nnodes})"
 

@@ -1,8 +1,7 @@
 """Pattern (de)serialization.
 
-Patterns are tiny (a few KB) and matrix-size independent, so they are a
-natural artifact to precompute and ship (the paper suggests a per-P
-database).  The JSON schema is:
+A single pattern is exchanged as JSON (:func:`save_pattern`,
+:func:`load_pattern`, ``repro pattern --save``).  The schema is:
 
 .. code-block:: json
 
@@ -11,21 +10,26 @@ database).  The JSON schema is:
 Malformed input — invalid JSON, missing keys, ragged or non-numeric
 grids, an ``nnodes`` that contradicts the grid — raises
 :class:`~repro.patterns.base.PatternError` naming the offending file
-path (and database entry), never a raw ``KeyError``/``IndexError``.
+path, never a raw ``KeyError``/``IndexError``.
+
+A pattern *database* — many patterns keyed by P — is a
+:class:`~repro.patterns.store.PatternStore` directory of npz shards;
+:func:`pattern_from_arrays` is the validating constructor its reader
+builds each entry with.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Union
 
 import numpy as np
 
 from .base import Pattern, PatternError
 
 __all__ = ["pattern_to_dict", "pattern_from_dict", "pattern_from_arrays",
-           "save_pattern", "load_pattern", "save_database", "load_database"]
+           "save_pattern", "load_pattern"]
 
 
 def pattern_to_dict(pattern: Pattern) -> dict:
@@ -39,8 +43,8 @@ def pattern_to_dict(pattern: Pattern) -> dict:
 def pattern_from_dict(data: dict, context: str = "") -> Pattern:
     """Build a :class:`Pattern` from the JSON schema, validating shape.
 
-    ``context`` (a file path, possibly with a database key) is prefixed
-    to every error message so a bad file in a batch load is locatable.
+    ``context`` (a file path) is prefixed to every error message so a
+    bad file is locatable.
     """
     where = f"{context}: " if context else ""
     if not isinstance(data, dict):
@@ -122,39 +126,10 @@ def save_pattern(pattern: Pattern, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(pattern_to_dict(pattern), indent=1))
 
 
-def _load_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise PatternError(f"{path}: invalid JSON: {exc}") from None
-
-
 def load_pattern(path: Union[str, Path]) -> Pattern:
     path = Path(path)
-    return pattern_from_dict(_load_json(path), context=str(path))
-
-
-def save_database(patterns: Dict[int, Pattern], path: Union[str, Path]) -> None:
-    """Save a ``{P: pattern}`` database as one JSON file."""
-    payload = {str(P): pattern_to_dict(pat) for P, pat in sorted(patterns.items())}
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_database(path: Union[str, Path]) -> Dict[int, Pattern]:
-    path = Path(path)
-    payload = _load_json(path)
-    if not isinstance(payload, dict):
-        raise PatternError(f"{path}: database must be a JSON object keyed by P")
-    out: Dict[int, Pattern] = {}
-    for P, d in payload.items():
-        try:
-            key = int(P)
-        except ValueError:
-            raise PatternError(
-                f"{path}: database key {P!r} is not an integer P") from None
-        pat = pattern_from_dict(d, context=f"{path}[{P}]")
-        if pat.nnodes != key:
-            raise PatternError(
-                f"{path}[{P}]: entry declares nnodes={pat.nnodes} under key {P}")
-        out[key] = pat
-    return out
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise PatternError(f"{path}: invalid JSON: {exc}") from None
+    return pattern_from_dict(data, context=str(path))

@@ -5,7 +5,9 @@ each possible value of P, a very efficient pattern".  Two products
 implement it:
 
 * :func:`load_shipped_database` / :func:`shipped_pattern` — the
-  precomputed P = 2..44 databases shipped with the package;
+  precomputed P = 2..44 databases shipped with the package, as
+  :class:`~repro.patterns.store.PatternStore` shards filed under
+  :func:`best_pattern`'s key at the shipped budget;
 * :func:`best_pattern` — resolves any request.  Its key holds every
   argument that changes the grid: kernel, family, ``P`` and the search
   budget (:func:`search_budget`).  With a
@@ -165,26 +167,32 @@ def load_shipped_database(kernel: str = "cholesky") -> Dict[int, Pattern]:
 
     Covers P = 2..44 (the paper's PlaFRIM cluster size): G-2DBC for LU,
     and for Cholesky the best of SBC and a GCR&M search with 25 seeds,
-    factor 4, exhaustive (``prune=False``) — every entry equals
-    ``best_pattern(P, kernel, seeds=range(25), max_factor=4.0,
-    prune=False)``.  This is exactly the "database containing, for each
-    possible value of P, a very efficient pattern" the paper's
+    factor 4, exhaustive (``prune=False``).  The entries are the store
+    shards in ``repro/data``, filed under the key of ``best_pattern(P,
+    kernel, seeds=range(25), max_factor=4.0, prune=False)``, and every
+    entry equals that call.  This is exactly the "database containing,
+    for each possible value of P, a very efficient pattern" the paper's
     conclusion proposes.
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel not in _SHIPPED_CACHE:
-        from .io import load_database
+        from .store import PatternStore, read_shard
 
-        path = _DATA_DIR / f"{kernel}_patterns_p44.json"
-        if not path.exists():
+        budget = search_budget(range(25), max_factor=4.0, prune=False)
+        paths = PatternStore(_DATA_DIR).shards().get(
+            (kernel, BEST_FAMILY, budget))
+        if not paths:
             raise FileNotFoundError(
-                f"shipped database missing: {path}; regenerate with "
-                f"save_database({{P: best_pattern(P, {kernel!r}, "
-                f"seeds=range(25), max_factor=4.0, prune=False) "
-                f"for P in range(2, 45)}}, {str(path)!r})"
-            )
-        _SHIPPED_CACHE[kernel] = load_database(path)
+                f"no shipped {kernel!r} shards in {_DATA_DIR}; regenerate "
+                f"with PatternStore({str(_DATA_DIR)!r}).put_many({{P: "
+                f"best_pattern(P, {kernel!r}, seeds=range(25), max_factor="
+                f"4.0, prune=False) for P in range(2, 45)}}, {kernel!r}, "
+                f"budget={budget})")
+        db: Dict[int, Pattern] = {}
+        for path in paths:
+            db.update(read_shard(path))
+        _SHIPPED_CACHE[kernel] = db
     return _SHIPPED_CACHE[kernel]
 
 

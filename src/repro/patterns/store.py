@@ -1,11 +1,12 @@
 """Disk-backed pattern store: sharded cold tier + LRU hot tier.
 
 The paper's conclusion proposes shipping "a database containing, for
-each possible value of P, a very efficient pattern" — and the shipped
-JSON databases (:func:`repro.patterns.library.load_shipped_database`)
-do exactly that for P ≤ 44.  A scheduler service, however, wants the
-same product for *any* P, warmed offline and served in microseconds.
-This module is that service's storage engine:
+each possible value of P, a very efficient pattern".  This module is
+that database's one on-disk form and its only reader and writer: the
+P = 2..44 tables shipped in ``repro/data``
+(:func:`repro.patterns.library.load_shipped_database`) are four of its
+shards, and a scheduler service warms and serves any other P from a
+store directory of its own.
 
 **The key.**  A pattern is filed under the key of
 :func:`~repro.patterns.library.best_pattern`: ``(kernel, family, P,
@@ -16,18 +17,19 @@ Two budgets never share a shard file or a hot-tier slot, so a store
 warmed at one budget never serves another.
 
 **Cold tier — columnar npz shards.**  Patterns are grouped by P-range
-into compressed ``.npz`` files, one shard per ``shard_size``
+into compressed ``.npz`` files, one shard per :data:`SHARD_SIZE`
 consecutive node counts, named after the rest of the key:
 ``{kernel}-{family}-s{seeds}-f{max_factor}-{prune|noprune}-p{lo}-{hi}.npz``,
-e.g. ``cholesky-best-s20-f6.0-prune-p000033-000064.npz``.  Shards
-written before the budget joined the key match no key and are ignored.
-A shard stores every grid flattened into one ``cells`` array plus
-``offsets`` / ``nrows`` / ``ncols`` / ``nnodes`` / ``names`` columns —
-the same structure-of-arrays layout as the columnar task graphs.
-Writes are atomic (temp file + ``os.replace``), and every load failure
-— missing arrays, inconsistent offsets, truncated or corrupt zip data
-— raises :class:`~repro.patterns.base.PatternError` naming the shard
-path, mirroring the hardened JSON loader in :mod:`repro.patterns.io`.
+e.g. ``cholesky-best-s20-f6.0-prune-p000033-000064.npz``.  Files whose
+names match no key (such as shards written before the budget joined
+the key) are ignored.  A shard stores every grid flattened into one
+``cells`` array plus ``offsets`` / ``nrows`` / ``ncols`` / ``nnodes`` /
+``names`` columns — the same structure-of-arrays layout as the
+columnar task graphs.  Writes are atomic (temp file + ``os.replace``)
+and leave the file with the mode a plain ``open()`` would give it, and
+every load failure — missing arrays, inconsistent offsets, truncated or
+corrupt zip data — raises :class:`~repro.patterns.base.PatternError`
+naming the shard path.
 
 **Hot tier — in-process LRU.**  Lookups go through a
 :class:`~repro.cost.cache.CostCache` keyed ``(kernel, family, P,
@@ -39,22 +41,23 @@ disk.  Hit / miss / eviction counters are exact
 serves a whole ``P_array`` at one seed count (factor 6, pruned): hot
 tier, then shards, then — for store misses — live
 :func:`~repro.patterns.library.best_pattern` calls fanned out on the
-same process-pool machinery as the GCR&M search.  Each fallback task
-is a pure function of its key, and results are merged back in input
-order, so the output is independent of ``jobs`` and ``chunk_size``
-(the ``run_search`` determinism contract).
+same process-pool machinery as the GCR&M search, filed in the store as
+they arrive.  Each fallback task is a pure function of its key, and
+results are merged back in input order, so the output is independent
+of ``jobs`` and ``chunk_size`` (the ``run_search`` determinism
+contract).
 
 :func:`repro.patterns.library.best_pattern` accepts ``store=`` to make
 any call site read-through, and ``python -m repro store
-precompute|query|stats`` exposes warming and lookup on the command
-line.
+precompute|query|stats`` exposes warming, lookup and the shard
+inventory on the command line.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
+import uuid
 import zipfile
 from collections import Counter
 from dataclasses import dataclass
@@ -65,22 +68,35 @@ import numpy as np
 
 from ..cost.cache import CacheInfo, CostCache
 from .base import Pattern, PatternError
-from .io import pattern_from_arrays, pattern_from_dict, pattern_to_dict
+from .io import pattern_from_arrays
 from .library import BEST_FAMILY, KERNELS, best_pattern, search_budget
 from .search import auto_executor, chunk_tasks
 
-__all__ = ["PatternStore", "StoreStats", "SHARD_VERSION", "DEFAULT_SHARD_SIZE"]
+__all__ = ["PatternStore", "StoreStats", "SHARD_VERSION", "SHARD_SIZE",
+           "read_shard", "shard_stem"]
 
 #: On-disk shard format version (bumped on incompatible layout changes).
 SHARD_VERSION = 1
 
-#: Node counts per shard file.
-DEFAULT_SHARD_SIZE = 32
+#: Node counts per shard file, in every store on disk.
+SHARD_SIZE = 32
 
 #: Budget of a default search: 20 seeds, factor 6, pruned.
 DEFAULT_BUDGET = search_budget()
 
 Budget = Tuple[int, float, bool]
+
+#: A shard's file name, the inverse of :func:`shard_stem` plus its span.
+_SHARD_NAME = re.compile(r"([a-z]+)-(\w+)-s(\d+)-f(\d+\.\d+)-(prune|noprune)"
+                         r"-p\d+-\d+\.npz")
+
+
+def shard_stem(kernel: str, family: str, budget: Budget) -> str:
+    """File-name stem of every shard of one key, e.g.
+    ``cholesky-best-s20-f6.0-prune``."""
+    seeds, max_factor, prune = budget
+    return (f"{kernel}-{family}-s{int(seeds)}-f{float(max_factor)!r}-"
+            f"{'prune' if prune else 'noprune'}")
 
 
 @dataclass(frozen=True)
@@ -113,32 +129,12 @@ class StoreStats:
 # ---------------------------------------------------------------------------
 def _compute_pattern_chunk(
     args: Tuple[str, str, int, List[int]],
-) -> List[Tuple[int, dict]]:
-    """Worker body: build one chunk of patterns, return JSON payloads.
-
-    Payload dicts (not :class:`Pattern` instances) cross the process
-    boundary — compact, and re-validated on the parent side by
-    :func:`~repro.patterns.io.pattern_from_dict`.
-    """
+) -> List[Tuple[int, Pattern]]:
+    """Worker body: build one chunk of patterns."""
     kernel, family, budget, Ps = args
     fam = None if family == BEST_FAMILY else family
-    return [(P, pattern_to_dict(best_pattern(P, kernel, fam,
-                                             seeds=range(budget), jobs=1)))
+    return [(P, best_pattern(P, kernel, fam, seeds=range(budget), jobs=1))
             for P in Ps]
-
-
-def _validate_batch(P_array: Sequence[int]) -> List[int]:
-    """Shared degenerate-input guard for batched APIs."""
-    Ps = [int(P) for P in P_array]
-    if not Ps:
-        raise ValueError("P_array must not be empty")
-    bad = sorted({P for P in Ps if P < 1})
-    if bad:
-        raise ValueError(f"node counts must be >= 1, got {bad}")
-    dups = sorted(P for P, n in Counter(Ps).items() if n > 1)
-    if dups:
-        raise ValueError(f"duplicate node counts in batch: {dups}")
-    return Ps
 
 
 class PatternStore:
@@ -147,23 +143,14 @@ class PatternStore:
     Parameters
     ----------
     root:
-        Directory holding the shard files (created if missing).
-    shard_size:
-        Consecutive node counts per shard file.  Must match across all
-        accesses of one store directory; it is part of the file names,
-        so a mismatch simply finds no shards rather than corrupting.
+        Directory holding the shard files (created by the first write;
+        opening a store creates nothing).
     hot_maxsize:
         Capacity of the in-process LRU (0 disables the hot tier).
     """
 
-    def __init__(self, root: Union[str, Path],
-                 shard_size: int = DEFAULT_SHARD_SIZE,
-                 hot_maxsize: int = 256):
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    def __init__(self, root: Union[str, Path], hot_maxsize: int = 256):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.shard_size = int(shard_size)
         self.hot = CostCache(maxsize=hot_maxsize)
         self._hot_hits = 0
         self._cold_hits = 0
@@ -179,26 +166,33 @@ class PatternStore:
         """Inclusive ``[lo, hi]`` node-count range of ``P``'s shard."""
         if P < 1:
             raise ValueError(f"node count must be >= 1, got P={P}")
-        lo = ((P - 1) // self.shard_size) * self.shard_size + 1
-        return lo, lo + self.shard_size - 1
+        lo = ((P - 1) // SHARD_SIZE) * SHARD_SIZE + 1
+        return lo, lo + SHARD_SIZE - 1
 
     def shard_path(self, P: int, kernel: str, family: str = BEST_FAMILY,
                    budget: Budget = DEFAULT_BUDGET) -> Path:
-        _check_kernel(kernel)
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
         lo, hi = self.shard_span(P)
-        seeds, max_factor, prune = budget
-        tag = (f"s{int(seeds)}-f{float(max_factor)!r}-"
-               f"{'prune' if prune else 'noprune'}")
-        return self.root / f"{kernel}-{family}-{tag}-p{lo:06d}-{hi:06d}.npz"
+        return self.root / (f"{shard_stem(kernel, family, budget)}"
+                            f"-p{lo:06d}-{hi:06d}.npz")
+
+    def shards(self) -> Dict[Tuple[str, str, Budget], List[Path]]:
+        """Every shard file on disk, by key ``(kernel, family, budget)``,
+        in P order (the inverse of :meth:`shard_path`'s naming).  Lists
+        names only: no shard is opened and no counter moves."""
+        out: Dict[Tuple[str, str, Budget], List[Path]] = {}
+        for path in sorted(self.root.glob("*.npz")):
+            m = _SHARD_NAME.fullmatch(path.name)
+            if m:
+                budget = (int(m[3]), float(m[4]), m[5] == "prune")
+                out.setdefault((m[1], m[2], budget), []).append(path)
+        return out
 
     def budgets(self, kernel: str, family: str = BEST_FAMILY) -> List[Budget]:
         """Every search budget with a shard on disk for ``kernel`` and
-        ``family`` (the inverse of :meth:`shard_path`'s naming)."""
-        name = re.compile(rf"{re.escape(f'{kernel}-{family}')}-s(\d+)"
-                          r"-f(\d+\.\d+)-(prune|noprune)-p\d+-\d+")
-        matches = (name.fullmatch(p.stem) for p in self.root.glob("*.npz"))
-        return sorted({(int(m[1]), float(m[2]), m[3] == "prune")
-                       for m in matches if m})
+        ``family``."""
+        return sorted(b for k, f, b in self.shards() if (k, f) == (kernel, family))
 
     # ------------------------------------------------------------------
     # single-pattern interface
@@ -210,9 +204,6 @@ class PatternStore:
 
         A shard hit promotes the pattern into the hot tier.
         """
-        if P < 1:
-            raise ValueError(f"node count must be >= 1, got P={P}")
-        _check_kernel(kernel)
         key = (kernel, family, int(P), tuple(budget))
         pat = self.hot.get(key)
         if pat is not None:
@@ -245,14 +236,10 @@ class PatternStore:
         atomically; every inserted pattern is also promoted into the
         hot tier.  Returns the written shard paths.
         """
-        _check_kernel(kernel)
         by_shard: Dict[Path, Dict[int, Pattern]] = {}
         for P, pat in patterns.items():
-            P = int(P)
-            if P < 1:
-                raise ValueError(f"node count must be >= 1, got P={P}")
             by_shard.setdefault(self.shard_path(P, kernel, family, budget),
-                                {})[P] = pat
+                                {})[int(P)] = pat
         written: List[Path] = []
         for path, batch in sorted(by_shard.items()):
             entries = self._read_shard(path) if path.exists() else {}
@@ -275,77 +262,46 @@ class PatternStore:
         family: str = BEST_FAMILY,
         jobs: Optional[int] = 1,
         chunk_size: Optional[int] = None,
-        write_back: bool = True,
     ) -> List[Pattern]:
         """Serve a batch of node counts; results align with ``P_array``.
 
         Hot tier first, then shards, under the key of
-        ``best_pattern(P, kernel, family, seeds=range(budget))``;
+        ``best_pattern(P, kernel, family, seeds=range(budget))``; the
         remaining misses are built live by that call, fanned out over
-        ``jobs`` worker processes.  Each fallback task is deterministic
-        in its key, misses are dispatched in
-        sorted-P order, and results are merged by P — so the returned
-        patterns are independent of ``jobs`` and ``chunk_size``.
-        ``write_back=False`` skips persisting the fallbacks.
+        ``jobs`` worker processes, and filed under that key, as
+        ``best_pattern(store=)`` does.  Each fallback task is
+        deterministic in its key, misses are dispatched in sorted-P
+        order, and results are merged by P — so the returned patterns
+        are independent of ``jobs`` and ``chunk_size``.  :meth:`stats`
+        counts the live builds (``fallbacks``) and the shards they were
+        filed in (``shards_written``).
         """
-        Ps = _validate_batch(P_array)
-        _check_kernel(kernel)
+        Ps = [int(P) for P in P_array]
+        if not Ps:
+            raise ValueError("P_array must not be empty")
+        bad = sorted({P for P in Ps if P < 1})
+        if bad:
+            raise ValueError(f"node counts must be >= 1, got {bad}")
+        dups = sorted(P for P, n in Counter(Ps).items() if n > 1)
+        if dups:
+            raise ValueError(f"duplicate node counts in batch: {dups}")
         if budget < 1:
             raise ValueError(f"search budget must be >= 1, got {budget}")
         key = dict(kernel=kernel, family=family,
                    budget=search_budget(range(budget)))
         found: Dict[int, Pattern] = {}
-        missing: List[int] = []
         for P in Ps:
             pat = self.get(P, **key)
-            if pat is None:
-                missing.append(P)
-            else:
+            if pat is not None:
                 found[P] = pat
+        missing = sorted(P for P in Ps if P not in found)
         if missing:
             self._fallbacks += len(missing)
-            computed = self._compute_live(sorted(missing), kernel, family,
-                                          budget, jobs, chunk_size)
-            if write_back:
-                self.put_many(computed, **key)
+            computed = self._compute_live(missing, kernel, family, budget,
+                                          jobs, chunk_size)
+            self.put_many(computed, **key)
             found.update(computed)
         return [found[P] for P in Ps]
-
-    def precompute(
-        self,
-        P_array: Sequence[int],
-        kernel: str = "cholesky",
-        budget: int = 20,
-        *,
-        family: str = BEST_FAMILY,
-        jobs: Optional[int] = 1,
-        chunk_size: Optional[int] = None,
-        force: bool = False,
-    ) -> dict:
-        """Warm shards for ``P_array``; returns a summary dict.
-
-        Already-stored node counts are skipped unless ``force``.  The
-        construction fan-out runs on the search-engine process pool
-        (:func:`~repro.patterns.search.auto_executor`).
-        """
-        Ps = _validate_batch(P_array)
-        _check_kernel(kernel)
-        if budget < 1:
-            raise ValueError(f"search budget must be >= 1, got {budget}")
-        key = dict(kernel=kernel, family=family,
-                   budget=search_budget(range(budget)))
-        todo = Ps if force else [P for P in Ps if self.get(P, **key) is None]
-        written: List[Path] = []
-        if todo:
-            computed = self._compute_live(sorted(todo), kernel, family,
-                                          budget, jobs, chunk_size)
-            written = self.put_many(computed, **key)
-        return {
-            "requested": len(Ps),
-            "computed": len(todo),
-            "skipped": len(Ps) - len(todo),
-            "shards": [str(p) for p in written],
-        }
 
     def stats(self) -> StoreStats:
         return StoreStats(self._hot_hits, self._cold_hits, self._misses,
@@ -366,12 +322,7 @@ class PatternStore:
                 [(kernel, family, budget, c) for c in chunks])
         finally:
             executor.close()
-        out: Dict[int, Pattern] = {}
-        for chunk_result in results:
-            for P, payload in chunk_result:
-                out[P] = pattern_from_dict(
-                    payload, context=f"store fallback P={P}")
-        return out
+        return {P: pat for chunk_result in results for P, pat in chunk_result}
 
     def _write_shard(self, path: Path, entries: Dict[int, Pattern]) -> None:
         Ps = np.array(sorted(entries), dtype=np.int64)
@@ -381,13 +332,14 @@ class PatternStore:
         nnodes = np.array([p.nnodes for p in pats], dtype=np.int64)
         offsets = np.zeros(len(pats) + 1, dtype=np.int64)
         np.cumsum(nrows * ncols, out=offsets[1:])
-        if pats:
-            cells = np.concatenate([p.grid.ravel() for p in pats]).astype(np.int64)
-        else:  # pragma: no cover - shards are never written empty
-            cells = np.zeros(0, dtype=np.int64)
+        cells = np.concatenate([p.grid.ravel() for p in pats]).astype(np.int64)
         names = np.array([p.name for p in pats], dtype=np.str_)
         meta = np.array([SHARD_VERSION], dtype=np.int64)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
+        # 0o666 under the umask: the mode a plain open() gives, so other
+        # accounts can read the store (mkstemp would give 0o600)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 np.savez_compressed(fh, meta=meta, Ps=Ps, nrows=nrows,
@@ -401,56 +353,57 @@ class PatternStore:
         self._shards_written += 1
 
     def _read_shard(self, path: Path) -> Dict[int, Pattern]:
-        """Load one shard, validating layout; PatternError names the path."""
         self._shards_read += 1
-        try:
-            with np.load(path, allow_pickle=False) as z:
-                return self._decode_shard(path, z)
-        except PatternError:
-            raise
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile) as exc:
-            raise PatternError(f"{path}: unreadable shard: {exc}") from None
+        return read_shard(path)
 
-    def _decode_shard(self, path: Path, z) -> Dict[int, Pattern]:
-        for key in ("meta", "Ps", "nrows", "ncols", "nnodes",
-                    "offsets", "cells", "names"):
-            if key not in z.files:
-                raise PatternError(f"{path}: shard missing array {key!r}")
-        meta = z["meta"]
-        if meta.size < 1 or int(meta[0]) != SHARD_VERSION:
+
+def read_shard(path: Union[str, Path]) -> Dict[int, Pattern]:
+    """Load one shard as ``{P: pattern}``, validating its layout; every
+    failure raises :class:`PatternError` naming the path."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            return _decode_shard(path, z)
+    except PatternError:
+        raise
+    except (OSError, ValueError, KeyError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise PatternError(f"{path}: unreadable shard: {exc}") from None
+
+
+def _decode_shard(path, z) -> Dict[int, Pattern]:
+    for key in ("meta", "Ps", "nrows", "ncols", "nnodes",
+                "offsets", "cells", "names"):
+        if key not in z.files:
+            raise PatternError(f"{path}: shard missing array {key!r}")
+    meta = z["meta"]
+    if meta.size < 1 or int(meta[0]) != SHARD_VERSION:
+        raise PatternError(
+            f"{path}: unsupported shard version "
+            f"{meta[0] if meta.size else '?'} (expected {SHARD_VERSION})")
+    Ps, nrows, ncols = z["Ps"], z["nrows"], z["ncols"]
+    nnodes, offsets, cells, names = (z["nnodes"], z["offsets"],
+                                     z["cells"], z["names"])
+    n = Ps.size
+    if len(np.unique(Ps)) != n:
+        raise PatternError(f"{path}: duplicate node counts in shard")
+    for arr, label in ((nrows, "nrows"), (ncols, "ncols"),
+                       (nnodes, "nnodes"), (names, "names")):
+        if arr.size != n:
             raise PatternError(
-                f"{path}: unsupported shard version "
-                f"{meta[0] if meta.size else '?'} (expected {SHARD_VERSION})")
-        Ps, nrows, ncols = z["Ps"], z["nrows"], z["ncols"]
-        nnodes, offsets, cells, names = (z["nnodes"], z["offsets"],
-                                         z["cells"], z["names"])
-        n = Ps.size
-        if len(np.unique(Ps)) != n:
-            raise PatternError(f"{path}: duplicate node counts in shard")
-        for arr, label in ((nrows, "nrows"), (ncols, "ncols"),
-                           (nnodes, "nnodes"), (names, "names")):
-            if arr.size != n:
-                raise PatternError(
-                    f"{path}: array {label!r} has {arr.size} entries, "
-                    f"expected {n}")
-        if offsets.size != n + 1 or (n and offsets[0] != 0) \
-                or np.any(np.diff(offsets) < 0):
-            raise PatternError(f"{path}: inconsistent shard offsets")
-        if n and int(offsets[-1]) != cells.size:
-            raise PatternError(
-                f"{path}: cell array has {cells.size} entries, offsets "
-                f"expect {int(offsets[-1])}")
-        out: Dict[int, Pattern] = {}
-        for k in range(n):
-            P = int(Ps[k])
-            out[P] = pattern_from_arrays(
-                cells[int(offsets[k]):int(offsets[k + 1])],
-                int(nrows[k]), int(ncols[k]), int(nnodes[k]),
-                name=str(names[k]), context=f"{path}[P={P}]")
-        return out
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+                f"{path}: array {label!r} has {arr.size} entries, "
+                f"expected {n}")
+    if offsets.size != n + 1 or (n and offsets[0] != 0) \
+            or np.any(np.diff(offsets) < 0):
+        raise PatternError(f"{path}: inconsistent shard offsets")
+    if n and int(offsets[-1]) != cells.size:
+        raise PatternError(
+            f"{path}: cell array has {cells.size} entries, offsets "
+            f"expect {int(offsets[-1])}")
+    out: Dict[int, Pattern] = {}
+    for k in range(n):
+        P = int(Ps[k])
+        out[P] = pattern_from_arrays(
+            cells[int(offsets[k]):int(offsets[k + 1])],
+            int(nrows[k]), int(ncols[k]), int(nnodes[k]),
+            name=str(names[k]), context=f"{path}[P={P}]")
+    return out

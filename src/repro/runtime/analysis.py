@@ -7,7 +7,7 @@ the given cluster takes at least
 * the *node-work bound* — the most loaded node's flops over its own
   capacity (owner-computes pins tasks, so no stealing can help),
 * the *critical-path bound* — the longest dependency chain, counting
-  kernel durations and one message latency per cross-node edge.
+  kernel durations and one message time per cross-node edge.
 
 The simulator's makespan always dominates all three (asserted by the
 test-suite), and comparing measured makespans against them tells
@@ -23,6 +23,7 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .graph import TaskGraph
+from .network import intra_message_time
 from .schedulers import bottom_levels
 from .simplan import _csr
 
@@ -62,8 +63,10 @@ def critical_path(graph: TaskGraph, cluster: ClusterSpec) -> float:
     """Length of the longest dependency chain.
 
     Every task runs on its owner (:meth:`ClusterSpec.task_time`) and a
-    cross-node read adds one message time to the chain (the simulator
-    may add more under NIC contention, never less).  One
+    cross-node read adds the least time any network model takes for it
+    to the chain: :meth:`ClusterSpec.message_time`, or
+    :func:`~repro.runtime.network.intra_message_time` between two ranks
+    of one machine (the ``hierarchical`` model's intra-machine link).  One
     :func:`~repro.runtime.schedulers.bottom_levels` sweep over the
     reversed dependency CSR (consumers grouped by producer) gives every
     task's earliest finish time.
@@ -74,8 +77,12 @@ def critical_path(graph: TaskGraph, cluster: ClusterSpec) -> float:
     tids = np.arange(n)
     rev_indptr, consumers = _csr(np.repeat(tids, np.diff(indptr)), deps, n)
     producers = np.repeat(tids, np.diff(rev_indptr))
-    delay = np.where(node[producers] != node[consumers],
-                     cluster.message_time(), 0.0)
+    src, dst = node[producers], node[consumers]
+    delay = np.where(src != dst, cluster.message_time(), 0.0)
+    if cluster.ranks_per_node > 1:
+        machine = cluster.topology().rank_nodes
+        delay[(src != dst) & (machine[src] == machine[dst])] = \
+            intra_message_time(cluster)
     finish = bottom_levels(rev_indptr, consumers,
                            cluster.task_time(graph.columns.flops, node), delay)
     return float(finish.max(initial=0.0))

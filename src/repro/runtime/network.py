@@ -83,6 +83,7 @@ __all__ = [
     "HANDSHAKE_RTTS",
     "INTRA_BANDWIDTH_SCALE",
     "INTRA_LATENCY_SCALE",
+    "intra_message_time",
 ]
 
 #: Event type codes shared with the simulator's heap.
@@ -100,6 +101,19 @@ HANDSHAKE_RTTS = 2
 INTRA_BANDWIDTH_SCALE = 4.0
 #: Intra-machine latency, as a multiple of the NIC latency.
 INTRA_LATENCY_SCALE = 0.2
+
+
+def intra_message_time(cluster: ClusterSpec) -> float:
+    """Least time :class:`HierarchicalModel` takes to move one tile
+    between two ranks of one machine: the intra-machine latency (times
+    ``1 + HANDSHAKE_RTTS`` above :data:`EAGER_THRESHOLD_BYTES`) plus
+    the tile at the intra-machine bandwidth.  The makespan lower bounds
+    charge it in place of :meth:`ClusterSpec.message_time`."""
+    latency = cluster.latency_s * INTRA_LATENCY_SCALE
+    if cluster.tile_bytes > EAGER_THRESHOLD_BYTES:
+        latency *= 1 + HANDSHAKE_RTTS
+    return latency + cluster.tile_bytes / (cluster.bandwidth_Bps
+                                           * INTRA_BANDWIDTH_SCALE)
 
 
 @dataclass

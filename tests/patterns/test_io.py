@@ -7,11 +7,9 @@ import pytest
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.io import (
-    load_database,
     load_pattern,
     pattern_from_dict,
     pattern_to_dict,
-    save_database,
     save_pattern,
 )
 from repro.patterns.base import PatternError
@@ -44,16 +42,6 @@ class TestRoundTrip:
         save_pattern(bc2d(2, 2), path)
         data = json.loads(path.read_text())
         assert data["nnodes"] == 4
-
-
-class TestDatabase:
-    def test_database_round_trip(self, tmp_path):
-        db = {P: g2dbc(P) for P in (5, 10, 23)}
-        path = tmp_path / "db.json"
-        save_database(db, path)
-        loaded = load_database(path)
-        assert set(loaded) == {5, 10, 23}
-        assert loaded[23] == db[23]
 
 
 class TestMalformedInput:
@@ -118,24 +106,6 @@ class TestMalformedInput:
         with pytest.raises(PatternError, match="references node 5") as exc:
             load_pattern(path)
         assert path in str(exc.value)
-
-    def test_database_bad_key(self, tmp_path):
-        path = self._write(tmp_path, {"abc": {"grid": [[0]], "nnodes": 1}})
-        with pytest.raises(PatternError, match="not an integer P") as exc:
-            load_database(path)
-        assert path in str(exc.value)
-
-    def test_database_nnodes_mismatch(self, tmp_path):
-        path = self._write(tmp_path, {"4": {"grid": [[0, 1]], "nnodes": 2}})
-        with pytest.raises(PatternError, match="nnodes=2 under key 4") as exc:
-            load_database(path)
-        assert f"{path}[4]" in str(exc.value)
-
-    def test_database_entry_error_names_key(self, tmp_path):
-        path = self._write(tmp_path, {"2": {"grid": [[0], [1, 1]], "nnodes": 2}})
-        with pytest.raises(PatternError, match="ragged") as exc:
-            load_database(path)
-        assert f"{path}[2]" in str(exc.value)
 
     def test_pattern_from_dict_without_context(self):
         with pytest.raises(PatternError, match="missing required key"):

@@ -1,10 +1,16 @@
 """Tests for the pattern resolver and the shipped databases."""
 
+import shutil
+
 import pytest
 
 from repro.patterns import library
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.library import PATTERN_FAMILIES, best_pattern
+from repro.patterns.store import PatternStore
+
+#: the key budget every shipped entry is filed under
+SHIPPED = dict(seeds=range(25), max_factor=4.0, prune=False)
 
 
 class TestBestPattern:
@@ -113,13 +119,52 @@ class TestShippedDatabase:
             assert shipped[P].name == ref.name, P
             assert (shipped[P].grid == ref.grid).all(), P
 
+    @pytest.mark.slow
+    def test_every_entry_is_best_pattern_at_the_shipped_budget(self):
+        """All 86 shipped entries equal the live resolver at their key."""
+        for kernel in ("lu", "cholesky"):
+            for P, pat in library.load_shipped_database(kernel).items():
+                ref = best_pattern(P, kernel, jobs=2, **SHIPPED)
+                assert (pat.name, pat.nnodes) == (ref.name, ref.nnodes), P
+                assert (pat.grid == ref.grid).all(), (kernel, P)
+
+    def test_shipped_shards_serve_best_pattern_without_a_search(
+            self, tmp_path, monkeypatch):
+        """The shipped shards are a store: ``best_pattern`` at the
+        shipped budget is a cold hit on a copy of them."""
+        for path in library._DATA_DIR.glob("*.npz"):
+            shutil.copy(path, tmp_path)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched instead of reading the store")
+
+        monkeypatch.setattr(library, "_build", no_search)
+        for kernel in ("lu", "cholesky"):
+            shipped = library.load_shipped_database(kernel)
+            for P in (2, 23, 44):
+                store = PatternStore(tmp_path)
+                pat = best_pattern(P, kernel, store=store, **SHIPPED)
+                assert pat.name == shipped[P].name, (kernel, P)
+                assert (pat.grid == shipped[P].grid).all(), (kernel, P)
+                s = store.stats()
+                assert (s.cold_hits, s.misses, s.shards_written) == (1, 0, 0)
+
     def test_missing_file_names_the_recipe(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(library, "_DATA_DIR", tmp_path)
+        monkeypatch.setattr(library, "_DATA_DIR", tmp_path / "data")
         monkeypatch.setattr(library, "_SHIPPED_CACHE", {})
         with pytest.raises(FileNotFoundError,
-                           match=r"save_database\(.*seeds=range\(25\), "
-                                 r"max_factor=4\.0, prune=False"):
+                           match=r"PatternStore\(.*\)\.put_many\(.*"
+                                 r"seeds=range\(25\), max_factor=4\.0, "
+                                 r"prune=False\) for P in range\(2, 45\)\}, "
+                                 r"'cholesky', budget=\(25, 4\.0, False\)\)"):
             library.load_shipped_database("cholesky")
+        assert not (tmp_path / "data").exists()
+        # a directory without the kernel's key raises the same
+        PatternStore(tmp_path / "data").put(g2dbc(5), 5, "lu",
+                                            budget=(25, 4.0, False))
+        with pytest.raises(FileNotFoundError, match="'cholesky' shards"):
+            library.load_shipped_database("cholesky")
+        assert library.load_shipped_database("lu") == {5: g2dbc(5)}
 
     def test_cache_returns_same_objects(self):
         from repro.patterns.library import load_shipped_database

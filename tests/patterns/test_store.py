@@ -1,46 +1,49 @@
 """Tests for the disk-backed pattern store (repro.patterns.store)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.experiments.campaign import plan_campaign, run_campaign
 from repro.patterns.base import Pattern, PatternError
 from repro.patterns.library import best_pattern
 from repro.patterns.io import pattern_from_arrays
 from repro.patterns.store import (
     DEFAULT_BUDGET,
-    DEFAULT_SHARD_SIZE,
+    SHARD_SIZE,
     PatternStore,
     SHARD_VERSION,
 )
 
-#: key budget of ``patterns_for``/``precompute`` with ``budget=2``
+#: key budget of ``patterns_for`` with ``budget=2``
 B2 = (2, 6.0, True)
 
 
 @pytest.fixture
 def store(tmp_path):
-    return PatternStore(tmp_path / "shards", shard_size=8, hot_maxsize=32)
+    return PatternStore(tmp_path / "shards", hot_maxsize=32)
 
 
 class TestShardAddressing:
     def test_span_partitions_node_counts(self, store):
-        assert store.shard_span(1) == (1, 8)
-        assert store.shard_span(8) == (1, 8)
-        assert store.shard_span(9) == (9, 16)
-        assert store.shard_span(200) == (193, 200)
+        assert store.shard_span(1) == (1, 32)
+        assert store.shard_span(32) == (1, 32)
+        assert store.shard_span(33) == (33, 64)
+        assert store.shard_span(200) == (193, 224)
 
     def test_default_shard_size(self, tmp_path):
-        s = PatternStore(tmp_path)
-        assert s.shard_size == DEFAULT_SHARD_SIZE
-        assert s.shard_span(1) == (1, DEFAULT_SHARD_SIZE)
+        """Every store on disk uses the one shard size."""
+        assert SHARD_SIZE == 32
+        assert PatternStore(tmp_path).shard_span(1) == (1, SHARD_SIZE)
 
     def test_path_encodes_kernel_family_range(self, store):
-        path = store.shard_path(10, "lu", "g2dbc", (5, 4.0, False))
-        assert path.name == "lu-g2dbc-s5-f4.0-noprune-p000009-000016.npz"
+        path = store.shard_path(40, "lu", "g2dbc", (5, 4.0, False))
+        assert path.name == "lu-g2dbc-s5-f4.0-noprune-p000033-000064.npz"
         assert DEFAULT_BUDGET == (20, 6.0, True)
-        assert store.shard_path(10, "lu", "g2dbc").name == \
-            "lu-g2dbc-s20-f6.0-prune-p000009-000016.npz"
+        assert store.shard_path(40, "lu", "g2dbc").name == \
+            "lu-g2dbc-s20-f6.0-prune-p000033-000064.npz"
 
     def test_budgets_inverts_the_file_names(self, store):
         store.put(best_pattern(3, "lu"), 3, kernel="lu", budget=(5, 4.0, False))
@@ -51,23 +54,40 @@ class TestShardAddressing:
         assert store.budgets("lu", "g2dbc") == [B2]
         assert store.budgets("cholesky") == []
 
+    def test_shards_lists_files_by_key_without_reading(self, store):
+        store.put_many({3: best_pattern(3, "lu"), 40: best_pattern(40, "lu")},
+                       kernel="lu", family="2dbc_within", budget=B2)
+        (store.root / "lu-best-p000001-000032.npz").write_bytes(b"stale")
+        before = store.stats()
+        key = ("lu", "2dbc_within", B2)
+        assert store.shards() == {key: [store.shard_path(3, *key),
+                                        store.shard_path(40, *key)]}
+        assert store.stats() == before
+
+    def test_opening_a_store_creates_nothing(self, tmp_path):
+        root = tmp_path / "absent"
+        store = PatternStore(root)
+        assert store.shards() == {} and store.get(5, "lu") is None
+        assert not root.exists()
+        store.put(best_pattern(5, "lu"), 5, kernel="lu")
+        assert [p.name for p in root.iterdir()] == \
+            [store.shard_path(5, "lu").name]
+
     def test_degenerate_inputs_rejected(self, store):
         with pytest.raises(ValueError, match="node count"):
             store.shard_span(0)
         with pytest.raises(ValueError, match="kernel"):
             store.shard_path(5, "qr")
-        with pytest.raises(ValueError, match="shard_size"):
-            PatternStore(store.root, shard_size=0)
 
 
 class TestRoundTrip:
     def test_write_read_cost_equality_across_shards(self, store):
         """Patterns survive the npz round trip across shard boundaries."""
-        Ps = [2, 7, 8, 9, 15, 17]  # spans three shards of size 8
+        Ps = [2, 31, 32, 33, 64, 65]  # spans three shards
         originals = {P: best_pattern(P, kernel="lu") for P in Ps}
         store.put_many(originals, kernel="lu")
         # a fresh store (cold hot tier) must re-read from disk
-        fresh = PatternStore(store.root, shard_size=8)
+        fresh = PatternStore(store.root)
         for P, orig in originals.items():
             got = fresh.get(P, kernel="lu")
             assert got is not None
@@ -87,7 +107,7 @@ class TestRoundTrip:
         b = best_pattern(5, kernel="lu")
         store.put(a, 3, kernel="lu")
         store.put(b, 5, kernel="lu")  # same shard, must keep P=3
-        fresh = PatternStore(store.root, shard_size=8)
+        fresh = PatternStore(store.root)
         assert fresh.get(3, kernel="lu") == a
         assert fresh.get(5, kernel="lu") == b
 
@@ -110,6 +130,22 @@ class TestRoundTrip:
         assert [p.name for p in store.root.glob("*.npz")] == \
             [store.shard_path(11, "cholesky", budget=B2).name]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_shard_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        """A shard is readable by whoever the umask lets read a plain
+        file, so a store warmed by one account serves another."""
+        old = os.umask(umask)
+        try:
+            store = PatternStore(tmp_path)
+            store.put(best_pattern(3, "lu"), 3, kernel="lu")
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        mode = store.shard_path(3, "lu").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+        assert mode == (tmp_path / "plain").stat().st_mode & 0o777
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestCorruption:
     def _warm(self, store, P=3):
@@ -120,14 +156,14 @@ class TestCorruption:
         path = self._warm(store)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        fresh = PatternStore(store.root, shard_size=8)
+        fresh = PatternStore(store.root)
         with pytest.raises(PatternError, match=str(path.name)):
             fresh.get(3, kernel="lu")
 
     def test_garbage_shard_raises_with_path(self, store):
         path = self._warm(store)
         path.write_bytes(b"not a zip archive")
-        fresh = PatternStore(store.root, shard_size=8)
+        fresh = PatternStore(store.root)
         with pytest.raises(PatternError, match="unreadable shard"):
             fresh.get(3, kernel="lu")
 
@@ -137,7 +173,7 @@ class TestCorruption:
             arrays = {k: z[k] for k in z.files}
         del arrays["offsets"]
         np.savez(path, **arrays)
-        fresh = PatternStore(store.root, shard_size=8)
+        fresh = PatternStore(store.root)
         with pytest.raises(PatternError, match="missing array 'offsets'"):
             fresh.get(3, kernel="lu")
 
@@ -148,7 +184,7 @@ class TestCorruption:
         arrays["offsets"] = arrays["offsets"][:-1]
         np.savez(path, **arrays)
         with pytest.raises(PatternError, match="offsets"):
-            PatternStore(store.root, shard_size=8).get(3, kernel="lu")
+            PatternStore(store.root).get(3, kernel="lu")
 
     def test_wrong_version_raises(self, store):
         path = self._warm(store)
@@ -157,7 +193,7 @@ class TestCorruption:
         arrays["meta"] = np.array([SHARD_VERSION + 1], dtype=np.int64)
         np.savez(path, **arrays)
         with pytest.raises(PatternError, match="version"):
-            PatternStore(store.root, shard_size=8).get(3, kernel="lu")
+            PatternStore(store.root).get(3, kernel="lu")
 
     def test_pattern_from_arrays_validation(self):
         with pytest.raises(PatternError, match="shard.npz"):
@@ -219,59 +255,66 @@ class TestBatchedLookup:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_jobs_independent(self, tmp_path, jobs):
         """Identical batch results for every pool size (cold store)."""
-        store = PatternStore(tmp_path / f"j{jobs}", shard_size=8)
+        store = PatternStore(tmp_path / f"j{jobs}")
         Ps = [23, 5, 13, 9, 31]
         got = store.patterns_for(Ps, kernel="cholesky", budget=2, jobs=jobs)
-        ref = PatternStore(tmp_path / f"ref{jobs}", shard_size=8).patterns_for(
+        ref = PatternStore(tmp_path / f"ref{jobs}").patterns_for(
             Ps, kernel="cholesky", budget=2, jobs=1)
         for a, b in zip(got, ref):
             assert a == b
             assert a.grid.tobytes() == b.grid.tobytes()
+            assert not a.grid.flags.writeable  # also from a pool worker
 
     def test_chunk_size_independent(self, tmp_path):
         Ps = [3, 5, 8, 11, 14]
-        a = PatternStore(tmp_path / "c1", shard_size=8).patterns_for(
+        a = PatternStore(tmp_path / "c1").patterns_for(
             Ps, kernel="lu", budget=2, jobs=2, chunk_size=1)
-        b = PatternStore(tmp_path / "c5", shard_size=8).patterns_for(
+        b = PatternStore(tmp_path / "c5").patterns_for(
             Ps, kernel="lu", budget=2, jobs=2, chunk_size=5)
         for x, y in zip(a, b):
             assert x == y
 
-    def test_no_write_back_leaves_disk_cold(self, store):
-        store.patterns_for([5], kernel="lu", budget=2, write_back=False)
-        assert not store.shard_path(5, "lu", budget=B2).exists()
-        assert not list(store.root.glob("*.npz"))
 
 
 class TestPrecompute:
+    """Warming a store is one ``patterns_for`` call: it files every
+    live build, so the next call is served from the shards."""
+
     def test_precompute_then_query(self, store):
-        summary = store.precompute(range(2, 18), kernel="lu", budget=2)
-        assert summary["computed"] == 16
-        assert summary["skipped"] == 0
-        assert len(summary["shards"]) == 3  # shard_size=8 -> 3 ranges
-        again = store.precompute(range(2, 18), kernel="lu", budget=2)
-        assert again["computed"] == 0 and again["skipped"] == 16
-        pats = store.patterns_for([2, 9, 17], kernel="lu", budget=2)
-        assert [p.nnodes for p in pats] == [2, 9, 17]
-        assert store.stats().fallbacks == 0
+        Ps = [2, 32, 33, 64, 65]  # three shards
+        store.patterns_for(Ps, kernel="lu", budget=2)
+        s = store.stats()
+        assert (s.fallbacks, s.shards_written) == (5, 3)
+        fresh = PatternStore(store.root)
+        pats = fresh.patterns_for([65, 2, 33], kernel="lu", budget=2)
+        assert [p.nnodes for p in pats] == [65, 2, 33]
+        s = fresh.stats()
+        assert (s.fallbacks, s.cold_hits, s.shards_written) == (0, 3, 0)
 
-    def test_force_recomputes(self, store):
-        store.precompute([4, 5], kernel="lu", budget=2)
-        summary = store.precompute([4, 5], kernel="lu", budget=2, force=True)
-        assert summary["computed"] == 2
-
-    def test_precompute_validates_batch(self, store):
+    def test_precompute_validates_batch(self, tmp_path, capsys):
+        d = str(tmp_path)
+        assert main(["store", "precompute", "--dir", d, "--nodes", "3",
+                     "--range", "2", "4"]) == 2
+        assert "exactly one of" in capsys.readouterr().err
         with pytest.raises(ValueError, match="duplicate"):
-            store.precompute([3, 3], kernel="lu")
+            main(["store", "precompute", "--dir", d, "--nodes", "3", "3",
+                  "--kernel", "lu"])
+        assert main(["store", "precompute", "--dir", d, "--range", "2", "4",
+                     "--kernel", "lu", "--budget", "2"]) == 0
+        assert "computed 3 patterns (0 already stored) into 1 shard(s)" \
+            in capsys.readouterr().out
+        assert main(["store", "precompute", "--dir", d, "--nodes", "4", "5",
+                     "--kernel", "lu", "--budget", "2"]) == 0
+        assert "computed 1 patterns (1 already stored) into 1 shard(s)" \
+            in capsys.readouterr().out
 
 
 class TestHotTierStats:
     def test_exact_counters_in_seeded_scenario(self, tmp_path):
         """Hit/miss/eviction counters are exact for a scripted access mix."""
-        PatternStore(tmp_path, shard_size=8).precompute(
-            [3, 4, 5], kernel="lu", budget=2)
+        PatternStore(tmp_path).patterns_for([3, 4, 5], kernel="lu", budget=2)
         # fresh store over the warmed directory: all counters start at 0
-        store = PatternStore(tmp_path, shard_size=8, hot_maxsize=2)
+        store = PatternStore(tmp_path, hot_maxsize=2)
         s0 = store.stats()
         assert (s0.hot.hits, s0.hot.misses, s0.hot.evictions) == (0, 0, 0)
 
@@ -292,9 +335,8 @@ class TestHotTierStats:
         assert stats.hit_rate == 1.0
 
     def test_lru_recency_updated_by_get(self, tmp_path):
-        PatternStore(tmp_path, shard_size=8).precompute(
-            [3, 4, 5], kernel="lu", budget=2)
-        store = PatternStore(tmp_path, shard_size=8, hot_maxsize=2)
+        PatternStore(tmp_path).patterns_for([3, 4, 5], kernel="lu", budget=2)
+        store = PatternStore(tmp_path, hot_maxsize=2)
         store.get(3, "lu", budget=B2)
         store.get(4, "lu", budget=B2)
         store.get(3, "lu", budget=B2)   # refresh 3 -> LRU order [4, 3]
@@ -304,8 +346,8 @@ class TestHotTierStats:
         assert store.stats().hot.hits == info_before.hits + 1
 
     def test_disabled_hot_tier(self, tmp_path):
-        store = PatternStore(tmp_path, shard_size=8, hot_maxsize=0)
-        store.precompute([3], kernel="lu", budget=2)
+        store = PatternStore(tmp_path, hot_maxsize=0)
+        store.patterns_for([3], kernel="lu", budget=2)
         base = store.stats().shards_read
         store.get(3, "lu", budget=B2)
         store.get(3, "lu", budget=B2)
@@ -315,7 +357,7 @@ class TestHotTierStats:
 
 class TestLibraryIntegration:
     def test_best_pattern_reads_through(self, tmp_path):
-        store = PatternStore(tmp_path, shard_size=8)
+        store = PatternStore(tmp_path)
         a = best_pattern(23, kernel="cholesky", seeds=range(2), store=store)
         assert store.get(23, kernel="cholesky", budget=B2) == a  # persisted
         b = best_pattern(23, kernel="cholesky", seeds=range(2), store=store)
@@ -324,7 +366,7 @@ class TestLibraryIntegration:
         assert store.stats().hot_hits >= 1
 
     def test_best_pattern_store_respects_family(self, tmp_path):
-        store = PatternStore(tmp_path, shard_size=8)
+        store = PatternStore(tmp_path)
         g = best_pattern(10, kernel="lu", family="g2dbc", store=store)
         assert store.get(10, kernel="lu", family="g2dbc") == g
         assert store.get(10, kernel="lu") is None  # 'best' key untouched
@@ -373,10 +415,9 @@ class TestCampaignIntegration:
     """Campaign rows depend neither on the store nor on call order."""
 
     def test_campaign_rows_identical_with_and_without_store(self, tmp_path):
-        # warmed at the campaign's own budget (20 seeds), with the
-        # default shard size the campaign opens the store with
+        # warmed at the campaign's own budget (20 seeds)
         store = PatternStore(tmp_path)
-        store.precompute([5, 7], kernel="lu", family="g2dbc", budget=20)
+        store.patterns_for([5, 7], kernel="lu", family="g2dbc", budget=20)
         shards = lambda: sorted(  # noqa: E731
             (p.name, p.stat().st_mtime_ns, p.stat().st_ino)
             for p in tmp_path.glob("*.npz"))
@@ -390,8 +431,8 @@ class TestCampaignIntegration:
             assert a.as_dict() == b.as_dict()
 
     def test_store_at_another_budget_changes_no_row(self, tmp_path):
-        PatternStore(tmp_path).precompute([23], kernel="cholesky",
-                                          family="gcrm", budget=2)
+        PatternStore(tmp_path).patterns_for([23], kernel="cholesky",
+                                            family="gcrm", budget=2)
         cells = plan_campaign(["gcrm"], [23], [8])
         stored = run_campaign(cells, tile_size=500, store_dir=str(tmp_path))
         live = best_pattern(23, "cholesky", family="gcrm")
@@ -400,8 +441,8 @@ class TestCampaignIntegration:
         assert [r.as_dict() for r in stored] == [r.as_dict() for r in plain]
 
     def test_store_run_leaves_no_pattern_behind(self, tmp_path):
-        PatternStore(tmp_path).precompute([11], kernel="cholesky",
-                                          family="gcrm", budget=2)
+        PatternStore(tmp_path).patterns_for([11], kernel="cholesky",
+                                            family="gcrm", budget=2)
         cells = plan_campaign(["gcrm"], [11], [8])
         stored = run_campaign(cells, tile_size=500, store_dir=str(tmp_path))
         plain = run_campaign(cells, tile_size=500)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cost.schedbounds import schedule_lower_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
@@ -11,6 +12,7 @@ from repro.patterns.sbc import sbc
 from repro.runtime.analysis import critical_path, makespan_bounds
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph, TaskKind
+from repro.runtime.network import intra_message_time
 from repro.runtime.simulator import simulate
 
 
@@ -88,6 +90,49 @@ class TestBounds:
         assert bounds.limiting_factor(tr.makespan) in (
             "work", "node-balance", "critical-path",
         )
+
+
+class TestHierarchicalBounds:
+    """Both makespan lower bounds under the ``hierarchical`` network with
+    two ranks per machine, where a message between the ranks of one
+    machine takes the faster intra-machine link."""
+
+    def test_same_machine_messages_charged_the_intra_link(self):
+        cl = ClusterSpec(nnodes=2, cores_per_node=1, core_gflops=1.0,
+                         bandwidth_Bps=1e9, latency_s=1e-6, tile_size=8,
+                         ranks_per_node=2)
+        graph, home = build_lu_graph(
+            TileDistribution(g2dbc(2), 2, symmetric=False), 8)
+        trace = simulate(graph, cl, data_home=home, network="hierarchical")
+        assert (len(graph), trace.n_messages) == (5, 2)
+        sched = schedule_lower_bounds(graph, cl, data_home=home,
+                                      network="hierarchical")
+        # both messages leave one rank, each at the intra-link time
+        assert sched.comm_time == 2 * intra_message_time(cl)
+        assert intra_message_time(cl) == pytest.approx(0.2e-6 + 512 / 4e9)
+        bounds = makespan_bounds(graph, cl)
+        assert trace.makespan >= bounds.critical_path
+        assert trace.makespan >= bounds.best
+        trace.sched_bounds = sched
+        assert trace.optimality_ratio >= 1.0
+        # the topology-blind models keep charging the NIC message time
+        nic = schedule_lower_bounds(graph, cl, data_home=home, network="nic")
+        assert nic.comm_time == 2 * cl.message_time()
+
+    @pytest.mark.parametrize("tile, rtts", [(90, 1), (91, 3)])
+    def test_rendezvous_latency_over_the_eager_threshold(self, tile, rtts):
+        # 90² × 8 B = 64.8 kB is eager, 91² × 8 B = 66.2 kB rendezvous
+        cl = ClusterSpec(nnodes=2, cores_per_node=1, core_gflops=1.0,
+                         bandwidth_Bps=1e9, latency_s=1e-6, tile_size=tile,
+                         ranks_per_node=2)
+        assert intra_message_time(cl) == pytest.approx(
+            rtts * 0.2e-6 + cl.tile_bytes / 4e9)
+        graph, home = build_lu_graph(
+            TileDistribution(g2dbc(2), 2, symmetric=False), tile)
+        trace = simulate(graph, cl, data_home=home, network="hierarchical")
+        assert trace.makespan >= makespan_bounds(graph, cl).best
+        assert trace.makespan >= schedule_lower_bounds(
+            graph, cl, data_home=home, network="hierarchical").best
 
 
 class TestTreeMulticast:

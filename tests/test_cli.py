@@ -196,8 +196,10 @@ class TestStoreStatsCommand:
         out = capsys.readouterr().out
         assert "1 shard file(s)" in out and "1 pattern(s)" in out
         assert "P 5-5" in out
-        # the --nodes probe hit the warmed shard: a cold hit, no fallback
+        # the --nodes probe hit the warmed shard: a cold hit, no fallback;
+        # listing the inventory read no shard through the store
         assert "cold hits 1" in out and "fallbacks 0" in out
+        assert "shards read/written 1/0" in out
 
     def test_probe_visits_every_stored_budget(self, tmp_path, capsys):
         d = str(tmp_path / "store")
