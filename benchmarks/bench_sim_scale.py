@@ -179,8 +179,8 @@ def test_sim_batch_speedup(benchmark):
             f"{w.events_written} events in {w.flushes} flushes, "
             f"{size_mb:.1f} MB on disk",
             f"  peak RSS {rss_before:.0f} -> {rss_after:.0f} MB "
-            f"(writer buffer, plus 16 B/task and 24 B/message of "
-            f"recording arrays on the compiled loop)",
+            f"(writer buffer, plus 24 B/task and 32 B/message of "
+            f"recording columns on the compiled loop)",
         ]
 
     # gates ------------------------------------------------------------

@@ -130,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", metavar="FILE", default=None,
                    help="stream a Chrome-tracing JSON timeline to FILE "
                         "(chrome://tracing / Perfetto) through a bounded "
-                        "write buffer; the compiled loop also holds ~16 "
-                        "bytes per task and 24 per message until it ends")
+                        "write buffer; a compiled run also holds 24 bytes "
+                        "per task and 32 per message until it is written")
     add_search_flags(p)
 
     p = sub.add_parser("campaign",

@@ -34,8 +34,9 @@ The v3 hot path is split in three layers:
    demand, which replicates the Python loop event for event;
    ``REPRO_SIM_BACKEND`` selects it (see
    :mod:`~repro.runtime.backends`).  A recorded run keeps flat arrays
-   of start times plus an emission log, and the records are handed to
-   the run's sink in the Python loop's order after the loop ends.
+   of start times plus an emission log, and hands them to the run's
+   sink as columns (:meth:`~repro.runtime.trace.TraceWriter.write_batch`)
+   after the loop ends.
 3. **Python loop** — the always-available fallback (and the only path
    for fork-join, non-priority schedulers, tree multicast and the
    contention-family models).  It drains the event heap in same-timestamp
@@ -55,20 +56,21 @@ resize stitch) hands its task and message records to one sink, a
 ``trace_writer=``, or for ``record_tasks=True`` alone a
 :class:`~repro.runtime.trace.RecordList`, whose lists the returned
 trace carries.  With a writer the Python loop holds only the writer's
-buffer; a compiled run also holds its recording arrays (16 bytes per
-task, 24 per message) until the loop ends.
+buffer; a compiled run also holds its recording columns (24 bytes per
+task, 32 per message) until the sink's batch hook returns.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .backends import select_backend
 from .cluster import ClusterSpec
-from .graph import TaskGraph, column_view
+from .graph import TaskGraph
 from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
@@ -79,7 +81,7 @@ from .network import (
 )
 from .schedulers import make_scheduler
 from .simplan import get_plan
-from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord, TraceWriter
+from .trace import ExecutionTrace, RecordList, TaskRecord, TraceWriter
 
 __all__ = ["simulate", "SimulationError"]
 
@@ -164,12 +166,14 @@ def simulate(
         :class:`~repro.runtime.trace.TaskRecord` and
         :class:`~repro.runtime.trace.MsgRecord` in production order,
         instead of growing in-memory lists.  The Python loop writes each
-        record as it is produced; the compiled loop writes them all, in
-        the same order, once it ends.  The returned trace then has
-        ``task_records is None`` and ``msg_records is None``, also for
-        fault and resize runs; the caller owns the writer's lifecycle
-        (``close()``).  The event schedule is identical with or without
-        a writer.
+        record as it is produced; the compiled loop hands the whole run
+        to the writer's ``write_batch`` as columns once it ends (a
+        writer without that hook gets the same records, in the same
+        order, through ``write_task``/``write_msg``).  The returned
+        trace then has ``task_records is None`` and ``msg_records is
+        None``, also for fault and resize runs; the caller owns the
+        writer's lifecycle (``close()``).  The event schedule is
+        identical with or without a writer.
     resize:
         A :class:`~repro.runtime.resize.ResizeEvent`, a ``"P@t"`` spec
         string for :func:`~repro.runtime.resize.parse_resize`, or
@@ -230,9 +234,8 @@ def simulate(
 
     # ------------------------------------------------------------------
     # Compiled C backend: default configuration, recording or not.  A
-    # recorded run fills start-time arrays and an emission log; the
-    # records are replayed from them into the sink after the loop
-    # (_compiled_records).
+    # recorded run fills start-time arrays and an emission log, which
+    # go to the sink's batch hook as columns after the loop.
     # ------------------------------------------------------------------
     if (cluster.scheduler == "priority" and not cluster.fork_join
             and cluster.multicast == "p2p" and type(model) is NicModel):
@@ -241,9 +244,18 @@ def simulate(
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
                          record=sink is not None)
+            end = None
             if sink is not None:
-                _compiled_records(res, plan, dur_a, cluster.tile_bytes, sink)
-            completion = res.task_start + dur_a if record_tasks else None
+                end = res.task_start + dur_a
+                # a duck-typed sink without the batch hook gets the
+                # base class's per-record replay
+                write_batch = getattr(sink, "write_batch", None) \
+                    or partial(TraceWriter.write_batch, sink)
+                write_batch(res.log, plan.node, res.task_start, end,
+                            plan.msg_data, plan.msg_version, plan.msg_src,
+                            plan.msg_dst, res.msg_start, res.msg_arrive,
+                            np.full(plan.n_msgs, cluster.tile_bytes))
+            completion = end if record_tasks else None
             if res.completed != n_tasks:
                 _raise_deadlock(graph, n_tasks, res.completed,
                                 res.pending.tolist(), {})
@@ -599,35 +611,6 @@ def simulate(
         net_stats=net_stats,
         msg_records=records.msgs if records is not None else None,
     )
-
-
-def _compiled_records(res, plan, dur_a: np.ndarray, nbytes,
-                      sink: TraceWriter) -> None:
-    """Replay a recorded compiled run's records into ``sink``, one by
-    one in the loop's emission order (``res.log``) — the records and
-    order the Python loop produces.  Arrays are read through
-    :func:`~repro.runtime.graph.column_view`, so records hold plain
-    Python ints and floats and no array is copied.
-    """
-    start = column_view(res.task_start)
-    node = column_view(plan.node)
-    dur = column_view(dur_a)
-    m_start = column_view(res.msg_start)
-    m_end = column_view(res.msg_arrive)
-    data = column_view(plan.msg_data)
-    version = column_view(plan.msg_version)
-    src = column_view(plan.msg_src)
-    dst = column_view(plan.msg_dst)
-    write_task = sink.write_task
-    write_msg = sink.write_msg
-    for e in column_view(res.log):
-        if e >= 0:
-            t = start[e]
-            write_task(TaskRecord(e, node[e], t, t + dur[e]))
-        else:
-            u = -1 - e
-            write_msg(MsgRecord(data[u], version[u], src[u], dst[u],
-                                m_start[u], m_end[u], nbytes))
 
 
 def _raise_deadlock(graph: TaskGraph, n_tasks: int, completed: int,

@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from .cluster import ClusterSpec
+from .graph import column_view
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cost.schedbounds import ScheduleBounds
@@ -55,17 +56,20 @@ class TraceWriter:
     :meth:`write_msg` in production order, instead of accumulating
     Python lists on the trace (``record_tasks=True`` alone uses a
     :class:`RecordList`).  The Python loop writes each record the
-    moment it is produced, so recording memory is the writer's buffer;
-    the compiled loop writes the same sequence after it ends, holding
-    flat arrays of 16 bytes per task and 24 per message until then.
+    moment it is produced, so recording memory is the writer's buffer.
+    The compiled loop hands its whole run to :meth:`write_batch` once
+    it ends, as columns: 24 bytes per task and 32 per message.
 
     Subclasses implement the two required hooks :meth:`write_task` and
-    :meth:`write_msg`, may override the optional :meth:`write_fault`
-    and :meth:`write_resize` (ignored by default), and implement
-    :meth:`flush`/:meth:`close`; see
+    :meth:`write_msg`, may override :meth:`write_batch` (by default it
+    replays the columns into the two per-record hooks) and the optional
+    :meth:`write_fault` and :meth:`write_resize` (ignored by default),
+    and implement :meth:`flush`/:meth:`close`; see
     :class:`~repro.runtime.tracefmt.ChromeTraceWriter` for the
-    Chrome-tracing JSON implementation.  Writers are context managers:
-    ``with ChromeTraceWriter(path) as w: simulate(..., trace_writer=w)``.
+    Chrome-tracing JSON implementation.  A duck-typed sink without
+    ``write_batch`` gets the per-record replay too.  Writers are context
+    managers: ``with ChromeTraceWriter(path) as w: simulate(...,
+    trace_writer=w)``.
     """
 
     def write_task(self, rec: "TaskRecord") -> None:
@@ -73,6 +77,35 @@ class TraceWriter:
 
     def write_msg(self, rec: "MsgRecord") -> None:
         raise NotImplementedError
+
+    def write_batch(self, log: np.ndarray, node: np.ndarray,
+                    start: np.ndarray, end: np.ndarray,
+                    data: np.ndarray, version: np.ndarray, src: np.ndarray,
+                    dst: np.ndarray, msg_start: np.ndarray,
+                    msg_end: np.ndarray, nbytes: np.ndarray) -> None:
+        """Every record of a finished compiled run, as columns.
+
+        ``log`` is the emission order: ``tid >= 0`` for a task,
+        ``-1 - uid`` for a message.  ``node``, ``start`` and ``end`` are
+        indexed by tid; ``data`` through ``nbytes`` by message uid.  The
+        default replays the log into :meth:`write_task` /
+        :meth:`write_msg` — the records and order the Python loop
+        produces, holding plain Python ints and floats (the columns are
+        read through :func:`~repro.runtime.graph.column_view`, so no
+        array is copied).
+        """
+        node, start, end = map(column_view, (node, start, end))
+        data, version, src, dst, msg_start, msg_end, nbytes = map(
+            column_view, (data, version, src, dst, msg_start, msg_end, nbytes))
+        write_task = self.write_task
+        write_msg = self.write_msg
+        for e in column_view(log):
+            if e >= 0:
+                write_task(TaskRecord(e, node[e], start[e], end[e]))
+            else:
+                u = -1 - e
+                write_msg(MsgRecord(data[u], version[u], src[u], dst[u],
+                                    msg_start[u], msg_end[u], nbytes[u]))
 
     def write_fault(self, event) -> None:
         """Fault incident of a degraded run (default: ignored)."""

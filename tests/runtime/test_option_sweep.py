@@ -13,13 +13,18 @@ every node raises:
   network;
 * fault-free runs under an owner-computes scheduler (any but
   ``work_stealing``) take at least
-  :func:`~repro.runtime.analysis.makespan_bounds`.
+  :func:`~repro.runtime.analysis.makespan_bounds`;
+* every run recorded by a :class:`~repro.runtime.tracefmt.ChromeTraceWriter`
+  has the canonical outcome of its unrecorded twin (makespan, message
+  counts, fault and resize stats), and its file parses to the
+  ``events_written`` events.
 
 The machine is comm-bound (8-wide tiles, 1 GFLOP/s cores), the regime
 where a bound that overcharges a message is broken.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -35,6 +40,7 @@ from repro.runtime.faults import colrow_recovery
 from repro.runtime.resize import ResizeEvent
 from repro.runtime.schedulers import registered_schedulers
 from repro.runtime.simulator import SimulationError, simulate
+from repro.runtime.tracefmt import ChromeTraceWriter
 
 TILE = 8
 M = 2
@@ -47,7 +53,7 @@ REL = 1e-9
 
 @pytest.mark.parametrize("P", [1, 2, 5])
 @pytest.mark.parametrize("kernel", ["lu", "cholesky"])
-def test_every_option_runs_and_respects_its_bounds(P, kernel):
+def test_every_option_runs_and_respects_its_bounds(P, kernel, tmp_path):
     pattern = shipped_pattern(P, kernel)
     symmetric = kernel == "cholesky"
     dist = TileDistribution(pattern, M, symmetric=symmetric)
@@ -55,35 +61,53 @@ def test_every_option_runs_and_respects_its_bounds(P, kernel):
     graph, home = build(dist, TILE)
     count = count_cholesky_messages if symmetric else count_lu_messages
     messages = count(dist).total
+    path = tmp_path / "trace.json"
+    # resolved once: outside the shipped 2..44 range (P' = 1) each
+    # resolution is a GCR&M search
+    targets = {n: shipped_pattern(n, kernel) for n in (P + 1, P - 1) if n}
     for cores, (net, rpn), scheduler in itertools.product(
             (1, 2), NETWORKS, registered_schedulers()):
         case = (cores, net, rpn, scheduler)
         cl = ClusterSpec(nnodes=P, cores_per_node=cores, core_gflops=1.0,
                          bandwidth_Bps=1e9, latency_s=1e-6, tile_size=TILE,
                          ranks_per_node=rpn, scheduler=scheduler)
-        run = dict(data_home=home, network=net)
-        sched_bound = schedule_lower_bounds(graph, cl, **run).best
+        recovery = colrow_recovery(pattern)
 
-        plain = simulate(graph, cl, **run)
+        def run(**kw):
+            """One run, and its twin recorded by a Chrome writer."""
+            kw.update(data_home=home, network=net)
+            trace = simulate(graph, cl, **kw)
+            with ChromeTraceWriter(path, graph=graph) as w:
+                twin = simulate(graph, cl, trace_writer=w, **kw)
+            assert twin.to_canonical() == trace.to_canonical(), (case, kw)
+            with open(path) as fh:
+                events = json.load(fh)["traceEvents"]
+            assert len(events) == w.events_written, (case, kw)
+            return trace
+
+        sched_bound = schedule_lower_bounds(graph, cl, data_home=home,
+                                            network=net).best
+        plain = run()
         assert plain.n_messages == messages, case
         assert plain.makespan >= sched_bound * (1 - REL), case
         if scheduler != "work_stealing":
             assert plain.makespan >= makespan_bounds(graph, cl).best \
                 * (1 - REL), case
 
-        recovery = colrow_recovery(pattern)
-        lossy = simulate(graph, cl, **run, faults="loss:0.3,seed:1",
-                         recovery=recovery)
+        lossy = run(faults="loss:0.3,seed:1", recovery=recovery)
         assert lossy.makespan >= sched_bound * (1 - REL), case
 
         fail = f"fail:{P - 1}@{plain.makespan / 3!r}"
         if P == 1:
+            kw = dict(data_home=home, network=net, faults=fail,
+                      recovery=recovery)
             with pytest.raises(SimulationError, match="all nodes failed"):
-                simulate(graph, cl, **run, faults=fail, recovery=recovery)
+                simulate(graph, cl, **kw)
+            with ChromeTraceWriter(path) as w, \
+                    pytest.raises(SimulationError, match="all nodes failed"):
+                simulate(graph, cl, trace_writer=w, **kw)
         else:
-            simulate(graph, cl, **run, faults=fail, recovery=recovery)
+            run(faults=fail, recovery=recovery)
 
-        for target in (P + 1, P - 1):  # grow, and shrink unless P = 1
-            if target >= 1:
-                simulate(graph, cl, **run,
-                         resize=ResizeEvent(plain.makespan / 3, target))
+        for n, target in targets.items():  # grow, and shrink unless P = 1
+            run(resize=ResizeEvent(plain.makespan / 3, n, target))

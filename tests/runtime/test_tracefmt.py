@@ -284,7 +284,8 @@ class TestChromeTraceWriter:
         construction names the task slices."""
         dist = TileDistribution(bc2d(2, 2), 4)
         graph, _ = build_lu_graph(dist, 8)
-        w = ChromeTraceWriter(tmp_path / "w.json", buffer_events=1000)
+        path = tmp_path / "w.json"
+        w = ChromeTraceWriter(path, buffer_events=1000)
         w.graph = graph
         # overlapping spans: record i lands on lane i
         times = [(0.0, 1e22), (1e-7, 1 / 3), (np.float64(0.1), 0.2)]
@@ -304,8 +305,16 @@ class TestChromeTraceWriter:
                 {"name": "bytes_sent_total", "ph": "C", "ts": start * 1e6,
                  "pid": 3, "args": {"bytes": cum}},
             ]
-        assert w._buf == [json.dumps(e) for e in expected]
         w.close()
+        expected += [
+            {"name": "process_name", "ph": "M", "pid": 1,
+             "args": {"name": "node 1"}},
+            {"name": "process_name", "ph": "M", "pid": NETWORK_PID,
+             "args": {"name": "network"}},
+        ]
+        assert path.read_text() == (
+            '{"traceEvents": [' + ",".join(map(json.dumps, expected)) + "]}")
+        assert w.events_written == len(expected)
 
 
 class TestTextGantt:
