@@ -34,12 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from ..runtime import csim
+from ..runtime.backends import select_backend
 from .base import UNDEFINED, Pattern
 from .delta import ColrowSwap, DeltaCostState, HierCostState
 
@@ -137,6 +140,8 @@ def _phase1(P: int, r: int, rng: np.random.Generator,
         least = np.flatnonzero(loads == loads.min())
         p = int(rng.choice(least))
         mine = member[p]
+        if mine.all():  # p covers every cell (only at P=1)
+            break
         # newly covered cells when adding colrow b: pairs (b, i)/(i, b)
         # with i in A[p], intersected with the uncovered set.
         gain = (uncovered[:, mine].sum(axis=1) + uncovered[mine, :].sum(axis=0))
@@ -161,15 +166,20 @@ def _phase1(P: int, r: int, rng: np.random.Generator,
 
 
 def _phase1_fast(P: int, r: int, rng: np.random.Generator,
-                 tie_break: str = "usage_random") -> list[set[int]]:
-    """Bitmask reimplementation of :func:`_phase1` (the production path).
+                 tie_break: str = "usage_random") -> np.ndarray:
+    """Bitmask reimplementation of :func:`_phase1`: the Python
+    production path, which :func:`gcrm` takes under
+    ``REPRO_SIM_BACKEND=python`` and on hosts without a C compiler.
 
-    Decision-for-decision identical to the reference loop: the same
-    ``rng.choice`` calls are made on the same candidate lists, so the
-    RNG stream — and therefore the returned assignment — is
-    byte-identical.  Colrow sets and the uncovered-cell matrix live in
-    Python integers (one bit per colrow), which turns the per-iteration
-    boolean slicing of the reference path into a handful of popcounts.
+    Returns the ``(P, r)`` boolean membership matrix (``[p, i]`` — colrow
+    ``i`` in ``A[p]``), as its compiled twin
+    :func:`repro.runtime.csim.gcrm_phase1` does, and makes the same
+    decisions as both: the same ``rng.choice`` calls are made on the
+    same candidate lists, so the RNG stream — and therefore the
+    assignment — is byte-identical.  Colrow sets and the uncovered-cell
+    matrix live in Python integers (one bit per colrow), which turns the
+    per-iteration boolean slicing of the reference path into a handful
+    of popcounts.
 
     Three deliberate representation differences that cannot change
     decisions: gains are counted once instead of twice (the reference
@@ -231,8 +241,8 @@ def _phase1_fast(P: int, r: int, rng: np.random.Generator,
                 cand = [b]
             elif g == best_gain:
                 cand.append(b)
-        if not cand:  # pragma: no cover - p owns every colrow already
-            cand = list(range(r))
+        if not cand:  # p owns every colrow, so covers every cell: P=1
+            break
         if len(cand) > 1 and use_usage:
             umin = P + 2  # usage[b] <= P: each node owns b at most once
             sel: list[int] = []
@@ -263,7 +273,10 @@ def _phase1_fast(P: int, r: int, rng: np.random.Generator,
             low = flips & -flips
             unc[low.bit_length() - 1] &= ~(1 << b)
             flips ^= low
-    return [{i for i in range(r) if (member[p] >> i) & 1} for p in range(P)]
+    nbytes = (r + 7) // 8
+    packed = b"".join(m.to_bytes(nbytes, "little") for m in member)
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(P, nbytes),
+                         axis=1, count=r, bitorder="little").view(bool)
 
 
 def _matching_assign(cells: np.ndarray, cover: np.ndarray, copies: np.ndarray) -> np.ndarray:
@@ -358,11 +371,14 @@ def gcrm(P: int, r: int, seed=None,
     policy (see :data:`TIE_BREAKS`); the paper's algorithm is
     ``"usage_random"``.
 
-    Construction runs on the fast evaluator: the bitmask phase 1
-    (:func:`_phase1_fast`), the direct-CSR matchings
-    (:func:`_matching_assign_fast`), and one vectorized
-    :class:`~repro.patterns.delta.DeltaCostState` count of the finished
-    grid instead of full re-costing.
+    Construction runs on the fast evaluator: phase 1 in C
+    (:func:`repro.runtime.csim.gcrm_phase1`) whenever
+    :func:`~repro.runtime.backends.select_backend` picks ``c``, else
+    the bitmask loop :func:`_phase1_fast` (both draw the same numbers
+    from ``seed``'s generator and return the same membership matrix);
+    the direct-CSR matchings (:func:`_matching_assign_fast`); and one
+    vectorized :class:`~repro.patterns.delta.DeltaCostState` count of
+    the finished grid instead of full re-costing.
     The reference loops :func:`_phase1` / :func:`_matching_assign` and
     full re-costing (:attr:`Pattern.cost_cholesky`) are kept only as
     the oracles the differential suite pins this path against.
@@ -378,12 +394,10 @@ def gcrm(P: int, r: int, seed=None,
     else:
         seed_id = seed
     rng = np.random.default_rng(seed)
-    A = _phase1_fast(P, r, rng, tie_break=tie_break)
-
-    member = np.zeros((P, r), dtype=bool)
-    for p, crs in enumerate(A):
-        for i in crs:
-            member[p, i] = True
+    if select_backend()[0] == "c":
+        member = csim.gcrm_phase1(P, r, rng, TIE_BREAKS.index(tie_break))
+    else:
+        member = _phase1_fast(P, r, rng, tie_break=tie_break)
 
     # enumerate off-diagonal cells
     ii, jj = np.nonzero(~np.eye(r, dtype=bool))
@@ -421,14 +435,19 @@ def gcrm(P: int, r: int, seed=None,
         loads[p] += 1
         member[p, i] = True
         member[p, j] = True
-        A[p].update((i, j))
 
     grid = np.full((r, r), UNDEFINED, dtype=np.int64)
     grid[ii, jj] = owner
     pattern = Pattern(grid, nnodes=P, name=f"GCR&M {r}x{r} (P={P}, seed={seed_id})")
+    # A[p] off the final matrix in one pass: its row-major nonzeros,
+    # cut into per-node runs
+    nodes, crs = np.nonzero(member)
+    crs_iter = iter(crs.tolist())
+    colrows = [set(islice(crs_iter, n))
+               for n in np.bincount(nodes, minlength=P).tolist()]
     return GCRMResult(
         pattern=pattern,
-        colrows=A,
+        colrows=colrows,
         cost=DeltaCostState.from_grid(grid, P).cost,
         seed=seed_id,
         phase2_leftover=int(len(leftover)),

@@ -196,13 +196,25 @@ def load_shipped_database(kernel: str = "cholesky") -> Dict[int, Pattern]:
     return _SHIPPED_CACHE[kernel]
 
 
+#: ``best_pattern(P, kernel)`` at the default budget, without a store,
+#: for the node counts :func:`shipped_pattern` resolved outside the
+#: shipped range; keyed ``(P, kernel)``
+_SEARCHED: Dict[Tuple[int, str], Pattern] = {}
+
+
 def shipped_pattern(P: int, kernel: str = "cholesky") -> Pattern:
     """One very efficient pattern for ``P`` nodes.
 
     The shipped database's entry when ``P`` is in its 2..44 range, else
     :func:`best_pattern` ``(P, kernel)`` — so callers that only know a
     node count (e.g. elastic-resize targets with P′ > 44) always
-    resolve.
+    resolve.  That search runs once per ``(P, kernel)`` and process:
+    its pattern is kept, as the shipped entries are, and handed to
+    every later caller (patterns are read-only).
     """
     db = load_shipped_database(kernel)
-    return db[P] if P in db else best_pattern(P, kernel)
+    if P in db:
+        return db[P]
+    if (P, kernel) not in _SEARCHED:
+        _SEARCHED[P, kernel] = best_pattern(P, kernel)
+    return _SEARCHED[P, kernel]

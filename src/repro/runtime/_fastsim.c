@@ -1,12 +1,15 @@
-/* Compiled event loop for the default simulator configuration.
+/* The package's two compiled kernels: the simulator's event loop
+ * (``repro_run_sim``) and phase 1 of GCR&M (``repro_gcrm_phase1``, at
+ * the end of this file).  ``csim.py`` binds both, and one
+ * ``REPRO_SIM_BACKEND`` resolution selects both.  The caller passes
+ * every buffer, scratch included: nothing is allocated here and no
+ * libc beyond the implicit runtime is used.
  *
- * Replicates, event for event, the Python loop of
+ * The event loop replicates, event for event, the Python loop of
  * ``repro.runtime.simulator`` for its default configuration: priority
  * scheduler, no fork-join barrier, NIC network model with
- * point-to-point multicast.  The caller (``csim.py``) hands in the
- * SimPlan arrays as they are (int32 indexes, int64 priority keys) plus
- * preallocated scratch; nothing is allocated here and no libc beyond
- * the implicit runtime is used.
+ * point-to-point multicast.  The caller hands in the SimPlan arrays as
+ * they are (int32 indexes, int64 priority keys).
  *
  * Recording (``record != 0``) stores each task's start time, each
  * message's send start and arrival, and one log entry per record in
@@ -265,5 +268,169 @@ int64_t repro_run_sim(
     out_counts[0] = completed;
     out_counts[1] = n_messages;
     out_counts[2] = n_log;
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* GCR&M phase 1: greedy colrow assignment (Algorithm 1, lines 1-10)  */
+/* ------------------------------------------------------------------ */
+
+/* numpy's public bit generator interface, as declared in
+ * ``numpy/random/bitgen.h``.  The caller passes the pointer held by a
+ * generator's ``bit_generator.capsule`` and holds its
+ * ``bit_generator.lock`` for the whole call. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* ``Generator.integers(0, n)`` for 1 <= n < 2**32, draw for draw: no
+ * draw when n == 1, else Lemire's rejection on ``next_uint32`` (numpy's
+ * ``buffered_bounded_lemire_uint32`` with rng = n - 1). */
+static int64_t draw_below(bitgen_t *bg, int64_t n)
+{
+    if (n == 1)
+        return 0;
+    uint32_t n32 = (uint32_t)n;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * n32;
+    uint32_t leftover = (uint32_t)(m & 0xFFFFFFFFu);
+    if (leftover < n32) {
+        uint32_t threshold = (UINT32_MAX - (n32 - 1u)) % n32;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * n32;
+            leftover = (uint32_t)(m & 0xFFFFFFFFu);
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+static int64_t popcount64(uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555u);
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return (int64_t)((x * 0x0101010101010101u) >> 56);
+}
+
+/* bit ``b`` of a multi-word bitset: word b / 64, bit b % 64 */
+#define BIT(b_) ((uint64_t)1 << ((b_) & 63))
+#define HAS(set_, b_) (((set_)[(b_) >> 6] >> ((b_) & 63)) & 1u)
+
+/* tie_break: the index of the policy in ``gcrm.TIE_BREAKS`` */
+#define TIE_USAGE_RANDOM 0
+#define TIE_FIRST 2
+
+/* Makes ``gcrm._phase1_fast``'s decisions one for one, on bitsets of
+ * W = ceil(r / 64) words: the same least-loaded list (in node order,
+ * the picked node dropped in place when its load changes), the same
+ * candidate colrows in ascending order, and the same draws.  Returns 0
+ * and writes ``member[p * r + b] = 1`` iff colrow b is in A[p]; 1 if
+ * the safety net of 4 P r + 16 steps trips. */
+int64_t repro_gcrm_phase1(
+    int64_t P, int64_t r, int64_t tie_break, void *bitgen,
+    /* scratch, preallocated by the caller: (P + r + 1) * W words and
+     * 2 * (P + r) ints */
+    uint64_t *words, int64_t *ints,
+    /* output, P * r bytes */
+    uint8_t *member)
+{
+    bitgen_t *bg = bitgen;
+    int64_t W = (r + 63) >> 6;
+    uint64_t *own = words;              /* A[p], P bitsets */
+    uint64_t *unc = words + P * W;      /* uncovered cells, row b of r */
+    uint64_t *flips = unc + r * W;      /* cells the new colrow covers */
+    int64_t *sizes = ints;              /* |A[p]| */
+    int64_t *least = ints + P;          /* least-loaded nodes */
+    int64_t *usage = ints + 2 * P;      /* how many A[p] hold colrow b */
+    int64_t *cand = usage + r;          /* candidate colrows */
+    uint64_t tail = (r & 63) ? BIT(r) - 1u : ~(uint64_t)0;
+
+    for (int64_t k = 0; k < P * W; k++)
+        own[k] = 0;
+    for (int64_t p = 0; p < P; p++)
+        sizes[p] = 0;
+    for (int64_t i = 0; i < r; i++) {   /* round-robin start */
+        own[(i % P) * W + (i >> 6)] |= BIT(i);
+        sizes[i % P]++;
+        usage[i] = 1;
+        for (int64_t w = 0; w < W; w++)
+            unc[i * W + w] = w == W - 1 ? tail : ~(uint64_t)0;
+        unc[i * W + (i >> 6)] &= ~BIT(i);
+    }
+
+    int64_t n_unc = r * r - r;
+    int64_t nleast = 0, best_load = 0;
+    int64_t max_iter = 4 * P * r + 16;
+    for (int64_t guard = 1; n_unc > 0; guard++) {
+        if (guard > max_iter)
+            return 1;
+        if (nleast == 0) {
+            best_load = sizes[0] * (sizes[0] - 1);
+            for (int64_t p = 1; p < P; p++)
+                if (sizes[p] * (sizes[p] - 1) < best_load)
+                    best_load = sizes[p] * (sizes[p] - 1);
+            for (int64_t p = 0; p < P; p++)
+                if (sizes[p] * (sizes[p] - 1) == best_load)
+                    least[nleast++] = p;
+        }
+        int64_t idx = draw_below(bg, nleast);
+        int64_t p = least[idx];
+        uint64_t *mine = own + p * W;
+
+        int64_t best_gain = -1, ncand = 0;
+        for (int64_t b = 0; b < r; b++) {
+            if (HAS(mine, b))
+                continue;
+            int64_t g = 0;
+            for (int64_t w = 0; w < W; w++)
+                g += popcount64(unc[b * W + w] & mine[w]);
+            if (g > best_gain) {
+                best_gain = g;
+                ncand = 0;
+            }
+            if (g == best_gain)
+                cand[ncand++] = b;
+        }
+        if (ncand == 0)  /* p owns every colrow: it covers every cell */
+            break;
+        if (ncand > 1 && tie_break == TIE_USAGE_RANDOM) {
+            int64_t umin = usage[cand[0]], kept = 0;
+            for (int64_t k = 1; k < ncand; k++)
+                if (usage[cand[k]] < umin)
+                    umin = usage[cand[k]];
+            for (int64_t k = 0; k < ncand; k++)
+                if (usage[cand[k]] == umin)
+                    cand[kept++] = cand[k];
+            ncand = kept;
+        }
+        int64_t b = tie_break == TIE_FIRST ? cand[0]
+                                           : cand[draw_below(bg, ncand)];
+
+        mine[b >> 6] |= BIT(b);
+        int64_t s = ++sizes[p];
+        if (s * (s - 1) != best_load) {
+            nleast--;
+            for (int64_t k = idx; k < nleast; k++)
+                least[k] = least[k + 1];
+        }
+        usage[b]++;
+        int64_t n_flips = 0;
+        for (int64_t w = 0; w < W; w++) {
+            flips[w] = unc[b * W + w] & mine[w];
+            unc[b * W + w] &= ~flips[w];
+            n_flips += popcount64(flips[w]);
+        }
+        n_unc -= 2 * n_flips;
+        for (int64_t i = 0; i < r; i++)
+            if (HAS(flips, i))
+                unc[i * W + (b >> 6)] &= ~BIT(b);
+    }
+
+    for (int64_t p = 0; p < P; p++)
+        for (int64_t b = 0; b < r; b++)
+            member[p * r + b] = (uint8_t)HAS(own + p * W, b);
     return 0;
 }

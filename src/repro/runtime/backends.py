@@ -1,20 +1,23 @@
-"""Simulator backend selection (compiled C > pure Python).
+"""Backend selection for the compiled kernels (compiled C > pure Python).
 
-The event loop of :func:`repro.runtime.simulator.simulate` has two
-interchangeable implementations for its default configuration
-(priority scheduler, no fork-join, NIC network, p2p multicast; with or
-without task/message recording):
+Two hot loops have a C twin in ``_fastsim.c``, and one resolution picks
+both: the event loop of :func:`repro.runtime.simulator.simulate` for
+its default configuration (priority scheduler, no fork-join, NIC
+network, p2p multicast; with or without task/message recording), and
+phase 1 of :func:`repro.patterns.gcrm.gcrm`.
 
 * ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
-* ``python`` — the batch-drained pure-Python loop, always available.
+* ``python`` — the batch-drained pure-Python event loop and the bitmask
+  phase 1 ``gcrm._phase1_fast``, always available.
 
-Both produce byte-identical event schedules (the golden and
-cross-backend equivalence tests pin this).  ``REPRO_SIM_BACKEND``
-selects the loop: ``auto`` (default) uses C when it compiles and loads,
-else Python; ``c`` demands the compiled loop; ``python`` forces the
-pure-Python one.  Any other value, or an explicit ``c`` that cannot be
-built, raises :class:`BackendError` — only ``auto`` falls back.
+Both produce byte-identical event schedules and patterns (the golden,
+cross-backend and GCR&M differential tests pin this).
+``REPRO_SIM_BACKEND`` selects the backend: ``auto`` (default) uses C
+when it compiles and loads, else Python; ``c`` demands the compiled
+kernels; ``python`` forces the pure-Python ones.  Any other value, or an
+explicit ``c`` that cannot be built, raises :class:`BackendError` —
+only ``auto`` falls back.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ def select_backend() -> Tuple[str, Optional[Callable]]:
     """Resolve ``(name, runner)`` for the accelerated event loop.
 
     ``runner`` is ``None`` when only the pure-Python loop is usable.
+    :func:`repro.patterns.gcrm.gcrm` runs phase 1 in C when ``name``
+    is ``"c"``.
     The choice is cached per ``REPRO_SIM_BACKEND`` value, so tests can
     monkeypatch the environment and re-resolve; errors are not cached.
     """

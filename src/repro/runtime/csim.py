@@ -1,18 +1,24 @@
-"""Runtime-compiled C backend for the simulator's default configuration.
+"""Runtime-compiled C backend: the simulator's event loop and GCR&M phase 1.
 
 Compiles ``_fastsim.c`` with the system C compiler on first use
 (``cc -O2 -fPIC -shared``, **no** ``-ffast-math`` — the event loop's
 double arithmetic must stay IEEE-identical to Python's) into a cache
-directory keyed by the source hash, and binds it through
-:mod:`ctypes`/:mod:`numpy.ctypeslib`.  A run may record: it then also
-returns each task's start time, each message's send start and arrival,
-and the order in which the Python loop would have emitted those
-records (see :class:`FastSimResult`).  No compiler, a failed compile,
-or a missing source file makes :func:`available` return ``False`` and
-:func:`load_error` say why; :mod:`.backends` then falls back to the
-pure-Python loop under ``REPRO_SIM_BACKEND=auto`` and raises under
-``REPRO_SIM_BACKEND=c``.  ``REPRO_CACHE_DIR`` overrides where the
-shared object is cached.
+directory keyed by the source hash, and binds its two entry points
+through :mod:`ctypes`/:mod:`numpy.ctypeslib`:
+
+* :func:`run` — the event loop for the simulator's default
+  configuration.  A run may record: it then also returns each task's
+  start time, each message's send start and arrival, and the order in
+  which the Python loop would have emitted those records (see
+  :class:`FastSimResult`).
+* :func:`gcrm_phase1` — phase 1 of GCR&M, drawing from the caller's
+  numpy generator through its ``bitgen_t``.
+
+No compiler, a failed compile, or a missing source file makes
+:func:`available` return ``False`` and :func:`load_error` say why;
+:mod:`.backends` then falls back to the pure-Python loops under
+``REPRO_SIM_BACKEND=auto`` and raises under ``REPRO_SIM_BACKEND=c``.
+``REPRO_CACHE_DIR`` overrides where the shared object is cached.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from typing import Optional
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-__all__ = ["available", "load_error", "run", "FastSimResult"]
+__all__ = ["available", "load_error", "run", "FastSimResult",
+           "gcrm_phase1"]
 
 _SRC = Path(__file__).with_name("_fastsim.c")
 _lib = None
@@ -39,6 +46,12 @@ _load_error: Optional[str] = None
 _I32 = ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+
+#: ``PyCapsule_GetPointer`` under a prototype of its own, so the shared
+#: ``ctypes.pythonapi`` function object keeps whatever argtypes it has
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def _cache_dir() -> Path:
@@ -88,6 +101,18 @@ def _load():
             _F64, _I64, _I64,                          # busy, msgs_sent, msgs_recv
             _F64, _F64,                                # tx_busy, rx_busy
             _F64, _I64,                                # out_makespan, out_counts
+        ]
+        fn = lib.repro_gcrm_phase1
+        fn.restype = ctypes.c_int64
+        # ctypes arrays, not ndpointer: a search makes thousands of
+        # calls, and three ndarray conversions cost more than a small
+        # phase 1 (~10 us against ~3 us per call)
+        fn.argtypes = [
+            ctypes.c_int64, ctypes.c_int64,            # P, r
+            ctypes.c_int64, ctypes.c_void_p,           # tie_break, bitgen_t *
+            ctypes.POINTER(ctypes.c_uint64),           # scratch words
+            ctypes.POINTER(ctypes.c_int64),            # scratch ints
+            ctypes.POINTER(ctypes.c_uint8),            # member (P x r)
         ]
         _lib = lib
     except subprocess.CalledProcessError as exc:
@@ -208,3 +233,34 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         res.msg_arrive = msg_arrive
         res.log = log[:int(out_counts[2])]
     return res
+
+
+def gcrm_phase1(P: int, r: int, rng: np.random.Generator,
+                tie_break: int) -> np.ndarray:
+    """GCR&M phase 1 in C: the ``(P, r)`` boolean colrow membership.
+
+    Only valid once :func:`available` is true.  Makes the decisions of
+    :func:`repro.patterns.gcrm._phase1_fast` one for one, on bitsets of
+    ``ceil(r / 64)`` words, with ``tie_break`` the policy's index in
+    :data:`repro.patterns.gcrm.TIE_BREAKS`.  It draws through ``rng``'s
+    own bit generator (numpy's ``bitgen_t``, under its lock) by the
+    rule of ``Generator.integers(0, n)``, so the draws, and the
+    generator's state afterwards, are those of the Python loop for any
+    bit generator.
+    """
+    if P < 1 or r < 1 or tie_break not in (0, 1, 2):
+        raise ValueError(f"phase 1 needs P >= 1, r >= 1 and a tie-break "
+                         f"index 0..2, got P={P}, r={r}, {tie_break!r}")
+    lib = _load()
+    W = (r + 63) >> 6
+    words = (ctypes.c_uint64 * ((P + r + 1) * W))()
+    ints = (ctypes.c_int64 * (2 * (P + r)))()
+    member = (ctypes.c_uint8 * (P * r))()
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        status = lib.repro_gcrm_phase1(
+            P, r, tie_break, _capsule_pointer(bitgen.capsule, b"BitGenerator"),
+            words, ints, member)
+    if status != 0:  # pragma: no cover - safety net, as in _phase1_fast
+        raise RuntimeError(f"GCR&M phase 1 did not converge (P={P}, r={r})")
+    return np.frombuffer(member, dtype=np.bool_).reshape(P, r)

@@ -8,17 +8,21 @@ full re-costing survive as oracles.  Two layers of protection:
   shipped database covers (5..44).  The full evaluator
   (``Pattern.cost_cholesky`` / ``colrow_counts``) is the independent
   oracle.
-* **Regression layer** — ``_phase1_fast`` / ``_matching_assign_fast``
-  match the reference loops ``_phase1`` / ``_matching_assign`` on the
-  same RNG streams and covers; ``gcrm(...).cost`` is bit-identical to
-  ``pattern.cost_cholesky``; search winners at the paper's P∈{23,31,35}
-  figure cases and the pattern-service inputs P∈{45,57,60,66} match
-  grid digests recorded from the full re-costing evaluator.  The
-  RNG-stream equivalence the fast phase-1 path relies on
+* **Regression layer** — both production phase-1 paths (the bitmask
+  loop ``_phase1_fast`` and, when it builds, the compiled
+  ``csim.gcrm_phase1``) and ``_matching_assign_fast`` match the
+  reference loops ``_phase1`` / ``_matching_assign`` on the same RNG
+  streams and covers, leaving the generator in the same state;
+  ``gcrm(...).cost`` is bit-identical to ``pattern.cost_cholesky``;
+  search winners at the paper's P∈{23,31,35} figure cases and the
+  pattern-service inputs P∈{45,57,60,66} match grid digests recorded
+  from the full re-costing evaluator, under every available backend.
+  The RNG-stream equivalence the fast phase-1 paths rely on
   (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]`` for a
   1-D population) is pinned so a numpy internals change fails loudly.
 """
 
+import copy
 import hashlib
 
 import numpy as np
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 from repro.patterns.base import Pattern, PatternError
 from repro.patterns.delta import ColrowSwap, DeltaCostState
 from repro.patterns.gcrm import (
+    TIE_BREAKS,
     _matching_assign,
     _matching_assign_fast,
     _phase1,
@@ -38,6 +43,8 @@ from repro.patterns.gcrm import (
     gcrm_search,
 )
 from repro.patterns.library import best_pattern
+from repro.patterns.search import spawn_task_seeds
+from repro.runtime import csim
 
 #: sha256 of ``grid.tobytes()`` and ``cost.hex()`` of the search winner,
 #: recorded from the full re-costing evaluator with
@@ -181,14 +188,38 @@ class TestDeltaStateGuards:
 # ---------------------------------------------------------------------------
 # regression layer: the delta-evaluated GCR&M stack vs its oracles
 # ---------------------------------------------------------------------------
+def _same_state(a, b):
+    """Equal ``bit_generator.state`` dicts (MT19937's holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _phase1_paths(P, r, tie_break):
+    """The production phase-1 paths this host runs, as ``rng -> member``."""
+    paths = {"python": lambda rng: _phase1_fast(P, r, rng, tie_break=tie_break)}
+    if csim.available():
+        code = TIE_BREAKS.index(tie_break)
+        paths["c"] = lambda rng: csim.gcrm_phase1(P, r, rng, code)
+    return paths
+
+
 def _phase1_pair(P, r, seed, tie_break="usage_random"):
-    """Run both phase-1 loops on twin RNG streams; assert they agree."""
-    a_rng = np.random.default_rng(seed)
-    b_rng = np.random.default_rng(seed)
-    ref = _phase1(P, r, a_rng, tie_break=tie_break)
-    fast = _phase1_fast(P, r, b_rng, tie_break=tie_break)
-    assert fast == ref
-    assert a_rng.bit_generator.state == b_rng.bit_generator.state
+    """Run the reference loop and every production path on twin RNG
+    streams; assert equal sets and equal generator state afterwards.
+
+    ``seed`` is anything ``default_rng`` accepts; each run gets a deep
+    copy, so a caller-owned generator or bit generator yields twins.
+    """
+    ref_rng = np.random.default_rng(copy.deepcopy(seed))
+    ref = _phase1(P, r, ref_rng, tie_break=tie_break)
+    for name, run in _phase1_paths(P, r, tie_break).items():
+        rng = np.random.default_rng(copy.deepcopy(seed))
+        member = run(rng)
+        assert member.shape == (P, r) and member.dtype == bool, name
+        assert [set(np.flatnonzero(row).tolist()) for row in member] == ref, name
+        assert _same_state(rng.bit_generator.state,
+                           ref_rng.bit_generator.state), name
     return ref
 
 
@@ -228,24 +259,87 @@ class TestGcrmDeltaEquivalence:
         res = gcrm(23, 10, seed=3, tie_break="first")
         assert res.cost.hex() == res.pattern.cost_cholesky.hex()
 
+    @pytest.mark.parametrize("P,r", [(130, 65), (200, 84)])
+    def test_two_word_bitsets(self, P, r):
+        """r > 64: the compiled path's bitsets span two words."""
+        for tie_break in TIE_BREAKS:
+            _phase1_pair(P, r, 0, tie_break=tie_break)
+
+    def test_spawned_seed_sequences(self):
+        """The search's ``seed=`` mode: one SeedSequence spawn per task."""
+        seeds = spawn_task_seeds(1234, 6)
+        for ss, r in zip(seeds, [8, 10, 12, 15, 20, 25]):
+            _phase1_pair(35, r, ss)
+
+    def test_caller_owned_generator(self, sim_backends):
+        """A generator passed as ``seed`` is drawn from in place, from
+        mid-stream: three 32-bit draws leave half a PCG64 output
+        buffered, and ``gcrm`` advances it alike under every backend."""
+        gen = np.random.default_rng(11)
+        gen.integers(0, 7, size=3)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        _phase1_pair(23, 10, gen)
+        runs = []
+        for _ in sim_backends:
+            own = copy.deepcopy(gen)
+            runs.append((gcrm(23, 10, seed=own).pattern.grid.tobytes(),
+                         own.bit_generator.state))
+        for grid, state in runs[1:]:
+            assert grid == runs[0][0]
+            assert _same_state(state, runs[0][1])
+
+    def test_rejected_draw_is_redrawn(self):
+        """Lemire's rejection, draw for draw: the first draw at P=5, r=7
+        is ``integers(0, 3)`` over the three empty nodes, and a 32-bit
+        0 is the one value numpy rejects for n=3 (2**32 mod 3 = 1), so
+        every path must draw again.  The buffered half of a PCG64 output
+        is set to 0 to make that the first value drawn."""
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        gen.bit_generator.state = state
+        probe = copy.deepcopy(gen)
+        probe.integers(0, 3)
+        # the redraw took a fresh 64-bit output and buffered its upper half
+        assert probe.bit_generator.state["has_uint32"] == 1
+        _phase1_pair(5, 7, gen)
+
+    def test_non_pcg64_bit_generator(self, sim_backends):
+        """Any numpy bit generator works: the kernel calls its own
+        ``next_uint32``, not a PCG64 copy."""
+        _phase1_pair(23, 10, np.random.MT19937(1))
+        _phase1_pair(31, 16, np.random.MT19937(1), tie_break="random")
+        grids = {gcrm(23, 10, seed=np.random.MT19937(1)).pattern.grid.tobytes()
+                 for _ in sim_backends}
+        assert len(grids) == 1
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_one_node_ends(self, tie_break):
+        """At P=1 node 0 owns every colrow and covers every cell."""
+        for r in range(2, 7):
+            assert _phase1_pair(1, r, 0, tie_break=tie_break) == [set(range(r))]
+
     @pytest.mark.parametrize("P", sorted(SEARCH_DIGESTS))
-    def test_search_winner_byte_identical(self, P):
-        res = gcrm_search(P, seeds=range(5), max_factor=3.0, seed=1234,
-                          prune=False)
-        assert _digest(res.pattern) == SEARCH_DIGESTS[P]
-        assert res.cost.hex() == SEARCH_DIGESTS[P][1]
+    def test_search_winner_byte_identical(self, P, sim_backends):
+        for backend in sim_backends:
+            res = gcrm_search(P, seeds=range(5), max_factor=3.0, seed=1234,
+                              prune=False)
+            assert _digest(res.pattern) == SEARCH_DIGESTS[P], backend
+            assert res.cost.hex() == SEARCH_DIGESTS[P][1], backend
 
     @pytest.mark.parametrize("P", sorted(SERVICE_DIGESTS))
-    def test_service_winner_byte_identical(self, P):
-        pat = best_pattern(P, "cholesky", seeds=range(4))
-        assert _digest(pat) == SERVICE_DIGESTS[P]
+    def test_service_winner_byte_identical(self, P, sim_backends):
+        for backend in sim_backends:
+            pat = best_pattern(P, "cholesky", seeds=range(4))
+            assert _digest(pat) == SERVICE_DIGESTS[P], backend
 
-    def test_search_delta_jobs_independent(self):
+    def test_search_delta_jobs_independent(self, sim_backends):
         kw = dict(seeds=range(5), max_factor=3.0, seed=7)
-        serial = gcrm_search(23, jobs=1, **kw)
-        parallel = gcrm_search(23, jobs=2, **kw)
-        assert serial.cost == parallel.cost
-        assert (serial.pattern.grid == parallel.pattern.grid).all()
+        for backend in sim_backends:
+            serial = gcrm_search(23, jobs=1, **kw)
+            parallel = gcrm_search(23, jobs=2, **kw)
+            assert serial.cost == parallel.cost, backend
+            assert (serial.pattern.grid == parallel.pattern.grid).all(), backend
 
     def test_rng_stream_equivalence(self):
         """choice(a) and a[integers(0, len(a))] consume identical draws.

@@ -7,6 +7,7 @@ import pytest
 
 from repro.patterns.base import UNDEFINED
 from repro.patterns.gcrm import (
+    TIE_BREAKS,
     feasible_size,
     feasible_sizes,
     gcrm,
@@ -171,8 +172,6 @@ class TestSearch:
 
 class TestTieBreaks:
     def test_policies_accepted(self):
-        from repro.patterns.gcrm import TIE_BREAKS
-
         for policy in TIE_BREAKS:
             res = gcrm(23, 12, seed=0, tie_break=policy)
             assert res.loads.sum() == 12 * 11
@@ -191,3 +190,18 @@ class TestTieBreaks:
         rand = min(gcrm(23, 12, seed=s).cost for s in range(10))
         det = min(gcrm(23, 12, seed=s, tie_break="first").cost for s in range(10))
         assert rand <= det + 1e-9
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_one_node_owns_every_cell(self, tie_break, sim_backends):
+        """At P=1 node 0 owns every colrow from the start, so phase 1
+        ends at once under every policy (``first`` used to pick colrow 0
+        forever) and node 0 owns every off-diagonal cell."""
+        for backend in sim_backends:
+            for r in range(2, 7):
+                res = gcrm(1, r, seed=0, tie_break=tie_break)
+                off = ~np.eye(r, dtype=bool)
+                assert (res.pattern.grid[off] == 0).all(), (backend, r)
+                assert res.colrows == [set(range(r))], (backend, r)
+            best = gcrm_search(1, seeds=range(2), prune=False,
+                               tie_break=tie_break).pattern
+            assert (best.grid[~np.eye(best.nrows, dtype=bool)] == 0).all()

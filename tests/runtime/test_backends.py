@@ -181,37 +181,52 @@ def test_unknown_backend_raises(value, monkeypatch):
         backends.select_backend()
 
 
-#: C parameter type -> (NumPy dtype of a pointer's argtype, ctypes type
-#: of a scalar's)
-_C_TYPES = {"int32_t": (np.int32, ctypes.c_int32),
+#: C type -> (NumPy dtype of an ndpointer argtype, ctypes type of a
+#: scalar argtype or of a ctypes pointer's element)
+_C_TYPES = {"uint8_t": (np.uint8, ctypes.c_uint8),
+            "int32_t": (np.int32, ctypes.c_int32),
             "int64_t": (np.int64, ctypes.c_int64),
+            "uint64_t": (np.uint64, ctypes.c_uint64),
             "double": (np.float64, ctypes.c_double)}
 
 
+def _check_param(ctype, star, argtype):
+    """One C parameter (or return type) against its ctypes binding."""
+    if ctype == "void":
+        return star and argtype is ctypes.c_void_p
+    dtype, scalar = _C_TYPES[ctype]
+    if not star:
+        return argtype is scalar
+    if hasattr(argtype, "_dtype_"):  # numpy.ctypeslib.ndpointer
+        return argtype._dtype_ == np.dtype(dtype)
+    return getattr(argtype, "_type_", None) is scalar  # ctypes.POINTER
+
+
 def test_fastsim_signature_matches_argtypes():
-    """``csim.py`` binds ``repro_run_sim`` in ``_fastsim.c`` parameter
-    by parameter: ctypes cannot check a foreign signature, so one
-    missing argument shifts every later pointer (a segfault), and an
-    ``int32_t *`` bound as an int64 array reads garbage.  Each
-    parameter's argtype must match its C type in element type, width,
-    and pointer or scalar."""
+    """``csim.py`` binds every ``repro_*`` function of ``_fastsim.c``
+    parameter by parameter: ctypes cannot check a foreign signature, so
+    one missing argument shifts every later pointer (a segfault), and
+    an ``int32_t *`` bound as an int64 array reads garbage.  Each
+    parameter's argtype, and each return type's restype, must match its
+    C type in element type, width, and pointer or scalar."""
     from repro.runtime import csim
     if not csim.available():
         pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
     src = re.sub(r"/\*.*?\*/", "", csim._SRC.read_text(), flags=re.S)
-    params = re.search(r"repro_run_sim\s*\((.*?)\)\s*\{", src,
-                       flags=re.S).group(1)
-    decls = [p.strip() for p in params.split(",") if p.strip()]
-    argtypes = csim._load().repro_run_sim.argtypes
-    assert len(decls) == len(argtypes)
-    for decl, argtype in zip(decls, argtypes):
-        ctype, star, name = re.fullmatch(
-            r"(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)", decl).groups()
-        dtype, scalar = _C_TYPES[ctype]
-        if star:
-            assert getattr(argtype, "_dtype_", None) == np.dtype(dtype), name
-        else:
-            assert argtype is scalar, name
+    defs = re.findall(r"^(\w+)\s+(repro_\w+)\s*\((.*?)\)\s*\{", src,
+                      flags=re.S | re.M)
+    assert {name for _, name, _ in defs} == {"repro_run_sim",
+                                              "repro_gcrm_phase1"}
+    lib = csim._load()
+    for restype, name, params in defs:
+        fn = getattr(lib, name)
+        assert _check_param(restype, "", fn.restype), name
+        decls = [p.strip() for p in params.split(",") if p.strip()]
+        assert len(decls) == len(fn.argtypes), name
+        for decl, argtype in zip(decls, fn.argtypes):
+            ctype, star, param = re.fullmatch(
+                r"(?:const\s+)?(\w+)\s*(\*?)\s*(\w+)", decl).groups()
+            assert _check_param(ctype, star, argtype), f"{name}: {param}"
 
 
 @pytest.fixture
@@ -236,11 +251,27 @@ def test_unavailable_backend_raises(monkeypatch, no_compiler):
 
 
 def test_auto_without_compiler_runs_python(monkeypatch, no_compiler):
+    """Without a compiler both the event loop and GCR&M phase 1 run
+    their Python paths, with the same results."""
     monkeypatch.setenv(backends.BACKEND_ENV, "auto")
     assert backends.select_backend() == ("python", None)
     dist = TileDistribution(g2dbc(5), 8, symmetric=False)
     graph, home = build_lu_graph(dist, TILE)
     trace = simulate(graph, _cluster(5), data_home=home, network="nic")
+    pattern = gcrm(23, 10, seed=0).pattern
     monkeypatch.setenv(backends.BACKEND_ENV, "python")
     ref = simulate(graph, _cluster(5), data_home=home, network="nic")
     assert trace.to_canonical() == ref.to_canonical()
+    assert pattern == gcrm(23, 10, seed=0).pattern
+
+
+def test_phase1_kernel_rejects_bad_sizes():
+    """Sizes are checked before any pointer reaches the kernel."""
+    from repro.runtime import csim
+    if not csim.available():
+        pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
+    rng = np.random.default_rng(0)
+    for P, r, tie_break in ((0, 4, 0), (5, 0, 0), (5, 4, 3), (5, 4, -1)):
+        with pytest.raises(ValueError, match="phase 1 needs"):
+            csim.gcrm_phase1(P, r, rng, tie_break)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

@@ -265,3 +265,26 @@ class TestMigrationStats:
             makespan_source_s=1.0, makespan_target_s=1.0,
             breakeven=float("inf"), plan=None)
         assert rs.tiles_saved == 2
+
+
+def test_untargeted_resizes_search_once(monkeypatch):
+    """A resize without a target resolves it with ``shipped_pattern``;
+    outside the shipped range that is a GCR&M search, made once per
+    node count and kernel, not once per run."""
+    from repro.patterns import library
+
+    searches = []
+    real = library.gcrm_search
+
+    def counted(P, **kw):
+        searches.append(P)
+        return real(P, **kw)
+
+    monkeypatch.setattr(library, "gcrm_search", counted)
+    monkeypatch.setattr(library, "_SEARCHED", {})
+    graph, home, cluster = _case(2, m=8, kernel="cholesky")
+    first = simulate(graph, cluster, data_home=home, resize="1@3e-5")
+    again = simulate(graph, cluster, data_home=home, resize="1@3e-5")
+    assert searches == [1]
+    assert first.to_canonical() == again.to_canonical()
+    assert first.resize_stats.P_dst == 1
