@@ -106,15 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
     p.add_argument("--tile-size", type=int, default=500)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--network", choices=sorted(NETWORK_MODELS), default="nic",
+    p.add_argument("--network", choices=sorted(NETWORK_MODELS), default=None,
                    help="communication model (nic = legacy sender-serialized, "
                         "contention = rx serialization + latency + shared "
-                        "link, hierarchical = two-level intra/inter-node)")
+                        "link, hierarchical = two-level intra/inter-node); "
+                        "default nic, or hierarchical when --topology is "
+                        "above 1")
     p.add_argument("--topology", type=int, default=1,
                    metavar="RANKS_PER_NODE",
                    help="pack this many ranks per physical machine "
-                        "(two-level topology; 1 = flat; > 1 switches the "
-                        "default network model to 'hierarchical')")
+                        "(two-level topology; 1 = flat)")
     p.add_argument("--scheduler", choices=registered_schedulers(),
                    default="priority",
                    help="intra-node scheduling policy (scheduler registry)")
@@ -350,14 +351,11 @@ def cmd_simulate(args) -> int:
 
         writer = ChromeTraceWriter(args.trace_out)
     try:
-        # an explicit --network always wins; with --topology > 1 and the
-        # default "nic" the harness upgrades to the hierarchical model
-        net = args.network
-        if args.topology > 1 and net == "nic":
-            net = None
+        # an explicit --network always wins; without one the harness
+        # picks "nic", or "hierarchical" when --topology is above 1
         trace = run_factorization(pat, args.tiles, args.kernel,
                                   tile_size=args.tile_size,
-                                  network=net, trace_writer=writer,
+                                  network=args.network, trace_writer=writer,
                                   scheduler=args.scheduler,
                                   attach_bounds=True,
                                   ranks_per_node=args.topology,
@@ -369,7 +367,7 @@ def cmd_simulate(args) -> int:
     if args.faults:
         faulted = run_factorization(pat, args.tiles, args.kernel,
                                     tile_size=args.tile_size,
-                                    network=net, faults=args.faults,
+                                    network=args.network, faults=args.faults,
                                     scheduler=args.scheduler,
                                     ranks_per_node=args.topology)
     print(f"pattern    : {pat.name} (T = {pat.cost(args.kernel):.3f})")

@@ -304,7 +304,7 @@ def _eval_cell(cell: CampaignCell, pattern, tile_size: int) -> CampaignRow:
         faultfree = trace.makespan
     trace.sched_bounds = sched_bounds
     net = trace.net_stats
-    fr = net.busy_fractions(trace.makespan) if net is not None else {"link_busy": 0.0}
+    fr = net.busy_fractions(trace.makespan)
     return CampaignRow(
         family=cell.family, kernel=cell.kernel, network=cell.network,
         P=cell.P, m=cell.m, matrix_size=cell.m * tile_size,
@@ -317,8 +317,8 @@ def _eval_cell(cell: CampaignCell, pattern, tile_size: int) -> CampaignRow:
         gflops_per_node=float(trace.gflops_per_node),
         utilization=float(trace.utilization),
         link_busy_fraction=float(fr["link_busy"]),
-        n_eager=int(net.n_eager) if net is not None else 0,
-        n_rendezvous=int(net.n_rendezvous) if net is not None else 0,
+        n_eager=int(net.n_eager),
+        n_rendezvous=int(net.n_rendezvous),
         scheduler=cell.scheduler,
         schedule_bound_s=float(sched_bounds.best),
         optimality_ratio=float(trace.optimality_ratio),
@@ -331,13 +331,12 @@ def _eval_cell(cell: CampaignCell, pattern, tile_size: int) -> CampaignRow:
         msgs_lost=fs.msgs_lost if fs else 0,
         retries=fs.retries if fs else 0,
         ranks_per_node=cell.ranks_per_node,
-        bisection_Bps=float(net.bisection_Bps) if net is not None else 0.0,
-        inter_bytes=float(net.inter_bytes) if net is not None else 0.0,
-        intra_bytes=float(net.intra_bytes) if net is not None else 0.0,
+        bisection_Bps=float(net.bisection_Bps),
+        inter_bytes=float(net.inter_bytes),
+        intra_bytes=float(net.intra_bytes),
         inter_byte_fraction=(
             float(net.inter_bytes / (net.inter_bytes + net.intra_bytes))
-            if net is not None and net.inter_bytes + net.intra_bytes > 0
-            else 0.0),
+            if net.inter_bytes + net.intra_bytes > 0 else 0.0),
         resize=cell.resize,
         tiles_moved=rs.tiles_moved if rs is not None else 0,
         tiles_saved=rs.tiles_saved if rs is not None else 0,

@@ -141,7 +141,6 @@ class FastSimResult:
 
     makespan: float
     completed: int
-    n_messages: int
     busy: np.ndarray
     msgs_sent: np.ndarray
     msgs_recv: np.ndarray
@@ -224,7 +223,6 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     res = FastSimResult(
         makespan=float(out_makespan[0]),
         completed=int(out_counts[0]),
-        n_messages=int(out_counts[1]),
         busy=busy, msgs_sent=msgs_sent, msgs_recv=msgs_recv,
         tx_busy=tx_busy, rx_busy=rx_busy, pending=pending)
     if record:

@@ -515,7 +515,6 @@ def simulate_with_faults(
     # task records wait here for the run's end (an abort sets a slot None)
     records: Optional[List[Optional[TaskRecord]]] = \
         [] if sink is not None else None
-    completion = np.zeros(n_tasks) if record_tasks else None
     speeds = list(cluster.node_speeds) if cluster.node_speeds else None
 
     events: List[tuple] = []
@@ -718,8 +717,6 @@ def simulate_with_faults(
         state[tid] = _DONE
         completed += 1
         finish = t if t > finish else finish
-        if completion is not None:
-            completion[tid] = t
         ref = (wd[tid], wv[tid])
         holders[ref] = {nd}
         # push the produced version to remote consumers, one message per
@@ -817,21 +814,14 @@ def simulate_with_faults(
                 sink.write_task(r)
         sink.flush()
 
-    net_stats = model.stats()
     return ExecutionTrace(
         cluster=cluster,
         makespan=finish,
         total_flops=graph.total_flops,
         n_tasks=n_tasks,
-        n_messages=model.n_messages,
-        bytes_sent=float(model.n_messages) * cluster.tile_bytes,
         busy_time=np.asarray(busy, dtype=np.float64),
-        sent_messages=net_stats.msgs_sent,
+        net_stats=model.stats(),
         task_records=out_records.tasks if out_records is not None else None,
-        completion_times=completion,
-        network=model.name,
-        recv_messages=net_stats.msgs_recv,
-        net_stats=net_stats,
         msg_records=out_records.msgs if out_records is not None else None,
         fault_stats=fault_stats,
     )

@@ -10,8 +10,9 @@ into one of several :class:`NetworkModel` plugins, chosen by their
 * ``"contention"`` — :class:`ContentionModel`, a contention-aware model
   with receive-side serialization, per-message eager/rendezvous α–β
   latency, and fair bandwidth sharing on a full-bisection link;
-* ``"hierarchical"`` — :class:`HierarchicalModel`, plus a fast
-  intra-machine level (:class:`ResilientNetwork` wraps any of them in
+* ``"hierarchical"`` — :class:`HierarchicalModel`, the same flow engine
+  with ranks packed into machines, whose same-machine flows take a
+  fast private link (:class:`ResilientNetwork` wraps any of them in
   fault runs).
 
 Models read machine parameters from the ``ClusterSpec`` and fixed
@@ -19,6 +20,9 @@ protocol constants from this module.  An instance is *bound* to one run
 (:meth:`NetworkModel.bind`), schedules its internal events through the
 simulator's shared event heap, hands each message record to the run's
 record sink, and reports :class:`NetworkStats` at the end of the run.
+Those stats are the one ledger of a run's communication: the message
+totals of an :class:`~repro.runtime.trace.ExecutionTrace` are views of
+them.
 
 Contention model semantics
 --------------------------
@@ -34,20 +38,25 @@ Every message is a *flow* of ``tile_bytes`` bytes from ``src`` to
    *rendezvous* message pays ``(1 + HANDSHAKE_RTTS) · latency_s``
    (request + acknowledgement round trips of the large-message MPI
    protocol).  Both NICs are held during the handshake.
-3. **Fair bandwidth sharing** — active flows cross a shared bisection
-   link of capacity ``ClusterSpec.full_bisection_Bps(P) = bandwidth_Bps
-   · max(1, P/2)``.  With ``n`` concurrent flows each progresses at
-   ``min(bandwidth_Bps, bisection / n)`` — progressive filling,
-   re-evaluated at every flow start/finish.  Each re-evaluation pushes
-   one finish event, for the flow that ends first: any later flow's
-   event would be superseded by the re-evaluation that first finish
-   triggers, so one finish event is pending at a time.
+3. **Fair bandwidth sharing** — each flow crosses one link.  Flows
+   between machines share the bisection link of capacity
+   ``ClusterSpec.full_bisection_Bps(machines) = bandwidth_Bps · max(1,
+   machines/2)``: with ``n`` of them in flight each progresses at
+   ``min(bandwidth_Bps, bisection / n)``.  Flows inside one machine
+   share its private link of ``INTRA_BANDWIDTH_SCALE · bandwidth_Bps``
+   equally (``"hierarchical"`` only: ``"contention"`` puts each rank on
+   its own machine).  Shares are progressive filling, re-evaluated at
+   every flow start/finish.  Each re-evaluation pushes one finish
+   event, for the flow that ends first: any later flow's event would be
+   superseded by the re-evaluation that first finish triggers, so one
+   finish event is pending at a time.
 
 Because each endpoint carries at most one flow in each direction, the
-equal split is exactly the max-min fair allocation.  Every per-message
-delay is ≥ the legacy model's ``latency + bytes/bandwidth``, which is
-why contention-model makespans dominate ``nic`` makespans on the same
-graph (asserted by the property tests).
+equal split is exactly the max-min fair allocation.  Under
+``"contention"`` every per-message delay is ≥ the legacy model's
+``latency + bytes/bandwidth``, which is why contention-model makespans
+dominate ``nic`` makespans on the same graph (asserted by the property
+tests).
 
 The model is deterministic: flows are started by scanning the senders
 with queued messages in ascending node id, and all events carry the
@@ -57,8 +66,8 @@ simulator's global sequence number.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +160,8 @@ class NetworkStats:
 
 
 class NetworkModel:
-    """Base class: counters, recording, and the p2p multicast fallback.
+    """Base class: per-node counters, recording, the p2p multicast
+    fallback and :meth:`stats`.
 
     Subclasses implement :meth:`send` (and may override
     :meth:`multicast` and :meth:`on_internal`).  The simulator calls
@@ -159,6 +169,9 @@ class NetworkModel:
     payload)`` callback that allocates the shared sequence number.
     A message ref is a tuple whose first two fields are the datum and
     version the message carries (the simulator may append more).
+    The per-node counters are plain lists (a send updates them once or
+    twice, and list indexing is several times faster than NumPy scalar
+    indexing); :meth:`stats` turns them into arrays.
     """
 
     name = "base"
@@ -176,13 +189,12 @@ class NetworkModel:
         self.cluster = cluster
         self._push = push_event
         P = cluster.nnodes
-        self.n_messages = 0
-        self.msgs_sent = np.zeros(P, dtype=np.int64)
-        self.msgs_recv = np.zeros(P, dtype=np.int64)
-        self.bytes_sent = np.zeros(P)
-        self.bytes_recv = np.zeros(P)
-        self.tx_busy = np.zeros(P)
-        self.rx_busy = np.zeros(P)
+        self.msgs_sent = [0] * P
+        self.msgs_recv = [0] * P
+        self.bytes_sent = [0.0] * P
+        self.bytes_recv = [0.0] * P
+        self.tx_busy = [0.0] * P
+        self.rx_busy = [0.0] * P
         self._writer = writer
         self._bind()
 
@@ -213,12 +225,12 @@ class NetworkModel:
     def stats(self) -> NetworkStats:
         return NetworkStats(
             model=self.name,
-            msgs_sent=self.msgs_sent,
-            msgs_recv=self.msgs_recv,
-            bytes_sent=self.bytes_sent,
-            bytes_recv=self.bytes_recv,
-            tx_busy=self.tx_busy,
-            rx_busy=self.rx_busy,
+            msgs_sent=np.asarray(self.msgs_sent, dtype=np.int64),
+            msgs_recv=np.asarray(self.msgs_recv, dtype=np.int64),
+            bytes_sent=np.asarray(self.bytes_sent, dtype=np.float64),
+            bytes_recv=np.asarray(self.bytes_recv, dtype=np.float64),
+            tx_busy=np.asarray(self.tx_busy, dtype=np.float64),
+            rx_busy=np.asarray(self.rx_busy, dtype=np.float64),
         )
 
 
@@ -235,23 +247,9 @@ class NicModel(NetworkModel):
     name = "nic"
 
     def _bind(self) -> None:
-        # hot-path state lives in plain Python lists and cached scalars:
-        # the per-send arithmetic below runs a couple of hundred
-        # thousand times per large simulation, and scalar indexing of
-        # NumPy arrays is several times slower than list indexing.  The
-        # float arithmetic is IEEE-identical either way (Python floats
-        # are float64), so traces do not change; :meth:`stats` converts
-        # back to arrays.
-        P = self.cluster.nnodes
         self.msg_time = self.cluster.message_time()
         self._nbytes = self.cluster.tile_bytes
-        self.tx_free = [0.0] * P
-        self.msgs_sent = [0] * P
-        self.msgs_recv = [0] * P
-        self.bytes_sent = [0.0] * P
-        self.bytes_recv = [0.0] * P
-        self.tx_busy = [0.0] * P
-        self.rx_busy = [0.0] * P
+        self.tx_free = [0.0] * self.cluster.nnodes
 
     def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
         mt = self.msg_time
@@ -259,7 +257,6 @@ class NicModel(NetworkModel):
         arrival = start + mt
         self.tx_free[src] = arrival
         nbytes = self._nbytes
-        self.n_messages += 1
         self.msgs_sent[src] += 1
         self.msgs_recv[dst] += 1
         self.bytes_sent[src] += nbytes
@@ -291,7 +288,6 @@ class NicModel(NetworkModel):
         for i, (ref, dst) in enumerate(dests):
             rounds = (i + 1).bit_length()  # == ceil(log2(i + 2))
             arrival = start + rounds * self.msg_time
-            self.n_messages += 1
             self.msgs_sent[src] += 1
             self.msgs_recv[dst] += 1
             self.bytes_sent[src] += nbytes
@@ -300,24 +296,15 @@ class NicModel(NetworkModel):
             self._record(ref, src, dst, float(start), float(arrival), nbytes)
             self._push(arrival, EVENT_MSG_ARRIVE, (ref, dst))
 
-    def stats(self) -> NetworkStats:
-        return NetworkStats(
-            model=self.name,
-            msgs_sent=np.asarray(self.msgs_sent, dtype=np.int64),
-            msgs_recv=np.asarray(self.msgs_recv, dtype=np.int64),
-            bytes_sent=np.asarray(self.bytes_sent, dtype=np.float64),
-            bytes_recv=np.asarray(self.bytes_recv, dtype=np.float64),
-            tx_busy=np.asarray(self.tx_busy, dtype=np.float64),
-            rx_busy=np.asarray(self.rx_busy, dtype=np.float64),
-        )
-
 
 class _Flow:
-    """One in-flight transfer of the contention model."""
+    """One in-flight transfer of the contention model, over one link."""
 
-    __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate")
+    __slots__ = ("ref", "src", "dst", "nbytes", "t0", "remaining", "rate",
+                 "link")
 
-    def __init__(self, ref: DataRef, src: int, dst: int, nbytes: float, t0: float):
+    def __init__(self, ref: DataRef, src: int, dst: int, nbytes: float,
+                 t0: float, link: int):
         self.ref = ref
         self.src = src
         self.dst = dst
@@ -325,25 +312,45 @@ class _Flow:
         self.t0 = t0
         self.remaining = nbytes
         self.rate = 0.0
+        self.link = link
 
 
 class ContentionModel(NetworkModel):
-    """Contention-aware model (see module docstring for semantics)."""
+    """Contention-aware model (see module docstring for semantics).
+
+    Every flow crosses one link: link ``0`` is the shared bisection
+    link, and link ``1 + m`` is machine ``m``'s private intra-machine
+    link, which carries the flows between two ranks of machine ``m``.
+    Fair shares are per link, from the per-link counts of active flows.
+    This model puts each rank on its own machine (:meth:`_machines`),
+    so every flow crosses the bisection link;
+    :class:`HierarchicalModel` packs ranks into machines.
+    """
 
     name = "contention"
+
+    def _machines(self) -> Sequence[int]:
+        """Machine of each rank: here, one rank per machine."""
+        return range(self.cluster.nnodes)
 
     def _bind(self) -> None:
         cl = self.cluster
         P = cl.nnodes
+        self._machine = [int(m) for m in self._machines()]
+        nmachines = max(self._machine) + 1
         self.node_bw = float(cl.bandwidth_Bps)
-        self.link_bw = cl.full_bisection_Bps(P)
+        self.link_bw = cl.full_bisection_Bps(nmachines)
+        self.intra_link_bw = self.node_bw * INTRA_BANDWIDTH_SCALE
         self.alpha = float(cl.latency_s)
+        self.intra_alpha = self.alpha * INTRA_LATENCY_SCALE
         self._queues: List[deque] = [deque() for _ in range(P)]
         self._waiting: set = set()  # senders whose queue is non-empty
-        self._tx_held = np.zeros(P, dtype=bool)
-        self._rx_held = np.zeros(P, dtype=bool)
+        self._tx_held = [False] * P
+        self._rx_held = [False] * P
         self._flows: dict[int, _Flow] = {}
         self._active: List[int] = []  # insertion-ordered active flow ids
+        self._link_flows = [0] * (1 + nmachines)  # active flows per link
+        self._intra_busy = 0  # private links with an active flow
         self._next_fid = 0
         self._token = 0  # names the one finish event that is current
         self._last_t = 0.0
@@ -351,6 +358,10 @@ class ContentionModel(NetworkModel):
         self.link_bytes = 0.0
         self.n_eager = 0
         self.n_rendezvous = 0
+        self.intra_bytes = 0.0
+        self.intra_msgs = 0
+        self.inter_msgs = 0
+        self.intra_link_busy = 0.0
 
     # ------------------------------------------------------------------
     def send(self, ref: DataRef, src: int, dst: int, t: float) -> None:
@@ -375,8 +386,11 @@ class ContentionModel(NetworkModel):
 
     def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
         nbytes = float(self.cluster.tile_bytes)
+        machine = self._machine[src]
+        link = 0 if machine != self._machine[dst] else 1 + machine
+        alpha = self.intra_alpha if link else self.alpha
         eager = nbytes <= EAGER_THRESHOLD_BYTES
-        lat = self.alpha if eager else self.alpha * (1 + HANDSHAKE_RTTS)
+        lat = alpha if eager else alpha * (1 + HANDSHAKE_RTTS)
         if eager:
             self.n_eager += 1
         else:
@@ -385,45 +399,57 @@ class ContentionModel(NetworkModel):
         self._next_fid += 1
         self._tx_held[src] = True
         self._rx_held[dst] = True
-        self._flows[fid] = _Flow(ref, src, dst, nbytes, now)
-        self.n_messages += 1
+        self._flows[fid] = _Flow(ref, src, dst, nbytes, now, link)
         self.msgs_sent[src] += 1
         self.bytes_sent[src] += nbytes
-        self.link_bytes += nbytes
+        if link:
+            self.intra_msgs += 1
+            self.intra_bytes += nbytes
+        else:
+            self.inter_msgs += 1
+            self.link_bytes += nbytes
         self._push(now + lat, EVENT_NET_INTERNAL, ("data", fid))
 
     # ------------------------------------------------------------------
     def _advance(self, now: float) -> None:
-        """Drain bytes of the active flows up to ``now``."""
+        """Drain bytes of the active flows up to ``now``, and charge the
+        time to the links that carried them."""
         dt = now - self._last_t
         if dt > 0.0 and self._active:
-            self.link_busy += dt
             for fid in self._active:
                 flow = self._flows[fid]
                 flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
+            if self._link_flows[0]:
+                self.link_busy += dt
+            self.intra_link_busy += dt * self._intra_busy
         self._last_t = max(self._last_t, now)
 
-    def _reschedule(self, now: float) -> None:
-        """Re-apportion fair shares and push the earliest finish event."""
-        n = len(self._active)
-        if n == 0:
-            return
-        rate = min(self.node_bw, self.link_bw / n)
-        for fid in self._active:
-            self._flows[fid].rate = rate
-        self._push_first_finish(now)
+    def _count(self, link: int, step: int) -> None:
+        """Add ``step`` (±1) to the active flows of ``link``."""
+        n = self._link_flows[link]
+        self._link_flows[link] = n + step
+        if link and (n == 0 or n + step == 0):
+            self._intra_busy += step
 
-    def _push_first_finish(self, now: float) -> None:
-        """Push a finish event for the active flow that ends first (the
-        first in activation order on ties), superseding the pending one.
+    def _reschedule(self, now: float) -> None:
+        """Re-apportion the fair shares of every link, and push a finish
+        event for the active flow that ends first (the first in
+        activation order on ties), superseding the pending one.
 
         Only that event can still be current when it pops: the flow's
         finish re-apportions the shares, as does any flow start before
         it, and each re-apportioning pushes a new event.
         """
+        if not self._active:
+            return
+        counts = self._link_flows
+        n = counts[0]
+        inter = min(self.node_bw, self.link_bw / n) if n else 0.0
         first, t_first = -1, float("inf")
         for fid in self._active:
             flow = self._flows[fid]
+            link = flow.link
+            flow.rate = self.intra_link_bw / counts[link] if link else inter
             t = now + flow.remaining / flow.rate
             if t < t_first:
                 first, t_first = fid, t
@@ -432,8 +458,10 @@ class ContentionModel(NetworkModel):
 
     def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
         if payload[0] == "data":
+            fid = payload[1]
             self._advance(now)
-            self._active.append(payload[1])
+            self._active.append(fid)
+            self._count(self._flows[fid].link, 1)
             self._reschedule(now)
             return []
         # ("fin", fid, token): a superseded finish event does nothing
@@ -443,6 +471,7 @@ class ContentionModel(NetworkModel):
         flow = self._flows[fid]
         self._advance(now)
         self._active.remove(fid)
+        self._count(flow.link, -1)
         del self._flows[fid]
         self._tx_held[flow.src] = False
         self._rx_held[flow.dst] = False
@@ -467,131 +496,41 @@ class ContentionModel(NetworkModel):
 
 
 class HierarchicalModel(ContentionModel):
-    """Two-level contention model: intra-node and inter-node links.
+    """Two-level contention model: the contention engine plus a map of
+    ranks to machines.
 
-    Extends :class:`ContentionModel` with the cluster's
-    :class:`~repro.runtime.topology.Topology`
-    (``ClusterSpec.ranks_per_node``): a flow between ranks on the same
-    physical node crosses that node's private intra-node link (NUMA /
-    NVLink class — :data:`INTRA_BANDWIDTH_SCALE` × the NIC bandwidth,
-    :data:`INTRA_LATENCY_SCALE` × the NIC latency, per-level α–β), while
-    a flow between ranks on different nodes crosses the global bisection
-    link exactly as in the parent model.  That link is sized for the
-    number of *machines*, not ranks.  Fair sharing is per link:
-    ``n`` concurrent inter-node flows each get ``bisection / n``; ``n``
-    concurrent intra-node flows *on the same node* each get
-    ``intra_bandwidth / n``; the two levels never steal bandwidth from
-    each other.
+    The cluster's :class:`~repro.runtime.topology.Topology`
+    (``ClusterSpec.ranks_per_node``) packs ranks into machines.  A flow
+    between two ranks of one machine crosses that machine's private
+    intra-machine link (NUMA / NVLink class:
+    :data:`INTRA_BANDWIDTH_SCALE` × the NIC bandwidth,
+    :data:`INTRA_LATENCY_SCALE` × the NIC latency); a flow between
+    machines crosses the global bisection link, which is sized for the
+    number of *machines*, not ranks.  Fair sharing is per link: ``n``
+    concurrent inter-machine flows each get ``min(bandwidth, bisection
+    / n)``, ``n`` concurrent flows inside one machine each get
+    ``intra_bandwidth / n``, and the two levels never take bandwidth
+    from each other.
 
-    Injection/receive serialization, eager/rendezvous protocol choice,
-    and the deterministic pump order are inherited unchanged.  With
-    ``ranks_per_node == 1`` every flow is inter-node and the model's
-    event arithmetic reduces to the parent's — traces match
+    Everything else is :class:`ContentionModel`'s flow engine, which
+    this class feeds only its machine map.  With ``ranks_per_node ==
+    1`` every rank is its own machine and the traces match
     ``"contention"`` exactly apart from the recorded model name (pinned
-    by the hierarchical test suite).
-
-    Per-level traffic (``intra_bytes``/``inter_bytes``, message counts,
-    ``intra_link_busy`` in node-seconds) is surfaced in
-    :class:`NetworkStats`.
+    by the hierarchical test suite).  Its :class:`NetworkStats` add the
+    per-level traffic (``intra_bytes``/``inter_bytes``, message counts,
+    ``intra_link_busy`` in machine-seconds).
     """
 
     name = "hierarchical"
 
-    def _bind(self) -> None:
-        super()._bind()
-        cl = self.cluster
-        self.topology = cl.topology()
-        self._rank_nodes = self.topology.rank_nodes
-        self.link_bw = cl.full_bisection_Bps(self.topology.nnodes)
-        self.intra_link_bw = self.node_bw * INTRA_BANDWIDTH_SCALE
-        self.intra_alpha = self.alpha * INTRA_LATENCY_SCALE
-        self._flow_level: dict[int, Tuple[bool, int]] = {}  # fid -> (inter, node)
-        self.intra_bytes = 0.0
-        self.inter_bytes = 0.0
-        self.intra_msgs = 0
-        self.inter_msgs = 0
-        self.intra_link_busy = 0.0
-
-    # ------------------------------------------------------------------
-    def _start_flow(self, ref: DataRef, src: int, dst: int, now: float) -> None:
-        nbytes = float(self.cluster.tile_bytes)
-        src_node = int(self._rank_nodes[src])
-        inter = src_node != int(self._rank_nodes[dst])
-        alpha = self.alpha if inter else self.intra_alpha
-        eager = nbytes <= EAGER_THRESHOLD_BYTES
-        lat = alpha if eager else alpha * (1 + HANDSHAKE_RTTS)
-        if eager:
-            self.n_eager += 1
-        else:
-            self.n_rendezvous += 1
-        fid = self._next_fid
-        self._next_fid += 1
-        self._tx_held[src] = True
-        self._rx_held[dst] = True
-        self._flows[fid] = _Flow(ref, src, dst, nbytes, now)
-        self._flow_level[fid] = (inter, src_node)
-        self.n_messages += 1
-        self.msgs_sent[src] += 1
-        self.bytes_sent[src] += nbytes
-        if inter:
-            self.inter_msgs += 1
-            self.inter_bytes += nbytes
-            self.link_bytes += nbytes
-        else:
-            self.intra_msgs += 1
-            self.intra_bytes += nbytes
-        self._push(now + lat, EVENT_NET_INTERNAL, ("data", fid))
-
-    def _advance(self, now: float) -> None:
-        dt = now - self._last_t
-        if dt > 0.0 and self._active:
-            inter_active = False
-            busy_nodes = set()
-            for fid in self._active:
-                flow = self._flows[fid]
-                flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
-                inter, node = self._flow_level[fid]
-                if inter:
-                    inter_active = True
-                else:
-                    busy_nodes.add(node)
-            if inter_active:
-                self.link_busy += dt
-            self.intra_link_busy += dt * len(busy_nodes)
-        self._last_t = max(self._last_t, now)
-
-    def _reschedule(self, now: float) -> None:
-        if not self._active:
-            return
-        n_inter = 0
-        per_node: dict[int, int] = {}
-        for fid in self._active:
-            inter, node = self._flow_level[fid]
-            if inter:
-                n_inter += 1
-            else:
-                per_node[node] = per_node.get(node, 0) + 1
-        for fid in self._active:
-            flow = self._flows[fid]
-            inter, node = self._flow_level[fid]
-            if inter:
-                rate = min(self.node_bw, self.link_bw / n_inter)
-            else:
-                rate = self.intra_link_bw / per_node[node]
-            flow.rate = rate
-        self._push_first_finish(now)
-
-    def on_internal(self, payload, now: float) -> List[Tuple[DataRef, int]]:
-        out = super().on_internal(payload, now)
-        if payload[0] != "data" and out:
-            self._flow_level.pop(payload[1], None)
-        return out
+    def _machines(self) -> Sequence[int]:
+        return self.cluster.topology().rank_nodes
 
     def stats(self) -> NetworkStats:
         out = super().stats()
-        out.ranks_per_node = self.topology.ranks_per_node
+        out.ranks_per_node = self.cluster.ranks_per_node
         out.intra_bytes = self.intra_bytes
-        out.inter_bytes = self.inter_bytes
+        out.inter_bytes = self.link_bytes
         out.intra_msgs = self.intra_msgs
         out.inter_msgs = self.inter_msgs
         out.intra_link_busy = self.intra_link_busy
@@ -636,10 +575,6 @@ class ResilientNetwork(NetworkModel):
     @property
     def name(self) -> str:  # type: ignore[override]
         return self.inner.name
-
-    @property
-    def n_messages(self) -> int:  # type: ignore[override]
-        return self.inner.n_messages
 
     def bind(self, cluster: ClusterSpec,
              push_event: Callable[[float, int, object], None],

@@ -81,14 +81,10 @@ def simulate_reference(
     tasks = graph.tasks
     n_tasks = len(tasks)
     if n_tasks == 0:
-        zeros_f = np.zeros(cluster.nnodes)
-        zeros_i = np.zeros(cluster.nnodes, dtype=np.int64)
+        model.bind(cluster, None)  # nothing to send: its stats are zero
         return ExecutionTrace(
             cluster=cluster, makespan=0.0, total_flops=0.0, n_tasks=0,
-            n_messages=0, bytes_sent=0.0,
-            busy_time=zeros_f, sent_messages=zeros_i,
-            network=model.name, recv_messages=zeros_i.copy(),
-        )
+            busy_time=np.zeros(cluster.nnodes), net_stats=model.stats())
     max_node = max(t.node for t in tasks)
     if max_node >= cluster.nnodes:
         raise SimulationError(
@@ -141,7 +137,6 @@ def simulate_reference(
     ready: List[List[tuple]] = [[] for _ in range(cluster.nnodes)]
     busy = np.zeros(cluster.nnodes)
     done = np.zeros(n_tasks, dtype=bool)
-    completion = np.zeros(n_tasks) if record_tasks else None
     records: Optional[List[TaskRecord]] = [] if record_tasks else None
 
     events: List[tuple] = []
@@ -252,8 +247,6 @@ def simulate_reference(
             done[tid] = True
             completed += 1
             task = tasks[tid]
-            if completion is not None:
-                completion[tid] = now
             # push produced version to remote consumers
             dests = push_plan.get(tid, ())
             if dests:
@@ -290,20 +283,13 @@ def simulate_reference(
             f"(first stuck: {tasks[int(np.flatnonzero(~done)[0])]})"
         )
 
-    net_stats = model.stats()
     return ExecutionTrace(
         cluster=cluster,
         makespan=now,
         total_flops=graph.total_flops,
         n_tasks=n_tasks,
-        n_messages=model.n_messages,
-        bytes_sent=float(model.n_messages) * cluster.tile_bytes,
         busy_time=busy,
-        sent_messages=net_stats.msgs_sent,
+        net_stats=model.stats(),
         task_records=records,
-        completion_times=completion,
-        network=model.name,
-        recv_messages=net_stats.msgs_recv,
-        net_stats=net_stats,
         msg_records=msg_sink.msgs if msg_sink is not None else None,
     )

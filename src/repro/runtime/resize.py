@@ -406,25 +406,11 @@ def simulate_with_resize(
     busy = np.zeros(nmax)
     for r in done_recs:
         busy[r.node] += r.end - r.start
-    sent = np.zeros(nmax, dtype=np.int64)
-    recv = np.zeros(nmax, dtype=np.int64)
-    for m in msgs_a:
-        sent[m.src] += 1
-        recv[m.dst] += 1
-    sent += mig_stats.msgs_sent
-    recv += mig_stats.msgs_recv
-    n_messages = len(msgs_a) + int(moved.size)
+    parts = [_stats_from_msgs(msgs_a, nmax, model.name), mig_stats]
     if trace_b is not None:
         busy += trace_b.busy_time
-        sent += trace_b.sent_messages
-        recv += trace_b.recv_messages
-        n_messages += trace_b.n_messages
-
-    model_name = model.name
-    parts = [_stats_from_msgs(msgs_a, nmax, model_name), mig_stats]
-    if trace_b is not None and trace_b.net_stats is not None:
         parts.append(trace_b.net_stats)
-    net_stats = _combine_stats(parts, nmax, model_name, cluster_b)
+    net_stats = _combine_stats(parts, nmax, model.name, cluster_b)
 
     stats = MigrationStats(
         P_src=P_src,
@@ -444,7 +430,6 @@ def simulate_with_resize(
         plan=plan,
     )
 
-    completion: Optional[np.ndarray] = None
     if sink is not None:
         task_records = list(done_recs)
         if trace_b is not None:
@@ -463,25 +448,15 @@ def simulate_with_resize(
             for m in trace_b.msg_records:
                 sink.write_msg(_shift_msg(m, offset))
         sink.write_resize(stats)
-        if record_tasks:
-            completion = np.zeros(cols.n_tasks)
-            for r in task_records:
-                completion[r.tid] = r.end
 
     return ExecutionTrace(
         cluster=cluster_b,
         makespan=makespan,
         total_flops=graph.total_flops,
         n_tasks=cols.n_tasks,
-        n_messages=n_messages,
-        bytes_sent=n_messages * cluster.tile_bytes,
         busy_time=busy,
-        sent_messages=sent,
-        task_records=records.tasks if records is not None else None,
-        completion_times=completion,
-        network=model_name,
-        recv_messages=recv,
         net_stats=net_stats,
+        task_records=records.tasks if records is not None else None,
         msg_records=records.msgs if records is not None else None,
         resize_stats=stats,
     )

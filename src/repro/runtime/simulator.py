@@ -144,8 +144,10 @@ def simulate(
         under owner-computes with our builders, but supported).
     record_tasks:
         Keep per-task start/end times and per-message records in
-        memory on the returned trace (memory-heavy for large graphs —
-        prefer ``trace_writer`` beyond ~1M tasks).
+        memory on the returned trace, as ``task_records`` and
+        ``msg_records`` (memory-heavy for large graphs — prefer
+        ``trace_writer`` beyond ~1M tasks).  With a ``trace_writer``
+        the records go to the writer only.
     network:
         Registry name of the communication model: ``None``/``"nic"``
         (legacy, sender-side serialization only), ``"contention"`` or
@@ -214,15 +216,11 @@ def simulate(
     records = RecordList() if record_tasks and trace_writer is None else None
     sink = records if trace_writer is None else trace_writer
     if n_tasks == 0:
-        zeros_f = np.zeros(cluster.nnodes)
-        zeros_i = np.zeros(cluster.nnodes, dtype=np.int64)
+        model.bind(cluster, None)  # nothing to send: its stats are zero
         return ExecutionTrace(
             cluster=cluster, makespan=0.0, total_flops=0.0, n_tasks=0,
-            n_messages=0, bytes_sent=0.0,
-            busy_time=zeros_f, sent_messages=zeros_i,
-            network=model.name, recv_messages=zeros_i.copy(),
+            busy_time=np.zeros(cluster.nnodes), net_stats=model.stats(),
             task_records=records.tasks if records is not None else None,
-            completion_times=np.zeros(0) if record_tasks else None,
             msg_records=records.msgs if records is not None else None,
         )
     cols = graph.columns
@@ -244,24 +242,22 @@ def simulate(
             res = runner(plan, dur_a, cluster.nnodes,
                          cluster.cores_per_node, cluster.message_time(),
                          record=sink is not None)
-            end = None
             if sink is not None:
-                end = res.task_start + dur_a
                 # a duck-typed sink without the batch hook gets the
                 # base class's per-record replay
                 write_batch = getattr(sink, "write_batch", None) \
                     or partial(TraceWriter.write_batch, sink)
-                write_batch(res.log, plan.node, res.task_start, end,
+                write_batch(res.log, plan.node, res.task_start,
+                            res.task_start + dur_a,
                             plan.msg_data, plan.msg_version, plan.msg_src,
                             plan.msg_dst, res.msg_start, res.msg_arrive,
                             np.full(plan.n_msgs, cluster.tile_bytes))
-            completion = end if record_tasks else None
             if res.completed != n_tasks:
                 _raise_deadlock(graph, n_tasks, res.completed,
                                 res.pending.tolist(), {})
             nbytes = float(cluster.tile_bytes)
             net_stats = NetworkStats(
-                model="nic",
+                model=model.name,
                 msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
                 bytes_sent=res.msgs_sent * nbytes,
                 bytes_recv=res.msgs_recv * nbytes,
@@ -271,15 +267,9 @@ def simulate(
                 makespan=res.makespan,
                 total_flops=graph.total_flops,
                 n_tasks=n_tasks,
-                n_messages=res.n_messages,
-                bytes_sent=float(res.n_messages) * cluster.tile_bytes,
                 busy_time=res.busy,
-                sent_messages=res.msgs_sent,
-                task_records=records.tasks if records is not None else None,
-                completion_times=completion,
-                network=model.name,
-                recv_messages=res.msgs_recv,
                 net_stats=net_stats,
+                task_records=records.tasks if records is not None else None,
                 msg_records=records.msgs if records is not None else None,
             )
 
@@ -319,7 +309,6 @@ def simulate(
     idle = [cluster.cores_per_node] * cluster.nnodes
     ready: List[List[int]] = [[] for _ in range(cluster.nnodes)]
     busy = [0.0] * cluster.nnodes
-    completion = np.zeros(n_tasks) if record_tasks else None
     rec_task = sink.write_task if sink is not None else None
 
     # events are ``(time, tag, payload)`` with ``tag = seq + etype``,
@@ -515,8 +504,6 @@ def simulate(
                 tid = payload
                 completed += 1
                 tnode = node_l[tid]
-                if completion is not None:
-                    completion[tid] = now
                 # push produced version to remote consumers
                 dests = push_plan_l[tid]
                 if dests is not None:
@@ -594,21 +581,14 @@ def simulate(
     if completed != n_tasks:
         _raise_deadlock(graph, n_tasks, completed, pending_l, deferred)
 
-    net_stats = model.stats()
     return ExecutionTrace(
         cluster=cluster,
         makespan=now,
         total_flops=graph.total_flops,
         n_tasks=n_tasks,
-        n_messages=model.n_messages,
-        bytes_sent=float(model.n_messages) * cluster.tile_bytes,
         busy_time=np.asarray(busy, dtype=np.float64),
-        sent_messages=net_stats.msgs_sent,
+        net_stats=model.stats(),
         task_records=records.tasks if records is not None else None,
-        completion_times=completion,
-        network=model.name,
-        recv_messages=net_stats.msgs_recv,
-        net_stats=net_stats,
         msg_records=records.msgs if records is not None else None,
     )
 

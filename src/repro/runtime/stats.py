@@ -153,10 +153,8 @@ def comm_breakdown(trace: ExecutionTrace) -> Dict[str, object]:
 
     Per-node NIC busy fractions (tx/rx), shared-link busy/idle fraction
     (contention model; 0 under ``nic``), and per-node bytes
-    sent/received.  Requires a v2 trace (``trace.net_stats``).
+    sent/received.
     """
-    if trace.net_stats is None:
-        raise ValueError("trace has no network stats (pre-v2 trace?)")
     net = trace.net_stats
     fr = net.busy_fractions(trace.makespan)
     out: Dict[str, object] = {

@@ -7,12 +7,10 @@ and only the *inter-node* hops cross links that cost real bandwidth
 (following "Node-Aware Processor Grids", Irmler et al.).
 
 :class:`Topology` captures the first level of that hierarchy — a
-contiguous packing of ``nranks`` ranks into nodes of ``ranks_per_node``
-— plus an optional socket split inside each node.  Rank ``p`` lives on
-node ``p // ranks_per_node`` and socket
-``(p % ranks_per_node) // (ranks_per_node // sockets_per_node)``.
-The last node may be partially filled when ``ranks_per_node`` does not
-divide ``nranks`` ("any number of nodes" applies at both levels).
+contiguous packing of ``nranks`` ranks into nodes of ``ranks_per_node``.
+Rank ``p`` lives on node ``p // ranks_per_node``.  The last node may be
+partially filled when ``ranks_per_node`` does not divide ``nranks``
+("any number of nodes" applies at both levels).
 
 :meth:`Topology.flat` is the degenerate one-rank-per-node case: every
 hierarchical quantity collapses to its flat counterpart *exactly*
@@ -46,14 +44,10 @@ class Topology:
     ranks_per_node:
         Ranks packed per physical node.  ``1`` (the default) is the
         degenerate flat topology.
-    sockets_per_node:
-        Optional second split inside each node; must divide
-        ``ranks_per_node``.
     """
 
     nranks: int
     ranks_per_node: int = 1
-    sockets_per_node: int = 1
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
@@ -61,13 +55,6 @@ class Topology:
         if self.ranks_per_node < 1:
             raise ValueError(
                 f"ranks_per_node must be >= 1, got {self.ranks_per_node}")
-        if self.sockets_per_node < 1:
-            raise ValueError(
-                f"sockets_per_node must be >= 1, got {self.sockets_per_node}")
-        if self.ranks_per_node % self.sockets_per_node:
-            raise ValueError(
-                f"sockets_per_node={self.sockets_per_node} must divide "
-                f"ranks_per_node={self.ranks_per_node}")
 
     # ------------------------------------------------------------------
     # constructors
@@ -90,25 +77,10 @@ class Topology:
         """Number of physical nodes (last one may be partially filled)."""
         return -(-self.nranks // self.ranks_per_node)
 
-    @property
-    def nsockets(self) -> int:
-        """Total number of sockets across all nodes."""
-        return self.nnodes * self.sockets_per_node
-
     @cached_property
     def rank_nodes(self) -> np.ndarray:
         """``rank_nodes[p]`` = node id of rank ``p`` (read-only int64)."""
         arr = np.arange(self.nranks, dtype=np.int64) // self.ranks_per_node
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def rank_sockets(self) -> np.ndarray:
-        """``rank_sockets[p]`` = global socket id of rank ``p``."""
-        ranks_per_socket = self.ranks_per_node // self.sockets_per_node
-        local = np.arange(self.nranks, dtype=np.int64) % self.ranks_per_node
-        arr = (self.rank_nodes * self.sockets_per_node
-               + local // ranks_per_socket)
         arr.setflags(write=False)
         return arr
 
@@ -117,12 +89,6 @@ class Topology:
         if not 0 <= rank < self.nranks:
             raise ValueError(f"rank {rank} outside 0..{self.nranks - 1}")
         return rank // self.ranks_per_node
-
-    def socket_of(self, rank: int) -> int:
-        """Global socket id of ``rank``."""
-        if not 0 <= rank < self.nranks:
-            raise ValueError(f"rank {rank} outside 0..{self.nranks - 1}")
-        return int(self.rank_sockets[rank])
 
     def node_ranks(self, node: int) -> range:
         """The ranks living on ``node`` (a contiguous range)."""
@@ -134,7 +100,7 @@ class Topology:
     @property
     def cache_key(self) -> tuple:
         """Hashable identity for cost-cache keys."""
-        return (self.nranks, self.ranks_per_node, self.sockets_per_node)
+        return (self.nranks, self.ranks_per_node)
 
     def __repr__(self) -> str:
         return (f"Topology(nranks={self.nranks}, "

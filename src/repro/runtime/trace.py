@@ -141,27 +141,54 @@ class RecordList(TraceWriter):
 
 @dataclass
 class ExecutionTrace:
-    """Outcome of one simulated run."""
+    """Outcome of one simulated run.
+
+    Message totals live in one place, ``net_stats``: the
+    :class:`~repro.runtime.network.NetworkStats` of the run's network
+    model.  ``network``, ``n_messages``, ``bytes_sent``,
+    ``sent_messages`` and ``recv_messages`` are read-only views of it.
+    ``task_records`` and ``msg_records`` are filled only by a
+    ``record_tasks=True`` run without a ``trace_writer``.
+    """
 
     cluster: ClusterSpec
     makespan: float
     total_flops: float
     n_tasks: int
-    n_messages: int
-    bytes_sent: float
     busy_time: np.ndarray  #: per-node total core-busy seconds
-    sent_messages: np.ndarray  #: per-node messages sent
+    net_stats: "NetworkStats"  #: the run's communication ledger
     task_records: Optional[List[TaskRecord]] = None
-    completion_times: Optional[np.ndarray] = None
-    network: str = "nic"  #: name of the network model that produced the trace
-    recv_messages: Optional[np.ndarray] = None  #: per-node messages received
-    net_stats: Optional["NetworkStats"] = None  #: structured comm observability
     msg_records: Optional[List[MsgRecord]] = None  #: per-message tracing
     fault_stats: Optional["FaultStats"] = None  #: degraded-run observability
     resize_stats: Optional["MigrationStats"] = None  #: elastic-resize observability
     #: policy-universal lower bounds (cost/schedbounds.py), attached by
     #: callers that want distance-from-optimal reporting
     sched_bounds: Optional["ScheduleBounds"] = None
+
+    @property
+    def network(self) -> str:
+        """Name of the network model that produced the trace."""
+        return self.net_stats.model
+
+    @property
+    def n_messages(self) -> int:
+        """Messages sent over the whole run."""
+        return int(self.net_stats.msgs_sent.sum())
+
+    @property
+    def bytes_sent(self) -> float:
+        """Bytes sent over the whole run."""
+        return float(self.net_stats.bytes_sent.sum())
+
+    @property
+    def sent_messages(self) -> np.ndarray:
+        """Per-node messages sent."""
+        return self.net_stats.msgs_sent
+
+    @property
+    def recv_messages(self) -> np.ndarray:
+        """Per-node messages received."""
+        return self.net_stats.msgs_recv
 
     # ------------------------------------------------------------------
     @property
@@ -270,9 +297,8 @@ class ExecutionTrace:
             "bytes_sent": float(self.bytes_sent).hex(),
             "busy_time": [float(x).hex() for x in self.busy_time],
             "sent_messages": [int(x) for x in self.sent_messages],
+            "recv_messages": [int(x) for x in self.recv_messages],
         }
-        if self.recv_messages is not None:
-            out["recv_messages"] = [int(x) for x in self.recv_messages]
         if self.task_records is not None:
             blob = ";".join(
                 f"{r.tid},{r.node},{float(r.start).hex()},{float(r.end).hex()}"

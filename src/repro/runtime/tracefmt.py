@@ -142,45 +142,32 @@ def _bound_events(trace: ExecutionTrace) -> List[dict]:
     return events
 
 
-def _fault_events(trace: ExecutionTrace) -> List[dict]:
-    """Instant ("i") events for every fault incident of a degraded run.
+def _fault_event(ev) -> dict:
+    """Instant ("i") event of one fault incident.
 
     Node-scoped incidents (failures, aborts, re-homings, losses,
     retries) land on the node's process; cluster-wide incidents (link
     degradation windows) land on the synthetic network process.
     """
-    if trace.fault_stats is None:
-        return []
-    events: List[dict] = []
-    for ev in trace.fault_stats.events:
-        node_scoped = ev.node >= 0
-        events.append({
-            "name": f"fault:{ev.kind}",
-            "cat": "fault",
-            "ph": "i",
-            "s": "p" if node_scoped else "g",
-            "ts": ev.time * 1e6,
-            "pid": ev.node if node_scoped else NETWORK_PID,
-            "tid": 0,
-            "args": {"detail": ev.detail},
-        })
-    if any(e.node < 0 for e in trace.fault_stats.events) and not trace.msg_records:
-        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
-                       "args": {"name": f"network ({trace.network})"}})
-    return events
+    node_scoped = ev.node >= 0
+    return {
+        "name": f"fault:{ev.kind}",
+        "cat": "fault",
+        "ph": "i",
+        "s": "p" if node_scoped else "g",
+        "ts": ev.time * 1e6,
+        "pid": ev.node if node_scoped else NETWORK_PID,
+        "tid": 0,
+        "args": {"detail": ev.detail},
+    }
 
 
-def _resize_events(trace: ExecutionTrace) -> List[dict]:
-    """Migration lane of an elastic-resize run.
-
-    One duration ("X") slice on the network process spanning the
-    migration phase (drain end → resumed phase start), bracketed by
-    instant events at the requested resize time and the migration end.
-    """
-    rs = trace.resize_stats
-    if rs is None:
-        return []
-    events: List[dict] = [
+def _resize_pair(rs) -> List[dict]:
+    """Migration lane of an elastic-resize run: an instant event at the
+    requested resize time, and one duration ("X") slice spanning the
+    migration phase (drain end → resumed phase start), both on the
+    network process."""
+    return [
         {"name": f"resize:{rs.P_src}→{rs.P_dst}", "cat": "resize",
          "ph": "i", "s": "g", "ts": rs.time * 1e6,
          "pid": NETWORK_PID, "tid": 0,
@@ -195,6 +182,25 @@ def _resize_events(trace: ExecutionTrace) -> List[dict]:
                   "breakeven": rs.breakeven
                   if math.isfinite(rs.breakeven) else "inf"}},
     ]
+
+
+def _fault_events(trace: ExecutionTrace) -> List[dict]:
+    """The fault incidents of a degraded run (:func:`_fault_event`)."""
+    if trace.fault_stats is None:
+        return []
+    events = [_fault_event(ev) for ev in trace.fault_stats.events]
+    if any(e.node < 0 for e in trace.fault_stats.events) and not trace.msg_records:
+        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
+                       "args": {"name": f"network ({trace.network})"}})
+    return events
+
+
+def _resize_events(trace: ExecutionTrace) -> List[dict]:
+    """The migration lane of an elastic-resize run (:func:`_resize_pair`)."""
+    rs = trace.resize_stats
+    if rs is None:
+        return []
+    events = _resize_pair(rs)
     if not trace.msg_records:
         events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
                        "args": {"name": f"network ({trace.network})"}})
@@ -426,36 +432,14 @@ class ChromeTraceWriter(TraceWriter):
                 msg_end[uid], nbytes[uid]))
 
     def write_fault(self, event) -> None:
-        node_scoped = event.node >= 0
-        if not node_scoped:
+        if event.node < 0:
             self._saw_msgs = True  # ensure the network process gets named
-        self._emit({
-            "name": f"fault:{event.kind}", "cat": "fault", "ph": "i",
-            "s": "p" if node_scoped else "g",
-            "ts": event.time * 1e6,
-            "pid": event.node if node_scoped else NETWORK_PID,
-            "tid": 0, "args": {"detail": event.detail},
-        })
+        self._emit(_fault_event(event))
 
     def write_resize(self, stats) -> None:
         self._saw_msgs = True  # migration lives on the network process
-        self._emit({
-            "name": f"resize:{stats.P_src}→{stats.P_dst}", "cat": "resize",
-            "ph": "i", "s": "g", "ts": stats.time * 1e6,
-            "pid": NETWORK_PID, "tid": 0,
-            "args": {"tiles_moved": stats.tiles_moved,
-                     "tiles_saved": stats.tiles_saved},
-        })
-        self._emit({
-            "name": f"migration {stats.P_src}→{stats.P_dst}", "cat": "resize",
-            "ph": "X", "ts": stats.drain_s * 1e6,
-            "dur": stats.migration_s * 1e6,
-            "pid": NETWORK_PID, "tid": 0,
-            "args": {"tiles_moved": stats.tiles_moved,
-                     "bytes_moved": stats.bytes_moved,
-                     "breakeven": stats.breakeven
-                     if math.isfinite(stats.breakeven) else "inf"},
-        })
+        for event in _resize_pair(stats):
+            self._emit(event)
 
     # ------------------------------------------------------------------
     def _format_pending(self) -> None:

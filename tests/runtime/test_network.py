@@ -1,5 +1,7 @@
 """Unit tests for the pluggable network models (runtime/network.py)."""
 
+import dataclasses
+import hashlib
 import heapq
 import itertools
 
@@ -7,9 +9,12 @@ import numpy as np
 import pytest
 
 from repro.distribution import TileDistribution
+from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.g2dbc import g2dbc
+from repro.patterns.gcrm import feasible_sizes, gcrm
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.graph import TaskGraph
 from repro.runtime.network import (
     NETWORK_MODELS,
     ContentionModel,
@@ -180,8 +185,70 @@ class TestStatsIntegration:
         np.testing.assert_array_equal(
             comm["msgs_sent"], trace.sent_messages)
 
-    def test_pre_v2_trace_raises(self):
-        trace = lu_trace(network="nic")
-        trace.net_stats = None
-        with pytest.raises(ValueError, match="network stats"):
-            comm_breakdown(trace)
+    @pytest.mark.parametrize("name", sorted(NETWORK_MODELS))
+    def test_empty_graph_has_zero_stats(self, name):
+        """An empty graph carries its model's zero stats, so every
+        consumer of ``net_stats`` works on it."""
+        trace = simulate(TaskGraph(n_data=1, nnodes=3), cluster(P=3),
+                         network=name)
+        net = trace.net_stats
+        assert net.model == trace.network == name
+        for arr in (net.msgs_sent, net.msgs_recv, net.bytes_sent,
+                    net.bytes_recv, net.tx_busy, net.rx_busy):
+            assert arr.tolist() == [0, 0, 0]
+        assert trace.n_messages == 0 and trace.bytes_sent == 0.0
+        comm = comm_breakdown(trace)
+        assert comm["model"] == name
+        assert comm["link_busy_fraction"] == 0.0
+        assert comm["n_eager"] == comm["n_rendezvous"] == 0
+
+
+#: SHA-256 over every ``NetworkStats`` field (floats as ``float.hex``)
+#: of the sweep in :func:`test_net_stats_digest`.  ``to_canonical``
+#: holds no ``NetworkStats`` field, so the goldens cannot see a change
+#: in ``link_busy``, ``intra_link_busy``, the per-level bytes,
+#: ``n_eager``, ``bisection_Bps`` or the per-node arrays; this digest
+#: does.  It was recorded from the contention and hierarchical models'
+#: separate flow engines, before they shared one.
+NET_STATS_SHA256 = (
+    "5e40070a61f058c5e8314902cc0c8529ede3678f8c3025657c277bee1312e16f")
+
+
+def _stats_blob(net) -> str:
+    parts = []
+    for f in dataclasses.fields(net):
+        v = getattr(net, f.name)
+        if isinstance(v, np.ndarray):
+            v = ",".join(float(x).hex() if v.dtype.kind == "f" else str(x)
+                         for x in v.tolist())
+        elif isinstance(v, float):
+            v = float(v).hex()
+        parts.append(f"{f.name}={v}")
+    return ";".join(parts)
+
+
+def test_net_stats_digest():
+    """Contention family × P × kernel × tile size (eager 8, rendezvous
+    100) × ranks per machine × plain, fault and resize runs."""
+    faults = "fail:1@2e-5,loss:0.05,seed:3"
+    h = hashlib.sha256()
+    for P in (5, 7, 12):
+        for kernel, build in (("lu", build_lu_graph),
+                              ("cholesky", build_cholesky_graph)):
+            pattern = (g2dbc(P) if kernel == "lu"
+                       else gcrm(P, feasible_sizes(P)[0], seed=0).pattern)
+            dist = TileDistribution(pattern, 8, symmetric=kernel != "lu")
+            for tile in (8, 100):
+                graph, home = build(dist, tile)
+                for rpn in (1, 2, 3):
+                    cl = ClusterSpec(nnodes=P, cores_per_node=2,
+                                     core_gflops=1.0, bandwidth_Bps=1e9,
+                                     latency_s=1e-6, tile_size=tile,
+                                     ranks_per_node=rpn)
+                    for network in ("contention", "hierarchical"):
+                        for kw in ({}, {"faults": faults},
+                                   {"resize": f"{P + 2}@1e-5"}):
+                            trace = simulate(graph, cl, data_home=home,
+                                             network=network, **kw)
+                            h.update(_stats_blob(trace.net_stats).encode())
+    assert h.hexdigest() == NET_STATS_SHA256

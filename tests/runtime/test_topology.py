@@ -30,8 +30,6 @@ class TestConstruction:
             Topology(nranks=0)
         with pytest.raises(ValueError):
             Topology(nranks=4, ranks_per_node=0)
-        with pytest.raises(ValueError):
-            Topology(nranks=4, ranks_per_node=2, sockets_per_node=0)
 
     def test_repr(self):
         assert "ranks_per_node" in repr(Topology(nranks=8, ranks_per_node=2))
@@ -73,8 +71,8 @@ class TestIdentitySemantics:
         assert a != Topology(nranks=8, ranks_per_node=4)
 
     def test_cache_key(self):
-        t = Topology(nranks=8, ranks_per_node=2, sockets_per_node=2)
-        assert t.cache_key == (8, 2, 2)
+        t = Topology(nranks=8, ranks_per_node=2)
+        assert t.cache_key == (8, 2)
 
     def test_picklable_after_cached_property(self):
         t = Topology(nranks=8, ranks_per_node=2)

@@ -72,6 +72,15 @@ class TestSimulateTopology:
         out = capsys.readouterr().out
         assert "ranks/node" not in out
 
+    @pytest.mark.parametrize("argv, network", [
+        (["--network", "nic"], "nic"), ([], "hierarchical")])
+    def test_explicit_network_wins(self, capsys, argv, network):
+        # regression: an explicit --network nic ran "hierarchical" too
+        assert main(["simulate", "-P", "7", "--tiles", "10",
+                     "--tile-size", "8", "--seeds", "4",
+                     "--topology", "2"] + argv) == 0
+        assert f"network    : {network}\n" in capsys.readouterr().out
+
 
 class TestPatternCommand:
     def test_lu_pattern(self, capsys):
