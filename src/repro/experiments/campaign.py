@@ -246,108 +246,126 @@ def plan_campaign(
 # ---------------------------------------------------------------------------
 # worker (module-level: must be picklable for the process pool)
 # ---------------------------------------------------------------------------
-def _build_graph(cell: CampaignCell, pattern, tile_size: int):
-    """Build ``(graph, data_home)`` for a cell's kernel and size."""
-    if cell.kernel == "lu":
-        dist = TileDistribution(pattern, cell.m, symmetric=False)
-        return build_lu_graph(dist, tile_size)
-    if cell.kernel == "cholesky":
-        dist = TileDistribution(pattern, cell.m, symmetric=True)
-        return build_cholesky_graph(dist, tile_size)
-    raise ValueError(f"unknown kernel {cell.kernel!r}")
+def _graph_key(cell: CampaignCell) -> tuple:
+    """The cells with this key simulate one task graph."""
+    return (cell.family, cell.kernel, cell.P, cell.m)
 
 
-def _eval_cell(cell: CampaignCell, pattern, tile_size: int) -> CampaignRow:
-    """Evaluate one cell on its resolved pattern: build, count, bound,
-    simulate."""
-    cluster = sim_cluster(cell.P, tile_size=tile_size)
+def _build(cell: CampaignCell, pattern, tile_size: int):
+    """``(graph, data_home, predicted messages)`` of a cell's graph key."""
+    if cell.kernel not in ("lu", "cholesky"):
+        raise ValueError(f"unknown kernel {cell.kernel!r}")
+    lu = cell.kernel == "lu"
+    dist = TileDistribution(pattern, cell.m, symmetric=not lu)
+    build, count = ((build_lu_graph, count_lu_messages) if lu
+                    else (build_cholesky_graph, count_cholesky_messages))
+    graph, home = build(dist, tile_size)
+    return graph, home, count(dist).total
+
+
+def _eval_group(cells: List[CampaignCell], pattern, built,
+                tile_size: int) -> List[CampaignRow]:
+    """Evaluate one baseline group on its built graph: bound once,
+    simulate the plain run at most once, then each cell's own run."""
+    graph, home, predicted = built
+    first = cells[0]
+    cluster = sim_cluster(first.P, tile_size=tile_size)
     if cluster.nnodes < pattern.nnodes:
         cluster = cluster.with_nodes(pattern.nnodes)
-    if cell.scheduler != "priority":
-        cluster = replace(cluster, scheduler=cell.scheduler)
-    if cell.ranks_per_node != 1:
-        cluster = replace(cluster, ranks_per_node=cell.ranks_per_node)
-    graph, home = _build_graph(cell, pattern, tile_size)
-    if cell.kernel == "lu":
-        dist = TileDistribution(pattern, cell.m, symmetric=False)
-        predicted = count_lu_messages(dist).total
-    elif cell.kernel == "cholesky":
-        dist = TileDistribution(pattern, cell.m, symmetric=True)
-        predicted = count_cholesky_messages(dist).total
-    else:
-        raise ValueError(f"unknown kernel {cell.kernel!r}")
+    if first.scheduler != "priority":
+        cluster = replace(cluster, scheduler=first.scheduler)
+    if first.ranks_per_node != 1:
+        cluster = replace(cluster, ranks_per_node=first.ranks_per_node)
     bounds = makespan_bounds(graph, cluster)
     sched_bounds = schedule_lower_bounds(graph, cluster, data_home=home,
-                                         network=cell.network)
-    plan = parse_faults(cell.faults)
-    fs = rs = None
-    if plan:
-        # the degraded run: same graph under the cell's fault plan, with
-        # colrow re-homing; a fault-free run gives the makespan-inflation
-        # denominator
-        faultfree = simulate(graph, cluster, data_home=home,
-                             network=cell.network).makespan
-        trace = simulate(graph, cluster, data_home=home, network=cell.network,
-                         faults=plan, recovery=colrow_recovery(pattern))
-        fs = trace.fault_stats
-    elif cell.resize:
-        # the elastic run: same graph with a planned mid-run resize.  Its
-        # first phase is the whole unresized run, whose makespan is the
-        # comparison; a no-op resize is the plain run and attaches no
-        # stats, so its columns keep their defaults
-        trace = simulate(graph, cluster, data_home=home, network=cell.network,
-                         resize=cell.resize)
-        rs = trace.resize_stats
-        faultfree = rs.makespan_source_s if rs is not None else trace.makespan
-    else:
-        trace = simulate(graph, cluster, data_home=home, network=cell.network)
-        faultfree = trace.makespan
-    trace.sched_bounds = sched_bounds
-    net = trace.net_stats
-    fr = net.busy_fractions(trace.makespan)
-    return CampaignRow(
-        family=cell.family, kernel=cell.kernel, network=cell.network,
-        P=cell.P, m=cell.m, matrix_size=cell.m * tile_size,
-        pattern_cost=pattern.cost(cell.kernel),
-        predicted_messages=int(predicted),
-        simulated_messages=int(trace.n_messages),
-        predicted_makespan_s=float(bounds.best),
-        makespan_s=float(trace.makespan),
-        gflops=float(trace.gflops),
-        gflops_per_node=float(trace.gflops_per_node),
-        utilization=float(trace.utilization),
-        link_busy_fraction=float(fr["link_busy"]),
-        n_eager=int(net.n_eager),
-        n_rendezvous=int(net.n_rendezvous),
-        scheduler=cell.scheduler,
-        schedule_bound_s=float(sched_bounds.best),
-        optimality_ratio=float(trace.optimality_ratio),
-        faults=cell.faults,
-        faultfree_makespan_s=float(faultfree),
-        makespan_inflation=(float(trace.makespan / faultfree)
-                            if faultfree > 0 else 1.0),
-        failed_nodes=len(fs.failed_nodes) if fs else 0,
-        recovery_messages=fs.recovery_messages if fs else 0,
-        msgs_lost=fs.msgs_lost if fs else 0,
-        retries=fs.retries if fs else 0,
-        ranks_per_node=cell.ranks_per_node,
-        bisection_Bps=float(net.bisection_Bps),
-        inter_bytes=float(net.inter_bytes),
-        intra_bytes=float(net.intra_bytes),
-        inter_byte_fraction=(
-            float(net.inter_bytes / (net.inter_bytes + net.intra_bytes))
-            if net.inter_bytes + net.intra_bytes > 0 else 0.0),
-        resize=cell.resize,
-        tiles_moved=rs.tiles_moved if rs is not None else 0,
-        tiles_saved=rs.tiles_saved if rs is not None else 0,
-        migration_s=float(rs.migration_s) if rs is not None else 0.0,
-        breakeven=float(rs.breakeven) if rs is not None else 0.0,
-    )
+                                         network=first.network)
+    plain = None
+    rows = []
+    for cell in cells:
+        fs = rs = None
+        if cell.resize:
+            # the elastic run: same graph with a planned mid-run resize.
+            # Its first phase is the whole unresized run, whose makespan
+            # is the comparison; a no-op resize is the plain run and
+            # attaches no stats, so its columns keep their defaults
+            trace = simulate(graph, cluster, data_home=home,
+                             network=cell.network, resize=cell.resize)
+            rs = trace.resize_stats
+            faultfree = rs.makespan_source_s if rs is not None \
+                else trace.makespan
+        else:
+            if plain is None:
+                plain = simulate(graph, cluster, data_home=home,
+                                 network=cell.network)
+            faultfree = plain.makespan
+            trace = plain
+            plan = parse_faults(cell.faults)
+            if plan:
+                # the degraded run: same graph under the cell's fault
+                # plan, with colrow re-homing; the group's plain run is
+                # the makespan-inflation denominator
+                trace = simulate(graph, cluster, data_home=home,
+                                 network=cell.network, faults=plan,
+                                 recovery=colrow_recovery(pattern))
+                fs = trace.fault_stats
+        trace.sched_bounds = sched_bounds
+        net = trace.net_stats
+        fr = net.busy_fractions(trace.makespan)
+        rows.append(CampaignRow(
+            family=cell.family, kernel=cell.kernel, network=cell.network,
+            P=cell.P, m=cell.m, matrix_size=cell.m * tile_size,
+            pattern_cost=pattern.cost(cell.kernel),
+            predicted_messages=int(predicted),
+            simulated_messages=int(trace.n_messages),
+            predicted_makespan_s=float(bounds.best),
+            makespan_s=float(trace.makespan),
+            gflops=float(trace.gflops),
+            gflops_per_node=float(trace.gflops_per_node),
+            utilization=float(trace.utilization),
+            link_busy_fraction=float(fr["link_busy"]),
+            n_eager=int(net.n_eager),
+            n_rendezvous=int(net.n_rendezvous),
+            scheduler=cell.scheduler,
+            schedule_bound_s=float(sched_bounds.best),
+            optimality_ratio=float(trace.optimality_ratio),
+            faults=cell.faults,
+            faultfree_makespan_s=float(faultfree),
+            makespan_inflation=(float(trace.makespan / faultfree)
+                                if faultfree > 0 else 1.0),
+            failed_nodes=len(fs.failed_nodes) if fs else 0,
+            recovery_messages=fs.recovery_messages if fs else 0,
+            msgs_lost=fs.msgs_lost if fs else 0,
+            retries=fs.retries if fs else 0,
+            ranks_per_node=cell.ranks_per_node,
+            bisection_Bps=float(net.bisection_Bps),
+            inter_bytes=float(net.inter_bytes),
+            intra_bytes=float(net.intra_bytes),
+            inter_byte_fraction=(
+                float(net.inter_bytes / (net.inter_bytes + net.intra_bytes))
+                if net.inter_bytes + net.intra_bytes > 0 else 0.0),
+            resize=cell.resize,
+            tiles_moved=rs.tiles_moved if rs is not None else 0,
+            tiles_saved=rs.tiles_saved if rs is not None else 0,
+            migration_s=float(rs.migration_s) if rs is not None else 0.0,
+            breakeven=float(rs.breakeven) if rs is not None else 0.0,
+        ))
+    return rows
 
 
 def _eval_campaign_chunk(args: Tuple[int, list]) -> List[CampaignRow]:
+    """Rows of a chunk of ``(cells, pattern)`` groups, in order.  The
+    groups of one graph are consecutive: the worker builds it once and
+    holds one graph at a time."""
     tile_size, chunk = args
-    return [_eval_cell(cell, pattern, tile_size) for cell, pattern in chunk]
+    rows: List[CampaignRow] = []
+    held = built = None
+    for cells, pattern in chunk:
+        key = _graph_key(cells[0])
+        if key != held:
+            built = None  # drop the held graph before building the next
+            held, built = key, _build(cells[0], pattern, tile_size)
+        rows += _eval_group(cells, pattern, built, tile_size)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +376,6 @@ def run_campaign(
     *,
     jobs: Optional[int] = 1,
     tile_size: int = PAPER_TILE_SIZE,
-    chunk_size: Optional[int] = None,
     memo: Optional[dict] = None,
     store_dir: Optional[str] = None,
 ) -> List[CampaignRow]:
@@ -367,7 +384,7 @@ def run_campaign(
     ``memo`` (signature → :class:`CampaignRow`) skips already-simulated
     cells and is updated in place — pass the same dict across calls to
     grow a grid incrementally.  Rows are merged in planning order, so
-    the output is independent of ``jobs`` and ``chunk_size``.
+    the output is independent of ``jobs``.
 
     Before the fan-out, the calling process resolves each distinct
     (family, P, kernel) of the cells to run once, with
@@ -379,10 +396,17 @@ def run_campaign(
     Workers never open the store, so no two processes write one shard,
     and the store changes nothing but speed.
 
-    Every cell builds its own graph, in the worker that evaluates it,
-    exactly as with ``jobs=1``: rows are a pure function of each cell's
-    spec, so output is identical with and without the pool — the
-    jobs-independence tests pin this.
+    The cells to run are evaluated in *baseline groups*: the cells that
+    share (family, kernel, P, m, network, scheduler, ranks_per_node).
+    A group computes its makespan and schedule bounds once and runs the
+    unfaulted, unresized simulation at most once: that run is the plain
+    cell's trace and every fault cell's fault-free baseline.  The
+    groups are ordered by the first appearance of their graph and
+    dealt to the workers in ``chunk_tasks`` chunks; a worker builds
+    each graph (and its message count) once for the consecutive groups
+    it evaluates.  Each row is a pure function of its cell's spec, so
+    the output is identical for every ``jobs`` and every grouping — the
+    jobs-independence and isolation tests pin this.
     """
     if memo is None:
         memo = {}
@@ -397,20 +421,26 @@ def run_campaign(
     if misses:
         store = PatternStore(store_dir) if store_dir is not None else None
         patterns: dict = {}
+        graphs: dict = {}  # graph key → rest of the group key → cells
         for cell in misses:
             pkey = (cell.family, cell.P, cell.kernel)
             if pkey not in patterns:
                 patterns[pkey] = best_pattern(cell.P, cell.kernel,
                                               family=cell.family, store=store)
-        work = [(cell, patterns[(cell.family, cell.P, cell.kernel)])
-                for cell in misses]
+            graphs.setdefault(_graph_key(cell), {}).setdefault(
+                (cell.network, cell.scheduler, cell.ranks_per_node),
+                []).append(cell)
+        work = [(group, patterns[(group[0].family, group[0].P,
+                                  group[0].kernel)])
+                for groups in graphs.values() for group in groups.values()]
         executor = auto_executor(len(work), jobs)
         try:
-            chunks = chunk_tasks(work, executor.jobs, chunk_size)
+            chunks = chunk_tasks(work, executor.jobs)
             results = executor.map(_eval_campaign_chunk,
                                    [(tile_size, c) for c in chunks])
             for chunk, rows in zip(chunks, results):
-                for (cell, _), row in zip(chunk, rows):
+                done = [cell for group, _ in chunk for cell in group]
+                for cell, row in zip(done, rows):
                     memo[key(cell)] = row
         finally:
             executor.close()

@@ -45,8 +45,9 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .graph import TaskGraph, TaskKind
-from .network import (EVENT_MSG_ARRIVE, EVENT_NET_INTERNAL, NetworkModel,
-                      NetworkStats, make_network)
+from .network import (EAGER_THRESHOLD_BYTES, EVENT_MSG_ARRIVE,
+                      EVENT_NET_INTERNAL, ContentionModel, HierarchicalModel,
+                      NetworkModel, NetworkStats, make_network)
 from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
 
 __all__ = ["ResizeEvent", "MigrationStats", "parse_resize",
@@ -211,12 +212,22 @@ def _combine_stats(parts: List[NetworkStats], nnodes: int,
 
 
 def _stats_from_msgs(msgs: List[MsgRecord], nnodes: int,
-                     model: str) -> NetworkStats:
-    """Approximate per-node stats from a message-record list.
+                     model: NetworkModel, cluster: ClusterSpec) -> NetworkStats:
+    """Stats of the drained prefix of a resize run from its message
+    records, which ran on ``cluster`` under a ``model`` of its kind.
 
     Busy seconds are taken as each record's wall span at its endpoints —
     an upper estimate for overlapping flows, but deterministic and
-    model-agnostic (used only for the drained prefix of a resize run).
+    model-agnostic.  The protocol and link counts are the ones the
+    model's own :meth:`~NetworkModel.stats` reports: ``"nic"`` keeps
+    none; the contention family calls a message eager up to
+    :data:`~repro.runtime.network.EAGER_THRESHOLD_BYTES` and rendezvous
+    above it, and bills it to the bisection link (``link_bytes``)
+    unless both ranks share a machine; ``"hierarchical"`` takes its
+    machines from ``cluster.topology().rank_nodes`` and also reports
+    the inter/intra split.  The prefix's ``link_busy`` and
+    ``intra_link_busy`` stay uncounted: the records do not tell how
+    long flows shared a link.
     """
     msgs_sent = np.zeros(nnodes, dtype=np.int64)
     msgs_recv = np.zeros(nnodes, dtype=np.int64)
@@ -232,9 +243,27 @@ def _stats_from_msgs(msgs: List[MsgRecord], nnodes: int,
         span = m.end - m.start
         tx_busy[m.src] += span
         rx_busy[m.dst] += span
-    return NetworkStats(model=model, msgs_sent=msgs_sent, msgs_recv=msgs_recv,
-                        bytes_sent=bytes_sent, bytes_recv=bytes_recv,
-                        tx_busy=tx_busy, rx_busy=rx_busy)
+    out = NetworkStats(model=model.name, msgs_sent=msgs_sent,
+                       msgs_recv=msgs_recv, bytes_sent=bytes_sent,
+                       bytes_recv=bytes_recv, tx_busy=tx_busy,
+                       rx_busy=rx_busy)
+    if not isinstance(model, ContentionModel):
+        return out
+    out.n_eager = sum(m.nbytes <= EAGER_THRESHOLD_BYTES for m in msgs)
+    out.n_rendezvous = len(msgs) - out.n_eager
+    if not isinstance(model, HierarchicalModel):
+        out.link_bytes = float(bytes_sent.sum())  # one rank per machine
+        return out
+    machine = cluster.topology().rank_nodes
+    for m in msgs:
+        if machine[m.src] == machine[m.dst]:
+            out.intra_msgs += 1
+            out.intra_bytes += m.nbytes
+        else:
+            out.inter_msgs += 1
+            out.inter_bytes += m.nbytes
+    out.link_bytes = out.inter_bytes
+    return out
 
 
 def _shift_msg(m: MsgRecord, dt: float) -> MsgRecord:
@@ -406,7 +435,7 @@ def simulate_with_resize(
     busy = np.zeros(nmax)
     for r in done_recs:
         busy[r.node] += r.end - r.start
-    parts = [_stats_from_msgs(msgs_a, nmax, model.name), mig_stats]
+    parts = [_stats_from_msgs(msgs_a, nmax, model, cluster), mig_stats]
     if trace_b is not None:
         busy += trace_b.busy_time
         parts.append(trace_b.net_stats)

@@ -2,12 +2,14 @@
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CampaignCell,
     DEFAULT_KERNELS,
@@ -209,24 +211,43 @@ class TestResizeAxis:
 
 
 class TestJobsIndependence:
-    """Property (satellite 3): campaign rows do not depend on ``jobs``."""
+    """Property: campaign rows do not depend on ``jobs``."""
 
     @given(st.sampled_from([("g2dbc", 5), ("g2dbc", 7), ("gcrm", 5)]),
            st.sampled_from([5, 6, 7]),
-           st.sampled_from(["nic", "contention"]))
+           st.sampled_from(["nic", "contention"]),
+           st.sampled_from([2, 3]))
+    @example(("g2dbc", 5), 6, "contention", 3)
     @settings(max_examples=6, deadline=None, derandomize=True)
-    def test_jobs_1_vs_2(self, fam_P, m, network):
+    def test_jobs_1_vs_pool(self, fam_P, m, network, jobs):
+        """Two graphs in eight baseline groups: two workers take chunks
+        of 4 + 4 groups, three take 3 + 3 + 2, so each graph's groups
+        span two chunks and each of those chunks builds the graph."""
         family, P = fam_P
-        cells = plan_campaign([family], Ps=[P], ms=[m], networks=[network])
+        cells = plan_campaign([family], Ps=[P], ms=[m, m + 1],
+                              networks=[network], topologies=[1, 2],
+                              schedulers=["priority", "work_stealing"])
         serial = run_campaign(cells, jobs=1, tile_size=TILE)
-        parallel = run_campaign(cells, jobs=2, tile_size=TILE)
+        parallel = run_campaign(cells, jobs=jobs, tile_size=TILE)
         assert [r.as_dict() for r in serial] == [r.as_dict() for r in parallel]
 
-    def test_chunk_size_independence(self):
-        cells = plan_campaign(["g2dbc"], Ps=[5, 7], ms=[5, 6])
-        a = run_campaign(cells, jobs=2, tile_size=TILE, chunk_size=1)
-        b = run_campaign(cells, jobs=2, tile_size=TILE, chunk_size=3)
-        assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
+
+class TestBaselineGroups:
+    """Cells that share a graph, a network, a policy and a topology share
+    one build, one bound set and one plain run; no row may see that."""
+
+    def test_rows_do_not_depend_on_the_grid(self):
+        cells = plan_campaign(
+            ["g2dbc", "gcrm"], Ps=[5], ms=[6],
+            networks=["contention", "hierarchical"], topologies=[1, 2],
+            faults=["", TestFaultsAxis.FAULT],
+            resizes=["", TestResizeAxis.RESIZE],
+            schedulers=["priority", "work_stealing"])
+        assert len(cells) == 48
+        together = run_campaign(cells, jobs=1, tile_size=TILE)
+        alone = [run_campaign([c], jobs=1, tile_size=TILE)[0] for c in cells]
+        assert [r.as_dict() for r in together] == \
+            [r.as_dict() for r in alone]
 
 
 class TestRowPin:
@@ -239,12 +260,41 @@ class TestRowPin:
     """
 
     @pytest.fixture(scope="class")
-    def rows(self):
+    def run(self):
+        """The grid's rows, and how often the campaign module called
+        each graph builder and ``simulate``."""
         cells = plan_campaign(
             ["g2dbc", "gcrm"], [5, 7], [8], networks=["nic", "contention"],
             faults=["", "fail:1@0.01,loss:0.02,seed:3"],
             resizes=["", "9@0.01"], schedulers=["priority", "work_stealing"])
-        return run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(campaign, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("build_lu_graph", "build_cholesky_graph",
+                         "simulate"):
+                mp.setattr(campaign, name, counted(name))
+            rows = run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
+        return rows, calls
+
+    @pytest.fixture(scope="class")
+    def rows(self, run):
+        return run[0]
+
+    def test_one_build_and_plain_run_per_group(self, run):
+        """4 graphs in 16 baseline groups of (plain, fault, resize)
+        cells: one build per graph, and per group one plain run, one
+        fault run and one resize run."""
+        _, calls = run
+        assert calls["build_lu_graph"] + calls["build_cholesky_graph"] == 4
+        assert calls["simulate"] == 48
 
     def test_rows_match_golden(self, rows):
         actual = [{k: v.hex() if isinstance(v, float) else v

@@ -209,9 +209,12 @@ class TestStatsIntegration:
 #: in ``link_busy``, ``intra_link_busy``, the per-level bytes,
 #: ``n_eager``, ``bisection_Bps`` or the per-node arrays; this digest
 #: does.  It was recorded from the contention and hierarchical models'
-#: separate flow engines, before they shared one.
+#: separate flow engines, before they shared one, and re-recorded when
+#: a resized run's drained prefix began to count in ``n_eager``,
+#: ``link_bytes`` and the per-level fields (the 36 eager-tile resize
+#: runs moved; every plain and fault run kept its blob).
 NET_STATS_SHA256 = (
-    "5e40070a61f058c5e8314902cc0c8529ede3678f8c3025657c277bee1312e16f")
+    "b70d1adbe546ac516b61dc1c87bfac5014c863e43197ca7f2e48932e93b40405")
 
 
 def _stats_blob(net) -> str:

@@ -123,6 +123,36 @@ class TestResizeRun:
         assert trace.network == "contention"
         assert comm_breakdown(trace)["model"] == "contention"
 
+    @pytest.mark.parametrize("tile", [8, 100])
+    @pytest.mark.parametrize("rpn", [1, 2, 3])
+    def test_stats_count_the_drained_prefix(self, rpn, tile):
+        """Every message of a resized contention-family run, the ones
+        sent before the resize included, is eager (tile 8) or
+        rendezvous (tile 100), and crosses the bisection link or stays
+        inside a machine."""
+        dist = TileDistribution(shipped_pattern(7, "lu"), 10, symmetric=False)
+        graph, home = build_lu_graph(dist, tile)
+        cluster = ClusterSpec(nnodes=7, cores_per_node=2, core_gflops=1.0,
+                              bandwidth_Bps=1e9, latency_s=1e-6,
+                              tile_size=tile, ranks_per_node=rpn)
+        for network in ("contention", "hierarchical"):
+            half = simulate(graph, cluster, data_home=home,
+                            network=network).makespan / 2
+            trace = simulate(graph, cluster, data_home=home,
+                             network=network, resize=f"9@{half!r}")
+            net = trace.net_stats
+            assert trace.resize_stats.tasks_done > 0
+            assert net.n_eager + net.n_rendezvous == trace.n_messages
+            assert (net.n_eager if tile == 8 else net.n_rendezvous) \
+                == trace.n_messages
+            if network == "contention":
+                assert net.link_bytes == net.bytes_sent.sum()
+            else:
+                assert net.inter_msgs + net.intra_msgs == trace.n_messages
+                assert net.inter_bytes + net.intra_bytes \
+                    == net.bytes_sent.sum()
+                assert net.link_bytes == net.inter_bytes
+
     @pytest.mark.parametrize("P,P2,rpn", [(8, 12, 2), (12, 16, 4)])
     def test_hierarchical_prediction_matches_replay(self, P, P2, rpn):
         # regression: the prediction sized the inter-machine bisection
