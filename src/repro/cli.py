@@ -337,6 +337,14 @@ def cmd_gcrm(args) -> int:
     return 0
 
 
+def _loop_name(cluster, faults=None) -> str:
+    """Which event loop ran a simulation: ``c``, or ``python (<why>)``."""
+    from .runtime.simulator import python_loop_reason
+
+    reason = python_loop_reason(cluster, faults)
+    return "c" if reason is None else f"python ({reason})"
+
+
 def cmd_simulate(args) -> int:
     from .experiments.harness import run_factorization
     from .runtime.stats import (comm_breakdown, fault_breakdown,
@@ -373,6 +381,7 @@ def cmd_simulate(args) -> int:
     print(f"pattern    : {pat.name} (T = {pat.cost(args.kernel):.3f})")
     print(f"network    : {trace.network}")
     print(f"scheduler  : {args.scheduler}")
+    print(f"loop       : {_loop_name(trace.cluster)}")
     for key, val in trace.summary().items():
         print(f"{key:<20}: {val:,.4f}")
     comm = comm_breakdown(trace)
@@ -396,6 +405,7 @@ def cmd_simulate(args) -> int:
     if faulted is not None:
         print(f"\n--- degraded run ({args.faults}) ---")
         fb = fault_breakdown(faulted, baseline=trace)
+        print(f"{'loop':<20}: {_loop_name(faulted.cluster, args.faults)}")
         print(f"{'makespan_s':<20}: {faulted.makespan:,.6f}")
         for key in ("makespan_inflation", "failed_nodes", "tasks_rehomed",
                     "tasks_aborted", "tasks_resurrected", "recovery_messages",

@@ -6,29 +6,52 @@
  * libc beyond the implicit runtime is used.
  *
  * The event loop replicates, event for event, the Python loop of
- * ``repro.runtime.simulator`` for its default configuration: priority
- * scheduler, no fork-join barrier, NIC network model with
- * point-to-point multicast.  The caller hands in the SimPlan arrays as
- * they are (int32 indexes, int64 priority keys).
+ * ``repro.runtime.simulator`` for every fault-free run without a
+ * fork-join barrier, with point-to-point multicast and a scheduler
+ * whose keys are a static table (priority, lookahead, comm_avoiding,
+ * work_stealing), under every network model:
  *
- * Recording (``record != 0``) stores each task's start time, each
- * message's send start and arrival, and one log entry per record in
- * the order the Python loop emits them: ``tid`` when a task is
- * dispatched, ``-1 - uid`` when a message is sent.  The caller turns
- * these arrays into task/message records or trace-writer calls.
+ *  - ``nic``: sender-serialized NICs with a fixed wire time
+ *    (``NicModel``);
+ *  - the contention family (``flows != 0``): ``ContentionModel``'s
+ *    flow engine, push for push — FIFO NIC queues pumped in ascending
+ *    sender order with head-of-line blocking, eager/rendezvous
+ *    latency events, per-link fair shares with one current finish
+ *    event per re-apportioning (ties to the first flow in activation
+ *    order), and the machine map that ``hierarchical`` feeds it.
+ *
+ * Work stealing (``steal != 0``) is the Python loop's rebalance hook:
+ * at the seed and after each same-time batch, idle nodes with empty
+ * queues pull queued tasks from their victims; a stolen task runs
+ * ``base_dur / speed[thief] + msg_time`` on the thief, and its
+ * completion frees a core there while its wakes stay at the owner.
+ * The caller hands in the SimPlan arrays as they are (int32 indexes,
+ * int64 keys).
+ *
+ * Recording (``record != 0``) stores each task's start and end time,
+ * each message's send start and arrival, and one log entry per record
+ * in the order the Python loop emits them: ``tid`` when a task is
+ * dispatched, ``-1 - uid`` when a message is recorded (at its send
+ * under ``nic``, at its arrival under the flow engine).  The caller
+ * turns these arrays into task/message records or trace-writer calls.
  *
  * Byte-identity contract:
  *  - the event heap orders ``(time, tag)`` with unique tags exactly
  *    like the Python tuple heap (tags are seq+etype, seq += 4);
- *  - ready queues are per-node min-heaps of the packed priority keys;
- *    keys are unique, so pop order is a pure function of the key set
- *    and matches Python's single-list heaps bit for bit;
- *  - NIC arithmetic is the verbatim max/add sequence of
- *    ``NicModel.send`` on IEEE doubles (compile WITHOUT -ffast-math);
+ *  - ready queues are per-node min-heaps of the packed keys; keys are
+ *    unique, so pop order is a pure function of the key set and
+ *    matches Python's single-list heaps bit for bit;
+ *  - NIC and flow arithmetic is the verbatim operation sequence of
+ *    ``NicModel`` and ``ContentionModel`` on IEEE doubles (compile
+ *    WITHOUT -ffast-math, and with -ffp-contract=off: a fused
+ *    multiply-add in ``remaining - rate * dt`` rounds once where
+ *    Python rounds twice);
  *  - per-node busy time accumulates in pop order, so the float sums
  *    equal the Python path's.
  *
- * Event types (low two tag bits): 0 = TASK_DONE, 1 = MSG_ARRIVE.
+ * Event types (low two tag bits): 0 = TASK_DONE, 1 = MSG_ARRIVE,
+ * 2 = NET_INTERNAL (a flow's data starts moving: payload = its sender;
+ * a finish event: payload = -1 - token).
  */
 
 #include <stdint.h>
@@ -38,10 +61,14 @@ typedef struct {
     int64_t *tag;
     int64_t *pl;
     int64_t n;
+    int64_t seq;
 } EvHeap;
 
-static void ev_push(EvHeap *h, double t, int64_t tag, int64_t pl)
+/* push with the next sequence number: tag = seq + etype */
+static void ev_push(EvHeap *h, double t, int64_t etype, int64_t pl)
 {
+    h->seq += 4;
+    int64_t tag = h->seq + etype;
     int64_t i = h->n++;
     while (i > 0) {
         int64_t p = (i - 1) >> 1;
@@ -130,6 +157,192 @@ static int64_t rq_pop(int64_t *a, int64_t n)
     return top;
 }
 
+static int64_t popcount64(uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555u);
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return (int64_t)((x * 0x0101010101010101u) >> 56);
+}
+
+/* ------------------------------------------------------------------ */
+/* The contention family's flow engine (``ContentionModel``)          */
+/* ------------------------------------------------------------------ */
+
+/* A NIC sends one flow at a time (``_tx_held``), so every flow in
+ * progress is named by its sender: the per-sender arrays hold that
+ * flow, and ``active`` lists the senders whose flow carries data, in
+ * activation order (the Python model's ``_active``).  Link 0 is the
+ * bisection link, link 1 + m machine m's private link. */
+typedef struct {
+    const int32_t *machine;     /* machine of each rank */
+    const int32_t *msg_dst;
+    double nbytes;              /* bytes of every message */
+    double node_bw, link_bw, intra_bw;
+    double lat_inter, lat_intra;
+    int32_t *qnext;             /* per-sender FIFO queues, linked by uid */
+    int64_t *qhead, *qtail;
+    uint64_t *waiting;          /* bitset: senders with a queued uid */
+    int64_t nwords;
+    int64_t *tx_held, *rx_held;
+    int64_t *f_uid, *f_link;    /* each sender's flow */
+    double *f_t0, *f_rem, *f_rate;
+    int64_t *active, n_active;
+    int64_t *link_flows;        /* active flows per link */
+    int64_t intra_busy;         /* machine links carrying >= 1 flow */
+    int64_t token, fin_src;     /* the current finish event, its flow */
+    double last_t, link_busy, intra_link_busy;
+    int64_t n_inter, n_intra;   /* flows started, per level */
+} Flows;
+
+static void flow_start(Flows *F, EvHeap *h, int64_t uid, int64_t src,
+                       double now, int64_t *msgs_sent)
+{
+    int64_t dst = F->msg_dst[uid];
+    int64_t m = F->machine[src];
+    int64_t link = m != F->machine[dst] ? 0 : 1 + m;
+    F->tx_held[src] = 1;
+    F->rx_held[dst] = 1;
+    F->f_uid[src] = uid;
+    F->f_link[src] = link;
+    F->f_t0[src] = now;
+    F->f_rem[src] = F->nbytes;
+    F->f_rate[src] = 0.0;
+    msgs_sent[src]++;
+    if (link)
+        F->n_intra++;
+    else
+        F->n_inter++;
+    ev_push(h, now + (link ? F->lat_intra : F->lat_inter), 2, src);
+}
+
+/* start queued flows wherever both endpoint NICs are idle, visiting
+ * the senders with queued messages in ascending node id */
+static void flow_pump(Flows *F, EvHeap *h, double now, int64_t *msgs_sent)
+{
+    for (int64_t w = 0; w < F->nwords; w++) {
+        uint64_t bits = F->waiting[w];
+        while (bits) {
+            uint64_t low = bits & (~bits + 1u);
+            bits ^= low;
+            int64_t src = w * 64 + popcount64(low - 1u);
+            if (F->tx_held[src])
+                continue;
+            int64_t uid = F->qhead[src];
+            if (F->rx_held[F->msg_dst[uid]])
+                continue;  /* head-of-line blocking on the busy receiver */
+            F->qhead[src] = F->qnext[uid];
+            if (F->qhead[src] < 0) {
+                F->qtail[src] = -1;
+                F->waiting[w] &= ~low;
+            }
+            flow_start(F, h, uid, src, now, msgs_sent);
+        }
+    }
+}
+
+static void flow_send(Flows *F, EvHeap *h, int64_t uid, int64_t src,
+                      double now, int64_t *msgs_sent)
+{
+    F->qnext[uid] = -1;
+    if (F->qtail[src] < 0)
+        F->qhead[src] = uid;
+    else
+        F->qnext[F->qtail[src]] = (int32_t)uid;
+    F->qtail[src] = uid;
+    F->waiting[src >> 6] |= (uint64_t)1 << (src & 63);
+    flow_pump(F, h, now, msgs_sent);
+}
+
+/* drain bytes of the active flows up to ``now`` and charge the time
+ * to the links that carried them */
+static void flow_advance(Flows *F, double now)
+{
+    double dt = now - F->last_t;
+    if (dt > 0.0 && F->n_active) {
+        for (int64_t k = 0; k < F->n_active; k++) {
+            int64_t s = F->active[k];
+            double r = F->f_rem[s] - F->f_rate[s] * dt;
+            F->f_rem[s] = r > 0.0 ? r : 0.0;
+        }
+        if (F->link_flows[0])
+            F->link_busy += dt;
+        F->intra_link_busy += dt * (double)F->intra_busy;
+    }
+    if (now > F->last_t)
+        F->last_t = now;
+}
+
+static void flow_count(Flows *F, int64_t link, int64_t step)
+{
+    int64_t n = F->link_flows[link];
+    F->link_flows[link] = n + step;
+    if (link && (n == 0 || n + step == 0))
+        F->intra_busy += step;
+}
+
+/* re-apportion every link's fair shares and push a finish event for
+ * the active flow that ends first (the first in activation order on
+ * ties), superseding the pending one */
+static void flow_reschedule(Flows *F, EvHeap *h, double now)
+{
+    if (F->n_active == 0)
+        return;
+    int64_t n = F->link_flows[0];
+    double inter = 0.0;
+    if (n) {
+        double share = F->link_bw / (double)n;
+        inter = share < F->node_bw ? share : F->node_bw;
+    }
+    int64_t first = -1;
+    double t_first = 0.0;
+    for (int64_t k = 0; k < F->n_active; k++) {
+        int64_t s = F->active[k];
+        int64_t link = F->f_link[s];
+        double rate = link ? F->intra_bw / (double)F->link_flows[link]
+                           : inter;
+        F->f_rate[s] = rate;
+        double t = now + F->f_rem[s] / rate;
+        if (first < 0 || t < t_first) {
+            first = s;
+            t_first = t;
+        }
+    }
+    F->token++;
+    F->fin_src = first;
+    ev_push(h, t_first, 2, -1 - F->token);
+}
+
+/* a flow's latency has elapsed: its data starts moving */
+static void flow_activate(Flows *F, EvHeap *h, int64_t src, double now)
+{
+    flow_advance(F, now);
+    F->active[F->n_active++] = src;
+    flow_count(F, F->f_link[src], 1);
+    flow_reschedule(F, h, now);
+}
+
+/* the current finish event: retire its flow (the caller then books
+ * the message, re-apportions, pumps and delivers) */
+static int64_t flow_finish(Flows *F, double now)
+{
+    int64_t src = F->fin_src;
+    flow_advance(F, now);
+    int64_t k = 0;
+    while (F->active[k] != src)
+        k++;
+    for (F->n_active--; k < F->n_active; k++)
+        F->active[k] = F->active[k + 1];
+    flow_count(F, F->f_link[src], -1);
+    F->tx_held[src] = 0;
+    F->rx_held[F->msg_dst[F->f_uid[src]]] = 0;
+    return src;
+}
+
+/* ------------------------------------------------------------------ */
+/* The event loop                                                     */
+/* ------------------------------------------------------------------ */
+
 int64_t repro_run_sim(
     int64_t n_tasks, int64_t nnodes,
     const int32_t *node, const double *dur, const int64_t *keys,
@@ -140,45 +353,105 @@ int64_t repro_run_sim(
     const int32_t *w_indptr, const int32_t *w_tasks,
     int64_t n_init, const int32_t *init_uids,
     double msg_time,
+    /* flow engine (contention family) when flows != 0: the machine of
+     * each rank, and [nbytes, NIC, bisection and intra-machine
+     * bandwidth, inter- and intra-machine latency] */
+    int64_t flows, const int32_t *machine, int64_t nmachines,
+    const double *net,
+    /* work stealing when steal != 0: each node's victims (CSR), the
+     * per-task base durations and the node speeds */
+    int64_t steal, const int32_t *v_indptr, const int32_t *v_nodes,
+    const double *base_dur, const double *speed,
     /* scratch, preallocated by the caller */
     double *ev_t, int64_t *ev_tag, int64_t *ev_pl,
     int64_t *ready, const int64_t *rbase, int64_t *rsize,
     int64_t *idle, double *tx_free,
+    /* flow scratch (flows != 0): 7 * nnodes + 1 + nmachines ints,
+     * 3 * nnodes doubles, one int per message, ceil(nnodes / 64)
+     * words */
+    int64_t *flow_i, double *flow_f, int32_t *qnext, uint64_t *waiting,
     /* recording: written only when record != 0 (else may be empty) */
-    int64_t record, double *task_start, double *msg_start,
-    double *msg_arrive, int64_t *log,
-    /* outputs */
+    int64_t record, double *task_start, double *task_end,
+    double *msg_start, double *msg_arrive, int64_t *log,
+    /* outputs; exec_node (steal != 0) comes in as a copy of node */
+    int32_t *exec_node,
     double *busy, int64_t *msgs_sent, int64_t *msgs_recv,
     double *tx_busy, double *rx_busy,
-    double *out_makespan,
-    int64_t *out_counts /* [completed, n_messages, log length] */)
+    double *out_times /* [makespan, link_busy, intra_link_busy] */,
+    int64_t *out_counts /* [completed, n_messages, log length,
+                           inter-machine and intra-machine messages] */)
 {
-    EvHeap h = { ev_t, ev_tag, ev_pl, 0 };
-    int64_t seq = 0;
+    EvHeap h = { ev_t, ev_tag, ev_pl, 0, 0 };
     int64_t n_messages = 0;
     int64_t completed = 0;
     int64_t n_log = 0;
     double now = 0.0;
+    Flows F = { 0 };
 
-#define NIC_SEND(uid_, src_, dst_, t_)                                  \
+    if (flows) {
+        int64_t P = nnodes;
+        F.machine = machine;
+        F.msg_dst = msg_dst;
+        F.nbytes = net[0];
+        F.node_bw = net[1];
+        F.link_bw = net[2];
+        F.intra_bw = net[3];
+        F.lat_inter = net[4];
+        F.lat_intra = net[5];
+        F.qnext = qnext;
+        F.qhead = flow_i;
+        F.qtail = flow_i + P;
+        F.tx_held = flow_i + 2 * P;
+        F.rx_held = flow_i + 3 * P;
+        F.f_uid = flow_i + 4 * P;
+        F.f_link = flow_i + 5 * P;
+        F.active = flow_i + 6 * P;
+        F.link_flows = flow_i + 7 * P;
+        for (int64_t k = 0; k < 7 * P + 1 + nmachines; k++)
+            flow_i[k] = k < 2 * P ? -1 : 0;
+        F.f_t0 = flow_f;
+        F.f_rem = flow_f + P;
+        F.f_rate = flow_f + 2 * P;
+        F.waiting = waiting;
+        F.nwords = (P + 63) >> 6;
+        for (int64_t w = 0; w < F.nwords; w++)
+            waiting[w] = 0;
+    }
+
+#define SEND(uid_, src_, t_)                                            \
     do {                                                                \
-        int64_t uid__ = (uid_), src__ = (src_), dst__ = (dst_);         \
+        int64_t uid__ = (uid_), src__ = (src_);                         \
         double t__ = (t_);                                              \
-        double start__ = t__ > tx_free[src__] ? t__ : tx_free[src__];   \
-        double arr__ = start__ + msg_time;                              \
-        tx_free[src__] = arr__;                                         \
-        n_messages++;                                                   \
-        msgs_sent[src__]++;                                             \
-        msgs_recv[dst__]++;                                             \
-        tx_busy[src__] += msg_time;                                     \
-        rx_busy[dst__] += msg_time;                                     \
-        if (record) {                                                   \
-            msg_start[uid__] = start__;                                 \
-            msg_arrive[uid__] = arr__;                                  \
-            log[n_log++] = -1 - uid__;                                  \
+        if (flows) {                                                    \
+            flow_send(&F, &h, uid__, src__, t__, msgs_sent);            \
+        } else {                                                        \
+            int64_t dst__ = msg_dst[uid__];                             \
+            double start__ = t__ > tx_free[src__] ? t__ : tx_free[src__]; \
+            double arr__ = start__ + msg_time;                          \
+            tx_free[src__] = arr__;                                     \
+            n_messages++;                                               \
+            msgs_sent[src__]++;                                         \
+            msgs_recv[dst__]++;                                         \
+            tx_busy[src__] += msg_time;                                 \
+            rx_busy[dst__] += msg_time;                                 \
+            if (record) {                                               \
+                msg_start[uid__] = start__;                             \
+                msg_arrive[uid__] = arr__;                              \
+                log[n_log++] = -1 - uid__;                              \
+            }                                                           \
+            ev_push(&h, arr__, 1, uid__);                               \
         }                                                               \
-        seq += 4;                                                       \
-        ev_push(&h, arr__, seq + 1, uid__);                             \
+    } while (0)
+
+#define RUN(tid_, n_, t_, d_)                                           \
+    do {                                                                \
+        busy[n_] += (d_);                                               \
+        if (record) {                                                   \
+            task_start[tid_] = (t_);                                    \
+            task_end[tid_] = (t_) + (d_);                               \
+            log[n_log++] = (tid_);                                      \
+        }                                                               \
+        ev_push(&h, (t_) + (d_), 0, (tid_));                            \
     } while (0)
 
 #define DISPATCH(n_, t_)                                                \
@@ -192,24 +465,67 @@ int64_t repro_run_sim(
             sz__--;                                                     \
             int64_t tid__ = key__ & 0xFFFFFFFFLL;                       \
             idl__--;                                                    \
-            double d__ = dur[tid__];                                    \
-            busy[nn__] += d__;                                          \
-            if (record) {                                               \
-                task_start[tid__] = (t_);                               \
-                log[n_log++] = tid__;                                   \
-            }                                                           \
-            seq += 4;                                                   \
-            ev_push(&h, (t_) + d__, seq, tid__);                        \
+            RUN(tid__, nn__, (t_), dur[tid__]);                         \
         }                                                               \
         idle[nn__] = idl__;                                             \
         rsize[nn__] = sz__;                                             \
+    } while (0)
+
+    /* a message arrived at its destination: wake its waiting consumers
+     * (all on that node) and refill the node */
+#define DELIVER(uid_, t_)                                               \
+    do {                                                                \
+        int64_t u__ = (uid_);                                           \
+        int64_t dst__ = msg_dst[u__];                                   \
+        int64_t any__ = 0;                                              \
+        int64_t *rq__ = ready + rbase[dst__];                           \
+        for (int64_t q = w_indptr[u__]; q < w_indptr[u__ + 1]; q++) {   \
+            int64_t dep = w_tasks[q];                                   \
+            if (--pending[dep] == 0) {                                  \
+                rq_push(rq__, rsize[dst__], keys[dep]);                 \
+                rsize[dst__]++;                                         \
+                any__ = 1;                                              \
+            }                                                           \
+        }                                                               \
+        if (any__)                                                      \
+            DISPATCH(dst__, (t_));                                      \
+    } while (0)
+
+    /* idle nodes with empty queues steal from their victims, in node
+     * order; nothing to scan while every queue is empty */
+#define REBALANCE(t_)                                                   \
+    do {                                                                \
+        int64_t queued__ = 0;                                           \
+        for (int64_t n = 0; n < nnodes && !queued__; n++)               \
+            queued__ = rsize[n];                                        \
+        for (int64_t n = 0; queued__ && n < nnodes; n++) {              \
+            int64_t idl = idle[n];                                      \
+            if (idl <= 0 || rsize[n] > 0)                               \
+                continue;                                               \
+            for (int64_t q = v_indptr[n]; q < v_indptr[n + 1]; q++) {   \
+                int64_t v = v_nodes[q];                                 \
+                while (idl > 0 && rsize[v] > 0) {                       \
+                    int64_t tid = rq_pop(ready + rbase[v], rsize[v])    \
+                        & 0xFFFFFFFFLL;                                 \
+                    rsize[v]--;                                         \
+                    double d = base_dur[tid] / speed[n];                \
+                    d += msg_time;                                      \
+                    exec_node[tid] = (int32_t)n;                        \
+                    idl--;                                              \
+                    RUN(tid, n, (t_), d);                               \
+                }                                                       \
+                if (idl == 0)                                           \
+                    break;                                              \
+            }                                                           \
+            idle[n] = idl;                                              \
+        }                                                               \
     } while (0)
 
     /* seed: version-0 fetches, then dependency-free tasks (ascending
      * tid), then one dispatch per node in ascending node order */
     for (int64_t i = 0; i < n_init; i++) {
         int64_t uid = init_uids[i];
-        NIC_SEND(uid, msg_src[uid], msg_dst[uid], 0.0);
+        SEND(uid, msg_src[uid], 0.0);
     }
     for (int64_t tid = 0; tid < n_tasks; tid++) {
         if (pending[tid] == 0) {
@@ -222,20 +538,21 @@ int64_t repro_run_sim(
         if (rsize[n] > 0)
             DISPATCH(n, 0.0);
     }
+    if (steal)
+        REBALANCE(0.0);
 
     while (h.n > 0) {
         double t;
         int64_t tag, pl;
         ev_pop(&h, &t, &tag, &pl);
         now = t;
-        if ((tag & 3) == 0) { /* TASK_DONE */
+        int64_t etype = tag & 3;
+        if (etype == 0) { /* TASK_DONE */
             int64_t tid = pl;
             completed++;
             int64_t tn = node[tid];
-            for (int64_t p = push_indptr[tid]; p < push_indptr[tid + 1]; p++) {
-                int64_t uid = push_uids[p];
-                NIC_SEND(uid, tn, msg_dst[uid], now);
-            }
+            for (int64_t p = push_indptr[tid]; p < push_indptr[tid + 1]; p++)
+                SEND(push_uids[p], tn, now);
             int64_t *rq = ready + rbase[tn];
             for (int64_t q = ld_indptr[tid]; q < ld_indptr[tid + 1]; q++) {
                 int64_t dep = ld_tasks[q];
@@ -244,30 +561,53 @@ int64_t repro_run_sim(
                     rsize[tn]++;
                 }
             }
-            idle[tn]++;
-            DISPATCH(tn, now);
-        } else { /* MSG_ARRIVE */
-            int64_t uid = pl;
-            int64_t dst = msg_dst[uid];
-            int64_t any = 0;
-            int64_t *rq = ready + rbase[dst];
-            for (int64_t q = w_indptr[uid]; q < w_indptr[uid + 1]; q++) {
-                int64_t dep = w_tasks[q];
-                if (--pending[dep] == 0) {
-                    rq_push(rq, rsize[dst], keys[dep]);
-                    rsize[dst]++;
-                    any = 1;
-                }
+            if (steal) {
+                /* a stolen task frees a core on the thief; both nodes
+                 * refill, in ascending order */
+                int64_t wn = exec_node[tid];
+                idle[wn]++;
+                if (wn < tn)
+                    DISPATCH(wn, now);
+                DISPATCH(tn, now);
+                if (wn > tn)
+                    DISPATCH(wn, now);
+            } else {
+                idle[tn]++;
+                DISPATCH(tn, now);
             }
-            if (any)
-                DISPATCH(dst, now);
-        }
+        } else if (etype == 1) { /* MSG_ARRIVE (nic) */
+            DELIVER(pl, now);
+        } else if (pl >= 0) { /* a flow's data starts moving */
+            flow_activate(&F, &h, pl, now);
+        } else if (-1 - pl == F.token) { /* the current finish event */
+            int64_t src = flow_finish(&F, now);
+            int64_t uid = F.f_uid[src];
+            int64_t dst = msg_dst[uid];
+            double b = now - F.f_t0[src];
+            tx_busy[src] += b;
+            rx_busy[dst] += b;
+            msgs_recv[dst]++;
+            if (record) {
+                msg_start[uid] = F.f_t0[src];
+                msg_arrive[uid] = now;
+                log[n_log++] = -1 - uid;
+            }
+            flow_reschedule(&F, &h, now);
+            flow_pump(&F, &h, now, msgs_sent);
+            DELIVER(uid, now);
+        } /* else: a superseded finish event, which does nothing */
+        if (steal && (h.n == 0 || h.t[0] != now))
+            REBALANCE(now);
     }
 
-    *out_makespan = now;
+    out_times[0] = now;
+    out_times[1] = F.link_busy;
+    out_times[2] = F.intra_link_busy;
     out_counts[0] = completed;
-    out_counts[1] = n_messages;
+    out_counts[1] = n_messages + F.n_inter + F.n_intra;
     out_counts[2] = n_log;
+    out_counts[3] = F.n_inter;
+    out_counts[4] = F.n_intra;
     return 0;
 }
 
@@ -305,14 +645,6 @@ static int64_t draw_below(bitgen_t *bg, int64_t n)
         }
     }
     return (int64_t)(m >> 32);
-}
-
-static int64_t popcount64(uint64_t x)
-{
-    x = x - ((x >> 1) & 0x5555555555555555u);
-    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
-    return (int64_t)((x * 0x0101010101010101u) >> 56);
 }
 
 /* bit ``b`` of a multi-word bitset: word b / 64, bit b % 64 */

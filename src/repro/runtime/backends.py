@@ -2,17 +2,22 @@
 
 Two hot loops have a C twin in ``_fastsim.c``, and one resolution picks
 both: the event loop of :func:`repro.runtime.simulator.simulate` for
-its default configuration (priority scheduler, no fork-join, NIC
-network, p2p multicast; with or without task/message recording), and
-phase 1 of :func:`repro.patterns.gcrm.gcrm`.
+every fault-free run whose scheduler has a static key table, without
+fork-join and with p2p multicast, under every network model (``nic``
+and the contention family's flow engine), work stealing included and
+with or without task/message recording
+(:func:`~repro.runtime.simulator.python_loop_reason` names why any
+other run takes the Python loop); and phase 1 of
+:func:`repro.patterns.gcrm.gcrm`.
 
 * ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
 * ``python`` — the batch-drained pure-Python event loop and the bitmask
   phase 1 ``gcrm._phase1_fast``, always available.
 
-Both produce byte-identical event schedules and patterns (the golden,
-cross-backend and GCR&M differential tests pin this).
+Both produce byte-identical event schedules, network statistics and
+patterns (the golden, cross-backend, flow-engine and GCR&M
+differential tests pin this).
 ``REPRO_SIM_BACKEND`` selects the backend: ``auto`` (default) uses C
 when it compiles and loads, else Python; ``c`` demands the compiled
 kernels; ``python`` forces the pure-Python ones.  Any other value, or an

@@ -1,16 +1,23 @@
 """Runtime-compiled C backend: the simulator's event loop and GCR&M phase 1.
 
 Compiles ``_fastsim.c`` with the system C compiler on first use
-(``cc -O2 -fPIC -shared``, **no** ``-ffast-math`` — the event loop's
-double arithmetic must stay IEEE-identical to Python's) into a cache
-directory keyed by the source hash, and binds its two entry points
-through :mod:`ctypes`/:mod:`numpy.ctypeslib`:
+(``cc -O2 -ffp-contract=off -fPIC -shared``) into a cache directory
+keyed by the hash of the source and flags, and binds its two entry
+points through :mod:`ctypes`/:mod:`numpy.ctypeslib`.  The event loop's
+double arithmetic must stay IEEE-identical to Python's, so the build
+uses no ``-ffast-math`` and turns off floating-point contraction: on
+targets that contract by default (GCC on aarch64), the flow update
+``remaining - rate * dt`` would become one fused multiply-add, rounded
+once where Python rounds twice, and the C loop would drift from the
+Python loop.
 
-* :func:`run` — the event loop for the simulator's default
-  configuration.  A run may record: it then also returns each task's
-  start time, each message's send start and arrival, and the order in
-  which the Python loop would have emitted those records (see
-  :class:`FastSimResult`).
+* :func:`run` — the event loop of every fault-free run the simulator
+  compiles (static-key scheduler, no fork-join, p2p multicast), under
+  the ``nic`` model or the contention family's flow engine, with or
+  without work stealing.  A run may record: it then also returns each
+  task's start and end time, each message's send start and arrival,
+  and the order in which the Python loop would have emitted those
+  records (see :class:`FastSimResult`).
 * :func:`gcrm_phase1` — phase 1 of GCR&M, drawing from the caller's
   numpy generator through its ``bitgen_t``.
 
@@ -39,6 +46,8 @@ __all__ = ["available", "load_error", "run", "FastSimResult",
            "gcrm_phase1"]
 
 _SRC = Path(__file__).with_name("_fastsim.c")
+#: compiler flags; the cached object is keyed by them and the source
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _lib = None
 _load_tried = False
 _load_error: Optional[str] = None
@@ -46,6 +55,7 @@ _load_error: Optional[str] = None
 _I32 = ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_U64 = ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 
 #: ``PyCapsule_GetPointer`` under a prototype of its own, so the shared
 #: ``ctypes.pythonapi`` function object keeps whatever argtypes it has
@@ -69,7 +79,8 @@ def _load():
     _load_tried = True
     try:
         src = _SRC.read_bytes()
-        tag = hashlib.sha256(src).hexdigest()[:16]
+        tag = hashlib.sha256(
+            src + " ".join(_CFLAGS).encode()).hexdigest()[:16]
         cache = _cache_dir()
         cache.mkdir(parents=True, exist_ok=True)
         so = cache / f"fastsim_{tag}.so"
@@ -77,7 +88,7 @@ def _load():
             cc = os.environ.get("CC", "cc")
             tmp = cache / f".fastsim_{tag}.{os.getpid()}.so"
             subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(_SRC)],
+                [cc, *_CFLAGS, "-o", str(tmp), str(_SRC)],
                 check=True, capture_output=True, timeout=120)
             os.replace(tmp, so)  # atomic: concurrent builders race safely
         lib = ctypes.CDLL(str(so))
@@ -93,14 +104,20 @@ def _load():
             _I32, _I32,                                # w_indptr, w_tasks
             ctypes.c_int64, _I32,                      # n_init, init_uids
             ctypes.c_double,                           # msg_time
+            ctypes.c_int64, _I32, ctypes.c_int64,      # flows, machine, nmachines
+            _F64,                                      # net parameters
+            ctypes.c_int64, _I32, _I32,                # steal, victim CSR
+            _F64, _F64,                                # base_dur, speed
             _F64, _I64, _I64,                          # event heap scratch
             _I64, _I64, _I64,                          # ready arena, base, size
             _I64, _F64,                                # idle, tx_free
-            ctypes.c_int64, _F64,                      # record, task_start
+            _I64, _F64, _I32, _U64,                    # flow scratch
+            ctypes.c_int64, _F64, _F64,                # record, task_start, task_end
             _F64, _F64, _I64,                          # msg_start, msg_arrive, log
+            _I32,                                      # exec_node
             _F64, _I64, _I64,                          # busy, msgs_sent, msgs_recv
             _F64, _F64,                                # tx_busy, rx_busy
-            _F64, _I64,                                # out_makespan, out_counts
+            _F64, _I64,                                # out_times, out_counts
         ]
         fn = lib.repro_gcrm_phase1
         fn.restype = ctypes.c_int64
@@ -147,30 +164,80 @@ class FastSimResult:
     tx_busy: np.ndarray
     rx_busy: np.ndarray
     pending: np.ndarray  #: post-run prerequisite counts (deadlock forensics)
-    #: recorded runs only (``None`` otherwise): start time per tid, send
-    #: start and arrival per message uid, and the emission log — ``tid``
-    #: for a dispatched task, ``-1 - uid`` for a sent message, in the
-    #: order the Python loop produces its records
+    #: executing node per task: the plan's ``node`` unless tasks were
+    #: stolen
+    node: np.ndarray
+    #: flow engine only (zero under ``nic``): seconds the bisection link
+    #: carried a flow, machine-seconds of the intra-machine links, and
+    #: the messages that crossed, or stayed inside, a machine
+    link_busy: float = 0.0
+    intra_link_busy: float = 0.0
+    inter_msgs: int = 0
+    intra_msgs: int = 0
+    #: recorded runs only (``None`` otherwise): start and end time per
+    #: tid, send start and arrival per message uid, and the emission
+    #: log — ``tid`` for a dispatched task, ``-1 - uid`` for a recorded
+    #: message, in the order the Python loop produces its records
     task_start: Optional[np.ndarray] = None
+    task_end: Optional[np.ndarray] = None
     msg_start: Optional[np.ndarray] = None
     msg_arrive: Optional[np.ndarray] = None
     log: Optional[np.ndarray] = None
 
 
+def _empty(dtype) -> np.ndarray:
+    return np.empty(0, dtype=dtype)
+
+
 def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
-        msg_time: float, record: bool = False) -> FastSimResult:
+        msg_time: float, record: bool = False, keys=None, machine=None,
+        nbytes: float = 0.0, bandwidths=(0.0, 0.0, 0.0),
+        latencies=(0.0, 0.0), victims=None, base_dur=None,
+        speeds=None) -> FastSimResult:
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
     Only valid once :func:`available` is true.  ``dur`` is the per-task
-    duration vector (cluster-dependent, so not in the plan).  The plan's
-    arrays are passed as they are — their dtypes are the C signature's —
-    and only ``pending``, which the loop counts down, is copied.  With
-    ``record`` the result carries the recording arrays: 16 bytes per
-    task plus 24 per message.
+    duration vector (cluster-dependent, so not in the plan), and
+    ``keys`` the scheduler's static key table (default: the plan's
+    priority keys).  The plan's arrays are passed as they are — their
+    dtypes are the C signature's — and only ``pending``, which the loop
+    counts down, is copied.
+
+    Messages take the ``nic`` model's ``msg_time`` unless ``machine``
+    (the machine of each rank) is given: the contention family's flow
+    engine then moves ``nbytes`` per message, with ``bandwidths`` =
+    (NIC, bisection link, intra-machine link) in bytes/s and
+    ``latencies`` = (inter-machine, intra-machine) seconds per message
+    (see :meth:`~repro.runtime.network.ContentionModel.engine_args`).
+    ``victims`` (each node's steal order, as
+    :meth:`~repro.runtime.schedulers.Scheduler.victim_order` returns
+    it) turns on work stealing: a stolen task runs ``base_dur[tid] /
+    speeds[thief] + msg_time`` (``speeds`` ``None`` = all 1).
+
+    With ``record`` the result carries the recording arrays: 24 bytes
+    per task plus 24 per message.
     """
     lib = _load()
     n_tasks = plan.n_tasks
-    cap = n_tasks + plan.n_msgs + 1
+    n_msgs = plan.n_msgs
+    flows = machine is not None
+    # the loop indexes these by tid and node id unchecked
+    for name, a, n in (("dur", dur, n_tasks), ("keys", keys, n_tasks),
+                       ("machine", machine, nnodes),
+                       ("base_dur", base_dur, n_tasks),
+                       ("speeds", speeds, nnodes)):
+        if a is not None and len(a) != n:
+            raise ValueError(f"{name} has {len(a)} entries, expected {n}")
+    if flows and not np.all(np.asarray(machine) >= 0):
+        raise ValueError("machine ids must be >= 0")
+    if victims is not None and (
+            len(victims) != nnodes
+            or any(not 0 <= v < nnodes for vs in victims for v in vs)):
+        raise ValueError(f"victims must list node ids 0..{nnodes - 1} "
+                         f"for each of {nnodes} nodes")
+    # every push is one task completion, one nic arrival, or one flow's
+    # activation or one of its two re-apportionings
+    cap = n_tasks + (3 if flows else 1) * n_msgs + 1
     ev_t = np.empty(cap, dtype=np.float64)
     ev_tag = np.empty(cap, dtype=np.int64)
     ev_pl = np.empty(cap, dtype=np.int64)
@@ -191,42 +258,77 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     msgs_recv = np.zeros(nnodes, dtype=np.int64)
     tx_busy = np.zeros(nnodes, dtype=np.float64)
     rx_busy = np.zeros(nnodes, dtype=np.float64)
-    out_makespan = np.zeros(1, dtype=np.float64)
-    out_counts = np.zeros(3, dtype=np.int64)
+    out_times = np.zeros(3, dtype=np.float64)
+    out_counts = np.zeros(5, dtype=np.int64)
     pending = plan.pending.copy()
+    if flows:
+        machine = np.ascontiguousarray(machine, dtype=np.int32)
+        nmachines = int(machine.max()) + 1
+        net = np.array([nbytes, *bandwidths, *latencies], dtype=np.float64)
+        flow_i = np.empty(7 * nnodes + 1 + nmachines, dtype=np.int64)
+        flow_f = np.empty(3 * nnodes, dtype=np.float64)
+        qnext = np.empty(n_msgs, dtype=np.int32)
+        waiting = np.empty((nnodes + 63) >> 6, dtype=np.uint64)
+    else:
+        machine, nmachines, net = _empty(np.int32), 0, _empty(np.float64)
+        flow_i, flow_f = _empty(np.int64), _empty(np.float64)
+        qnext, waiting = _empty(np.int32), _empty(np.uint64)
+    if victims is not None:
+        v_indptr = np.zeros(nnodes + 1, dtype=np.int32)
+        np.cumsum([len(v) for v in victims], out=v_indptr[1:])
+        v_nodes = np.fromiter((x for v in victims for x in v),
+                              dtype=np.int32, count=int(v_indptr[-1]))
+        base_dur = np.ascontiguousarray(base_dur, dtype=np.float64)
+        speeds = (np.ones(nnodes) if speeds is None
+                  else np.ascontiguousarray(speeds, dtype=np.float64))
+        exec_node = node.copy()
+    else:
+        v_indptr = v_nodes = exec_node = _empty(np.int32)
+        base_dur = speeds = _empty(np.float64)
     if record:
         task_start = np.zeros(n_tasks, dtype=np.float64)
-        msg_start = np.zeros(plan.n_msgs, dtype=np.float64)
-        msg_arrive = np.zeros(plan.n_msgs, dtype=np.float64)
-        log = np.empty(n_tasks + plan.n_msgs, dtype=np.int64)
+        task_end = np.zeros(n_tasks, dtype=np.float64)
+        msg_start = np.zeros(n_msgs, dtype=np.float64)
+        msg_arrive = np.zeros(n_msgs, dtype=np.float64)
+        log = np.empty(n_tasks + n_msgs, dtype=np.int64)
     else:
-        task_start = msg_start = msg_arrive = np.empty(0, dtype=np.float64)
-        log = np.empty(0, dtype=np.int64)
+        task_start = task_end = msg_start = msg_arrive = _empty(np.float64)
+        log = _empty(np.int64)
     status = lib.repro_run_sim(
         n_tasks, nnodes,
-        node, np.ascontiguousarray(dur, dtype=np.float64), plan.keys,
+        node, np.ascontiguousarray(dur, dtype=np.float64),
+        plan.keys if keys is None else keys,
         pending, plan.ld_indptr, plan.ld_tasks,
         plan.push_indptr, plan.push_uids,
         plan.msg_dst, plan.msg_src,
         plan.w_indptr, plan.w_tasks,
         len(plan.init_uids), plan.init_uids,
         float(msg_time),
+        int(flows), machine, nmachines, net,
+        int(victims is not None), v_indptr, v_nodes, base_dur, speeds,
         ev_t, ev_tag, ev_pl,
         ready, rbase, rsize,
         idle, tx_free,
-        int(bool(record)), task_start, msg_start, msg_arrive, log,
+        flow_i, flow_f, qnext, waiting,
+        int(bool(record)), task_start, task_end, msg_start, msg_arrive, log,
+        exec_node,
         busy, msgs_sent, msgs_recv,
         tx_busy, rx_busy,
-        out_makespan, out_counts)
+        out_times, out_counts)
     if status != 0:  # pragma: no cover - no failing status is emitted yet
         raise RuntimeError(f"compiled event loop returned status {status}")
     res = FastSimResult(
-        makespan=float(out_makespan[0]),
+        makespan=float(out_times[0]),
         completed=int(out_counts[0]),
         busy=busy, msgs_sent=msgs_sent, msgs_recv=msgs_recv,
-        tx_busy=tx_busy, rx_busy=rx_busy, pending=pending)
+        tx_busy=tx_busy, rx_busy=rx_busy, pending=pending,
+        node=plan.node if victims is None else exec_node,
+        link_busy=float(out_times[1]),
+        intra_link_busy=float(out_times[2]),
+        inter_msgs=int(out_counts[3]), intra_msgs=int(out_counts[4]))
     if record:
         res.task_start = task_start
+        res.task_end = task_end
         res.msg_start = msg_start
         res.msg_arrive = msg_arrive
         res.log = log[:int(out_counts[2])]

@@ -61,6 +61,17 @@ tests).
 The model is deterministic: flows are started by scanning the senders
 with queued messages in ascending node id, and all events carry the
 simulator's global sequence number.
+
+Engines
+-------
+The classes here are the reference engines, and the only ones of fault
+runs and of the resize engine's migration replay.  A fault-free run on
+the compiled loop (:mod:`~repro.runtime.csim`) binds the model only for
+its parameters and its ledger: :meth:`NetworkModel.engine_args` hands
+the loop the model's machine map, bandwidths and latencies, the loop
+replays :meth:`ContentionModel.send` … :meth:`ContentionModel.on_internal`
+push for push in C, and :meth:`NetworkModel.adopt` takes its counters,
+so :meth:`NetworkModel.stats` reports the run either way.
 """
 
 from __future__ import annotations
@@ -221,6 +232,24 @@ class NetworkModel:
             self._writer.write_msg(
                 MsgRecord(data=ref[0], version=ref[1], src=src, dst=dst,
                           start=start, end=end, nbytes=nbytes))
+
+    def engine_args(self) -> dict:
+        """Keyword arguments of :func:`repro.runtime.csim.run` that make
+        the compiled loop run this (bound) model: none for ``nic``,
+        whose wire time the loop always takes."""
+        return {}
+
+    def adopt(self, res) -> None:
+        """Take the counters of a compiled run of this (bound) model,
+        a :class:`~repro.runtime.csim.FastSimResult`, so that
+        :meth:`stats` reports that run."""
+        nbytes = float(self.cluster.tile_bytes)
+        self.msgs_sent = res.msgs_sent
+        self.msgs_recv = res.msgs_recv
+        self.bytes_sent = res.msgs_sent * nbytes
+        self.bytes_recv = res.msgs_recv * nbytes
+        self.tx_busy = res.tx_busy
+        self.rx_busy = res.rx_busy
 
     def stats(self) -> NetworkStats:
         return NetworkStats(
@@ -484,6 +513,37 @@ class ContentionModel(NetworkModel):
         self._reschedule(now)
         self._pump(now)
         return [(flow.ref, flow.dst)]
+
+    def engine_args(self) -> dict:
+        """The flow engine's parameters for the compiled loop: the
+        machine map, the message size, the NIC, bisection and
+        intra-machine bandwidths, and the per-message latency between
+        and inside machines, computed as :meth:`_start_flow` does."""
+        nbytes = float(self.cluster.tile_bytes)
+        eager = nbytes <= EAGER_THRESHOLD_BYTES
+        return {
+            "machine": self._machine,
+            "nbytes": nbytes,
+            "bandwidths": (self.node_bw, self.link_bw, self.intra_link_bw),
+            "latencies": tuple(
+                alpha if eager else alpha * (1 + HANDSHAKE_RTTS)
+                for alpha in (self.alpha, self.intra_alpha)),
+        }
+
+    def adopt(self, res) -> None:
+        super().adopt(res)
+        nbytes = float(self.cluster.tile_bytes)
+        n = res.inter_msgs + res.intra_msgs
+        if nbytes <= EAGER_THRESHOLD_BYTES:
+            self.n_eager = n
+        else:
+            self.n_rendezvous = n
+        self.inter_msgs = res.inter_msgs
+        self.intra_msgs = res.intra_msgs
+        self.link_bytes = res.inter_msgs * nbytes
+        self.intra_bytes = res.intra_msgs * nbytes
+        self.link_busy = res.link_busy
+        self.intra_link_busy = res.intra_link_busy
 
     def stats(self) -> NetworkStats:
         out = super().stats()

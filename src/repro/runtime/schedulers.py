@@ -22,10 +22,12 @@ Two kinds of policy exist:
   dynamic.
 
 The default ``priority`` policy returns the plan's precomputed key
-table **by identity**, which is what lets the simulator keep its
-specialized batch-drained hot path (and the compiled backends) for the
-default configuration — the golden traces stay byte-identical.  Every
-other policy runs through the general Python event loop.
+table **by identity**, which is what lets the Python loop keep its
+specialized batch-drained hot path for the default configuration — the
+golden traces stay byte-identical.  The compiled loop takes any static
+key table, so every static policy (work stealing's rebalance included)
+runs compiled when it builds; the dynamic ``fifo`` and ``lifo`` run
+through the general Python event loop.
 
 ``work_stealing`` additionally sets ``steals = True``: after each
 event batch, idle nodes whose own queue is empty pull queued tasks

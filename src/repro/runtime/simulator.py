@@ -28,20 +28,26 @@ The v3 hot path is split in three layers:
    cached per graph so repeated simulations of one graph — a campaign
    cell's baseline + degraded runs, or a network-model sweep — pay for
    planning once.
-2. **Backend** — for the default configuration (priority scheduler, no
-   fork-join, NIC network, p2p multicast) the event loop runs compiled:
-   a ctypes-bound C loop (:mod:`~repro.runtime.csim`) compiled on
-   demand, which replicates the Python loop event for event;
+2. **Backend** — every fault-free run whose scheduler has a static key
+   table (``priority``, ``lookahead``, ``comm_avoiding``,
+   ``work_stealing``), without fork-join and with p2p multicast, runs
+   compiled under every network model: a ctypes-bound C loop
+   (:mod:`~repro.runtime.csim`) compiled on demand, which replicates
+   the Python loop event for event — the ``nic`` wire time, the
+   contention family's flow engine and the work-stealing rebalance;
    ``REPRO_SIM_BACKEND`` selects it (see
-   :mod:`~repro.runtime.backends`).  A recorded run keeps flat arrays
-   of start times plus an emission log, and hands them to the run's
-   sink as columns (:meth:`~repro.runtime.trace.TraceWriter.write_batch`)
-   after the loop ends.
-3. **Python loop** — the always-available fallback (and the only path
-   for fork-join, non-priority schedulers, tree multicast and the
-   contention-family models).  It drains the event heap in same-timestamp
-   batches; for the priority scheduler without fork-join, task
-   completion wakes and refills its node inline.
+   :mod:`~repro.runtime.backends`), and :func:`python_loop_reason`
+   says why a run does not take it.  A recorded run keeps flat arrays
+   of start and end times, executing nodes and an emission log, and
+   hands them to the run's sink as columns
+   (:meth:`~repro.runtime.trace.TraceWriter.write_batch`) after the
+   loop ends.
+3. **Python loop** — the always-available reference, and the only path
+   for fork-join, the dynamic-key schedulers (``fifo``, ``lifo``) and
+   tree multicast; fault runs have their own loop
+   (:mod:`~repro.runtime.faults`).  It drains the event heap in
+   same-timestamp batches; for the priority scheduler without
+   fork-join, task completion wakes and refills its node inline.
 
 The event schedule, and therefore every trace, is bit-for-bit
 identical across all three layers and to the previous per-event
@@ -75,15 +81,13 @@ from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
-    NetworkStats,
-    NicModel,
     make_network,
 )
 from .schedulers import make_scheduler
 from .simplan import get_plan
 from .trace import ExecutionTrace, RecordList, TaskRecord, TraceWriter
 
-__all__ = ["simulate", "SimulationError"]
+__all__ = ["simulate", "SimulationError", "python_loop_reason"]
 
 _TASK_DONE = EVENT_TASK_DONE
 _MSG_ARRIVE = EVENT_MSG_ARRIVE
@@ -117,6 +121,31 @@ def check_inputs(graph: TaskGraph, cluster: ClusterSpec,
                 f"has nodes 0..{P - 1}")
 
 
+def python_loop_reason(cluster: ClusterSpec, faults=None) -> Optional[str]:
+    """Why a run on ``cluster`` takes the Python event loop, or ``None``
+    when the compiled loop runs it.
+
+    The reason is the first failing condition, by name: ``"fork-join"``,
+    ``"multicast tree"``, ``"scheduler <name>"`` (a policy whose keys
+    depend on enqueue order, such as ``fifo``), ``"faults"`` (a
+    non-empty fault plan, which the degraded loop runs) or ``"backend
+    python"`` (``REPRO_SIM_BACKEND=python``, or ``auto`` without a
+    compiler).  Every network model and every static-key scheduler,
+    work stealing included, runs compiled.
+    """
+    if cluster.fork_join:
+        return "fork-join"
+    if cluster.multicast == "tree":
+        return "multicast tree"
+    if make_scheduler(cluster.scheduler).dynamic:
+        return f"scheduler {cluster.scheduler}"
+    if faults:
+        return "faults"
+    if select_backend()[1] is None:
+        return "backend python"
+    return None
+
+
 def simulate(
     graph: TaskGraph,
     cluster: ClusterSpec,
@@ -129,6 +158,13 @@ def simulate(
     resize=None,
 ) -> ExecutionTrace:
     """Simulate the distributed execution of ``graph`` on ``cluster``.
+
+    A fault-free run whose scheduler has a static key table, without
+    fork-join and with p2p multicast, runs on the compiled event loop
+    when it builds, under every network model and with work stealing;
+    :func:`python_loop_reason` names why any other run takes the Python
+    loop.  The two loops produce the same trace, records, network
+    statistics and trace files, byte for byte.
 
     Parameters
     ----------
@@ -230,48 +266,9 @@ def simulate(
 
     dur_a = cluster.task_time(cols.flops, cols.node)
 
-    # ------------------------------------------------------------------
-    # Compiled C backend: default configuration, recording or not.  A
-    # recorded run fills start-time arrays and an emission log, which
-    # go to the sink's batch hook as columns after the loop.
-    # ------------------------------------------------------------------
-    if (cluster.scheduler == "priority" and not cluster.fork_join
-            and cluster.multicast == "p2p" and type(model) is NicModel):
-        _, runner = select_backend()
-        if runner is not None:
-            res = runner(plan, dur_a, cluster.nnodes,
-                         cluster.cores_per_node, cluster.message_time(),
-                         record=sink is not None)
-            if sink is not None:
-                # a duck-typed sink without the batch hook gets the
-                # base class's per-record replay
-                write_batch = getattr(sink, "write_batch", None) \
-                    or partial(TraceWriter.write_batch, sink)
-                write_batch(res.log, plan.node, res.task_start,
-                            res.task_start + dur_a,
-                            plan.msg_data, plan.msg_version, plan.msg_src,
-                            plan.msg_dst, res.msg_start, res.msg_arrive,
-                            np.full(plan.n_msgs, cluster.tile_bytes))
-            if res.completed != n_tasks:
-                _raise_deadlock(graph, n_tasks, res.completed,
-                                res.pending.tolist(), {})
-            nbytes = float(cluster.tile_bytes)
-            net_stats = NetworkStats(
-                model=model.name,
-                msgs_sent=res.msgs_sent, msgs_recv=res.msgs_recv,
-                bytes_sent=res.msgs_sent * nbytes,
-                bytes_recv=res.msgs_recv * nbytes,
-                tx_busy=res.tx_busy, rx_busy=res.rx_busy)
-            return ExecutionTrace(
-                cluster=cluster,
-                makespan=res.makespan,
-                total_flops=graph.total_flops,
-                n_tasks=n_tasks,
-                busy_time=res.busy,
-                net_stats=net_stats,
-                task_records=records.tasks if records is not None else None,
-                msg_records=records.msgs if records is not None else None,
-            )
+    if python_loop_reason(cluster) is None:
+        return _run_compiled(graph, cluster, plan, dur_a, model, sink,
+                             records)
 
     # ------------------------------------------------------------------
     # Python event loop: hot-path state as plain-list plan copies
@@ -587,6 +584,50 @@ def simulate(
         total_flops=graph.total_flops,
         n_tasks=n_tasks,
         busy_time=np.asarray(busy, dtype=np.float64),
+        net_stats=model.stats(),
+        task_records=records.tasks if records is not None else None,
+        msg_records=records.msgs if records is not None else None,
+    )
+
+
+def _run_compiled(graph: TaskGraph, cluster: ClusterSpec, plan, dur_a,
+                  model, sink: Optional[TraceWriter],
+                  records: Optional[RecordList]) -> ExecutionTrace:
+    """One run on the compiled loop (see :func:`python_loop_reason`).
+
+    A recorded run fills start/end-time arrays and an emission log,
+    which go to the sink's batch hook as columns after the loop."""
+    _, runner = select_backend()
+    sched = make_scheduler(cluster.scheduler)
+    model.bind(cluster, None)
+    kw = model.engine_args()
+    if sched.steals:
+        kw.update(victims=sched.victim_order(plan, cluster.nnodes),
+                  base_dur=cluster.task_time(graph.columns.flops),
+                  speeds=cluster.node_speeds or None)
+    res = runner(plan, dur_a, cluster.nnodes, cluster.cores_per_node,
+                 cluster.message_time(), record=sink is not None,
+                 keys=sched.static_keys(plan, graph, cluster, dur_a), **kw)
+    if sink is not None:
+        # a duck-typed sink without the batch hook gets the base
+        # class's per-record replay
+        write_batch = getattr(sink, "write_batch", None) \
+            or partial(TraceWriter.write_batch, sink)
+        write_batch(res.log, res.node, res.task_start, res.task_end,
+                    plan.msg_data, plan.msg_version, plan.msg_src,
+                    plan.msg_dst, res.msg_start, res.msg_arrive,
+                    np.full(plan.n_msgs, kw.get("nbytes", cluster.tile_bytes)))
+    n_tasks = len(graph)
+    if res.completed != n_tasks:
+        _raise_deadlock(graph, n_tasks, res.completed,
+                        res.pending.tolist(), {})
+    model.adopt(res)
+    return ExecutionTrace(
+        cluster=cluster,
+        makespan=res.makespan,
+        total_flops=graph.total_flops,
+        n_tasks=n_tasks,
+        busy_time=res.busy,
         net_stats=model.stats(),
         task_records=records.tasks if records is not None else None,
         msg_records=records.msgs if records is not None else None,

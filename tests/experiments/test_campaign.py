@@ -18,6 +18,8 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.machine import PAPER_TILE_SIZE
+from repro.runtime.backends import BACKEND_ENV
+from tests.conftest import available_sim_backends
 
 TILE = 8  # small tiles keep the simulated graphs cheap
 GOLDEN_ROWS = Path(__file__).parent / "golden" / "campaign_rows.json"
@@ -252,7 +254,10 @@ class TestBaselineGroups:
 
 class TestRowPin:
     """Every field of every row of a 48-cell grid, floats as
-    ``float.hex``: both networks, faults, resize and work stealing.
+    ``float.hex``: both networks, faults, resize and work stealing,
+    under every available event loop (the plain and resize cells'
+    runs take the compiled loop when it builds, so the Python loop is
+    pinned here too).
 
     Regenerate (only after an *intentional* behavior change) with::
 
@@ -260,66 +265,69 @@ class TestRowPin:
     """
 
     @pytest.fixture(scope="class")
-    def run(self):
-        """The grid's rows, and how often the campaign module called
-        each graph builder and ``simulate``."""
+    def runs(self):
+        """Per event loop: the grid's rows, and how often the campaign
+        module called each graph builder and ``simulate``."""
         cells = plan_campaign(
             ["g2dbc", "gcrm"], [5, 7], [8], networks=["nic", "contention"],
             faults=["", "fail:1@0.01,loss:0.02,seed:3"],
             resizes=["", "9@0.01"], schedulers=["priority", "work_stealing"])
-        calls = Counter()
+        out = {}
+        for backend in available_sim_backends():
+            calls = Counter()
 
-        def counted(name):
-            fn = getattr(campaign, name)
+            def counted(name):
+                fn = getattr(campaign, name)
 
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return call
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return call
 
-        with pytest.MonkeyPatch.context() as mp:
-            for name in ("build_lu_graph", "build_cholesky_graph",
-                         "simulate"):
-                mp.setattr(campaign, name, counted(name))
-            rows = run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
-        return rows, calls
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv(BACKEND_ENV, backend)
+                for name in ("build_lu_graph", "build_cholesky_graph",
+                             "simulate"):
+                    mp.setattr(campaign, name, counted(name))
+                rows = run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
+            out[backend] = rows, calls
+        return out
 
-    @pytest.fixture(scope="class")
-    def rows(self, run):
-        return run[0]
-
-    def test_one_build_and_plain_run_per_group(self, run):
+    def test_one_build_and_plain_run_per_group(self, runs):
         """4 graphs in 16 baseline groups of (plain, fault, resize)
         cells: one build per graph, and per group one plain run, one
         fault run and one resize run."""
-        _, calls = run
-        assert calls["build_lu_graph"] + calls["build_cholesky_graph"] == 4
-        assert calls["simulate"] == 48
+        for backend, (_, calls) in runs.items():
+            assert calls["build_lu_graph"] + \
+                calls["build_cholesky_graph"] == 4, backend
+            assert calls["simulate"] == 48, backend
 
-    def test_rows_match_golden(self, rows):
-        actual = [{k: v.hex() if isinstance(v, float) else v
-                   for k, v in r.as_dict().items()} for r in rows]
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_ROWS.parent.mkdir(exist_ok=True)
-            GOLDEN_ROWS.write_text("[\n" + ",\n".join(
-                json.dumps(r, sort_keys=True) for r in actual) + "\n]\n")
-            pytest.skip(f"regenerated {GOLDEN_ROWS.name}")
-        expected = json.loads(GOLDEN_ROWS.read_text())
-        assert len(actual) == len(expected) == 48
-        for got, want in zip(actual, expected):
-            assert got == want
+    def test_rows_match_golden(self, runs):
+        for backend, (rows, _) in runs.items():
+            actual = [{k: v.hex() if isinstance(v, float) else v
+                       for k, v in r.as_dict().items()} for r in rows]
+            if os.environ.get("REGEN_GOLDEN"):
+                GOLDEN_ROWS.parent.mkdir(exist_ok=True)
+                GOLDEN_ROWS.write_text("[\n" + ",\n".join(
+                    json.dumps(r, sort_keys=True) for r in actual) + "\n]\n")
+                pytest.skip(f"regenerated {GOLDEN_ROWS.name}")
+            expected = json.loads(GOLDEN_ROWS.read_text())
+            assert len(actual) == len(expected) == 48
+            for got, want in zip(actual, expected):
+                assert got == want, backend
 
-    def test_faultfree_makespan_is_the_plain_run(self, rows):
+    def test_faultfree_makespan_is_the_plain_run(self, runs):
         """A faulted or resized row compares with its plain twin's
         makespan, however the evaluator obtained it."""
-        plain = {(r.family, r.P, r.network, r.scheduler): r.makespan_s
-                 for r in rows if not r.faults and not r.resize}
-        varied = [r for r in rows if r.faults or r.resize]
-        assert len(plain) == 16 and len(varied) == 32
-        for r in varied:
-            assert r.faultfree_makespan_s == \
-                plain[(r.family, r.P, r.network, r.scheduler)]
-        assert all(r.tiles_moved > 0 for r in varied if r.resize)
+        for backend, (rows, _) in runs.items():
+            plain = {(r.family, r.P, r.network, r.scheduler): r.makespan_s
+                     for r in rows if not r.faults and not r.resize}
+            varied = [r for r in rows if r.faults or r.resize]
+            assert len(plain) == 16 and len(varied) == 32
+            for r in varied:
+                assert r.faultfree_makespan_s == \
+                    plain[(r.family, r.P, r.network, r.scheduler)], backend
+            assert all(r.tiles_moved > 0 for r in varied if r.resize)
 
 
 @pytest.mark.slow

@@ -79,12 +79,36 @@ def _recorded_run(graph, home, cluster, backend, monkeypatch, path,
     return json.dumps(trace.to_canonical(), sort_keys=True), path.read_bytes()
 
 
+#: configurations the compiled loop runs: every network model, every
+#: static-key scheduler (work stealing included)
+ELIGIBLE = [
+    ("priority/nic", {}, "nic"),
+    ("contention", {}, "contention"),
+    ("hierarchical", {"ranks_per_node": 2}, "hierarchical"),
+    ("work_stealing", {"scheduler": "work_stealing"}, "nic"),
+    ("work_stealing/contention", {"scheduler": "work_stealing"},
+     "contention"),
+    ("lookahead", {"scheduler": "lookahead"}, "hierarchical"),
+    ("comm_avoiding", {"scheduler": "comm_avoiding"}, "contention"),
+]
+
+#: configurations that stay on the Python loop, with the reason
+#: ``python_loop_reason`` gives for each
+INELIGIBLE = [
+    ("fifo", {"scheduler": "fifo"}, "nic", "scheduler fifo"),
+    ("lifo", {"scheduler": "lifo"}, "contention", "scheduler lifo"),
+    ("fork-join", {"fork_join": True}, "contention", "fork-join"),
+    ("tree", {"multicast": "tree"}, "nic", "multicast tree"),
+]
+
+
 @pytest.mark.skipif(not ACCELERATED, reason="no accelerated backend built")
 def test_backend_used_only_when_eligible(monkeypatch, tmp_path):
-    """Recorded priority/nic runs take the compiled loop and match the
-    Python loop byte for byte, both as a canonical dump and as a Chrome
-    file; every other configuration stays on the Python loop and still
-    completes with records."""
+    """Recorded runs of every network model and static-key scheduler
+    take the compiled loop and match the Python loop byte for byte,
+    both as a canonical dump and as a Chrome file; dynamic-key
+    schedulers, fork-join and tree multicast stay on the Python loop
+    and still complete with records."""
     calls = []
     real_select = simulator.select_backend
 
@@ -102,30 +126,53 @@ def test_backend_used_only_when_eligible(monkeypatch, tmp_path):
     dist = TileDistribution(g2dbc(5), 8, symmetric=False)
     graph, home = build_lu_graph(dist, TILE)
     cluster = _cluster(5)
-    ref = _recorded_run(graph, home, cluster, "python", monkeypatch,
-                        tmp_path / "python.json")
-    assert calls == []
-    acc = _recorded_run(graph, home, cluster, ACCELERATED[0], monkeypatch,
-                        tmp_path / "acc.json")
-    assert calls == [True, True]  # record_tasks and trace_writer runs
-    assert acc[0] == ref[0]
-    assert acc[1] == ref[1]
+    for name, change, net in ELIGIBLE:
+        cl = dataclasses.replace(cluster, **change)
+        calls.clear()
+        ref = _recorded_run(graph, home, cl, "python", monkeypatch,
+                            tmp_path / "python.json", network=net)
+        assert calls == [], name
+        acc = _recorded_run(graph, home, cl, ACCELERATED[0], monkeypatch,
+                            tmp_path / "acc.json", network=net)
+        # record_tasks and trace_writer runs
+        assert calls == [True, True], name
+        assert acc[0] == ref[0], name
+        assert acc[1] == ref[1], name
 
     calls.clear()
-    ineligible = [
-        ("fifo", dataclasses.replace(cluster, scheduler="fifo"), "nic"),
-        ("work_stealing",
-         dataclasses.replace(cluster, scheduler="work_stealing"), "nic"),
-        ("contention", cluster, "contention"),
-        ("fork-join", dataclasses.replace(cluster, fork_join=True), "nic"),
-        ("tree", dataclasses.replace(cluster, multicast="tree"), "nic"),
-    ]
-    for name, cl, net in ineligible:
+    for name, change, net, reason in INELIGIBLE:
+        cl = dataclasses.replace(cluster, **change)
+        assert simulator.python_loop_reason(cl) == reason, name
         trace = simulate(graph, cl, data_home=home, network=net,
                          record_tasks=True)
         assert len(trace.task_records) == len(graph), name
         assert trace.msg_records, name
     assert calls == []
+
+
+def test_python_loop_reasons(monkeypatch):
+    """Each reason for the Python loop, named by its first failing
+    condition; fault-free static-key runs on the C backend have none."""
+    reason = simulator.python_loop_reason
+    cluster = _cluster(5)
+    monkeypatch.setenv(backends.BACKEND_ENV, "python")
+    assert reason(dataclasses.replace(cluster, fork_join=True,
+                                      scheduler="fifo")) == "fork-join"
+    assert reason(dataclasses.replace(cluster, multicast="tree",
+                                      scheduler="lifo")) == "multicast tree"
+    for policy in ("fifo", "lifo"):
+        assert reason(dataclasses.replace(cluster, scheduler=policy),
+                      "fail:1@0.1") == f"scheduler {policy}"
+    assert reason(cluster, "fail:1@0.1") == "faults"
+    assert reason(cluster) == "backend python"
+    if ACCELERATED:
+        monkeypatch.setenv(backends.BACKEND_ENV, ACCELERATED[0])
+        for policy in ("priority", "lookahead", "comm_avoiding",
+                       "work_stealing"):
+            cl = dataclasses.replace(cluster, scheduler=policy,
+                                     ranks_per_node=2)
+            assert reason(cl) is None, policy
+            assert reason(cl, "loss:0.1") == "faults", policy
 
 
 def _unaligned(a):
@@ -263,6 +310,29 @@ def test_auto_without_compiler_runs_python(monkeypatch, no_compiler):
     ref = simulate(graph, _cluster(5), data_home=home, network="nic")
     assert trace.to_canonical() == ref.to_canonical()
     assert pattern == gcrm(23, 10, seed=0).pattern
+
+
+def test_event_loop_rejects_bad_sizes():
+    """Lengths and node ids are checked before any pointer reaches the
+    event loop, which indexes them unchecked."""
+    from repro.runtime import csim
+    from repro.runtime.simplan import get_plan
+    if not csim.available():
+        pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
+    graph, home = build_lu_graph(
+        TileDistribution(g2dbc(5), 4, symmetric=False), TILE)
+    plan = get_plan(graph, home)
+    cl = _cluster(5)
+    dur = cl.task_time(graph.columns.flops)
+    for kw, match in (
+            ({"keys": plan.keys[:-1]}, "keys has"),
+            ({"machine": np.zeros(4)}, "machine has"),
+            ({"machine": np.full(5, -1)}, "machine ids"),
+            ({"victims": [[1]] * 4, "base_dur": dur}, "victims must"),
+            ({"victims": [[5]] * 5, "base_dur": dur}, "victims must"),
+            ({"victims": [[]] * 5, "base_dur": dur[:-1]}, "base_dur has")):
+        with pytest.raises(ValueError, match=match):
+            csim.run(plan, dur, 5, 2, cl.message_time(), **kw)
 
 
 def test_phase1_kernel_rejects_bad_sizes():

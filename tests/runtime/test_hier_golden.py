@@ -2,7 +2,7 @@
 
 Same protocol as ``test_golden.py``: each file pins the byte-identical
 canonical dump of one ``(P, m)`` case with ``ranks_per_node = 2``, for
-both kernels.  The flat ``nic``/``contention`` goldens are untouched by
+both kernels, under every available event loop.  The flat ``nic``/``contention`` goldens are untouched by
 the hierarchy work (those files must stay byte-identical); these files
 lock the new model's event arithmetic the same way.
 
@@ -54,18 +54,22 @@ def compute_case(P: int, m: int) -> dict:
 
 
 @pytest.mark.parametrize("P,m", CASES, ids=[f"P{P}_m{m}" for P, m in CASES])
-def test_hier_golden_trace(P, m):
+def test_hier_golden_trace(P, m, sim_backends):
+    """Pinned under every available event loop: these runs take the
+    compiled loop when it builds."""
     path = GOLDEN_DIR / f"P{P}_m{m}_hier{RPN}.json"
-    actual = compute_case(P, m)
-    if os.environ.get("REGEN_GOLDEN"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {path.name}")
-    expected = json.loads(path.read_text())
-    for kernel in ("lu", "cholesky"):
-        assert actual[kernel] == expected[kernel], (
-            f"{kernel}/hierarchical canonical trace drifted "
-            f"for P={P}, m={m}, ranks_per_node={RPN}")
+    for backend in sim_backends:
+        actual = compute_case(P, m)
+        if os.environ.get("REGEN_GOLDEN"):
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(json.dumps(actual, indent=1, sort_keys=True)
+                            + "\n")
+            pytest.skip(f"regenerated {path.name}")
+        expected = json.loads(path.read_text())
+        for kernel in ("lu", "cholesky"):
+            assert actual[kernel] == expected[kernel], (
+                f"{kernel}/hierarchical canonical trace drifted "
+                f"for P={P}, m={m}, ranks_per_node={RPN} ({backend} loop)")
 
 
 @pytest.mark.parametrize("P,m", CASES, ids=[f"P{P}_m{m}" for P, m in CASES])

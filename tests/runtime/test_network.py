@@ -230,11 +230,13 @@ def _stats_blob(net) -> str:
     return ";".join(parts)
 
 
-def test_net_stats_digest():
+def test_net_stats_digest(sim_backends):
     """Contention family × P × kernel × tile size (eager 8, rendezvous
-    100) × ranks per machine × plain, fault and resize runs."""
+    100) × ranks per machine × plain, fault and resize runs, under
+    every available event loop (plain runs and resize phases take the
+    compiled loop when it builds)."""
     faults = "fail:1@2e-5,loss:0.05,seed:3"
-    h = hashlib.sha256()
+    cases = []
     for P in (5, 7, 12):
         for kernel, build in (("lu", build_lu_graph),
                               ("cholesky", build_cholesky_graph)):
@@ -242,16 +244,19 @@ def test_net_stats_digest():
                        else gcrm(P, feasible_sizes(P)[0], seed=0).pattern)
             dist = TileDistribution(pattern, 8, symmetric=kernel != "lu")
             for tile in (8, 100):
-                graph, home = build(dist, tile)
-                for rpn in (1, 2, 3):
-                    cl = ClusterSpec(nnodes=P, cores_per_node=2,
-                                     core_gflops=1.0, bandwidth_Bps=1e9,
-                                     latency_s=1e-6, tile_size=tile,
-                                     ranks_per_node=rpn)
-                    for network in ("contention", "hierarchical"):
-                        for kw in ({}, {"faults": faults},
-                                   {"resize": f"{P + 2}@1e-5"}):
-                            trace = simulate(graph, cl, data_home=home,
-                                             network=network, **kw)
-                            h.update(_stats_blob(trace.net_stats).encode())
-    assert h.hexdigest() == NET_STATS_SHA256
+                cases.append((P, tile, build(dist, tile)))
+    for backend in sim_backends:
+        h = hashlib.sha256()
+        for P, tile, (graph, home) in cases:
+            for rpn in (1, 2, 3):
+                cl = ClusterSpec(nnodes=P, cores_per_node=2,
+                                 core_gflops=1.0, bandwidth_Bps=1e9,
+                                 latency_s=1e-6, tile_size=tile,
+                                 ranks_per_node=rpn)
+                for network in ("contention", "hierarchical"):
+                    for kw in ({}, {"faults": faults},
+                               {"resize": f"{P + 2}@1e-5"}):
+                        trace = simulate(graph, cl, data_home=home,
+                                         network=network, **kw)
+                        h.update(_stats_blob(trace.net_stats).encode())
+        assert h.hexdigest() == NET_STATS_SHA256, backend

@@ -17,7 +17,10 @@ every node raises:
 * every run recorded by a :class:`~repro.runtime.tracefmt.ChromeTraceWriter`
   has the canonical outcome of its unrecorded twin (makespan, message
   counts, fault and resize stats), and its file parses to the
-  ``events_written`` events.
+  ``events_written`` events;
+* every fault-free run has the same canonical dump, records included,
+  under each available event loop (the backend axis: the compiled
+  loop runs every combination whose scheduler has static keys).
 
 The machine is comm-bound (8-wide tiles, 1 GFLOP/s cores), the regime
 where a bound that overcharges a message is broken.
@@ -25,6 +28,7 @@ where a bound that overcharges a message is broken.
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -35,12 +39,14 @@ from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.library import shipped_pattern
 from repro.runtime.analysis import makespan_bounds
+from repro.runtime.backends import BACKEND_ENV
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.faults import colrow_recovery
 from repro.runtime.resize import ResizeEvent
 from repro.runtime.schedulers import registered_schedulers
 from repro.runtime.simulator import SimulationError, simulate
 from repro.runtime.tracefmt import ChromeTraceWriter
+from tests.conftest import available_sim_backends
 
 TILE = 8
 M = 2
@@ -53,7 +59,8 @@ REL = 1e-9
 
 @pytest.mark.parametrize("P", [1, 2, 5])
 @pytest.mark.parametrize("kernel", ["lu", "cholesky"])
-def test_every_option_runs_and_respects_its_bounds(P, kernel, tmp_path):
+def test_every_option_runs_and_respects_its_bounds(P, kernel, tmp_path,
+                                                   monkeypatch):
     pattern = shipped_pattern(P, kernel)
     symmetric = kernel == "cholesky"
     dist = TileDistribution(pattern, M, symmetric=symmetric)
@@ -65,6 +72,8 @@ def test_every_option_runs_and_respects_its_bounds(P, kernel, tmp_path):
     # resolved once: outside the shipped 2..44 range (P' = 1) each
     # resolution is a GCR&M search
     targets = {n: shipped_pattern(n, kernel) for n in (P + 1, P - 1) if n}
+    loops = available_sim_backends()
+    default_loop = os.environ.get(BACKEND_ENV, "auto")
     for cores, (net, rpn), scheduler in itertools.product(
             (1, 2), NETWORKS, registered_schedulers()):
         case = (cores, net, rpn, scheduler)
@@ -89,6 +98,14 @@ def test_every_option_runs_and_respects_its_bounds(P, kernel, tmp_path):
                                             network=net).best
         plain = run()
         assert plain.n_messages == messages, case
+        dumps = set()
+        for backend in loops:
+            monkeypatch.setenv(BACKEND_ENV, backend)
+            dumps.add(json.dumps(simulate(
+                graph, cl, data_home=home, network=net,
+                record_tasks=True).to_canonical(), sort_keys=True))
+        monkeypatch.setenv(BACKEND_ENV, default_loop)
+        assert len(dumps) == 1, case
         assert plain.makespan >= sched_bound * (1 - REL), case
         if scheduler != "work_stealing":
             assert plain.makespan >= makespan_bounds(graph, cl).best \

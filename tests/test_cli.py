@@ -161,6 +161,32 @@ class TestSimulateCommand:
                      "--tile-size", "100", "--kernel", "lu"]) == 0
         assert "degraded run" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, backend, loop", [
+        (["--network", "contention", "--scheduler", "work_stealing"], "c",
+         "c"),
+        (["--topology", "2", "--scheduler", "lookahead"], "c", "c"),
+        (["--scheduler", "fifo"], "c", "python (scheduler fifo)"),
+        (["--network", "contention"], "python", "python (backend python)"),
+    ])
+    def test_prints_which_loop_ran(self, capsys, monkeypatch, argv,
+                                   backend, loop):
+        from repro.runtime import csim
+        from repro.runtime.backends import BACKEND_ENV
+
+        if backend == "c" and not csim.available():
+            pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
+        monkeypatch.setenv(BACKEND_ENV, backend)
+        assert main(["simulate", "-P", "6", "--tiles", "8",
+                     "--tile-size", "100", "--kernel", "lu"] + argv) == 0
+        assert f"\nloop       : {loop}\n" in capsys.readouterr().out
+
+    def test_degraded_block_names_its_loop(self, capsys):
+        assert main(["simulate", "-P", "6", "--tiles", "8",
+                     "--tile-size", "100", "--kernel", "lu",
+                     "--faults", "fail:1@1e-4"]) == 0
+        assert "loop                : python (faults)\n" in \
+            capsys.readouterr().out
+
     def test_trace_out_streams_chrome_json(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         assert main(["simulate", "-P", "6", "--tiles", "8",
