@@ -61,6 +61,7 @@ import numpy as np
 from ..runtime.network import intra_message_time
 from ..runtime.schedulers import bottom_levels
 from ..runtime.simplan import get_plan
+from ..runtime.simulator import check_inputs
 
 __all__ = ["ScheduleBounds", "schedule_lower_bounds"]
 
@@ -119,7 +120,10 @@ def schedule_lower_bounds(
     uses; the bisection bound only applies to ``"contention"``.
     ``alive_nodes`` restricts every bound to the surviving nodes of a
     degraded run (see the module docstring for the validity caveat).
+    Inputs that :func:`~repro.runtime.simulator.simulate` rejects raise
+    the same :class:`~repro.runtime.simulator.SimulationError`.
     """
+    check_inputs(graph, cluster, data_home)
     n_tasks = len(graph)
     P = cluster.nnodes
     if n_tasks == 0:

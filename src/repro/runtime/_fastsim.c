@@ -1,9 +1,11 @@
-/* The package's two compiled kernels: the simulator's event loop
- * (``repro_run_sim``) and phase 1 of GCR&M (``repro_gcrm_phase1``, at
- * the end of this file).  ``csim.py`` binds both, and one
- * ``REPRO_SIM_BACKEND`` resolution selects both.  The caller passes
- * every buffer, scratch included: nothing is allocated here and no
- * libc beyond the implicit runtime is used.
+/* The package's compiled kernels: the simulator's event loop
+ * (``repro_run_sim``), phase 1 of GCR&M (``repro_gcrm_phase1``) and the
+ * two passes that lower a task graph to its simulation plan
+ * (``repro_plan_count`` and ``repro_plan_fill``, at the end of this
+ * file).  ``csim.py`` binds them all, and one ``REPRO_SIM_BACKEND``
+ * resolution selects them all.  The caller passes every buffer, scratch
+ * included: nothing is allocated here and no libc beyond the implicit
+ * runtime is used.
  *
  * The event loop replicates, event for event, the Python loop of
  * ``repro.runtime.simulator`` for every fault-free run without a
@@ -23,8 +25,10 @@
  * Work stealing (``steal != 0``) is the Python loop's rebalance hook:
  * at the seed and after each same-time batch, idle nodes with empty
  * queues pull queued tasks from their victims; a stolen task runs
- * ``base_dur / speed[thief] + msg_time`` on the thief, and its
- * completion frees a core there while its wakes stay at the owner.
+ * ``base_dur / speed[thief] + msg_time`` on the thief (``+
+ * intra_msg_time`` instead when the flow engine's machine map puts
+ * thief and victim on one machine), and its completion frees a core
+ * there while its wakes stay at the owner.
  * The caller hands in the SimPlan arrays as they are (int32 indexes,
  * int64 keys).
  *
@@ -359,9 +363,10 @@ int64_t repro_run_sim(
     int64_t flows, const int32_t *machine, int64_t nmachines,
     const double *net,
     /* work stealing when steal != 0: each node's victims (CSR), the
-     * per-task base durations and the node speeds */
+     * per-task base durations, the node speeds, and the tile transfer
+     * a thief pays from a rank of its own machine (flows != 0) */
     int64_t steal, const int32_t *v_indptr, const int32_t *v_nodes,
-    const double *base_dur, const double *speed,
+    const double *base_dur, const double *speed, double intra_msg_time,
     /* scratch, preallocated by the caller */
     double *ev_t, int64_t *ev_tag, int64_t *ev_pl,
     int64_t *ready, const int64_t *rbase, int64_t *rsize,
@@ -509,7 +514,8 @@ int64_t repro_run_sim(
                         & 0xFFFFFFFFLL;                                 \
                     rsize[v]--;                                         \
                     double d = base_dur[tid] / speed[n];                \
-                    d += msg_time;                                      \
+                    d += flows && machine[v] == machine[n]              \
+                        ? intra_msg_time : msg_time;                    \
                     exec_node[tid] = (int32_t)n;                        \
                     idl--;                                              \
                     RUN(tid, n, (t_), d);                               \
@@ -764,5 +770,133 @@ int64_t repro_gcrm_phase1(
     for (int64_t p = 0; p < P; p++)
         for (int64_t b = 0; b < r; b++)
             member[p * r + b] = (uint8_t)HAS(own + p * W, b);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The simulation plan (``simplan.build_plan``), in two passes        */
+/* ------------------------------------------------------------------ */
+
+/* Both passes walk every task's reads in flat read order, and classify
+ * each read the same way: local (its producer runs on the reader's
+ * node), a message (a remote producer, or a version-0 datum away from
+ * its ``home``; ``has_home == 0`` means no fetches) or already met.
+ * Message reads form groups, one per (datum, version, destination),
+ * numbered by first occurrence.  A group is found through the chain of
+ * groups of its slot: the producer's tid, or ``n_tasks + datum`` for a
+ * version-0 fetch.  The ``(d * M + v) * N + dst`` code names a group.
+ * ``plan_slot`` returns -1 for a local read, -2 for one already met, and
+ * a message read's slot. */
+static int64_t plan_slot(int64_t t, int64_t r, int64_t n_tasks,
+                         const int32_t *node, const int32_t *read_data,
+                         const int32_t *read_producer, int64_t has_home,
+                         const int64_t *home)
+{
+    int32_t p = read_producer[r];
+    if (p >= 0)
+        return node[p] == node[t] ? -1 : p;
+    if (has_home && home[read_data[r]] != node[t])
+        return n_tasks + read_data[r];
+    return -2;
+}
+
+/* Pass 1: count each task's prerequisites, and each producer's local
+ * dependents and pushed groups at [producer + 1]; number the groups
+ * (code, chain link, waiter count and producer, -1 for a fetch) and
+ * note the group of each message read, in read order.  ``head`` holds
+ * -1 per slot on entry.  Writes [groups, message reads, local reads]. */
+int64_t repro_plan_count(
+    int64_t n_tasks, int64_t M, int64_t N,
+    const int32_t *node, const int32_t *read_indptr,
+    const int32_t *read_data, const int32_t *read_version,
+    const int32_t *read_producer, int64_t has_home, const int64_t *home,
+    int32_t *pending, int32_t *ld_count, int32_t *push_count,
+    int32_t *head, int64_t *g_code, int32_t *g_next, int32_t *g_count,
+    int32_t *g_prod, int32_t *read_group, int64_t *out_counts)
+{
+    int32_t n_groups = 0;
+    int64_t n_msg = 0, n_local = 0;
+    for (int64_t t = 0; t < n_tasks; t++) {
+        int32_t need = 0;
+        for (int64_t r = read_indptr[t]; r < read_indptr[t + 1]; r++) {
+            int64_t slot = plan_slot(t, r, n_tasks, node, read_data,
+                                     read_producer, has_home, home);
+            if (slot == -2)
+                continue;
+            need++;
+            if (slot == -1) {
+                ld_count[read_producer[r] + 1]++;
+                n_local++;
+                continue;
+            }
+            int64_t code = ((int64_t)read_data[r] * M + read_version[r]) * N
+                           + node[t];
+            int32_t g = head[slot];
+            while (g >= 0 && g_code[g] != code)
+                g = g_next[g];
+            if (g < 0) {
+                g = n_groups++;
+                g_code[g] = code;
+                g_next[g] = head[slot];
+                head[slot] = g;
+                g_count[g] = 0;
+                g_prod[g] = read_producer[r];
+                if (g_prod[g] >= 0)
+                    push_count[g_prod[g] + 1]++;
+            }
+            g_count[g]++;
+            read_group[n_msg++] = g;
+        }
+        pending[t] = need;
+    }
+    out_counts[0] = n_groups;
+    out_counts[1] = n_msg;
+    out_counts[2] = n_local;
+    return 0;
+}
+
+/* turn the row counts at [row + 1] of a CSR indptr into row starts */
+static void plan_starts(int32_t *indptr, int64_t n_rows)
+{
+    int32_t run = 0;
+    for (int64_t i = 1; i <= n_rows; i++) {
+        int32_t c = indptr[i];
+        indptr[i] = run;
+        run += c;
+    }
+}
+
+/* Pass 2: fill the local-dependent and waiter CSRs in read order, and
+ * each producer's pushes in group order; ``uid`` is the uid of each
+ * group.  Each indptr comes in holding counts at [row + 1] and leaves
+ * finished. */
+int64_t repro_plan_fill(
+    int64_t n_tasks, int64_t n_groups,
+    const int32_t *node, const int32_t *read_indptr,
+    const int32_t *read_data, const int32_t *read_producer,
+    int64_t has_home, const int64_t *home,
+    const int32_t *read_group, const int32_t *g_prod, const int32_t *uid,
+    int32_t *ld_indptr, int32_t *ld_tasks,
+    int32_t *w_indptr, int32_t *w_tasks,
+    int32_t *push_indptr, int32_t *push_uids)
+{
+    plan_starts(ld_indptr, n_tasks);
+    plan_starts(w_indptr, n_groups);
+    plan_starts(push_indptr, n_tasks);
+    int64_t n_msg = 0;
+    for (int64_t t = 0; t < n_tasks; t++) {
+        for (int64_t r = read_indptr[t]; r < read_indptr[t + 1]; r++) {
+            int64_t slot = plan_slot(t, r, n_tasks, node, read_data,
+                                     read_producer, has_home, home);
+            if (slot == -1)
+                ld_tasks[ld_indptr[read_producer[r] + 1]++] = (int32_t)t;
+            else if (slot >= 0)
+                w_tasks[w_indptr[uid[read_group[n_msg++]] + 1]++] =
+                    (int32_t)t;
+        }
+    }
+    for (int64_t g = 0; g < n_groups; g++)
+        if (g_prod[g] >= 0)
+            push_uids[push_indptr[g_prod[g] + 1]++] = uid[g];
     return 0;
 }

@@ -1,23 +1,26 @@
 """Backend selection for the compiled kernels (compiled C > pure Python).
 
-Two hot loops have a C twin in ``_fastsim.c``, and one resolution picks
-both: the event loop of :func:`repro.runtime.simulator.simulate` for
-every fault-free run whose scheduler has a static key table, without
-fork-join and with p2p multicast, under every network model (``nic``
-and the contention family's flow engine), work stealing included and
-with or without task/message recording
+Three hot paths have a C twin in ``_fastsim.c``, and one resolution
+picks all three: the event loop of
+:func:`repro.runtime.simulator.simulate` for every fault-free run whose
+scheduler has a static key table, without fork-join and with p2p
+multicast, under every network model (``nic`` and the contention
+family's flow engine), work stealing included and with or without
+task/message recording
 (:func:`~repro.runtime.simulator.python_loop_reason` names why any
-other run takes the Python loop); and phase 1 of
-:func:`repro.patterns.gcrm.gcrm`.
+other run takes the Python loop); phase 1 of
+:func:`repro.patterns.gcrm.gcrm`; and the lowering of
+:func:`repro.runtime.simplan.build_plan`.
 
 * ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
-* ``python`` — the batch-drained pure-Python event loop and the bitmask
-  phase 1 ``gcrm._phase1_fast``, always available.
+* ``python`` — the batch-drained pure-Python event loop, the bitmask
+  phase 1 ``gcrm._phase1_fast`` and the NumPy lowering
+  ``simplan._lower``, always available.
 
-Both produce byte-identical event schedules, network statistics and
-patterns (the golden, cross-backend, flow-engine and GCR&M
-differential tests pin this).
+Both produce byte-identical event schedules, network statistics,
+patterns and plans (the golden, cross-backend, flow-engine, GCR&M
+differential and plan-oracle tests pin this).
 ``REPRO_SIM_BACKEND`` selects the backend: ``auto`` (default) uses C
 when it compiles and loads, else Python; ``c`` demands the compiled
 kernels; ``python`` forces the pure-Python ones.  Any other value, or an
@@ -48,8 +51,9 @@ def select_backend() -> Tuple[str, Optional[Callable]]:
     """Resolve ``(name, runner)`` for the accelerated event loop.
 
     ``runner`` is ``None`` when only the pure-Python loop is usable.
-    :func:`repro.patterns.gcrm.gcrm` runs phase 1 in C when ``name``
-    is ``"c"``.
+    :func:`repro.patterns.gcrm.gcrm` runs phase 1, and
+    :func:`repro.runtime.simplan.build_plan` its lowering, in C when
+    ``name`` is ``"c"``.
     The choice is cached per ``REPRO_SIM_BACKEND`` value, so tests can
     monkeypatch the environment and re-resolve; errors are not cached.
     """

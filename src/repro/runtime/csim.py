@@ -1,9 +1,10 @@
-"""Runtime-compiled C backend: the simulator's event loop and GCR&M phase 1.
+"""Runtime-compiled C backend: the simulator's event loop, GCR&M phase 1
+and the simulation plan's lowering.
 
 Compiles ``_fastsim.c`` with the system C compiler on first use
 (``cc -O2 -ffp-contract=off -fPIC -shared``) into a cache directory
-keyed by the hash of the source and flags, and binds its two entry
-points through :mod:`ctypes`/:mod:`numpy.ctypeslib`.  The event loop's
+keyed by the hash of the source and flags, and binds its entry points
+through :mod:`ctypes`/:mod:`numpy.ctypeslib`.  The event loop's
 double arithmetic must stay IEEE-identical to Python's, so the build
 uses no ``-ffast-math`` and turns off floating-point contraction: on
 targets that contract by default (GCC on aarch64), the flow update
@@ -20,10 +21,13 @@ Python loop.
   records (see :class:`FastSimResult`).
 * :func:`gcrm_phase1` — phase 1 of GCR&M, drawing from the caller's
   numpy generator through its ``bitgen_t``.
+* :func:`lower_plan` — the tables of
+  :func:`~repro.runtime.simplan.build_plan`, in two linear passes over
+  the reads.
 
 No compiler, a failed compile, or a missing source file makes
 :func:`available` return ``False`` and :func:`load_error` say why;
-:mod:`.backends` then falls back to the pure-Python loops under
+:mod:`.backends` then falls back to the pure-Python paths under
 ``REPRO_SIM_BACKEND=auto`` and raises under ``REPRO_SIM_BACKEND=c``.
 ``REPRO_CACHE_DIR`` overrides where the shared object is cached.
 """
@@ -43,7 +47,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 __all__ = ["available", "load_error", "run", "FastSimResult",
-           "gcrm_phase1"]
+           "gcrm_phase1", "lower_plan"]
 
 _SRC = Path(__file__).with_name("_fastsim.c")
 #: compiler flags; the cached object is keyed by them and the source
@@ -107,7 +111,7 @@ def _load():
             ctypes.c_int64, _I32, ctypes.c_int64,      # flows, machine, nmachines
             _F64,                                      # net parameters
             ctypes.c_int64, _I32, _I32,                # steal, victim CSR
-            _F64, _F64,                                # base_dur, speed
+            _F64, _F64, ctypes.c_double,               # base_dur, speed, intra
             _F64, _I64, _I64,                          # event heap scratch
             _I64, _I64, _I64,                          # ready arena, base, size
             _I64, _F64,                                # idle, tx_free
@@ -118,6 +122,26 @@ def _load():
             _F64, _I64, _I64,                          # busy, msgs_sent, msgs_recv
             _F64, _F64,                                # tx_busy, rx_busy
             _F64, _I64,                                # out_times, out_counts
+        ]
+        fn = lib.repro_plan_count
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n_tasks, M, N
+            _I32, _I32,                                # node, read_indptr
+            _I32, _I32, _I32,                          # read data, version, producer
+            ctypes.c_int64, _I64,                      # has_home, home
+            _I32, _I32, _I32,                          # pending, ld and push counts
+            _I32, _I64, _I32, _I32, _I32, _I32,        # chains, groups, read groups
+            _I64,                                      # out_counts
+        ]
+        fn = lib.repro_plan_fill
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [
+            ctypes.c_int64, ctypes.c_int64,            # n_tasks, n_groups
+            _I32, _I32, _I32, _I32,                    # node, reads
+            ctypes.c_int64, _I64,                      # has_home, home
+            _I32, _I32, _I32,                          # read groups, g_prod, uid
+            _I32, _I32, _I32, _I32, _I32, _I32,        # ld, waiter, push CSRs
         ]
         fn = lib.repro_gcrm_phase1
         fn.restype = ctypes.c_int64
@@ -193,7 +217,7 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         msg_time: float, record: bool = False, keys=None, machine=None,
         nbytes: float = 0.0, bandwidths=(0.0, 0.0, 0.0),
         latencies=(0.0, 0.0), victims=None, base_dur=None,
-        speeds=None) -> FastSimResult:
+        speeds=None, intra_msg_time=0.0) -> FastSimResult:
     """Run the compiled loop over a :class:`~.simplan.SimPlan`.
 
     Only valid once :func:`available` is true.  ``dur`` is the per-task
@@ -212,7 +236,9 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
     ``victims`` (each node's steal order, as
     :meth:`~repro.runtime.schedulers.Scheduler.victim_order` returns
     it) turns on work stealing: a stolen task runs ``base_dur[tid] /
-    speeds[thief] + msg_time`` (``speeds`` ``None`` = all 1).
+    speeds[thief] + msg_time`` (``speeds`` ``None`` = all 1), or ``+
+    intra_msg_time`` when ``machine`` puts thief and victim on one
+    machine.
 
     With ``record`` the result carries the recording arrays: 24 bytes
     per task plus 24 per message.
@@ -306,6 +332,7 @@ def run(plan, dur: np.ndarray, nnodes: int, cores_per_node: int,
         float(msg_time),
         int(flows), machine, nmachines, net,
         int(victims is not None), v_indptr, v_nodes, base_dur, speeds,
+        float(intra_msg_time),
         ev_t, ev_tag, ev_pl,
         ready, rbase, rsize,
         idle, tx_free,
@@ -364,3 +391,79 @@ def gcrm_phase1(P: int, r: int, rng: np.random.Generator,
     if status != 0:  # pragma: no cover - safety net, as in _phase1_fast
         raise RuntimeError(f"GCR&M phase 1 did not converge (P={P}, r={r})")
     return np.frombuffer(member, dtype=np.bool_).reshape(P, r)
+
+
+def lower_plan(node: np.ndarray, read_indptr: np.ndarray,
+               read_data: np.ndarray, read_version: np.ndarray,
+               read_producer: np.ndarray, n_data: int,
+               home: Optional[np.ndarray], M: int, N: int) -> tuple:
+    """The tables of :func:`repro.runtime.simplan.build_plan` in C.
+
+    Only valid once :func:`available` is true.  Takes a graph's columns
+    and its ``read_producer`` index, ``home`` (``None``: no version-0
+    fetches) and the code radices ``M`` (versions) and ``N`` (nodes).
+    The first pass classifies every read and numbers the message
+    groups by first occurrence; between the passes one ``argsort`` of
+    the group codes fixes the uids, and the second pass fills the CSRs
+    in read order.  Every output is allocated at its exact size.
+    Returns ``(pending, ld_indptr, ld_tasks, codes, producer, w_indptr,
+    w_tasks, push_indptr, push_uids, init_uids)``: ``codes`` and
+    ``producer`` give each uid's group code and producer tid (-1 for a
+    fetch from home).
+    """
+    node, read_indptr, read_data, read_version, read_producer = (
+        np.require(a, np.int32, ["C_CONTIGUOUS", "ALIGNED"])
+        for a in (node, read_indptr, read_data, read_version,
+                  read_producer))
+    n_tasks = len(node)
+    n_reads = len(read_data)
+    if (len(read_indptr) != n_tasks + 1 or len(read_version) != n_reads
+            or len(read_producer) != n_reads
+            or (home is not None and len(home) < n_data)):
+        raise ValueError("plan columns disagree in length")
+    # C indexes with producer tids, datum ids and read offsets unchecked
+    if n_reads and not (-1 <= read_producer.min()
+                        and read_producer.max() < n_tasks
+                        and 0 <= read_data.min()
+                        and read_data.max() < n_data):
+        raise ValueError("reads name a task or datum out of range")
+    if read_indptr[0] != 0 or read_indptr[-1] != n_reads \
+            or np.any(read_indptr[1:] < read_indptr[:-1]):
+        raise ValueError("read_indptr is not a CSR index of the reads")
+    lib = _load()
+    has_home = home is not None
+    home = (np.ascontiguousarray(home, dtype=np.int64) if has_home
+            else _empty(np.int64))
+    pending = np.empty(n_tasks, dtype=np.int32)
+    ld_indptr = np.zeros(n_tasks + 1, dtype=np.int32)
+    push_indptr = np.zeros(n_tasks + 1, dtype=np.int32)
+    head = np.full(n_tasks + (n_data if has_home else 0), -1, dtype=np.int32)
+    # a group per message read at most: only the used prefix of these
+    # is ever touched
+    g_code = np.empty(n_reads, dtype=np.int64)
+    g_next, g_count, g_prod, read_group = (
+        np.empty(n_reads, dtype=np.int32) for _ in range(4))
+    counts = np.zeros(3, dtype=np.int64)
+    lib.repro_plan_count(
+        n_tasks, M, N, node, read_indptr, read_data, read_version,
+        read_producer, int(has_home), home, pending, ld_indptr, push_indptr,
+        head, g_code, g_next, g_count, g_prod, read_group, counts)
+    del head, g_next
+    n_groups, n_msg, n_local = counts.tolist()
+    codes = g_code[:n_groups]
+    order = np.argsort(codes)     # the codes are unique: any sort will do
+    uid = np.empty(n_groups, dtype=np.int32)
+    uid[order] = np.arange(n_groups, dtype=np.int32)
+    producer = g_prod[:n_groups]
+    init_uids = uid[producer < 0]
+    w_indptr = np.zeros(n_groups + 1, dtype=np.int32)
+    w_indptr[1:] = g_count[order]
+    ld_tasks = np.empty(n_local, dtype=np.int32)
+    w_tasks = np.empty(n_msg, dtype=np.int32)
+    push_uids = np.empty(n_groups - init_uids.size, dtype=np.int32)
+    lib.repro_plan_fill(
+        n_tasks, n_groups, node, read_indptr, read_data, read_producer,
+        int(has_home), home, read_group, g_prod, uid,
+        ld_indptr, ld_tasks, w_indptr, w_tasks, push_indptr, push_uids)
+    return (pending, ld_indptr, ld_tasks, codes[order], producer[order],
+            w_indptr, w_tasks, push_indptr, push_uids, init_uids)

@@ -1,24 +1,33 @@
-"""Vectorized simulation plan: the dependency/message tables as arrays.
+"""Simulation plan: the dependency/message tables as arrays.
 
 The simulator needs four derived tables before its event loop can run:
 per-task prerequisite counts, the CSR table of *local* dependents, the
 inter-node message plan (which unique ``(data version, destination)``
 pairs must travel, who sends them, who waits on them), and the packed
-priority keys.  PR 3 derived these with a mix of vectorized passes and
-Python dict/list assembly inside ``simulate``; at m=128 that assembly
-(``tolist`` conversions, ``group_messages`` dict fills) costs more than
-the event loop itself.
+priority keys.  :func:`build_plan` derives them as a :class:`SimPlan`
+with no Python loop over tasks, reads or messages.  Every unique message
+gets a dense integer *uid*, in the order of its ``(data, version,
+dst)`` code; the plan stores, per uid, its payload
+(``data``/``version``/``dst``/``src``) and two CSR tables:
+``w_indptr``/``w_tasks`` (the consumers a delivery wakes, in read-scan
+order) and ``push_indptr``/``push_uids`` (the uids each producer pushes
+on completion, in first-occurrence scan order).  Both orders replicate,
+entry for entry, the iteration orders of the old dict-based plan, so
+event schedules — and therefore golden traces — are byte-identical no
+matter which backend consumes the plan.
 
-This module computes the same tables as pure NumPy arrays — a
-:class:`SimPlan` — with **no Python loop over tasks, reads or
-messages**.  Every unique message gets a dense integer *uid*; the plan
-stores, per uid, its payload (``data``/``version``/``dst``/``src``) and
-two CSR tables: ``w_indptr``/``w_tasks`` (the consumers a delivery
-wakes, in read-scan order) and ``push_indptr``/``push_uids`` (the uids
-each producer pushes on completion, in first-occurrence scan order).
-Both orders replicate, entry for entry, the iteration orders of the old
-dict-based plan, so event schedules — and therefore golden traces —
-are byte-identical no matter which backend consumes the plan.
+Two lowerings build the same arrays, and the backend that
+:func:`~repro.runtime.backends.select_backend` picks chooses one:
+
+* ``c`` — :func:`repro.runtime.csim.lower_plan`: two linear passes over
+  the reads in ``_fastsim.c``, which number the message groups by first
+  occurrence, and one ``argsort`` of the group codes between them;
+* ``python`` — :func:`_lower`: NumPy passes around one stable sort of
+  the per-read message codes, and the only lowering on a host without a
+  C compiler.
+
+``tests/runtime/test_simplan.py`` holds the oracle both must equal: the
+earlier ``np.unique`` lowering, frozen.
 
 Plans depend only on the graph and the ``data_home`` vector (durations
 and node counts come from the cluster at simulation time), so they are
@@ -35,6 +44,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from .backends import select_backend
 from .graph import TaskGraph
 
 __all__ = ["SimPlan", "build_plan", "get_plan"]
@@ -98,7 +108,65 @@ def _csr(values: np.ndarray, groups: np.ndarray, n_groups: int):
 
 def build_plan(graph: TaskGraph,
                data_home: Optional[np.ndarray] = None) -> SimPlan:
-    """Derive the :class:`SimPlan` of ``graph`` in vectorized passes.
+    """Derive the :class:`SimPlan` of ``graph`` (and its ``data_home``).
+
+    The tables come from :func:`~repro.runtime.csim.lower_plan` when
+    :func:`~repro.runtime.backends.select_backend` picks ``c``, else
+    from :func:`_lower`; both give the same arrays.  A ``data_home``
+    shorter than ``graph.n_data``, or naming a negative node, raises
+    :class:`ValueError`.
+    """
+    cols = graph.columns
+    n_tasks = cols.n_tasks
+    node_a = cols.node
+    home_a = None
+    if data_home is not None:
+        home_a = np.asarray(data_home, dtype=np.int64)
+        if len(home_a) < graph.n_data:
+            raise ValueError(f"data_home has {len(home_a)} entries for "
+                             f"{graph.n_data} data")
+        if home_a.size and int(home_a.min()) < 0:
+            raise ValueError(f"data_home names node {int(home_a.min())}")
+    rv = cols.read_version
+    M = int(rv.max()) + 1 if rv.size else 1
+    N = int(node_a.max()) + 1 if node_a.size else 1
+    if select_backend()[0] == "c":
+        from . import csim
+        lowered = csim.lower_plan(node_a, cols.read_indptr, cols.read_data,
+                                  rv, graph.read_producer, graph.n_data,
+                                  home_a, M, N)
+    else:
+        lowered = _lower(graph, home_a, M, N)
+    (pending, ld_indptr, ld_tasks, codes, producer, w_indptr, w_tasks,
+     push_indptr, push_uids, init_uids) = lowered
+
+    keys = ((cols.k.astype(np.int64) << 40)
+            | (cols.kind.astype(np.int64) << 32)
+            | np.arange(n_tasks, dtype=np.int64))
+    msg_dst = (codes % N).astype(np.int32)
+    msg_version = (codes // N % M).astype(np.int32)
+    msg_data = (codes // (N * M)).astype(np.int32)
+    remote = producer >= 0
+    src = node_a[np.where(remote, producer, 0)]
+    if home_a is None:
+        msg_src = np.where(remote, src, np.int32(-1))
+    else:
+        msg_src = np.where(remote, src, home_a[msg_data]).astype(np.int32)
+
+    return SimPlan(
+        n_tasks=n_tasks, node=node_a, pending=pending,
+        ld_indptr=ld_indptr, ld_tasks=ld_tasks, keys=keys,
+        n_msgs=int(codes.size), msg_data=msg_data, msg_version=msg_version,
+        msg_dst=msg_dst, msg_src=msg_src,
+        w_indptr=w_indptr, w_tasks=w_tasks,
+        push_indptr=push_indptr, push_uids=push_uids,
+        init_uids=init_uids)
+
+
+def _lower(graph: TaskGraph, home_a: Optional[np.ndarray], M: int,
+           N: int) -> tuple:
+    """The lowering in vectorized NumPy passes, with the return value of
+    :func:`~repro.runtime.csim.lower_plan`.
 
     Per-read temporaries are dropped as soon as they are consumed, so
     the peak holds few full-length arrays at once.
@@ -109,17 +177,13 @@ def build_plan(graph: TaskGraph,
     rt = graph.read_task          # consumer tid per flat read
     rp = graph.read_producer      # producer tid per flat read, -1 if none
     rd = cols.read_data
-    rv = cols.read_version
     rnode = node_a[rt]            # consumer node per flat read
 
     has_prod = rp >= 0
     is_local = has_prod & (node_a[np.where(has_prod, rp, 0)] == rnode)
     # message reads: a remote producer, or a version-0 read away from home
     mask = has_prod & ~is_local
-    if data_home is None:
-        home_a = None
-    else:
-        home_a = np.asarray(data_home, dtype=np.int64)
+    if home_a is not None:
         mask |= ~has_prod & (home_a[rd] != rnode)
     del has_prod
 
@@ -129,10 +193,6 @@ def build_plan(graph: TaskGraph,
     ld_indptr, ld_tasks = _csr(rt[is_local], rp[is_local], n_tasks)
     del is_local
 
-    keys = ((cols.k.astype(np.int64) << 40)
-            | (cols.kind.astype(np.int64) << 32)
-            | np.arange(n_tasks, dtype=np.int64))
-
     # ------------------------------------------------------------------
     # message plan: one uid per unique (data, version, dst) among the
     # message reads, numbered in code order.  One stable sort of the
@@ -140,13 +200,11 @@ def build_plan(graph: TaskGraph,
     # CSR's indptr, the permuted reads its flat-read-ordered waiters,
     # and the permutation at a group start the uid's first occurrence.
     # ------------------------------------------------------------------
-    M = int(rv.max()) + 1 if rv.size else 1
-    N = int(node_a.max()) + 1 if node_a.size else 1
     sel = np.flatnonzero(mask)    # flat read index of each message read
     del mask
     codes = rd[sel].astype(np.int64)
     codes *= M
-    codes += rv[sel]
+    codes += cols.read_version[sel]
     codes *= N
     codes += rnode[sel]
     del rnode
@@ -157,40 +215,24 @@ def build_plan(graph: TaskGraph,
     starts = np.flatnonzero(is_start)
     uniq = codes[starts]
     del codes, is_start
-    n_msgs = int(uniq.size)
     w_indptr = np.append(starts, perm.size).astype(np.int32)
     w_tasks = rt[sel[perm]]
     first = perm[starts]          # position of each uid's first read
     producer = rp[sel[first]]
     del sel, perm
-    msg_dst = (uniq % N).astype(np.int32)
-    msg_version = (uniq // N % M).astype(np.int32)
-    msg_data = (uniq // (N * M)).astype(np.int32)
-    remote = producer >= 0
-    src = node_a[np.where(remote, producer, 0)]
-    if home_a is None:
-        msg_src = np.where(remote, src, np.int32(-1))
-    else:
-        msg_src = np.where(remote, src, home_a[msg_data]).astype(np.int32)
 
     # uids in global first-occurrence order (first positions are
     # distinct, so any sort gives this order): the version-0 fetches
     # sent at t=0, and the push plan stably grouped by producer — the
     # exact per-producer push order of the old ``planned_msgs`` dict
     # fill
+    remote = producer >= 0
     by_first = np.argsort(first).astype(np.int32)
     init_uids = by_first[~remote[by_first]]
     r_first = by_first[remote[by_first]]
     push_indptr, push_uids = _csr(r_first, producer[r_first], n_tasks)
-
-    return SimPlan(
-        n_tasks=n_tasks, node=node_a, pending=pending,
-        ld_indptr=ld_indptr, ld_tasks=ld_tasks, keys=keys,
-        n_msgs=n_msgs, msg_data=msg_data, msg_version=msg_version,
-        msg_dst=msg_dst, msg_src=msg_src,
-        w_indptr=w_indptr, w_tasks=w_tasks,
-        push_indptr=push_indptr, push_uids=push_uids,
-        init_uids=init_uids)
+    return (pending, ld_indptr, ld_tasks, uniq, producer, w_indptr,
+            w_tasks, push_indptr, push_uids, init_uids)
 
 
 #: graph -> {(generation, data_home bytes): SimPlan}

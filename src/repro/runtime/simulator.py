@@ -24,7 +24,8 @@ The v3 hot path is split in three layers:
 
 1. **Plan** — :mod:`~repro.runtime.simplan` derives the dependency
    countdowns, the CSR local-dependents table and the uid-encoded
-   message plan as pure NumPy arrays (no Python dict/list assembly),
+   message plan as flat arrays (in C, or in NumPy under the ``python``
+   backend; no Python dict/list assembly),
    cached per graph so repeated simulations of one graph — a campaign
    cell's baseline + degraded runs, or a network-model sweep — pay for
    planning once.
@@ -81,6 +82,7 @@ from .network import (
     EVENT_MSG_ARRIVE,
     EVENT_NET_INTERNAL,
     EVENT_TASK_DONE,
+    intra_message_time,
     make_network,
 )
 from .schedulers import make_scheduler
@@ -398,13 +400,17 @@ def simulate(
 
     # work stealing (see schedulers.py): after each event batch, idle
     # nodes with empty queues pull queued tasks from victims.  The
-    # thief pays one message_time on top of its own execution speed;
-    # the output still materializes at the owner (wakes and the message
-    # plan are untouched), so message totals are policy-invariant.
+    # thief pays one tile transfer on top of its own execution speed:
+    # ``intra_message_time`` from a rank of its own machine under the
+    # flow engine's machine map, else ``message_time``.  The output
+    # still materializes at the owner (wakes and the message plan are
+    # untouched), so message totals are policy-invariant.
     stealing = sched.steals
     if stealing:
         victims = sched.victim_order(plan, Pn)
+        machine = model.engine_args().get("machine")
         steal_pen = cluster.message_time()
+        intra_pen = intra_message_time(cluster)
         base_dur_l = cluster.task_time(cols.flops).tolist()
         speeds_l = list(cluster.node_speeds) if cluster.node_speeds else None
         ran_on: Dict[int, int] = {}
@@ -426,7 +432,10 @@ def simulate(
                         dur = base_dur_l[tid2]
                         if speeds_l is not None:
                             dur = dur / speeds_l[n]
-                        dur += steal_pen
+                        if machine is not None and machine[v] == machine[n]:
+                            dur += intra_pen
+                        else:
+                            dur += steal_pen
                         ran_on[tid2] = n
                         idl -= 1
                         busy[n] += dur
@@ -604,7 +613,8 @@ def _run_compiled(graph: TaskGraph, cluster: ClusterSpec, plan, dur_a,
     if sched.steals:
         kw.update(victims=sched.victim_order(plan, cluster.nnodes),
                   base_dur=cluster.task_time(graph.columns.flops),
-                  speeds=cluster.node_speeds or None)
+                  speeds=cluster.node_speeds or None,
+                  intra_msg_time=intra_message_time(cluster))
     res = runner(plan, dur_a, cluster.nnodes, cluster.cores_per_node,
                  cluster.message_time(), record=sink is not None,
                  keys=sched.static_keys(plan, graph, cluster, dur_a), **kw)

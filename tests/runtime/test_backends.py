@@ -262,8 +262,9 @@ def test_fastsim_signature_matches_argtypes():
     src = re.sub(r"/\*.*?\*/", "", csim._SRC.read_text(), flags=re.S)
     defs = re.findall(r"^(\w+)\s+(repro_\w+)\s*\((.*?)\)\s*\{", src,
                       flags=re.S | re.M)
-    assert {name for _, name, _ in defs} == {"repro_run_sim",
-                                              "repro_gcrm_phase1"}
+    assert {name for _, name, _ in defs} == {
+        "repro_run_sim", "repro_gcrm_phase1", "repro_plan_count",
+        "repro_plan_fill"}
     lib = csim._load()
     for restype, name, params in defs:
         fn = getattr(lib, name)
@@ -333,6 +334,39 @@ def test_event_loop_rejects_bad_sizes():
             ({"victims": [[]] * 5, "base_dur": dur[:-1]}, "base_dur has")):
         with pytest.raises(ValueError, match=match):
             csim.run(plan, dur, 5, 2, cl.message_time(), **kw)
+
+
+def test_plan_kernel_rejects_bad_sizes():
+    """Lengths, producer tids, datum ids and read offsets are checked
+    before any pointer reaches the lowering, which indexes with them
+    unchecked."""
+    from repro.runtime import csim
+    if not csim.available():
+        pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
+    graph, home = build_lu_graph(
+        TileDistribution(g2dbc(5), 4, symmetric=False), TILE)
+    cols = graph.columns
+    args = dict(node=cols.node, read_indptr=cols.read_indptr,
+                read_data=cols.read_data, read_version=cols.read_version,
+                read_producer=graph.read_producer, n_data=graph.n_data,
+                home=home, M=int(cols.read_version.max()) + 1, N=5)
+    csim.lower_plan(**args)
+    swapped = cols.read_indptr.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    for kw, match in (
+            ({"node": cols.node[:-1]}, "disagree in length"),
+            ({"read_version": cols.read_version[:-1]}, "disagree in length"),
+            ({"home": home[:-1]}, "disagree in length"),
+            ({"read_producer": np.full_like(graph.read_producer, len(graph))},
+             "out of range"),
+            ({"read_producer": np.full_like(graph.read_producer, -2)},
+             "out of range"),
+            ({"read_data": np.full_like(cols.read_data, graph.n_data)},
+             "out of range"),
+            ({"read_indptr": cols.read_indptr + 1}, "not a CSR index"),
+            ({"read_indptr": swapped}, "not a CSR index")):
+        with pytest.raises(ValueError, match=match):
+            csim.lower_plan(**{**args, **kw})
 
 
 def test_phase1_kernel_rejects_bad_sizes():

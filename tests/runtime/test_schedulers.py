@@ -274,6 +274,37 @@ class TestRegistry:
         again = sched.victim_order(plan, 5)
         assert order == again
 
+    def test_same_machine_steals_pay_the_intra_link(self, sim_backends):
+        """Under ``hierarchical`` with two ranks per machine, a task
+        stolen from a rank of the thief's own machine runs its base time
+        plus ``intra_message_time`` (the network's own charge for that
+        tile), and one stolen across machines plus ``message_time``."""
+        from repro.experiments.machine import sim_cluster
+        from repro.runtime.network import intra_message_time
+
+        dist = TileDistribution(g2dbc(8), 16, symmetric=False)
+        graph, home = build_lu_graph(dist, 500)
+        cluster = dataclasses.replace(sim_cluster(8), ranks_per_node=2,
+                                      scheduler="work_stealing")
+        machine = cluster.topology().rank_nodes
+        base = cluster.task_time(graph.columns.flops)
+        owner = graph.columns.node
+        pen = {True: intra_message_time(cluster),
+               False: cluster.message_time()}
+        assert pen[True] < pen[False]
+        for backend in sim_backends:
+            trace = simulate(graph, cluster, data_home=home,
+                             network="hierarchical", record_tasks=True)
+            steals = {True: 0, False: 0}
+            for r in trace.task_records:
+                if r.node == owner[r.tid]:
+                    continue
+                same = bool(machine[r.node] == machine[owner[r.tid]])
+                steals[same] += 1
+                assert r.end - r.start == pytest.approx(
+                    base[r.tid] + pen[same], rel=1e-9), (backend, r)
+            assert steals[True] > 0 and steals[False] > 0, backend
+
     def test_bottom_levels_chain(self):
         # 0 <- 1 <- 2 (deps of task t list its producers)
         indptr = np.array([0, 0, 1, 2], dtype=np.int64)

@@ -3,9 +3,12 @@
 ``_reference_plan`` is the earlier lowering, frozen as the oracle: an
 int64 ``np.unique`` over the message codes plus a second stable sort
 for the waiters, and a mask per read class.  :func:`build_plan` derives
-the same tables from one stable sort, in int32; it must equal the
-oracle value for value on every graph and placement, since uid
-numbering and CSR orders fix the event order of every schedule.
+the same tables in int32, by two lowerings: NumPy passes around one
+stable sort (the ``python`` backend) and two linear C passes (``c``).
+Each must equal the oracle value for value on every graph and
+placement, since uid numbering and CSR orders fix the event order of
+every schedule.  The tests call :func:`build_plan` under each backend,
+not :func:`get_plan`, whose cache both backends share.
 """
 
 import numpy as np
@@ -13,13 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost.schedbounds import schedule_lower_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
+from repro.patterns.migrate import relabel_pattern
+from repro.runtime import csim
+from repro.runtime.backends import BACKEND_ENV
+from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph
 from repro.runtime.simplan import build_plan, get_plan
+from repro.runtime.simulator import SimulationError
+from tests.conftest import available_sim_backends
 from tests.runtime.test_simulator_properties import _graph, _relabel, case
 
 TILE = 8
@@ -102,15 +112,42 @@ def _reference_plan(graph, data_home=None):
         push_uids=push_uids, init_uids=init_uids)
 
 
-def _assert_matches_oracle(graph, data_home):
-    plan = build_plan(graph, data_home)
-    ref = _reference_plan(graph, data_home)
-    assert plan.n_tasks == ref["n_tasks"]
-    assert plan.n_msgs == ref["n_msgs"]
+def _plans(graph, data_home):
+    """``(backend, plan)`` from :func:`build_plan` under every available
+    backend."""
+    for backend in available_sim_backends():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(BACKEND_ENV, backend)
+            yield backend, build_plan(graph, data_home)
+
+
+def _buffer_nbytes(a):
+    """Size of the buffer ``a`` owns or views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes if a.base is None else memoryview(a.base).nbytes
+
+
+def _assert_own_buffers(plan, backend):
+    """No plan array views a larger buffer, which would hold memory
+    that ``plan.nbytes`` does not count."""
     for name in FIELDS:
         got = getattr(plan, name)
-        assert got.dtype == (np.int64 if name == "keys" else np.int32), name
-        np.testing.assert_array_equal(got, ref[name], err_msg=name)
+        assert _buffer_nbytes(got) == got.nbytes, (backend, name)
+
+
+def _assert_matches_oracle(graph, data_home):
+    ref = _reference_plan(graph, data_home)
+    for backend, plan in _plans(graph, data_home):
+        assert plan.n_tasks == ref["n_tasks"], backend
+        assert plan.n_msgs == ref["n_msgs"], backend
+        for name in FIELDS:
+            got = getattr(plan, name)
+            assert got.dtype == (np.int64 if name == "keys"
+                                 else np.int32), (backend, name)
+            np.testing.assert_array_equal(got, ref[name],
+                                          err_msg=f"{backend} {name}")
+        _assert_own_buffers(plan, backend)
     return plan
 
 
@@ -191,6 +228,61 @@ def test_bytes_per_task_lu_p23_m64():
     for a in (rt, rp, indptr, deps):
         assert a.dtype == np.int32
     assert (rt.nbytes + rp.nbytes) / n <= 24
-    plan = get_plan(graph, home)
-    assert plan.node is cols.node
-    assert plan.nbytes / n <= 40
+    for backend, plan in _plans(graph, home):
+        assert plan.node is cols.node, backend
+        assert plan.nbytes / n <= 40, backend
+        _assert_own_buffers(plan, backend)
+
+
+@pytest.mark.slow
+def test_lowerings_agree_on_lu_large():
+    """The benchmark's ``lu-large`` graph (LU on G-2DBC(23) relabeled by
+    seed 0, m=160: 1.38M tasks, 4.1M reads, 98,464 messages): the C
+    lowering equals the NumPy one field by field."""
+    if not csim.available():
+        pytest.skip(f"compiled kernels unavailable: {csim.load_error()}")
+    perm = np.random.default_rng(0).permutation(23)
+    pattern = relabel_pattern(g2dbc(23), perm, nnodes=23)
+    graph, home = build_lu_graph(
+        TileDistribution(pattern, 160, symmetric=False), TILE)
+    plans = dict(_plans(graph, home))
+    c, py = plans["c"], plans["python"]
+    assert c.n_msgs == py.n_msgs == 98_464
+    for name in FIELDS:
+        a, b = getattr(c, name), getattr(py, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (lambda home: home[:-1], "entries for"),
+    (lambda home: np.where(np.arange(home.size) == 3, -1, home),
+     "names node -1"),
+], ids=["short", "negative"])
+def test_bad_data_home_is_rejected_by_name(bad, match):
+    """Under both lowerings, a short ``data_home`` or a negative entry
+    raises a named ``ValueError`` (not an ``IndexError``, nor a plan
+    that sends from node -1)."""
+    graph, home = _lu(5, 6)
+    for backend in available_sim_backends():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(BACKEND_ENV, backend)
+            with pytest.raises(ValueError, match=match):
+                build_plan(graph, bad(home))
+
+
+@pytest.mark.parametrize("bad,match", [
+    (lambda home: home[:-1], "entries for"),
+    (lambda home: np.where(np.arange(home.size) == 3, -1, home),
+     "names node -1"),
+    (lambda home: np.where(np.arange(home.size) == 3, 5, home),
+     "names node 5"),
+], ids=["short", "negative", "outside"])
+def test_bounds_reject_bad_data_home_like_simulate(bad, match):
+    """``schedule_lower_bounds`` checks its inputs as ``simulate``
+    does."""
+    graph, home = _lu(5, 6)
+    cluster = ClusterSpec(nnodes=5, cores_per_node=2, core_gflops=1.0,
+                          bandwidth_Bps=1e9, latency_s=1e-6, tile_size=TILE)
+    with pytest.raises(SimulationError, match=match):
+        schedule_lower_bounds(graph, cluster, data_home=bad(home))
