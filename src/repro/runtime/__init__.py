@@ -52,16 +52,14 @@ from .stats import (
     iteration_overlap,
 )
 from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
-from .tracefmt import assign_lanes, save_chrome_trace, text_gantt, to_chrome_trace
+from .tracefmt import save_chrome_trace, text_gantt
 
 __all__ = [
     "GraphBounds",
     "MemoryStats",
     "memory_footprint",
-    "assign_lanes",
     "save_chrome_trace",
     "text_gantt",
-    "to_chrome_trace",
     "critical_path",
     "makespan_bounds",
     "ClusterSpec",

@@ -54,6 +54,7 @@ import hashlib
 import heapq
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -512,9 +513,10 @@ def simulate_with_faults(
     inflight: Set[tuple] = set()          # (ref, dst) transfers underway
     out_records = RecordList() if record_tasks and trace_writer is None else None
     sink = out_records if trace_writer is None else trace_writer
-    # task records wait here for the run's end (an abort sets a slot None)
-    records: Optional[List[Optional[TaskRecord]]] = \
-        [] if sink is not None else None
+    # task records wait here for the run's end; an abort clears the
+    # record's entry in ``kept``
+    records: Optional[List[TaskRecord]] = [] if sink is not None else None
+    kept: List[bool] = []
     speeds = list(cluster.node_speeds) if cluster.node_speeds else None
 
     events: List[tuple] = []
@@ -582,6 +584,7 @@ def simulate_with_faults(
             if records is not None:
                 rec_idx = len(records)
                 records.append(TaskRecord(tid=tid, node=nd, start=t, end=t + dur))
+                kept.append(True)
             running[nd][tid] = (t, t + dur, dur, rec_idx)
             push_event(t + dur, EVENT_TASK_DONE, (tid, epoch[tid]))
 
@@ -678,8 +681,8 @@ def simulate_with_faults(
             epoch[tid] += 1
             state[tid] = _WAITING
             busy[f] -= end - t
-            if records is not None and rec_idx >= 0:
-                records[rec_idx] = None
+            if rec_idx >= 0:
+                kept[rec_idx] = False
             stats["aborted"] += 1
             fault_events.append(FaultEvent(
                 t, "abort", f, f"task {tid} started {start:.6g}"))
@@ -809,9 +812,8 @@ def simulate_with_faults(
         if fault_stats is not None:
             for e in fault_stats.events:
                 sink.write_fault(e)
-        for r in records:
-            if r is not None:
-                sink.write_task(r)
+        for r in compress(records, kept):
+            sink.write_task(r)
         sink.flush()
 
     return ExecutionTrace(
@@ -821,7 +823,6 @@ def simulate_with_faults(
         n_tasks=n_tasks,
         busy_time=np.asarray(busy, dtype=np.float64),
         net_stats=model.stats(),
-        task_records=out_records.tasks if out_records is not None else None,
-        msg_records=out_records.msgs if out_records is not None else None,
+        records=out_records,
         fault_stats=fault_stats,
     )

@@ -4,8 +4,9 @@ This is the object-based event loop exactly as it stood before the
 columnar refactor: it walks ``graph.tasks`` (one ``Task`` dataclass per
 kernel call), resolves producers through the ``graph.producer`` mapping
 and builds its dependency tables with per-task Python loops.  It is
-kept, verbatim except for the network-stats accessors and the message
-record sink the network model is bound to, for two purposes:
+kept, verbatim except for the network-stats accessors and the record
+sink (one :class:`~repro.runtime.trace.RecordList`, which the network
+model is bound to as well), for two purposes:
 
 * ``benchmarks/bench_graph.py`` measures the columnar speedup against
   this implementation live, on the same machine and inputs, driving it
@@ -137,7 +138,6 @@ def simulate_reference(
     ready: List[List[tuple]] = [[] for _ in range(cluster.nnodes)]
     busy = np.zeros(cluster.nnodes)
     done = np.zeros(n_tasks, dtype=bool)
-    records: Optional[List[TaskRecord]] = [] if record_tasks else None
 
     events: List[tuple] = []
     seq = 0
@@ -147,8 +147,8 @@ def simulate_reference(
         seq += 1
         heapq.heappush(events, (time, seq, etype, payload))
 
-    msg_sink = RecordList() if record_tasks else None
-    model.bind(cluster, push_event, writer=msg_sink)
+    records = RecordList() if record_tasks else None
+    model.bind(cluster, push_event, writer=records)
 
     def start_task(tid: int, t: float) -> None:
         task = tasks[tid]
@@ -156,7 +156,7 @@ def simulate_reference(
         busy[task.node] += dur
         push_event(t + dur, _TASK_DONE, tid)
         if records is not None:
-            records.append(TaskRecord(tid=tid, node=task.node, start=t, end=t + dur))
+            records.write_task(TaskRecord(tid=tid, node=task.node, start=t, end=t + dur))
 
     policy = cluster.scheduler
     enqueue_seq = 0
@@ -290,6 +290,5 @@ def simulate_reference(
         n_tasks=n_tasks,
         busy_time=busy,
         net_stats=model.stats(),
-        task_records=records,
-        msg_records=msg_sink.msgs if msg_sink is not None else None,
+        records=records,
     )

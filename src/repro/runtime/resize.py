@@ -48,7 +48,7 @@ from .graph import TaskGraph, TaskKind
 from .network import (EAGER_THRESHOLD_BYTES, EVENT_MSG_ARRIVE,
                       EVENT_NET_INTERNAL, ContentionModel, HierarchicalModel,
                       NetworkModel, NetworkStats, make_network)
-from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
+from .trace import ExecutionTrace, RecordList, hand_batch
 
 __all__ = ["ResizeEvent", "MigrationStats", "parse_resize",
            "simulate_with_resize"]
@@ -155,8 +155,9 @@ def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       model: NetworkModel):
     """Replay the plan's transfers on ``model``, re-bound to ``cluster``.
 
-    Returns ``(makespan, msg_records, NetworkStats)``; times start at 0
-    (the caller shifts them past the drain point).
+    Returns ``(makespan, message columns, NetworkStats)``, the columns
+    as :meth:`~repro.runtime.trace.RecordList.msg_columns` gives them;
+    times start at 0 (the caller shifts them past the drain point).
     """
     events: list = []
     seq = 0
@@ -179,7 +180,7 @@ def _replay_migration(moved: np.ndarray, src: np.ndarray, dst: np.ndarray,
         elif etype == EVENT_NET_INTERNAL:
             if model.on_internal(payload, now):
                 makespan = now
-    return makespan, sink.msgs, model.stats()
+    return makespan, sink.msg_columns(), model.stats()
 
 
 def _pad(arr: np.ndarray, n: int) -> np.ndarray:
@@ -211,64 +212,83 @@ def _combine_stats(parts: List[NetworkStats], nnodes: int,
                         **out, **scalars)
 
 
-def _stats_from_msgs(msgs: List[MsgRecord], nnodes: int,
-                     model: NetworkModel, cluster: ClusterSpec) -> NetworkStats:
+def _stats_from_msgs(msgs, nnodes: int, model: NetworkModel,
+                     cluster: ClusterSpec) -> NetworkStats:
     """Stats of the drained prefix of a resize run from its message
-    records, which ran on ``cluster`` under a ``model`` of its kind.
+    columns (:meth:`~repro.runtime.trace.RecordList.msg_columns`),
+    which ran on ``cluster`` under a ``model`` of its kind (``model``
+    is bound to ``cluster`` here).
 
-    Busy seconds are taken as each record's wall span at its endpoints —
-    an upper estimate for overlapping flows, but deterministic and
-    model-agnostic.  The protocol and link counts are the ones the
-    model's own :meth:`~NetworkModel.stats` reports: ``"nic"`` keeps
-    none; the contention family calls a message eager up to
-    :data:`~repro.runtime.network.EAGER_THRESHOLD_BYTES` and rendezvous
-    above it, and bills it to the bisection link (``link_bytes``)
-    unless both ranks share a machine; ``"hierarchical"`` takes its
-    machines from ``cluster.topology().rank_nodes`` and also reports
-    the inter/intra split.  The prefix's ``link_busy`` and
-    ``intra_link_busy`` stay uncounted: the records do not tell how
-    long flows shared a link.
+    Per-node counts and sums are bincounts over the endpoints; busy
+    seconds are each record's wall span at its endpoints — an upper
+    estimate for overlapping flows, but deterministic.  The other
+    fields are the ones the model's own :meth:`~NetworkModel.stats`
+    reports, from the machine map and latencies of its
+    :meth:`~NetworkModel.engine_args`: ``"nic"`` keeps none; the
+    contention family counts eager messages (up to
+    :data:`~repro.runtime.network.EAGER_THRESHOLD_BYTES`) and
+    rendezvous ones, bills inter-machine bytes to the bisection link,
+    and counts a link busy while it carries a flow: from a message's
+    ``start`` plus the link's latency until its ``end``, as the union
+    of those intervals (summed over machines for ``intra_link_busy``);
+    ``"hierarchical"`` also reports the inter/intra split.
     """
-    msgs_sent = np.zeros(nnodes, dtype=np.int64)
-    msgs_recv = np.zeros(nnodes, dtype=np.int64)
-    bytes_sent = np.zeros(nnodes)
-    bytes_recv = np.zeros(nnodes)
-    tx_busy = np.zeros(nnodes)
-    rx_busy = np.zeros(nnodes)
-    for m in msgs:
-        msgs_sent[m.src] += 1
-        msgs_recv[m.dst] += 1
-        bytes_sent[m.src] += m.nbytes
-        bytes_recv[m.dst] += m.nbytes
-        span = m.end - m.start
-        tx_busy[m.src] += span
-        rx_busy[m.dst] += span
-    out = NetworkStats(model=model.name, msgs_sent=msgs_sent,
-                       msgs_recv=msgs_recv, bytes_sent=bytes_sent,
-                       bytes_recv=bytes_recv, tx_busy=tx_busy,
-                       rx_busy=rx_busy)
+    _, _, src, dst, start, end, nbytes = msgs
+    span = end - start
+    out = NetworkStats(
+        model=model.name,
+        msgs_sent=np.bincount(src, minlength=nnodes),
+        msgs_recv=np.bincount(dst, minlength=nnodes),
+        bytes_sent=_sums(src, nbytes, nnodes),
+        bytes_recv=_sums(dst, nbytes, nnodes),
+        tx_busy=_sums(src, span, nnodes),
+        rx_busy=_sums(dst, span, nnodes))
     if not isinstance(model, ContentionModel):
         return out
-    out.n_eager = sum(m.nbytes <= EAGER_THRESHOLD_BYTES for m in msgs)
-    out.n_rendezvous = len(msgs) - out.n_eager
+    out.n_eager = int(np.count_nonzero(nbytes <= EAGER_THRESHOLD_BYTES))
+    out.n_rendezvous = len(src) - out.n_eager
+    model.bind(cluster, None)
+    args = model.engine_args()
+    machine = np.asarray(args["machine"])
+    lat_inter, lat_intra = args["latencies"]
+    inter = machine[src] != machine[dst]
+    out.link_busy = _busy_time(start[inter] + lat_inter, end[inter])
+    intra = ~inter
+    owner = machine[src[intra]]
+    lo, hi = start[intra] + lat_intra, end[intra]
+    out.intra_link_busy = sum((_busy_time(lo[owner == m], hi[owner == m])
+                               for m in np.unique(owner).tolist()), 0.0)
     if not isinstance(model, HierarchicalModel):
-        out.link_bytes = float(bytes_sent.sum())  # one rank per machine
+        out.link_bytes = float(out.bytes_sent.sum())  # one rank per machine
         return out
-    machine = cluster.topology().rank_nodes
-    for m in msgs:
-        if machine[m.src] == machine[m.dst]:
-            out.intra_msgs += 1
-            out.intra_bytes += m.nbytes
-        else:
-            out.inter_msgs += 1
-            out.inter_bytes += m.nbytes
-    out.link_bytes = out.inter_bytes
+    out.inter_msgs = int(np.count_nonzero(inter))
+    out.intra_msgs = len(src) - out.inter_msgs
+    intra_bytes, inter_bytes = _sums(inter, nbytes, 2)
+    out.intra_bytes = float(intra_bytes)
+    out.inter_bytes = out.link_bytes = float(inter_bytes)
     return out
 
 
-def _shift_msg(m: MsgRecord, dt: float) -> MsgRecord:
-    return MsgRecord(data=m.data, version=m.version, src=m.src, dst=m.dst,
-                     start=m.start + dt, end=m.end + dt, nbytes=m.nbytes)
+def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sum of ``weights`` per value of ``index`` in ``[0, n)``, added in
+    record order (as a loop over the records adds them)."""
+    return np.bincount(index, weights=weights, minlength=n).astype(
+        np.float64, copy=False)
+
+
+def _busy_time(lo: np.ndarray, hi: np.ndarray) -> float:
+    """Length of the union of the intervals ``[lo, hi)``."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    # how far the intervals before each one reach
+    reach = np.concatenate(([-np.inf], np.maximum.accumulate(hi)[:-1]))
+    return float(np.maximum(hi - np.maximum(lo, reach), 0.0).sum())
+
+
+def _shift(msgs, dt: float) -> tuple:
+    """Message columns with their times moved ``dt`` later."""
+    data, version, src, dst, start, end, nbytes = msgs
+    return data, version, src, dst, start + dt, end + dt, nbytes
 
 
 # ----------------------------------------------------------------------
@@ -357,20 +377,18 @@ def simulate_with_resize(
     sink = records if trace_writer is None else trace_writer
 
     # -- phase A: the unresized run; its prefix before t is the drain --
-    trace_a = simulate(graph, cluster, data_home=data_home,
-                       record_tasks=True, network=network)
+    run_a = RecordList()
+    trace_a = simulate(graph, cluster, data_home=data_home, network=network,
+                       trace_writer=run_a)
     t0 = resize.time
-    recs_a = trace_a.task_records or []
-    done_recs = [r for r in recs_a if r.start < t0]
+    tid_a, node_a, start_a, end_a = run_a.task_columns()
+    done = start_a < t0
     done_mask = np.zeros(cols.n_tasks, dtype=bool)
-    for r in done_recs:
-        done_mask[r.tid] = True
-    msgs_a = [m for m in (trace_a.msg_records or []) if m.start < t0]
-    drain_end = t0
-    for r in done_recs:
-        drain_end = max(drain_end, r.end)
-    for m in msgs_a:
-        drain_end = max(drain_end, m.end)
+    done_mask[tid_a[done]] = True
+    msgs_a = run_a.msg_columns()
+    msgs_a = tuple(c[msgs_a[4] < t0] for c in msgs_a)
+    drain_end = float(np.concatenate(([t0], end_a[done], msgs_a[5])).max())
+    prefix_stats = _stats_from_msgs(msgs_a, nmax, model, cluster)
 
     # done writes per datum = versions drained so far (a dense prefix)
     drained = np.bincount(cols.write_data[done_mask], minlength=n_data)
@@ -385,6 +403,7 @@ def simulate_with_resize(
     rem_mask = ~done_mask
     rem_ids = np.flatnonzero(rem_mask)
     offset = drain_end + migration_s
+    run_b = RecordList() if sink is not None else None
     if rem_ids.size:
         wd = cols.write_data[rem_mask]
         wv = cols.write_version[rem_mask] - drained[wd]
@@ -412,7 +431,7 @@ def simulate_with_resize(
         graph_b = TaskGraph.from_columns(
             cat, n_data, nmax, float(cols.flops[rem_mask].sum()))
         trace_b = simulate(graph_b, cluster_b, data_home=new_home,
-                           record_tasks=sink is not None, network=network)
+                           network=network, trace_writer=run_b)
     else:
         trace_b = None
 
@@ -432,10 +451,8 @@ def simulate_with_resize(
     # -- stitch the combined trace ----------------------------------
     makespan_b = trace_b.makespan if trace_b is not None else 0.0
     makespan = offset + makespan_b
-    busy = np.zeros(nmax)
-    for r in done_recs:
-        busy[r.node] += r.end - r.start
-    parts = [_stats_from_msgs(msgs_a, nmax, model, cluster), mig_stats]
+    busy = _sums(node_a[done], end_a[done] - start_a[done], nmax)
+    parts = [prefix_stats, mig_stats]
     if trace_b is not None:
         busy += trace_b.busy_time
         parts.append(trace_b.net_stats)
@@ -451,7 +468,7 @@ def simulate_with_resize(
         tiles_moved=plan.tiles_moved,
         tiles_moved_identity=plan.tiles_moved_identity,
         bytes_moved=float(plan.bytes_total),
-        tasks_done=len(done_recs),
+        tasks_done=int(done.sum()),
         tasks_remaining=int(rem_ids.size),
         makespan_source_s=t_old,
         makespan_target_s=t_new,
@@ -460,22 +477,22 @@ def simulate_with_resize(
     )
 
     if sink is not None:
-        task_records = list(done_recs)
+        # one batch: every task by (start, tid), then the prefix's, the
+        # migration's and the resumed phase's messages
+        node, start, end = (np.empty_like(c) for c in (node_a, start_a, end_a))
+        node[tid_a], start[tid_a], end[tid_a] = node_a, start_a, end_a
+        msgs = [msgs_a, _shift(mig_msgs, drain_end)]
         if trace_b is not None:
-            for r in trace_b.task_records:
-                task_records.append(TaskRecord(
-                    tid=int(rem_ids[r.tid]), node=r.node,
-                    start=r.start + offset, end=r.end + offset))
-        task_records.sort(key=lambda r: (r.start, r.tid))
-        for r in task_records:
-            sink.write_task(r)
-        for m in msgs_a:
-            sink.write_msg(m)
-        for m in mig_msgs:
-            sink.write_msg(_shift_msg(m, drain_end))
-        if trace_b is not None:
-            for m in trace_b.msg_records:
-                sink.write_msg(_shift_msg(m, offset))
+            # the tasks that had not started by t ran in phase B
+            tid_b, node_b, start_b, end_b = run_b.task_columns()
+            tid_b = rem_ids[tid_b]
+            node[tid_b], start[tid_b], end[tid_b] = \
+                node_b, start_b + offset, end_b + offset
+            msgs.append(_shift(run_b.msg_columns(), offset))
+        msg_cols = [np.concatenate(c) for c in zip(*msgs)]
+        log = np.concatenate((np.argsort(start, kind="stable"),
+                              -1 - np.arange(len(msg_cols[0]))))
+        hand_batch(sink, log, node, start, end, *msg_cols)
         sink.write_resize(stats)
 
     return ExecutionTrace(
@@ -485,7 +502,6 @@ def simulate_with_resize(
         n_tasks=cols.n_tasks,
         busy_time=busy,
         net_stats=net_stats,
-        task_records=records.tasks if records is not None else None,
-        msg_records=records.msgs if records is not None else None,
+        records=records,
         resize_stats=stats,
     )

@@ -61,16 +61,17 @@ model.  Every engine (this module's two loops, the fault loop and the
 resize stitch) hands its task and message records to one sink, a
 :class:`~repro.runtime.trace.TraceWriter`: the caller's
 ``trace_writer=``, or for ``record_tasks=True`` alone a
-:class:`~repro.runtime.trace.RecordList`, whose lists the returned
-trace carries.  With a writer the Python loop holds only the writer's
-buffer; a compiled run also holds its recording columns (24 bytes per
-task, 32 per message) until the sink's batch hook returns.
+:class:`~repro.runtime.trace.RecordList`, which keeps the records as
+columns (a compiled run's batch as it is handed over) and which the
+returned trace carries as ``records``.  With a writer the Python loop
+holds only the writer's buffer; a compiled run also holds its recording
+columns (24 bytes per task, 32 per message) until the sink's batch hook
+returns.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -87,7 +88,8 @@ from .network import (
 )
 from .schedulers import make_scheduler
 from .simplan import get_plan
-from .trace import ExecutionTrace, RecordList, TaskRecord, TraceWriter
+from .trace import (ExecutionTrace, RecordList, TaskRecord, TraceWriter,
+                    hand_batch)
 
 __all__ = ["simulate", "SimulationError", "python_loop_reason"]
 
@@ -182,10 +184,10 @@ def simulate(
         under owner-computes with our builders, but supported).
     record_tasks:
         Keep per-task start/end times and per-message records in
-        memory on the returned trace, as ``task_records`` and
-        ``msg_records`` (memory-heavy for large graphs — prefer
-        ``trace_writer`` beyond ~1M tasks).  With a ``trace_writer``
-        the records go to the writer only.
+        memory on the returned trace, as the columns of its
+        ``records`` (``task_records`` and ``msg_records`` are views of
+        them; prefer ``trace_writer`` beyond ~1M tasks).  With a
+        ``trace_writer`` the records go to the writer only.
     network:
         Registry name of the communication model: ``None``/``"nic"``
         (legacy, sender-side serialization only), ``"contention"`` or
@@ -210,10 +212,9 @@ def simulate(
         to the writer's ``write_batch`` as columns once it ends (a
         writer without that hook gets the same records, in the same
         order, through ``write_task``/``write_msg``).  The returned
-        trace then has ``task_records is None`` and ``msg_records is
-        None``, also for fault and resize runs; the caller owns the
-        writer's lifecycle (``close()``).  The event schedule is
-        identical with or without a writer.
+        trace then has ``records is None``, also for fault and resize
+        runs; the caller owns the writer's lifecycle (``close()``).
+        The event schedule is identical with or without a writer.
     resize:
         A :class:`~repro.runtime.resize.ResizeEvent`, a ``"P@t"`` spec
         string for :func:`~repro.runtime.resize.parse_resize`, or
@@ -258,9 +259,7 @@ def simulate(
         return ExecutionTrace(
             cluster=cluster, makespan=0.0, total_flops=0.0, n_tasks=0,
             busy_time=np.zeros(cluster.nnodes), net_stats=model.stats(),
-            task_records=records.tasks if records is not None else None,
-            msg_records=records.msgs if records is not None else None,
-        )
+            records=records)
     cols = graph.columns
 
     # all dependency/message tables come vectorized from the cached plan
@@ -594,8 +593,7 @@ def simulate(
         n_tasks=n_tasks,
         busy_time=np.asarray(busy, dtype=np.float64),
         net_stats=model.stats(),
-        task_records=records.tasks if records is not None else None,
-        msg_records=records.msgs if records is not None else None,
+        records=records,
     )
 
 
@@ -619,14 +617,10 @@ def _run_compiled(graph: TaskGraph, cluster: ClusterSpec, plan, dur_a,
                  cluster.message_time(), record=sink is not None,
                  keys=sched.static_keys(plan, graph, cluster, dur_a), **kw)
     if sink is not None:
-        # a duck-typed sink without the batch hook gets the base
-        # class's per-record replay
-        write_batch = getattr(sink, "write_batch", None) \
-            or partial(TraceWriter.write_batch, sink)
-        write_batch(res.log, res.node, res.task_start, res.task_end,
-                    plan.msg_data, plan.msg_version, plan.msg_src,
-                    plan.msg_dst, res.msg_start, res.msg_arrive,
-                    np.full(plan.n_msgs, kw.get("nbytes", cluster.tile_bytes)))
+        hand_batch(sink, res.log, res.node, res.task_start, res.task_end,
+                   plan.msg_data, plan.msg_version, plan.msg_src,
+                   plan.msg_dst, res.msg_start, res.msg_arrive,
+                   np.full(plan.n_msgs, kw.get("nbytes", cluster.tile_bytes)))
     n_tasks = len(graph)
     if res.completed != n_tasks:
         _raise_deadlock(graph, n_tasks, res.completed,
@@ -639,8 +633,7 @@ def _run_compiled(graph: TaskGraph, cluster: ClusterSpec, plan, dur_a,
         n_tasks=n_tasks,
         busy_time=res.busy,
         net_stats=model.stats(),
-        task_records=records.tasks if records is not None else None,
-        msg_records=records.msgs if records is not None else None,
+        records=records,
     )
 
 

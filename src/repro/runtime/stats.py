@@ -101,11 +101,14 @@ def extract_critical_path(trace: ExecutionTrace, graph: TaskGraph) -> List[int]:
     waited for).  The returned chain is ordered first → last.  Gaps
     between a predecessor's end and a task's start are communication or
     queueing delay — :func:`critical_path_breakdown` quantifies them.
+    An empty run has an empty path.
     """
     if trace.task_records is None:
         raise ValueError("trace has no task records; simulate with record_tasks=True")
     end = {r.tid: r.end for r in trace.task_records}
     path: List[int] = []
+    if not end:
+        return path
     cur = max(end, key=end.get)  # type: ignore[arg-type]
     while True:
         path.append(cur)
@@ -124,7 +127,8 @@ def critical_path_breakdown(trace: ExecutionTrace, graph: TaskGraph) -> Dict[str
     (communication + queueing between consecutive chain tasks), the
     chain length, and the fraction of the makespan the chain covers —
     the quantitative version of the paper's "is this run
-    dependency-limited?" discussions.
+    dependency-limited?" discussions.  An empty run has no chain:
+    zero tasks, zero times and zero coverage.
     """
     path = extract_critical_path(trace, graph)
     rec = {r.tid: r for r in trace.task_records or ()}
@@ -132,7 +136,8 @@ def critical_path_breakdown(trace: ExecutionTrace, graph: TaskGraph) -> Dict[str
     wait = 0.0
     for prev, cur in zip(path, path[1:]):
         wait += max(0.0, rec[cur].start - rec[prev].end)
-    wait += max(0.0, rec[path[0]].start)
+    if path:
+        wait += max(0.0, rec[path[0]].start)
     kind_col = graph.columns.kind
     for tid in path:
         kind = KIND_NAMES[kind_col[tid]]
@@ -143,7 +148,7 @@ def critical_path_breakdown(trace: ExecutionTrace, graph: TaskGraph) -> Dict[str
         "n_tasks": len(path),
         "time_by_kind": time_by_kind,
         "wait_time": wait,
-        "task_time": sum(time_by_kind.values()),
+        "task_time": sum(time_by_kind.values(), 0.0),
         "coverage": (sum(time_by_kind.values()) + wait) / span,
     }
 

@@ -1,9 +1,18 @@
-"""Execution traces and derived performance metrics."""
+"""Execution traces and derived performance metrics.
+
+A run hands its records to one sink, a :class:`TraceWriter`;
+``record_tasks=True`` alone uses a :class:`RecordList`, which keeps
+them as columns and which the :class:`ExecutionTrace` carries as
+``records``.  ``task_records``/``msg_records`` are views of it,
+``to_canonical`` hashes its columns, and
+:func:`~repro.runtime.tracefmt.save_chrome_trace` replays it into a
+:class:`~repro.runtime.tracefmt.ChromeTraceWriter`.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -17,7 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .network import NetworkStats
 
 __all__ = ["TaskRecord", "MsgRecord", "TraceWriter", "RecordList",
-           "ExecutionTrace"]
+           "ExecutionTrace", "hand_batch"]
+
+#: column dtypes of task records (tid, node, start, end) and of message
+#: records (data, version, src, dst, start, end, nbytes)
+TASK_DTYPES = (np.int64, np.int64, np.float64, np.float64)
+MSG_DTYPES = (np.int64,) * 4 + (np.float64,) * 3
 
 
 @dataclass(frozen=True)
@@ -53,10 +67,10 @@ class TraceWriter:
     Pass an instance as ``simulate(..., trace_writer=...)`` and the
     simulator (and the bound network model) will hand every
     :class:`TaskRecord` and :class:`MsgRecord` to :meth:`write_task` /
-    :meth:`write_msg` in production order, instead of accumulating
-    Python lists on the trace (``record_tasks=True`` alone uses a
-    :class:`RecordList`).  The Python loop writes each record the
-    moment it is produced, so recording memory is the writer's buffer.
+    :meth:`write_msg` in production order, instead of recording them on
+    the trace (``record_tasks=True`` alone uses a :class:`RecordList`).
+    The Python loop writes each record the moment it is produced, so
+    recording memory is the writer's buffer.
     The compiled loop hands its whole run to :meth:`write_batch` once
     it ends, as columns: 24 bytes per task and 32 per message.
 
@@ -127,16 +141,136 @@ class TraceWriter:
 
 
 class RecordList(TraceWriter):
-    """In-memory sink behind ``record_tasks=True``: records accumulate,
-    in production order, in :attr:`tasks` and :attr:`msgs`."""
+    """In-memory sink behind ``record_tasks=True``: the run's records as
+    columns, with every call that handed them over, in call order.
+
+    A :meth:`write_batch` is kept as the arrays it hands over, records
+    written one by one have their fields appended to column buffers,
+    and :meth:`write_fault`/:meth:`write_resize` calls keep their place
+    between them.  :meth:`task_columns`/:meth:`msg_columns` give every
+    record as arrays, in record order; :attr:`tasks`/:attr:`msgs` are
+    read-only lists of record objects built on first access, so a
+    compiled run recorded here builds none until one is read.
+    :meth:`replay` hands the recording to another sink, call for call.
+    """
 
     def __init__(self) -> None:
-        self.tasks: List[TaskRecord] = []
-        self.msgs: List[MsgRecord] = []
-        # the event loops call these once per record: bind the list
-        # appends directly instead of going through a method frame
-        self.write_task = self.tasks.append
-        self.write_msg = self.msgs.append
+        #: ``(kind, payload)`` per call: ``"batch"`` and its columns,
+        #: ``"records"`` and the buffers ``(is_task, task columns,
+        #: message columns)``, ``"fault"``/``"resize"`` and the argument
+        self._calls: List[tuple] = []
+        self._buf: Optional[tuple] = None  # the buffers, while open
+        self._cache: Dict[object, object] = {}
+
+    def _add(self, kind: str, payload) -> None:
+        self._calls.append((kind, payload))
+        self._buf = payload if kind == "records" else None
+        self._cache.clear()
+
+    def _records(self) -> tuple:
+        if self._buf is None:
+            self._add("records", ([], tuple([] for _ in TASK_DTYPES),
+                                  tuple([] for _ in MSG_DTYPES)))
+        return self._buf
+
+    def write_task(self, rec: TaskRecord) -> None:
+        is_task, cols, _ = self._records()
+        is_task.append(True)
+        for col, value in zip(cols, (rec.tid, rec.node, rec.start, rec.end)):
+            col.append(value)
+
+    def write_msg(self, rec: MsgRecord) -> None:
+        is_task, _, cols = self._records()
+        is_task.append(False)
+        for col, value in zip(cols, (rec.data, rec.version, rec.src, rec.dst,
+                                     rec.start, rec.end, rec.nbytes)):
+            col.append(value)
+
+    def write_batch(self, *columns) -> None:
+        self._add("batch", columns)
+
+    def write_fault(self, event) -> None:
+        self._add("fault", event)
+
+    def write_resize(self, stats) -> None:
+        self._add("resize", stats)
+
+    # ------------------------------------------------------------------
+    def task_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(tid, node, start, end)`` of every task record."""
+        return self._columns(0, TASK_DTYPES)
+
+    def msg_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(data, version, src, dst, start, end, nbytes)`` of every
+        message record."""
+        return self._columns(1, MSG_DTYPES)
+
+    def _columns(self, which: int, dtypes) -> Tuple[np.ndarray, ...]:
+        if which not in self._cache:
+            self._buf = None  # a later write opens new buffers
+            parts = []
+            for kind, payload in self._calls:
+                if kind == "records":
+                    parts.append(payload[1 + which])
+                elif kind == "batch":
+                    log, node, start, end, *msg = payload
+                    if which == 0:
+                        tid = log[log >= 0]
+                        parts.append((tid, node[tid], start[tid], end[tid]))
+                    else:
+                        uid = -1 - log[log < 0]
+                        parts.append([c[uid] for c in msg])
+            self._cache[which] = tuple(
+                np.concatenate([np.asarray(p[i], dtype=dt) for p in parts])
+                if parts else np.empty(0, dtype=dt)
+                for i, dt in enumerate(dtypes))
+        return self._cache[which]
+
+    @property
+    def tasks(self) -> List[TaskRecord]:
+        """The task records, in record order."""
+        return self._view(TaskRecord, self.task_columns)
+
+    @property
+    def msgs(self) -> List[MsgRecord]:
+        """The message records, in record order."""
+        return self._view(MsgRecord, self.msg_columns)
+
+    def _view(self, record, columns) -> list:
+        if record not in self._cache:
+            self._cache[record] = list(
+                map(record, *(c.tolist() for c in columns())))
+        return self._cache[record]
+
+    def replay(self, writer: TraceWriter) -> None:
+        """Hand the recording to ``writer``, call for call: each batch
+        through :func:`hand_batch`, records written one by one to its
+        per-record hooks, in their order."""
+        for kind, payload in self._calls:
+            if kind == "batch":
+                hand_batch(writer, *payload)
+            elif kind == "records":
+                is_task, task_cols, msg_cols = payload
+                tasks = map(TaskRecord, *task_cols)
+                msgs = map(MsgRecord, *msg_cols)
+                for flag in is_task:
+                    if flag:
+                        writer.write_task(next(tasks))
+                    else:
+                        writer.write_msg(next(msgs))
+            else:
+                getattr(writer, "write_" + kind)(payload)
+
+
+def hand_batch(sink, *columns) -> None:
+    """Hand the columns of :meth:`TraceWriter.write_batch` to ``sink``:
+    to its batch hook, or, for a duck-typed sink without one, to the
+    base class's replay into its per-record hooks."""
+    hook = getattr(sink, "write_batch", None)
+    if hook is None:
+        TraceWriter.write_batch(sink, *columns)
+    else:
+        hook(*columns)
 
 
 @dataclass
@@ -147,8 +281,9 @@ class ExecutionTrace:
     :class:`~repro.runtime.network.NetworkStats` of the run's network
     model.  ``network``, ``n_messages``, ``bytes_sent``,
     ``sent_messages`` and ``recv_messages`` are read-only views of it.
-    ``task_records`` and ``msg_records`` are filled only by a
-    ``record_tasks=True`` run without a ``trace_writer``.
+    ``records`` is the :class:`RecordList` of a ``record_tasks=True``
+    run without a ``trace_writer`` (``None`` otherwise), and
+    ``task_records`` and ``msg_records`` are read-only views of it.
     """
 
     cluster: ClusterSpec
@@ -157,13 +292,22 @@ class ExecutionTrace:
     n_tasks: int
     busy_time: np.ndarray  #: per-node total core-busy seconds
     net_stats: "NetworkStats"  #: the run's communication ledger
-    task_records: Optional[List[TaskRecord]] = None
-    msg_records: Optional[List[MsgRecord]] = None  #: per-message tracing
+    records: Optional[RecordList] = None  #: the recorded run, as columns
     fault_stats: Optional["FaultStats"] = None  #: degraded-run observability
     resize_stats: Optional["MigrationStats"] = None  #: elastic-resize observability
     #: policy-universal lower bounds (cost/schedbounds.py), attached by
     #: callers that want distance-from-optimal reporting
     sched_bounds: Optional["ScheduleBounds"] = None
+
+    @property
+    def task_records(self) -> Optional[List[TaskRecord]]:
+        """Task records of a recorded run, in record order."""
+        return None if self.records is None else self.records.tasks
+
+    @property
+    def msg_records(self) -> Optional[List[MsgRecord]]:
+        """Message records of a recorded run, in record order."""
+        return None if self.records is None else self.records.msgs
 
     @property
     def network(self) -> str:
@@ -299,17 +443,15 @@ class ExecutionTrace:
             "sent_messages": [int(x) for x in self.sent_messages],
             "recv_messages": [int(x) for x in self.recv_messages],
         }
-        if self.task_records is not None:
-            blob = ";".join(
-                f"{r.tid},{r.node},{float(r.start).hex()},{float(r.end).hex()}"
-                for r in self.task_records)
-            out["task_records_sha256"] = hashlib.sha256(blob.encode()).hexdigest()
-        if self.msg_records is not None:
-            blob = ";".join(
-                f"{m.data},{m.version},{m.src},{m.dst},"
-                f"{float(m.start).hex()},{float(m.end).hex()}"
-                for m in self.msg_records)
-            out["msg_records_sha256"] = hashlib.sha256(blob.encode()).hexdigest()
+        if self.records is not None:
+            # one "field,...;" row per record, floats as float.hex
+            for key, cols in (
+                    ("task_records_sha256", self.records.task_columns()),
+                    ("msg_records_sha256", self.records.msg_columns()[:6])):
+                rows = zip(*(map(float.hex if c.dtype.kind == "f" else str,
+                                 c.tolist()) for c in cols))
+                blob = ";".join(map(",".join, rows))
+                out[key] = hashlib.sha256(blob.encode()).hexdigest()
         if self.sched_bounds is not None:
             # only present when bounds were attached — existing golden
             # traces (no bounds) are untouched

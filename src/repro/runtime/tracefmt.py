@@ -1,13 +1,17 @@
 """Execution trace export: Chrome tracing JSON and text Gantt.
 
-``to_chrome_trace`` emits the ``chrome://tracing`` / Perfetto event
-format so a simulated schedule can be inspected interactively —
+A simulated run has one Chrome-tracing schema, the stream
+:class:`ChromeTraceWriter` writes — the ``chrome://tracing`` / Perfetto
+event format, so a simulated schedule can be inspected interactively,
 the same workflow StarPU users apply to real traces (Section II-C's
-runtime does exactly this with FxT/ViTE).  Besides the per-task "X"
-slices, v2 traces also carry counter ("C") events: per-node running
-tasks, cumulative bytes sent per node, and — when the trace was
-produced by the contention network model — the number of flows in
-flight on the shared bisection link.
+runtime does exactly this with FxT/ViTE).  A run streams into it as
+``simulate(..., trace_writer=ChromeTraceWriter(path))``;
+:func:`save_chrome_trace` writes a ``record_tasks=True`` run's file
+afterwards by replaying the run's recording into the same writer, so
+both give the same bytes.  Per task the file holds an "X" slice on its
+node's process; per message an "X" slice on the synthetic network
+process plus its sender's cumulative ``bytes_sent_total`` counter;
+then fault instants, the resize migration lane and process names.
 """
 
 from __future__ import annotations
@@ -21,33 +25,17 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .graph import KIND_NAMES, TaskGraph
-from .trace import ExecutionTrace, MsgRecord, TaskRecord, TraceWriter
+from .trace import (MSG_DTYPES, TASK_DTYPES, ExecutionTrace, MsgRecord,
+                    TaskRecord, TraceWriter)
 
-__all__ = ["to_chrome_trace", "save_chrome_trace", "text_gantt", "assign_lanes",
-           "ChromeTraceWriter"]
+__all__ = ["save_chrome_trace", "text_gantt", "ChromeTraceWriter"]
 
-#: pid used for the synthetic "network" process that carries link counters
+#: pid of the synthetic "network" process: message slices and the
+#: cluster-wide fault and resize events
 NETWORK_PID = 1 << 20
 
 #: the float formatting ``json.dumps`` applies to finite numbers
 _frepr = float.__repr__
-
-
-def assign_lanes(records) -> Dict[int, int]:
-    """Pack task records into per-node worker lanes.
-
-    Uses a per-node min-heap of ``(free_time, lane)`` — a record reuses
-    the earliest-freed lane when that lane is free by its start time,
-    otherwise opens a new lane.  Greedy-by-start with earliest-free
-    reuse is optimal, so the lane count per node equals the peak task
-    concurrency on that node and never exceeds ``cores_per_node``.
-
-    Returns ``{tid: lane}``.
-    """
-    recs = sorted(records, key=lambda r: (r.start, r.end, r.tid))
-    lanes = _lanes({}, [r.node for r in recs], [r.start for r in recs],
-                   [r.end for r in recs])
-    return {r.tid: lane for r, lane in zip(recs, lanes)}
 
 
 def _lanes(heaps: Dict[int, List[tuple]], pids: List[int],
@@ -70,76 +58,6 @@ def _lanes(heaps: Dict[int, List[tuple]], pids: List[int],
             push(heap, (end, lane))
         append(lane)
     return lanes
-
-
-def to_chrome_trace(trace: ExecutionTrace, graph: Optional[TaskGraph] = None) -> List[dict]:
-    """Convert task records into Chrome-tracing "complete" (X) events.
-
-    Requires the trace to have been produced with ``record_tasks=True``.
-    Each node becomes a process; workers are packed into threads with
-    :func:`assign_lanes` (heap-based, so lane count equals the node's
-    peak concurrency).  Counter events add per-node running-task and
-    cumulative-bytes-sent series, plus an in-flight-flows series for
-    the contention model's shared link.
-    """
-    if trace.task_records is None:
-        raise ValueError("trace has no task records; simulate with record_tasks=True")
-
-    events: List[dict] = []
-    lanes = assign_lanes(trace.task_records)
-    seen_nodes = set()
-    label = graph.task_labeler() if graph is not None else None
-    for rec in trace.task_records:
-        seen_nodes.add(rec.node)
-        name = label(rec.tid) if label is not None else f"task {rec.tid}"
-        events.append({
-            "name": name,
-            "cat": "task",
-            "ph": "X",
-            "ts": rec.start * 1e6,   # microseconds
-            "dur": (rec.end - rec.start) * 1e6,
-            "pid": rec.node,
-            "tid": lanes[rec.tid],
-        })
-    for node in seen_nodes:
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": node,
-            "args": {"name": f"node {node}"},
-        })
-    events.extend(_counter_events(trace))
-    events.extend(_fault_events(trace))
-    events.extend(_resize_events(trace))
-    events.extend(_bound_events(trace))
-    return events
-
-
-def _bound_events(trace: ExecutionTrace) -> List[dict]:
-    """Counter ("C") series for the distance-from-optimal layer.
-
-    Present only when the trace carries
-    :class:`~repro.cost.schedbounds.ScheduleBounds`: a flat
-    ``optimality_ratio`` series spanning the run (one sample at t=0 and
-    one at the makespan, so Perfetto draws the level against the task
-    slices) on the synthetic network process.
-    """
-    if trace.sched_bounds is None:
-        return []
-    ratio = trace.optimality_ratio
-    if ratio == float("inf"):
-        return []
-    events = [
-        {"name": "optimality_ratio", "ph": "C", "ts": t * 1e6,
-         "pid": NETWORK_PID, "args": {"ratio": ratio}}
-        for t in (0.0, trace.makespan)
-    ]
-    if not trace.msg_records:
-        # _counter_events only names the network process when message
-        # records exist
-        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
-                       "args": {"name": f"network ({trace.network})"}})
-    return events
 
 
 def _fault_event(ev) -> dict:
@@ -184,94 +102,6 @@ def _resize_pair(rs) -> List[dict]:
     ]
 
 
-def _fault_events(trace: ExecutionTrace) -> List[dict]:
-    """The fault incidents of a degraded run (:func:`_fault_event`)."""
-    if trace.fault_stats is None:
-        return []
-    events = [_fault_event(ev) for ev in trace.fault_stats.events]
-    if any(e.node < 0 for e in trace.fault_stats.events) and not trace.msg_records:
-        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
-                       "args": {"name": f"network ({trace.network})"}})
-    return events
-
-
-def _resize_events(trace: ExecutionTrace) -> List[dict]:
-    """The migration lane of an elastic-resize run (:func:`_resize_pair`)."""
-    rs = trace.resize_stats
-    if rs is None:
-        return []
-    events = _resize_pair(rs)
-    if not trace.msg_records:
-        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
-                       "args": {"name": f"network ({trace.network})"}})
-    return events
-
-
-def _counter_events(trace: ExecutionTrace) -> List[dict]:
-    """Counter ("C") series derived from task and message records."""
-    events: List[dict] = []
-    # per-node running-task counters
-    deltas: Dict[int, List[tuple]] = {}
-    for rec in trace.task_records or ():
-        deltas.setdefault(rec.node, []).extend(
-            [(rec.start, +1), (rec.end, -1)])
-    for node, evts in deltas.items():
-        evts.sort()
-        running = 0
-        last_t = None
-        for t, d in evts:
-            running += d
-            if last_t == t:
-                events[-1]["args"]["tasks"] = running
-            else:
-                events.append({"name": "running_tasks", "ph": "C",
-                               "ts": t * 1e6, "pid": node,
-                               "args": {"tasks": running}})
-            last_t = t
-    if trace.msg_records:
-        # cumulative bytes sent per node (stamped at message start)
-        cum: Dict[int, float] = {}
-        for m in sorted(trace.msg_records, key=lambda m: (m.start, m.src)):
-            cum[m.src] = cum.get(m.src, 0.0) + m.nbytes
-            events.append({"name": "bytes_sent_total", "ph": "C",
-                           "ts": m.start * 1e6, "pid": m.src,
-                           "args": {"bytes": cum[m.src]}})
-        # flows in flight on the shared fabric
-        flow_evts: List[tuple] = []
-        for m in trace.msg_records:
-            flow_evts.extend([(m.start, +1), (m.end, -1)])
-        flow_evts.sort()
-        in_flight = 0
-        for t, d in flow_evts:
-            in_flight += d
-            events.append({"name": "msgs_in_flight", "ph": "C",
-                           "ts": t * 1e6, "pid": NETWORK_PID,
-                           "args": {"msgs": in_flight}})
-        rpn = getattr(trace.cluster, "ranks_per_node", 1)
-        if rpn > 1:
-            # two-level traffic split: cumulative bytes per level,
-            # classified by the src/dst node mapping of the topology;
-            # emitted only for hierarchical runs so flat Chrome traces
-            # are unchanged
-            cum_level = {"bytes_inter_total": 0.0, "bytes_intra_total": 0.0}
-            for m in sorted(trace.msg_records, key=lambda m: (m.start, m.src)):
-                level = ("bytes_inter_total" if m.src // rpn != m.dst // rpn
-                         else "bytes_intra_total")
-                cum_level[level] += m.nbytes
-                events.append({"name": level, "ph": "C",
-                               "ts": m.start * 1e6, "pid": NETWORK_PID,
-                               "args": {"bytes": cum_level[level]}})
-        events.append({"name": "process_name", "ph": "M", "pid": NETWORK_PID,
-                       "args": {"name": f"network ({trace.network})"}})
-    return events
-
-
-def save_chrome_trace(trace: ExecutionTrace, path: Union[str, Path],
-                      graph: Optional[TaskGraph] = None) -> None:
-    """Write the Chrome-tracing JSON file."""
-    Path(path).write_text(json.dumps({"traceEvents": to_chrome_trace(trace, graph)}))
-
-
 #: one ``%`` template per streamed event kind, each giving exactly the
 #: bytes ``json.dumps`` gives for the event's dict: ``float.__repr__``
 #: for times and byte totals (they are finite), and names that need no
@@ -290,9 +120,6 @@ _KIND_NAMES = np.array(KIND_NAMES, dtype=object)
 #: host, 4096-record chunks raised peak RSS by 0.5-1 MB over the
 #: per-record writer's, 1024-record chunks did not
 _CHUNK = 1024
-#: column dtypes of the records written one at a time
-_TASK_DTYPES = (np.int64, np.int64, np.float64, np.float64)
-_MSG_DTYPES = (np.int64,) * 4 + (np.float64,) * 3
 
 
 def _reprs(x: np.ndarray) -> List[str]:
@@ -319,15 +146,15 @@ class ChromeTraceWriter(TraceWriter):
     "X" slice per task, and per message a slice on the synthetic
     network process plus its sender's ``bytes_sent_total`` counter.
     The file is flushed every ``buffer_events`` events, so the writer's
-    memory is the buffer, no matter how many million tasks run, where
-    the list-accumulating ``record_tasks=True`` path grows with the
-    task count.
+    memory is the buffer, no matter how many million tasks run, where a
+    ``record_tasks=True`` run keeps every record in memory.
 
     Records reach one columnar formatter in chunks of at most 1024
     records, none larger than the buffer's free space.  A compiled run
     hands its columns to :meth:`write_batch`, which slices them into
-    chunks; records written one by one (the Python loop, fault and
-    resize runs) wait as raw fields until they make a chunk.  A chunk
+    chunks (a resize run's stitched records come as one batch too);
+    records written one by one (the Python loop, fault runs) wait as
+    raw fields until they make a chunk.  A chunk
     calls ``float.__repr__`` once per distinct value, fills one ``%``
     template per event kind over its columns, and gathers task labels
     from the columns of ``graph`` by tid: ``KIND(i,j;k=..)@node`` with
@@ -339,9 +166,10 @@ class ChromeTraceWriter(TraceWriter):
     Worker lanes are assigned *online*, in record order: each pid keeps
     a min-heap of ``(free_time, lane)`` across chunks, and a record
     reuses the earliest-freed lane that is free by its start time.
-    Task records stream in dispatch order (non-decreasing start), so
-    this reproduces the offline :func:`assign_lanes` packing; message
-    records may arrive with out-of-order starts (NIC serialization can
+    Task records stream in dispatch order (non-decreasing start), and
+    greedy-by-start with earliest-free reuse is optimal, so a node's
+    lane count is its peak task concurrency, at most
+    ``cores_per_node``; message records may arrive with out-of-order starts (NIC serialization can
     push a send's wire time past a later event's), for which the greedy
     rule still guarantees lanes never overlap — it just may open an
     extra lane.
@@ -351,10 +179,9 @@ class ChromeTraceWriter(TraceWriter):
     before them.  The output is a valid ``{"traceEvents": [...]}``
     document once :meth:`close` runs (writers are context managers;
     ``close`` is idempotent).  ``events_written`` and ``flushes`` expose
-    progress for tests and progress meters.  Unlike
-    :func:`save_chrome_trace`, the stream carries no ``running_tasks``,
-    ``msgs_in_flight`` or optimality counters, and names its network
-    process ``network``.
+    progress for tests and progress meters.  :func:`save_chrome_trace`
+    writes the same file from a ``record_tasks=True`` run, by replaying
+    its recording into this writer.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -447,8 +274,8 @@ class ChromeTraceWriter(TraceWriter):
         if not self._is_task:
             return
         is_task = np.array(self._is_task, dtype=bool)
-        tasks = _columns(self._tasks, _TASK_DTYPES)
-        msgs = _columns(self._msgs, _MSG_DTYPES)
+        tasks = _columns(self._tasks, TASK_DTYPES)
+        msgs = _columns(self._msgs, MSG_DTYPES)
         self._tasks, self._msgs, self._is_task = [], [], []
         self._write_lines(self._format(is_task, *tasks, *msgs))
 
@@ -549,24 +376,36 @@ class ChromeTraceWriter(TraceWriter):
         self._fh.close()
 
 
+def save_chrome_trace(trace: ExecutionTrace, path: Union[str, Path],
+                      graph: Optional[TaskGraph] = None) -> None:
+    """Write the Chrome-tracing file of a ``record_tasks=True`` run.
+
+    Replays the run's recording (``trace.records``) into a
+    :class:`ChromeTraceWriter` at ``path``, call for call, so the file
+    is the one the same run streamed into ``ChromeTraceWriter(path,
+    graph)`` would have written, byte for byte.
+    """
+    if trace.records is None:
+        raise ValueError("trace has no task records; simulate with record_tasks=True")
+    with ChromeTraceWriter(path, graph=graph) as writer:
+        trace.records.replay(writer)
+
+
 def text_gantt(trace: ExecutionTrace, width: int = 80) -> str:
     """Per-node activity bars: one row per node, ``#`` where at least
     one worker is busy."""
-    if trace.task_records is None:
+    if trace.records is None:
         raise ValueError("trace has no task records; simulate with record_tasks=True")
     if trace.makespan <= 0:
         return "(empty trace)"
-    nodes = sorted({r.node for r in trace.task_records})
+    _, node, start, end = trace.records.task_columns()
+    lo = (start / trace.makespan * width).astype(np.int64)
+    hi = np.maximum(lo + 1, (end / trace.makespan * width).astype(np.int64))
     rows = []
-    for node in nodes:
-        busy = [False] * width
-        for rec in trace.task_records:
-            if rec.node != node:
-                continue
-            lo = int(rec.start / trace.makespan * width)
-            hi = max(lo + 1, int(rec.end / trace.makespan * width))
-            for i in range(lo, min(hi, width)):
-                busy[i] = True
-        rows.append(f"node {node:>3} |" + "".join("#" if b else "." for b in busy))
+    for n in np.unique(node).tolist():
+        busy = np.zeros(width, dtype=bool)
+        for a, b in zip(lo[node == n].tolist(), hi[node == n].tolist()):
+            busy[a:b] = True
+        rows.append(f"node {n:>3} |" + "".join(np.where(busy, "#", ".")))
     header = f"{'':>9}0{' ' * (width - 10)}{trace.makespan:.4g}s"
     return "\n".join(rows + [header])

@@ -7,6 +7,9 @@ hook, so a compiled run replays its records into it one by one.  The
 writer under test formats chunks of columns instead; its file must be
 the reference's, byte for byte, on both event loops, for every network,
 fault and resize run, with and without a graph, at every buffer size.
+
+``save_chrome_trace`` replays a ``record_tasks=True`` run's recording
+into the same writer, so its file must be the streamed one too.
 """
 
 import hashlib
@@ -22,15 +25,18 @@ from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.experiments.harness import run_factorization
+from repro.experiments.machine import sim_cluster
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.library import shipped_pattern
 from repro.runtime import csim
 from repro.runtime.backends import BACKEND_ENV
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph
+from repro.runtime.resize import ResizeEvent
 from repro.runtime.simulator import simulate
 from repro.runtime.trace import MsgRecord, TaskRecord, TraceWriter
-from repro.runtime.tracefmt import NETWORK_PID, ChromeTraceWriter
+from repro.runtime.tracefmt import (NETWORK_PID, ChromeTraceWriter,
+                                   save_chrome_trace)
 
 _frepr = float.__repr__
 
@@ -260,6 +266,99 @@ def test_one_node_and_empty_graph(buffer_events, sim_backends, tmp_path):
             assert events and not any(e.get("cat") == "msg" for e in events)
             assert _write_both(tmp_path, backend, empty, _cluster(1), None,
                                labelled, buffer_events) == []
+
+
+def _export_equals_stream(tmp_path, backend, graph, cluster, home,
+                          labelled, **sim_kw):
+    """Stream one run into a ``ChromeTraceWriter``, run it again with
+    ``record_tasks=True`` and export it; assert the files are equal and
+    return the bytes."""
+    g = graph if labelled else None
+    streamed = tmp_path / f"{backend}-stream.json"
+    with ChromeTraceWriter(streamed, graph=g) as w:
+        simulate(graph, cluster, data_home=home, trace_writer=w, **sim_kw)
+    trace = simulate(graph, cluster, data_home=home, record_tasks=True,
+                     **sim_kw)
+    exported = tmp_path / f"{backend}-export.json"
+    save_chrome_trace(trace, exported, g)
+    assert exported.read_bytes() == streamed.read_bytes(), backend
+    return streamed.read_bytes()
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["graph", "no-graph"])
+@pytest.mark.parametrize("network,rpn", [
+    ("nic", 1), ("contention", 1), ("hierarchical", 2),
+], ids=["nic", "contention", "hierarchical-rpn2"])
+@pytest.mark.parametrize("kw,marker", [
+    ({}, b'"cat": "msg"'),
+    ({"faults": "fail:1@2e-5,loss:0.05,seed:3"}, b'"name": "fault:fail"'),
+    ({"resize": "9@3e-5"}, b'"cat": "resize"'),
+], ids=["plain", "faults", "resize"])
+def test_export_equals_stream(kw, marker, network, rpn, labelled,
+                              sim_backends, tmp_path):
+    """``save_chrome_trace`` of a recorded run writes the bytes the same
+    run streams into a ``ChromeTraceWriter``."""
+    graph, home = _lu(7, 10)
+    for backend in sim_backends:
+        data = _export_equals_stream(tmp_path, backend, graph,
+                                     _cluster(7, rpn), home, labelled,
+                                     network=network, **kw)
+        assert marker in data
+
+
+@pytest.mark.skipif(not csim.available(), reason="needs the compiled loop")
+def test_compiled_recording_builds_no_record_objects(monkeypatch, tmp_path):
+    """A compiled run recorded into a ``RecordList`` keeps its columns:
+    no ``TaskRecord``/``MsgRecord`` exists until a view is read, and
+    neither the canonical digests, the Chrome export nor a resize's
+    cut of its phases builds one."""
+    monkeypatch.setenv(BACKEND_ENV, "c")
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kw):
+            built.append(cls)
+            init(self, *args, **kw)
+        return __init__
+
+    for cls in (TaskRecord, MsgRecord):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    graph, home = _lu(7, 10)
+    trace = simulate(graph, _cluster(7), data_home=home, record_tasks=True)
+    trace.to_canonical()
+    save_chrome_trace(trace, tmp_path / "plain.json", graph)
+    assert built == []
+    assert len(trace.task_records) == len(graph)
+    assert built == [TaskRecord] * len(graph)
+    assert len(trace.msg_records) == trace.n_messages > 0
+    assert built.count(MsgRecord) == trace.n_messages
+    # the migration replay runs on a Python network model, which hands
+    # its messages over one by one; no task record is built
+    built.clear()
+    resized = simulate(graph, _cluster(7), data_home=home, record_tasks=True,
+                       resize="9@3e-5")
+    resized.to_canonical()
+    save_chrome_trace(resized, tmp_path / "resized.json", graph)
+    assert TaskRecord not in built
+    assert built.count(MsgRecord) == resized.resize_stats.tiles_moved
+
+
+@pytest.mark.slow
+def test_benchmark_size_export(sim_backends, tmp_path):
+    """``save_chrome_trace`` at the benchmark's size (the shipped
+    Cholesky P=35 pattern at m=80), for a plain run and a grow resize
+    to 36 nodes halfway through it."""
+    pattern = shipped_pattern(35, "cholesky")
+    graph, home = build_cholesky_graph(
+        TileDistribution(pattern, 80, symmetric=True), 500)
+    cl = sim_cluster(35)
+    half = simulate(graph, cl, data_home=home).makespan / 2
+    for backend in sim_backends:
+        for kw in ({}, {"resize": ResizeEvent(time=half, nnodes=36)}):
+            _export_equals_stream(tmp_path, backend, graph, cl, home, True,
+                                  **kw)
 
 
 @pytest.mark.slow

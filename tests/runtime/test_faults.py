@@ -41,7 +41,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.simulator import SimulationError, simulate
 from repro.runtime.stats import fault_breakdown
-from repro.runtime.tracefmt import to_chrome_trace
+from repro.runtime.tracefmt import save_chrome_trace
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TILE = 8
@@ -403,22 +403,25 @@ class TestDeterminismAndObservability:
         assert blob["retries"] == blob["msgs_lost"]
         assert len(blob["events_sha256"]) == 64
 
-    def test_chrome_trace_carries_fault_instants(self):
+    def test_chrome_trace_carries_fault_instants(self, tmp_path):
         P = 5
         cluster = golden_cluster(P)
         graph, home = lu_case(P)
-        trace = simulate(graph, cluster, data_home=home, record_tasks=True,
-                         faults=FAULT_SPEC)
-        events = to_chrome_trace(trace, graph)
-        instants = [e for e in events if e.get("cat") == "fault"]
+
+        def events(**kw):
+            trace = simulate(graph, cluster, data_home=home,
+                             record_tasks=True, **kw)
+            save_chrome_trace(trace, tmp_path / "t.json", graph)
+            return json.loads((tmp_path / "t.json").read_text())["traceEvents"]
+
+        instants = [e for e in events(faults=FAULT_SPEC)
+                    if e.get("cat") == "fault"]
         assert instants, "degraded traces must render fault events"
         kinds = {e["name"] for e in instants}
         assert "fault:fail" in kinds
         assert all(e["ph"] == "i" for e in instants)
         # fault-free traces render none
-        base = simulate(graph, cluster, data_home=home, record_tasks=True)
-        assert not [e for e in to_chrome_trace(base, graph)
-                    if e.get("cat") == "fault"]
+        assert not [e for e in events() if e.get("cat") == "fault"]
 
 
 # ---------------------------------------------------------------------------

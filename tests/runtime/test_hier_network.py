@@ -25,7 +25,6 @@ from repro.runtime.cluster import ClusterSpec
 from repro.runtime.network import NETWORK_MODELS, HierarchicalModel
 from repro.runtime.simulator import simulate
 from repro.runtime.stats import comm_breakdown
-from repro.runtime.tracefmt import to_chrome_trace
 
 TILE = 8
 
@@ -120,19 +119,6 @@ class TestCommBreakdown:
             assert key not in flat_cb
             assert key in hier_cb
         assert 0.0 < hier_cb["inter_byte_fraction"] < 1.0
-
-    def test_chrome_counters_only_when_hierarchical(self):
-        graph, home = lu_case()
-        t_flat = simulate(graph, cluster(7), data_home=home,
-                          record_tasks=True, network="contention")
-        t_hier = simulate(graph, cluster(7, ranks_per_node=2),
-                          data_home=home, record_tasks=True,
-                          network="hierarchical")
-        names_flat = {e.get("name") for e in to_chrome_trace(t_flat)}
-        names_hier = {e.get("name") for e in to_chrome_trace(t_hier)}
-        assert "bytes_inter_total" not in names_flat
-        assert "bytes_inter_total" in names_hier
-        assert "bytes_intra_total" in names_hier
 
 
 class TestBisection:

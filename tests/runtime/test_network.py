@@ -212,9 +212,12 @@ class TestStatsIntegration:
 #: separate flow engines, before they shared one, and re-recorded when
 #: a resized run's drained prefix began to count in ``n_eager``,
 #: ``link_bytes`` and the per-level fields (the 36 eager-tile resize
-#: runs moved; every plain and fault run kept its blob).
+#: runs moved; every plain and fault run kept its blob), and again when
+#: the prefix's flows began to count in ``link_busy`` and
+#: ``intra_link_busy`` (the same 36 runs moved in those two fields
+#: only).
 NET_STATS_SHA256 = (
-    "b70d1adbe546ac516b61dc1c87bfac5014c863e43197ca7f2e48932e93b40405")
+    "b89de1be25da2f5963790a458d0400befb5be681b7b74078b401d03b7aadc166")
 
 
 def _stats_blob(net) -> str:

@@ -153,6 +153,27 @@ class TestResizeRun:
                     == net.bytes_sent.sum()
                 assert net.link_bytes == net.inter_bytes
 
+    @pytest.mark.parametrize("network,rpn", [
+        ("contention", 1), ("hierarchical", 2)])
+    def test_drained_prefix_keeps_its_link_occupancy(self, network, rpn):
+        """A grow resize at the plain run's makespan drains the whole
+        plain run, so its links are busy at least as long as the plain
+        run's: the prefix's flows count in ``link_busy`` and
+        ``intra_link_busy``, not only the migration's."""
+        dist = TileDistribution(g2dbc(7), 10, symmetric=False)
+        graph, home = build_lu_graph(dist, TILE)
+        cluster = ClusterSpec(nnodes=7, cores_per_node=2, core_gflops=1.0,
+                              bandwidth_Bps=1e9, latency_s=1e-6,
+                              tile_size=TILE, ranks_per_node=rpn)
+        plain = simulate(graph, cluster, data_home=home, network=network)
+        resized = simulate(graph, cluster, data_home=home, network=network,
+                           resize=f"9@{plain.makespan!r}")
+        assert resized.resize_stats.tasks_remaining == 0
+        net, ref = resized.net_stats, plain.net_stats
+        assert net.link_busy >= ref.link_busy > 0
+        if rpn > 1:
+            assert net.intra_link_busy >= ref.intra_link_busy > 0
+
     @pytest.mark.parametrize("P,P2,rpn", [(8, 12, 2), (12, 16, 4)])
     def test_hierarchical_prediction_matches_replay(self, P, P2, rpn):
         # regression: the prediction sized the inter-machine bisection

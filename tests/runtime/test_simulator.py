@@ -30,11 +30,15 @@ class TestBasics:
         assert tr.makespan == 0.0
         assert tr.n_tasks == 0
 
-    def test_empty_graph_recorded(self):
+    def test_empty_graph_recorded(self, tmp_path):
         """A recorded run of an empty graph has empty records, so the
         record consumers work on it instead of raising."""
-        from repro.runtime.stats import concurrency_profile
-        from repro.runtime.tracefmt import text_gantt, to_chrome_trace
+        import json
+
+        from repro.runtime.stats import (concurrency_profile,
+                                         critical_path_breakdown,
+                                         extract_critical_path)
+        from repro.runtime.tracefmt import save_chrome_trace, text_gantt
 
         g = TaskGraph(n_data=1, nnodes=1)
         tr = simulate(g, cluster(1), record_tasks=True)
@@ -44,7 +48,13 @@ class TestBasics:
             == tr.makespan
         assert concurrency_profile(tr) == []
         assert text_gantt(tr) == "(empty trace)"
-        assert not [e for e in to_chrome_trace(tr, g) if e["ph"] == "X"]
+        assert extract_critical_path(tr, g) == []
+        assert critical_path_breakdown(tr, g) == {
+            "path": [], "n_tasks": 0, "time_by_kind": {}, "wait_time": 0.0,
+            "task_time": 0.0, "coverage": 0.0}
+        save_chrome_trace(tr, tmp_path / "empty.json", g)
+        assert json.loads((tmp_path / "empty.json").read_text()) == {
+            "traceEvents": []}
 
     def test_single_task_duration(self):
         g = TaskGraph(n_data=1, nnodes=1)

@@ -19,10 +19,8 @@ from repro.runtime.trace import MsgRecord, TaskRecord
 from repro.runtime.tracefmt import (
     NETWORK_PID,
     ChromeTraceWriter,
-    assign_lanes,
     save_chrome_trace,
     text_gantt,
-    to_chrome_trace,
 )
 
 #: SHA-256 of the streamed Chrome file at P=7, m=10 with graph labels and
@@ -53,31 +51,39 @@ def run(pattern, n=6, record=True):
     return graph, simulate(graph, cl, data_home=home, record_tasks=record), home, cl
 
 
+def exported(trace, tmp_path, graph=None):
+    """The events of the file ``save_chrome_trace`` writes for ``trace``."""
+    path = tmp_path / "trace.json"
+    save_chrome_trace(trace, path, graph)
+    return json.loads(path.read_text())["traceEvents"]
+
+
+def task_slices(events):
+    return [e for e in events if e.get("cat") == "task"]
+
+
 class TestChromeTrace:
-    def test_requires_records(self):
+    def test_requires_records(self, tmp_path):
         graph, trace, _, _ = run(bc2d(2, 2), record=False)
         with pytest.raises(ValueError, match="record_tasks"):
-            to_chrome_trace(trace)
+            save_chrome_trace(trace, tmp_path / "trace.json", graph)
 
-    def test_event_count(self):
+    def test_event_count(self, tmp_path):
         graph, trace, _, _ = run(bc2d(2, 2))
-        events = to_chrome_trace(trace, graph)
-        x_events = [e for e in events if e.get("ph") == "X"]
-        assert len(x_events) == len(graph)
+        assert len(task_slices(exported(trace, tmp_path, graph))) == len(graph)
 
-    def test_events_well_formed(self):
+    def test_events_well_formed(self, tmp_path):
         graph, trace, _, _ = run(bc2d(2, 2))
-        for e in to_chrome_trace(trace, graph):
-            if e.get("ph") == "X":
-                assert e["dur"] >= 0
-                assert 0 <= e["pid"] < 4
-                assert "GETRF" in e["name"] or "TRSM" in e["name"] or "GEMM" in e["name"]
+        for e in task_slices(exported(trace, tmp_path, graph)):
+            assert e["ph"] == "X"
+            assert e["dur"] >= 0
+            assert 0 <= e["pid"] < 4
+            assert "GETRF" in e["name"] or "TRSM" in e["name"] or "GEMM" in e["name"]
 
-    def test_lane_assignment_no_overlap(self):
+    def test_lane_assignment_no_overlap(self, tmp_path):
         graph, trace, _, _ = run(bc2d(2, 2))
-        events = [e for e in to_chrome_trace(trace) if e.get("ph") == "X"]
         by_lane = {}
-        for e in events:
+        for e in task_slices(exported(trace, tmp_path)):
             by_lane.setdefault((e["pid"], e["tid"]), []).append((e["ts"], e["ts"] + e["dur"]))
         for spans in by_lane.values():
             spans.sort()
@@ -93,95 +99,76 @@ class TestChromeTrace:
 
 
 class TestLaneAssignment:
-    """The heap-based lane packer: lanes == peak concurrency per node."""
+    """The writer's heap-based lane packer: lanes == peak concurrency
+    per node."""
 
     @pytest.mark.parametrize("pattern,n,cores", [
         (bc2d(2, 2), 6, 2), (bc2d(2, 2), 8, 3), (g2dbc(5), 8, 4),
     ])
-    def test_lane_count_never_exceeds_cores(self, pattern, n, cores):
+    def test_lane_count_never_exceeds_cores(self, pattern, n, cores,
+                                            tmp_path):
         dist = TileDistribution(pattern, n)
         graph, home = build_lu_graph(dist, 8)
         cl = ClusterSpec(nnodes=pattern.nnodes, cores_per_node=cores,
                          core_gflops=1.0, bandwidth_Bps=1e9, latency_s=0.0,
                          tile_size=8)
         trace = simulate(graph, cl, data_home=home, record_tasks=True)
-        lanes = assign_lanes(trace.task_records)
         per_node = {}
-        for rec in trace.task_records:
-            per_node.setdefault(rec.node, set()).add(lanes[rec.tid])
+        for e in task_slices(exported(trace, tmp_path)):
+            per_node.setdefault(e["pid"], set()).add(e["tid"])
+        assert len(per_node) == pattern.nnodes
         for node, used in per_node.items():
             assert len(used) <= cores, (
                 f"node {node} uses {len(used)} lanes with {cores} cores")
             assert used == set(range(len(used)))  # dense lane ids
 
-    def test_no_overlap_within_lane(self):
+    def test_no_overlap_within_lane(self, tmp_path):
         graph, trace, _, _ = run(bc2d(2, 2), n=8)
-        lanes = assign_lanes(trace.task_records)
         spans = {}
-        for rec in trace.task_records:
-            spans.setdefault((rec.node, lanes[rec.tid]), []).append(
-                (rec.start, rec.end))
+        for e in task_slices(exported(trace, tmp_path)):
+            spans.setdefault((e["pid"], e["tid"]), []).append(
+                (e["ts"], e["ts"] + e["dur"]))
         for lane_spans in spans.values():
             lane_spans.sort()
             for (_, e1), (s2, _) in zip(lane_spans, lane_spans[1:]):
-                assert s2 >= e1 - 1e-15
+                assert s2 >= e1 - 1e-9  # microseconds
 
-    def test_heap_reuses_freed_lane(self):
+    def test_heap_reuses_freed_lane(self, tmp_path):
         """Sequential tasks must share one lane, not open new ones."""
-        from repro.runtime.trace import TaskRecord
-        records = [TaskRecord(tid=i, node=0, start=float(i), end=float(i) + 1.0)
-                   for i in range(5)]
-        lanes = assign_lanes(records)
-        assert set(lanes.values()) == {0}
+        path = tmp_path / "trace.json"
+        with ChromeTraceWriter(path) as w:
+            for i in range(5):
+                w.write_task(TaskRecord(tid=i, node=0, start=float(i),
+                                        end=float(i) + 1.0))
+        events = json.loads(path.read_text())["traceEvents"]
+        assert len(task_slices(events)) == 5
+        assert {e["tid"] for e in task_slices(events)} == {0}
 
 
 class TestCounterEvents:
-    def test_running_tasks_counter_present(self):
-        graph, trace, _, _ = run(bc2d(2, 2))
-        counters = [e for e in to_chrome_trace(trace)
-                    if e.get("ph") == "C" and e["name"] == "running_tasks"]
-        assert counters
-        assert all(e["args"]["tasks"] >= 0 for e in counters)
-        assert any(e["args"]["tasks"] > 0 for e in counters)
-
-    def test_bytes_and_flow_counters_with_messages(self):
+    def test_bytes_counter_ends_at_bytes_sent(self, tmp_path):
         dist = TileDistribution(bc2d(2, 2), 6)
         graph, home = build_lu_graph(dist, 8)
         cl = ClusterSpec(nnodes=4, cores_per_node=2, core_gflops=1.0,
                          bandwidth_Bps=1e9, latency_s=0.0, tile_size=8)
         trace = simulate(graph, cl, data_home=home, record_tasks=True,
                          network="contention")
-        events = to_chrome_trace(trace)
-        byte_counters = [e for e in events if e.get("name") == "bytes_sent_total"]
-        flight = [e for e in events if e.get("name") == "msgs_in_flight"]
+        byte_counters = [e for e in exported(trace, tmp_path)
+                         if e.get("name") == "bytes_sent_total"]
         assert len(byte_counters) == trace.n_messages
         # cumulative per node: last sample equals that node's byte total
         last = {}
         for e in byte_counters:
             last[e["pid"]] = e["args"]["bytes"]
+        sent = trace.net_stats.bytes_sent
+        assert set(last) == set(np.flatnonzero(sent).tolist())
         for node, total in last.items():
-            assert total == pytest.approx(trace.net_stats.bytes_sent[node])
-        # in-flight counter returns to zero once all flows drain
-        assert flight[-1]["args"]["msgs"] == 0
-
-    def test_optimality_counter_only_with_bounds(self):
-        from repro.cost.schedbounds import schedule_lower_bounds
-
-        graph, trace, home, cl = run(bc2d(2, 2))
-        assert not [e for e in to_chrome_trace(trace)
-                    if e.get("name") == "optimality_ratio"]
-        trace.sched_bounds = schedule_lower_bounds(graph, cl, data_home=home)
-        ctr = [e for e in to_chrome_trace(trace)
-               if e.get("name") == "optimality_ratio"]
-        # one sample at t=0 and one at the makespan, constant value
-        assert [e["ts"] for e in ctr] == [0.0, trace.makespan * 1e6]
-        assert all(e["args"]["ratio"] == trace.optimality_ratio for e in ctr)
-        assert trace.optimality_ratio >= 1.0
+            assert total == pytest.approx(sent[node])
 
 
 class TestChromeTraceWriter:
-    """Streaming writer: same timeline as the offline exporter, written
-    incrementally under a bounded buffer instead of from a record list."""
+    """Streaming writer: the file the offline export writes, written
+    incrementally under a bounded buffer during the run."""
 
     def _stream(self, tmp_path, pattern=None, n=6, buffer_events=8,
                 **sim_kw):
@@ -209,12 +196,7 @@ class TestChromeTraceWriter:
         graph, _, _, data = self._stream(tmp_path)
         # offline reference: same run recorded in memory, then exported
         graph2, trace, _, _ = run(bc2d(2, 2))
-        offline = [(e["name"], e["pid"], e["ts"], e["dur"])
-                   for e in to_chrome_trace(trace, graph2)
-                   if e.get("ph") == "X" and e.get("cat") != "msg"]
-        streamed = [(e["name"], e["pid"], e["ts"], e["dur"])
-                    for e in data["traceEvents"] if e.get("cat") == "task"]
-        assert sorted(streamed) == sorted(offline)
+        assert exported(trace, tmp_path, graph2) == data["traceEvents"]
 
     def test_no_lane_overlap(self, tmp_path):
         _, _, _, data = self._stream(tmp_path, n=8)
