@@ -4,9 +4,6 @@ Sweeps the simulator over m ∈ {64, 128, 256} tiles (LU at P = 12 for
 the speedup ladder, Cholesky for the streaming-trace leg) and records
 wall-clock plus peak RSS in ``benchmarks/results/sim_batch_speedup.txt``:
 
-* **legacy**   — the frozen pre-refactor object stack
-  (:mod:`repro.runtime.objgraph` + :mod:`repro.runtime.objsim`), the
-  end-to-end ≥10× denominator, run live at m = 128;
 * **python**   — the batch-drained pure-Python event loop
   (``REPRO_SIM_BACKEND=python``);
 * **compiled** — the auto-selected backend (the on-demand-compiled C
@@ -19,10 +16,10 @@ bought with drift.  The m = 256 leg streams a Chrome trace through
 :class:`~repro.runtime.tracefmt.ChromeTraceWriter` and asserts the
 writer flushed incrementally (bounded writer memory).
 
-``REPRO_BENCH_FAST=1`` runs a CI-sized subset (m = 128, no legacy
-stack, no m = 256 leg) and gates on the compiled-vs-python ratio
-degrading more than 20% against the recorded baseline — a ratio of
-in-process measurements, so the gate is host-independent.
+``REPRO_BENCH_FAST=1`` runs a CI-sized subset (m = 128, no m = 256
+leg) and gates on the compiled-vs-python ratio degrading more than 20%
+against the recorded baseline — a ratio of in-process measurements, so
+the gate is host-independent.
 """
 
 import json
@@ -53,8 +50,6 @@ SIZES = (128,) if FAST else (64, 128, 256)
 #: the fast-mode CI gate fails when the live ratio drops below 80% of
 #: this (update together with the results file)
 RECORDED_BACKEND_RATIO = 18.3
-#: minimum accepted end-to-end speedup vs the legacy stack at m=128
-MIN_E2E_SPEEDUP = 10.0
 
 
 def _cluster() -> ClusterSpec:
@@ -98,8 +93,6 @@ def test_sim_batch_speedup(benchmark):
     auto_name = backends.active_backend()
     rows = []
     ratio_m128 = None
-    e2e_m128 = None
-    legacy_note = "skipped (REPRO_BENCH_FAST)"
 
     for m in SIZES:
         dist = TileDistribution(g2dbc(P), m, symmetric=False)
@@ -126,22 +119,6 @@ def test_sim_batch_speedup(benchmark):
         ratio = py_t / auto_t
         if m == 128:
             ratio_m128 = ratio
-            if not FAST:
-                from repro.runtime.objgraph import build_lu_graph_reference
-                from repro.runtime.objsim import simulate_reference
-
-                t0 = time.perf_counter()
-                lgraph, lhome = build_lu_graph_reference(dist, TILE)
-                lb = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                ltr = simulate_reference(lgraph, cluster, data_home=lhome,
-                                         network="nic")
-                ls = time.perf_counter() - t0
-                assert ltr.makespan == auto_tr.makespan
-                assert ltr.n_messages == auto_tr.n_messages
-                e2e_m128 = (lb + ls) / (build_t + auto_t)
-                legacy_note = (f"{lb + ls:.2f}s (build {lb:.2f}s + "
-                               f"sim {ls:.2f}s)")
         rows.append((m, lu_task_count(m), build_t, auto_t, py_t, ratio,
                      _rss_mb()))
 
@@ -189,10 +166,6 @@ def test_sim_batch_speedup(benchmark):
         assert ratio_m128 >= floor, (
             f"compiled-vs-python ratio {ratio_m128:.2f}x at m=128 dropped "
             f"below 80% of the recorded {RECORDED_BACKEND_RATIO}x")
-    if e2e_m128 is not None:
-        assert e2e_m128 >= MIN_E2E_SPEEDUP, (
-            f"end-to-end m=128 speedup {e2e_m128:.2f}x below "
-            f"{MIN_E2E_SPEEDUP}x")
 
     lines = [
         f"Million-task simulation benchmark — LU, P={P}, network=nic, "
@@ -212,10 +185,6 @@ def test_sim_batch_speedup(benchmark):
             f"{pt:>7.2f}s {ratio:>6.2f}x {rss:>7.0f}MB")
     lines += [
         "",
-        f"legacy object stack at m=128: {legacy_note}",
-        f"end-to-end speedup vs legacy at m=128 (build+sim): "
-        + (f"{e2e_m128:.2f}x (gate: >= {MIN_E2E_SPEEDUP:.0f}x)"
-           if e2e_m128 is not None else "skipped (REPRO_BENCH_FAST)"),
         f"compiled-vs-python ratio at m=128: {ratio_m128:.2f}x "
         f"(fast-mode gate: >= 80% of recorded {RECORDED_BACKEND_RATIO}x)",
     ] + stream_lines

@@ -31,7 +31,6 @@ from .network import (
     make_network,
 )
 from .topology import Topology
-from .objsim import simulate_reference
 from .schedulers import (
     SCHEDULERS,
     Scheduler,
@@ -108,7 +107,6 @@ __all__ = [
     "extract_critical_path",
     "iteration_overlap",
     "simulate",
-    "simulate_reference",
     "ExecutionTrace",
     "MsgRecord",
     "RecordList",

@@ -780,6 +780,9 @@ def simulate_with_faults(
                 deliver(ref, dst, now)
         else:  # EVENT_FAULT
             on_failure(payload, now)
+    # the two recovery closures call each other; unbind them so the
+    # run's state goes by reference counting, not a full collection
+    del ensure_available, resurrect
 
     if completed != n_tasks:
         stuck = n_tasks - completed

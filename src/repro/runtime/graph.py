@@ -36,20 +36,17 @@ widens to int64 first.
 Derived indexes are computed **once** per finalized graph, vectorized,
 and cached: the per-datum first-writer index (:attr:`first_writer`),
 the per-read producer table (:attr:`read_producer`), and the CSR
-dependency table (:meth:`dependencies_csr`).  The legacy object API —
-``graph.tasks[tid]`` returning a frozen :class:`Task`, the
-``graph.producer`` mapping, ``dependencies(task)`` — survives as thin
-views that materialize from the columns on demand, so traces, tests
-and exploratory code keep working unchanged while the simulator and
-the analysis passes run on the arrays directly.
+dependency table (:meth:`dependencies_csr`).  Every consumer reads
+the columns; :meth:`task` materializes one row as a frozen
+:class:`Task` (for error messages, tests and exploratory code) and
+:meth:`dependencies` lists one task's producers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -174,85 +171,6 @@ class GraphColumns:
         return len(self.kind)
 
 
-class _TaskSeq(Sequence):
-    """Sequence view over a graph that materializes :class:`Task`
-    dataclasses on demand — the legacy ``graph.tasks`` API."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph: "TaskGraph"):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self._graph.task(t) for t in range(*idx.indices(len(self)))]
-        n = len(self)
-        if idx < 0:
-            idx += n
-        if not 0 <= idx < n:
-            raise IndexError(idx)
-        return self._graph.task(idx)
-
-    def __iter__(self) -> Iterator[Task]:
-        g = self._graph
-        for tid in range(len(g)):
-            yield g.task(tid)
-
-    def __repr__(self) -> str:
-        return f"<task view of {len(self)} tasks>"
-
-
-class _ProducerMap:
-    """Read-only mapping ``(data, version) -> producer tid`` backed by
-    the write columns; built lazily, invalidated on append."""
-
-    __slots__ = ("_graph", "_dict", "_gen")
-
-    def __init__(self, graph: "TaskGraph"):
-        self._graph = graph
-        self._dict: Optional[Dict[DataRef, int]] = None
-        self._gen = -1
-
-    def _mapping(self) -> Dict[DataRef, int]:
-        g = self._graph
-        if self._dict is None or self._gen != g._gen:
-            cols = g.columns
-            self._dict = {
-                (int(d), int(v)): tid
-                for tid, (d, v) in enumerate(zip(cols.write_data.tolist(),
-                                                 cols.write_version.tolist()))
-            }
-            self._gen = g._gen
-        return self._dict
-
-    def get(self, ref, default=None):
-        return self._mapping().get(ref, default)
-
-    def __getitem__(self, ref):
-        return self._mapping()[ref]
-
-    def __contains__(self, ref) -> bool:
-        return ref in self._mapping()
-
-    def __len__(self) -> int:
-        return len(self._mapping())
-
-    def __iter__(self):
-        return iter(self._mapping())
-
-    def items(self):
-        return self._mapping().items()
-
-    def keys(self):
-        return self._mapping().keys()
-
-    def values(self):
-        return self._mapping().values()
-
-
 class TaskGraph:
     """An append-only DAG of tile tasks with version-based dependencies,
     stored as columns (see module docstring)."""
@@ -273,7 +191,6 @@ class TaskGraph:
         self._cols: Optional[GraphColumns] = None
         self._cols_gen = -1
         self._derived: dict = {}
-        self._producer_view = _ProducerMap(self)
 
     @staticmethod
     def _empty_stage() -> dict:
@@ -318,7 +235,6 @@ class TaskGraph:
         g._cols = None
         g._cols_gen = -1
         g._derived = {}
-        g._producer_view = _ProducerMap(g)
         return g
 
     # ------------------------------------------------------------------
@@ -622,18 +538,8 @@ class TaskGraph:
         return self._index("dependencies_csr")
 
     # ------------------------------------------------------------------
-    # legacy object API (views over the columns)
+    # per-task reads
     # ------------------------------------------------------------------
-    @property
-    def tasks(self) -> _TaskSeq:
-        """Sequence view materializing legacy :class:`Task` objects."""
-        return _TaskSeq(self)
-
-    @property
-    def producer(self) -> _ProducerMap:
-        """Mapping view: produced ``(data, version)`` -> producer tid."""
-        return self._producer_view
-
     def task(self, tid: int) -> Task:
         """Materialize one task row as a frozen :class:`Task`."""
         cols = self.columns
@@ -653,7 +559,7 @@ class TaskGraph:
         )
 
     def task_label(self, tid: int) -> str:
-        """Compact trace label, identical to ``repr(graph.tasks[tid])``
+        """Compact trace label, identical to ``repr(graph.task(tid))``
         but built straight from the columns."""
         return self.task_labeler()(tid)
 
@@ -674,9 +580,6 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return self._n
-
-    def __iter__(self) -> Iterator[Task]:
-        return iter(self.tasks)
 
     def dependencies(self, task: Union[Task, int]) -> List[int]:
         """Task ids this task waits for (producers of its read versions)."""

@@ -12,8 +12,8 @@ builders for LU and Cholesky, for two purposes:
   vectorized columnar builders emit **task-for-task identical** graphs
   (kind, tile, iteration, node, flops, reads, write) to these
   reference builders;
-* ``benchmarks/bench_graph.py`` measures the columnar speedup against
-  this object path on the same machine and inputs.
+* ``benchmarks/bench_graph.py`` times the batch builders against these
+  per-tile builders on the same machine and inputs.
 
 Nothing in the runtime depends on this module — it is a frozen spec,
 not a second implementation to evolve.

@@ -185,9 +185,10 @@ def simulate(
     record_tasks:
         Keep per-task start/end times and per-message records in
         memory on the returned trace, as the columns of its
-        ``records`` (``task_records`` and ``msg_records`` are views of
-        them; prefer ``trace_writer`` beyond ~1M tasks).  With a
-        ``trace_writer`` the records go to the writer only.
+        ``records`` (``records.task_columns()`` and
+        ``records.msg_columns()``; prefer ``trace_writer`` beyond ~1M
+        tasks).  With a ``trace_writer`` the records go to the writer
+        only.
     network:
         Registry name of the communication model: ``None``/``"nic"``
         (legacy, sender-side serialization only), ``"contention"`` or

@@ -1,10 +1,15 @@
-"""Post-hoc execution statistics from task records.
+"""Post-hoc execution statistics from a recorded run's task columns.
 
 Answers the questions the paper's discussion sections raise about
 *why* a run is fast or slow: where core time goes (panel kernels vs
 updates), how much parallelism the schedule actually exposes, and how
 far iterations overlap (the no-global-synchronization benefit of the
 task-based model, Section II-C).
+
+The schedule statistics read a recorded run's
+``trace.records.task_columns()`` with NumPy, never record objects.
+Sums run in record order, so each result equals a loop over the
+records, floats bit for bit.
 """
 
 from __future__ import annotations
@@ -45,24 +50,38 @@ class TraceStats:
         return max(self.time_by_kind, key=self.time_by_kind.get)  # type: ignore[arg-type]
 
 
+def _task_columns(trace: ExecutionTrace) -> Tuple[np.ndarray, ...]:
+    """``(tid, node, start, end)`` of every task record of a recorded
+    run, in record order."""
+    if trace.records is None:
+        raise ValueError("trace has no task records; simulate with record_tasks=True")
+    return trace.records.task_columns()
+
+
+def _last_record(tid: np.ndarray, n_tasks: int) -> np.ndarray:
+    """Index of each task's last record (-1 for a task without one): a
+    re-executed task's final run is the one its consumers waited for."""
+    last = np.full(n_tasks, -1, dtype=np.intp)
+    uniq, first_in_reversed = np.unique(tid[::-1], return_index=True)
+    last[uniq] = tid.size - 1 - first_in_reversed
+    return last
+
+
+def _profile(start: np.ndarray, end: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct start/end times, ascending, and the number of tasks
+    running after each."""
+    times, where = np.unique(np.concatenate([start, end]), return_inverse=True)
+    n = start.size
+    delta = (np.bincount(where[:n], minlength=times.size)
+             - np.bincount(where[n:], minlength=times.size))
+    return times, np.cumsum(delta)
+
+
 def concurrency_profile(trace: ExecutionTrace) -> List[Tuple[float, int]]:
     """Step function ``(time, #running tasks)`` over the execution."""
-    if trace.task_records is None:
-        raise ValueError("trace has no task records; simulate with record_tasks=True")
-    events: List[Tuple[float, int]] = []
-    for rec in trace.task_records:
-        events.append((rec.start, +1))
-        events.append((rec.end, -1))
-    events.sort()
-    profile = []
-    running = 0
-    for t, delta in events:
-        running += delta
-        if profile and profile[-1][0] == t:
-            profile[-1] = (t, running)
-        else:
-            profile.append((t, running))
-    return profile
+    _, _, start, end = _task_columns(trace)
+    times, running = _profile(start, end)
+    return list(zip(times.tolist(), running.tolist()))
 
 
 def iteration_overlap(trace: ExecutionTrace, graph: TaskGraph) -> int:
@@ -70,27 +89,24 @@ def iteration_overlap(trace: ExecutionTrace, graph: TaskGraph) -> int:
 
     A fork-join (MPI-style) execution would give 1; the task-based
     model lets later panels start while earlier updates still run.
+    Events are taken in time order, a task's end before any start at
+    the same time, and the count is read after every start.
     """
-    if trace.task_records is None:
-        raise ValueError("trace has no task records; simulate with record_tasks=True")
-    k_col = graph.columns.k
-    events: List[Tuple[float, int, int]] = []
-    for rec in trace.task_records:
-        k = int(k_col[rec.tid])
-        events.append((rec.start, 1, k))
-        events.append((rec.end, 0, k))
-    events.sort(key=lambda e: (e[0], e[1]))
-    active: Dict[int, int] = {}
-    best = 0
-    for _, is_start, k in events:
-        if is_start:
-            active[k] = active.get(k, 0) + 1
-            best = max(best, len(active))
-        else:
-            active[k] -= 1
-            if active[k] == 0:
-                del active[k]
-    return best
+    tid, _, start, end = _task_columns(trace)
+    if not tid.size:
+        return 0
+    is_start = np.repeat([True, False], tid.size)
+    k = np.tile(graph.columns.k[tid], 2)
+    order = np.lexsort((is_start, np.concatenate([start, end])))
+    # each iteration's events in event order: its starts and ends
+    # cancel, so one running sum counts each iteration's tasks in flight
+    by_k = order[np.argsort(k[order], kind="stable")]
+    step = np.where(is_start[by_k], 1, -1)
+    after = np.cumsum(step)
+    # +1 where an iteration enters flight, -1 where it leaves
+    change = np.empty_like(step)
+    change[by_k] = (after > 0).astype(step.dtype) - (after - step > 0)
+    return int(np.cumsum(change[order])[is_start[order]].max())
 
 
 def extract_critical_path(trace: ExecutionTrace, graph: TaskGraph) -> List[int]:
@@ -98,24 +114,29 @@ def extract_critical_path(trace: ExecutionTrace, graph: TaskGraph) -> List[int]:
 
     Walks backwards from the last-finishing task, at each step following
     the dependency that finished latest (the one the task most plausibly
-    waited for).  The returned chain is ordered first → last.  Gaps
-    between a predecessor's end and a task's start are communication or
-    queueing delay — :func:`critical_path_breakdown` quantifies them.
-    An empty run has an empty path.
+    waited for).  A re-executed task counts by its last record, and ties
+    go to the task recorded first, then to the earlier read.  The
+    returned chain is ordered first → last.  Gaps between a
+    predecessor's end and a task's start are communication or queueing
+    delay — :func:`critical_path_breakdown` quantifies them.  An empty
+    run has an empty path.
     """
-    if trace.task_records is None:
-        raise ValueError("trace has no task records; simulate with record_tasks=True")
-    end = {r.tid: r.end for r in trace.task_records}
+    tid, _, _, end = _task_columns(trace)
+    if not tid.size:
+        return []
+    last = _last_record(tid, len(graph))
+    end_of = np.where(last >= 0, end[last], -np.inf)
+    # the first record of a latest-ending task comes before any record
+    # of a task first recorded later
+    cur = int(tid[np.argmax(end_of[tid])])
+    end_l = end_of.tolist()
     path: List[int] = []
-    if not end:
-        return path
-    cur = max(end, key=end.get)  # type: ignore[arg-type]
     while True:
         path.append(cur)
         deps = graph.dependencies(cur)
         if not deps:
             break
-        cur = max(deps, key=lambda d: end[d])
+        cur = max(deps, key=end_l.__getitem__)
     path.reverse()
     return path
 
@@ -131,17 +152,18 @@ def critical_path_breakdown(trace: ExecutionTrace, graph: TaskGraph) -> Dict[str
     zero tasks, zero times and zero coverage.
     """
     path = extract_critical_path(trace, graph)
-    rec = {r.tid: r for r in trace.task_records or ()}
+    tid, _, start, end = _task_columns(trace)
+    last = _last_record(tid, len(graph))[path]
+    start_l, end_l = start[last].tolist(), end[last].tolist()
     time_by_kind: Dict[str, float] = {}
     wait = 0.0
-    for prev, cur in zip(path, path[1:]):
-        wait += max(0.0, rec[cur].start - rec[prev].end)
+    for s, e in zip(start_l[1:], end_l):
+        wait += max(0.0, s - e)
     if path:
-        wait += max(0.0, rec[path[0]].start)
-    kind_col = graph.columns.kind
-    for tid in path:
-        kind = KIND_NAMES[kind_col[tid]]
-        time_by_kind[kind] = time_by_kind.get(kind, 0.0) + (rec[tid].end - rec[tid].start)
+        wait += max(0.0, start_l[0])
+    for kind, s, e in zip(graph.columns.kind[path].tolist(), start_l, end_l):
+        name = KIND_NAMES[kind]
+        time_by_kind[name] = time_by_kind.get(name, 0.0) + (e - s)
     span = trace.makespan or 1.0
     return {
         "path": path,
@@ -268,26 +290,24 @@ def migration_breakdown(trace: ExecutionTrace) -> Dict[str, object]:
 
 
 def compute_stats(trace: ExecutionTrace, graph: TaskGraph) -> TraceStats:
-    """Compute :class:`TraceStats` (needs ``record_tasks=True``)."""
-    if trace.task_records is None:
-        raise ValueError("trace has no task records; simulate with record_tasks=True")
+    """Compute :class:`TraceStats` (needs ``record_tasks=True``).
 
-    time_by_kind: Dict[str, float] = {}
-    count_by_kind: Dict[str, int] = {}
-    kind_col = graph.columns.kind
-    for rec in trace.task_records:
-        kind = KIND_NAMES[kind_col[rec.tid]]
-        time_by_kind[kind] = time_by_kind.get(kind, 0.0) + (rec.end - rec.start)
-        count_by_kind[kind] = count_by_kind.get(kind, 0) + 1
+    Every record counts, a re-executed task's too.  Sums run in record
+    order (``np.bincount`` and ``np.cumsum`` add sequentially), so they
+    equal a loop over the records.
+    """
+    tid, _, start, end = _task_columns(trace)
+    kind = graph.columns.kind[tid]
+    kinds, first = np.unique(kind, return_index=True)
+    kinds = kinds[np.argsort(first)]  # first-recorded kind first
+    time = np.bincount(kind, weights=end - start)
+    count = np.bincount(kind)
+    names = [KIND_NAMES[k] for k in kinds.tolist()]
 
-    profile = concurrency_profile(trace)
-    avg = 0.0
-    peak = 0
-    for (t0, running), (t1, _) in zip(profile, profile[1:]):
-        avg += running * (t1 - t0)
-        peak = max(peak, running)
-    if profile:
-        peak = max(peak, profile[-1][1])
+    times, running = _profile(start, end)
+    area = running[:-1] * np.diff(times)
+    avg = float(np.cumsum(area)[-1]) if area.size else 0.0
+    peak = int(running.max(initial=0))
     span = trace.makespan or 1.0
     avg /= span
 
@@ -295,8 +315,8 @@ def compute_stats(trace: ExecutionTrace, graph: TaskGraph) -> TraceStats:
     idle = 1.0 - trace.busy_time / capacity if capacity > 0 else np.zeros_like(trace.busy_time)
 
     return TraceStats(
-        time_by_kind=time_by_kind,
-        count_by_kind=count_by_kind,
+        time_by_kind=dict(zip(names, time[kinds].tolist())),
+        count_by_kind=dict(zip(names, count[kinds].tolist())),
         avg_parallelism=avg,
         peak_parallelism=peak,
         max_iteration_overlap=iteration_overlap(trace, graph),

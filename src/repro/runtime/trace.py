@@ -3,10 +3,12 @@
 A run hands its records to one sink, a :class:`TraceWriter`;
 ``record_tasks=True`` alone uses a :class:`RecordList`, which keeps
 them as columns and which the :class:`ExecutionTrace` carries as
-``records``.  ``task_records``/``msg_records`` are views of it,
-``to_canonical`` hashes its columns, and
-:func:`~repro.runtime.tracefmt.save_chrome_trace` replays it into a
-:class:`~repro.runtime.tracefmt.ChromeTraceWriter`.
+``records``.  Its columns are the one way to read a recording:
+``to_canonical`` hashes them and :mod:`~repro.runtime.stats` computes
+on them; :func:`~repro.runtime.tracefmt.save_chrome_trace` replays the
+recording into a :class:`~repro.runtime.tracefmt.ChromeTraceWriter`.
+:class:`TaskRecord` and :class:`MsgRecord` are only the form in which
+records are written one by one.
 """
 
 from __future__ import annotations
@@ -148,10 +150,8 @@ class RecordList(TraceWriter):
     written one by one have their fields appended to column buffers,
     and :meth:`write_fault`/:meth:`write_resize` calls keep their place
     between them.  :meth:`task_columns`/:meth:`msg_columns` give every
-    record as arrays, in record order; :attr:`tasks`/:attr:`msgs` are
-    read-only lists of record objects built on first access, so a
-    compiled run recorded here builds none until one is read.
-    :meth:`replay` hands the recording to another sink, call for call.
+    record as arrays, in record order, and :meth:`replay` hands the
+    recording to another sink, call for call.
     """
 
     def __init__(self) -> None:
@@ -160,7 +160,7 @@ class RecordList(TraceWriter):
         #: message columns)``, ``"fault"``/``"resize"`` and the argument
         self._calls: List[tuple] = []
         self._buf: Optional[tuple] = None  # the buffers, while open
-        self._cache: Dict[object, object] = {}
+        self._cache: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def _add(self, kind: str, payload) -> None:
         self._calls.append((kind, payload))
@@ -226,22 +226,6 @@ class RecordList(TraceWriter):
                 for i, dt in enumerate(dtypes))
         return self._cache[which]
 
-    @property
-    def tasks(self) -> List[TaskRecord]:
-        """The task records, in record order."""
-        return self._view(TaskRecord, self.task_columns)
-
-    @property
-    def msgs(self) -> List[MsgRecord]:
-        """The message records, in record order."""
-        return self._view(MsgRecord, self.msg_columns)
-
-    def _view(self, record, columns) -> list:
-        if record not in self._cache:
-            self._cache[record] = list(
-                map(record, *(c.tolist() for c in columns())))
-        return self._cache[record]
-
     def replay(self, writer: TraceWriter) -> None:
         """Hand the recording to ``writer``, call for call: each batch
         through :func:`hand_batch`, records written one by one to its
@@ -282,8 +266,7 @@ class ExecutionTrace:
     model.  ``network``, ``n_messages``, ``bytes_sent``,
     ``sent_messages`` and ``recv_messages`` are read-only views of it.
     ``records`` is the :class:`RecordList` of a ``record_tasks=True``
-    run without a ``trace_writer`` (``None`` otherwise), and
-    ``task_records`` and ``msg_records`` are read-only views of it.
+    run without a ``trace_writer`` (``None`` otherwise).
     """
 
     cluster: ClusterSpec
@@ -298,16 +281,6 @@ class ExecutionTrace:
     #: policy-universal lower bounds (cost/schedbounds.py), attached by
     #: callers that want distance-from-optimal reporting
     sched_bounds: Optional["ScheduleBounds"] = None
-
-    @property
-    def task_records(self) -> Optional[List[TaskRecord]]:
-        """Task records of a recorded run, in record order."""
-        return None if self.records is None else self.records.tasks
-
-    @property
-    def msg_records(self) -> Optional[List[MsgRecord]]:
-        """Message records of a recorded run, in record order."""
-        return None if self.records is None else self.records.msgs
 
     @property
     def network(self) -> str:

@@ -80,14 +80,14 @@ class TestGraphBuilder:
         dist = TileDistribution(bc2d(2, 3), 7)
         graph, _ = build_lu_graph(dist, 4)
         n = dist.n_tiles
-        for t in graph:
+        for t in map(graph.task, range(len(graph))):
             assert t.node == dist.owner(t.i, t.j)
             assert t.write[0] == t.i * n + t.j
 
     def test_kind_sequence(self):
         dist = TileDistribution(bc2d(2, 2), 3)
         graph, _ = build_lu_graph(dist, 4)
-        kinds = [t.kind for t in graph]
+        kinds = [TaskKind(k) for k in graph.columns.kind.tolist()]
         assert kinds[0] == TaskKind.GETRF
         assert TaskKind.GEMM in kinds
         assert TaskKind.POTRF not in kinds

@@ -62,7 +62,7 @@ class TestGraph:
     def test_owner_computes(self):
         dist = TileDistribution(sbc(10), 6, symmetric=True)
         graph, _, _ = build_syrk_graph(dist, 4, k_tiles=2)
-        for t in graph:
+        for t in map(graph.task, range(len(graph))):
             assert t.node == dist.owner(t.i, t.j)
 
     def test_simulates(self):

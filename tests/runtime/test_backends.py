@@ -145,8 +145,8 @@ def test_backend_used_only_when_eligible(monkeypatch, tmp_path):
         assert simulator.python_loop_reason(cl) == reason, name
         trace = simulate(graph, cl, data_home=home, network=net,
                          record_tasks=True)
-        assert len(trace.task_records) == len(graph), name
-        assert trace.msg_records, name
+        assert len(trace.records.task_columns()[0]) == len(graph), name
+        assert len(trace.records.msg_columns()[0]) > 0, name
     assert calls == []
 
 

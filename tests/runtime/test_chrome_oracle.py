@@ -12,6 +12,7 @@ fault and resize run, with and without a graph, at every buffer size.
 into the same writer, so its file must be the streamed one too.
 """
 
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -34,6 +35,7 @@ from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph
 from repro.runtime.resize import ResizeEvent
 from repro.runtime.simulator import simulate
+from repro.runtime.stats import compute_stats, critical_path_breakdown
 from repro.runtime.trace import MsgRecord, TaskRecord, TraceWriter
 from repro.runtime.tracefmt import (NETWORK_PID, ChromeTraceWriter,
                                    save_chrome_trace)
@@ -309,9 +311,9 @@ def test_export_equals_stream(kw, marker, network, rpn, labelled,
 @pytest.mark.skipif(not csim.available(), reason="needs the compiled loop")
 def test_compiled_recording_builds_no_record_objects(monkeypatch, tmp_path):
     """A compiled run recorded into a ``RecordList`` keeps its columns:
-    no ``TaskRecord``/``MsgRecord`` exists until a view is read, and
-    neither the canonical digests, the Chrome export nor a resize's
-    cut of its phases builds one."""
+    no ``TaskRecord``/``MsgRecord`` is built by the canonical digests,
+    the Chrome export, the schedule statistics or a resize's cut of its
+    phases."""
     monkeypatch.setenv(BACKEND_ENV, "c")
     built = []
 
@@ -329,11 +331,11 @@ def test_compiled_recording_builds_no_record_objects(monkeypatch, tmp_path):
     trace = simulate(graph, _cluster(7), data_home=home, record_tasks=True)
     trace.to_canonical()
     save_chrome_trace(trace, tmp_path / "plain.json", graph)
+    compute_stats(trace, graph)
+    critical_path_breakdown(trace, graph)
     assert built == []
-    assert len(trace.task_records) == len(graph)
-    assert built == [TaskRecord] * len(graph)
-    assert len(trace.msg_records) == trace.n_messages > 0
-    assert built.count(MsgRecord) == trace.n_messages
+    assert len(trace.records.task_columns()[0]) == len(graph)
+    assert len(trace.records.msg_columns()[0]) == trace.n_messages > 0
     # the migration replay runs on a Python network model, which hands
     # its messages over one by one; no task record is built
     built.clear()
@@ -404,7 +406,10 @@ def test_per_record_sink_gets_the_compiled_records(monkeypatch):
     ref = simulate(graph, cl, data_home=home, record_tasks=True)
     sink = _PerRecordSink()
     simulate(graph, cl, data_home=home, trace_writer=sink)
-    assert sink.tasks == ref.task_records and sink.msgs == ref.msg_records
+    assert ([dataclasses.astuple(r) for r in sink.tasks]
+            == list(zip(*(c.tolist() for c in ref.records.task_columns()))))
+    assert ([dataclasses.astuple(r) for r in sink.msgs]
+            == list(zip(*(c.tolist() for c in ref.records.msg_columns()))))
     assert sink.msgs
     for rec in (sink.tasks[0], sink.msgs[0]):
         assert all(type(v) in (int, float) for v in vars(rec).values())

@@ -11,6 +11,7 @@ This suite states that contract as a property over random problem
 sizes, plus the structural self-checks of ``TaskGraph.validate``.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +53,7 @@ def test_columnar_builder_matches_object_reference(params):
     assert len(graph) == count
     assert (home == ref_home).all()
 
-    for got, want in zip(graph.tasks, ref.tasks):
+    for got, want in zip(map(graph.task, range(len(graph))), ref.tasks):
         assert got.tid == want.tid
         assert got.kind == want.kind
         assert (got.i, got.j, got.k) == (want.i, want.j, want.k)
@@ -61,7 +62,9 @@ def test_columnar_builder_matches_object_reference(params):
         assert tuple(got.reads) == tuple(want.reads)
         assert got.write == want.write
 
-    assert dict(graph.producer.items()) == ref.producer
+    data, version = map(np.array, zip(*ref.producer))
+    assert (graph.producer_for(data, version).tolist()
+            == list(ref.producer.values()))
     assert graph.total_flops == ref.total_flops
 
 

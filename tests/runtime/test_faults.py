@@ -15,6 +15,7 @@ Two contracts are pinned here:
 ``derandomize=True`` keeps the Hypothesis parts reproducible in CI.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -191,10 +192,10 @@ class TestEmptyGraph:
         trace = simulate(TaskGraph(n_data=4, nnodes=4), golden_cluster(4),
                          record_tasks=True, faults="loss:0.1",
                          network=network)
-        assert trace.task_records == []
-        assert trace.msg_records == []
-        assert max((r.end for r in trace.task_records), default=0.0) \
-            == trace.makespan
+        tid, _, _, end = trace.records.task_columns()
+        assert tid.size == 0
+        assert trace.records.msg_columns()[0].size == 0
+        assert end.max(initial=0.0) == trace.makespan
         assert trace.fault_stats is not None
         assert trace.fault_stats.failed_nodes == ()
         assert trace.fault_stats.msgs_lost == 0
@@ -206,8 +207,8 @@ class TestEmptyGraph:
                          network=network)
         assert trace.fault_stats.failed_nodes == (1,)
         assert trace.makespan == 0.0
-        assert trace.task_records == []
-        assert trace.msg_records == []
+        assert trace.records.task_columns()[0].size == 0
+        assert trace.records.msg_columns()[0].size == 0
 
 
 class TestFailStop:
@@ -229,7 +230,8 @@ class TestFailStop:
         assert trace.n_tasks == base.n_tasks
         # no task record survives on the dead node after the failure time
         fail_t = base.makespan / 4
-        assert all(r.end <= fail_t or r.node != 2 for r in trace.task_records)
+        _, node, _, end = trace.records.task_columns()
+        assert ((end <= fail_t) | (node != 2)).all()
 
     def test_failure_with_colrow_recovery_stays_in_peer_set(self):
         P = 7
@@ -240,8 +242,8 @@ class TestFailStop:
         trace = simulate(graph, cluster, data_home=home,
                          faults=f"fail:0@{base.makespan / 3:g}",
                          recovery=colrow_recovery(pat), record_tasks=True)
-        after = {r.node for r in trace.task_records
-                 if r.start >= base.makespan / 3}
+        _, node, start, _ = trace.records.task_columns()
+        after = set(node[start >= base.makespan / 3].tolist())
         assert 0 not in after
         # every re-executed task landed on a surviving node; when all
         # colrow peers are alive the re-homes stay inside that set
@@ -293,6 +295,30 @@ class TestFailStop:
         graph, home = lu_case(5)
         with pytest.raises(SimulationError, match="fails node 9"):
             simulate(graph, cluster, data_home=home, faults="fail:9@0.1")
+
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("net", NETWORKS)
+    def test_run_frees_its_state_without_the_collector(self, net, record):
+        """The fault loop's closures hold no reference cycle after the
+        run returns: with the collector off, a fault run (failure,
+        re-homing and losses) leaves nothing for ``gc.collect()`` to
+        free, so its state goes as soon as the run does."""
+        P = 5
+        cluster = golden_cluster(P)
+        graph, home = lu_case(P)
+        base = simulate(graph, cluster, data_home=home)
+        spec = f"fail:2@{base.makespan / 4:g},loss:0.05"
+        gc.collect()
+        gc.disable()
+        try:
+            trace = simulate(graph, cluster, data_home=home, faults=spec,
+                             network=net, record_tasks=record)
+            assert trace.fault_stats.tasks_rehomed > 0
+            del trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

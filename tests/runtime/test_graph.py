@@ -22,7 +22,7 @@ class TestVersioning:
         t = g.submit(TaskKind.GETRF, 0, 0, 0, 0, 10.0, (g.current(0),), 0)
         assert t.write == (0, 1)
         assert g.version(0) == 1
-        assert g.producer[(0, 1)] == t.tid
+        assert g.producer_for(np.array([0]), np.array([1])).tolist() == [t.tid]
 
     def test_tids_sequential(self):
         g = make_graph()
@@ -119,13 +119,14 @@ class TestMessageCountSinglePass:
         graph, _ = self._lu_graph()
         # brute force over materialized tasks: one message per unique
         # (data, version, remote consumer node)
+        tasks = [graph.task(tid) for tid in range(len(graph))]
         producer_node = {}
         first_writer_node = {}
-        for t in graph.tasks:
+        for t in tasks:
             producer_node[t.write] = t.node
             first_writer_node.setdefault(t.write[0], t.node)
         pairs = set()
-        for t in graph.tasks:
+        for t in tasks:
             for d, v in t.reads:
                 home = producer_node.get((d, v), first_writer_node.get(d, -1))
                 if home >= 0 and home != t.node:
@@ -142,12 +143,11 @@ class TestMessageCountSinglePass:
             calls["producer_for"] += 1
             return orig(self, data, version)
 
-        def no_tasks(self):
+        def no_tasks(self, tid):
             raise AssertionError(
                 "message_count must not materialize Task objects")
 
         monkeypatch.setattr(TaskGraph, "producer_for", counting)
-        monkeypatch.setattr(TaskGraph, "tasks", property(no_tasks))
         monkeypatch.setattr(TaskGraph, "task", no_tasks)
         assert graph.message_count() > 0
         # exactly one batched producer lookup, no per-task fallback scan

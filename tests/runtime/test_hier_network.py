@@ -84,8 +84,8 @@ class TestPerLevelAccounting:
     def test_message_split_matches_topology(self):
         t = self.run(rpn=3)
         rpn = t.cluster.ranks_per_node
-        inter = sum(1 for r in t.msg_records
-                    if r.src // rpn != r.dst // rpn)
+        _, _, src, dst, *_ = t.records.msg_columns()
+        inter = int((src // rpn != dst // rpn).sum())
         assert t.net_stats.inter_msgs == inter
         assert t.net_stats.intra_msgs == t.n_messages - inter
 

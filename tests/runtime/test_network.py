@@ -161,10 +161,10 @@ class TestContentionModel:
 
     def test_msg_records_cover_all_messages(self):
         trace = lu_trace(network="contention")
-        assert len(trace.msg_records) == trace.n_messages
-        for rec in trace.msg_records:
-            assert rec.end > rec.start >= 0.0
-            assert rec.src != rec.dst
+        _, _, src, dst, start, end, _ = trace.records.msg_columns()
+        assert len(src) == trace.n_messages
+        assert (end > start).all() and (start >= 0.0).all()
+        assert (src != dst).all()
 
 
 class TestStatsIntegration:

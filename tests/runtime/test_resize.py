@@ -197,10 +197,10 @@ class TestResizeRun:
                          resize="5@0.0", record_tasks=True)
         assert trace.resize_stats is None
         assert trace.makespan == 0.0
-        assert trace.task_records == []
-        assert trace.msg_records == []
-        assert max((r.end for r in trace.task_records), default=0.0) \
-            == trace.makespan
+        tid, _, _, end = trace.records.task_columns()
+        assert tid.size == 0
+        assert trace.records.msg_columns()[0].size == 0
+        assert end.max(initial=0.0) == trace.makespan
 
     def test_resize_at_zero_drains_nothing(self):
         graph, home, cluster = _case(7, m=10)
@@ -226,13 +226,11 @@ class TestResizeRun:
         graph, home, cluster = _case(7, m=10)
         trace = simulate(graph, cluster, data_home=home, resize="9@3e-5",
                          record_tasks=True)
-        tids = sorted(r.tid for r in trace.task_records)
-        assert tids == list(range(graph.columns.n_tasks))
-        assert max(r.end for r in trace.task_records) == pytest.approx(
-            trace.makespan)
+        tid, _, start, end = trace.records.task_columns()
+        assert sorted(tid.tolist()) == list(range(graph.columns.n_tasks))
+        assert end.max() == pytest.approx(trace.makespan)
         # records are stitched past the drain+migration offset in order
-        starts = [r.start for r in trace.task_records]
-        assert starts == sorted(starts)
+        assert start.tolist() == sorted(start.tolist())
 
     def test_explicit_target_pattern(self):
         graph, home, cluster = _case(7, m=10)

@@ -82,40 +82,38 @@ def run(kernel: str, P: int, m: int, policy: str, network: str, **kw):
 # ----------------------------------------------------------------------
 def assert_valid_schedule(graph, cluster, trace, failed=(), fail_at=None):
     """The structural contract every scheduling policy must satisfy."""
-    recs = trace.task_records
+    tid, node, start, end = trace.records.task_columns()
     n_tasks = len(graph)
 
     # every task exactly once
-    seen = sorted(r.tid for r in recs)
-    assert seen == list(range(n_tasks)), "task set mismatch"
+    assert sorted(tid.tolist()) == list(range(n_tasks)), "task set mismatch"
 
-    by_tid = {r.tid: r for r in recs}
     # never before a producer finished
+    t_start = np.empty(n_tasks)
+    t_end = np.empty(n_tasks)
+    t_start[tid] = start
+    t_end[tid] = end
     indptr, deps = graph.dependencies_csr()
-    for t in range(n_tasks):
-        for p in deps[indptr[t]:indptr[t + 1]]:
-            assert by_tid[t].start >= by_tid[int(p)].end - EPS, (
-                f"task {t} started before its producer {int(p)} finished")
+    consumer = np.repeat(np.arange(n_tasks), np.diff(indptr))
+    early = t_start[consumer] < t_end[deps] - EPS
+    assert not early.any(), (
+        f"task {consumer[early][0]} started before its producer "
+        f"{deps[early][0]} finished")
 
     # placement: real nodes only, never a failed node after its failure
-    for r in recs:
-        assert 0 <= r.node < cluster.nnodes
-        if r.node in failed:
-            assert r.start < fail_at, (
-                f"task {r.tid} ran on failed node {r.node} at {r.start}")
+    assert ((node >= 0) & (node < cluster.nnodes)).all()
+    for f in failed:
+        late = (node == f) & (start >= fail_at)
+        assert not late.any(), (
+            f"task {tid[late][0]} ran on failed node {f} at {start[late][0]}")
 
     # core capacity: at no instant does a node run more tasks than cores
     for n in range(cluster.nnodes):
-        evs = []
-        for r in recs:
-            if r.node == n and r.end > r.start:
-                evs.append((r.start, 1))
-                evs.append((r.end, -1))
-        evs.sort()  # (-1) sorts before (+1) at equal times: end frees first
-        load = peak = 0
-        for _, d in evs:
-            load += d
-            peak = max(peak, load)
+        on = (node == n) & (end > start)
+        times = np.concatenate([start[on], end[on]])
+        step = np.repeat([1, -1], on.sum())
+        # an end sorts before a start at equal times: it frees its core first
+        peak = np.cumsum(step[np.lexsort((step, times))]).max(initial=0)
         assert peak <= cluster.cores_per_node, (
             f"node {n} ran {peak} concurrent tasks "
             f"(cores={cluster.cores_per_node})")
@@ -296,13 +294,14 @@ class TestRegistry:
             trace = simulate(graph, cluster, data_home=home,
                              network="hierarchical", record_tasks=True)
             steals = {True: 0, False: 0}
-            for r in trace.task_records:
-                if r.node == owner[r.tid]:
+            for tid, node, start, end in zip(
+                    *(c.tolist() for c in trace.records.task_columns())):
+                if node == owner[tid]:
                     continue
-                same = bool(machine[r.node] == machine[owner[r.tid]])
+                same = bool(machine[node] == machine[owner[tid]])
                 steals[same] += 1
-                assert r.end - r.start == pytest.approx(
-                    base[r.tid] + pen[same], rel=1e-9), (backend, r)
+                assert end - start == pytest.approx(
+                    base[tid] + pen[same], rel=1e-9), (backend, tid)
             assert steals[True] > 0 and steals[False] > 0, backend
 
     def test_bottom_levels_chain(self):

@@ -93,7 +93,7 @@ def test_cholesky_m256_bounded_memory_stream():
         assert w.events_written > len(graph)
         assert w.flushes >= w.events_written // buffer_events
         assert w.flushes > 1
-        assert trace.task_records is None  # nothing retained in memory
+        assert trace.records is None  # nothing retained in memory
         assert os.path.getsize(path) > buffer_events
     finally:
         if os.path.exists(path):

@@ -42,10 +42,10 @@ class TestBasics:
 
         g = TaskGraph(n_data=1, nnodes=1)
         tr = simulate(g, cluster(1), record_tasks=True)
-        assert tr.task_records == []
-        assert tr.msg_records == []
-        assert max((r.end for r in tr.task_records), default=0.0) \
-            == tr.makespan
+        tid, _, _, end = tr.records.task_columns()
+        assert tid.size == 0
+        assert tr.records.msg_columns()[0].size == 0
+        assert end.max(initial=0.0) == tr.makespan
         assert concurrency_profile(tr) == []
         assert text_gantt(tr) == "(empty trace)"
         assert extract_critical_path(tr, g) == []
@@ -173,10 +173,12 @@ class TestRecordSink:
             sink = RecordList()
             trace = simulate(graph, cl, data_home=home, record_tasks=True,
                              trace_writer=sink, **kw)
-            assert trace.task_records is None and trace.msg_records is None
-            assert sink.tasks == ref.task_records, backend
-            assert sink.msgs == ref.msg_records, backend
-            assert max(r.end for r in sink.tasks) == trace.makespan \
+            assert trace.records is None
+            got = sink.task_columns() + sink.msg_columns()
+            want = ref.records.task_columns() + ref.records.msg_columns()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), backend
+            assert sink.task_columns()[3].max() == trace.makespan \
                 == ref.makespan, backend
 
 
@@ -246,7 +248,8 @@ class TestSchedulingPolicy:
         g.submit(TaskKind.GETRF, 1, 0, 9, 0, 1e9, (g.current(1),), 1)  # k=9
         g.submit(TaskKind.TRSM, 2, 0, 0, 0, 1e9, (g.current(2),), 2)   # k=0
         tr = simulate(g, cluster(1, cores=1), record_tasks=True)
-        order = [r.tid for r in sorted(tr.task_records, key=lambda r: r.start)]
+        tid, _, start, _ = tr.records.task_columns()
+        order = tid[np.argsort(start, kind="stable")].tolist()
         # only one task can start at t=0 (whichever was enqueued while a
         # core was free); among the queued rest, k=0 TRSM beats k=9 GETRF
         assert order.index(2) < order.index(1)
@@ -258,8 +261,9 @@ class TestTraceMetrics:
         for d in range(4):
             g.submit(TaskKind.GEMM, d, 0, 0, d % 2, 1e9, (g.current(d),), d)
         tr = simulate(g, cluster(2, cores=2), record_tasks=True)
-        assert len(tr.task_records) == 4
-        nodes = {r.tid: r.node for r in tr.task_records}
+        tid, node, _, _ = tr.records.task_columns()
+        assert len(tid) == 4
+        nodes = dict(zip(tid.tolist(), node.tolist()))
         assert nodes == {0: 0, 1: 1, 2: 0, 3: 1}
         assert tr.busy_time.sum() == pytest.approx(4.0)
 
@@ -421,14 +425,12 @@ class TestForkJoin:
     def test_iterations_strictly_ordered(self):
         graph, tr = self._lu(True)
         # every task of iteration k starts after all of iteration k-1 end
-        end_by_iter = {}
-        for rec in tr.task_records:
-            k = graph.tasks[rec.tid].k
-            end_by_iter[k] = max(end_by_iter.get(k, 0.0), rec.end)
-        for rec in tr.task_records:
-            k = graph.tasks[rec.tid].k
-            if k > 0:
-                assert rec.start >= end_by_iter[k - 1] - 1e-12
+        tid, _, start, end = tr.records.task_columns()
+        k = graph.columns.k[tid]
+        end_by_iter = np.zeros(k.max() + 1)
+        np.maximum.at(end_by_iter, k, end)
+        later = k > 0
+        assert (start[later] >= end_by_iter[k[later] - 1] - 1e-12).all()
 
 
 @pytest.mark.slow

@@ -111,7 +111,7 @@ def _relabel(graph, swaps):
     """Apply valid adjacent transpositions, then resubmit in the new
     order.  ``submit`` re-derives versions, so per-datum write order
     must be preserved — guaranteed by ``_swap_ok``."""
-    order = list(graph.tasks)
+    order = [graph.task(t) for t in range(len(graph))]
     n_applied = 0
     for pos in swaps:
         p = pos % (len(order) - 1)

@@ -222,7 +222,7 @@ class TestChromeTraceWriter:
             tmp_path, pattern=g2dbc(5), n=8, faults=faults,
             record_tasks=True)
         # with a writer the records go only to it, as on a plain run
-        assert trace.task_records is None and trace.msg_records is None
+        assert trace.records is None
         _, home = build_lu_graph(TileDistribution(g2dbc(5), 8), 8)
         rerun = simulate(graph, trace.cluster, data_home=home,
                          faults=faults, record_tasks=True)
@@ -231,10 +231,11 @@ class TestChromeTraceWriter:
         # stream carries exactly the surviving records
         tasks = sorted((e["pid"], e["ts"], e["dur"])
                        for e in data["traceEvents"] if e.get("cat") == "task")
-        assert tasks == sorted((r.node, r.start * 1e6, (r.end - r.start) * 1e6)
-                               for r in rerun.task_records)
+        _, node, start, end = rerun.records.task_columns()
+        assert tasks == sorted(zip(node.tolist(), (start * 1e6).tolist(),
+                                   ((end - start) * 1e6).tolist()))
         msgs = [e for e in data["traceEvents"] if e.get("cat") == "msg"]
-        assert len(msgs) == len(rerun.msg_records)
+        assert len(msgs) == len(rerun.records.msg_columns()[0])
         assert any(e.get("ph") == "i" for e in data["traceEvents"])
 
     def test_close_idempotent(self, tmp_path):

@@ -73,7 +73,7 @@ class TestFullLuPipeline:
         bounds = makespan_bounds(graph, cl)
         assert trace.makespan >= bounds.best - 1e-12
         assert trace.busy_time.sum() == pytest.approx(
-            sum(cl.task_time(t.flops) for t in graph.tasks)
+            sum(cl.task_time(f) for f in graph.columns.flops.tolist())
         )
 
 
