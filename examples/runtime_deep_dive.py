@@ -2,10 +2,11 @@
 """Deep dive into one simulated run: bounds, Gantt, memory, heatmap.
 
 Dissects a Figure-5-style LU run the way one would dissect a real
-StarPU trace: which lower bound binds (work, node balance, or critical
-path), how busy each node is over time, how many remote tiles the
-runtime caches, and what the distribution actually looks like on the
-matrix.  Also exports a Chrome-tracing file for Perfetto.
+StarPU trace: which lower bound binds (work, node balance, or the
+critical path with every task on its owner), how busy each node is
+over time, how many remote tiles the runtime caches, and what the
+distribution actually looks like on the matrix.  Also exports a
+Chrome-tracing file for Perfetto.
 
 Run:  python examples/runtime_deep_dive.py [P] [n_tiles]
 """
@@ -36,9 +37,9 @@ def dissect(pattern, n_tiles, tile_size=500, export=None):
 
     print(f"makespan        : {trace.makespan:.4f}s  "
           f"({trace.gflops:.0f} GFlop/s, {trace.parallel_efficiency:.0%} of peak)")
-    print(f"work bound      : {bounds.work_bound:.4f}s")
-    print(f"node-work bound : {bounds.node_work_bound:.4f}s")
-    print(f"critical path   : {bounds.critical_path:.4f}s")
+    print(f"work bound      : {bounds.work_time:.4f}s")
+    print(f"node-work bound : {bounds.node_work_time:.4f}s")
+    print(f"owner crit. path: {bounds.owner_critical_time:.4f}s")
     print(f"limited by      : {bounds.limiting_factor(trace.makespan)}")
     print(f"messages        : {trace.n_messages} "
           f"({trace.bytes_sent / 1e9:.2f} GB)")

@@ -22,7 +22,7 @@ from .metrics import (
     q_cholesky,
     q_lu,
 )
-from .schedbounds import ScheduleBounds, schedule_lower_bounds
+from .schedbounds import ScheduleBounds, makespan_bounds, schedule_lower_bounds
 from .replication import (
     gemm_volume_per_node,
     lu_volume_per_node,
@@ -57,6 +57,7 @@ __all__ = [
     "cholesky_io_lower_bound_symmetric",
     "parallel_per_node_bound",
     "ScheduleBounds",
+    "makespan_bounds",
     "schedule_lower_bounds",
     "gemm_volume_per_node",
     "lu_volume_per_node",

@@ -3,13 +3,15 @@
 The paper's cost metric ranks *distributions*; Kwasniewski et al.
 (PAPERS.md) give matching lower bounds for the *schedules* those
 distributions induce.  This module evaluates the per-run flavor of
-those bounds from a simulation plan, so any simulated trace can be
-scored as ``makespan / bound`` — the distance-from-optimal dashboard
-of ROADMAP.md.
+those bounds, so any simulated trace can be scored as
+``makespan / bound`` — the distance-from-optimal dashboard of
+ROADMAP.md.  One type, :class:`ScheduleBounds`, holds every bound, and
+two evaluations fill it; a bound an evaluation does not cover is 0.0.
 
-Every bound returned here is **policy-universal**: it holds for any
-scheduler the registry can select (priority, fifo, lifo, lookahead,
-comm-avoiding, work-stealing), because none of them can beat
+:func:`schedule_lower_bounds` fills the **policy-universal** bounds,
+evaluated from a simulation plan.  They hold for any scheduler the
+registry can select (priority, fifo, lifo, lookahead, comm-avoiding,
+work-stealing), because none of them can beat
 
 * the *work bound* — total flops over the aggregate compute capacity
   of the participating nodes (stealing moves work, it does not create
@@ -17,11 +19,9 @@ comm-avoiding, work-stealing), because none of them can beat
 * the *critical-path bound* — the longest dependency chain with every
   task charged its fastest-possible duration (the fastest
   participating node) and **zero** communication delay.  This is
-  deliberately weaker than
-  :func:`repro.runtime.analysis.critical_path`, which pins tasks to
-  their owners and adds message latency — valid for owner-computes
-  policies but not for a stealing or re-homing run (both are one
-  :func:`~repro.runtime.schedulers.bottom_levels` sweep);
+  deliberately weaker than the owner-pinned chain below, which is
+  valid for owner-computes policies but not for a stealing or
+  re-homing run;
 * the *communication bound* — the most loaded sender NIC must push all
   its planned messages serially, each occupying the NIC for at least
   ``latency + tile_bytes / bandwidth``
@@ -40,6 +40,22 @@ comm-avoiding, work-stealing), because none of them can beat
   capacity ``ClusterSpec.full_bisection_Bps(P)`` (the capacity the
   model uses); total planned bytes over that capacity is a floor on
   link busy time.
+
+:func:`makespan_bounds` fills the work bound and the two
+**owner-pinned** bounds, which hold for runs that keep every task on
+its owner (every policy but work stealing, without faults or resize):
+
+* the *node-work bound* — the most loaded owner's flops over its own
+  capacity;
+* the *owner critical path* — the longest chain with every task on its
+  owner and, per cross-node edge, the least time any network model
+  takes to move the tile: ``message_time()``, or the intra-machine
+  time between two ranks of one machine.
+
+Both critical paths are one
+:func:`~repro.runtime.schedulers.bottom_levels` sweep.  Comparing a
+makespan against the bounds tells whether a run is compute-, balance-,
+dependency- or communication-limited (:meth:`ScheduleBounds.limiting_factor`).
 
 Caveat for degraded runs: the bounds are computed from the *static*
 plan, while a fault run re-homes tasks and adds recovery traffic.  The
@@ -60,49 +76,58 @@ import numpy as np
 
 from ..runtime.network import intra_message_time
 from ..runtime.schedulers import bottom_levels
-from ..runtime.simplan import get_plan
+from ..runtime.simplan import _csr, get_plan
 from ..runtime.simulator import check_inputs
 
-__all__ = ["ScheduleBounds", "schedule_lower_bounds"]
+__all__ = ["ScheduleBounds", "makespan_bounds", "schedule_lower_bounds"]
+
+#: bound field → the name :meth:`ScheduleBounds.limiting_factor` gives it
+_FACTORS = {
+    "work_time": "work",
+    "critical_time": "critical-path",
+    "comm_time": "comm",
+    "bisection_time": "bisection",
+    "node_work_time": "node-balance",
+    "owner_critical_time": "owner-critical-path",
+}
 
 
 @dataclass(frozen=True)
 class ScheduleBounds:
-    """Policy-universal makespan lower bounds for one planned run."""
+    """Makespan lower bounds for one planned run (0.0 = not evaluated)."""
 
-    work_time: float       #: total flops / aggregate alive capacity
-    critical_time: float   #: longest chain at fastest-node speed, no comm
-    comm_time: float       #: most loaded sender NIC's serial occupancy
-    bisection_time: float  #: planned bytes / bisection capacity (contention)
+    work_time: float = 0.0       #: total flops / aggregate alive capacity
+    critical_time: float = 0.0   #: longest chain at fastest-node speed, no comm
+    comm_time: float = 0.0       #: most loaded sender NIC's serial occupancy
+    bisection_time: float = 0.0  #: planned bytes / bisection capacity (contention)
+    node_work_time: float = 0.0  #: most loaded owner's flops / its capacity
+    owner_critical_time: float = 0.0  #: longest chain on the owners, with messages
 
     @property
     def best(self) -> float:
-        """The binding bound — every valid schedule takes at least this."""
-        return max(self.work_time, self.critical_time,
-                   self.comm_time, self.bisection_time)
+        """The binding bound — every run the evaluation covers takes at
+        least this."""
+        return max(getattr(self, f) for f in _FACTORS)
 
     def limiting_factor(self, makespan: float) -> str:
         """Name the bound an observed makespan sits closest to."""
-        gaps = {
-            "work": makespan - self.work_time,
-            "critical-path": makespan - self.critical_time,
-            "comm": makespan - self.comm_time,
-            "bisection": makespan - self.bisection_time,
-        }
+        gaps = {name: makespan - getattr(self, f)
+                for f, name in _FACTORS.items()}
         return min(gaps, key=gaps.get)  # type: ignore[arg-type]
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "work_time": self.work_time,
-            "critical_time": self.critical_time,
-            "comm_time": self.comm_time,
-            "bisection_time": self.bisection_time,
-            "best": self.best,
-        }
+        return {**{f: getattr(self, f) for f in _FACTORS}, "best": self.best}
 
     def to_canonical(self) -> Dict[str, str]:
         """Hex-float view for byte-stable golden comparisons."""
         return {k: float(v).hex() for k, v in self.as_dict().items()}
+
+
+def _node_capacity(cluster) -> np.ndarray:
+    """Each node's flop rate: cores × relative speed × core rate."""
+    speeds = cluster.node_speeds or (1.0,) * cluster.nnodes
+    return (cluster.cores_per_node * np.asarray(speeds, dtype=np.float64)
+            * cluster.core_flops)
 
 
 def schedule_lower_bounds(
@@ -113,7 +138,8 @@ def schedule_lower_bounds(
     network: str = "nic",
     alive_nodes: Optional[Iterable[int]] = None,
 ) -> ScheduleBounds:
-    """Evaluate :class:`ScheduleBounds` for ``graph`` on ``cluster``.
+    """Evaluate the policy-universal :class:`ScheduleBounds` of ``graph``
+    on ``cluster``.
 
     The message plan comes from :func:`~repro.runtime.simplan.get_plan`'s
     per-graph cache.  ``network`` names the communication model the run
@@ -124,26 +150,23 @@ def schedule_lower_bounds(
     the same :class:`~repro.runtime.simulator.SimulationError`.
     """
     check_inputs(graph, cluster, data_home)
-    n_tasks = len(graph)
     P = cluster.nnodes
-    if n_tasks == 0:
-        return ScheduleBounds(0.0, 0.0, 0.0, 0.0)
+    if len(graph) == 0:
+        return ScheduleBounds()
     plan = get_plan(graph, data_home)
     alive = list(range(P)) if alive_nodes is None \
         else sorted({int(n) for n in alive_nodes})
     if not alive:
         raise ValueError("alive_nodes must name at least one node")
-    speeds = cluster.node_speeds or None
 
     # work: aggregate capacity of the participating nodes
-    speed_of = (lambda n: speeds[n]) if speeds else (lambda n: 1.0)
-    cap = sum(cluster.cores_per_node * speed_of(n) * cluster.core_flops
-              for n in alive)
-    work_time = float(graph.total_flops) / cap if cap > 0 else 0.0
+    cap = sum(_node_capacity(cluster)[alive].tolist())
+    work_time = float(graph.total_flops) / cap
 
     # critical path: every task at the fastest participating node's
     # speed, no communication delay — unbeatable by any placement
-    smax = max(speed_of(n) for n in alive)
+    smax = max(cluster.node_speeds[n] for n in alive) \
+        if cluster.node_speeds else 1.0
     dur = graph.columns.flops / (cluster.core_flops * smax)
     indptr, deps = graph.dependencies_csr()
     critical_time = float(bottom_levels(indptr, deps, dur).max())
@@ -177,4 +200,51 @@ def schedule_lower_bounds(
         critical_time=critical_time,
         comm_time=comm_time,
         bisection_time=bisection_time,
+    )
+
+
+def makespan_bounds(graph, cluster) -> ScheduleBounds:
+    """Evaluate the work bound and the owner-pinned bounds of ``graph``
+    on ``cluster``; inputs that
+    :func:`~repro.runtime.simulator.simulate` rejects raise the same
+    :class:`~repro.runtime.simulator.SimulationError`.
+
+    The owner critical path is one
+    :func:`~repro.runtime.schedulers.bottom_levels` sweep over the
+    reversed dependency CSR (consumers grouped by producer), which gives
+    every task's earliest finish time on its owner
+    (:meth:`~repro.runtime.cluster.ClusterSpec.task_time`).
+    """
+    check_inputs(graph, cluster, None)
+    cols = graph.columns
+    node = cols.node
+    # over total_speed(), which with heterogeneous speeds can round
+    # differently from schedule_lower_bounds' per-node capacity sum
+    work_time = float(graph.total_flops) / (cluster.total_speed()
+                                            * cluster.core_flops)
+    # bincount accumulates in scan order, so the per-node float sums are
+    # identical to a per-task loop
+    per_node = np.bincount(node, weights=cols.flops, minlength=cluster.nnodes)
+    loaded = per_node > 0
+    node_work_time = (per_node[loaded]
+                      / _node_capacity(cluster)[loaded]).max(initial=0.0)
+
+    n = len(graph)
+    indptr, deps = graph.dependencies_csr()
+    tids = np.arange(n)
+    rev_indptr, consumers = _csr(np.repeat(tids, np.diff(indptr)), deps, n)
+    producers = np.repeat(tids, np.diff(rev_indptr))
+    src, dst = node[producers], node[consumers]
+    delay = np.where(src != dst, cluster.message_time(), 0.0)
+    if cluster.ranks_per_node > 1:
+        machine = cluster.topology().rank_nodes
+        delay[(src != dst) & (machine[src] == machine[dst])] = \
+            intra_message_time(cluster)
+    finish = bottom_levels(rev_indptr, consumers,
+                           cluster.task_time(cols.flops, node), delay)
+
+    return ScheduleBounds(
+        work_time=work_time,
+        node_work_time=float(node_work_time),
+        owner_critical_time=float(finish.max(initial=0.0)),
     )

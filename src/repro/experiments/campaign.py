@@ -6,8 +6,8 @@ This module runs such grids through the v2 simulator on the same
 process-pool machinery that powers the GCR&M search
 (:mod:`repro.patterns.search`), and pairs each simulated run with its
 *predicted* counterpart: the exact message count from
-:mod:`repro.cost.exact` and the makespan lower bound from
-:func:`repro.runtime.analysis.makespan_bounds`.  The resulting
+:mod:`repro.cost.exact` and the owner-pinned makespan lower bound from
+:func:`repro.cost.schedbounds.makespan_bounds`.  The resulting
 predicted-vs-simulated table is the validation artifact behind the
 figure drivers — if the simulator and the closed-form analysis
 disagree, one of them is wrong.
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cost.exact import count_cholesky_messages, count_lu_messages
-from ..cost.schedbounds import schedule_lower_bounds
+from ..cost.schedbounds import makespan_bounds, schedule_lower_bounds
 from ..distribution import TileDistribution
 from ..dla.cholesky import build_cholesky_graph
 from ..dla.lu import build_lu_graph
@@ -47,7 +47,6 @@ from ..patterns.sbc import sbc_feasible
 from ..patterns.search import auto_executor, chunk_tasks
 from ..patterns.store import PatternStore
 from ..patterns.sts import sts_node_counts
-from ..runtime.analysis import makespan_bounds
 from ..runtime.faults import colrow_recovery, parse_faults
 from ..runtime.network import NETWORK_MODELS
 from ..runtime.resize import parse_resize
@@ -119,7 +118,7 @@ class CampaignRow:
     pattern_cost: float          #: T(G), the paper's per-family cost metric
     predicted_messages: int      #: exact count (cost/exact.py)
     simulated_messages: int      #: simulator message total
-    predicted_makespan_s: float  #: best lower bound (runtime/analysis.py)
+    predicted_makespan_s: float  #: best owner-pinned bound (cost/schedbounds.py)
     makespan_s: float            #: simulated makespan
     gflops: float
     gflops_per_node: float

@@ -142,8 +142,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def auto_executor(n_tasks: int, jobs: Optional[int] = 1,
-                  serial_threshold: int = AUTO_SERIAL_THRESHOLD):
+def auto_executor(n_tasks: int, jobs: Optional[int] = 1):
     """Pick an executor for ``n_tasks``.
 
     Explicit ``jobs >= 2`` always yields a process pool (the determinism
@@ -153,7 +152,7 @@ def auto_executor(n_tasks: int, jobs: Optional[int] = 1,
     """
     auto = jobs is None or jobs == 0
     resolved = resolve_jobs(jobs)
-    if resolved == 1 or (auto and n_tasks < serial_threshold):
+    if resolved == 1 or (auto and n_tasks < AUTO_SERIAL_THRESHOLD):
         return SerialExecutor()
     return ProcessExecutor(resolved)
 

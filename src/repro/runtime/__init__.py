@@ -1,6 +1,6 @@
 """StarPU-like task-based distributed runtime simulator."""
 
-from .analysis import GraphBounds, MemoryStats, critical_path, makespan_bounds, memory_footprint
+from .analysis import MemoryStats, makespan_bounds, memory_footprint
 from .cluster import ClusterSpec, paper_cluster
 from .graph import KIND_NAMES, DataRef, GraphColumns, Task, TaskGraph, TaskKind
 from .objgraph import (
@@ -54,12 +54,10 @@ from .trace import ExecutionTrace, MsgRecord, RecordList, TaskRecord
 from .tracefmt import save_chrome_trace, text_gantt
 
 __all__ = [
-    "GraphBounds",
     "MemoryStats",
     "memory_footprint",
     "save_chrome_trace",
     "text_gantt",
-    "critical_path",
     "makespan_bounds",
     "ClusterSpec",
     "paper_cluster",

@@ -590,33 +590,6 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # graph-level queries (vectorized)
     # ------------------------------------------------------------------
-    def _consumer_codes(self) -> Tuple[np.ndarray, int, int]:
-        """Encode every read as one int64 ``((data·M)+version)·Pn +
-        consumer_node`` for unique/grouping passes."""
-        cols = self.columns
-        M = int(cols.read_version.max()) + 1 if cols.read_version.size else 1
-        nodes = cols.node[self.read_task]
-        Pn = max(self.nnodes, int(cols.node.max()) + 1 if cols.node.size else 1)
-        codes = (cols.read_data.astype(np.int64) * M
-                 + cols.read_version) * Pn + nodes
-        return codes, M, Pn
-
-    def consumers_by_version(self) -> Dict[DataRef, set]:
-        """For each data version, the set of *nodes* that read it."""
-        cols = self.columns
-        if not cols.read_data.size:
-            return {}
-        codes, M, Pn = self._consumer_codes()
-        uniq = np.unique(codes)
-        node = (uniq % Pn).tolist()
-        ref = uniq // Pn
-        data = (ref // M).tolist()
-        ver = (ref % M).tolist()
-        out: Dict[DataRef, set] = {}
-        for d, v, n in zip(data, ver, node):
-            out.setdefault((d, v), set()).add(n)
-        return out
-
     def message_count(self) -> int:
         """Number of inter-node messages the graph induces: one per
         (data version, remote consumer node) pair — StarPU caches a
@@ -630,8 +603,12 @@ class TaskGraph:
         cols = self.columns
         if not cols.read_data.size:
             return 0
-        codes, M, Pn = self._consumer_codes()
-        uniq = np.unique(codes)
+        # one int64 ((data·M)+version)·Pn + consumer_node code per read
+        M = int(cols.read_version.max()) + 1
+        Pn = max(self.nnodes, int(cols.node.max()) + 1)
+        uniq = np.unique((cols.read_data.astype(np.int64) * M
+                          + cols.read_version) * Pn
+                         + cols.node[self.read_task])
         con_node = uniq % Pn
         ref = uniq // Pn
         data = ref // M

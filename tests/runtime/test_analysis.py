@@ -1,15 +1,15 @@
 """Tests for graph bounds and the collective-communication option."""
 
+import numpy as np
 import pytest
 
-from repro.cost.schedbounds import schedule_lower_bounds
+from repro.cost.schedbounds import makespan_bounds, schedule_lower_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.sbc import sbc
-from repro.runtime.analysis import critical_path, makespan_bounds
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph, TaskKind
 from repro.runtime.network import intra_message_time
@@ -28,31 +28,35 @@ MSG = 800 / 1e9
 class TestCriticalPath:
     def test_empty(self):
         g = TaskGraph(n_data=1, nnodes=1)
-        assert critical_path(g, cluster(1)) == 0.0
+        assert makespan_bounds(g, cluster(1)).owner_critical_time == 0.0
 
     def test_chain(self):
         g = TaskGraph(n_data=1, nnodes=1)
         g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1e9, (g.current(0),), 0)
         g.submit(TaskKind.GEMM, 0, 0, 1, 0, 2e9, (g.current(0),), 0)
-        assert critical_path(g, cluster(1)) == pytest.approx(3.0)
+        assert makespan_bounds(g, cluster(1)).owner_critical_time == \
+            pytest.approx(3.0)
 
     def test_cross_node_edge_adds_message(self):
         g = TaskGraph(n_data=2, nnodes=2)
         g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1e9, (g.current(0),), 0)
         g.submit(TaskKind.GEMM, 1, 0, 0, 1, 1e9, (g.current(1), (0, 1)), 1)
-        assert critical_path(g, cluster(2)) == pytest.approx(2.0 + MSG)
+        assert makespan_bounds(g, cluster(2)).owner_critical_time == \
+            pytest.approx(2.0 + MSG)
 
     def test_independent_tasks_take_max(self):
         g = TaskGraph(n_data=2, nnodes=1)
         g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1e9, (g.current(0),), 0)
         g.submit(TaskKind.GEMM, 1, 0, 0, 0, 5e9, (g.current(1),), 1)
-        assert critical_path(g, cluster(1)) == pytest.approx(5.0)
+        assert makespan_bounds(g, cluster(1)).owner_critical_time == \
+            pytest.approx(5.0)
 
     def test_heterogeneous_speeds_shorten_path(self):
         g = TaskGraph(n_data=1, nnodes=2)
         g.submit(TaskKind.GEMM, 0, 0, 0, 1, 2e9, (g.current(0),), 0)
-        slow = critical_path(g, cluster(2))
-        fast = critical_path(g, cluster(2, speeds=(1.0, 2.0)))
+        slow = makespan_bounds(g, cluster(2)).owner_critical_time
+        fast = makespan_bounds(
+            g, cluster(2, speeds=(1.0, 2.0))).owner_critical_time
         assert fast == pytest.approx(slow / 2)
 
 
@@ -67,20 +71,24 @@ class TestBounds:
             cl = cluster(pat.nnodes)
             bounds = makespan_bounds(graph, cl)
             tr = simulate(graph, cl, data_home=home)
-            assert tr.makespan >= bounds.work_bound - 1e-9
-            assert tr.makespan >= bounds.node_work_bound - 1e-9
-            assert tr.makespan >= bounds.critical_path - 1e-9
+            assert tr.makespan >= bounds.work_time - 1e-9
+            assert tr.makespan >= bounds.node_work_time - 1e-9
+            assert tr.makespan >= bounds.owner_critical_time - 1e-9
             assert tr.makespan >= bounds.best - 1e-9
 
     def test_per_node_flops_sum(self):
         graph, _ = self.build(bc2d(2, 2))
-        bounds = makespan_bounds(graph, cluster(4))
-        assert bounds.per_node_flops.sum() == pytest.approx(graph.total_flops)
+        cl = cluster(4)
+        per_node = np.bincount(graph.columns.node,
+                               weights=graph.columns.flops, minlength=4)
+        assert per_node.sum() == pytest.approx(graph.total_flops)
+        assert makespan_bounds(graph, cl).node_work_time == \
+            per_node.max() / cl.node_flops
 
     def test_node_work_bound_at_least_work_bound(self):
         graph, _ = self.build(bc2d(4, 1))
         bounds = makespan_bounds(graph, cluster(4))
-        assert bounds.node_work_bound >= bounds.work_bound - 1e-12
+        assert bounds.node_work_time >= bounds.work_time - 1e-12
 
     def test_limiting_factor_names_a_bound(self):
         graph, home = self.build(bc2d(2, 2))
@@ -88,7 +96,7 @@ class TestBounds:
         bounds = makespan_bounds(graph, cl)
         tr = simulate(graph, cl, data_home=home)
         assert bounds.limiting_factor(tr.makespan) in (
-            "work", "node-balance", "critical-path",
+            "work", "node-balance", "owner-critical-path",
         )
 
 
@@ -111,7 +119,7 @@ class TestHierarchicalBounds:
         assert sched.comm_time == 2 * intra_message_time(cl)
         assert intra_message_time(cl) == pytest.approx(0.2e-6 + 512 / 4e9)
         bounds = makespan_bounds(graph, cl)
-        assert trace.makespan >= bounds.critical_path
+        assert trace.makespan >= bounds.owner_critical_time
         assert trace.makespan >= bounds.best
         trace.sched_bounds = sched
         assert trace.optimality_ratio >= 1.0

@@ -58,14 +58,6 @@ class TestDependencies:
 
 
 class TestConsumersAndMessages:
-    def test_consumers_by_version(self):
-        g = make_graph()
-        g.submit(TaskKind.GETRF, 0, 0, 0, 0, 1.0, (g.current(0),), 0)
-        g.submit(TaskKind.TRSM, 1, 0, 0, 1, 1.0, (g.current(1), g.current(0)), 1)
-        g.submit(TaskKind.TRSM, 0, 1, 0, 0, 1.0, (g.current(2), g.current(0)), 2)
-        consumers = g.consumers_by_version()
-        assert consumers[(0, 1)] == {0, 1}
-
     def test_message_count_remote_readers_only(self):
         g = make_graph()
         g.submit(TaskKind.GETRF, 0, 0, 0, 0, 1.0, (g.current(0),), 0)

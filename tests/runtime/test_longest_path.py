@@ -4,10 +4,11 @@
 work) and ``_reference_critical_path`` (a per-entry Python loop in
 submission order) are the two earlier longest-path codes, frozen as
 oracles.  :func:`bottom_levels` is one Kahn-wavefront sweep, and
-:func:`critical_path` runs it over the reversed dependency CSR; both
-must equal their oracle value for value (``max`` is exact and rounding
-monotone, so the sums agree bit for bit), and so must the ``lookahead``
-key table, which no golden trace pins.
+:func:`~repro.cost.schedbounds.makespan_bounds` runs it over the
+reversed dependency CSR for ``owner_critical_time``; both must equal
+their oracle value for value (``max`` is exact and rounding monotone,
+so the sums agree bit for bit), and so must the ``lookahead`` key
+table, which no golden trace pins.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.analysis import critical_path
+from repro.cost.schedbounds import makespan_bounds
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph, TaskKind
 from repro.runtime.schedulers import _rank_keys, bottom_levels, make_scheduler
@@ -45,7 +46,7 @@ def _reference_bottom_levels(indptr, deps, dur):
 
 
 def _reference_critical_path(graph, cluster):
-    """The earlier ``critical_path``: tids in submission order, one
+    """The earlier owner critical path: tids in submission order, one
     branch per dependency entry."""
     n = len(graph)
     if n == 0:
@@ -92,7 +93,7 @@ def _assert_matches_oracles(graph, cluster, home=None):
     bl = bottom_levels(indptr, deps, dur)
     assert bl.dtype == np.float64
     assert np.array_equal(bl, ref)
-    assert critical_path(graph, cluster) == \
+    assert makespan_bounds(graph, cluster).owner_critical_time == \
         _reference_critical_path(graph, cluster)
     # the lookahead keys: bottom level descending, ties by tid
     n = len(graph)
@@ -151,7 +152,7 @@ def test_submitted_graphs_match_oracles(drawn, heterogeneous):
 def test_empty_graph():
     graph = TaskGraph(n_data=2, nnodes=2)
     _assert_matches_oracles(graph, _cluster(2))
-    assert critical_path(graph, _cluster(2)) == 0.0
+    assert makespan_bounds(graph, _cluster(2)).owner_critical_time == 0.0
 
 
 def test_independent_tasks():
@@ -159,7 +160,8 @@ def test_independent_tasks():
     for d in range(4):
         graph.submit(TaskKind.GEMM, 0, 0, 0, d % 2, 1e9 * (d + 1), (), d)
     _assert_matches_oracles(graph, _cluster(2, (1.0, 1.5)))
-    assert critical_path(graph, _cluster(2)) == 4e9 / 3e9
+    assert makespan_bounds(graph, _cluster(2)).owner_critical_time == \
+        4e9 / 3e9
 
 
 def test_zero_flop_tasks():
@@ -170,7 +172,8 @@ def test_zero_flop_tasks():
                      ((0, t),) if t else (), 0)
     cluster = _cluster(2)
     _assert_matches_oracles(graph, cluster)
-    assert critical_path(graph, cluster) == 3 * cluster.message_time()
+    assert makespan_bounds(graph, cluster).owner_critical_time == \
+        3 * cluster.message_time()
 
 
 @pytest.mark.parametrize("indptr,deps,stuck", [

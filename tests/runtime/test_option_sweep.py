@@ -13,7 +13,7 @@ every node raises:
   network;
 * fault-free runs under an owner-computes scheduler (any but
   ``work_stealing``) take at least
-  :func:`~repro.runtime.analysis.makespan_bounds`;
+  :func:`~repro.cost.schedbounds.makespan_bounds`;
 * every run recorded by a :class:`~repro.runtime.tracefmt.ChromeTraceWriter`
   has the canonical outcome of its unrecorded twin (makespan, message
   counts, fault and resize stats), and its file parses to the
@@ -33,12 +33,11 @@ import os
 import pytest
 
 from repro.cost.exact import count_cholesky_messages, count_lu_messages
-from repro.cost.schedbounds import schedule_lower_bounds
+from repro.cost.schedbounds import makespan_bounds, schedule_lower_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.library import shipped_pattern
-from repro.runtime.analysis import makespan_bounds
 from repro.runtime.backends import BACKEND_ENV
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.faults import colrow_recovery

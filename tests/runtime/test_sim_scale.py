@@ -17,14 +17,13 @@ import tempfile
 
 import pytest
 
-from repro.cost.schedbounds import schedule_lower_bounds
+from repro.cost.schedbounds import makespan_bounds, schedule_lower_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph, cholesky_task_count
 from repro.dla.lu import build_lu_graph, lu_task_count
 from repro.experiments.machine import sim_cluster
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
-from repro.runtime.analysis import makespan_bounds
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.simulator import simulate
 from repro.runtime.tracefmt import ChromeTraceWriter
@@ -57,7 +56,8 @@ def test_lu_m128_smoke():
 def test_lu_m160_bounds_pinned():
     """Both bound sets of G-2DBC(23) LU at m = 160 on the scaled
     machine, bit for bit: the longest-path sweep behind the critical
-    paths must reproduce the earlier fixpoint and per-entry loop."""
+    paths must reproduce the earlier fixpoint and per-entry loop.  Each
+    evaluation leaves the other's fields at zero."""
     graph, home = build_lu_graph(
         TileDistribution(g2dbc(23), 160, symmetric=False), 500)
     cluster = sim_cluster(23, tile_size=500)
@@ -67,11 +67,19 @@ def test_lu_m160_bounds_pinned():
         "critical_time": "0x1.eb823ee08fb9ap+0",
         "comm_time": "0x1.849976a5c0602p+1",
         "bisection_time": "0x0.0p+0",
+        "node_work_time": "0x0.0p+0",
+        "owner_critical_time": "0x0.0p+0",
         "best": "0x1.868aa46b02242p+5",
     }
-    graph_bounds = makespan_bounds(graph, cluster)
-    assert graph_bounds.critical_path.hex() == "0x1.10d6032d1b372p+1"
-    assert graph_bounds.best.hex() == "0x1.9626bca1af288p+5"
+    assert makespan_bounds(graph, cluster).to_canonical() == {
+        "work_time": "0x1.868aa46b02242p+5",
+        "critical_time": "0x0.0p+0",
+        "comm_time": "0x0.0p+0",
+        "bisection_time": "0x0.0p+0",
+        "node_work_time": "0x1.9626bca1af288p+5",
+        "owner_critical_time": "0x1.10d6032d1b372p+1",
+        "best": "0x1.9626bca1af288p+5",
+    }
 
 
 @pytest.mark.veryslow

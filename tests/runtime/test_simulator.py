@@ -444,10 +444,10 @@ class TestLargeGraphSmoke:
     """
 
     def test_lu_m48_nic(self):
+        from repro.cost.schedbounds import makespan_bounds
         from repro.distribution import TileDistribution
         from repro.dla.lu import build_lu_graph, lu_task_count
         from repro.patterns.g2dbc import g2dbc
-        from repro.runtime.analysis import makespan_bounds
 
         P, m = 12, 48
         cl = ClusterSpec(nnodes=P, cores_per_node=2, core_gflops=1.0,
@@ -463,10 +463,10 @@ class TestLargeGraphSmoke:
             graph.total_flops / (cl.core_gflops * 1e9), rel=1e-9)
 
     def test_cholesky_m48_nic(self):
+        from repro.cost.schedbounds import makespan_bounds
         from repro.distribution import TileDistribution
         from repro.dla.cholesky import build_cholesky_graph, cholesky_task_count
         from repro.patterns.sbc import sbc
-        from repro.runtime.analysis import makespan_bounds
 
         P, m = 10, 48
         cl = ClusterSpec(nnodes=P, cores_per_node=2, core_gflops=1.0,

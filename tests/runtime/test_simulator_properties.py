@@ -4,7 +4,7 @@ Four invariants that must hold for *every* graph/cluster/network
 combination, not just the golden cases:
 
 * the simulated makespan never beats the analytic lower bounds of
-  :func:`repro.runtime.analysis.makespan_bounds`;
+  :func:`repro.cost.schedbounds.makespan_bounds`;
 * reducing the network bandwidth never shrinks the makespan;
 * the outcome is invariant under task-id relabeling (reordering the
   submission of independent tasks is a no-op);
@@ -18,12 +18,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost.schedbounds import makespan_bounds
 from repro.distribution import TileDistribution
 from repro.dla.cholesky import build_cholesky_graph
 from repro.dla.lu import build_lu_graph
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
-from repro.runtime.analysis import makespan_bounds
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.graph import TaskGraph
 from repro.runtime.simulator import simulate
