@@ -38,7 +38,7 @@ MIN_SPEEDUP = 17.0
 
 def _batch_build(dist):
     graph, home = build_lu_graph(dist, TILE)
-    graph.columns  # finalize: the build includes concatenation
+    graph.columns  # finalize: the build includes the read offsets
     return graph, home
 
 

@@ -98,7 +98,7 @@ def test_sim_batch_speedup(benchmark):
         dist = TileDistribution(g2dbc(P), m, symmetric=False)
         t0 = time.perf_counter()
         graph, home = build_lu_graph(dist, TILE)
-        graph.columns  # finalize: build time includes concatenation
+        graph.columns  # finalize: build time includes the read offsets
         build_t = time.perf_counter() - t0
 
         auto_t, auto_tr = benchmark.pedantic(

@@ -40,7 +40,7 @@ def dissect(pattern, n_tiles, tile_size=500, export=None):
     print(f"work bound      : {bounds.work_time:.4f}s")
     print(f"node-work bound : {bounds.node_work_time:.4f}s")
     print(f"owner crit. path: {bounds.owner_critical_time:.4f}s")
-    print(f"limited by      : {bounds.limiting_factor(trace.makespan)}")
+    print(f"limited by      : {bounds.limiting_factor}")
     print(f"messages        : {trace.n_messages} "
           f"({trace.bytes_sent / 1e9:.2f} GB)")
 

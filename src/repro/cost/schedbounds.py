@@ -53,9 +53,9 @@ its owner (every policy but work stealing, without faults or resize):
   time between two ranks of one machine.
 
 Both critical paths are one
-:func:`~repro.runtime.schedulers.bottom_levels` sweep.  Comparing a
-makespan against the bounds tells whether a run is compute-, balance-,
-dependency- or communication-limited (:meth:`ScheduleBounds.limiting_factor`).
+:func:`~repro.runtime.schedulers.bottom_levels` sweep.  The binding
+bound tells whether a run is compute-, balance-, dependency- or
+communication-limited (:attr:`ScheduleBounds.limiting_factor`).
 
 Caveat for degraded runs: the bounds are computed from the *static*
 plan, while a fault run re-homes tasks and adds recovery traffic.  The
@@ -109,11 +109,11 @@ class ScheduleBounds:
         least this."""
         return max(getattr(self, f) for f in _FACTORS)
 
-    def limiting_factor(self, makespan: float) -> str:
-        """Name the bound an observed makespan sits closest to."""
-        gaps = {name: makespan - getattr(self, f)
-                for f, name in _FACTORS.items()}
-        return min(gaps, key=gaps.get)  # type: ignore[arg-type]
+    @property
+    def limiting_factor(self) -> str:
+        """The name of the field that sets :attr:`best` (the first in
+        field order on ties)."""
+        return _FACTORS[max(_FACTORS, key=lambda f: getattr(self, f))]
 
     def as_dict(self) -> Dict[str, float]:
         return {**{f: getattr(self, f) for f in _FACTORS}, "best": self.best}

@@ -32,7 +32,7 @@ from .kernels import (
     syrk_update,
     trsm_right_lower_trans,
 )
-from .lu import MessageLog, _Logger
+from .lu import MessageLog, _Logger, _column_fill, _panel, _write_tiles
 from .tiles import TiledMatrix
 
 __all__ = ["build_cholesky_graph", "execute_cholesky", "cholesky_task_count"]
@@ -52,8 +52,9 @@ def build_cholesky_graph(
 ) -> Tuple[TaskGraph, np.ndarray]:
     """Build the Cholesky task graph for a symmetric distribution.
 
-    As in :func:`repro.dla.lu.build_lu_graph`, each iteration is emitted
-    as two array batches — the panel (POTRF + TRSMs) and the trailing
+    As in :func:`repro.dla.lu.build_lu_graph`, every column is allocated
+    once (:func:`cholesky_task_count` tasks) and each iteration writes
+    two batches into it: the panel (POTRF + TRSMs) and the trailing
     update (SYRK/GEMM interleaved i-major, matching the reference
     builder's ``for i: SYRK(i,i); for j<i: GEMM(i,j)`` order).  Every
     lower-triangle tile touched at iteration ``k`` moves from version
@@ -62,8 +63,7 @@ def build_cholesky_graph(
     if not dist.symmetric:
         raise ValueError("Cholesky requires a symmetric distribution")
     n = dist.n_tiles
-    own_flat = dist.owners.astype(np.int64).reshape(-1)
-    graph = TaskGraph(n_data=n * n, nnodes=dist.nnodes)
+    fill, own = _column_fill(dist, cholesky_task_count(n))
     b = tile_size
     f_potrf, f_trsm, f_syrk, f_gemm = (
         flops_potrf(b),
@@ -73,60 +73,40 @@ def build_cholesky_graph(
     )
 
     for k in range(n):
-        dk = k * n + k
         t = n - k - 1
-        r = np.arange(k + 1, n, dtype=np.int64)
+        r = np.arange(k + 1, n, dtype=np.int32)
 
-        # panel batch: POTRF(k,k), TRSM(i,k) for i > k
-        pi = np.concatenate(([k], r))
-        pdata = pi * n + k
-        pkind = np.concatenate(
-            ([TaskKind.POTRF], np.full(t, TaskKind.TRSM, dtype=np.int64)))
-        pflops = np.concatenate(([f_potrf], np.full(t, f_trsm)))
-        rdata = np.concatenate(
-            ([dk], np.stack([pdata[1:], np.full(t, dk, dtype=np.int64)],
-                            axis=1).ravel()))
-        rver = np.concatenate(([k], np.tile([k, k + 1], t)))
-        rcounts = np.concatenate(([1], np.full(t, 2, dtype=np.int64)))
-        graph.append_batch(
-            kind=pkind, i=pi, j=np.full(t + 1, k, dtype=np.int64), k=k,
-            node=own_flat[pdata], flops=pflops, read_data=rdata,
-            read_version=rver, read_counts=rcounts, write_data=pdata)
+        # panel: POTRF(k,k), TRSM(i,k) for i > k
+        c = fill.batch(1 + t, 1 + 2 * t)
+        c["i"][0] = k
+        c["i"][1:] = r
+        c["j"][:] = k
+        _panel(c, own, n, k, TaskKind.POTRF, f_potrf, f_trsm)
 
-        # trailing-update batch: for each i > k, SYRK(i,i) then
-        # GEMM(i,j) for k < j < i — flattened with a within-group index
-        # w so that w == 0 is the SYRK and w >= 1 is GEMM at j = k + w
-        if t:
-            cnt = np.arange(1, t + 1, dtype=np.int64)
-            total = t * (t + 1) // 2
-            i_col = np.repeat(r, cnt)
-            offsets = np.cumsum(cnt) - cnt
-            w = np.arange(total, dtype=np.int64) - np.repeat(offsets, cnt)
-            is_syrk = w == 0
-            j_col = np.where(is_syrk, i_col, k + w)
-            ud = i_col * n + j_col
-            ukind = np.where(is_syrk, np.int64(TaskKind.SYRK),
-                             np.int64(TaskKind.GEMM))
-            uflops = np.where(is_syrk, f_syrk, f_gemm)
-            rcounts = np.where(is_syrk, 2, 3).astype(np.int64)
-            pos = np.cumsum(rcounts) - rcounts
-            nreads = 3 * total - t
-            rdata = np.empty(nreads, dtype=np.int64)
-            rver = np.empty(nreads, dtype=np.int64)
-            rdata[pos] = ud
-            rver[pos] = k
-            rdata[pos + 1] = i_col * n + k
-            rver[pos + 1] = k + 1
-            gpos = pos[~is_syrk] + 2
-            rdata[gpos] = j_col[~is_syrk] * n + k
-            rver[gpos] = k + 1
-            graph.append_batch(
-                kind=ukind, i=i_col, j=j_col, k=k, node=own_flat[ud],
-                flops=uflops, read_data=rdata, read_version=rver,
-                read_counts=rcounts, write_data=ud)
-    # data_home: lower-triangle owners; mirrored entries for safety
-    data_home = own_flat.copy()
-    return graph, data_home
+        # trailing update: for each i > k, SYRK(i,i) then GEMM(i,j) for
+        # k < j < i; row i holds i - k tasks, its SYRK first.  SYRK
+        # reads its tile at k and (i,k) at k+1, GEMM also (j,k) at k+1
+        size = np.arange(1, t + 1)
+        c = fill.batch(t * (t + 1) // 2, t * (3 * t + 1) // 2)
+        syrk = np.cumsum(size) - size
+        c["i"][:] = np.repeat(r, size)
+        c["j"][:] = np.arange(k, k + len(c["j"])) - np.repeat(syrk, size)
+        c["j"][syrk] = r
+        _write_tiles(c, own, n, k)
+        c["kind"][:] = TaskKind.GEMM
+        c["kind"][syrk] = TaskKind.SYRK
+        c["flops"][:] = f_gemm
+        c["flops"][syrk] = f_syrk
+        c["rc"][:] = 3
+        c["rc"][syrk] = 2
+        pos = np.cumsum(c["rc"]) - c["rc"]
+        gemm = c["kind"] == TaskKind.GEMM
+        c["rd"][pos] = c["wd"]
+        c["rd"][pos + 1] = c["i"] * n + k
+        c["rd"][pos[gemm] + 2] = c["j"][gemm] * n + k
+        c["rv"][:] = k + 1
+        c["rv"][pos] = k
+    return fill.graph(), dist.owners.astype(np.int64).reshape(-1)
 
 
 def execute_cholesky(

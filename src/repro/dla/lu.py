@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..distribution import TileDistribution
-from ..runtime.graph import TaskGraph, TaskKind
+from ..runtime.graph import ColumnFill, TaskGraph, TaskKind
 from .kernels import (
     flops_gemm,
     flops_getrf,
@@ -74,10 +74,11 @@ def build_lu_graph(
 
     Returns the graph and ``data_home`` (initial owner of every tile).
 
-    The graph is emitted iteration by iteration as whole-panel /
-    whole-trailing-update array batches (two ``append_batch`` calls per
-    ``k``, no per-tile ``submit``), producing exactly the task sequence
-    of the per-tile reference builder
+    Every column is allocated once, at its closed-form size
+    (:func:`lu_task_count` tasks), and each iteration writes its panel
+    and its trailing update into the next slots as whole arrays (no
+    per-tile ``submit``).  This yields exactly the task sequence of the
+    per-tile reference builder
     (:func:`repro.runtime.objgraph.build_lu_graph_reference`): tile
     ``(i, j)`` is written once per iteration ``k ≤ min(i, j)``, so at
     iteration ``k`` every touched tile moves from version ``k`` to
@@ -86,50 +87,85 @@ def build_lu_graph(
     if dist.symmetric:
         raise ValueError("LU requires a non-symmetric distribution")
     n = dist.n_tiles
-    own_flat = dist.owners.astype(np.int64).reshape(-1)
-    graph = TaskGraph(n_data=n * n, nnodes=dist.nnodes)
+    fill, own = _column_fill(dist, lu_task_count(n))
     b = tile_size
     f_getrf, f_trsm, f_gemm = flops_getrf(b), flops_trsm(b), flops_gemm(b)
 
     for k in range(n):
-        dk = k * n + k
         t = n - k - 1
-        r = np.arange(k + 1, n, dtype=np.int64)
-        kf = np.full(t, k, dtype=np.int64)
+        r = np.arange(k + 1, n, dtype=np.int32)
 
-        # panel batch: GETRF(k,k), column TRSM(i,k), row TRSM(k,j)
-        pi = np.concatenate(([k], r, kf))
-        pj = np.concatenate(([k], kf, r))
-        pdata = pi * n + pj
-        pkind = np.concatenate(
-            ([TaskKind.GETRF], np.full(2 * t, TaskKind.TRSM, dtype=np.int64)))
-        pflops = np.concatenate(([f_getrf], np.full(2 * t, f_trsm)))
-        # reads: GETRF reads (dk, k); each TRSM reads its tile at k and
-        # the freshly factorized diagonal at k+1
-        rdata = np.concatenate(
-            ([dk], np.stack([pdata[1:], np.full(2 * t, dk, dtype=np.int64)],
-                            axis=1).ravel()))
-        rver = np.concatenate(([k], np.tile([k, k + 1], 2 * t)))
-        rcounts = np.concatenate(([1], np.full(2 * t, 2, dtype=np.int64)))
-        graph.append_batch(
-            kind=pkind, i=pi, j=pj, k=k, node=own_flat[pdata], flops=pflops,
-            read_data=rdata, read_version=rver, read_counts=rcounts,
-            write_data=pdata)
+        # panel: GETRF(k,k), column TRSM(i,k), row TRSM(k,j)
+        c = fill.batch(1 + 2 * t, 1 + 4 * t)
+        c["i"][:] = k
+        c["i"][1:t + 1] = r
+        c["j"][:] = k
+        c["j"][t + 1:] = r
+        _panel(c, own, n, k, TaskKind.GETRF, f_getrf, f_trsm)
 
-        # trailing-update batch: GEMM(i,j) for i, j > k, i-major like the
-        # reference double loop
-        if t:
-            gi = np.repeat(r, t)
-            gj = np.tile(r, t)
-            gd = gi * n + gj
-            rdata = np.stack([gd, gi * n + k, k * n + gj], axis=1).ravel()
-            rver = np.tile([k, k + 1, k + 1], t * t)
-            graph.append_batch(
-                kind=TaskKind.GEMM, i=gi, j=gj, k=k, node=own_flat[gd],
-                flops=f_gemm, read_data=rdata, read_version=rver,
-                read_counts=np.full(t * t, 3, dtype=np.int64), write_data=gd)
-    data_home = own_flat.copy()
-    return graph, data_home
+        # trailing update: GEMM(i,j) for i, j > k, i-major like the
+        # reference double loop; each reads its tile at k, then (i,k)
+        # and (k,j) at k+1
+        c = fill.batch(t * t, 3 * t * t)
+        c["i"].reshape(t, t)[:] = r[:, None]
+        c["j"].reshape(t, t)[:] = r
+        _write_tiles(c, own, n, k)
+        c["kind"][:] = TaskKind.GEMM
+        c["flops"][:] = f_gemm
+        c["rc"][:] = 3
+        rd = c["rd"].reshape(t, t, 3)
+        rd[..., 0] = c["wd"].reshape(t, t)
+        rd[..., 1] = (r * n + k)[:, None]
+        rd[..., 2] = k * n + r
+        c["rv"][:] = k + 1
+        c["rv"][::3] = k
+    return fill.graph(), dist.owners.astype(np.int64).reshape(-1)
+
+
+def _column_fill(dist: TileDistribution,
+                 n_tasks: int) -> Tuple[ColumnFill, np.ndarray]:
+    """The columns of an LU or Cholesky graph of ``n_tasks`` tasks, and
+    the owner of every tile as a flat int32 array.
+
+    Both kernels read alike: one tile per diagonal factorization, two
+    per panel TRSM and per SYRK (``n(n-1)`` of them together), three
+    per GEMM, so ``3·n_tasks − n(n+1)`` reads in all.
+    """
+    n = dist.n_tiles
+    fill = ColumnFill(n_tasks, 3 * n_tasks - n * (n + 1), n * n,
+                      dist.nnodes)
+    return fill, dist.owners.astype(np.int32).reshape(-1)
+
+
+def _write_tiles(c: dict, own: np.ndarray, n: int, k: int) -> None:
+    """Fill the writes of batch ``c`` of iteration ``k`` from its ``i``
+    and ``j``: datum ``i·n + j`` at version ``k + 1``, on its owner.
+    The data ids are in range, so ``take`` may skip its bounds check
+    (``mode="clip"``), which would buffer the output."""
+    np.multiply(c["i"], n, out=c["wd"])
+    c["wd"] += c["j"]
+    c["wv"][:] = k + 1
+    c["k"][:] = k
+    np.take(own, c["wd"], out=c["node"], mode="clip")
+
+
+def _panel(c: dict, own: np.ndarray, n: int, k: int, diag: TaskKind,
+           f_diag: float, f_trsm: float) -> None:
+    """Fill panel batch ``c`` of iteration ``k``, whose ``i`` and ``j``
+    are set: the factorization of ``(k,k)`` reads that tile at ``k``,
+    then each TRSM reads its own tile at ``k`` and ``(k,k)`` at
+    ``k + 1``."""
+    _write_tiles(c, own, n, k)
+    c["kind"][:] = TaskKind.TRSM
+    c["kind"][0] = diag
+    c["flops"][:] = f_trsm
+    c["flops"][0] = f_diag
+    c["rc"][:] = 2
+    c["rc"][0] = 1
+    c["rd"][:] = k * n + k
+    c["rd"][1::2] = c["wd"][1:]
+    c["rv"][:] = k
+    c["rv"][2::2] = k + 1
 
 
 def execute_lu(

@@ -45,6 +45,11 @@
  *  - ready queues are per-node min-heaps of the packed keys; keys are
  *    unique, so pop order is a pure function of the key set and
  *    matches Python's single-list heaps bit for bit;
+ *  - both heaps pop bottom-up (the hole walks to a leaf along the
+ *    smaller child, then the former last entry sifts up), so their
+ *    slots are laid out unlike Python's ``heapq``; but every key is
+ *    unique, so each pop still returns the one minimum of the set and
+ *    the pop sequence is the same;
  *  - NIC and flow arithmetic is the verbatim operation sequence of
  *    ``NicModel`` and ``ContentionModel`` on IEEE doubles (compile
  *    WITHOUT -ffast-math, and with -ffp-contract=off: a fused
@@ -68,12 +73,10 @@ typedef struct {
     int64_t seq;
 } EvHeap;
 
-/* push with the next sequence number: tag = seq + etype */
-static void ev_push(EvHeap *h, double t, int64_t etype, int64_t pl)
+/* put an event in hole ``i`` and sift it up */
+static void ev_sift_up(EvHeap *h, int64_t i, double t, int64_t tag,
+                       int64_t pl)
 {
-    h->seq += 4;
-    int64_t tag = h->seq + etype;
-    int64_t i = h->n++;
     while (i > 0) {
         int64_t p = (i - 1) >> 1;
         if (t < h->t[p] || (t == h->t[p] && tag < h->tag[p])) {
@@ -90,37 +93,41 @@ static void ev_push(EvHeap *h, double t, int64_t etype, int64_t pl)
     h->pl[i] = pl;
 }
 
+/* push with the next sequence number: tag = seq + etype */
+static void ev_push(EvHeap *h, double t, int64_t etype, int64_t pl)
+{
+    h->seq += 4;
+    ev_sift_up(h, h->n++, t, h->seq + etype, pl);
+}
+
+/* event a orders before event b: no short-circuit, so the compiler
+ * can keep the comparison free of branches */
+static int ev_before(const EvHeap *h, int64_t a, int64_t b)
+{
+    return (h->t[a] < h->t[b]) |
+           ((h->t[a] == h->t[b]) & (h->tag[a] < h->tag[b]));
+}
+
+/* bottom-up pop: walk the hole from the root to a leaf along the
+ * smaller child, then sift the former last entry (slot ``n``) up from
+ * that leaf.  When ``c + 1 == n`` the child test reads slot ``n``,
+ * which stays inside the buffer: it still holds the entry being
+ * re-inserted. */
 static void ev_pop(EvHeap *h, double *t, int64_t *tag, int64_t *pl)
 {
     *t = h->t[0];
     *tag = h->tag[0];
     *pl = h->pl[0];
     int64_t n = --h->n;
-    if (n == 0)
-        return;
-    double lt = h->t[n];
-    int64_t ltag = h->tag[n], lpl = h->pl[n];
     int64_t i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= n)
-            break;
-        int64_t r = c + 1;
-        if (r < n && (h->t[r] < h->t[c] ||
-                      (h->t[r] == h->t[c] && h->tag[r] < h->tag[c])))
-            c = r;
-        if (h->t[c] < lt || (h->t[c] == lt && h->tag[c] < ltag)) {
-            h->t[i] = h->t[c];
-            h->tag[i] = h->tag[c];
-            h->pl[i] = h->pl[c];
-            i = c;
-        } else {
-            break;
-        }
+    for (int64_t c = 1; c < n; c = 2 * i + 1) {
+        c += (c + 1 < n) & ev_before(h, c + 1, c);
+        h->t[i] = h->t[c];
+        h->tag[i] = h->tag[c];
+        h->pl[i] = h->pl[c];
+        i = c;
     }
-    h->t[i] = lt;
-    h->tag[i] = ltag;
-    h->pl[i] = lpl;
+    ev_sift_up(h, i, h->t[n], h->tag[n], h->pl[n]);
 }
 
 /* min-heap of int64 keys inside a per-node arena slice */
@@ -139,25 +146,18 @@ static void rq_push(int64_t *a, int64_t n, int64_t key)
     a[i] = key;
 }
 
+/* bottom-up pop of a heap of ``n`` keys, as ``ev_pop`` */
 static int64_t rq_pop(int64_t *a, int64_t n)
 {
     int64_t top = a[0];
-    int64_t last = a[--n];
     int64_t i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= n)
-            break;
-        if (c + 1 < n && a[c + 1] < a[c])
-            c = c + 1;
-        if (a[c] < last) {
-            a[i] = a[c];
-            i = c;
-        } else {
-            break;
-        }
+    n--;
+    for (int64_t c = 1; c < n; c = 2 * i + 1) {
+        c += (c + 1 < n) & (a[c + 1] < a[c]);
+        a[i] = a[c];
+        i = c;
     }
-    a[i] = last;
+    rq_push(a, i, a[n]);
     return top;
 }
 

@@ -21,17 +21,18 @@ The graph is stored structure-of-arrays, not array-of-structures: one
 NumPy column per task field (``kind``, ``i``, ``j``, ``k``, ``node``,
 ``flops``, ``write_data``, ``write_version``) plus a CSR layout for the
 variable-length read lists (``read_indptr`` into flat ``read_data`` /
-``read_version`` columns).  Tasks can be appended one at a time
-(:meth:`submit`, kept for tests and small builders) or whole panels at
-a time (:meth:`append_batch`, the vectorized builders' hot path);
-either way the column store is identical.
+``read_version`` columns).  Tasks are appended one at a time by
+:meth:`submit` (tests and the small SYRK/GEMM builders).  A builder
+that knows its size up front (the LU and Cholesky factorizations)
+instead fills a :class:`ColumnFill`: every column is allocated once,
+written batch by batch, and adopted by :meth:`TaskGraph.from_columns`.
 
 Index columns are int32 (tids, tile coordinates, nodes, data ids,
 versions and read offsets), which halves the bytes per task against
 int64; :data:`INDEX_LIMIT` is the largest task count, flat-read count
-or data id a graph may reach, and every append path checks it.  Code
-that packs or encodes these columns (priority keys, message codes)
-widens to int64 first.
+or data id a graph may reach, and every way into a graph checks it.
+Code that packs or encodes these columns (priority keys, message
+codes) widens to int64 first.
 
 Derived indexes are computed **once** per finalized graph, vectorized,
 and cached: the per-datum first-writer index (:attr:`first_writer`),
@@ -51,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 __all__ = ["TaskKind", "Task", "TaskGraph", "DataRef", "GraphColumns",
-           "INDEX_LIMIT"]
+           "ColumnFill", "INDEX_LIMIT"]
 
 #: A (data_id, version) pair.
 DataRef = Tuple[int, int]
@@ -87,16 +88,6 @@ def _join(parts: List[np.ndarray], dtype) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
-def _writes_once(wd: np.ndarray, n_data: int) -> bool:
-    """True when no datum repeats in ``wd``, in O(len(wd)): scatter each
-    position to its datum and read it back; a repeated datum keeps only
-    one of its positions, whatever order the scatter assigns in."""
-    pos = np.arange(wd.size, dtype=np.intp)
-    slot = np.empty(n_data, dtype=np.intp)
-    slot[wd] = pos
-    return np.array_equal(slot[wd], pos)
 
 
 class TaskKind(IntEnum):
@@ -200,7 +191,8 @@ class TaskGraph:
     @classmethod
     def from_columns(cls, cat: Dict[str, np.ndarray], n_data: int,
                      nnodes: int, total_flops: float) -> "TaskGraph":
-        """Rehydrate a finalized graph from its raw column chunk.
+        """Adopt raw columns (a copied graph's, or a filled
+        :class:`ColumnFill`'s) as a finalized graph.
 
         ``cat`` uses the internal chunk keys (``kind``/``i``/``j``/``k``/
         ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``).  Arrays
@@ -265,9 +257,9 @@ class TaskGraph:
         ``write_data`` when the kernel updates it in place (all
         factorization kernels do).  This is the scalar path, kept for
         tests and the small SYRK/GEMM builders; the factorization
-        builders use :meth:`append_batch`.  Raises ``ValueError``, before
-        any state changes, when the task would take the graph past
-        :data:`INDEX_LIMIT`.
+        builders fill a :class:`ColumnFill`.  Raises ``ValueError``,
+        before any state changes, when the task would take the graph
+        past :data:`INDEX_LIMIT`.
         """
         _check_index_range(
             self._n + 1, self._n_reads + len(reads),
@@ -295,85 +287,6 @@ class TaskGraph:
         return Task(tid=tid, kind=TaskKind(kind), i=i, j=j, k=k, node=node,
                     flops=flops, reads=tuple(reads),
                     write=(write_data, new_version))
-
-    def append_batch(
-        self,
-        kind,
-        i,
-        j,
-        k,
-        node,
-        flops,
-        read_data,
-        read_version,
-        read_counts,
-        write_data,
-    ) -> None:
-        """Append a whole batch of tasks as arrays (the vectorized path).
-
-        ``write_data`` fixes the batch size; ``kind``, ``k`` and
-        ``flops`` may be scalars (broadcast) or per-task arrays.  Reads
-        are given flat: ``read_counts[t]`` entries of ``read_data`` /
-        ``read_version`` belong to batch task ``t``, in tuple order.
-        Write versions are derived exactly as :meth:`submit` does —
-        each written datum is bumped by one — which requires the batch
-        to write each datum at most once.  A batch that writes a datum
-        twice, or would take the graph past :data:`INDEX_LIMIT`, raises
-        ``ValueError`` before any state changes.
-        """
-        self._flush_stage()
-        # indexes stay intp here (numpy would widen int32 on every
-        # gather); the chunk stores them as int32
-        wd = np.ascontiguousarray(write_data, dtype=np.intp).ravel()
-        B = wd.size
-        if B == 0:
-            return
-
-        def col(x, dtype):
-            a = np.asarray(x, dtype=dtype)
-            if a.ndim == 0:
-                return np.full(B, a, dtype=dtype)
-            return np.ascontiguousarray(a.ravel(), dtype=dtype)
-
-        rc = np.ascontiguousarray(read_counts, dtype=np.int32).ravel()
-        rd = np.ascontiguousarray(read_data, dtype=np.intp).ravel()
-        rv = np.ascontiguousarray(read_version, dtype=np.int32).ravel()
-        if rc.size != B:
-            raise ValueError(f"read_counts has {rc.size} entries for {B} tasks")
-        if int(rc.sum()) != rd.size or rd.size != rv.size:
-            raise ValueError("flat read columns do not match read_counts")
-        _check_index_range(self._n + B, self._n_reads + rd.size,
-                           max(int(wd.max()), int(rd.max(initial=0))))
-        # the check's n_data-sized scratch is freed before the batch's
-        # columns are allocated: interleaving them fragmented the malloc
-        # heap (40 MB more peak RSS at LU P=23 m=160 under glibc)
-        if not _writes_once(wd, self.n_data):
-            raise ValueError("append_batch writes a datum twice in one batch")
-        flops_col = col(flops, np.float64)
-        wv = self._version[wd] + np.int32(1)
-        chunk = {
-            "kind": col(kind, np.int8),
-            "i": col(i, np.int32),
-            "j": col(j, np.int32),
-            "k": col(k, np.int32),
-            "node": col(node, np.int32),
-            "flops": flops_col,
-            "wd": wd.astype(np.int32),
-            "wv": wv,
-            "rc": rc,
-            "rd": rd.astype(np.int32),
-            "rv": rv,
-        }
-        self._chunks.append(chunk)
-        self._version[wd] = wv
-        # exact legacy semantics: total_flops is the *sequential* sum in
-        # submission order (cumsum chains left-to-right, unlike np.sum's
-        # pairwise reduction), so golden traces stay byte-identical.
-        self._total_flops = float(
-            np.cumsum(np.concatenate(([self._total_flops], flops_col)))[-1])
-        self._n += B
-        self._n_reads += rd.size
-        self._gen += 1
 
     @property
     def total_flops(self) -> float:
@@ -647,3 +560,47 @@ class TaskGraph:
             raise ValueError(
                 f"task {self.task(tid)}: reads ({int(cols.read_data[idx])},"
                 f"{int(cols.read_version[idx])}) before it is produced")
+
+
+class ColumnFill:
+    """The raw columns of a graph whose size is known up front, filled
+    in submission order, one batch at a time.
+
+    The totals are checked against :data:`INDEX_LIMIT` (data ids run
+    below ``n_data``) before anything is allocated; then each column is
+    allocated once, in its dtype.  :meth:`batch` hands out views of the
+    next slots, which the caller must overwrite entirely, and
+    :meth:`graph` adopts the filled columns by reference.
+    """
+
+    def __init__(self, n_tasks: int, n_reads: int, n_data: int,
+                 nnodes: int):
+        _check_index_range(n_tasks, n_reads, n_data - 1)
+        self.n_data = n_data
+        self.nnodes = nnodes
+        self._cols = {key: np.empty(n_reads if key in ("rd", "rv")
+                                    else n_tasks, dtype=dtype)
+                      for key, dtype in _CHUNK_DTYPES.items()}
+        self._t = self._r = 0
+
+    def batch(self, n_tasks: int, n_reads: int) -> Dict[str, np.ndarray]:
+        """Views of the next ``n_tasks`` task slots and ``n_reads`` flat
+        read slots, under the raw column keys."""
+        t, r = self._t, self._r
+        self._t, self._r = t + n_tasks, r + n_reads
+        return {key: a[r:self._r] if key in ("rd", "rv") else a[t:self._t]
+                for key, a in self._cols.items()}
+
+    def graph(self) -> TaskGraph:
+        """The filled columns as a graph; ``total_flops`` is their
+        sequential sum in submission order (``cumsum`` chains left to
+        right, unlike ``np.sum``'s pairwise reduction), as
+        :meth:`TaskGraph.submit` accumulates it."""
+        cols = self._cols
+        if (self._t, self._r) != (len(cols["kind"]), len(cols["rd"])):
+            raise ValueError(
+                f"filled {self._t} tasks and {self._r} reads of "
+                f"{len(cols['kind'])} and {len(cols['rd'])}")
+        flops = cols["flops"]
+        total = float(np.cumsum(flops)[-1]) if flops.size else 0.0
+        return TaskGraph.from_columns(cols, self.n_data, self.nnodes, total)

@@ -102,4 +102,14 @@ def test_limiting_factor_names_each_field(field, name):
     bounds = ScheduleBounds(**{**ones, field: 2.0})
     assert len(ones) == 6
     assert bounds.best == 2.0
-    assert bounds.limiting_factor(2.5) == name
+    assert bounds.limiting_factor == name
+
+
+def test_limiting_factor_is_the_field_setting_best():
+    """Two bounds one ulp apart: the larger one binds, although a
+    makespan far above both sees two equal gaps."""
+    bounds = ScheduleBounds(work_time=1.0, critical_time=1.0 + 2**-52)
+    assert bounds.best == bounds.critical_time
+    assert bounds.limiting_factor == "critical-path"
+    tie = ScheduleBounds(comm_time=2.0, node_work_time=2.0)
+    assert tie.limiting_factor == "comm"

@@ -95,7 +95,7 @@ class TestBounds:
         cl = cluster(4)
         bounds = makespan_bounds(graph, cl)
         tr = simulate(graph, cl, data_home=home)
-        assert bounds.limiting_factor(tr.makespan) in (
+        assert bounds.limiting_factor in (
             "work", "node-balance", "owner-critical-path",
         )
 

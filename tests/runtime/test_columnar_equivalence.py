@@ -1,14 +1,17 @@
 """Columnar builders ≡ legacy object builders (Hypothesis).
 
-The vectorized LU/Cholesky builders emit whole-panel and
-whole-trailing-update array batches, while the frozen reference
+The vectorized LU/Cholesky builders write whole-panel and
+whole-trailing-update array batches into columns allocated once at
+their closed-form size, while the frozen reference
 builders in :mod:`repro.runtime.objgraph` submit one task at a time.
 The refactor's core contract is that the two are **task-for-task
 identical** — same submission order, same kind/tile/iteration/node,
 same flops, same read refs in the same order, same write ref — so the
 simulator's event schedule (and every golden trace) is unchanged.
 This suite states that contract as a property over random problem
-sizes, plus the structural self-checks of ``TaskGraph.validate``.
+sizes (down to one tile: a panel and no trailing update), with the
+column dtypes, plus the structural self-checks of
+``TaskGraph.validate``.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ TILE = 8
 
 case = st.tuples(st.sampled_from(["lu", "cholesky"]),
                  st.integers(2, 16),    # P
-                 st.integers(2, 16))    # m
+                 st.integers(1, 16))    # m
 
 
 def _build_both(kernel, P, m, seed=0):
@@ -61,6 +64,10 @@ def test_columnar_builder_matches_object_reference(params):
         assert got.flops == want.flops
         assert tuple(got.reads) == tuple(want.reads)
         assert got.write == want.write
+
+    for name, col in vars(graph.columns).items():
+        want = {"kind": np.int8, "flops": np.float64}.get(name, np.int32)
+        assert col.dtype == want, name
 
     data, version = map(np.array, zip(*ref.producer))
     assert (graph.producer_for(data, version).tolist()

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.distribution import TileDistribution
+from repro.dla.cholesky import build_cholesky_graph
+from repro.dla.lu import build_lu_graph
+from repro.patterns.bc2d import bc2d
 from repro.runtime import graph as graph_mod
 from repro.runtime.graph import TaskGraph, TaskKind
 
@@ -146,74 +150,6 @@ class TestMessageCountSinglePass:
         assert calls["producer_for"] == 1
 
 
-def _append(g, write_data, read_data=None):
-    """One GEMM per written datum, each reading that datum's current
-    version plus ``read_data`` (one extra read per task) when given."""
-    wd = np.asarray(write_data, dtype=np.int64)
-    own = [g.version(d) for d in wd.tolist()]
-    if read_data is None:
-        rd, rv, rc = wd, own, np.ones(wd.size, dtype=np.int64)
-    else:
-        extra = np.asarray(read_data, dtype=np.int64)
-        rd = np.stack([wd, extra], axis=1).ravel()
-        rv = np.stack([own, np.zeros(wd.size, dtype=np.int64)],
-                      axis=1).ravel()
-        rc = np.full(wd.size, 2, dtype=np.int64)
-    g.append_batch(kind=TaskKind.GEMM, i=wd, j=0, k=0, node=0, flops=1.0,
-                   read_data=rd, read_version=rv, read_counts=rc,
-                   write_data=wd)
-
-
-def _snapshot(g):
-    cols = g.columns
-    return (len(g), {name: a.copy() for name, a in vars(cols).items()},
-            [g.version(d) for d in range(g.n_data)], g.total_flops)
-
-
-def _assert_unchanged(g, snap):
-    n, cols, versions, flops = snap
-    assert len(g) == n
-    for name, a in vars(g.columns).items():
-        np.testing.assert_array_equal(a, cols[name], err_msg=name)
-    assert [g.version(d) for d in range(g.n_data)] == versions
-    assert g.total_flops == flops
-
-
-class TestAppendBatchDuplicateWrites:
-    """A batch must write each datum at most once: its write versions
-    are derived from one read of the current versions."""
-
-    @pytest.mark.parametrize("write_data", [
-        [3, 3, 4],                        # adjacent
-        [5] + list(range(6, 40)) + [5],   # distant
-        [7, 2, 9, 2],
-    ])
-    def test_repeated_datum_raises_and_changes_nothing(self, write_data):
-        g = TaskGraph(n_data=64, nnodes=2)
-        _append(g, [0, 1, 2, 3])
-        snap = _snapshot(g)
-        with pytest.raises(ValueError, match="writes a datum twice"):
-            _append(g, write_data)
-        _assert_unchanged(g, snap)
-
-    def test_distinct_data_pass(self):
-        g = TaskGraph(n_data=64, nnodes=2)
-        _append(g, np.arange(63, -1, -1))
-        _append(g, np.arange(0, 64, 2))
-        assert len(g) == 96
-        assert g.version(0) == 2 and g.version(1) == 1
-        g.validate()
-
-    def test_batches_of_one_and_zero_pass(self):
-        g = TaskGraph(n_data=4, nnodes=2)
-        _append(g, [2])
-        _append(g, [2])
-        snap = _snapshot(g)
-        _append(g, [])
-        _assert_unchanged(g, snap)
-        assert g.version(2) == 2
-
-
 class TestIndexLimit:
     """Tasks, flat reads and data ids must fit the int32 index columns;
     checked against a lowered :data:`INDEX_LIMIT`."""
@@ -221,31 +157,6 @@ class TestIndexLimit:
     @pytest.fixture(autouse=True)
     def small_limit(self, monkeypatch):
         monkeypatch.setattr(graph_mod, "INDEX_LIMIT", 6)
-
-    def test_append_batch_task_count(self):
-        g = TaskGraph(n_data=8, nnodes=2)
-        _append(g, [0, 1, 2, 3])
-        snap = _snapshot(g)
-        with pytest.raises(ValueError, match="task count 7 .*limit 6"):
-            _append(g, [4, 5, 6])
-        _assert_unchanged(g, snap)
-        _append(g, [4, 5])
-        assert len(g) == 6
-
-    def test_append_batch_flat_reads(self):
-        g = TaskGraph(n_data=8, nnodes=2)
-        _append(g, [0, 1], read_data=[2, 3])
-        with pytest.raises(ValueError, match="flat read count 8 .*limit 6"):
-            _append(g, [2, 3], read_data=[4, 5])
-        assert len(g) == 2
-
-    def test_append_batch_data_id(self):
-        g = TaskGraph(n_data=10, nnodes=2)
-        with pytest.raises(ValueError, match="data id 7 .*limit 6"):
-            _append(g, [1, 7])
-        with pytest.raises(ValueError, match="data id 9 .*limit 6"):
-            _append(g, [1], read_data=[9])
-        assert len(g) == 0
 
     def test_submit(self):
         g = TaskGraph(n_data=10, nnodes=2)
@@ -266,7 +177,8 @@ class TestIndexLimit:
 
     def test_from_columns(self):
         g = TaskGraph(n_data=10, nnodes=2)
-        _append(g, [0, 1, 2])
+        for d in range(3):
+            g.submit(TaskKind.GEMM, d, 0, 0, 0, 1.0, ((d, 0),), d)
         cols = g.columns
         cat = {"kind": cols.kind, "i": cols.i, "j": cols.j, "k": cols.k,
                "node": cols.node, "flops": cols.flops,
@@ -281,3 +193,20 @@ class TestIndexLimit:
         long = {key: np.concatenate([a, a, a]) for key, a in cat.items()}
         with pytest.raises(ValueError, match="task count 9 .*limit 6"):
             TaskGraph.from_columns(long, 10, 2, 3 * g.total_flops)
+
+    @pytest.mark.parametrize("kernel,m,match", [
+        ("lu", 2, "flat read count 9 .*limit 6"),
+        ("cholesky", 3, "task count 10 .*limit 6"),
+    ])
+    def test_builders(self, kernel, m, match, monkeypatch):
+        """The LU and Cholesky builders size their columns in closed
+        form and refuse an oversize graph before allocating any."""
+        dist = TileDistribution(bc2d(2, 2), m, symmetric=kernel == "cholesky")
+        build = build_lu_graph if kernel == "lu" else build_cholesky_graph
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the index check")
+
+        monkeypatch.setattr(graph_mod.np, "empty", no_alloc)
+        with pytest.raises(ValueError, match=match):
+            build(dist, 8)

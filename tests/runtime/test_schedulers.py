@@ -372,7 +372,7 @@ class TestOptimalityEdges:
         b = ScheduleBounds(work_time=1.0, critical_time=3.0,
                            comm_time=2.0, bisection_time=0.0)
         assert b.best == 3.0
-        assert b.limiting_factor(3.1) == "critical-path"
+        assert b.limiting_factor == "critical-path"
 
 
 # ----------------------------------------------------------------------
