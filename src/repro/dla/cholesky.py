@@ -81,7 +81,7 @@ def build_cholesky_graph(
         c["i"][0] = k
         c["i"][1:] = r
         c["j"][:] = k
-        _panel(c, own, n, k, TaskKind.POTRF, f_potrf, f_trsm)
+        _panel(fill, c, own, n, k, TaskKind.POTRF, f_potrf, f_trsm)
 
         # trailing update: for each i > k, SYRK(i,i) then GEMM(i,j) for
         # k < j < i; row i holds i - k tasks, its SYRK first.  SYRK
@@ -106,6 +106,7 @@ def build_cholesky_graph(
         c["rd"][pos[gemm] + 2] = c["j"][gemm] * n + k
         c["rv"][:] = k + 1
         c["rv"][pos] = k
+        fill.link()
     return fill.graph(), dist.owners.astype(np.int64).reshape(-1)
 
 

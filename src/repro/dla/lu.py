@@ -101,7 +101,7 @@ def build_lu_graph(
         c["i"][1:t + 1] = r
         c["j"][:] = k
         c["j"][t + 1:] = r
-        _panel(c, own, n, k, TaskKind.GETRF, f_getrf, f_trsm)
+        _panel(fill, c, own, n, k, TaskKind.GETRF, f_getrf, f_trsm)
 
         # trailing update: GEMM(i,j) for i, j > k, i-major like the
         # reference double loop; each reads its tile at k, then (i,k)
@@ -119,6 +119,7 @@ def build_lu_graph(
         rd[..., 2] = k * n + r
         c["rv"][:] = k + 1
         c["rv"][::3] = k
+        fill.link()
     return fill.graph(), dist.owners.astype(np.int64).reshape(-1)
 
 
@@ -149,12 +150,12 @@ def _write_tiles(c: dict, own: np.ndarray, n: int, k: int) -> None:
     np.take(own, c["wd"], out=c["node"], mode="clip")
 
 
-def _panel(c: dict, own: np.ndarray, n: int, k: int, diag: TaskKind,
-           f_diag: float, f_trsm: float) -> None:
-    """Fill panel batch ``c`` of iteration ``k``, whose ``i`` and ``j``
-    are set: the factorization of ``(k,k)`` reads that tile at ``k``,
-    then each TRSM reads its own tile at ``k`` and ``(k,k)`` at
-    ``k + 1``."""
+def _panel(fill: ColumnFill, c: dict, own: np.ndarray, n: int, k: int,
+           diag: TaskKind, f_diag: float, f_trsm: float) -> None:
+    """Fill and link panel batch ``c`` of iteration ``k``, whose ``i``
+    and ``j`` are set: the factorization of ``(k,k)`` reads that tile at
+    ``k``, then each TRSM reads its own tile at ``k`` and ``(k,k)`` at
+    ``k + 1``, which the batch's first task writes."""
     _write_tiles(c, own, n, k)
     c["kind"][:] = TaskKind.TRSM
     c["kind"][0] = diag
@@ -166,6 +167,7 @@ def _panel(c: dict, own: np.ndarray, n: int, k: int, diag: TaskKind,
     c["rd"][1::2] = c["wd"][1:]
     c["rv"][:] = k
     c["rv"][2::2] = k + 1
+    c["rp"][2::2] = fill.link()
 
 
 def execute_lu(

@@ -804,9 +804,13 @@ static int64_t plan_slot(int64_t t, int64_t r, int64_t n_tasks,
  * dependents and pushed groups at [producer + 1]; number the groups
  * (code, chain link, waiter count and producer, -1 for a fetch) and
  * note the group of each message read, in read order.  ``head`` holds
- * -1 per slot on entry.  Writes [groups, message reads, local reads]. */
+ * -1 per slot on entry.  Writes [groups, message reads, local reads].
+ * It checks each read offset, producer tid and datum id before it
+ * indexes with it, so pass 2 may trust them: returns 1 for a producer
+ * or datum out of range, 2 when ``read_indptr`` is not a CSR index of
+ * the ``n_reads`` reads, and 0 otherwise. */
 int64_t repro_plan_count(
-    int64_t n_tasks, int64_t M, int64_t N,
+    int64_t n_tasks, int64_t n_reads, int64_t n_data, int64_t M, int64_t N,
     const int32_t *node, const int32_t *read_indptr,
     const int32_t *read_data, const int32_t *read_version,
     const int32_t *read_producer, int64_t has_home, const int64_t *home,
@@ -816,9 +820,19 @@ int64_t repro_plan_count(
 {
     int32_t n_groups = 0;
     int64_t n_msg = 0, n_local = 0;
+    if (read_indptr[0] != 0 || read_indptr[n_tasks] != n_reads)
+        return 2;
     for (int64_t t = 0; t < n_tasks; t++) {
         int32_t need = 0;
+        if (read_indptr[t + 1] < read_indptr[t]
+                || read_indptr[t + 1] > n_reads)
+            return 2;
         for (int64_t r = read_indptr[t]; r < read_indptr[t + 1]; r++) {
+            /* one unsigned compare per range, no branch between them */
+            uint64_t p1 = (uint64_t)((int64_t)read_producer[r] + 1);
+            if ((p1 > (uint64_t)n_tasks)
+                    | ((uint64_t)read_data[r] >= (uint64_t)n_data))
+                return 1;
             int64_t slot = plan_slot(t, r, n_tasks, node, read_data,
                                      read_producer, has_home, home);
             if (slot == -2)

@@ -126,7 +126,8 @@ def _load():
         fn = lib.repro_plan_count
         fn.restype = ctypes.c_int64
         fn.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n_tasks, M, N
+            ctypes.c_int64, ctypes.c_int64,            # n_tasks, n_reads
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # n_data, M, N
             _I32, _I32,                                # node, read_indptr
             _I32, _I32, _I32,                          # read data, version, producer
             ctypes.c_int64, _I64,                      # has_home, home
@@ -399,13 +400,15 @@ def lower_plan(node: np.ndarray, read_indptr: np.ndarray,
                home: Optional[np.ndarray], M: int, N: int) -> tuple:
     """The tables of :func:`repro.runtime.simplan.build_plan` in C.
 
-    Only valid once :func:`available` is true.  Takes a graph's columns
-    and its ``read_producer`` index, ``home`` (``None``: no version-0
+    Only valid once :func:`available` is true.  Takes a graph's columns,
+    ``read_producer`` among them, ``home`` (``None``: no version-0
     fetches) and the code radices ``M`` (versions) and ``N`` (nodes).
     The first pass classifies every read and numbers the message
     groups by first occurrence; between the passes one ``argsort`` of
     the group codes fixes the uids, and the second pass fills the CSRs
-    in read order.  Every output is allocated at its exact size.
+    in read order.  Every output is allocated at its exact size.  A bad
+    length, or a read offset, producer tid or datum id out of range
+    (checked by the first pass), raises a named ``ValueError``.
     Returns ``(pending, ld_indptr, ld_tasks, codes, producer, w_indptr,
     w_tasks, push_indptr, push_uids, init_uids)``: ``codes`` and
     ``producer`` give each uid's group code and producer tid (-1 for a
@@ -421,15 +424,6 @@ def lower_plan(node: np.ndarray, read_indptr: np.ndarray,
             or len(read_producer) != n_reads
             or (home is not None and len(home) < n_data)):
         raise ValueError("plan columns disagree in length")
-    # C indexes with producer tids, datum ids and read offsets unchecked
-    if n_reads and not (-1 <= read_producer.min()
-                        and read_producer.max() < n_tasks
-                        and 0 <= read_data.min()
-                        and read_data.max() < n_data):
-        raise ValueError("reads name a task or datum out of range")
-    if read_indptr[0] != 0 or read_indptr[-1] != n_reads \
-            or np.any(read_indptr[1:] < read_indptr[:-1]):
-        raise ValueError("read_indptr is not a CSR index of the reads")
     lib = _load()
     has_home = home is not None
     home = (np.ascontiguousarray(home, dtype=np.int64) if has_home
@@ -444,10 +438,15 @@ def lower_plan(node: np.ndarray, read_indptr: np.ndarray,
     g_next, g_count, g_prod, read_group = (
         np.empty(n_reads, dtype=np.int32) for _ in range(4))
     counts = np.zeros(3, dtype=np.int64)
-    lib.repro_plan_count(
-        n_tasks, M, N, node, read_indptr, read_data, read_version,
-        read_producer, int(has_home), home, pending, ld_indptr, push_indptr,
-        head, g_code, g_next, g_count, g_prod, read_group, counts)
+    status = lib.repro_plan_count(
+        n_tasks, n_reads, n_data, M, N, node, read_indptr, read_data,
+        read_version, read_producer, int(has_home), home, pending,
+        ld_indptr, push_indptr, head, g_code, g_next, g_count, g_prod,
+        read_group, counts)
+    if status:
+        raise ValueError(("reads name a task or datum out of range",
+                          "read_indptr is not a CSR index of the reads")
+                         [status - 1])
     del head, g_next
     n_groups, n_msg, n_local = counts.tolist()
     codes = g_code[:n_groups]

@@ -433,7 +433,7 @@ def simulate_with_faults(
     # ------------------------------------------------------------------
     node_of = cols.node.tolist()          # *current* assignment, mutable
     rt = graph.read_task.tolist()
-    rp = graph.read_producer.tolist()
+    rp = cols.read_producer.tolist()
     rd = cols.read_data.tolist()
     rv = cols.read_version.tolist()
     home_l = None if data_home is None else np.asarray(data_home, dtype=np.int64).tolist()

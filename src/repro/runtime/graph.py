@@ -21,11 +21,11 @@ The graph is stored structure-of-arrays, not array-of-structures: one
 NumPy column per task field (``kind``, ``i``, ``j``, ``k``, ``node``,
 ``flops``, ``write_data``, ``write_version``) plus a CSR layout for the
 variable-length read lists (``read_indptr`` into flat ``read_data`` /
-``read_version`` columns).  Tasks are appended one at a time by
-:meth:`submit` (tests and the small SYRK/GEMM builders).  A builder
-that knows its size up front (the LU and Cholesky factorizations)
-instead fills a :class:`ColumnFill`: every column is allocated once,
-written batch by batch, and adopted by :meth:`TaskGraph.from_columns`.
+``read_version`` / ``read_producer`` columns).  Tasks are appended one
+at a time by :meth:`submit` (tests and the small SYRK/GEMM builders).
+A builder that knows its size up front (the LU and Cholesky
+factorizations) instead fills a :class:`ColumnFill`: every column is
+allocated once, written batch by batch, and adopted as it is.
 
 Index columns are int32 (tids, tile coordinates, nodes, data ids,
 versions and read offsets), which halves the bytes per task against
@@ -34,13 +34,17 @@ or data id a graph may reach, and every way into a graph checks it.
 Code that packs or encodes these columns (priority keys, message
 codes) widens to int64 first.
 
-Derived indexes are computed **once** per finalized graph, vectorized,
-and cached: the per-datum first-writer index (:attr:`first_writer`),
-the per-read producer table (:attr:`read_producer`), and the CSR
-dependency table (:meth:`dependencies_csr`).  Every consumer reads
-the columns; :meth:`task` materializes one row as a frozen
-:class:`Task` (for error messages, tests and exploratory code) and
-:meth:`dependencies` lists one task's producers.
+In a sequential task flow a read's producer is its datum's last
+writer at that version, so every way into a graph fills
+``read_producer`` with the reads (:meth:`submit`, :class:`ColumnFill`,
+:meth:`TaskGraph.from_columns`).  Derived indexes are computed once
+per finalized graph, vectorized, and cached: the per-datum first
+writer (:attr:`first_writer`), each read's consumer
+(:attr:`read_task`) and the CSR dependency table
+(:meth:`dependencies_csr`).  Every consumer reads the columns;
+:meth:`task` materializes one row as a frozen :class:`Task` (for error
+messages, tests and exploratory code) and :meth:`dependencies` lists
+one task's producers.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ INDEX_LIMIT = int(np.iinfo(np.int32).max)
 _CHUNK_DTYPES = {
     "kind": np.int8, "i": np.int32, "j": np.int32, "k": np.int32,
     "node": np.int32, "flops": np.float64, "wd": np.int32, "wv": np.int32,
-    "rc": np.int32, "rd": np.int32, "rv": np.int32,
+    "rc": np.int32, "rd": np.int32, "rv": np.int32, "rp": np.int32,
 }
 
 
@@ -140,9 +144,9 @@ class GraphColumns:
     All arrays are aligned by task id except the flat read columns,
     which are addressed through ``read_indptr`` (CSR): the reads of
     task ``t`` are ``read_data[read_indptr[t]:read_indptr[t+1]]`` with
-    matching ``read_version`` entries, in submission (tuple) order.
-    Every index column is int32 (see :data:`INDEX_LIMIT`): 37 bytes per
-    task plus 8 per flat read.
+    matching ``read_version`` and ``read_producer`` entries, in
+    submission (tuple) order.  Every index column is int32 (see
+    :data:`INDEX_LIMIT`): 37 bytes per task plus 12 per flat read.
     """
 
     kind: np.ndarray           #: int8, TaskKind value per task
@@ -156,6 +160,7 @@ class GraphColumns:
     read_indptr: np.ndarray    #: int32, len n_tasks + 1
     read_data: np.ndarray      #: int32, flat read datum ids
     read_version: np.ndarray   #: int32, flat read versions
+    read_producer: np.ndarray  #: int32, producer tid per read, -1 for v0
 
     @property
     def n_tasks(self) -> int:
@@ -171,6 +176,8 @@ class TaskGraph:
         self.nnodes = nnodes
         #: current version of each datum
         self._version = np.zeros(n_data, dtype=np.int32)
+        #: each datum's writers in version order (None: not gathered yet)
+        self._writers: Optional[Dict[int, List[int]]] = None
         #: finalized column chunks (dicts of arrays), in append order
         self._chunks: List[dict] = []
         #: scalar staging buffers filled by :meth:`submit`
@@ -185,48 +192,47 @@ class TaskGraph:
 
     @staticmethod
     def _empty_stage() -> dict:
-        return {"kind": [], "i": [], "j": [], "k": [], "node": [], "flops": [],
-                "wd": [], "wv": [], "rc": [], "rd": [], "rv": []}
+        return {key: [] for key in _CHUNK_DTYPES}
 
     @classmethod
     def from_columns(cls, cat: Dict[str, np.ndarray], n_data: int,
                      nnodes: int, total_flops: float) -> "TaskGraph":
-        """Adopt raw columns (a copied graph's, or a filled
-        :class:`ColumnFill`'s) as a finalized graph.
+        """Adopt raw columns (a copied graph's, or resize's remaining
+        tasks) as a finalized graph.
 
         ``cat`` uses the internal chunk keys (``kind``/``i``/``j``/``k``/
-        ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``).  Arrays
-        already in the column dtypes (int32 indexes, int8 kinds, float64
-        flops) are adopted **by reference** — they may be read-only or
-        unaligned views of a foreign buffer; nothing here writes to
-        them — and others are converted.  ``total_flops`` is taken as
-        given: when the columns copy an existing graph, pass that
-        graph's sequential sum so simulated traces stay byte-identical
-        to its own.  Raises ``ValueError`` when the columns outgrow
-        :data:`INDEX_LIMIT`.
+        ``node``/``flops``/``wd``/``wv``/``rc``/``rd``/``rv``, and the
+        read producers ``rp`` if known: else :meth:`producer_for` gives
+        them, -1 for a version nobody writes).  Arrays already in the
+        column dtypes are adopted **by reference** — they may be
+        read-only or unaligned views of a foreign buffer — and others
+        are converted.  ``total_flops`` is taken as given: when the
+        columns copy an existing graph, pass that graph's sequential
+        sum so simulated traces stay byte-identical to its own.  Raises
+        ``ValueError`` when the columns outgrow :data:`INDEX_LIMIT`.
         """
         _check_index_range(
             len(cat["kind"]), len(cat["rd"]),
             max(int(np.max(cat["wd"], initial=0)),
                 int(np.max(cat["rd"], initial=0))))
         chunk = {key: np.asarray(cat[key], dtype=dtype)
-                 for key, dtype in _CHUNK_DTYPES.items()}
-        g = cls.__new__(cls)
-        g.n_data = n_data
-        g.nnodes = nnodes
-        # versions are dense per datum, so the current version is the
-        # write count — no need to scan for the max
-        g._version = np.bincount(chunk["wd"],
-                                 minlength=n_data).astype(np.int32)
-        g._chunks = [chunk]
-        g._stage = cls._empty_stage()
-        g._n = int(len(chunk["kind"]))
-        g._n_reads = int(len(chunk["rd"]))
+                 for key, dtype in _CHUNK_DTYPES.items() if key in cat}
+        rp = chunk.setdefault("rp", np.empty(len(chunk["rd"]), np.int32))
+        # versions are dense: the current version is the write count
+        g = cls._adopt(chunk, n_data, nnodes, total_flops, np.bincount(
+            chunk["wd"], minlength=n_data).astype(np.int32))
+        if "rp" not in cat:
+            rp[:] = g.producer_for(chunk["rd"], chunk["rv"])
+        return g
+
+    @classmethod
+    def _adopt(cls, chunk: Dict[str, np.ndarray], n_data: int, nnodes: int,
+               total_flops: float, version: np.ndarray) -> "TaskGraph":
+        """A finalized graph of one checked chunk, data at ``version``."""
+        g = cls(n_data, nnodes)
+        g._version, g._chunks, g._gen = version, [chunk], 1
+        g._n, g._n_reads = len(chunk["kind"]), len(chunk["rd"])
         g._total_flops = float(total_flops)
-        g._gen = 1
-        g._cols = None
-        g._cols_gen = -1
-        g._derived = {}
         return g
 
     # ------------------------------------------------------------------
@@ -259,13 +265,27 @@ class TaskGraph:
         tests and the small SYRK/GEMM builders; the factorization
         builders fill a :class:`ColumnFill`.  Raises ``ValueError``,
         before any state changes, when the task would take the graph
-        past :data:`INDEX_LIMIT`.
+        past :data:`INDEX_LIMIT` or reads a version its datum has not
+        reached.
         """
         _check_index_range(
             self._n + 1, self._n_reads + len(reads),
             max([write_data, *(d for d, _ in reads)]))
         new_version = int(self._version[write_data]) + 1
         tid = self._n
+        task = Task(tid=tid, kind=TaskKind(kind), i=i, j=j, k=k, node=node,
+                    flops=flops, reads=tuple(reads),
+                    write=(write_data, new_version))
+        if self._writers is None:   # a new or adopted graph's writers
+            writers = self._writers = {}
+            for t, d in enumerate(self.columns.write_data.tolist()):
+                writers.setdefault(d, []).append(t)
+        producers = []
+        for d, v in reads:
+            if v > self._version[d]:
+                raise ValueError(
+                    f"task {task}: reads ({d},{v}) before it is produced")
+            producers.append(self._writers[d][v - 1] if v > 0 else -1)
         st = self._stage
         st["kind"].append(int(kind))
         st["i"].append(i)
@@ -276,17 +296,16 @@ class TaskGraph:
         st["wd"].append(write_data)
         st["wv"].append(new_version)
         st["rc"].append(len(reads))
-        for d, v in reads:
-            st["rd"].append(d)
-            st["rv"].append(v)
+        st["rd"].extend(d for d, _ in reads)
+        st["rv"].extend(v for _, v in reads)
+        st["rp"].extend(producers)
+        self._writers.setdefault(write_data, []).append(tid)
         self._version[write_data] = new_version
         self._total_flops = self._total_flops + flops
         self._n += 1
         self._n_reads += len(reads)
         self._gen += 1
-        return Task(tid=tid, kind=TaskKind(kind), i=i, j=j, k=k, node=node,
-                    flops=flops, reads=tuple(reads),
-                    write=(write_data, new_version))
+        return task
 
     @property
     def total_flops(self) -> float:
@@ -326,7 +345,8 @@ class TaskGraph:
             kind=cat["kind"], i=cat["i"], j=cat["j"], k=cat["k"],
             node=cat["node"], flops=cat["flops"],
             write_data=cat["wd"], write_version=cat["wv"],
-            read_indptr=indptr, read_data=cat["rd"], read_version=cat["rv"])
+            read_indptr=indptr, read_data=cat["rd"], read_version=cat["rv"],
+            read_producer=cat["rp"])
         self._cols_gen = self._gen
         self._derived = {}
         return self._cols
@@ -355,12 +375,7 @@ class TaskGraph:
         return order, start, count
 
     def _compute_first_writer(self):
-        """Per-datum tid of the first writer, -1 for never-written data.
-
-        One vectorized pass over the write column — this is the
-        precomputed index that replaces the per-version task scans the
-        old ``message_count`` performed.
-        """
+        """Per-datum tid of the first writer, -1 for never-written data."""
         cols = self._cols
         fw = np.full(self.n_data, -1, dtype=np.int64)
         tids = np.arange(len(cols.write_data), dtype=np.int64)
@@ -375,8 +390,7 @@ class TaskGraph:
         return self._index("first_writer")
 
     def _compute_read_task(self):
-        cols = self._cols
-        counts = np.diff(cols.read_indptr)
+        counts = np.diff(self._cols.read_indptr)
         return np.repeat(np.arange(len(counts), dtype=np.int32), counts)
 
     @property
@@ -394,48 +408,9 @@ class TaskGraph:
         idx = np.where(valid, start[data] + version - 1, 0)
         return np.where(valid, order[idx], -1)
 
-    def _compute_read_producer(self):
-        cols = self._cols
-        n = len(cols.write_data)
-        if n:
-            # Direct (data, version) → tid scatter table.  Versions are
-            # dense and start at 1, so ``d*width + v`` is injective over
-            # writes and the ``v == 0`` cells stay -1, which is exactly
-            # the sentinel version-0 reads must map to.  This replaces
-            # the stable argsort behind ``writer_index`` on the planning
-            # hot path; the guard keeps the table near the size of the
-            # columns themselves so degenerate version counts (one datum
-            # written a million times, a million data written once)
-            # cannot blow memory — those fall back to ``producer_for``.
-            # Cells are addressed in intp: ``n_data*width`` may pass int32.
-            width = int(cols.write_version.max()) + 1
-            size = self.n_data * width
-            if size <= 4 * (n + len(cols.read_data)) + 1024:
-                table = np.full(size, -1, dtype=np.int32)
-                cell = cols.write_data.astype(np.intp) * width
-                cell += cols.write_version
-                table[cell] = np.arange(n, dtype=np.int32)
-                del cell
-                rv = cols.read_version
-                cell = cols.read_data.astype(np.intp) * width
-                if int(rv.max(initial=0)) < width:
-                    cell += rv
-                    return table[cell]
-                in_range = rv < width
-                cell = np.where(in_range, cell + rv, 0)
-                return np.where(in_range, table[cell], np.int32(-1))
-        return self.producer_for(cols.read_data,
-                                 cols.read_version).astype(np.int32)
-
-    @property
-    def read_producer(self) -> np.ndarray:
-        """Producer tid of every flat read entry (int32, -1 for
-        version 0)."""
-        return self._index("read_producer")
-
     def _compute_dependencies_csr(self):
         cols = self._cols
-        rp = self.read_producer
+        rp = cols.read_producer
         has = rp >= 0
         dep_flat = rp[has]
         counts = np.bincount(self.read_task[has], minlength=len(cols.kind))
@@ -508,10 +483,8 @@ class TaskGraph:
         (data version, remote consumer node) pair — StarPU caches a
         received version and never re-fetches it.
 
-        Fully vectorized: unique (version, consumer-node) pairs come
-        from one grouping pass over the read columns, and version-0
-        homes from the precomputed :attr:`first_writer` index — the old
-        implementation rescanned every task per untracked version.
+        One grouping pass over the read columns gives the pairs, and
+        :attr:`first_writer` the version-0 homes.
         """
         cols = self.columns
         if not cols.read_data.size:
@@ -540,18 +513,17 @@ class TaskGraph:
         order, start, count = self._index("writer_index")
         # dense versions: within each datum group (submission order),
         # the written versions must be 1, 2, 3, ...
-        expected = np.arange(len(order), dtype=np.int64) - start[cols.write_data[order]] + 1
-        wrong = cols.write_version[order] != expected
-        if np.any(wrong):
-            bad = order[wrong]
-            tid = int(bad.min())
-            pos = int(np.flatnonzero(order == tid)[0])
+        expected = np.empty(len(order), dtype=np.int64)
+        expected[order] = np.arange(len(order)) - start[cols.write_data[order]] + 1
+        wrong = np.flatnonzero(cols.write_version != expected)
+        if wrong.size:
+            tid = int(wrong[0])
             raise ValueError(
                 f"task {self.task(tid)}: writes version "
-                f"{int(cols.write_version[tid])}, expected {int(expected[pos])}")
+                f"{int(cols.write_version[tid])}, expected {int(expected[tid])}")
         # reads: version 0 always exists; version v > 0 must have a
         # producer that was submitted strictly earlier
-        rp = self.read_producer
+        rp = cols.read_producer
         rt = self.read_task
         bad_read = (cols.read_version > 0) & ((rp < 0) | (rp >= rt))
         if np.any(bad_read):
@@ -569,8 +541,8 @@ class ColumnFill:
     The totals are checked against :data:`INDEX_LIMIT` (data ids run
     below ``n_data``) before anything is allocated; then each column is
     allocated once, in its dtype.  :meth:`batch` hands out views of the
-    next slots, which the caller must overwrite entirely, and
-    :meth:`graph` adopts the filled columns by reference.
+    next slots, which the caller must overwrite entirely, ``rp`` by
+    :meth:`link`; :meth:`graph` adopts the filled columns by reference.
     """
 
     def __init__(self, n_tasks: int, n_reads: int, n_data: int,
@@ -578,18 +550,34 @@ class ColumnFill:
         _check_index_range(n_tasks, n_reads, n_data - 1)
         self.n_data = n_data
         self.nnodes = nnodes
-        self._cols = {key: np.empty(n_reads if key in ("rd", "rv")
+        self._cols = {key: np.empty(n_reads if key in ("rd", "rv", "rp")
                                     else n_tasks, dtype=dtype)
                       for key, dtype in _CHUNK_DTYPES.items()}
-        self._t = self._r = 0
+        #: tid of each datum's last writer so far, -1 for none
+        self._last = np.full(n_data, -1, dtype=np.int32)
+        self._t = self._r = self._t0 = self._r0 = 0
 
     def batch(self, n_tasks: int, n_reads: int) -> Dict[str, np.ndarray]:
         """Views of the next ``n_tasks`` task slots and ``n_reads`` flat
         read slots, under the raw column keys."""
-        t, r = self._t, self._r
+        t, r = self._t0, self._r0 = self._t, self._r
         self._t, self._r = t + n_tasks, r + n_reads
-        return {key: a[r:self._r] if key in ("rd", "rv") else a[t:self._t]
-                for key, a in self._cols.items()}
+        return {key: a[r:self._r] if key in ("rd", "rv", "rp")
+                else a[t:self._t] for key, a in self._cols.items()}
+
+    def link(self) -> int:
+        """Fill the read producers of the last batch, whose reads and
+        writes are set, from each datum's last writer before the batch
+        (-1: none); then its tasks become the last writers of the data
+        they write, once each.  Returns the batch's first tid: a read of
+        a version the batch itself writes is the caller's to name.
+        ``clip`` skips a bounds check that would buffer the output."""
+        t, r, cols = self._t0, self._r0, self._cols
+        np.take(self._last, cols["rd"][r:self._r], out=cols["rp"][r:self._r],
+                mode="clip")
+        self._last[cols["wd"][t:self._t]] = np.arange(t, self._t,
+                                                      dtype=np.int32)
+        return t
 
     def graph(self) -> TaskGraph:
         """The filled columns as a graph; ``total_flops`` is their
@@ -603,4 +591,8 @@ class ColumnFill:
                 f"{len(cols['kind'])} and {len(cols['rd'])}")
         flops = cols["flops"]
         total = float(np.cumsum(flops)[-1]) if flops.size else 0.0
-        return TaskGraph.from_columns(cols, self.n_data, self.nnodes, total)
+        written = self._last >= 0
+        version = np.zeros(self.n_data, dtype=np.int32)
+        version[written] = cols["wv"][self._last[written]]
+        return TaskGraph._adopt(cols, self.n_data, self.nnodes, total,
+                                version)

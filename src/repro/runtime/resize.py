@@ -415,6 +415,10 @@ def simulate_with_resize(
             raise SimulationError(
                 "resize drain cut a version chain; the task graph does not "
                 "have the in-place update structure resize relies on")
+        # producers: remaining tasks renumbered, drained ones -1 (their
+        # versions are phase B's version 0); a -1 hits the sentinel slot
+        new_tid = np.full(cols.n_tasks + 1, -1, dtype=np.int32)
+        new_tid[rem_ids] = np.arange(rem_ids.size, dtype=np.int32)
         cat = {
             "kind": cols.kind[rem_mask],
             "i": cols.i[rem_mask],
@@ -427,6 +431,7 @@ def simulate_with_resize(
             "rc": read_counts[rem_mask],
             "rd": rd,
             "rv": rv,
+            "rp": new_tid[cols.read_producer[flat_mask]],
         }
         graph_b = TaskGraph.from_columns(
             cat, n_data, nmax, float(cols.flops[rem_mask].sum()))

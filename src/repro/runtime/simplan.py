@@ -133,7 +133,7 @@ def build_plan(graph: TaskGraph,
     if select_backend()[0] == "c":
         from . import csim
         lowered = csim.lower_plan(node_a, cols.read_indptr, cols.read_data,
-                                  rv, graph.read_producer, graph.n_data,
+                                  rv, cols.read_producer, graph.n_data,
                                   home_a, M, N)
     else:
         lowered = _lower(graph, home_a, M, N)
@@ -175,7 +175,7 @@ def _lower(graph: TaskGraph, home_a: Optional[np.ndarray], M: int,
     n_tasks = cols.n_tasks
     node_a = cols.node
     rt = graph.read_task          # consumer tid per flat read
-    rp = graph.read_producer      # producer tid per flat read, -1 if none
+    rp = cols.read_producer       # producer tid per flat read, -1 if none
     rd = cols.read_data
     rnode = node_a[rt]            # consumer node per flat read
 

@@ -337,9 +337,10 @@ def test_event_loop_rejects_bad_sizes():
 
 
 def test_plan_kernel_rejects_bad_sizes():
-    """Lengths, producer tids, datum ids and read offsets are checked
-    before any pointer reaches the lowering, which indexes with them
-    unchecked."""
+    """Lengths are checked before any pointer reaches the lowering, and
+    its first pass checks each producer tid, datum id and read offset
+    before it indexes with it: one bad entry amid valid ones is found
+    too."""
     from repro.runtime import csim
     if not csim.available():
         pytest.skip(f"compiled loop unavailable: {csim.load_error()}")
@@ -348,23 +349,33 @@ def test_plan_kernel_rejects_bad_sizes():
     cols = graph.columns
     args = dict(node=cols.node, read_indptr=cols.read_indptr,
                 read_data=cols.read_data, read_version=cols.read_version,
-                read_producer=graph.read_producer, n_data=graph.n_data,
+                read_producer=cols.read_producer, n_data=graph.n_data,
                 home=home, M=int(cols.read_version.max()) + 1, N=5)
     csim.lower_plan(**args)
     swapped = cols.read_indptr.copy()
     swapped[[1, 2]] = swapped[[2, 1]]
+    mid = len(cols.read_data) // 2
+    one_producer = cols.read_producer.copy()
+    one_producer[mid] = len(graph)
+    one_datum = cols.read_data.copy()
+    one_datum[mid] = graph.n_data
+    past_end = cols.read_indptr.copy()
+    past_end[1] = len(cols.read_data) + 1
     for kw, match in (
             ({"node": cols.node[:-1]}, "disagree in length"),
             ({"read_version": cols.read_version[:-1]}, "disagree in length"),
             ({"home": home[:-1]}, "disagree in length"),
-            ({"read_producer": np.full_like(graph.read_producer, len(graph))},
+            ({"read_producer": np.full_like(cols.read_producer, len(graph))},
              "out of range"),
-            ({"read_producer": np.full_like(graph.read_producer, -2)},
+            ({"read_producer": np.full_like(cols.read_producer, -2)},
              "out of range"),
             ({"read_data": np.full_like(cols.read_data, graph.n_data)},
              "out of range"),
+            ({"read_producer": one_producer}, "out of range"),
+            ({"read_data": one_datum}, "out of range"),
             ({"read_indptr": cols.read_indptr + 1}, "not a CSR index"),
-            ({"read_indptr": swapped}, "not a CSR index")):
+            ({"read_indptr": swapped}, "not a CSR index"),
+            ({"read_indptr": past_end}, "not a CSR index")):
         with pytest.raises(ValueError, match=match):
             csim.lower_plan(**{**args, **kw})
 

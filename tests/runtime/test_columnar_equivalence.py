@@ -10,8 +10,8 @@ same flops, same read refs in the same order, same write ref — so the
 simulator's event schedule (and every golden trace) is unchanged.
 This suite states that contract as a property over random problem
 sizes (down to one tile: a panel and no trailing update), with the
-column dtypes, plus the structural self-checks of
-``TaskGraph.validate``.
+column dtypes, each read's producer and each datum's final version,
+plus the structural self-checks of ``TaskGraph.validate``.
 """
 
 import numpy as np
@@ -73,6 +73,13 @@ def test_columnar_builder_matches_object_reference(params):
     assert (graph.producer_for(data, version).tolist()
             == list(ref.producer.values()))
     assert graph.total_flops == ref.total_flops
+
+    # the producers the builder names as it writes each read, and the
+    # versions it leaves every datum at
+    assert graph.columns.read_producer.tolist() == [
+        ref.producer.get(read, -1) for t in ref.tasks for read in t.reads]
+    assert ([graph.version(d) for d in range(graph.n_data)]
+            == [ref.version(d) for d in range(ref.n_data)])
 
 
 @given(case)

@@ -130,12 +130,15 @@ def test_empty_graph(network, monkeypatch, tmp_path):
 
 def _never_ready_graph() -> TaskGraph:
     """Task 0 runs; tasks 1 and 2, on two nodes, each wait for the
-    other's output, so neither ever becomes ready."""
-    g = TaskGraph(n_data=3, nnodes=3)
-    g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1e3, ((0, 0),), 0)
-    g.submit(TaskKind.GEMM, 1, 1, 0, 1, 1e3, ((1, 0), (2, 1)), 1)
-    g.submit(TaskKind.GEMM, 2, 2, 0, 2, 1e3, ((2, 0), (1, 1)), 2)
-    return g
+    other's output, so neither ever becomes ready.  ``submit`` refuses
+    task 1's read of a version not yet written, so the columns are
+    adopted as they are."""
+    return TaskGraph.from_columns(
+        {"kind": [TaskKind.GEMM] * 3, "i": [0, 1, 2], "j": [0, 1, 2],
+         "k": [0, 0, 0], "node": [0, 1, 2], "flops": [1e3] * 3,
+         "wd": [0, 1, 2], "wv": [1, 1, 1], "rc": [1, 2, 2],
+         "rd": [0, 1, 2, 2, 1], "rv": [0, 0, 1, 0, 1]},
+        n_data=3, nnodes=3, total_flops=3e3)
 
 
 @pytest.mark.parametrize("network", ["nic", "contention", "hierarchical"])

@@ -85,8 +85,31 @@ class TestValidate:
         g.validate()
 
     def test_read_of_future_version_detected(self):
+        """``submit`` refuses the read, naming the task and the read,
+        before any state changes: its producer would be -1, which the
+        lowering takes for a version-0 fetch."""
         g = make_graph()
-        g.submit(TaskKind.GETRF, 0, 0, 0, 0, 1.0, ((1, 5),), 0)
+        with pytest.raises(ValueError, match=r"GETRF\(0,0;k=0\)@0: reads "
+                           r"\(1,5\) before it is produced"):
+            g.submit(TaskKind.GETRF, 0, 0, 0, 0, 1.0, ((1, 5),), 0)
+        g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1.0, ((0, 0),), 0)
+        with pytest.raises(ValueError, match=r"reads \(0,2\) before"):
+            g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1.0, ((0, 2),), 0)
+        assert len(g) == 1 and g.version(0) == 1 and g.version(1) == 0
+        assert g.columns.read_producer.tolist() == [-1]
+        g.validate()
+
+    @pytest.mark.parametrize("rd,rv", [
+        ([1], [5]),     # a version nobody writes: producer -1
+        ([0], [1]),     # the version the reading task itself writes
+    ])
+    def test_unproduced_read_of_adopted_columns_detected(self, rd, rv):
+        """Columns adopted without producers can still name such a
+        read; ``validate`` finds it."""
+        cat = {"kind": [TaskKind.GETRF], "i": [0], "j": [0], "k": [0],
+               "node": [0], "flops": [1.0], "wd": [0], "wv": [1],
+               "rc": [1], "rd": rd, "rv": rv}
+        g = TaskGraph.from_columns(cat, 4, 2, 1.0)
         with pytest.raises(ValueError, match="before it is produced"):
             g.validate()
 
@@ -94,6 +117,92 @@ class TestValidate:
         g = make_graph()
         t = g.submit(TaskKind.GEMM, 2, 3, 1, 0, 1.0, (), 0)
         assert repr(t) == "GEMM(2,3;k=1)@0"
+
+
+def _assert_oracle_producers(g):
+    """The graph's read producers equal the sort-based lookup's."""
+    cols = g.columns
+    assert cols.read_producer.dtype == np.int32
+    np.testing.assert_array_equal(
+        cols.read_producer, g.producer_for(cols.read_data, cols.read_version))
+
+
+def _raw_columns(g):
+    cols = g.columns
+    return {"kind": cols.kind, "i": cols.i, "j": cols.j, "k": cols.k,
+            "node": cols.node, "flops": cols.flops,
+            "wd": cols.write_data, "wv": cols.write_version,
+            "rc": np.diff(cols.read_indptr), "rd": cols.read_data,
+            "rv": cols.read_version, "rp": cols.read_producer}
+
+
+class TestReadProducers:
+    """Every way into a graph gives each read its producer; the
+    sort-based :meth:`TaskGraph.producer_for` is the oracle."""
+
+    def _submitted(self):
+        g = make_graph()
+        g.submit(TaskKind.GEMM, 0, 0, 0, 0, 1.0, ((0, 0),), 0)        # t0
+        g.submit(TaskKind.GEMM, 0, 0, 1, 0, 1.0, ((0, 1),), 0)        # t1
+        g.submit(TaskKind.GEMM, 1, 0, 1, 1, 1.0, ((1, 0), (0, 2)), 1)  # t2
+        # an older version, version 0 of a written datum, a never
+        # written datum, the current version
+        g.submit(TaskKind.GEMM, 2, 0, 1, 1, 1.0,
+                 ((0, 1), (1, 0), (3, 0), (1, 1)), 2)
+        return g
+
+    def test_submit(self):
+        g = self._submitted()
+        assert g.columns.read_producer.tolist() == [-1, 0, -1, 1,
+                                                    0, -1, -1, 2]
+        _assert_oracle_producers(g)
+        assert g.dependencies(3) == [0, 2]
+
+    @pytest.mark.parametrize("with_producers", [True, False])
+    def test_from_columns_of_a_copy(self, with_producers):
+        g = self._submitted()
+        cat = _raw_columns(g)
+        if not with_producers:
+            del cat["rp"]
+        copy = TaskGraph.from_columns(cat, g.n_data, g.nnodes, g.total_flops)
+        np.testing.assert_array_equal(copy.columns.read_producer,
+                                      g.columns.read_producer)
+        _assert_oracle_producers(copy)
+        # a copy keeps growing: submit gathers its writers from the
+        # adopted columns
+        copy.submit(TaskKind.GEMM, 0, 0, 2, 0, 1.0, ((0, 1), (0, 2)), 0)
+        assert copy.columns.read_producer[-2:].tolist() == [0, 1]
+        _assert_oracle_producers(copy)
+
+    @pytest.mark.parametrize("P,spec", [(7, "9@3e-5"), (9, "5@3e-5")],
+                             ids=["grow", "shrink"])
+    def test_resize_phase_b(self, P, spec, monkeypatch):
+        """Resize renumbers the producers of the remaining tasks; a read
+        of the last drained version, phase B's version 0, gets -1."""
+        from repro.patterns.library import shipped_pattern
+        from repro.runtime.cluster import ClusterSpec
+        from repro.runtime.simulator import simulate
+
+        graph, home = build_lu_graph(
+            TileDistribution(shipped_pattern(P, "lu"), 10, symmetric=False),
+            8)
+        adopted = []
+        adopt = TaskGraph.from_columns
+
+        def spy(cat, *args):
+            adopted.append((set(cat), adopt(cat, *args)))
+            return adopted[-1][1]
+
+        monkeypatch.setattr(TaskGraph, "from_columns", staticmethod(spy))
+        cluster = ClusterSpec(nnodes=P, cores_per_node=2, core_gflops=1.0,
+                              bandwidth_Bps=1e9, latency_s=1e-6, tile_size=8)
+        trace = simulate(graph, cluster, data_home=home, resize=spec)
+        (keys, phase_b), = adopted
+        assert "rp" in keys
+        rs = trace.resize_stats
+        assert rs.tasks_done > 0
+        assert len(phase_b) == rs.tasks_remaining > 0
+        _assert_oracle_producers(phase_b)
 
 
 class TestMessageCountSinglePass:
@@ -179,12 +288,7 @@ class TestIndexLimit:
         g = TaskGraph(n_data=10, nnodes=2)
         for d in range(3):
             g.submit(TaskKind.GEMM, d, 0, 0, 0, 1.0, ((d, 0),), d)
-        cols = g.columns
-        cat = {"kind": cols.kind, "i": cols.i, "j": cols.j, "k": cols.k,
-               "node": cols.node, "flops": cols.flops,
-               "wd": cols.write_data, "wv": cols.write_version,
-               "rc": np.diff(cols.read_indptr), "rd": cols.read_data,
-               "rv": cols.read_version}
+        cat = _raw_columns(g)
         copy = TaskGraph.from_columns(cat, 10, 2, g.total_flops)
         assert len(copy) == 3
         with pytest.raises(ValueError, match="data id 8 .*limit 6"):

@@ -51,14 +51,15 @@ def _csr(values, groups, n_groups):
 
 def _reference_plan(graph, data_home=None):
     """The earlier ``build_plan``, verbatim but for its inputs, which
-    are widened to the int64 it was written for."""
+    are widened to the int64 it was written for; the producers come
+    from the sort-based lookup, not from the graph's own column."""
     cols = graph.columns
     n_tasks = cols.n_tasks
     node_a = cols.node.astype(np.int64)
     rt = graph.read_task.astype(np.int64)
-    rp = graph.read_producer.astype(np.int64)
     rd = cols.read_data.astype(np.int64)
     rv = cols.read_version.astype(np.int64)
+    rp = graph.producer_for(rd, rv)
     k = cols.k.astype(np.int64)
     rnode = node_a[rt]
 
@@ -221,9 +222,12 @@ def test_bytes_per_task_lu_p23_m64():
         assert getattr(cols, name).dtype == np.int32, name
     assert cols.kind.dtype == np.int8
     assert cols.flops.dtype == np.float64
-    col_bytes = sum(a.nbytes for a in vars(cols).values())
+    # the producer column is budgeted with ``read_task`` below: both
+    # hold one int32 per read
+    col_bytes = sum(a.nbytes for name, a in vars(cols).items()
+                    if name != "read_producer")
     assert col_bytes / n <= 64
-    rt, rp = graph.read_task, graph.read_producer
+    rt, rp = graph.read_task, cols.read_producer
     indptr, deps = graph.dependencies_csr()
     for a in (rt, rp, indptr, deps):
         assert a.dtype == np.int32
@@ -237,7 +241,8 @@ def test_bytes_per_task_lu_p23_m64():
 @pytest.mark.slow
 def test_lowerings_agree_on_lu_large():
     """The benchmark's ``lu-large`` graph (LU on G-2DBC(23) relabeled by
-    seed 0, m=160: 1.38M tasks, 4.1M reads, 98,464 messages): the C
+    seed 0, m=160: 1.38M tasks, 4.1M reads, 98,464 messages): the
+    builder's read producers equal the sort-based lookup's, and the C
     lowering equals the NumPy one field by field."""
     if not csim.available():
         pytest.skip(f"compiled kernels unavailable: {csim.load_error()}")
@@ -245,6 +250,10 @@ def test_lowerings_agree_on_lu_large():
     pattern = relabel_pattern(g2dbc(23), perm, nnodes=23)
     graph, home = build_lu_graph(
         TileDistribution(pattern, 160, symmetric=False), TILE)
+    cols = graph.columns
+    np.testing.assert_array_equal(
+        cols.read_producer,
+        graph.producer_for(cols.read_data, cols.read_version))
     plans = dict(_plans(graph, home))
     c, py = plans["c"], plans["python"]
     assert c.n_msgs == py.n_msgs == 98_464
