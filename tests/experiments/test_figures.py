@@ -6,7 +6,10 @@ paper's qualitative orderings (the full-size shapes are exercised by
 the benchmark suite).
 """
 
+import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.experiments.figures import (
     fig4_g2dbc_cost,
     fig5_lu_p23,
     fig7a_strong_scaling_lu,
+    fig7b_strong_scaling_cholesky,
     fig9_gcrm_size_effect,
     fig10_symmetric_cost,
     fig11_cholesky_p31,
@@ -24,6 +28,19 @@ from repro.experiments.figures import (
 )
 
 SMALL = (12, 16)
+GOLDEN_ROWS = Path(__file__).parent / "golden" / "figure_rows.json"
+
+
+@pytest.fixture(scope="module")
+def tiny_figures():
+    """Three simulated figures at 12 tiles: an LU figure over 2DBC
+    grids and G-2DBC, and two Cholesky figures with GCR&M and SBC."""
+    return {
+        "fig5": fig5_lu_p23((12,), tile_size=200),
+        "fig7b": fig7b_strong_scaling_cholesky(12, 200, P_values=(23,),
+                                               seeds=range(3)),
+        "fig11": fig11_cholesky_p31((12,), 200, seeds=range(3)),
+    }
 
 
 class TestFigureResult:
@@ -123,3 +140,22 @@ class TestSimulatedFigures:
         res = fig11_cholesky_p31(n_tiles_list=(12,), tile_size=200, seeds=range(3))
         assert len(res.rows) == 2
         assert all(r["gflops"] > 0 for r in res.rows)
+
+
+class TestRowGolden:
+    """Every column of every row of three tiny figures, floats as
+    ``float.hex``.
+
+    Regenerate (only after an *intentional* behavior change) with::
+
+        REGEN_GOLDEN=1 python -m pytest tests/experiments/test_figures.py -k RowGolden
+    """
+
+    def test_rows_match_golden(self, tiny_figures):
+        actual = {name: [{k: v.hex() if isinstance(v, float) else v
+                          for k, v in row.items()} for row in res.rows]
+                  for name, res in tiny_figures.items()}
+        if os.environ.get("REGEN_GOLDEN"):
+            GOLDEN_ROWS.write_text(json.dumps(actual, indent=1) + "\n")
+            pytest.skip(f"regenerated {GOLDEN_ROWS.name}")
+        assert actual == json.loads(GOLDEN_ROWS.read_text())
