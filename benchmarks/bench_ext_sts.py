@@ -8,10 +8,9 @@ vs the paper's GCR&M search (T≈7.4) vs the SBC fallback on 32 nodes
 
 import pytest
 
-from repro.experiments.figures import FigureResult
-from repro.experiments.harness import sweep
+from repro.experiments.figures import FigureResult, performance_figure
 from repro.patterns.gcrm import gcrm_cost_floor, gcrm_search
-from repro.patterns.sbc import sbc
+from repro.patterns.library import search_budget
 from repro.patterns.sts import sts_node_counts, sts_pattern
 
 
@@ -41,19 +40,22 @@ def test_sts_cost_floor(benchmark, save_result):
 
 
 @pytest.mark.benchmark(group="ext-sts")
-def test_sts_p35_cholesky(benchmark, save_result):
+def test_sts_p35_cholesky(benchmark, save_result, check_runs):
     """Simulated Figure-12 rerun with the STS(15) pattern added."""
     def run():
-        patterns = {
-            "STS 15x15 (P=35)": sts_pattern(15),
-            "GCR&M (P=35)": gcrm_search(35, seeds=range(10), max_factor=3.0).pattern,
-            "SBC 8x8 (P=32)": sbc(32),
-        }
-        rows = [r.as_dict() for r in sweep(patterns, [48, 64], "cholesky")]
-        return FigureResult("Extension", "Cholesky P=35 with the explicit STS pattern", rows)
+        series = [
+            ("STS 15x15 (P=35)", "sts", 35),
+            ("GCR&M (P=35)", "gcrm", 35),
+            ("SBC 8x8 (P=32)", "sbc", 32),
+        ]
+        return performance_figure(
+            "Extension", "Cholesky P=35 with the explicit STS pattern",
+            series, [48, 64], "cholesky",
+            budget=search_budget(range(10), max_factor=3.0))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     save_result(result, "ext_sts_p35")
+    check_runs(result)
 
     last = {r["label"]: r for r in result.rows if r["n_tiles"] == 64}
     assert last["STS 15x15 (P=35)"]["pattern_cost"] == 7.0

@@ -13,11 +13,12 @@ SIZES = (32, 48, 64)
 
 
 @pytest.mark.benchmark(group="fig01")
-def test_fig1_2dbc_shapes(benchmark, save_result):
+def test_fig1_2dbc_shapes(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig1_2dbc_shapes(n_tiles_list=SIZES), rounds=1, iterations=1
     )
     save_result(result, "fig01_2dbc_shapes")
+    check_runs(result)
 
     last = SIZES[-1]
     per_node = {r["label"]: r["gflops_per_node"] for r in result.rows if r["n_tiles"] == last}

@@ -13,11 +13,12 @@ SIZES = (32, 48, 64)
 
 
 @pytest.mark.benchmark(group="fig05")
-def test_fig5_lu_p23(benchmark, save_result):
+def test_fig5_lu_p23(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig5_lu_p23(n_tiles_list=SIZES), rounds=1, iterations=1
     )
     save_result(result, "fig05_lu_p23")
+    check_runs(result)
 
     for n in SIZES:
         total = {r["label"]: r["gflops"] for r in result.rows if r["n_tiles"] == n}

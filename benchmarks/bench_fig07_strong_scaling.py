@@ -15,11 +15,12 @@ N_TILES = 48
 
 
 @pytest.mark.benchmark(group="fig07")
-def test_fig7a_lu_strong_scaling(benchmark, save_result):
+def test_fig7a_lu_strong_scaling(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig7a_strong_scaling_lu(n_tiles=N_TILES), rounds=1, iterations=1
     )
     save_result(result, "fig07a_strong_scaling_lu")
+    check_runs(result)
 
     def total(P, prefix):
         return next(r["gflops"] for r in result.rows
@@ -33,13 +34,14 @@ def test_fig7a_lu_strong_scaling(benchmark, save_result):
 
 
 @pytest.mark.benchmark(group="fig07")
-def test_fig7b_cholesky_strong_scaling(benchmark, save_result):
+def test_fig7b_cholesky_strong_scaling(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig7b_strong_scaling_cholesky(n_tiles=N_TILES, seeds=range(10)),
         rounds=1,
         iterations=1,
     )
     save_result(result, "fig07b_strong_scaling_cholesky")
+    check_runs(result)
 
     for P in (23, 31, 35, 39):
         rows = [r for r in result.rows if f"P={P}" in r["label"] or r["P"] <= P]

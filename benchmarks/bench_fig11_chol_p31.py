@@ -13,13 +13,14 @@ SIZES = (32, 48, 64)
 
 
 @pytest.mark.benchmark(group="fig11")
-def test_fig11_cholesky_p31(benchmark, save_result):
+def test_fig11_cholesky_p31(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig11_cholesky_p31(n_tiles_list=SIZES, seeds=range(15)),
         rounds=1,
         iterations=1,
     )
     save_result(result, "fig11_cholesky_p31")
+    check_runs(result)
 
     last = SIZES[-1]
     total = {r["label"]: r["gflops"] for r in result.rows if r["n_tiles"] == last}

@@ -13,13 +13,14 @@ SIZES = (32, 48, 64)
 
 
 @pytest.mark.benchmark(group="fig12")
-def test_fig12_cholesky_p35(benchmark, save_result):
+def test_fig12_cholesky_p35(benchmark, save_result, check_runs):
     result = benchmark.pedantic(
         lambda: fig12_cholesky_p35(n_tiles_list=SIZES, seeds=range(15)),
         rounds=1,
         iterations=1,
     )
     save_result(result, "fig12_cholesky_p35")
+    check_runs(result)
 
     gcrm_cost = next(r["pattern_cost"] for r in result.rows if "GCR&M" in r["label"])
     assert gcrm_cost <= 8.0  # paper: 7.4 vs SBC's 8

@@ -36,3 +36,18 @@ def save_result():
         print(text)
 
     return _save
+
+
+@pytest.fixture
+def check_runs():
+    """Check a performance figure's campaign runs against their
+    predictions: the exact message count (cost/exact.py) and the
+    owner-pinned makespan lower bound (cost/schedbounds.py)."""
+
+    def _check(result) -> None:
+        assert len(result.runs) == len(result.rows)
+        for run in result.runs:
+            assert run.simulated_messages == run.predicted_messages, run
+            assert run.makespan_s >= run.predicted_makespan_s, run
+
+    return _check

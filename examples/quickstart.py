@@ -13,8 +13,9 @@ import sys
 
 from repro import TileDistribution, best_pattern, g2dbc, simulate
 from repro.cost.metrics import q_cholesky, q_lu
-from repro.experiments.harness import format_rows, sweep
+from repro.experiments import performance_figure
 from repro.patterns import bc2d, best_grid, best_sbc_within, gcrm_search
+from repro.patterns.library import search_budget
 
 
 def main(P: int = 23) -> None:
@@ -52,14 +53,21 @@ def main(P: int = 23) -> None:
     # ------------------------------------------------------------------
     # 3. Simulated runs on the paper-like cluster
     # ------------------------------------------------------------------
+    # Each (label, family, P) series entry is one campaign cell per size;
+    # the result's `runs` also carry each run's exact message count and
+    # makespan lower bound.
     print("Simulated LU runs (StarPU-like runtime, scaled PlaFRIM model):")
-    rows = sweep({"2DBC": classical, "G-2DBC": generalized}, [n_tiles], "lu")
-    print(format_rows(rows))
+    print(performance_figure("LU", f"2DBC vs G-2DBC, {n_tiles} tiles",
+                             [("2DBC", "2dbc", P), ("G-2DBC", "g2dbc", P)],
+                             [n_tiles], "lu").render())
     print()
     print("Simulated Cholesky runs:")
-    rows = sweep({f"SBC (P'={sbc_pat.nnodes})": sbc_pat, "GCR&M": gcrm_pat},
-                 [n_tiles], "cholesky")
-    print(format_rows(rows))
+    print(performance_figure(
+        "Cholesky", f"SBC within P vs GCR&M, {n_tiles} tiles",
+        [(f"SBC (P'={sbc_pat.nnodes})", "sbc", sbc_pat.nnodes),
+         ("GCR&M", "gcrm", P)],
+        [n_tiles], "cholesky",
+        budget=search_budget(range(10), max_factor=3.0)).render())
 
     # ------------------------------------------------------------------
     # 4. One-call API

@@ -12,6 +12,7 @@ from .figures import (
     fig10_symmetric_cost,
     fig11_cholesky_p31,
     fig12_cholesky_p35,
+    performance_figure,
     table1a_lu_patterns,
     table1b_cholesky_patterns,
 )
@@ -22,19 +23,17 @@ from .campaign import (
     plan_campaign,
     run_campaign,
 )
-from .harness import ResultRow, format_rows, run_factorization, sweep
+from .harness import run_factorization
 
 __all__ = [
     "CampaignCell",
     "CampaignRow",
     "FigureResult",
-    "ResultRow",
     "format_campaign",
-    "format_rows",
+    "performance_figure",
     "plan_campaign",
     "run_campaign",
     "run_factorization",
-    "sweep",
     "fig1_2dbc_shapes",
     "fig4_g2dbc_cost",
     "fig5_lu_p23",

@@ -39,10 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cost.exact import count_cholesky_messages, count_lu_messages
 from ..cost.schedbounds import makespan_bounds, schedule_lower_bounds
-from ..distribution import TileDistribution
-from ..dla.cholesky import build_cholesky_graph
-from ..dla.lu import build_lu_graph
-from ..patterns.library import PATTERN_FAMILIES, best_pattern
+from ..patterns.library import PATTERN_FAMILIES, best_pattern, search_budget
 from ..patterns.sbc import sbc_feasible
 from ..patterns.search import auto_executor, chunk_tasks
 from ..patterns.store import PatternStore
@@ -52,6 +49,7 @@ from ..runtime.network import NETWORK_MODELS
 from ..runtime.resize import parse_resize
 from ..runtime.schedulers import registered_schedulers
 from ..runtime.simulator import simulate
+from .harness import build_factorization
 from .machine import PAPER_TILE_SIZE, sim_cluster
 
 __all__ = [
@@ -252,13 +250,10 @@ def _graph_key(cell: CampaignCell) -> tuple:
 
 def _build(cell: CampaignCell, pattern, tile_size: int):
     """``(graph, data_home, predicted messages)`` of a cell's graph key."""
-    if cell.kernel not in ("lu", "cholesky"):
-        raise ValueError(f"unknown kernel {cell.kernel!r}")
-    lu = cell.kernel == "lu"
-    dist = TileDistribution(pattern, cell.m, symmetric=not lu)
-    build, count = ((build_lu_graph, count_lu_messages) if lu
-                    else (build_cholesky_graph, count_cholesky_messages))
-    graph, home = build(dist, tile_size)
+    dist, graph, home = build_factorization(pattern, cell.m, cell.kernel,
+                                            tile_size)
+    count = count_lu_messages if cell.kernel == "lu" \
+        else count_cholesky_messages
     return graph, home, count(dist).total
 
 
@@ -377,6 +372,7 @@ def run_campaign(
     tile_size: int = PAPER_TILE_SIZE,
     memo: Optional[dict] = None,
     store_dir: Optional[str] = None,
+    budget: Tuple[int, float, bool] = search_budget(),
 ) -> List[CampaignRow]:
     """Evaluate every cell; return rows in the order of ``cells``.
 
@@ -387,9 +383,12 @@ def run_campaign(
 
     Before the fan-out, the calling process resolves each distinct
     (family, P, kernel) of the cells to run once, with
-    ``best_pattern(P, kernel, family=family, store=...)``.  The searches
-    run serially: a pool per search costs more than the small searches
-    of a campaign grid.  ``store_dir`` makes the resolution
+    ``best_pattern(P, kernel, family=family, store=...)`` under the
+    GCR&M search ``budget``, a ``(seeds, max_factor, prune)`` triple of
+    :func:`~repro.patterns.library.search_budget` (the default is
+    ``best_pattern``'s own; the budget is part of the memo key).  The
+    searches run serially: a pool per search costs more than the small
+    searches of a campaign grid.  ``store_dir`` makes the resolution
     read-through on a :class:`~repro.patterns.store.PatternStore`:
     stored patterns are served, and a cold store is warmed by the run.
     Workers never open the store, so no two processes write one shard,
@@ -409,7 +408,8 @@ def run_campaign(
     """
     if memo is None:
         memo = {}
-    key = lambda c: (c.signature(), tile_size)  # noqa: E731
+    n_seeds, max_factor, prune = budget
+    key = lambda c: (c.signature(), tile_size, budget)  # noqa: E731
     misses = []
     seen = set()
     for cell in cells:
@@ -424,8 +424,10 @@ def run_campaign(
         for cell in misses:
             pkey = (cell.family, cell.P, cell.kernel)
             if pkey not in patterns:
-                patterns[pkey] = best_pattern(cell.P, cell.kernel,
-                                              family=cell.family, store=store)
+                patterns[pkey] = best_pattern(
+                    cell.P, cell.kernel, family=cell.family,
+                    seeds=range(n_seeds), max_factor=max_factor,
+                    prune=prune, store=store)
             graphs.setdefault(_graph_key(cell), {}).setdefault(
                 (cell.network, cell.scheduler, cell.ranks_per_node),
                 []).append(cell)

@@ -2,25 +2,31 @@
 
 Each ``fig*``/``table*`` function returns a :class:`FigureResult` whose
 ``rows`` are plain dicts (one per plotted point / table line) so they
-can be printed, asserted on, or dumped to CSV.  The benchmark suite in
-``benchmarks/`` runs these with reduced sizes and prints the series;
-EXPERIMENTS.md records paper-vs-measured for each.
+can be printed, asserted on, or dumped to CSV.  The simulated
+performance figures (1, 5–7, 11 and 12) are lists of ``(label, family,
+P)`` series that :func:`performance_figure` runs as campaign cells, so
+each of their rows also keeps its :class:`CampaignRow`, with the exact
+message count and the makespan bounds beside the simulated run.  The
+benchmark suite in ``benchmarks/`` runs these with reduced sizes and
+prints the series; EXPERIMENTS.md records paper-vs-measured for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..patterns.bc2d import bc2d, bc2d_cost, best_2dbc, best_grid
+from ..patterns.bc2d import bc2d_cost, best_grid
 from ..patterns.g2dbc import g2dbc, g2dbc_cost, g2dbc_cost_bound, g2dbc_params
 from ..patterns.gcrm import feasible_sizes, gcrm_cost_floor, gcrm_search
+from ..patterns.library import search_budget
 from ..patterns.sbc import best_sbc_within, sbc, sbc_cost, sbc_feasible
 from ..cost.bounds import lu_pattern_lower_bound, sbc_cost_curve
-from .harness import ResultRow, format_rows, sweep
+from .campaign import CampaignCell, CampaignRow, run_campaign
 
 __all__ = [
     "FigureResult",
+    "performance_figure",
     "fig1_2dbc_shapes",
     "fig4_g2dbc_cost",
     "table1a_lu_patterns",
@@ -48,6 +54,8 @@ class FigureResult:
     figure: str
     description: str
     rows: List[dict] = field(default_factory=list)
+    #: a performance figure's campaign rows, one per row (not rendered)
+    runs: List[CampaignRow] = field(default_factory=list)
 
     def render(self) -> str:
         lines = [f"== {self.figure}: {self.description} =="]
@@ -73,31 +81,58 @@ class FigureResult:
         return out
 
 
-def _rows_from_results(results: Iterable[ResultRow]) -> List[dict]:
-    return [r.as_dict() for r in results]
+def performance_figure(
+    figure: str,
+    description: str,
+    series: Sequence[Tuple[str, str, int]],
+    sizes: Sequence[int],
+    kernel: str,
+    tile_size: int = 500,
+    budget: Tuple[int, float, bool] = search_budget(),
+) -> FigureResult:
+    """Run every ``(label, family, P)`` series entry at every size.
+
+    Each entry and size is one :class:`CampaignCell` (in that order),
+    run by :func:`run_campaign` on the scaled machine of ``P`` nodes
+    under the GCR&M search ``budget``.  ``P`` is the node count the
+    pattern uses, so ``gflops_per_node`` is per working node.  The rows
+    carry the figure columns under the series' labels, and ``runs``
+    keeps each cell's :class:`CampaignRow`.
+    """
+    cells = [CampaignCell(family, kernel, P, m)
+             for _, family, P in series for m in sizes]
+    runs = run_campaign(cells, tile_size=tile_size, budget=budget)
+    labels = [label for label, _, _ in series for _ in sizes]
+    rows = [{"label": label, "kernel": r.kernel, "P": r.P, "n_tiles": r.m,
+             "matrix_size": r.matrix_size, "pattern_cost": r.pattern_cost,
+             "makespan_s": r.makespan_s, "gflops": r.gflops,
+             "gflops_per_node": r.gflops_per_node,
+             "n_messages": r.simulated_messages,
+             "utilization": r.utilization}
+            for label, r in zip(labels, runs)]
+    return FigureResult(figure, description, rows, runs)
 
 
 # ---------------------------------------------------------------------------
 # Figure 1 — 2DBC shape study for LU
 # ---------------------------------------------------------------------------
 def fig1_2dbc_shapes(n_tiles_list: Sequence[int] = DEFAULT_SIZES,
-                     tile_size: int = 500,
-                     network: Optional[str] = None) -> FigureResult:
+                     tile_size: int = 500) -> FigureResult:
     """LU with 2DBC grids 5×4 (P=20), 7×3 (21), 11×2 (22), 23×1 (23).
 
     Paper observation: per-node GFlop/s improves as the grid becomes
     squarer, but fewer nodes are used, so total GFlop/s is similar —
     the motivation for G-2DBC.
     """
-    patterns = {
-        "2DBC 5x4 (P=20)": bc2d(5, 4),
-        "2DBC 7x3 (P=21)": bc2d(7, 3),
-        "2DBC 11x2 (P=22)": bc2d(11, 2),
-        "2DBC 23x1 (P=23)": bc2d(23, 1),
-    }
-    rows = _rows_from_results(sweep(patterns, n_tiles_list, "lu", tile_size=tile_size,
-                                    network=network))
-    return FigureResult("Figure 1", "LU, 2DBC pattern shapes (total and per-node GFlop/s)", rows)
+    series = [
+        ("2DBC 5x4 (P=20)", "2dbc", 20),
+        ("2DBC 7x3 (P=21)", "2dbc", 21),
+        ("2DBC 11x2 (P=22)", "2dbc", 22),
+        ("2DBC 23x1 (P=23)", "2dbc", 23),
+    ]
+    return performance_figure(
+        "Figure 1", "LU, 2DBC pattern shapes (total and per-node GFlop/s)",
+        series, n_tiles_list, "lu", tile_size)
 
 
 # ---------------------------------------------------------------------------
@@ -181,69 +216,66 @@ def table1b_cholesky_patterns(seeds: Iterable[int] = range(20),
 # Figures 5/6 — LU performance, P = 23 and P = 39
 # ---------------------------------------------------------------------------
 def fig5_lu_p23(n_tiles_list: Sequence[int] = DEFAULT_SIZES,
-                tile_size: int = 500,
-                network: Optional[str] = None) -> FigureResult:
-    patterns = {
-        "G-2DBC (P=23)": g2dbc(23),
-        "2DBC 23x1 (P=23)": bc2d(23, 1),
-        "2DBC 7x3 (P=21)": bc2d(7, 3),
-        "2DBC 4x4 (P=16)": bc2d(4, 4),
-    }
-    rows = _rows_from_results(sweep(patterns, n_tiles_list, "lu", tile_size=tile_size,
-                                    network=network))
-    return FigureResult("Figure 5", "LU factorization using a maximum of P=23 nodes", rows)
+                tile_size: int = 500) -> FigureResult:
+    series = [
+        ("G-2DBC (P=23)", "g2dbc", 23),
+        ("2DBC 23x1 (P=23)", "2dbc", 23),
+        ("2DBC 7x3 (P=21)", "2dbc", 21),
+        ("2DBC 4x4 (P=16)", "2dbc", 16),
+    ]
+    return performance_figure(
+        "Figure 5", "LU factorization using a maximum of P=23 nodes",
+        series, n_tiles_list, "lu", tile_size)
 
 
 def fig6_lu_p39(n_tiles_list: Sequence[int] = DEFAULT_SIZES,
-                tile_size: int = 500,
-                network: Optional[str] = None) -> FigureResult:
-    patterns = {
-        "G-2DBC (P=39)": g2dbc(39),
-        "2DBC 13x3 (P=39)": bc2d(13, 3),
-        "2DBC 6x6 (P=36)": bc2d(6, 6),
-    }
-    rows = _rows_from_results(sweep(patterns, n_tiles_list, "lu", tile_size=tile_size,
-                                    network=network))
-    return FigureResult("Figure 6", "LU factorization using a maximum of P=39 nodes", rows)
+                tile_size: int = 500) -> FigureResult:
+    series = [
+        ("G-2DBC (P=39)", "g2dbc", 39),
+        ("2DBC 13x3 (P=39)", "2dbc", 39),
+        ("2DBC 6x6 (P=36)", "2dbc", 36),
+    ]
+    return performance_figure(
+        "Figure 6", "LU factorization using a maximum of P=39 nodes",
+        series, n_tiles_list, "lu", tile_size)
 
 
 # ---------------------------------------------------------------------------
 # Figure 7 — strong scaling at fixed matrix size
 # ---------------------------------------------------------------------------
-def fig7a_strong_scaling_lu(n_tiles: int = 48, tile_size: int = 500,
-                            P_values: Sequence[int] = (23, 31, 35, 39),
-                            network: Optional[str] = None) -> FigureResult:
+def fig7a_strong_scaling_lu(
+    n_tiles: int = 48, tile_size: int = 500,
+    P_values: Sequence[int] = (23, 31, 35, 39),
+) -> FigureResult:
     """LU at fixed size: G-2DBC on all P vs the best practical 2DBC."""
-    rows = []
+    series = []
     for P in P_values:
-        patterns = {f"G-2DBC (P={P})": g2dbc(P)}
         r, c = best_grid(P)
-        patterns[f"2DBC {r}x{c} (P={P})"] = bc2d(r, c)
-        rows.extend(_rows_from_results(sweep(patterns, [n_tiles], "lu", tile_size=tile_size,
-                                             network=network)))
-    return FigureResult("Figure 7a", f"LU strong scaling, {n_tiles} tiles "
-                        f"(paper: N=200000)", rows)
+        series += [(f"G-2DBC (P={P})", "g2dbc", P),
+                   (f"2DBC {r}x{c} (P={P})", "2dbc", P)]
+    return performance_figure(
+        "Figure 7a", f"LU strong scaling, {n_tiles} tiles (paper: N=200000)",
+        series, [n_tiles], "lu", tile_size)
 
 
 def fig7b_strong_scaling_cholesky(n_tiles: int = 48, tile_size: int = 500,
                                   P_values: Sequence[int] = (23, 31, 35, 39),
-                                  seeds: Iterable[int] = range(10),
-                                  max_factor: float = 3.0,
-                                  network: Optional[str] = None) -> FigureResult:
-    """Cholesky at fixed size: GCR&M on all P vs the best SBC within P."""
-    rows = []
-    seeds = list(seeds)
+                                  seeds: range = range(10),
+                                  max_factor: float = 3.0) -> FigureResult:
+    """Cholesky at fixed size: GCR&M on all P vs the best SBC within P.
+
+    The SBC baseline runs on the nodes its pattern uses, ``P' ≤ P``.
+    """
+    series = []
     for P in P_values:
-        patterns = {
-            f"GCR&M (P={P})": gcrm_search(P, seeds=seeds, max_factor=max_factor).pattern,
-            "SBC": best_sbc_within(P),
-        }
-        sbc_pat = patterns["SBC"]
-        patterns[f"SBC (P'={sbc_pat.nnodes})"] = patterns.pop("SBC")
-        rows.extend(_rows_from_results(sweep(patterns, [n_tiles], "cholesky",
-                                             tile_size=tile_size, network=network)))
-    return FigureResult("Figure 7b", f"Cholesky strong scaling, {n_tiles} tiles "
-                        f"(paper: N=200000)", rows)
+        nodes = best_sbc_within(P).nnodes
+        series += [(f"GCR&M (P={P})", "gcrm", P),
+                   (f"SBC (P'={nodes})", "sbc", nodes)]
+    return performance_figure(
+        "Figure 7b",
+        f"Cholesky strong scaling, {n_tiles} tiles (paper: N=200000)",
+        series, [n_tiles], "cholesky", tile_size,
+        search_budget(seeds, max_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +357,21 @@ def fig10_symmetric_cost(P_range: Iterable[int] = range(4, 61),
 # ---------------------------------------------------------------------------
 def fig11_cholesky_p31(n_tiles_list: Sequence[int] = DEFAULT_SIZES,
                        tile_size: int = 500,
-                       seeds: Iterable[int] = range(10),
-                       max_factor: float = 3.0,
-                       network: Optional[str] = None) -> FigureResult:
-    patterns = {
-        "GCR&M (P=31)": gcrm_search(31, seeds=list(seeds), max_factor=max_factor).pattern,
-        "SBC 8x8 (P=28)": sbc(28),
-    }
-    rows = _rows_from_results(sweep(patterns, n_tiles_list, "cholesky", tile_size=tile_size,
-                                    network=network))
-    return FigureResult("Figure 11", "Cholesky factorization using a maximum of P=31 nodes", rows)
+                       seeds: range = range(10),
+                       max_factor: float = 3.0) -> FigureResult:
+    series = [("GCR&M (P=31)", "gcrm", 31), ("SBC 8x8 (P=28)", "sbc", 28)]
+    return performance_figure(
+        "Figure 11", "Cholesky factorization using a maximum of P=31 nodes",
+        series, n_tiles_list, "cholesky", tile_size,
+        search_budget(seeds, max_factor))
 
 
 def fig12_cholesky_p35(n_tiles_list: Sequence[int] = DEFAULT_SIZES,
                        tile_size: int = 500,
-                       seeds: Iterable[int] = range(10),
-                       max_factor: float = 3.0,
-                       network: Optional[str] = None) -> FigureResult:
-    patterns = {
-        "GCR&M (P=35)": gcrm_search(35, seeds=list(seeds), max_factor=max_factor).pattern,
-        "SBC 8x8 (P=32)": sbc(32),
-    }
-    rows = _rows_from_results(sweep(patterns, n_tiles_list, "cholesky", tile_size=tile_size,
-                                    network=network))
-    return FigureResult("Figure 12", "Cholesky factorization using a maximum of P=35 nodes", rows)
+                       seeds: range = range(10),
+                       max_factor: float = 3.0) -> FigureResult:
+    series = [("GCR&M (P=35)", "gcrm", 35), ("SBC 8x8 (P=32)", "sbc", 32)]
+    return performance_figure(
+        "Figure 12", "Cholesky factorization using a maximum of P=35 nodes",
+        series, n_tiles_list, "cholesky", tile_size,
+        search_budget(seeds, max_factor))

@@ -1,13 +1,16 @@
-"""Experiment harness: pattern × matrix-size grids on the simulator.
+"""One factorization run on the simulator.
 
-The paper reports *total* and *per-node* GFlop/s of LU / Cholesky runs
-for different distributions (Figures 1, 5, 6, 7, 11, 12).  The harness
-reproduces those rows on the simulated cluster.
+:func:`run_factorization` is the one-run call (the CLI, the examples
+and the benchmark workloads use it).  Grids of runs, among them the
+paper's Figures 1, 5–7, 11 and 12, are campaign cells
+(:mod:`repro.experiments.campaign`); both build their task graphs with
+:func:`build_factorization`.
 
 Scale note: the paper factors matrices up to 300 000 × 300 000 (600×600
-tiles of 500).  A pure-Python event simulator cannot replay the tens of
-millions of tasks those runs contain, so the harness defaults to
-reduced tile counts.  Pattern-quality *ordering* is preserved — the
+tiles of 500).  The figure runs take the compiled event loop, but their
+time and memory grow with the cube of the tile count: a 400-tile LU run
+has 21.3M tasks and needs about 2.6 GB, so the figure drivers default
+to reduced tile counts.  Pattern-quality *ordering* is preserved — the
 communication volume per node scales as ``n²·T(G)/P`` against compute
 ``n³/P``, and the reduced sizes sit in the same comm-sensitive regime
 as the paper's measured range (see EXPERIMENTS.md).
@@ -15,39 +18,35 @@ as the paper's measured range (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Optional, Tuple
+
+import numpy as np
 
 from ..distribution import TileDistribution
 from ..dla.cholesky import build_cholesky_graph
 from ..dla.lu import build_lu_graph
 from ..patterns.base import Pattern
-from ..runtime.cluster import ClusterSpec, paper_cluster
+from ..runtime.cluster import ClusterSpec
+from ..runtime.graph import TaskGraph
 from ..runtime.simulator import simulate
 from ..runtime.trace import ExecutionTrace
 from .machine import sim_cluster
 
-__all__ = ["ResultRow", "run_factorization", "sweep", "format_rows"]
+__all__ = ["build_factorization", "run_factorization"]
 
 
-@dataclass
-class ResultRow:
-    """One (distribution, matrix size) measurement."""
-
-    label: str
-    kernel: str
-    P: int
-    n_tiles: int
-    matrix_size: int
-    pattern_cost: float
-    makespan_s: float
-    gflops: float
-    gflops_per_node: float
-    n_messages: int
-    utilization: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+def build_factorization(
+    pattern: Pattern, n_tiles: int, kernel: str, tile_size: int,
+) -> Tuple[TileDistribution, TaskGraph, np.ndarray]:
+    """``(distribution, task graph, data home)`` of one ``kernel``
+    factorization of ``n_tiles``×``n_tiles`` tiles under ``pattern``."""
+    if kernel not in ("lu", "cholesky"):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    lu = kernel == "lu"
+    dist = TileDistribution(pattern, n_tiles, symmetric=not lu)
+    build = build_lu_graph if lu else build_cholesky_graph
+    graph, home = build(dist, tile_size)
+    return dist, graph, home
 
 
 def run_factorization(
@@ -101,14 +100,7 @@ def run_factorization(
         cluster = replace(cluster, ranks_per_node=ranks_per_node)
     if cluster.ranks_per_node > 1 and network is None:
         network = "hierarchical"
-    if kernel == "lu":
-        dist = TileDistribution(pattern, n_tiles, symmetric=False)
-        graph, home = build_lu_graph(dist, tile_size)
-    elif kernel == "cholesky":
-        dist = TileDistribution(pattern, n_tiles, symmetric=True)
-        graph, home = build_cholesky_graph(dist, tile_size)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    _, graph, home = build_factorization(pattern, n_tiles, kernel, tile_size)
     if faults is not None and recovery is None:
         from ..runtime.faults import colrow_recovery
         recovery = colrow_recovery(pattern)
@@ -124,57 +116,3 @@ def run_factorization(
         trace.sched_bounds = schedule_lower_bounds(
             graph, cluster, data_home=home, network=network or "nic")
     return trace
-
-
-def sweep(
-    patterns: Dict[str, Pattern],
-    n_tiles_list: Sequence[int],
-    kernel: str,
-    tile_size: int = 500,
-    cluster_factory=sim_cluster,
-    network: Optional[str] = None,
-) -> List[ResultRow]:
-    """Run every pattern at every size; return flat result rows.
-
-    ``network`` is forwarded to :func:`run_factorization` so sweeps and
-    figures can run under either communication model (previously it was
-    silently dropped and every sweep used the legacy ``"nic"`` model).
-    """
-    rows: List[ResultRow] = []
-    for label, pattern in patterns.items():
-        cluster = cluster_factory(pattern.nnodes, tile_size=tile_size)
-        for n_tiles in n_tiles_list:
-            trace = run_factorization(pattern, n_tiles, kernel, cluster,
-                                      tile_size, network=network)
-            rows.append(
-                ResultRow(
-                    label=label,
-                    kernel=kernel,
-                    P=pattern.nnodes,
-                    n_tiles=n_tiles,
-                    matrix_size=n_tiles * tile_size,
-                    pattern_cost=pattern.cost(kernel),
-                    makespan_s=trace.makespan,
-                    gflops=trace.gflops,
-                    gflops_per_node=trace.gflops_per_node,
-                    n_messages=trace.n_messages,
-                    utilization=trace.utilization,
-                )
-            )
-    return rows
-
-
-def format_rows(rows: Iterable[ResultRow]) -> str:
-    """Render result rows as an aligned text table."""
-    header = (
-        f"{'distribution':<24} {'P':>4} {'m':>8} {'T(G)':>8} "
-        f"{'GFlop/s':>10} {'GF/s/node':>10} {'msgs':>9} {'util':>6}"
-    )
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r.label:<24} {r.P:>4} {r.matrix_size:>8} {r.pattern_cost:>8.3f} "
-            f"{r.gflops:>10.1f} {r.gflops_per_node:>10.1f} {r.n_messages:>9} "
-            f"{r.utilization:>6.1%}"
-        )
-    return "\n".join(lines)

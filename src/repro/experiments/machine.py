@@ -1,11 +1,12 @@
 """Machine models used by the experiment drivers.
 
 ``paper_cluster`` (in :mod:`repro.runtime.cluster`) mirrors the
-PlaFRIM platform 1:1.  But the paper's runs use 100–600 tile rows —
-far more than a Python event simulator can replay — so the experiment
-drivers run at reduced tile counts (32–64) on :func:`sim_cluster`, a
-*scaled* platform chosen so the reduced runs sit at the same operating
-point as the paper's measured range:
+PlaFRIM platform 1:1.  But the paper's runs use 100–600 tile rows, and
+at those tile counts one run takes seconds and gigabytes of memory (a
+400-tile LU run has 21.3M tasks and takes about 2.6 GB), so the
+experiment drivers run at reduced tile counts (32–64) on
+:func:`sim_cluster`, a *scaled* platform chosen so the reduced runs sit
+at the same operating point as the paper's measured range:
 
 * ``cores_per_node = 8`` (instead of 34) keeps per-core task
   concurrency comparable at the smaller tile counts — with 34 cores a

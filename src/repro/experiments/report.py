@@ -75,7 +75,6 @@ def generate_report(
 ) -> str:
     """Run the experiment drivers and return/write a Markdown report."""
     sizes, seeds, factor = _speed(scale)
-    seeds = list(seeds)
     wanted = set(only) if only else set(EXPERIMENTS)
     unknown = wanted - set(EXPERIMENTS)
     if unknown:

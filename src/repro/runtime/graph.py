@@ -265,12 +265,18 @@ class TaskGraph:
         tests and the small SYRK/GEMM builders; the factorization
         builders fill a :class:`ColumnFill`.  Raises ``ValueError``,
         before any state changes, when the task would take the graph
-        past :data:`INDEX_LIMIT` or reads a version its datum has not
-        reached.
+        past :data:`INDEX_LIMIT`, names a datum outside ``[0, n_data)``
+        or reads a version its datum has not reached.
         """
         _check_index_range(
             self._n + 1, self._n_reads + len(reads),
             max([write_data, *(d for d, _ in reads)]))
+        for access, d in (("writes", write_data),
+                          *(("reads", d) for d, _ in reads)):
+            if not 0 <= d < self.n_data:
+                raise ValueError(
+                    f"task {TaskKind(kind).name}({i},{j};k={k})@{node}: "
+                    f"{access} datum {d} outside [0, {self.n_data})")
         new_version = int(self._version[write_data]) + 1
         tid = self._n
         task = Task(tid=tid, kind=TaskKind(kind), i=i, j=j, k=k, node=node,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import campaign
+from repro.experiments import campaign, harness
 from repro.experiments.campaign import (
     CampaignCell,
     DEFAULT_KERNELS,
@@ -267,7 +267,8 @@ class TestRowPin:
     @pytest.fixture(scope="class")
     def runs(self):
         """Per event loop: the grid's rows, and how often the campaign
-        module called each graph builder and ``simulate``."""
+        called each graph builder (through the harness's shared
+        ``build_factorization``) and ``simulate``."""
         cells = plan_campaign(
             ["g2dbc", "gcrm"], [5, 7], [8], networks=["nic", "contention"],
             faults=["", "fail:1@0.01,loss:0.02,seed:3"],
@@ -276,8 +277,8 @@ class TestRowPin:
         for backend in available_sim_backends():
             calls = Counter()
 
-            def counted(name):
-                fn = getattr(campaign, name)
+            def counted(module, name):
+                fn = getattr(module, name)
 
                 def call(*args, **kwargs):
                     calls[name] += 1
@@ -286,9 +287,10 @@ class TestRowPin:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setenv(BACKEND_ENV, backend)
-                for name in ("build_lu_graph", "build_cholesky_graph",
-                             "simulate"):
-                    mp.setattr(campaign, name, counted(name))
+                for module, name in ((harness, "build_lu_graph"),
+                                     (harness, "build_cholesky_graph"),
+                                     (campaign, "simulate")):
+                    mp.setattr(module, name, counted(module, name))
                 rows = run_campaign(cells, jobs=1, tile_size=PAPER_TILE_SIZE)
             out[backend] = rows, calls
         return out

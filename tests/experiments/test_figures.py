@@ -142,6 +142,28 @@ class TestSimulatedFigures:
         assert all(r["gflops"] > 0 for r in res.rows)
 
 
+class TestFigureRuns:
+    """A performance figure keeps one checked campaign row per row."""
+
+    def test_runs_agree_with_predictions(self, tiny_figures):
+        for name, res in tiny_figures.items():
+            assert len(res.runs) == len(res.rows), name
+            for row, run in zip(res.rows, res.runs):
+                assert run.predicted_messages == run.simulated_messages
+                assert run.makespan_s >= run.predicted_makespan_s, name
+                assert (row["P"], row["n_tiles"], row["n_messages"]) == \
+                    (run.P, run.m, run.simulated_messages)
+
+    def test_sbc_baseline_counts_its_own_nodes(self, tiny_figures):
+        """Figure 7b's SBC baseline for P = 23 runs on the 21 nodes its
+        pattern uses, and its per-node column divides by those."""
+        row = next(r for r in tiny_figures["fig7b"].rows
+                   if r["label"].startswith("SBC"))
+        assert row["label"] == "SBC (P'=21)"
+        assert row["P"] == 21
+        assert row["gflops_per_node"] == row["gflops"] / 21
+
+
 class TestRowGolden:
     """Every column of every row of three tiny figures, floats as
     ``float.hex``.

@@ -1,8 +1,11 @@
-"""Tests for the experiment harness."""
+"""Tests for the experiment harness: one run, and a figure's grid of
+runs as campaign cells."""
 
 import pytest
 
-from repro.experiments.harness import ResultRow, format_rows, run_factorization, sweep
+from repro.experiments.campaign import CampaignCell, run_campaign
+from repro.experiments.figures import performance_figure
+from repro.experiments.harness import run_factorization
 from repro.experiments.machine import sim_cluster
 from repro.patterns.bc2d import bc2d
 from repro.patterns.sbc import sbc
@@ -36,52 +39,51 @@ class TestRunFactorization:
 
 
 class TestSweep:
+    """A figure's sweep of series over sizes: one campaign cell each."""
+
     def test_rows_structure(self):
-        rows = sweep({"a": bc2d(2, 2)}, [6, 8], "lu", tile_size=100)
-        assert len(rows) == 2
-        assert all(isinstance(r, ResultRow) for r in rows)
-        assert rows[0].matrix_size == 600
-        assert rows[0].P == 4
-        assert rows[0].pattern_cost == 4.0
+        res = performance_figure("F", "demo", [("a", "2dbc", 4)], [6, 8],
+                                 "lu", tile_size=100)
+        assert len(res.rows) == len(res.runs) == 2
+        assert list(res.rows[0]) == [
+            "label", "kernel", "P", "n_tiles", "matrix_size",
+            "pattern_cost", "makespan_s", "gflops", "gflops_per_node",
+            "n_messages", "utilization"]
+        assert res.rows[0]["matrix_size"] == 600
+        assert res.rows[0]["P"] == 4
+        assert res.rows[0]["pattern_cost"] == 4.0
+        assert "runs" not in res.render()
 
     def test_multiple_patterns(self):
-        rows = sweep({"a": bc2d(2, 2), "b": bc2d(4, 1)}, [6], "lu", tile_size=100)
-        labels = [r.label for r in rows]
-        assert labels == ["a", "b"]
-
-    def test_as_dict(self):
-        rows = sweep({"a": bc2d(2, 2)}, [6], "lu", tile_size=100)
-        d = rows[0].as_dict()
-        assert d["label"] == "a"
-        assert "gflops" in d
-
-    def test_format_rows(self):
-        rows = sweep({"demo": bc2d(2, 2)}, [6], "lu", tile_size=100)
-        text = format_rows(rows)
-        assert "demo" in text
-        assert "GFlop/s" in text
+        res = performance_figure("F", "demo", [("a", "2dbc", 4),
+                                               ("b", "g2dbc", 5)],
+                                 [6, 8], "lu", tile_size=100)
+        assert [r["label"] for r in res.rows] == ["a", "a", "b", "b"]
+        assert [(r.family, r.m) for r in res.runs] == [
+            ("2dbc", 6), ("2dbc", 8), ("g2dbc", 6), ("g2dbc", 8)]
 
     def test_worse_pattern_more_messages(self):
-        rows = sweep({"good": bc2d(2, 2), "bad": bc2d(4, 1)}, [12], "lu", tile_size=100)
-        assert rows[0].n_messages < rows[1].n_messages
+        good = run_factorization(bc2d(2, 2), 12, "lu", tile_size=100)
+        bad = run_factorization(bc2d(4, 1), 12, "lu", tile_size=100)
+        assert good.n_messages < bad.n_messages
 
     def test_network_forwarded(self):
-        # regression: sweep accepted runs under any network but always
-        # simulated with the default NIC model
-        nic = sweep({"a": bc2d(2, 2)}, [8], "lu", tile_size=100,
-                    network="nic")
-        cont = sweep({"a": bc2d(2, 2)}, [8], "lu", tile_size=100,
-                     network="contention")
-        base = sweep({"a": bc2d(2, 2)}, [8], "lu", tile_size=100)
-        assert nic[0].makespan_s == base[0].makespan_s
-        assert cont[0].makespan_s != nic[0].makespan_s
+        # each cell simulates under its own network: "nic" is the
+        # default run, and "contention" moves the makespan
+        nic, cont = run_campaign(
+            [CampaignCell("2dbc", "lu", 4, 8, network=net)
+             for net in ("nic", "contention")], tile_size=100)
+        base = run_factorization(bc2d(2, 2), 8, "lu", tile_size=100)
+        assert nic.makespan_s == base.makespan
+        assert cont.makespan_s != nic.makespan_s
 
     def test_network_matches_direct_run(self):
-        rows = sweep({"a": bc2d(2, 2)}, [8], "lu", tile_size=100,
-                     network="contention")
+        row, = run_campaign([CampaignCell("2dbc", "lu", 4, 8,
+                                          network="contention")],
+                            tile_size=100)
         tr = run_factorization(bc2d(2, 2), 8, "lu", tile_size=100,
                                network="contention")
-        assert rows[0].makespan_s == tr.makespan
+        assert row.makespan_s == tr.makespan
 
 
 class TestFaultedRuns:

@@ -43,6 +43,14 @@ class TestGenerateReport:
         assert "Figure 5" in text
         assert "G-2DBC" in text
 
+    def test_gcrm_figures_smoke(self):
+        """The simulated Cholesky figures take the report's seed range
+        as their GCR&M search budget."""
+        text = generate_report(scale="smoke", only=["fig7b", "fig11", "fig12"])
+        for title in ("Figure 7b", "Figure 11", "Figure 12"):
+            assert title in text
+        assert "GCR&M (P=39)" in text
+
     def test_unknown_scale(self):
         # regression: a bad scale used to escape as a bare KeyError
         with pytest.raises(ValueError, match="smoke"):

@@ -99,6 +99,26 @@ class TestValidate:
         assert g.columns.read_producer.tolist() == [-1]
         g.validate()
 
+    @pytest.mark.parametrize("reads,write,error", [
+        (((-1, 0),), -1, "writes datum -1"),   # NumPy would wrap to 3
+        (((-1, 0),), 0, "reads datum -1"),
+        (((0, 1),), 4, "writes datum 4"),      # == n_data
+        (((4, 0),), 0, "reads datum 4"),
+    ], ids=["negative-write", "negative-read", "write-n_data", "read-n_data"])
+    def test_data_id_out_of_range_refused(self, reads, write, error):
+        """``submit`` refuses a datum outside ``[0, n_data)``, naming
+        the task, before any state changes."""
+        g = make_graph()
+        g.submit(TaskKind.GETRF, 0, 0, 0, 0, 1.0, (g.current(0),), 0)
+        cols = g.columns
+        with pytest.raises(ValueError, match=rf"GEMM\(1,2;k=0\)@1: {error} "
+                           r"outside \[0, 4\)"):
+            g.submit(TaskKind.GEMM, 1, 2, 0, 1, 1.0, reads, write)
+        assert g.columns is cols  # no append since the first task
+        assert len(g) == 1 and g.total_flops == 1.0
+        assert [g.version(d) for d in range(4)] == [1, 0, 0, 0]
+        g.validate()
+
     @pytest.mark.parametrize("rd,rv", [
         ([1], [5]),     # a version nobody writes: producer -1
         ([0], [1]),     # the version the reading task itself writes
