@@ -25,7 +25,7 @@ def test_eq1_vs_exact_lu(benchmark, save_result):
                 cc = count_lu_messages(TileDistribution(pat, n))
                 q = q_lu(pat, n)
                 rows.append({"pattern": pat.name, "n_tiles": n,
-                             "exact_trsm": cc.exact_trsm if hasattr(cc, "exact_trsm") else cc.trsm,
+                             "exact_trsm": cc.trsm,
                              "eq1": q, "rel_err": abs(q - cc.trsm) / q})
         return FigureResult("Model check", "Equation 1 vs exact LU message counts", rows)
 

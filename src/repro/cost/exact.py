@@ -7,6 +7,13 @@ pattern size.  This module counts the *actual* number of tile messages
 generated by the right-looking LU / Cholesky algorithms under the
 owner-computes rule, for a given :class:`~repro.distribution.TileDistribution`.
 
+Both kernels share one pass.  At iteration ``l`` every tile that is
+sent is one row of a boolean ``rows × P`` presence matrix: the nodes
+owning a tile that reads it, with the tile's own owner cleared.  Every
+reader set is the part of one tile row right of column ``l`` or of one
+tile column below row ``l``, so the pass runs ``l`` downwards and adds
+one owner column and one owner row to those sets per iteration.
+
 The counts returned here are cross-validated in two independent ways:
 
 * against the closed forms (property tests check convergence of the
@@ -20,14 +27,11 @@ The counts returned here are cross-validated in two independent ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..distribution import TileDistribution
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runtime.topology import Topology
 
 __all__ = ["CommCount", "count_lu_messages", "count_cholesky_messages"]
 
@@ -44,26 +48,59 @@ class CommCount:
     per_node_recv: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     #: full transfer list ``(src, dst, i, j)``; only with ``detailed=True``
     messages: Optional[List[Tuple[int, int, int, int]]] = None
-    #: messages crossing / staying inside node boundaries; only counted
-    #: when a ``topology`` is passed to the counting functions
-    inter: int = 0
-    intra: int = 0
 
     def __post_init__(self):
         if self.total == 0:
             self.total = self.panel + self.trsm
 
 
-def _receivers(owner: int, consumers: np.ndarray) -> np.ndarray:
-    """Distinct consumer nodes, excluding the producing owner."""
-    if consumers.size == 0:
-        return consumers
-    uniq = np.unique(consumers)
-    return uniq[uniq != owner]
+def _count(dist: TileDistribution, detailed: bool) -> CommCount:
+    """The counting pass of both kernels.
+
+    Iteration ``l``'s rows are the diagonal tile ``(l, l)``, then the
+    column-panel tiles ``(i, l)``, ``i > l``, then (LU only) the
+    row-panel tiles ``(l, j)``, ``j > l``.
+    """
+    own, n, P = dist.owners, dist.n_tiles, dist.nnodes
+    every_row = np.arange(n)
+    # right[i, p]: node p owns a tile of row i right of column l;
+    # below[j, p]: node p owns a tile of column j below row l
+    right = np.zeros((n, P), dtype=bool)
+    below = np.zeros((n, P), dtype=bool)
+    per_iter = np.zeros(n, dtype=np.int64)
+    sent = np.zeros(P, dtype=np.int64)
+    recv = np.zeros(P, dtype=np.int64)
+    panel = 0
+    blocks: List[List[Tuple[int, int, int, int]]] = []
+    for l in range(n - 1, -1, -1):
+        rows = [right[l:l + 1] | below[l:l + 1], right[l + 1:]]
+        src, ti, tj = own[l:, l], np.arange(l, n), np.full(n - l, l)
+        if not dist.symmetric:
+            rows.append(below[l + 1:])
+            src = np.concatenate([src, own[l, l + 1:]])
+            ti = np.concatenate([ti, np.full(n - l - 1, l)])
+            tj = np.concatenate([tj, np.arange(l + 1, n)])
+        pres = np.concatenate(rows)
+        pres[np.arange(len(src)), src] = False
+        count = pres.sum(axis=1)
+        panel += int(count[0])
+        per_iter[l] = count.sum()
+        np.add.at(sent, src, count)
+        recv += pres.sum(axis=0)
+        if detailed:
+            row, dst = np.nonzero(pres)
+            blocks.append(list(zip(src[row].tolist(), dst.tolist(),
+                                   ti[row].tolist(), tj[row].tolist())))
+        right[every_row, own[:, l]] = True
+        below[every_row, own[l]] = True
+    messages = [m for block in reversed(blocks) for m in block] \
+        if detailed else None
+    return CommCount(panel=panel, trsm=int(per_iter.sum()) - panel,
+                     per_iteration=per_iter, per_node_sent=sent,
+                     per_node_recv=recv, messages=messages)
 
 
-def count_lu_messages(dist: TileDistribution, detailed: bool = False,
-                      topology: Optional["Topology"] = None) -> CommCount:
+def count_lu_messages(dist: TileDistribution, detailed: bool = False) -> CommCount:
     """Messages of a right-looking tiled LU ``A = L·U``.
 
     At iteration ``l`` (0-indexed):
@@ -77,57 +114,14 @@ def count_lu_messages(dist: TileDistribution, detailed: bool = False,
       column ``j`` below (GEMM inputs ``(i, j)``, ``i > l``).
 
     ``detailed=True`` also records every transfer as ``(src, dst, i, j)``.
-    ``topology`` additionally splits the total into :attr:`CommCount.inter`
-    (crossing node boundaries) and :attr:`CommCount.intra` messages.
     """
     if dist.symmetric:
         raise ValueError("LU counting requires a non-symmetric distribution")
-    own = dist.owners
-    n = dist.n_tiles
-    per_iter = np.zeros(n, dtype=np.int64)
-    per_node = np.zeros(dist.nnodes, dtype=np.int64)
-    per_recv = np.zeros(dist.nnodes, dtype=np.int64)
-    messages: Optional[List[Tuple[int, int, int, int]]] = [] if detailed else None
-    rank_nodes = topology.rank_nodes if topology is not None else None
-    split = np.zeros(2, dtype=np.int64)  # [intra, inter]
-
-    def emit(src: int, recv: np.ndarray, i: int, j: int) -> int:
-        per_node[src] += len(recv)
-        per_recv[recv] += 1
-        if rank_nodes is not None and len(recv):
-            cross = rank_nodes[recv] != rank_nodes[src]
-            split[1] += int(cross.sum())
-            split[0] += len(recv) - int(cross.sum())
-        if messages is not None:
-            messages.extend((src, int(dst), i, j) for dst in recv)
-        return len(recv)
-
-    panel = 0
-    trsm = 0
-    for l in range(n):
-        it = 0
-        diag_owner = int(own[l, l])
-        panel_consumers = np.concatenate([own[l + 1 :, l], own[l, l + 1 :]])
-        recv = _receivers(diag_owner, panel_consumers)
-        panel += len(recv)
-        it += emit(diag_owner, recv, l, l)
-        for i in range(l + 1, n):
-            # column panel tile (i, l) -> row i, columns l+1..n-1
-            recv = _receivers(int(own[i, l]), own[i, l + 1 :])
-            trsm += len(recv)
-            it += emit(int(own[i, l]), recv, i, l)
-            # row panel tile (l, i) -> column i, rows l+1..n-1
-            recv = _receivers(int(own[l, i]), own[l + 1 :, i])
-            trsm += len(recv)
-            it += emit(int(own[l, i]), recv, l, i)
-        per_iter[l] = it
-    return CommCount(panel=panel, trsm=trsm, per_iteration=per_iter,
-                     per_node_sent=per_node, per_node_recv=per_recv,
-                     messages=messages, intra=int(split[0]), inter=int(split[1]))
+    return _count(dist, detailed)
 
 
-def count_cholesky_messages(dist: TileDistribution, detailed: bool = False,
-                            topology: Optional["Topology"] = None) -> CommCount:
+def count_cholesky_messages(dist: TileDistribution,
+                            detailed: bool = False) -> CommCount:
     """Messages of a right-looking tiled Cholesky ``A = L·Lᵀ``
     (lower triangle stored).
 
@@ -138,48 +132,11 @@ def count_cholesky_messages(dist: TileDistribution, detailed: bool = False,
     * each panel tile ``(i, l)`` is sent to the distinct owners of the
       *colrow* ``i`` of the trailing matrix: tiles ``(i, j)`` for
       ``l < j ≤ i`` and ``(k, i)`` for ``i ≤ k < n`` (SYRK and GEMM
-      inputs).
+      inputs).  The owner map is mirrored, so that colrow is row ``i``
+      right of column ``l``.
 
     ``detailed=True`` also records every transfer as ``(src, dst, i, j)``.
-    ``topology`` additionally splits the total into :attr:`CommCount.inter`
-    (crossing node boundaries) and :attr:`CommCount.intra` messages.
     """
     if not dist.symmetric:
         raise ValueError("Cholesky counting requires a symmetric distribution")
-    own = dist.owners
-    n = dist.n_tiles
-    per_iter = np.zeros(n, dtype=np.int64)
-    per_node = np.zeros(dist.nnodes, dtype=np.int64)
-    per_recv = np.zeros(dist.nnodes, dtype=np.int64)
-    messages: Optional[List[Tuple[int, int, int, int]]] = [] if detailed else None
-    rank_nodes = topology.rank_nodes if topology is not None else None
-    split = np.zeros(2, dtype=np.int64)  # [intra, inter]
-
-    def emit(src: int, recv: np.ndarray, i: int, j: int) -> int:
-        per_node[src] += len(recv)
-        per_recv[recv] += 1
-        if rank_nodes is not None and len(recv):
-            cross = rank_nodes[recv] != rank_nodes[src]
-            split[1] += int(cross.sum())
-            split[0] += len(recv) - int(cross.sum())
-        if messages is not None:
-            messages.extend((src, int(dst), i, j) for dst in recv)
-        return len(recv)
-
-    panel = 0
-    trsm = 0
-    for l in range(n):
-        it = 0
-        diag_owner = int(own[l, l])
-        recv = _receivers(diag_owner, own[l + 1 :, l])
-        panel += len(recv)
-        it += emit(diag_owner, recv, l, l)
-        for i in range(l + 1, n):
-            consumers = np.concatenate([own[i, l + 1 : i + 1], own[i:, i]])
-            recv = _receivers(int(own[i, l]), consumers)
-            trsm += len(recv)
-            it += emit(int(own[i, l]), recv, i, l)
-        per_iter[l] = it
-    return CommCount(panel=panel, trsm=trsm, per_iteration=per_iter,
-                     per_node_sent=per_node, per_node_recv=per_recv,
-                     messages=messages, intra=int(split[0]), inter=int(split[1]))
+    return _count(dist, detailed)

@@ -43,10 +43,18 @@ def q_cholesky(pattern: Pattern, m: int) -> float:
     return m * (m + 1) / 2.0 * (pattern.mean_colrow_count - 1.0)
 
 
+def _flat_volume(pattern: Pattern, m: int, kernel: str) -> float:
+    """Equation 1 or 2, by kernel name."""
+    if kernel == "lu":
+        return q_lu(pattern, m)
+    if kernel == "cholesky":
+        return q_cholesky(pattern, m)
+    raise ValueError(f"unknown kernel {kernel!r}; expected 'lu' or 'cholesky'")
+
+
 def per_node_volume(pattern: Pattern, m: int, kernel: str) -> float:
     """Average tiles sent per node over the whole factorization."""
-    total = q_lu(pattern, m) if kernel == "lu" else q_cholesky(pattern, m)
-    return total / pattern.nnodes
+    return _flat_volume(pattern, m, kernel) / pattern.nnodes
 
 
 def inter_node_volume(pattern: Pattern, m: int, kernel: str,
@@ -74,5 +82,5 @@ def inter_node_volume(pattern: Pattern, m: int, kernel: str,
 def intra_node_volume(pattern: Pattern, m: int, kernel: str,
                       topology: "Topology") -> float:
     """Tiles staying inside a node: flat total minus inter-node volume."""
-    total = q_lu(pattern, m) if kernel == "lu" else q_cholesky(pattern, m)
-    return total - inter_node_volume(pattern, m, kernel, topology)
+    return (_flat_volume(pattern, m, kernel)
+            - inter_node_volume(pattern, m, kernel, topology))

@@ -41,8 +41,8 @@ work-stealing), because none of them can beat
   model uses); total planned bytes over that capacity is a floor on
   link busy time.
 
-:func:`makespan_bounds` fills the work bound and the two
-**owner-pinned** bounds, which hold for runs that keep every task on
+:func:`makespan_bounds` fills the work bound, over every node, and the
+two **owner-pinned** bounds, which hold for runs that keep every task on
 its owner (every policy but work stealing, without faults or resize):
 
 * the *node-work bound* — the most loaded owner's flops over its own
@@ -130,6 +130,11 @@ def _node_capacity(cluster) -> np.ndarray:
             * cluster.core_flops)
 
 
+def _work_time(graph, cluster, nodes) -> float:
+    """Total flops over the summed capacity of ``nodes``."""
+    return float(graph.total_flops) / sum(_node_capacity(cluster)[nodes].tolist())
+
+
 def schedule_lower_bounds(
     graph,
     cluster,
@@ -160,8 +165,7 @@ def schedule_lower_bounds(
         raise ValueError("alive_nodes must name at least one node")
 
     # work: aggregate capacity of the participating nodes
-    cap = sum(_node_capacity(cluster)[alive].tolist())
-    work_time = float(graph.total_flops) / cap
+    work_time = _work_time(graph, cluster, alive)
 
     # critical path: every task at the fastest participating node's
     # speed, no communication delay — unbeatable by any placement
@@ -218,10 +222,7 @@ def makespan_bounds(graph, cluster) -> ScheduleBounds:
     check_inputs(graph, cluster, None)
     cols = graph.columns
     node = cols.node
-    # over total_speed(), which with heterogeneous speeds can round
-    # differently from schedule_lower_bounds' per-node capacity sum
-    work_time = float(graph.total_flops) / (cluster.total_speed()
-                                            * cluster.core_flops)
+    work_time = _work_time(graph, cluster, list(range(cluster.nnodes)))
     # bincount accumulates in scan order, so the per-node float sums are
     # identical to a per-task loop
     per_node = np.bincount(node, weights=cols.flops, minlength=cluster.nnodes)

@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost.exact import count_cholesky_messages, count_lu_messages
 from repro.distribution import TileDistribution
@@ -24,6 +26,7 @@ from repro.dla import (
     lu_residual,
     spd_matrix,
 )
+from repro.patterns.base import UNDEFINED, Pattern
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.gcrm import feasible_sizes, gcrm
@@ -105,3 +108,47 @@ def test_default_call_keeps_messages_off():
     assert count_lu_messages(dist).messages is None
     mat = diagonally_dominant(8, TILE, seed=0)
     assert execute_lu(mat, dist).messages is None
+
+
+@st.composite
+def _drawn_distributions(draw, symmetric):
+    """A random pattern on up to 6 used nodes, sometimes with idle
+    nodes past the largest id (and for Cholesky, when larger than 1×1,
+    undefined diagonal cells), over 1 to 12 tiles."""
+    r = draw(st.integers(1, 4))
+    c = r if symmetric else draw(st.integers(1, 4))
+    used = draw(st.integers(1, 6))
+    grid = np.array(draw(st.lists(st.lists(st.integers(0, used - 1),
+                                           min_size=c, max_size=c),
+                                  min_size=r, max_size=r)))
+    if symmetric and r > 1:
+        grid[np.diag_indices(r)] = np.where(
+            draw(st.lists(st.booleans(), min_size=r, max_size=r)),
+            UNDEFINED, grid[np.diag_indices(r)])
+    idle = draw(st.integers(0, 2))
+    pattern = Pattern(grid, nnodes=int(grid.max()) + 1 + idle)
+    return TileDistribution(pattern, draw(st.integers(1, 12)), symmetric)
+
+
+def _assert_conforms(exact, log):
+    assert exact.panel + exact.trsm == exact.total == exact.per_iteration.sum()
+    assert log.n_messages == exact.total
+    np.testing.assert_array_equal(log.per_node_sent, exact.per_node_sent)
+    np.testing.assert_array_equal(log.per_node_recv, exact.per_node_recv)
+    assert Counter(log.messages) == Counter(exact.messages)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_drawn_distributions(symmetric=False))
+def test_lu_messages_conform_on_drawn_distributions(dist):
+    exact = count_lu_messages(dist, detailed=True)
+    mat = diagonally_dominant(dist.n_tiles, 2, seed=0)
+    _assert_conforms(exact, execute_lu(mat, dist, log_messages=True))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_drawn_distributions(symmetric=True))
+def test_cholesky_messages_conform_on_drawn_distributions(dist):
+    exact = count_cholesky_messages(dist, detailed=True)
+    mat = spd_matrix(dist.n_tiles, 2, seed=0)
+    _assert_conforms(exact, execute_cholesky(mat, dist, log_messages=True))

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.cost.metrics import communication_cost, per_node_volume, q_cholesky, q_lu
+from repro.cost.metrics import (
+    communication_cost,
+    intra_node_volume,
+    per_node_volume,
+    q_cholesky,
+    q_lu,
+)
 from repro.patterns.bc2d import bc2d
 from repro.patterns.g2dbc import g2dbc
 from repro.patterns.sbc import sbc
+from repro.runtime.topology import Topology
 
 
 class TestClosedForms:
@@ -34,6 +41,14 @@ class TestClosedForms:
     def test_per_node_volume(self):
         p = bc2d(2, 3)
         assert per_node_volume(p, 12, "lu") == q_lu(p, 12) / 6
+
+    def test_volumes_reject_unknown_kernels(self):
+        """A kernel name other than "lu" is not read as Cholesky."""
+        for kernel in ("LU", "qr"):
+            with pytest.raises(ValueError, match=f"unknown kernel '{kernel}'"):
+                per_node_volume(sbc(10), 10, kernel)
+            with pytest.raises(ValueError, match=f"unknown kernel '{kernel}'"):
+                intra_node_volume(sbc(10), 10, kernel, Topology.flat(10))
 
     def test_g2dbc_volume_beats_bad_2dbc(self):
         m = 50

@@ -4,11 +4,14 @@
 over a small grid, recorded when the owner-pinned bounds still had
 their own type: LU and Cholesky at P ∈ {1, 2, 5, 7} plus an empty
 graph, on 1 and 3 cores per node, 1 and 2 ranks per machine, with
-homogeneous and heterogeneous node speeds (where ``total_speed()`` and
-a per-node capacity sum round differently), and the policy-universal
+homogeneous and heterogeneous node speeds, and the policy-universal
 bounds under each network.  Each view stores only the fields its
 evaluation covers; every other field must read 0.0.  The file is
-frozen: nothing regenerates it.
+frozen: nothing regenerates it.  One change was made by hand: the
+owner-pinned view's ``work_time`` used to divide by ``total_speed()``,
+and now divides by the per-node capacity sum the policy-universal view
+uses.  That moved the last bits of 16 heterogeneous ``makespan_bounds``
+``work_time`` entries (P ∈ {2, 5, 7}); no ``best`` entry moved.
 """
 
 import json
@@ -75,6 +78,8 @@ def test_grid_matches_recorded_bounds():
                 expected = dict.fromkeys(bounds.as_dict(), "0x0.0p+0")
                 expected.update(golden[case][view])
                 assert bounds.to_canonical() == expected, (case, view)
+                # one work bound: every view divides by the same capacity
+                assert bounds.work_time == views["nic"].work_time, (case, view)
             seen.add(case)
     assert seen == set(golden)
 
