@@ -46,10 +46,12 @@ TILE = 8
 FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 SIZES = (128,) if FAST else (64, 128, 256)
 
-#: compiled-vs-python speedup recorded on the reference host at m=128;
-#: the fast-mode CI gate fails when the live ratio drops below 80% of
-#: this (update together with the results file)
-RECORDED_BACKEND_RATIO = 18.3
+#: compiled-vs-python speedup at m=128 that the fast-mode CI gate
+#: holds the live ratio to (>= 80% of it): 18.3 as recorded on the
+#: reference host, times 1.15, the m=128 slowdown of the python column
+#: once every policy took the Python loop's one task-completion body
+#: (update together with the results file)
+RECORDED_BACKEND_RATIO = 21.0
 
 
 def _cluster() -> ClusterSpec:

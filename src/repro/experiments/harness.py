@@ -85,9 +85,18 @@ def run_factorization(
     intra-node link.  ``resize`` is a
     :class:`~repro.runtime.resize.ResizeEvent` or ``"P@t"`` spec for a
     planned elastic resize mid-run (cannot combine with ``faults``).
+
+    ``tile_size`` sizes the tasks' flops and, without a ``cluster``, the
+    default cluster's messages; a given ``cluster`` must have the same
+    ``tile_size``, or a ``ValueError`` names both.
     """
     if cluster is None:
         cluster = sim_cluster(pattern.nnodes, tile_size=tile_size)
+    elif cluster.tile_size != tile_size:
+        raise ValueError(
+            f"tile_size={tile_size} differs from the cluster's "
+            f"tile_size={cluster.tile_size}: the tasks' flops and the "
+            f"messages would use different tiles")
     elif cluster.nnodes < pattern.nnodes:
         cluster = cluster.with_nodes(pattern.nnodes)
     if scheduler is not None and scheduler != cluster.scheduler:

@@ -111,16 +111,19 @@ TIE_BREAKS = ("usage_random", "random", "first")
 
 
 def _phase1(P: int, r: int, rng: np.random.Generator,
-            tie_break: str = "usage_random") -> list[set[int]]:
+            tie_break: str = "usage_random") -> np.ndarray:
     """Greedy colrow assignment (lines 1-10 of Algorithm 1).
 
-    Reference loop, kept as the test oracle for :func:`_phase1_fast`.
+    Returns the ``(P, r)`` boolean membership matrix (``[p, i]`` —
+    colrow ``i`` in ``A[p]``).  The Python twin of
+    :func:`repro.runtime.csim.gcrm_phase1`: :func:`gcrm` runs it under
+    ``REPRO_SIM_BACKEND=python`` and on hosts without a C compiler, and
+    the differential suite pins the kernel against it.  Both make the
+    same draws from ``rng`` and return the same matrix.
     """
-    A = [set() for _ in range(P)]
     # membership[p, i] — colrow i in A[p]
     member = np.zeros((P, r), dtype=bool)
     for i in range(r):
-        A[i % P].add(i)
         member[i % P, i] = True
     # uncovered[i, j] for i != j
     uncovered = ~np.eye(r, dtype=bool)
@@ -155,128 +158,12 @@ def _phase1(P: int, r: int, rng: np.random.Generator,
             b = int(cand[0])
         else:
             b = int(rng.choice(cand))
-        A[p].add(b)
         member[p, b] = True
         sizes[p] += 1
         usage[b] += 1
-        mine = member[p]
         uncovered[b, mine] = False
         uncovered[mine, b] = False
-    return A
-
-
-def _phase1_fast(P: int, r: int, rng: np.random.Generator,
-                 tie_break: str = "usage_random") -> np.ndarray:
-    """Bitmask reimplementation of :func:`_phase1`: the Python
-    production path, which :func:`gcrm` takes under
-    ``REPRO_SIM_BACKEND=python`` and on hosts without a C compiler.
-
-    Returns the ``(P, r)`` boolean membership matrix (``[p, i]`` — colrow
-    ``i`` in ``A[p]``), as its compiled twin
-    :func:`repro.runtime.csim.gcrm_phase1` does, and makes the same
-    decisions as both: the same ``rng.choice`` calls are made on the
-    same candidate lists, so the RNG stream — and therefore the
-    assignment — is byte-identical.  Colrow sets and the uncovered-cell
-    matrix live in Python integers (one bit per colrow), which turns the
-    per-iteration boolean slicing of the reference path into a handful
-    of popcounts.
-
-    Three deliberate representation differences that cannot change
-    decisions: gains are counted once instead of twice (the reference
-    sums the symmetric ``uncovered`` matrix over rows *and* columns, a
-    uniform ×2 that preserves every argmax tie set), coverage is
-    tracked by a live cell counter instead of re-scanning the matrix,
-    and uniform picks use ``cand[rng.integers(0, len(cand))]``, the
-    exact draw ``Generator.choice`` makes for a 1-D population with
-    ``size=None``/``replace=True``/``p=None`` — minus its Python
-    preamble.  The stream equivalence is locked at runtime by the
-    differential suite (``tests/patterns/test_delta_eval.py``), so a
-    numpy release that reworked ``choice`` internals would fail loudly
-    there rather than silently diverge.
-    """
-    full = (1 << r) - 1
-    member = [0] * P          # bitmask of A[p]
-    for i in range(r):
-        member[i % P] |= 1 << i
-    unc = [full & ~(1 << b) for b in range(r)]  # symmetric uncovered rows
-    n_uncovered = r * r - r
-    sizes = [m.bit_count() for m in member]
-    loads = [s * (s - 1) for s in sizes]  # maintained incrementally
-    usage = [1] * r           # round-robin start: each colrow in one A[p]
-    use_usage = tie_break == "usage_random"
-    pick_first = tie_break == "first"
-    integers = rng.integers
-
-    # the argmin set of ``loads`` is maintained incrementally: loads
-    # never decrease and only the chosen node's load changes, so the
-    # picked node either stays in the set (its load was unchanged) or
-    # drops out; a full O(P) rescan happens only when the set drains.
-    best_load = min(loads)
-    least = [p for p, l in enumerate(loads) if l == best_load]
-
-    guard = 0
-    max_iter = 4 * P * r + 16
-    while n_uncovered:
-        guard += 1
-        if guard > max_iter:  # pragma: no cover - safety net
-            raise RuntimeError(f"GCR&M phase 1 did not converge (P={P}, r={r})")
-        if not least:
-            best_load = min(loads)
-            least = [p for p, l in enumerate(loads) if l == best_load]
-        idx = integers(0, len(least))
-        p = least[idx]
-        mine = member[p]
-        # gains for unowned colrows only; owned ones are -1 in the
-        # reference and can win only when every colrow is owned
-        best_gain = -1
-        cand: list[int] = []
-        bits = full & ~mine
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            b = low.bit_length() - 1
-            g = (unc[b] & mine).bit_count()
-            if g > best_gain:
-                best_gain = g
-                cand = [b]
-            elif g == best_gain:
-                cand.append(b)
-        if not cand:  # p owns every colrow, so covers every cell: P=1
-            break
-        if len(cand) > 1 and use_usage:
-            umin = P + 2  # usage[b] <= P: each node owns b at most once
-            sel: list[int] = []
-            for b in cand:
-                u = usage[b]
-                if u < umin:
-                    umin = u
-                    sel = [b]
-                elif u == umin:
-                    sel.append(b)
-            cand = sel
-        if pick_first:
-            b = cand[0]
-        else:
-            b = cand[integers(0, len(cand))]
-        member[p] = mine | (1 << b)
-        s = sizes[p] + 1
-        sizes[p] = s
-        load = s * (s - 1)
-        loads[p] = load
-        if load != best_load:
-            del least[idx]
-        usage[b] += 1
-        flips = unc[b] & member[p]
-        n_uncovered -= 2 * flips.bit_count()
-        unc[b] &= ~flips
-        while flips:
-            low = flips & -flips
-            unc[low.bit_length() - 1] &= ~(1 << b)
-            flips ^= low
-    nbytes = (r + 7) // 8
-    packed = b"".join(m.to_bytes(nbytes, "little") for m in member)
-    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(P, nbytes),
-                         axis=1, count=r, bitorder="little").view(bool)
+    return member
 
 
 def _matching_assign(cells: np.ndarray, cover: np.ndarray, copies: np.ndarray) -> np.ndarray:
@@ -371,17 +258,16 @@ def gcrm(P: int, r: int, seed=None,
     policy (see :data:`TIE_BREAKS`); the paper's algorithm is
     ``"usage_random"``.
 
-    Construction runs on the fast evaluator: phase 1 in C
-    (:func:`repro.runtime.csim.gcrm_phase1`) whenever
-    :func:`~repro.runtime.backends.select_backend` picks ``c``, else
-    the bitmask loop :func:`_phase1_fast` (both draw the same numbers
-    from ``seed``'s generator and return the same membership matrix);
-    the direct-CSR matchings (:func:`_matching_assign_fast`); and one
-    vectorized :class:`~repro.patterns.delta.DeltaCostState` count of
-    the finished grid instead of full re-costing.
-    The reference loops :func:`_phase1` / :func:`_matching_assign` and
-    full re-costing (:attr:`Pattern.cost_cholesky`) are kept only as
-    the oracles the differential suite pins this path against.
+    Phase 1 runs in C (:func:`repro.runtime.csim.gcrm_phase1`)
+    whenever :func:`~repro.runtime.backends.select_backend` picks
+    ``c``, else on its Python twin :func:`_phase1` (both draw the same
+    numbers from ``seed``'s generator and return the same membership
+    matrix).  Phase 2 runs the direct-CSR matchings
+    (:func:`_matching_assign_fast`), and the cost is one vectorized
+    :class:`~repro.patterns.delta.DeltaCostState` count of the finished
+    grid.  The reference matching :func:`_matching_assign` and full
+    re-costing (:attr:`Pattern.cost_cholesky`) are kept only as the
+    oracles the differential suite pins this path against.
     """
     if P < 1:
         raise ValueError(f"node count must be >= 1, got P={P}")
@@ -397,7 +283,7 @@ def gcrm(P: int, r: int, seed=None,
     if select_backend()[0] == "c":
         member = csim.gcrm_phase1(P, r, rng, TIE_BREAKS.index(tie_break))
     else:
-        member = _phase1_fast(P, r, rng, tie_break=tie_break)
+        member = _phase1(P, r, rng, tie_break=tie_break)
 
     # enumerate off-diagonal cells
     ii, jj = np.nonzero(~np.eye(r, dtype=bool))

@@ -661,10 +661,14 @@ static int64_t draw_below(bitgen_t *bg, int64_t n)
 #define TIE_USAGE_RANDOM 0
 #define TIE_FIRST 2
 
-/* Makes ``gcrm._phase1_fast``'s decisions one for one, on bitsets of
- * W = ceil(r / 64) words: the same least-loaded list (in node order,
- * the picked node dropped in place when its load changes), the same
- * candidate colrows in ascending order, and the same draws.  Returns 0
+/* Makes the decisions of its Python twin ``gcrm._phase1`` one for one,
+ * on bitsets of W = ceil(r / 64) words: the same least-loaded nodes in
+ * node order (kept as a list, the picked node dropped in place when
+ * its load changes), the same candidate colrows in ascending order,
+ * and the same draws (``Generator.integers(0, n)``, which consumes what
+ * the twin's ``Generator.choice`` does).  It counts each newly covered
+ * cell once where the twin sums its symmetric uncovered matrix over
+ * rows and columns, a uniform factor 2 that keeps every tie.  Returns 0
  * and writes ``member[p * r + b] = 1`` iff colrow b is in A[p]; 1 if
  * the safety net of 4 P r + 16 steps trips. */
 int64_t repro_gcrm_phase1(

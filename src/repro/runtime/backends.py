@@ -14,9 +14,10 @@ other run takes the Python loop); phase 1 of
 
 * ``c``      — :mod:`.csim`, compiled on demand with the system C
   compiler;
-* ``python`` — the batch-drained pure-Python event loop, the bitmask
-  phase 1 ``gcrm._phase1_fast`` and the NumPy lowering
-  ``simplan._lower``, always available.
+* ``python`` — each kernel's one Python twin, always available: the
+  batch-drained event loop, the reference phase 1 ``gcrm._phase1`` and
+  the NumPy lowering ``simplan._lower``.  The tests pin each C kernel
+  against its twin.
 
 Both produce byte-identical event schedules, network statistics,
 patterns and plans (the golden, cross-backend, flow-engine, GCR&M

@@ -368,11 +368,12 @@ def gcrm_phase1(P: int, r: int, rng: np.random.Generator,
     """GCR&M phase 1 in C: the ``(P, r)`` boolean colrow membership.
 
     Only valid once :func:`available` is true.  Makes the decisions of
-    :func:`repro.patterns.gcrm._phase1_fast` one for one, on bitsets of
-    ``ceil(r / 64)`` words, with ``tie_break`` the policy's index in
-    :data:`repro.patterns.gcrm.TIE_BREAKS`.  It draws through ``rng``'s
-    own bit generator (numpy's ``bitgen_t``, under its lock) by the
-    rule of ``Generator.integers(0, n)``, so the draws, and the
+    its Python twin :func:`repro.patterns.gcrm._phase1` one for one, on
+    bitsets of ``ceil(r / 64)`` words, with ``tie_break`` the policy's
+    index in :data:`repro.patterns.gcrm.TIE_BREAKS`.  It draws through
+    ``rng``'s own bit generator (numpy's ``bitgen_t``, under its lock)
+    by the rule of ``Generator.integers(0, n)``, which consumes the
+    draws of the twin's ``Generator.choice``, so the draws, and the
     generator's state afterwards, are those of the Python loop for any
     bit generator.
     """
@@ -389,7 +390,7 @@ def gcrm_phase1(P: int, r: int, rng: np.random.Generator,
         status = lib.repro_gcrm_phase1(
             P, r, tie_break, _capsule_pointer(bitgen.capsule, b"BitGenerator"),
             words, ints, member)
-    if status != 0:  # pragma: no cover - safety net, as in _phase1_fast
+    if status != 0:  # pragma: no cover - safety net, as in _phase1
         raise RuntimeError(f"GCR&M phase 1 did not converge (P={P}, r={r})")
     return np.frombuffer(member, dtype=np.bool_).reshape(P, r)
 

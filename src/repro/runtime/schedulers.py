@@ -22,12 +22,11 @@ Two kinds of policy exist:
   dynamic.
 
 The default ``priority`` policy returns the plan's precomputed key
-table **by identity**, which is what lets the Python loop keep its
-specialized batch-drained hot path for the default configuration — the
-golden traces stay byte-identical.  The compiled loop takes any static
+table **by identity** (no copy).  The compiled loop takes any static
 key table, so every static policy (work stealing's rebalance included)
 runs compiled when it builds; the dynamic ``fifo`` and ``lifo`` run
-through the general Python event loop.
+through the Python event loop, whose one task-completion body serves
+every policy.
 
 ``work_stealing`` additionally sets ``steals = True``: after each
 event batch, idle nodes whose own queue is empty pull queued tasks
@@ -193,10 +192,8 @@ def make_scheduler(name: str) -> Scheduler:
 class PriorityScheduler(Scheduler):
     """StarPU-like (iteration, kernel-kind) priority — the default.
 
-    Returns the plan's precomputed key table *by identity*, so the
-    simulator recognizes the default policy and keeps its specialized
-    hot path and compiled backends; schedules stay byte-identical to
-    the golden traces.
+    Returns the plan's precomputed key table *by identity* (no copy);
+    schedules stay byte-identical to the golden traces.
     """
 
     def static_keys(self, plan, graph, cluster, dur):

@@ -47,8 +47,8 @@ The v3 hot path is split in three layers:
    for fork-join, the dynamic-key schedulers (``fifo``, ``lifo``) and
    tree multicast; fault runs have their own loop
    (:mod:`~repro.runtime.faults`).  It drains the event heap in
-   same-timestamp batches; for the priority scheduler without
-   fork-join, task completion wakes and refills its node inline.
+   same-timestamp batches, and every policy takes one task-completion
+   body.
 
 The event schedule, and therefore every trace, is bit-for-bit
 identical across all three layers and to the previous per-event
@@ -281,7 +281,6 @@ def simulate(
     k_l = cols.k.tolist()
     pending_l = plan.pending.tolist()
     dur_l = dur_a.tolist()
-    keys_l = plan.keys.tolist()
     ld_indptr = plan.ld_indptr.tolist()
     ld_tasks = plan.ld_tasks.tolist()
     w_indptr = plan.w_indptr.tolist()
@@ -327,19 +326,14 @@ def simulate(
     model.bind(cluster, push_event, writer=sink)
 
     # scheduling policy, resolved through the registry: static policies
-    # provide a per-task key table (the default priority policy returns
-    # ``plan.keys`` by identity, so ``static_l`` aliases ``keys_l`` and
-    # the arithmetic below is unchanged); dynamic policies (fifo/lifo)
-    # pack the enqueue sequence number instead.
-    policy = cluster.scheduler
-    prio = policy == "priority"
-    sched = make_scheduler(policy)
+    # provide a per-task key table; dynamic policies (fifo/lifo) pack
+    # the enqueue sequence number instead.
+    sched = make_scheduler(cluster.scheduler)
     if sched.dynamic:
         static_l: Optional[List[int]] = None
         dyn_key = sched.dynamic_key
     else:
-        karr = sched.static_keys(plan, graph, cluster, dur_a)
-        static_l = keys_l if karr is plan.keys else karr.tolist()
+        static_l = sched.static_keys(plan, graph, cluster, dur_a).tolist()
         dyn_key = None
     enqueue_seq = 0
 
@@ -395,9 +389,6 @@ def simulate(
                 rec_task(TaskRecord(tid=tid, node=n, start=t, end=t + dur))
         idle[n] = idl
 
-    # specialized hot path: priority scheduler, no fork-join gate
-    fast = not fj and prio
-
     # work stealing (see schedulers.py): after each event batch, idle
     # nodes with empty queues pull queued tasks from victims.  The
     # thief pays one tile transfer on top of its own execution speed:
@@ -449,8 +440,7 @@ def simulate(
                 idle[n] = idl
 
     def deliver(ref, dst: int, t: float, w_indptr=w_indptr, w_tasks=w_tasks,
-                pending_l=pending_l, keys_l=keys_l, ready=ready,
-                heappush=heappush, fast=fast) -> None:
+                pending_l=pending_l) -> None:
         """A message arrived: wake its waiting consumers.
 
         Every waiter of message ``uid = ref[2]`` reads on node ``dst``,
@@ -461,10 +451,7 @@ def simulate(
             p = pending_l[dep] - 1
             pending_l[dep] = p
             if p == 0:
-                if fast:
-                    heappush(ready[dst], keys_l[dep])
-                    any_ready = True
-                elif fj and k_l[dep] > gate_val:
+                if fj and k_l[dep] > gate_val:
                     deferred.setdefault(k_l[dep], []).append(dep)
                 else:
                     enqueue(dep)
@@ -491,13 +478,11 @@ def simulate(
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    # the TASK_DONE branch is the hot path: for the priority scheduler
-    # without a fork-join barrier it has its own body with enqueue and
-    # dispatch inlined; every other configuration takes the general
-    # body.  Message arrivals always go through ``deliver``.  The heap
-    # is drained in same-timestamp batches: each iteration of the outer
-    # loop pins ``now`` and the inner loop keeps popping while the heap
-    # head stays at ``now`` — events pushed *during* the batch land
+    # a task completion wakes its local dependents and dispatches on
+    # every node it woke; message arrivals go through ``deliver``.  The
+    # heap is drained in same-timestamp batches: each iteration of the
+    # outer loop pins ``now`` and the inner loop keeps popping while the
+    # heap head stays at ``now`` — events pushed *during* the batch land
     # behind the drained ones (their seq tags are larger), so
     # processing order is identical to one-at-a-time popping.
     now = 0.0
@@ -515,61 +500,38 @@ def simulate(
                 if dests is not None:
                     model.multicast(tnode, dests, now)
                 # wake local dependents, then refill the freed worker.
-                # Local dependents always run on the producer's node
-                # (that is what makes them local), so completion wakes
-                # exactly one node — no set bookkeeping on the fast path.
-                if fast:
-                    rq = ready[tnode]
-                    s = ld_indptr[tid]
-                    e = ld_indptr[tid + 1]
-                    if s != e:
-                        for dep in ld_tasks[s:e]:
-                            p = pending_l[dep] - 1
-                            pending_l[dep] = p
-                            if p == 0:
-                                heappush(rq, keys_l[dep])
-                    idl = idle[tnode] + 1
-                    while idl > 0 and rq:
-                        tid2 = heappop(rq) & 0xFFFFFFFF
-                        idl -= 1
-                        dur = dur_l[tid2]
-                        busy[tnode] += dur
-                        seq += 4
-                        heappush(events, (now + dur, seq, tid2))
-                        if rec_task is not None:
-                            rec_task(TaskRecord(tid=tid2, node=tnode,
-                                                start=now, end=now + dur))
-                    idle[tnode] = idl
+                # Local dependents run on the producer's node (that is
+                # what makes them local); the fork-join gate and a
+                # stolen task's thief can wake more nodes.
+                woken = {tnode}
+                for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
+                    p = pending_l[dep] - 1
+                    pending_l[dep] = p
+                    if p == 0:
+                        if fj and k_l[dep] > gate_val:
+                            deferred.setdefault(k_l[dep], []).append(dep)
+                        else:
+                            woken.add(enqueue(dep))
+                if fj:
+                    remaining[k_l[tid]] -= 1
+                    while (gate_idx < len(iterations)
+                           and remaining[iterations[gate_idx]] == 0):
+                        gate_idx += 1
+                        if gate_idx < len(iterations):
+                            for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
+                                woken.add(enqueue(tid2))
+                    gate_val = (iterations[gate_idx]
+                                if gate_idx < len(iterations) else (1 << 62))
+                if stealing:
+                    # a stolen task frees a core on the thief, not the
+                    # owner; wakes stay with the owner
+                    wnode = ran_on.pop(tid, tnode)
+                    idle[wnode] += 1
+                    woken.add(wnode)
                 else:
-                    woken = {tnode}
-                    for dep in ld_tasks[ld_indptr[tid]:ld_indptr[tid + 1]]:
-                        p = pending_l[dep] - 1
-                        pending_l[dep] = p
-                        if p == 0:
-                            if fj and k_l[dep] > gate_val:
-                                deferred.setdefault(k_l[dep], []).append(dep)
-                            else:
-                                woken.add(enqueue(dep))
-                    if fj:
-                        remaining[k_l[tid]] -= 1
-                        while (gate_idx < len(iterations)
-                               and remaining[iterations[gate_idx]] == 0):
-                            gate_idx += 1
-                            if gate_idx < len(iterations):
-                                for tid2 in deferred.pop(iterations[gate_idx], ()):  # noqa: B007
-                                    woken.add(enqueue(tid2))
-                        gate_val = (iterations[gate_idx]
-                                    if gate_idx < len(iterations) else (1 << 62))
-                    if stealing:
-                        # a stolen task frees a core on the thief,
-                        # not the owner; wakes stay with the owner
-                        wnode = ran_on.pop(tid, tnode)
-                        idle[wnode] += 1
-                        woken.add(wnode)
-                    else:
-                        idle[tnode] += 1
-                    for n in sorted(woken):
-                        dispatch(n, now)
+                    idle[tnode] += 1
+                for n in sorted(woken):
+                    dispatch(n, now)
             elif etype == _MSG_ARRIVE:
                 ref, dst = payload
                 deliver(ref, dst, now)

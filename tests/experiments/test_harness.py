@@ -28,9 +28,17 @@ class TestRunFactorization:
             run_factorization(bc2d(2, 2), 4, "qr")
 
     def test_cluster_grown_to_pattern(self):
-        small = ClusterSpec(nnodes=1, cores_per_node=2, core_gflops=1.0)
+        small = ClusterSpec(nnodes=1, cores_per_node=2, core_gflops=1.0,
+                            tile_size=10)
         tr = run_factorization(bc2d(2, 2), 6, "lu", cluster=small, tile_size=10)
         assert tr.cluster.nnodes == 4
+
+    def test_cluster_tile_size_must_match(self):
+        """The graph's flops and the cluster's messages share one tile:
+        a cluster of 500-wide tiles cannot run a 10-wide graph."""
+        cl = ClusterSpec(nnodes=4, cores_per_node=2, core_gflops=1.0)
+        with pytest.raises(ValueError, match="tile_size=10 .*tile_size=500"):
+            run_factorization(bc2d(2, 2), 6, "lu", cluster=cl, tile_size=10)
 
     def test_default_cluster_is_simulation_model(self):
         tr = run_factorization(bc2d(2, 2), 6, "lu", tile_size=100)

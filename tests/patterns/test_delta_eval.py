@@ -8,16 +8,16 @@ full re-costing survive as oracles.  Two layers of protection:
   shipped database covers (5..44).  The full evaluator
   (``Pattern.cost_cholesky`` / ``colrow_counts``) is the independent
   oracle.
-* **Regression layer** — both production phase-1 paths (the bitmask
-  loop ``_phase1_fast`` and, when it builds, the compiled
-  ``csim.gcrm_phase1``) and ``_matching_assign_fast`` match the
-  reference loops ``_phase1`` / ``_matching_assign`` on the same RNG
-  streams and covers, leaving the generator in the same state;
-  ``gcrm(...).cost`` is bit-identical to ``pattern.cost_cholesky``;
-  search winners at the paper's P∈{23,31,35} figure cases and the
-  pattern-service inputs P∈{45,57,60,66} match grid digests recorded
-  from the full re-costing evaluator, under every available backend.
-  The RNG-stream equivalence the fast phase-1 paths rely on
+* **Regression layer** — the compiled phase 1 ``csim.gcrm_phase1``
+  (when it builds) matches its Python twin ``_phase1`` on the same RNG
+  streams, on fixed and on drawn inputs, leaving the generator in the
+  same state, and ``_matching_assign_fast`` matches the reference
+  ``_matching_assign`` on the same covers; ``gcrm(...).cost`` is
+  bit-identical to ``pattern.cost_cholesky``; search winners at the
+  paper's P∈{23,31,35} figure cases and the pattern-service inputs
+  P∈{45,57,60,66} match grid digests recorded from the full re-costing
+  evaluator, under every available backend.  The RNG-stream
+  equivalence the compiled phase 1 relies on
   (``Generator.choice(a) ≡ a[Generator.integers(0, len(a))]`` for a
   1-D population) is pinned so a numpy internals change fails loudly.
 """
@@ -37,7 +37,6 @@ from repro.patterns.gcrm import (
     _matching_assign,
     _matching_assign_fast,
     _phase1,
-    _phase1_fast,
     feasible_sizes,
     gcrm,
     gcrm_search,
@@ -196,8 +195,8 @@ def _same_state(a, b):
 
 
 def _phase1_paths(P, r, tie_break):
-    """The production phase-1 paths this host runs, as ``rng -> member``."""
-    paths = {"python": lambda rng: _phase1_fast(P, r, rng, tie_break=tie_break)}
+    """The compiled phase-1 paths this host runs, as ``rng -> member``."""
+    paths = {}
     if csim.available():
         code = TIE_BREAKS.index(tie_break)
         paths["c"] = lambda rng: csim.gcrm_phase1(P, r, rng, code)
@@ -205,28 +204,28 @@ def _phase1_paths(P, r, tie_break):
 
 
 def _phase1_pair(P, r, seed, tie_break="usage_random"):
-    """Run the reference loop and every production path on twin RNG
-    streams; assert equal sets and equal generator state afterwards.
+    """Run the Python twin and every compiled path on twin RNG streams;
+    assert equal membership matrices and equal generator state
+    afterwards.
 
     ``seed`` is anything ``default_rng`` accepts; each run gets a deep
     copy, so a caller-owned generator or bit generator yields twins.
     """
     ref_rng = np.random.default_rng(copy.deepcopy(seed))
     ref = _phase1(P, r, ref_rng, tie_break=tie_break)
+    assert ref.shape == (P, r) and ref.dtype == bool
     for name, run in _phase1_paths(P, r, tie_break).items():
         rng = np.random.default_rng(copy.deepcopy(seed))
         member = run(rng)
         assert member.shape == (P, r) and member.dtype == bool, name
-        assert [set(np.flatnonzero(row).tolist()) for row in member] == ref, name
+        assert np.array_equal(member, ref), name
         assert _same_state(rng.bit_generator.state,
                            ref_rng.bit_generator.state), name
     return ref
 
 
-def _cover(P, r, A):
-    member = np.zeros((P, r), dtype=bool)
-    for p, crs in enumerate(A):
-        member[p, list(crs)] = True
+def _cover(member):
+    r = member.shape[1]
     ii, jj = np.nonzero(~np.eye(r, dtype=bool))
     return (member[:, ii] & member[:, jj]).T.copy()
 
@@ -236,8 +235,7 @@ class TestGcrmDeltaEquivalence:
                                      (31, 16), (35, 15), (44, 12)])
     def test_single_construction_identical(self, P, r):
         for seed in range(4):
-            A = _phase1_pair(P, r, seed)
-            cover = _cover(P, r, A)
+            cover = _cover(_phase1_pair(P, r, seed))
             cells = np.arange(len(cover))
             k = (r * (r - 1)) // P
             for copies in (np.full(P, k, dtype=np.int64),
@@ -317,7 +315,19 @@ class TestGcrmDeltaEquivalence:
     def test_one_node_ends(self, tie_break):
         """At P=1 node 0 owns every colrow and covers every cell."""
         for r in range(2, 7):
-            assert _phase1_pair(1, r, 0, tie_break=tie_break) == [set(range(r))]
+            assert _phase1_pair(1, r, 0, tie_break=tie_break).all()
+
+    @pytest.mark.skipif(not csim.available(), reason="needs the compiled kernel")
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), P=st.integers(min_value=1, max_value=80),
+           seed=st.integers(min_value=0, max_value=2**64 - 1),
+           tie_break=st.sampled_from(TIE_BREAKS))
+    def test_kernel_matches_twin_on_drawn_inputs(self, data, P, seed,
+                                                 tie_break):
+        """The compiled phase 1 against its Python twin on drawn node
+        counts, feasible sizes, seeds and tie-breaks."""
+        r = data.draw(st.sampled_from(feasible_sizes(P)), label="r")
+        _phase1_pair(P, r, seed, tie_break=tie_break)
 
     @pytest.mark.parametrize("P", sorted(SEARCH_DIGESTS))
     def test_search_winner_byte_identical(self, P, sim_backends):
@@ -344,11 +354,11 @@ class TestGcrmDeltaEquivalence:
     def test_rng_stream_equivalence(self):
         """choice(a) and a[integers(0, len(a))] consume identical draws.
 
-        The fast phase-1 path substitutes the latter for the former;
-        this is what makes its RNG stream byte-identical to the
-        reference.  Locked here so a numpy release that reworks
-        ``Generator.choice`` internals fails this suite instead of
-        silently diverging the two evaluators.
+        The compiled phase 1 draws by the latter's rule where its
+        Python twin calls the former; this is what makes their RNG
+        streams byte-identical.  Locked here so a numpy release that
+        reworks ``Generator.choice`` internals fails this suite instead
+        of silently diverging the two.
         """
         for n in (1, 2, 3, 7, 35, 100):
             pop = list(range(10, 10 + n))

@@ -56,25 +56,25 @@ class TestFeasibility:
 class TestPhase1:
     def test_initial_round_robin_and_coverage(self):
         rng = np.random.default_rng(0)
-        A = _phase1(5, 7, rng)
+        member = _phase1(5, 7, rng)
+        assert member.shape == (5, 7) and member.dtype == bool
         # every node got at least one colrow (round-robin start)
-        assert all(len(a) >= 1 for a in A)
+        assert member.any(axis=1).all()
         # every off-diagonal cell covered by some node
         for i in range(7):
             for j in range(7):
                 if i != j:
-                    assert any(i in a and j in a for a in A), (i, j)
+                    assert (member[:, i] & member[:, j]).any(), (i, j)
 
     def test_colrow_choice_prefers_more_new_cells(self):
         """Figure 8 behaviour: the chosen colrow maximizes newly covered
         cells, so every node that holds >= 2 colrows covers cells at all
         their pairwise intersections."""
         rng = np.random.default_rng(3)
-        A = _phase1(6, 8, rng)
-        sizes = sorted(len(a) for a in A)
+        sizes = _phase1(6, 8, rng).sum(axis=1)
         # coverage needs most nodes on >= 2 colrows; greedy growth keeps
         # assignments small (no node should hoard far more than others)
-        assert sizes[-1] - sizes[0] <= 3
+        assert sizes.max() - sizes.min() <= 3
 
 
 class TestGcrm:

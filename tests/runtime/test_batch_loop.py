@@ -11,8 +11,8 @@ array hot path) and pin its canonical outputs for:
   helpers).
 
 Any byte-level drift of the event schedule — from batch draining, the
-inlined priority path, the vectorized planner, or a compiled backend —
-fails here.  Every case runs under each available event loop (the
+one task-completion body, the vectorized planner, or a compiled
+backend — fails here.  Every case runs under each available event loop (the
 ``sim_backends`` fixture).  Regenerate only after an intentional
 behavior change::
 

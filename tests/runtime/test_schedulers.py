@@ -246,8 +246,7 @@ class TestRegistry:
 
     def test_priority_keys_are_plan_keys(self):
         """The default policy returns the plan's key table *by
-        identity* — the contract that keeps the hot path byte-identical
-        to the pre-registry simulator."""
+        identity*, with no copy."""
         from repro.runtime.simplan import get_plan
 
         graph, home = build_case("lu", 5, M)
