@@ -30,6 +30,19 @@ from repro.experiments.figures import (
 SMALL = (12, 16)
 GOLDEN_ROWS = Path(__file__).parent / "golden" / "figure_rows.json"
 
+#: ``fig9_gcrm_size_effect(P=23, seeds=range(5), max_factor=2.5).rows``,
+#: floats as ``float.hex``
+FIG9_ROWS = [
+    {"r": 5, "min_cost": "0x1.ccccccccccccdp+2",
+     "mean_cost": "0x1.d99999999999ap+2", "max_cost": "0x1.f333333333333p+2"},
+    {"r": 7, "min_cost": "0x1.8000000000000p+2",
+     "mean_cost": "0x1.8ea0ea0ea0ea0p+2", "max_cost": "0x1.9249249249249p+2"},
+    {"r": 10, "min_cost": "0x1.d99999999999ap+2",
+     "mean_cost": "0x1.e51eb851eb852p+2", "max_cost": "0x1.ecccccccccccdp+2"},
+    {"r": 11, "min_cost": "0x1.a2e8ba2e8ba2fp+2",
+     "mean_cost": "0x1.ab0df6b0df6b2p+2", "max_cost": "0x1.b45d1745d1746p+2"},
+]
+
 
 @pytest.fixture(scope="module")
 def tiny_figures():
@@ -181,3 +194,12 @@ class TestRowGolden:
             GOLDEN_ROWS.write_text(json.dumps(actual, indent=1) + "\n")
             pytest.skip(f"regenerated {GOLDEN_ROWS.name}")
         assert actual == json.loads(GOLDEN_ROWS.read_text())
+
+    def test_fig9_rows_match_golden(self, sim_backends):
+        """Figure 9's per-size spread over every ``(r, seed)`` task,
+        under every available backend."""
+        for backend in sim_backends:
+            res = fig9_gcrm_size_effect(P=23, seeds=range(5), max_factor=2.5)
+            actual = [{k: v.hex() if isinstance(v, float) else v
+                       for k, v in row.items()} for row in res.rows]
+            assert actual == FIG9_ROWS, backend
