@@ -51,6 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
                 f"must be >= 0 (0 = auto-select), got {value}")
         return value
 
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
     def add_search_flags(p):
         """GCR&M search-engine knobs shared by pattern-building commands."""
         p.add_argument("--jobs", "-j", type=jobs_count, default=1, metavar="N",
@@ -61,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "stopping near the sqrt(3P/2) cost floor")
 
     p = sub.add_parser("pattern", help="build and inspect a pattern")
-    p.add_argument("--nodes", "-P", type=int, required=True)
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
-    p.add_argument("--seeds", type=int, default=20, help="GCR&M search budget")
+    p.add_argument("--seeds", type=positive_int, default=20,
+                   help="GCR&M search budget")
     p.add_argument("--show", action="store_true", help="print the grid")
     p.add_argument("--save", metavar="FILE", default=None, help="write JSON")
     p.add_argument("--store", metavar="DIR", default=None,
@@ -73,17 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_search_flags(p)
 
     p = sub.add_parser("cost", help="compare pattern families for one P")
-    p.add_argument("--nodes", "-P", type=int, required=True)
-    p.add_argument("--tiles", type=int, default=100,
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
+    p.add_argument("--tiles", type=positive_int, default=100,
                    help="matrix size in tiles for volume predictions")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=positive_int, default=20)
     add_search_flags(p)
 
     p = sub.add_parser("gcrm",
                        help="flat vs hierarchy-aware GCR&M for one P")
-    p.add_argument("--nodes", "-P", type=int, required=True,
+    p.add_argument("--nodes", "-P", type=positive_int, required=True,
                    help="rank count (the pattern's P)")
-    p.add_argument("--topology", type=int, default=2,
+    p.add_argument("--topology", type=positive_int, default=2,
                    metavar="RANKS_PER_NODE",
                    help="ranks packed per physical machine (default 2)")
     p.add_argument("--inter-weight", type=float, default=4.0,
@@ -91,28 +98,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "inter-node ones in the hierarchical objective")
     p.add_argument("--kernel", choices=("lu", "cholesky"),
                    default="cholesky")
-    p.add_argument("--tiles", type=int, default=32,
+    p.add_argument("--tiles", type=positive_int, default=32,
                    help="matrix size in tiles for volume predictions")
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=positive_int, default=20,
                    help="GCR&M search budget")
     p.add_argument("--show", action="store_true",
                    help="print both grids")
     add_search_flags(p)
 
     p = sub.add_parser("simulate", help="simulate a factorization run")
-    p.add_argument("--nodes", "-P", type=int, required=True)
-    p.add_argument("--tiles", type=int, default=48)
+    p.add_argument("--nodes", "-P", type=positive_int, required=True)
+    p.add_argument("--tiles", type=positive_int, default=48)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="lu")
     p.add_argument("--family", choices=sorted(PATTERN_FAMILIES), default=None)
-    p.add_argument("--tile-size", type=int, default=500)
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--tile-size", type=positive_int, default=500)
+    p.add_argument("--seeds", type=positive_int, default=10)
     p.add_argument("--network", choices=sorted(NETWORK_MODELS), default=None,
                    help="communication model (nic = legacy sender-serialized, "
                         "contention = rx serialization + latency + shared "
                         "link, hierarchical = two-level intra/inter-node); "
                         "default nic, or hierarchical when --topology is "
                         "above 1")
-    p.add_argument("--topology", type=int, default=1,
+    p.add_argument("--topology", type=positive_int, default=1,
                    metavar="RANKS_PER_NODE",
                    help="pack this many ranks per physical machine "
                         "(two-level topology; 1 = flat)")
@@ -140,15 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "(family x P x m x network) grid")
     p.add_argument("--families", nargs="+", default=["g2dbc", "gcrm"],
                    choices=sorted(PATTERN_FAMILIES), metavar="FAMILY")
-    p.add_argument("--nodes", "-P", nargs="+", type=int, required=True,
-                   metavar="P")
-    p.add_argument("--tiles", nargs="+", type=int, default=[16, 24],
+    p.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                   required=True, metavar="P")
+    p.add_argument("--tiles", nargs="+", type=positive_int, default=[16, 24],
                    metavar="M", help="matrix sizes in tiles")
     p.add_argument("--networks", nargs="+", default=["nic"],
                    choices=sorted(NETWORK_MODELS), metavar="MODEL")
     p.add_argument("--kernel", choices=("lu", "cholesky"), default=None,
                    help="force one kernel (default: each family's natural one)")
-    p.add_argument("--tile-size", type=int, default=500)
+    p.add_argument("--tile-size", type=positive_int, default=500)
     p.add_argument("--jobs", "-j", type=jobs_count, default=1, metavar="N",
                    help="worker processes (1 = serial, 0 = auto-select)")
     p.add_argument("--faults", nargs="+", default=[""], metavar="SPEC",
@@ -162,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=registered_schedulers(), metavar="POLICY",
                    help="scheduler-policy axis; every row carries its "
                         "schedule lower bound and optimality_ratio")
-    p.add_argument("--topology", nargs="+", type=int, default=[1],
+    p.add_argument("--topology", nargs="+", type=positive_int, default=[1],
                    metavar="RANKS_PER_NODE",
                    help="ranks-per-node axis (1 = flat); hierarchical "
                         "cells carry per-level traffic columns")
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=BEST_FAMILY,
                         help="pattern family key ('best' = the per-kernel "
                              "recommendation of best_pattern)")
-        sp.add_argument("--budget", type=int, default=20,
+        sp.add_argument("--budget", type=positive_int, default=20,
                         help="GCR&M search seeds per node count")
         sp.add_argument("--jobs", "-j", type=jobs_count, default=1,
                         metavar="N")
@@ -195,24 +202,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = store_sub.add_parser(
         "precompute", help="warm shards for a node-count range")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, default=None,
-                    metavar="P", help="explicit node counts")
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    default=None, metavar="P", help="explicit node counts")
     sp.add_argument("--range", nargs=2, type=int, default=None,
                     metavar=("LO", "HI"), help="inclusive node-count range")
     add_store_flags(sp)
 
     sp = store_sub.add_parser(
         "query", help="batched lookup (falls back to a live search)")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, required=True,
-                    metavar="P")
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    required=True, metavar="P")
     add_store_flags(sp)
 
     sp = store_sub.add_parser(
         "stats", help="shard inventory and hit/miss/eviction counters")
     sp.add_argument("--dir", metavar="DIR", required=True,
                     help="store directory holding the npz shards")
-    sp.add_argument("--nodes", "-P", nargs="+", type=int, default=None,
-                    metavar="P", help="probe these node counts through the "
+    sp.add_argument("--nodes", "-P", nargs="+", type=positive_int,
+                    default=None, metavar="P",
+                    help="probe these node counts through the "
                     "tiers first, at every search budget the store holds "
                     "(read-only; absent counts stay misses)")
     sp.add_argument("--kernel", choices=("lu", "cholesky"),
@@ -227,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiment ids (e.g. fig4 table1b)")
 
     p = sub.add_parser("validate", help="numeric factorization + message check")
-    p.add_argument("--tiles", type=int, default=10)
-    p.add_argument("--tile-size", type=int, default=16)
+    p.add_argument("--tiles", type=positive_int, default=10)
+    p.add_argument("--tile-size", type=positive_int, default=16)
     p.add_argument("--kernel", choices=("lu", "cholesky"), default="cholesky")
-    p.add_argument("--nodes", "-P", type=int, default=10)
+    p.add_argument("--nodes", "-P", type=positive_int, default=10)
     return parser
 
 
@@ -281,11 +289,9 @@ def cmd_cost(args) -> int:
         rows.append(("sbc", None, sbc_cost(P)))
     from .patterns.gcrm import gcrm_search
 
-    try:
-        rows.append(("gcrm", None,
-                     gcrm_search(P, seeds=range(args.seeds), **_search_kwargs(args)).cost))
-    except ValueError:
-        pass
+    rows.append(("gcrm", None,
+                 gcrm_search(P, seeds=range(args.seeds),
+                             **_search_kwargs(args)).cost))
     for name, t_lu, t_chol in rows:
         q1 = f"{q_lu_from_t(t_lu, n):>12.0f}" if t_lu is not None else f"{'-':>12}"
         t1 = f"{t_lu:>8.3f}" if t_lu is not None else f"{'-':>8}"

@@ -17,7 +17,7 @@ Design notes
 * **Determinism / jobs-independence** — every cell is evaluated by a
   pure function of its spec; results are merged back in planning order,
   so ``jobs=1`` and ``jobs=8`` produce identical rows (the same
-  index-ordered reduction contract as ``run_search``).
+  index-ordered reduction contract as ``gcrm_search``).
 * **Memoization** — a campaign memo maps cell signatures to finished
   rows, so re-running an enlarged grid only simulates the new cells.
   Patterns are not cached here: the calling process resolves each

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..patterns.bc2d import bc2d_cost, best_grid
 from ..patterns.g2dbc import g2dbc, g2dbc_cost, g2dbc_cost_bound, g2dbc_params
-from ..patterns.gcrm import feasible_sizes, gcrm_cost_floor, gcrm_search
+from ..patterns.gcrm import gcrm_cost_floor, gcrm_search
 from ..patterns.library import search_budget
 from ..patterns.sbc import best_sbc_within, sbc, sbc_cost, sbc_feasible
 from ..cost.bounds import lu_pattern_lower_bound, sbc_cost_curve
@@ -284,30 +284,20 @@ def fig7b_strong_scaling_cholesky(n_tiles: int = 48, tile_size: int = 500,
 def fig9_gcrm_size_effect(P: int = 23, seeds: Iterable[int] = range(25),
                           max_factor: float = 6.0,
                           jobs: Optional[int] = 1) -> FigureResult:
-    """Per-(r, seed) cost spread, evaluated on the parallel search engine.
+    """Per-(r, seed) cost spread: one exhaustive :func:`gcrm_search`.
 
     The figure needs every cost (not just the winner), so the sweep runs
-    with pruning disabled; costs are identical for any ``jobs``.
+    with pruning disabled and reads the report's outcomes, in task
+    order; costs are identical for any ``jobs``.
     """
-    from ..patterns.search import SearchTask, run_search
-
     seeds = list(seeds)
-    sizes = feasible_sizes(P, max_factor=max_factor)
-    groups, index = [], 0
-    for r in sizes:
-        tasks = []
-        for s in seeds:
-            tasks.append(SearchTask(index=index, r=r, seed=s))
-            index += 1
-        groups.append((r, tasks))
-    report = run_search(P, groups, jobs=jobs, prune=False)
-
-    by_size: Dict[int, list] = {r: [] for r in sizes}
-    for o in sorted(report.outcomes, key=lambda o: o.index):
-        by_size[o.r].append(o.cost)
+    report = gcrm_search(P, seeds, max_factor, jobs=jobs,
+                         prune=False).report
+    by_size: Dict[int, list] = {}
+    for o in report.outcomes:
+        by_size.setdefault(o.r, []).append(o.cost)
     rows = []
-    for r in sizes:
-        costs = by_size[r]
+    for r, costs in by_size.items():
         rows.append({
             "r": r,
             "min_cost": min(costs),

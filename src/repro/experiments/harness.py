@@ -56,9 +56,7 @@ def run_factorization(
     cluster: Optional[ClusterSpec] = None,
     tile_size: int = 500,
     network: Optional[str] = None,
-    record_tasks: bool = False,
     faults=None,
-    recovery=None,
     trace_writer=None,
     scheduler: Optional[str] = None,
     attach_bounds: bool = False,
@@ -70,9 +68,8 @@ def run_factorization(
     ``network`` names the simulator's communication model (``"nic"``,
     ``"contention"`` or ``"hierarchical"``; ``None`` = legacy
     ``"nic"``).  ``faults`` is a
-    :class:`~repro.runtime.faults.FaultPlan` or spec string; when set
-    (and no explicit ``recovery`` policy is given), failed nodes are
-    re-homed onto their pattern colrow peers
+    :class:`~repro.runtime.faults.FaultPlan` or spec string; when set,
+    failed nodes are re-homed onto their pattern colrow peers
     (:func:`~repro.runtime.faults.colrow_recovery`).  ``scheduler``
     overrides the cluster's scheduling policy (a registry name);
     ``attach_bounds=True`` computes
@@ -110,14 +107,14 @@ def run_factorization(
     if cluster.ranks_per_node > 1 and network is None:
         network = "hierarchical"
     _, graph, home = build_factorization(pattern, n_tiles, kernel, tile_size)
-    if faults is not None and recovery is None:
+    recovery = None
+    if faults is not None:
         from ..runtime.faults import colrow_recovery
         recovery = colrow_recovery(pattern)
     if trace_writer is not None and getattr(trace_writer, "graph", False) is None:
         trace_writer.graph = graph  # kernel-labelled slices for free
     trace = simulate(graph, cluster, data_home=home,
-                     network=network, record_tasks=record_tasks,
-                     faults=faults, recovery=recovery,
+                     network=network, faults=faults, recovery=recovery,
                      trace_writer=trace_writer, resize=resize)
     if attach_bounds:
         from ..cost.schedbounds import schedule_lower_bounds

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,6 +45,7 @@ from ..runtime import csim
 from ..runtime.backends import select_backend
 from .base import UNDEFINED, Pattern
 from .delta import ColrowSwap, DeltaCostState, HierCostState
+from .search import SearchReport, TaskOutcome, auto_executor, chunk_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runtime.topology import Topology
@@ -88,7 +89,7 @@ class GCRMResult:
     pattern: Pattern
     colrows: list[set[int]]  #: A[p] — colrows each node may appear on
     cost: float
-    seed: Optional[object] = None  #: int seed or SeedSequence spawn key
+    seed: Optional[object] = None  #: the seed :func:`gcrm` was given
     phase2_leftover: int = 0  #: cells assigned by the final greedy step
     loads: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     report: Optional[object] = None  #: SearchReport when produced by gcrm_search
@@ -251,12 +252,10 @@ def gcrm(P: int, r: int, seed=None,
          tie_break: str = "usage_random") -> GCRMResult:
     """Run GCR&M for ``P`` nodes and pattern size ``r`` (Algorithm 1).
 
-    ``seed`` may be an integer, ``None``, or a
-    :class:`numpy.random.SeedSequence` (the parallel search derives one
-    per task via ``SeedSequence.spawn`` so results are independent of
-    execution order).  ``tie_break`` selects the phase-1 colrow tie
-    policy (see :data:`TIE_BREAKS`); the paper's algorithm is
-    ``"usage_random"``.
+    ``seed`` is anything :func:`numpy.random.default_rng` accepts; the
+    search passes its integer seeds as given.  ``tie_break`` selects
+    the phase-1 colrow tie policy (see :data:`TIE_BREAKS`); the paper's
+    algorithm is ``"usage_random"``.
 
     Phase 1 runs in C (:func:`repro.runtime.csim.gcrm_phase1`)
     whenever :func:`~repro.runtime.backends.select_backend` picks
@@ -275,10 +274,6 @@ def gcrm(P: int, r: int, seed=None,
         raise ValueError(f"pattern size r={r} violates Equation 3 for P={P}")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    if isinstance(seed, np.random.SeedSequence):
-        seed_id: object = tuple(seed.spawn_key)
-    else:
-        seed_id = seed
     rng = np.random.default_rng(seed)
     if select_backend()[0] == "c":
         member = csim.gcrm_phase1(P, r, rng, TIE_BREAKS.index(tie_break))
@@ -324,7 +319,7 @@ def gcrm(P: int, r: int, seed=None,
 
     grid = np.full((r, r), UNDEFINED, dtype=np.int64)
     grid[ii, jj] = owner
-    pattern = Pattern(grid, nnodes=P, name=f"GCR&M {r}x{r} (P={P}, seed={seed_id})")
+    pattern = Pattern(grid, nnodes=P, name=f"GCR&M {r}x{r} (P={P}, seed={seed})")
     # A[p] off the final matrix in one pass: its row-major nonzeros,
     # cut into per-node runs
     nodes, crs = np.nonzero(member)
@@ -335,10 +330,14 @@ def gcrm(P: int, r: int, seed=None,
         pattern=pattern,
         colrows=colrows,
         cost=DeltaCostState.from_grid(grid, P).cost,
-        seed=seed_id,
+        seed=seed,
         phase2_leftover=int(len(leftover)),
         loads=np.bincount(owner, minlength=P),
     )
+
+
+#: Refinement passes of :func:`gcrm_hier`'s exchange step.
+_HIER_PASSES = 4
 
 
 def _affinity_relabel(grid: np.ndarray, P: int,
@@ -382,8 +381,7 @@ def _affinity_relabel(grid: np.ndarray, P: int,
 
 
 def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
-              inter_weight: float = 4.0, tie_break: str = "usage_random",
-              max_passes: int = 4) -> GCRMResult:
+              inter_weight: float = 4.0) -> GCRMResult:
     """Hierarchy-aware GCR&M: optimize the weighted two-level objective.
 
     Runs flat :func:`gcrm` construction on the identical RNG stream,
@@ -399,7 +397,8 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
        ``cost_hier`` (strict ``1e-12``), with moves restricted to ranks
        already present on both affected colrows so the rank-level count
        can only drop.  Per-node loads are exchanged one-for-one, so
-       ``load_imbalance`` is preserved exactly.
+       ``load_imbalance`` is preserved exactly.  At most
+       :data:`_HIER_PASSES` passes run.
 
     With ``topology.is_flat`` the flat result is returned unchanged
     (there is no hierarchy to exploit), making hierarchical search
@@ -422,7 +421,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     if topology.nranks < P:
         raise ValueError(
             f"topology covers {topology.nranks} ranks but P={P}")
-    base = gcrm(P, r, seed=seed, tie_break=tie_break)
+    base = gcrm(P, r, seed=seed)
     if topology.is_flat:
         return base
 
@@ -433,7 +432,7 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
 
     state = HierCostState.from_grid(grid, P, topology, float(inter_weight))
     cur = state.cost_hier
-    for _ in range(max_passes):
+    for _ in range(_HIER_PASSES):
         improved = False
         for i in range(r):
             for j in range(r):
@@ -496,44 +495,61 @@ def gcrm_hier(P: int, r: int, topology: "Topology", seed=None, *,
     )
 
 
+#: Pruning band of :func:`gcrm_search`: it stops scanning larger sizes
+#: once the best cost is within 5% of the empirical floor.
+PRUNE_TOL = 0.05
+
+
+def _score_chunk(args) -> list[TaskOutcome]:
+    """Worker body: score one chunk of ``(index, r, seed)`` tasks.
+
+    Module-level so the process pool can pickle it.  A ``topology``
+    (a frozen, picklable :class:`~repro.runtime.topology.Topology`)
+    scores each task by :func:`gcrm_hier`'s two-level objective, else
+    by the flat cost.
+    """
+    P, topology, inter_weight, chunk = args
+    out = []
+    for index, r, seed in chunk:
+        res = _build(P, r, seed, topology, inter_weight)
+        out.append(TaskOutcome(index, r, res.cost, res.uses_all_nodes))
+    return out
+
+
+def _build(P: int, r: int, seed: int, topology: Optional["Topology"],
+           inter_weight: float) -> GCRMResult:
+    if topology is None:
+        return gcrm(P, r, seed=seed)
+    return gcrm_hier(P, r, topology, seed=seed, inter_weight=inter_weight)
+
+
 def gcrm_search(
     P: int,
-    sizes: Optional[Sequence[int]] = None,
     seeds: Iterable[int] = range(100),
     max_factor: float = 6.0,
     *,
-    seed: Optional[int] = None,
     jobs: Optional[int] = 1,
     prune: bool = True,
-    prune_tol: float = 0.05,
-    chunk_size: Optional[int] = None,
-    tie_break: str = "usage_random",
     topology: Optional["Topology"] = None,
     inter_weight: float = 4.0,
 ) -> GCRMResult:
     """Paper evaluation protocol: best pattern over sizes × seeds.
 
-    For each feasible ``r ≤ max_factor·√P`` (Equation 3) and each seed,
-    run :func:`gcrm` and keep the lowest-cost pattern.  The paper uses
-    ``max_factor = 6`` and 100 seeds; smaller budgets give slightly
-    worse patterns but identical trends.
+    For each feasible ``r ≤ max_factor·√P`` (Equation 3,
+    :func:`feasible_sizes`) and each integer seed, run :func:`gcrm`
+    with that seed as given and keep the lowest-cost pattern that uses
+    all nodes.  The paper uses ``max_factor = 6`` and 100 seeds;
+    smaller budgets give slightly worse patterns but identical trends.
+    The winner depends only on ``(seeds, max_factor, prune)`` (and the
+    topology arguments), never on ``jobs``.
 
-    The sweep runs on the engine in :mod:`repro.patterns.search`:
-
-    ``seed``
-        Root seed.  When given, per-task generators are derived with
-        ``SeedSequence(seed).spawn`` and the values in ``seeds`` only
-        set the per-size budget (their count is used, not their
-        values).  When ``None`` (legacy mode), each entry of ``seeds``
-        is used verbatim as a :func:`gcrm` integer seed.  Both modes
-        are bit-identical across ``jobs`` and ``chunk_size``.
     ``jobs``
-        1 = serial (the legacy reference path), ``>= 2`` = that many
-        worker processes, ``0``/``None`` = auto-select by workload
-        size and CPU count.
-    ``prune`` / ``prune_tol``
+        1 = serial, ``>= 2`` = that many worker processes
+        (:mod:`repro.patterns.search`), ``0``/``None`` = auto-select by
+        workload size and CPU count.
+    ``prune``
         Stop scanning larger sizes once the running best is within
-        ``prune_tol`` (relative) of the empirical floor ``√(3P/2)``
+        :data:`PRUNE_TOL` (5%) of the empirical floor ``√(3P/2)``
         (:func:`gcrm_cost_floor`).  Pruning decisions happen on size
         boundaries only, so they are identical for every ``jobs``.
         The first candidate size is always fully evaluated.
@@ -544,65 +560,58 @@ def gcrm_search(
         drops to ``√(3·nnodes/2)`` (distinct *nodes* obey the same
         empirical bound over the node-mapped pattern).  A flat (or
         ``None``) topology reproduces the flat sweep exactly.
-        Bit-identical across ``jobs`` like the flat sweep.
 
-    The returned result carries the engine's
-    :class:`~repro.patterns.search.SearchReport` in ``result.report``.
+    Tasks are the ``(r, seed)`` pairs in size-major order.  Within a
+    size they run concurrently; outcomes are reduced in task order,
+    and a candidate replaces the incumbent only when cheaper by more
+    than ``1e-12`` (:meth:`~repro.patterns.search.SearchReport.reduce`).
+    Workers return compact outcomes; the winner is rebuilt in-process
+    from its ``(r, seed)``, which avoids shipping pattern grids
+    through IPC.  The result carries the
+    :class:`~repro.patterns.search.SearchReport` in ``result.report``;
+    its ``outcomes`` hold every evaluated task's cost (Figure 9).
     """
-    from .search import SearchTask, run_search, spawn_task_seeds
-
     if P < 1:
         raise ValueError(f"node count must be >= 1, got P={P}")
-    if sizes is None:
-        sizes = feasible_sizes(P, max_factor)
-    sizes = list(sizes)
+    sizes = feasible_sizes(P, max_factor)
     if not sizes:
         raise ValueError(f"no feasible pattern size for P={P}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("gcrm_search needs a non-empty seed budget")
+    if topology is not None and topology.is_flat:
+        topology = None
+    floor = gcrm_cost_floor(P if topology is None else topology.nnodes)
 
-    if seed is not None:
-        material = spawn_task_seeds(seed, len(sizes) * len(seeds))
-    else:
-        material = [s for _ in sizes for s in seeds]
-    groups = []
-    index = 0
-    for r in sizes:
-        tasks = []
-        for _ in seeds:
-            tasks.append(SearchTask(index=index, r=r, seed=material[index]))
-            index += 1
-        groups.append((r, tasks))
-
-    hier = topology is not None and not topology.is_flat
-    report = run_search(
-        P,
-        groups,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        tie_break=tie_break,
-        prune=prune,
-        prune_floor=gcrm_cost_floor(topology.nnodes if hier else P),
-        prune_tol=prune_tol,
-        topology=topology if hier else None,
-        inter_weight=inter_weight,
-    )
+    n = len(seeds)
+    executor = auto_executor(len(sizes) * n, jobs)
+    report = SearchReport(best_index=None, best_cost=float("inf"),
+                          jobs=executor.jobs, n_tasks_total=len(sizes) * n)
+    try:
+        for k, r in enumerate(sizes):
+            tasks = [(k * n + i, r, s) for i, s in enumerate(seeds)]
+            for outcomes in executor.map(
+                    _score_chunk,
+                    [(P, topology, inter_weight, c)
+                     for c in chunk_tasks(tasks, executor.jobs)]):
+                report.outcomes.extend(outcomes)
+            report.sizes_evaluated.append(r)
+            report.n_tasks_evaluated += n
+            if prune:
+                report.reduce()
+                if report.best_cost <= floor * (1.0 + PRUNE_TOL):
+                    report.sizes_pruned = sizes[k + 1:]
+                    break
+    finally:
+        executor.close()
+    report.reduce()
     if report.best_index is None:
         raise ValueError(
             f"GCR&M found no pattern using all {P} nodes; "
             f"increase max_factor or the seed budget"
         )
-    # Rebuild the winner in-process from its task seed: cheaper than
-    # shipping every pattern through IPC, and bit-identical because the
-    # task's RNG depends only on its seed material.
-    winner = next(t for _, tasks in groups for t in tasks
-                  if t.index == report.best_index)
-    if hier:
-        best = gcrm_hier(P, winner.r, topology, seed=winner.seed,
-                         inter_weight=inter_weight, tie_break=tie_break)
-    else:
-        best = gcrm(P, winner.r, seed=winner.seed, tie_break=tie_break)
+    k, i = divmod(report.best_index, n)
+    best = _build(P, sizes[k], seeds[i], topology, inter_weight)
     assert abs(best.cost - report.best_cost) < 1e-9, "non-deterministic gcrm task"
     best.report = report
     return best

@@ -41,11 +41,10 @@ disk.  Hit / miss / eviction counters are exact
 serves a whole ``P_array`` at one seed count (factor 6, pruned): hot
 tier, then shards, then — for store misses — live
 :func:`~repro.patterns.library.best_pattern` calls fanned out on the
-same process-pool machinery as the GCR&M search, filed in the store as
-they arrive.  Each fallback task is a pure function of its key, and
-results are merged back in input order, so the output is independent
-of ``jobs`` and ``chunk_size`` (the ``run_search`` determinism
-contract).
+same executors as the GCR&M search (:mod:`repro.patterns.search`),
+filed in the store as they arrive.  Each fallback task is a pure
+function of its key, and results are merged back in input order, so
+the output is independent of ``jobs``, as a search's winner is.
 
 :func:`repro.patterns.library.best_pattern` accepts ``store=`` to make
 any call site read-through, and ``python -m repro store
@@ -261,7 +260,6 @@ class PatternStore:
         *,
         family: str = BEST_FAMILY,
         jobs: Optional[int] = 1,
-        chunk_size: Optional[int] = None,
     ) -> List[Pattern]:
         """Serve a batch of node counts; results align with ``P_array``.
 
@@ -272,9 +270,9 @@ class PatternStore:
         ``best_pattern(store=)`` does.  Each fallback task is
         deterministic in its key, misses are dispatched in sorted-P
         order, and results are merged by P — so the returned patterns
-        are independent of ``jobs`` and ``chunk_size``.  :meth:`stats`
-        counts the live builds (``fallbacks``) and the shards they were
-        filed in (``shards_written``).
+        are independent of ``jobs``.  :meth:`stats` counts the live
+        builds (``fallbacks``) and the shards they were filed in
+        (``shards_written``).
         """
         Ps = [int(P) for P in P_array]
         if not Ps:
@@ -297,8 +295,8 @@ class PatternStore:
         missing = sorted(P for P in Ps if P not in found)
         if missing:
             self._fallbacks += len(missing)
-            computed = self._compute_live(missing, kernel, family, budget,
-                                          jobs, chunk_size)
+            computed = self._compute_live(missing, kernel, family,
+                                          budget, jobs)
             self.put_many(computed, **key)
             found.update(computed)
         return [found[P] for P in Ps]
@@ -312,11 +310,10 @@ class PatternStore:
     # internals
     # ------------------------------------------------------------------
     def _compute_live(self, Ps: List[int], kernel: str, family: str,
-                      budget: int, jobs: Optional[int],
-                      chunk_size: Optional[int]) -> Dict[int, Pattern]:
+                      budget: int, jobs: Optional[int]) -> Dict[int, Pattern]:
         executor = auto_executor(len(Ps), jobs)
         try:
-            chunks = chunk_tasks(Ps, executor.jobs, chunk_size)
+            chunks = chunk_tasks(Ps, executor.jobs)
             results = executor.map(
                 _compute_pattern_chunk,
                 [(kernel, family, budget, c) for c in chunks])

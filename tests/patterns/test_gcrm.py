@@ -162,12 +162,17 @@ class TestSearch:
             assert res.cost >= gcrm_cost_floor(P) - 1.0, P
 
     def test_explicit_sizes(self):
-        res = gcrm_search(23, sizes=[10, 12], seeds=range(5))
-        assert res.pattern.nrows in (10, 12)
+        """The sizes are ``feasible_sizes(P, max_factor)``, no others."""
+        res = gcrm_search(23, seeds=range(5), max_factor=2.6)
+        report = res.report
+        assert report.sizes_evaluated + report.sizes_pruned \
+            == feasible_sizes(23, 2.6) == [5, 7, 10, 11, 12]
+        assert res.pattern.nrows in report.sizes_evaluated
 
     def test_no_feasible_sizes(self):
-        with pytest.raises(ValueError):
-            gcrm_search(23, sizes=[])
+        assert feasible_sizes(23, 0.5) == []
+        with pytest.raises(ValueError, match="no feasible pattern size"):
+            gcrm_search(23, max_factor=0.5)
 
 
 class TestTieBreaks:
@@ -202,6 +207,5 @@ class TestTieBreaks:
                 off = ~np.eye(r, dtype=bool)
                 assert (res.pattern.grid[off] == 0).all(), (backend, r)
                 assert res.colrows == [set(range(r))], (backend, r)
-            best = gcrm_search(1, seeds=range(2), prune=False,
-                               tie_break=tie_break).pattern
+            best = gcrm_search(1, seeds=range(2), prune=False).pattern
             assert (best.grid[~np.eye(best.nrows, dtype=bool)] == 0).all()

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.patterns.gcrm import feasible_sizes, gcrm, gcrm_cost_floor, gcrm_search
+from repro.patterns.gcrm import (
+    PRUNE_TOL,
+    feasible_sizes,
+    gcrm,
+    gcrm_cost_floor,
+    gcrm_search,
+)
 from repro.patterns.search import (
     AUTO_SERIAL_THRESHOLD,
     ProcessExecutor,
-    SearchTask,
     SerialExecutor,
     auto_executor,
     chunk_tasks,
     resolve_jobs,
-    run_search,
-    spawn_task_seeds,
 )
 
 
@@ -67,38 +70,19 @@ class TestChunking:
         chunks = chunk_tasks(tasks, jobs=4)
         assert [x for c in chunks for x in c] == tasks
 
-    def test_explicit_chunk_size(self):
-        chunks = chunk_tasks(list(range(10)), jobs=4, chunk_size=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-
     def test_default_one_chunk_per_worker(self):
         chunks = chunk_tasks(list(range(20)), jobs=4)
         assert len(chunks) == 4
 
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            chunk_tasks([1, 2], jobs=1, chunk_size=0)
-
 
 class TestSeedDerivation:
-    def test_spawn_is_deterministic(self):
-        a = spawn_task_seeds(42, 5)
-        b = spawn_task_seeds(42, 5)
-        for x, y in zip(a, b):
-            assert np.random.default_rng(x).integers(1 << 30) == \
-                np.random.default_rng(y).integers(1 << 30)
-
-    def test_children_are_independent(self):
-        children = spawn_task_seeds(0, 4)
-        draws = {int(np.random.default_rng(c).integers(1 << 60)) for c in children}
-        assert len(draws) == 4
-
     def test_gcrm_accepts_seedsequence(self):
-        ss = spawn_task_seeds(3, 2)[1]
+        """Any ``default_rng`` seed builds a pattern, deterministically."""
+        ss = np.random.SeedSequence(3).spawn(2)[1]
         a = gcrm(23, 10, seed=ss)
         b = gcrm(23, 10, seed=ss)
         assert a.pattern == b.pattern
-        assert a.seed == tuple(ss.spawn_key)
+        assert a.seed is ss
 
 
 class TestDeterminismRegression:
@@ -106,7 +90,9 @@ class TestDeterminismRegression:
 
     @pytest.mark.parametrize("P", [23, 31, 35])
     def test_root_seed_jobs_independent(self, P):
-        kw = dict(seeds=range(5), max_factor=3.0, seed=1234)
+        """Integer seeds, used as given: the winner is the same for any
+        pool size."""
+        kw = dict(seeds=range(1234, 1239), max_factor=3.0)
         serial = gcrm_search(P, jobs=1, **kw)
         parallel = gcrm_search(P, jobs=4, **kw)
         assert serial.cost == parallel.cost
@@ -119,12 +105,6 @@ class TestDeterminismRegression:
         parallel = gcrm_search(23, jobs=2, **kw)
         assert serial.cost == parallel.cost
         assert serial.pattern == parallel.pattern
-
-    def test_chunk_size_does_not_change_winner(self):
-        kw = dict(seeds=range(6), max_factor=3.0, seed=7)
-        a = gcrm_search(23, chunk_size=1, **kw)
-        b = gcrm_search(23, chunk_size=50, **kw)
-        assert a.cost == b.cost and a.pattern == b.pattern
 
     def test_matches_pre_engine_serial_loop(self):
         """jobs=1 + no pruning reproduces the historical serial search."""
@@ -151,24 +131,33 @@ class TestPruning:
         assert res.report.sizes_evaluated[0] == feasible_sizes(23, 3.0)[0]
 
     def test_prune_skips_trailing_sizes(self):
-        # generous tolerance forces pruning at the first group that
-        # yields any winner (r=6 cannot use all 35 nodes, so r=12 wins)
-        pruned = gcrm_search(35, seeds=range(4), max_factor=6.0, prune_tol=10.0)
+        # at P=13 the r=9 group lands inside the 5% band, so the other
+        # 12 feasible sizes are skipped (r=4 cannot use all 13 nodes)
+        pruned = gcrm_search(13, seeds=range(4))
+        sizes = feasible_sizes(13, 6.0)
+        assert len(sizes) == 14
         assert pruned.report.pruned
-        assert pruned.report.sizes_evaluated == feasible_sizes(35, 6.0)[:2]
-        full = gcrm_search(35, seeds=range(4), max_factor=6.0, prune=False)
+        assert pruned.report.sizes_evaluated == [4, 9] == sizes[:2]
+        assert pruned.report.sizes_pruned == sizes[2:]
+        assert pruned.report.n_tasks_evaluated == 2 * 4
+        full = gcrm_search(13, seeds=range(4), prune=False)
         assert not full.report.pruned
         assert full.report.n_tasks_evaluated == full.report.n_tasks_total
 
     def test_pruned_cost_within_band(self):
-        res = gcrm_search(35, seeds=range(10), max_factor=6.0,
-                          prune=True, prune_tol=0.05)
-        if res.report.pruned:
-            assert res.cost <= gcrm_cost_floor(35) * 1.05 + 1e-9
+        res = gcrm_search(13, seeds=range(4), prune=True)
+        assert res.report.pruned
+        assert PRUNE_TOL == 0.05
+        assert res.cost <= gcrm_cost_floor(13) * (1 + PRUNE_TOL) + 1e-9
 
     def test_first_group_never_pruned(self):
-        res = gcrm_search(23, seeds=range(3), max_factor=3.0, prune_tol=100.0)
-        assert len(res.report.sizes_evaluated) >= 1
+        # at P=10 the first size, r=5, already lands inside the 5% band:
+        # its whole group runs, and the 12 larger sizes are skipped
+        res = gcrm_search(10, seeds=range(3))
+        sizes = feasible_sizes(10, 6.0)
+        assert res.report.sizes_evaluated == [5] == sizes[:1]
+        assert res.report.sizes_pruned == sizes[1:]
+        assert [o.r for o in res.report.outcomes] == [5, 5, 5]
 
 
 class TestRunSearchEdges:
@@ -177,13 +166,15 @@ class TestRunSearchEdges:
             gcrm_search(23, seeds=[], max_factor=3.0)
 
     def test_no_winner_raises(self):
-        # size 2 over 2 nodes leaves a node without off-diagonal cells
-        tasks = [SearchTask(index=0, r=3, seed=0)]
-        report = run_search(7, [(3, tasks)], prune=False)
-        # r=3 on P=7: only 6 off-diagonal cells for 7 nodes -> some empty
-        assert report.best_index is None
+        # r=3 is the only size up to 1.2·√7, and its 6 off-diagonal
+        # cells cannot reach all 7 nodes
+        assert feasible_sizes(7, 1.2) == [3]
+        with pytest.raises(ValueError, match="no pattern using all 7 nodes"):
+            gcrm_search(7, seeds=range(1), max_factor=1.2, prune=False)
 
     def test_outcomes_cover_all_tasks_without_prune(self):
-        res = gcrm_search(23, sizes=[10, 12], seeds=range(3), prune=False)
-        assert len(res.report.outcomes) == 6
-        assert res.pattern.nrows in (10, 12)
+        assert feasible_sizes(23, 2.6) == [5, 7, 10, 11, 12]
+        res = gcrm_search(23, seeds=range(3), max_factor=2.6, prune=False)
+        assert len(res.report.outcomes) == 15
+        assert [o.index for o in res.report.outcomes] == list(range(15))
+        assert res.pattern.nrows in (7, 10, 11, 12)

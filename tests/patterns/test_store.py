@@ -265,16 +265,6 @@ class TestBatchedLookup:
             assert a.grid.tobytes() == b.grid.tobytes()
             assert not a.grid.flags.writeable  # also from a pool worker
 
-    def test_chunk_size_independent(self, tmp_path):
-        Ps = [3, 5, 8, 11, 14]
-        a = PatternStore(tmp_path / "c1").patterns_for(
-            Ps, kernel="lu", budget=2, jobs=2, chunk_size=1)
-        b = PatternStore(tmp_path / "c5").patterns_for(
-            Ps, kernel="lu", budget=2, jobs=2, chunk_size=5)
-        for x, y in zip(a, b):
-            assert x == y
-
-
 
 class TestPrecompute:
     """Warming a store is one ``patterns_for`` call: it files every

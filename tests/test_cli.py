@@ -40,6 +40,31 @@ class TestParser:
             build_parser().parse_args(argv + ["--family", "gcmr"])
 
 
+class TestCountFlags:
+    """Every count flag takes integers >= 1: anything else exits 2 at
+    parse time, naming the flag, before any work runs."""
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--nodes", ["simulate", "-P", "0"]),
+        ("--tiles", ["cost", "-P", "23", "--tiles", "0"]),
+        ("--seeds", ["cost", "-P", "23", "--seeds", "0"]),
+        ("--budget", ["store", "query", "--dir", "store", "--nodes", "5",
+                      "--budget", "0"]),
+        ("--tile-size", ["simulate", "-P", "7", "--tiles", "8",
+                         "--tile-size", "0"]),
+        ("--topology", ["simulate", "-P", "7", "--tiles", "8",
+                        "--topology", "0"]),
+    ])
+    def test_non_positive_count_exits_2(self, flag, argv, capsys,
+                                        monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "must be >= 1, got 0" in err
+
+
 class TestGcrmCommand:
     def test_flat_vs_hier_table(self, capsys):
         assert main(["gcrm", "-P", "11", "--topology", "2",
